@@ -226,6 +226,20 @@ def denoiser_loss(denoiser, z0_batch, embeddings, schedule, t_steps, noises):
     return total / len(z0_batch)
 
 
+def denoiser_batch(latents, pooled, time_table, idx, ts, eps, schedule):
+    """Denoiser inputs [B, latent + time_dim + embed_dim] for one batch.
+
+    Row j is the latent ``latents[idx[j]]`` diffused to step ``ts[j]`` with
+    noise ``eps[j]`` (the :func:`diffuse_forward` formula, broadcast over
+    the batch), then the step's row of ``time_table`` and the prompt's row
+    of ``pooled``.
+    """
+    abar = schedule.alpha_bars[ts][:, None]
+    z_t = np.sqrt(abar) * latents[idx] + np.sqrt(1.0 - abar) * eps
+    return np.concatenate([z_t.astype(np.float32), time_table[ts],
+                           pooled[idx]], axis=1)
+
+
 def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
     """Fit the noise predictor on corpus (prompt, image) pairs.
 
@@ -238,10 +252,12 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
     rng = as_rng(config.seed)
     denoiser = Denoiser(pair.latent_shape, config.hidden, config.time_dim,
                         rng=rng)
-    prompts = [p for p, _ in dataset]
     latents = np.stack([pair.encode(img).reshape(-1) for _, img in dataset])
-    embeddings = [embed_prompt(p, denoiser.max_tokens, denoiser.embed_dim)
-                  for p in prompts]
+    pooled = np.stack([
+        embed_prompt(p, denoiser.max_tokens, denoiser.embed_dim).pooled()
+        for p, _ in dataset])
+    time_table = np.stack([time_embedding(t, denoiser.time_dim)
+                           for t in range(schedule.steps + 1)])
     opt = nn.Adam(config.learning_rate)
     history = []
     names = denoiser.net.param_names()
@@ -249,14 +265,8 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
         ts = rng.integers(1, schedule.steps + 1, size=config.batch_size)
         eps = rng.standard_normal((config.batch_size, denoiser.latent_size))
-        feats = []
-        for j, i in enumerate(idx):
-            z_t = diffuse_forward(latents[i], int(ts[j]), eps[j], schedule)
-            feats.append(np.concatenate([
-                z_t.astype(np.float32),
-                time_embedding(int(ts[j]), denoiser.time_dim),
-                embeddings[i].pooled()]))
-        feats = np.stack(feats)
+        feats = denoiser_batch(latents, pooled, time_table, idx, ts, eps,
+                               schedule)
         pred = denoiser.net.forward(feats, cache=True)
         diff = pred - eps.astype(np.float32)
         loss = float(np.mean(diff * diff))

@@ -279,8 +279,24 @@ class Network:
         return Network([layer.clone_as(dtype) for layer in self.layers], self.name)
 
 
+# Elements per Adam work block: three float64 blocks of this size (384 KiB)
+# stay cache-resident while a parameter streams through them.
+ADAM_BLOCK = 16384
+
+
 class Adam:
-    """Adam optimizer with bias correction; moments are zero-initialized."""
+    """Adam optimizer with bias correction; moments are zero-initialized.
+
+    Moments are float64 whatever the parameter dtype. ``step`` streams each
+    parameter through ``ADAM_BLOCK``-element scratch blocks with in-place
+    ufuncs, in the same operation order as the plain array form
+
+        m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        p -= cast(((m / c1) lr) / (sqrt(v / c2) + eps))
+
+    so the result is bit-identical to it (every op is elementwise and
+    correctly rounded, so blocking cannot change a value).
+    """
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.learning_rate = float(learning_rate)
@@ -289,36 +305,83 @@ class Adam:
         self.epsilon = float(epsilon)
         self.step_count = 0
         self._moments = None
+        self._scratch = {}
+
+    def _block(self, key, dtype, size):
+        """Reusable scratch block, grown to ``size`` (at most ADAM_BLOCK)."""
+        buf = self._scratch.get(key)
+        if buf is None or buf.size < size:
+            buf = self._scratch[key] = np.empty(size, dtype=dtype)
+        return buf
 
     def step(self, params, grads, names=None):
-        """Update params in place from grads; returns the params list."""
+        """Update params in place from grads; returns the params list.
+
+        Raises TrainingError naming the first parameter whose gradient holds
+        a NaN or infinity, before any parameter or moment changes.
+        """
+        grads = [np.asarray(g) for g in grads]
+        for i, g in enumerate(grads):
+            if not np.isfinite(g).all():
+                label = names[i] if names else f"param[{i}]"
+                raise TrainingError(f"non-finite gradient for {label}")
+        for i, (p, g) in enumerate(zip(params, grads)):
+            label = names[i] if names else f"param[{i}]"
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {label} is not C-contiguous; "
+                                 "Adam updates it through a flat view")
+            if g.size != p.size:
+                raise ValueError(f"gradient for {label} has {g.size} "
+                                 f"elements, parameter has {p.size}")
         if self._moments is None:
             self._moments = [(np.zeros_like(p, dtype=np.float64),
                               np.zeros_like(p, dtype=np.float64)) for p in params]
         if len(params) != len(self._moments):
             raise ValueError("parameter list changed size between steps")
-        for i, g in enumerate(grads):
-            if not np.all(np.isfinite(g)):
-                label = names[i] if names else f"param[{i}]"
-                raise TrainingError(f"non-finite gradient for {label}")
         self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
+        lr, b1, b2, eps = (self.learning_rate, self.beta1, self.beta2,
+                           self.epsilon)
+        c1 = 1.0 - b1 ** self.step_count
+        c2 = 1.0 - b2 ** self.step_count
+        width = min(ADAM_BLOCK, max((p.size for p in params), default=0))
+        g64_buf = self._block("g64", np.float64, width)
+        a_buf = self._block("a", np.float64, width)
+        b_buf = self._block("b", np.float64, width)
         for p, g, (m, v) in zip(params, grads, self._moments):
-            g64 = np.asarray(g, dtype=np.float64)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g64
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g64 * g64
-            update = (self.learning_rate * (m / c1)
-                      / (np.sqrt(v / c2) + self.epsilon))
-            p -= update.astype(p.dtype)
+            pf, gf, mf, vf = (p.reshape(-1), g.reshape(-1), m.reshape(-1),
+                              v.reshape(-1))
+            if p.dtype != np.float64:
+                cast_buf = self._block(p.dtype.str, p.dtype, width)
+            for s in range(0, pf.size, ADAM_BLOCK):
+                e = min(s + ADAM_BLOCK, pf.size)
+                n = e - s
+                pc, mc, vc = pf[s:e], mf[s:e], vf[s:e]
+                a, b = a_buf[:n], b_buf[:n]
+                if gf.dtype == np.float64:
+                    g64 = gf[s:e]
+                else:
+                    g64 = g64_buf[:n]
+                    np.copyto(g64, gf[s:e])
+                mc *= b1
+                np.multiply(g64, 1.0 - b1, out=a)
+                mc += a
+                vc *= b2
+                np.multiply(g64, 1.0 - b2, out=a)
+                a *= g64
+                vc += a
+                np.divide(mc, c1, out=a)
+                a *= lr
+                np.divide(vc, c2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                if p.dtype == np.float64:
+                    pc -= a
+                else:
+                    cast = cast_buf[:n]
+                    np.copyto(cast, a, casting="same_kind")
+                    pc -= cast
         return params
-
-
-def adam_step(state: Adam, params, grads, names=None):
-    """Functional alias for one optimizer update."""
-    return state.step(params, grads, names)
 
 
 def parameter_count(description) -> int:

@@ -238,6 +238,29 @@ class TestDenoiserTraining:
         tail = float(np.mean(hist[-max(1, len(hist) // 10):]))
         assert tail < hist[0]
 
+    def test_vectorized_batch_equals_per_sample_composition(self, rng):
+        prompts, images = corpus.build_corpus(7, 3, 16, 16, seed=2)
+        pair = genmodel.AutoencoderPair((3, 16, 16), (2, 4, 4), 24, rng=3)
+        sched = genmodel.make_schedule(9)
+        time_dim = 16
+        latents = np.stack([pair.encode(img).reshape(-1) for img in images])
+        embeddings = [genmodel.embed_prompt(p) for p in prompts]
+        pooled = np.stack([e.pooled() for e in embeddings])
+        time_table = np.stack([genmodel.time_embedding(t, time_dim)
+                               for t in range(sched.steps + 1)])
+        idx = rng.integers(0, len(prompts), size=32)
+        ts = rng.integers(1, sched.steps + 1, size=32)
+        eps = rng.standard_normal((32, latents.shape[1]))
+        want = np.stack([np.concatenate([
+            genmodel.diffuse_forward(latents[i], int(t), e, sched)
+            .astype(np.float32),
+            genmodel.time_embedding(int(t), time_dim),
+            embeddings[i].pooled()]) for i, t, e in zip(idx, ts, eps)])
+        got = genmodel.denoiser_batch(latents, pooled, time_table, idx, ts,
+                                      eps, sched)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+
     def test_oracle_denoiser_has_zero_loss(self, rng):
         s = genmodel.make_schedule(5)
         z0 = [rng.standard_normal(6) for _ in range(4)]

@@ -1,8 +1,48 @@
 import numpy as np
 import pytest
 
-from megsim import nn
+from megsim import corpus, genmodel, nn
 from megsim.errors import DimensionError, StateError, TrainingError
+
+
+class ReferenceAdam:
+    """The plain whole-array Adam form (Kingma & Ba, arXiv:1412.6980).
+
+    Kept verbatim as the oracle for ``nn.Adam``: the blocked, in-place
+    implementation must reproduce it bit for bit.
+    """
+
+    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.learning_rate = float(learning_rate)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.epsilon = float(epsilon)
+        self.step_count = 0
+        self._moments = None
+
+    def step(self, params, grads, names=None):
+        if self._moments is None:
+            self._moments = [(np.zeros_like(p, dtype=np.float64),
+                              np.zeros_like(p, dtype=np.float64)) for p in params]
+        if len(params) != len(self._moments):
+            raise ValueError("parameter list changed size between steps")
+        for i, g in enumerate(grads):
+            if not np.all(np.isfinite(g)):
+                label = names[i] if names else f"param[{i}]"
+                raise TrainingError(f"non-finite gradient for {label}")
+        self.step_count += 1
+        c1 = 1.0 - self.beta1 ** self.step_count
+        c2 = 1.0 - self.beta2 ** self.step_count
+        for p, g, (m, v) in zip(params, grads, self._moments):
+            g64 = np.asarray(g, dtype=np.float64)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g64
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g64 * g64
+            update = (self.learning_rate * (m / c1)
+                      / (np.sqrt(v / c2) + self.epsilon))
+            p -= update.astype(p.dtype)
+        return params
 
 
 def fd_check(layer, in_dim, rng, tol=1e-4):
@@ -142,6 +182,123 @@ class TestAdam:
         p = np.array([1.0])
         with pytest.raises(TrainingError, match="layer7.bias"):
             nn.Adam().step([p], [np.array([np.nan])], names=["layer7.bias"])
+
+    @staticmethod
+    def _three_params(rng):
+        params = [rng.standard_normal((5, 4)).astype(np.float32),
+                  rng.standard_normal(4).astype(np.float32),
+                  rng.standard_normal((3, 7)).astype(np.float32)]
+        names = ["a.weights", "a.bias", "b.weights"]
+        opt = nn.Adam(1e-2)
+        opt.step(params, [rng.standard_normal(p.shape).astype(np.float32)
+                          for p in params], names)
+        return params, names, opt
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_third_gradient_raises_and_changes_nothing(self, rng,
+                                                                 bad):
+        params, names, opt = self._three_params(rng)
+        grads = [rng.standard_normal(p.shape).astype(np.float32)
+                 for p in params]
+        grads[2][1, 5] = bad
+        before = [p.copy() for p in params]
+        moments = [(m.copy(), v.copy()) for m, v in opt._moments]
+        with pytest.raises(TrainingError, match="b.weights"):
+            opt.step(params, grads, names)
+        assert opt.step_count == 1
+        for p, q in zip(params, before):
+            assert np.array_equal(p, q)
+        for (m, v), (m0, v0) in zip(opt._moments, moments):
+            assert np.array_equal(m, m0) and np.array_equal(v, v0)
+
+    def test_first_step_failure_leaves_optimizer_fresh(self):
+        p = np.ones(3, dtype=np.float32)
+        opt = nn.Adam()
+        with pytest.raises(TrainingError, match="param\\[0\\]"):
+            opt.step([p], [np.array([0.0, np.inf, 0.0], np.float32)])
+        assert opt.step_count == 0 and opt._moments is None
+        assert np.array_equal(p, np.ones(3))
+
+    def test_huge_finite_float32_gradients_do_not_raise(self):
+        # finite extremes of either sign are not mistaken for overflow
+        g = np.full(50_000, 3.0e38, dtype=np.float32)
+        g[::2] = -3.0e38
+        g[:10] = 3.4e38
+        p = np.zeros_like(g)
+        nn.Adam().step([p], [g])
+        assert np.all(np.isfinite(p))
+
+    def test_non_contiguous_parameter_raises(self):
+        base = np.zeros((4, 6), dtype=np.float32)
+        with pytest.raises(ValueError, match="contiguous"):
+            nn.Adam().step([base.T], [np.ones((6, 4), np.float32)],
+                           names=["t.weights"])
+        assert np.array_equal(base, np.zeros((4, 6)))
+
+
+class TestAdamMatchesReference:
+    """The blocked in-place Adam equals the whole-array form bit for bit."""
+
+    SHAPES = [(6, 5), (5,), (3, 4, 2)]
+
+    def _check(self, rng, shapes, p_dtype, g_dtype):
+        mine = [rng.standard_normal(s).astype(p_dtype) for s in shapes]
+        ref = [p.copy() for p in mine]
+        opt, ref_opt = nn.Adam(), ReferenceAdam()
+        for _ in range(50):
+            # spread magnitudes so the sqrt/eps path and tiny updates matter
+            scale = 10.0 ** rng.uniform(-6, 2)
+            grads = [(scale * rng.standard_normal(s)).astype(g_dtype)
+                     for s in shapes]
+            opt.step(mine, grads)
+            ref_opt.step(ref, grads)
+        assert opt.step_count == ref_opt.step_count == 50
+        for p, q in zip(mine, ref):
+            assert p.dtype == q.dtype and np.array_equal(p, q)
+        for (m, v), (rm, rv) in zip(opt._moments, ref_opt._moments):
+            assert np.array_equal(m, rm) and np.array_equal(v, rv)
+
+    def test_float32_params_float32_grads(self, rng):
+        self._check(rng, self.SHAPES, np.float32, np.float32)
+
+    def test_float32_params_float64_grads(self, rng):
+        self._check(rng, self.SHAPES, np.float32, np.float64)
+
+    def test_float64_params(self, rng):
+        self._check(rng, self.SHAPES, np.float64, np.float64)
+
+    def test_parameter_spanning_several_blocks(self, rng):
+        # 2.5 blocks plus an odd tail: the last block is a partial one
+        size = 2 * nn.ADAM_BLOCK + nn.ADAM_BLOCK // 2 + 7
+        assert size % nn.ADAM_BLOCK
+        self._check(rng, [(size,), (13,)], np.float32, np.float32)
+
+    def test_trained_networks_save_byte_identical(self, rng, tmp_path,
+                                                  monkeypatch):
+        # 3 x 16 x 16 pixels x 32 hidden = 24,576 weights, more than a block
+        prompts, images = corpus.build_corpus(10, 3, 16, 16, seed=4)
+        shapes = ((3, 16, 16), (2, 4, 4))
+        ae_cfg = genmodel.AutoencoderTrainConfig(steps=40, batch_size=4,
+                                                 hidden=32, seed=1)
+        dn_cfg = genmodel.DenoiserTrainConfig(steps=40, batch_size=4,
+                                              hidden=24, time_dim=8, seed=2)
+        schedule = genmodel.make_schedule(6)
+
+        def train_and_save(tag):
+            pair, _ = genmodel.train_autoencoder(images, *shapes, ae_cfg)
+            den, _ = genmodel.train_denoiser(
+                pair, list(zip(prompts, images)), schedule, dn_cfg)
+            blobs = []
+            for k, net in enumerate((pair.encoder, pair.decoder, den.net)):
+                path = tmp_path / f"{tag}{k}.bin"
+                nn.save_network(path, net)
+                blobs.append(path.read_bytes())
+            return blobs
+
+        mine = train_and_save("blocked")
+        monkeypatch.setattr(nn, "Adam", ReferenceAdam)
+        ref = train_and_save("reference")
+        assert mine == ref
 
 
 class TestParameterCount:
