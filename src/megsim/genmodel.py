@@ -274,7 +274,7 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
             raise TrainingError("denoiser loss is not finite")
         history.append(loss)
         g = (2.0 / diff.size) * diff
-        _, grads = denoiser.net.backward(g)
+        _, grads = denoiser.net.backward(g, input_grad=False)
         opt.step(denoiser.net.params(), grads, names)
     return denoiser, history
 
@@ -327,14 +327,6 @@ class AutoencoderPair:
         return out.reshape(shape)
 
 
-def encode_image(pair: AutoencoderPair, image):
-    return pair.encode(image)
-
-
-def decode_latent(pair: AutoencoderPair, latent):
-    return pair.decode(latent)
-
-
 @dataclass
 class AutoencoderTrainConfig:
     steps: int = 800
@@ -376,6 +368,6 @@ def train_autoencoder(images, image_shape, latent_shape,
         g_recon = (2.0 / diff.size) * diff
         g_z_dec, dec_grads = pair.decoder.backward(g_recon)
         g_z = g_z_dec + (2.0 * lam / z.size) * z
-        _, enc_grads = pair.encoder.backward(g_z)
+        _, enc_grads = pair.encoder.backward(g_z, input_grad=False)
         opt.step(params, enc_grads + dec_grads, names)
     return pair, history

@@ -3,7 +3,9 @@
 The Frechet score uses a frozen random-weight feature extractor instead
 of a pretrained classifier, so it is reported everywhere as a proxy: it
 preserves the distance machinery and relative ordering, not absolute
-published magnitudes.
+published magnitudes. The distance is exact and closed-form: its cross
+term is the nuclear norm of the product of the two centered feature
+batches, so no covariance matrix or matrix square root is formed.
 """
 
 import math
@@ -76,18 +78,22 @@ class FeatureExtractor:
         return self.net.forward(flat, cache=False).astype(np.float64)
 
 
-def _psd_sqrt(matrix, floor=1e-10):
-    """Symmetric matrix square root with eigenvalues clamped at zero."""
-    vals, vecs = np.linalg.eigh(matrix)
-    vals = np.where(vals < floor, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 def frechet_distance(features_a, features_b):
     """Frechet distance between Gaussian fits of two feature batches.
 
-    Uses the symmetric-product form sqrt(C_b^1/2 C_a C_b^1/2) for the
-    cross term; covariances use 1/(n-1) normalization.
+    Covariances use 1/(n-1) normalization. With the centered batches
+    A = a - mu_a [n, F] and B = b - mu_b [m, F], the nonzero eigenvalues
+    of C_b^1/2 C_a C_b^1/2 are those of A B^T B A^T / ((n-1)(m-1)), so its
+    trace square root is the nuclear norm (sum of singular values) of
+    A B^T, scaled, and the distance is exactly
+
+        |mu_a - mu_b|^2 + |A|_F^2 / (n-1) + |B|_F^2 / (m-1)
+            - 2 |A B^T|_* / sqrt((n-1)(m-1))
+
+    No F x F matrix is formed and no eigenvalue is clamped. Each side is
+    first reduced to the R factor of its QR decomposition (orthogonal
+    factors leave singular values unchanged), so the SVD is at most
+    min(n, F) x min(m, F) whatever the batch sizes.
     """
     a = np.asarray(features_a, dtype=np.float64)
     b = np.asarray(features_b, dtype=np.float64)
@@ -95,22 +101,36 @@ def frechet_distance(features_a, features_b):
         raise ValueError("feature batches must be 2-d [N, F]")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ValueError("each batch needs at least 2 samples")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise FloatingPointError("feature batches hold NaN or infinity")
+    n, m = a.shape[0], b.shape[0]
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    cov_a = np.atleast_2d(np.cov(a, rowvar=False))
-    cov_b = np.atleast_2d(np.cov(b, rowvar=False))
+    centered_a, centered_b = a - mu_a, b - mu_b
     diff = mu_a - mu_b
-    root_b = _psd_sqrt(cov_b)
-    cross = _psd_sqrt(root_b @ cov_a @ root_b)
-    value = float(diff @ diff + np.trace(cov_a + cov_b - 2.0 * cross))
+    r_a = np.linalg.qr(centered_a, mode="r")
+    r_b = np.linalg.qr(centered_b, mode="r")
+    nuclear = np.linalg.svd(r_a @ r_b.T, compute_uv=False).sum()
+    value = float(diff @ diff
+                  + np.vdot(centered_a, centered_a) / (n - 1)
+                  + np.vdot(centered_b, centered_b) / (m - 1)
+                  - 2.0 * nuclear / math.sqrt((n - 1) * (m - 1)))
     if not np.isfinite(value):
-        raise FloatingPointError("Frechet distance did not converge")
+        raise FloatingPointError("Frechet distance is not finite")
     return max(value, 0.0)
 
 
-def fid(batch_generated, batch_reference, extractor: FeatureExtractor):
-    """Frechet distance between the feature clouds of two image batches."""
+def fid(batch_generated, batch_reference, extractor: FeatureExtractor,
+        reference_features=None):
+    """Frechet distance between the feature clouds of two image batches.
+
+    A reference batch scored many times can pass its features once
+    extracted, ``extractor.extract(batch_reference)``, as
+    ``reference_features``; ``batch_reference`` is then not read.
+    """
+    if reference_features is None:
+        reference_features = extractor.extract(batch_reference)
     return frechet_distance(extractor.extract(batch_generated),
-                            extractor.extract(batch_reference))
+                            reference_features)
 
 
 def symbol_count(mode, image_shape, downsample, rate=None, latent_channels=None):

@@ -88,8 +88,9 @@ class DenseLayer:
             self._cache = (x2, pre, out, squeeze)
         return out[0] if squeeze else out
 
-    def backward(self, upstream):
-        """Return (input_grad, weight_grad, bias_grad) for the cached forward."""
+    def backward(self, upstream, input_grad=True):
+        """Return (input_grad, weight_grad, bias_grad) for the cached forward;
+        ``input_grad=False`` skips the input gradient and returns None."""
         if self._cache is None:
             raise StateError(f"backward on {self.name!r} before forward")
         x2, pre, out, squeeze = self._cache
@@ -104,10 +105,10 @@ class DenseLayer:
             g = g * (1.0 - out * out)
         grad_w = g.T @ x2
         grad_b = g.sum(axis=0)
+        if not input_grad:
+            return None, grad_w, grad_b
         grad_x = g @ self.weights
-        if squeeze:
-            grad_x = grad_x[0]
-        return grad_x, grad_w, grad_b
+        return (grad_x[0] if squeeze else grad_x), grad_w, grad_b
 
     def clone_as(self, dtype):
         dup = DenseLayer.__new__(DenseLayer)
@@ -176,9 +177,11 @@ class Normalize(_NormBase):
             self._cache = (x_hat, inv, squeeze)
         return x_hat[0] if squeeze else x_hat
 
-    def backward(self, upstream):
+    def backward(self, upstream, input_grad=True):
         if self._cache is None:
             raise StateError(f"backward on {self.name!r} before forward")
+        if not input_grad:
+            return (None,)
         x_hat, inv, squeeze = self._cache
         g, _ = _promote(upstream, self.dtype)
         grad_x = self._input_grad(g, x_hat, inv)
@@ -221,14 +224,17 @@ class LayerNorm(_NormBase):
             self._cache = (x_hat, inv, squeeze)
         return out[0] if squeeze else out
 
-    def backward(self, upstream):
-        """Return (input_grad, gain_grad, offset_grad)."""
+    def backward(self, upstream, input_grad=True):
+        """Return (input_grad, gain_grad, offset_grad); ``input_grad=False``
+        skips the input gradient and returns None."""
         if self._cache is None:
             raise StateError(f"backward on {self.name!r} before forward")
         x_hat, inv, squeeze = self._cache
         g, _ = _promote(upstream, self.dtype)
         grad_gain = (g * x_hat).sum(axis=0)
         grad_offset = g.sum(axis=0)
+        if not input_grad:
+            return None, grad_gain, grad_offset
         grad_x = self._input_grad(g * self.gain, x_hat, inv)
         return (grad_x[0] if squeeze else grad_x), grad_gain, grad_offset
 
@@ -251,12 +257,14 @@ class Network:
             x = layer.forward(x, cache=cache)
         return x
 
-    def backward(self, upstream):
-        """Return (input_grad, [per-parameter grads in params() order])."""
+    def backward(self, upstream, input_grad=True):
+        """Return (input_grad, [per-parameter grads in params() order]);
+        ``input_grad=False`` skips the first layer's input gradient and
+        returns None for it."""
         grads = []
         g = upstream
-        for layer in reversed(self.layers):
-            result = layer.backward(g)
+        for i in range(len(self.layers) - 1, -1, -1):
+            result = self.layers[i].backward(g, input_grad=input_grad or i > 0)
             g = result[0]
             grads[:0] = result[1:]
         return g, grads

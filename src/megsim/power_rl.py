@@ -228,6 +228,10 @@ class SeedTransmissionEnv:
             frames.append(res.frame)
             self.ground_truths.append(bundle.autoencoder.decode(res.latent))
         self.frames = frames
+        # the ground truths are fixed, so every episode's reward reuses
+        # one extraction of their features
+        self.reference_features = bundle.extractor.extract(
+            np.stack(self.ground_truths))
         self.codec = bundle.codec_for(rate)
         self.seed_len = frames[0].payload.size
         self.num_blocks = -(-self.seed_len // block_length)
@@ -316,8 +320,9 @@ class SeedTransmissionEnv:
         latents = self.codec.decode_flat(symbols, cache=False)
         images = self.bundle.autoencoder.decode(
             latents.reshape((len(self.frames),) + self.bundle.latent_shape))
-        return terminal_reward(list(images), self.ground_truths,
-                               self.bundle.extractor)
+        # equal to terminal_reward(images, self.ground_truths, extractor)
+        return -metrics.fid(images, None, self.bundle.extractor,
+                            reference_features=self.reference_features)
 
     # -- rollouts --------------------------------------------------------------
 
@@ -409,10 +414,10 @@ def ppo_update(agent: PpoAgent, episodes, config: PpoConfig,
         g_mean = -g_logp * z / sigma
         g_ls = (-g_logp * (z * z - 1.0) - config.entropy_coef / n) * clamp
         g_actor_out = np.stack([g_mean, g_ls], axis=1).astype(np.float32)
-        _, actor_grads = agent.actor.backward(g_actor_out)
+        _, actor_grads = agent.actor.backward(g_actor_out, input_grad=False)
 
         g_v = (config.value_coef * 2.0 * v_err / n)[:, None].astype(np.float32)
-        _, critic_grads = agent.critic.backward(g_v)
+        _, critic_grads = agent.critic.backward(g_v, input_grad=False)
 
         actor_opt.step(agent.actor.params(), actor_grads,
                        agent.actor.param_names())

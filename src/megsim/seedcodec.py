@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .channel import KINDS
 from .errors import CodecError, DimensionError, TrainingError
 from .util import as_rng
-
-_EnumKinds = ("awgn", "rayleigh_block")
 
 
 def seed_length(latent_size, rate) -> int:
@@ -193,14 +192,6 @@ class CodecPair:
         return pair, meta
 
 
-def compress(pair: CodecPair, latent) -> Seed:
-    return pair.compress(latent)
-
-
-def decompress(pair: CodecPair, received, scale):
-    return pair.decompress(received, scale)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end training through the channel
 
@@ -245,7 +236,7 @@ def transmission_gradients(pair: CodecPair, latents, eff_noise):
     # u = raw + scale(raw) * noise, with scale the per-row RMS of raw
     inner = np.sum(g_u * eff_noise, axis=1, keepdims=True)
     g_raw = g_u + inner * raw / (raw.shape[1] * scale)
-    _, gw_enc, gb_enc = pair.enc.backward(g_raw)
+    _, gw_enc, gb_enc = pair.enc.backward(g_raw, input_grad=False)
     return loss, [gw_enc, gb_enc] + dec_grads
 
 
@@ -265,7 +256,7 @@ def train_codec(latents, config: CodecTrainConfig, rate=None,
         latent_shape = latents.shape[1:]
     if rate is None:
         raise ValueError("a compression rate is required")
-    if config.channel_kind not in _EnumKinds:
+    if config.channel_kind not in KINDS:
         raise ValueError(f"unknown channel kind {config.channel_kind!r}")
     rng = as_rng(config.seed)
     pair = CodecPair(latent_shape, rate, config.hidden,

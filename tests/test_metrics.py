@@ -1,10 +1,58 @@
 import math
+from time import perf_counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from megsim import metrics
 from megsim.errors import DimensionError
+
+
+# The eigendecomposition form of the Frechet distance that the closed
+# nuclear-norm form replaced, kept verbatim as the reference it must match.
+def _psd_sqrt(matrix, floor=1e-10):
+    """Symmetric matrix square root with eigenvalues clamped at zero."""
+    vals, vecs = np.linalg.eigh(matrix)
+    vals = np.where(vals < floor, 0.0, vals)
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def reference_frechet_distance(features_a, features_b):
+    """Frechet distance between Gaussian fits of two feature batches.
+
+    Uses the symmetric-product form sqrt(C_b^1/2 C_a C_b^1/2) for the
+    cross term; covariances use 1/(n-1) normalization.
+    """
+    a = np.asarray(features_a, dtype=np.float64)
+    b = np.asarray(features_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("feature batches must be 2-d [N, F]")
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        raise ValueError("each batch needs at least 2 samples")
+    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
+    cov_a = np.atleast_2d(np.cov(a, rowvar=False))
+    cov_b = np.atleast_2d(np.cov(b, rowvar=False))
+    diff = mu_a - mu_b
+    root_b = _psd_sqrt(cov_b)
+    cross = _psd_sqrt(root_b @ cov_a @ root_b)
+    value = float(diff @ diff + np.trace(cov_a + cov_b - 2.0 * cross))
+    if not np.isfinite(value):
+        raise FloatingPointError("Frechet distance did not converge")
+    return max(value, 0.0)
+
+
+def sqrtm_frechet_distance(a, b):
+    """Textbook form with scipy's general matrix square root of C_a C_b."""
+    cov_a = np.atleast_2d(np.cov(a, rowvar=False))
+    cov_b = np.atleast_2d(np.cov(b, rowvar=False))
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    cross = scipy.linalg.sqrtm(cov_a @ cov_b).real
+    return float(diff @ diff + np.trace(cov_a + cov_b - 2.0 * cross))
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
 
 
 class TestMse:
@@ -119,6 +167,75 @@ class TestFrechet:
         fa, fb = ext.extract(a), ext.extract(b)
         want = float(np.sum((fa[0] - fb[0]) ** 2))
         assert abs(metrics.fid(a, b, ext) - want) < 1e-6
+
+
+class TestClosedFormFrechet:
+    """The nuclear-norm form equals the eigendecomposition form."""
+
+    def _extractor_batches(self, rng, n, m):
+        # tanh features of image batches: 64-d clouds of rank n-1 and m-1
+        ext = metrics.FeatureExtractor(2 * 8 * 8, feature_dim=64)
+        truth = rng.random((max(n, m), 2, 8, 8))
+        noisy = np.clip(truth + 0.2 * rng.standard_normal(truth.shape), 0, 1)
+        return ext.extract(noisy[:n]), ext.extract(truth[:m])
+
+    def test_rank_deficient_extractor_features(self, rng):
+        for _ in range(20):
+            fa, fb = self._extractor_batches(rng, 16, 16)
+            want = reference_frechet_distance(fa, fb)
+            assert _rel(metrics.frechet_distance(fa, fb), want) <= 1e-9
+
+    def test_full_rank_against_sqrtm(self, rng):
+        for shift in (0.0, 0.3, 2.0):
+            a = rng.standard_normal((200, 8)) @ rng.standard_normal((8, 8))
+            b = rng.standard_normal((200, 8)) * rng.random(8) + shift
+            want = sqrtm_frechet_distance(a, b)
+            assert _rel(metrics.frechet_distance(a, b), want) <= 1e-8
+            assert _rel(reference_frechet_distance(a, b), want) <= 1e-8
+
+    def test_small_eigenvalues_are_not_clamped(self, rng):
+        # one direction with variance ~1e-11 makes an eigenvalue of
+        # C_b^1/2 C_a C_b^1/2 fall under the reference form's 1e-10 clamp,
+        # which drops its square root (~3e-6) from the cross term
+        a = rng.standard_normal((200, 3)) * [1.0, 1.0, 3e-6]
+        b = rng.standard_normal((200, 3)) * [1.0, 2.0, 1.0]
+        want = sqrtm_frechet_distance(a, b)
+        assert _rel(metrics.frechet_distance(a, b), want) <= 1e-8
+        assert _rel(reference_frechet_distance(a, b), want) > 1e-6
+
+    def test_unequal_batch_sizes(self, rng):
+        fa, fb = self._extractor_batches(rng, 9, 23)
+        for x, y in ((fa, fb), (fb, fa)):
+            want = reference_frechet_distance(x, y)
+            assert _rel(metrics.frechet_distance(x, y), want) <= 1e-9
+        a = rng.standard_normal((150, 6)) + 1.0
+        b = 2.0 * rng.standard_normal((40, 6))
+        want = sqrtm_frechet_distance(a, b)
+        assert _rel(metrics.frechet_distance(a, b), want) <= 1e-8
+
+    def test_tall_one_dimensional_batch_is_fast(self, rng):
+        a = rng.standard_normal((10_000, 1))
+        b = 2.0 + 3.0 * rng.standard_normal((10_000, 1))
+        start = perf_counter()
+        got = metrics.frechet_distance(a, b)
+        assert perf_counter() - start < 0.5
+        assert _rel(got, reference_frechet_distance(a, b)) <= 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_features_raise(self, rng, bad, side):
+        batches = [rng.standard_normal((16, 64)) for _ in range(2)]
+        batches[side][3, 7] = bad
+        with pytest.raises(FloatingPointError):
+            metrics.frechet_distance(*batches)
+
+    def test_fid_with_extracted_reference_is_identical(self, rng):
+        ext = metrics.FeatureExtractor(64, feature_dim=16)
+        imgs = rng.random((8, 1, 8, 8)).astype(np.float32)
+        refs = rng.random((8, 1, 8, 8)).astype(np.float32)
+        assert metrics.fid(imgs, None, ext,
+                           reference_features=ext.extract(refs)) \
+            == metrics.fid(imgs, refs, ext)
 
 
 class TestSymbolCount:

@@ -371,3 +371,30 @@ class TestNetworkAndSerialization:
         numeric = nn.numeric_gradient(loss, net.params())
         for a, n in zip(grads, numeric):
             assert np.max(np.abs(a - n) / np.maximum(np.abs(n), 1e-6)) < 1e-4
+
+    @pytest.mark.parametrize("first", ["dense", "normalize", "layernorm"])
+    def test_skipping_input_grad_keeps_param_grads(self, rng, first):
+        head = {"dense": nn.DenseLayer(5, 5, "tanh", rng, "l0"),
+                "normalize": nn.Normalize(5, name="l0"),
+                "layernorm": nn.LayerNorm(5, name="l0")}[first]
+        if first == "layernorm":
+            head.gain = rng.standard_normal(5).astype(np.float32)
+        net = nn.Network([head] + self._net(rng).layers, name="t")
+        x = rng.standard_normal((6, 5)).astype(np.float32)
+        g = rng.standard_normal((6, 3)).astype(np.float32)
+        net.forward(x)
+        gx, full = net.backward(g)
+        none, skipped = net.backward(g, input_grad=False)
+        assert gx.shape == x.shape and none is None
+        assert len(full) == len(skipped) == len(net.params())
+        for a, b in zip(full, skipped):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_dense_without_input_grad_single_sample(self, rng):
+        layer = nn.DenseLayer(4, 3, "relu", rng)
+        layer.forward(rng.standard_normal(4))
+        g = rng.standard_normal(3)
+        gx, gw, gb = layer.backward(g)
+        none, gw2, gb2 = layer.backward(g, input_grad=False)
+        assert gx.shape == (4,) and none is None
+        assert np.array_equal(gw, gw2) and np.array_equal(gb, gb2)

@@ -57,6 +57,34 @@ class TestTerminalReward:
         assert terminal_reward(noisy, truth, ext) == want
 
 
+class TestCachedReference:
+    def test_reference_features_extracted_from_ground_truths(self, env):
+        want = env.bundle.extractor.extract(np.stack(env.ground_truths))
+        assert env.reference_features.dtype == want.dtype
+        assert env.reference_features.tobytes() == want.tobytes()
+
+    def test_episode_extracts_once_and_scores_like_terminal_reward(
+            self, env, monkeypatch):
+        extractor = env.bundle.extractor
+        seen = []
+        original = metrics.FeatureExtractor.extract
+
+        def counting(self, images):
+            seen.append(np.array(images))
+            return original(self, images)
+
+        monkeypatch.setattr(metrics.FeatureExtractor, "extract", counting)
+        trace = ch.sample_fading_trace(env.model, env.num_blocks,
+                                       np.random.default_rng(11))
+        env.reset(trace, noise_seed=12)
+        done = False
+        while not done:
+            _, reward, done, _ = env.step(1.0 / env.num_blocks)
+        assert len(seen) == 1
+        want = terminal_reward(list(seen[0]), env.ground_truths, extractor)
+        assert reward == want < 0
+
+
 class TestEntropyAndSurrogate:
     def test_entropy_nonnegative_above_floor(self):
         floor = -0.5 * (1.0 + math.log(2 * math.pi))
