@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -85,8 +86,8 @@ def _cache_ok(path, dep_hash):
         return False
     try:
         _, meta = nn.load_network(path)
-    except Exception:
-        return False
+    except (ValueError, KeyError, struct.error):
+        return False     # a damaged file is a miss and gets retrained
     return meta.get("dep_hash") == dep_hash
 
 
@@ -201,9 +202,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
 def _load_autoencoder(cfg, enc_path, dec_path):
     pair = genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
                                     cfg.ae_hidden)
-    enc, _ = nn.load_network(enc_path)
-    dec, _ = nn.load_network(dec_path)
-    for mine, saved in ((pair.encoder, enc), (pair.decoder, dec)):
+    for mine, path in ((pair.encoder, enc_path), (pair.decoder, dec_path)):
+        saved, _ = nn.load_network(path)
         for p, q in zip(mine.params(), saved.params()):
             p[...] = q
     return pair
@@ -372,11 +372,10 @@ def cmd_power(cfg: ExperimentConfig):
     os.makedirs(cfg.out, exist_ok=True)
     prompts = corpus.sample_prompts(cfg.power_prompts,
                                     derive_seed(cfg.seed, 21))
-    probe = power_rl.SeedTransmissionEnv(
-        bundle, prompts, cfg.power_rate, cfg.power_snr_db,
-        p_max=1.0, channel_kind=cfg.channel_kind,
-        block_length=cfg.block_length, seed=derive_seed(cfg.seed, 22))
-    num_blocks = probe.num_blocks
+    # blocks per episode, as SeedTransmissionEnv.num_blocks counts them
+    num_blocks = -(-metrics.symbol_count(
+        "meg", cfg.image_shape, cfg.downsample, cfg.power_rate,
+        cfg.latent_channels) // cfg.block_length)
 
     trace_path = os.path.join(
         cfg.out, f"eval_traces_{cfg.power_eval_traces}x{num_blocks}.csv")

@@ -94,29 +94,39 @@ def frechet_distance(features_a, features_b):
     first reduced to the R factor of its QR decomposition (orthogonal
     factors leave singular values unchanged), so the SVD is at most
     min(n, F) x min(m, F) whatever the batch sizes.
+
+    ``features_a`` may also be a stack of E batches [E, n, F]; the result
+    is then an array of E distances, each against ``features_b``, whose
+    fit is computed once.
     """
     a = np.asarray(features_a, dtype=np.float64)
     b = np.asarray(features_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("feature batches must be 2-d [N, F]")
-    if a.shape[0] < 2 or b.shape[0] < 2:
+    if a.ndim not in (2, 3) or b.ndim != 2:
+        raise ValueError("feature batches must be 2-d [N, F] (the first "
+                         "may be a stack [E, N, F])")
+    stacked = a.ndim == 3
+    if not stacked:
+        a = a[None]
+    if a.shape[1] < 2 or b.shape[0] < 2:
         raise ValueError("each batch needs at least 2 samples")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise FloatingPointError("feature batches hold NaN or infinity")
-    n, m = a.shape[0], b.shape[0]
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    centered_a, centered_b = a - mu_a, b - mu_b
+    n, m = a.shape[1], b.shape[0]
+    mu_a, mu_b = a.mean(axis=1), b.mean(axis=0)
+    centered_a, centered_b = a - mu_a[:, None], b - mu_b
     diff = mu_a - mu_b
     r_a = np.linalg.qr(centered_a, mode="r")
     r_b = np.linalg.qr(centered_b, mode="r")
-    nuclear = np.linalg.svd(r_a @ r_b.T, compute_uv=False).sum()
-    value = float(diff @ diff
-                  + np.vdot(centered_a, centered_a) / (n - 1)
-                  + np.vdot(centered_b, centered_b) / (m - 1)
-                  - 2.0 * nuclear / math.sqrt((n - 1) * (m - 1)))
-    if not np.isfinite(value):
+    nuclear = np.linalg.svd(r_a @ r_b.T, compute_uv=False).sum(axis=-1)
+    spread_b = np.vdot(centered_b, centered_b) / (m - 1)
+    scale = math.sqrt((n - 1) * (m - 1))
+    values = np.array([d @ d + np.vdot(c, c) / (n - 1) + spread_b
+                       - 2.0 * s / scale
+                       for d, c, s in zip(diff, centered_a, nuclear)])
+    if not np.isfinite(values).all():
         raise FloatingPointError("Frechet distance is not finite")
-    return max(value, 0.0)
+    values = np.maximum(values, 0.0)
+    return values if stacked else float(values[0])
 
 
 def fid(batch_generated, batch_reference, extractor: FeatureExtractor,
@@ -126,11 +136,20 @@ def fid(batch_generated, batch_reference, extractor: FeatureExtractor,
     A reference batch scored many times can pass its features once
     extracted, ``extractor.extract(batch_reference)``, as
     ``reference_features``; ``batch_reference`` is then not read.
+    ``batch_generated`` is one batch of images [n, C, H, W] or a stack of
+    E batches [E, n, C, H, W]; a stack is extracted in one call and
+    returns an array of E distances.
     """
     if reference_features is None:
         reference_features = extractor.extract(batch_reference)
-    return frechet_distance(extractor.extract(batch_generated),
-                            reference_features)
+    generated = np.asarray(batch_generated)
+    if generated.ndim == 5:
+        flat = generated.reshape((-1,) + generated.shape[2:])
+        features = extractor.extract(flat).reshape(
+            generated.shape[:2] + (-1,))
+    else:
+        features = extractor.extract(generated)
+    return frechet_distance(features, reference_features)
 
 
 def symbol_count(mode, image_shape, downsample, rate=None, latent_channels=None):

@@ -467,24 +467,23 @@ def save_network(path, network: Network, extra=None):
 def load_network(path):
     """Rebuild a network saved by :func:`save_network`; returns (net, extra)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise ValueError(f"{path} is not a network file (bad magic)")
-    version, meta_len = struct.unpack_from("<BI", data, 4)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    offset = 9
-    meta = json.loads(data[offset:offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    net = Network([_layer_from_descriptor(d) for d in meta["layers"]],
-                  meta["name"])
-    for p in net.params():
-        nbytes = p.size * 4
-        values = np.frombuffer(data, dtype="<f4", count=p.size, offset=offset)
-        p[...] = values.reshape(p.shape)
-        offset += nbytes
-    if offset != len(data):
-        raise ValueError(f"{path} has trailing bytes")
+        if fh.read(4) != _MAGIC:
+            raise ValueError(f"{path} is not a network file (bad magic)")
+        version, meta_len = struct.unpack("<BI", fh.read(5))
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {version}")
+        meta = json.loads(fh.read(meta_len).decode("utf-8"))
+        net = Network([_layer_from_descriptor(d) for d in meta["layers"]],
+                      meta["name"])
+        # one parameter's bytes at a time, so loading never holds the
+        # whole file beside the network
+        for p in net.params():
+            values = fh.read(p.size * 4)
+            if len(values) != p.size * 4:
+                raise ValueError(f"{path} is truncated")
+            p[...] = np.frombuffer(values, dtype="<f4").reshape(p.shape)
+        if fh.read(1):
+            raise ValueError(f"{path} has trailing bytes")
     return net, meta["extra"]
 
 

@@ -20,6 +20,9 @@ from .protocol import ModelBundle, es_handle_request, GenerationRequest
 from .util import as_rng, derive_seed
 
 LOG_2PI = math.log(2.0 * math.pi)
+# episodes decoded and scored together; caps the decode batch, and so the
+# peak memory, when many episodes run in lockstep
+SCORE_CHUNK = 16
 # entropy of a unit-variance Gaussian; S(sigma) = this + log(sigma)
 GAUSS_ENTROPY_CONST = 0.5 * (1.0 + LOG_2PI)
 
@@ -146,16 +149,21 @@ class PpoAgent:
         z = (u - mean) / np.exp(log_std)
         return -0.5 * z * z - log_std - 0.5 * LOG_2PI
 
-    def act(self, state, rng):
-        """Sample an action; returns (action, raw sample, log_prob)."""
-        mean, log_std, _ = self._heads(state[None, :])
-        u = float(mean[0] + np.exp(log_std[0]) * rng.standard_normal())
-        logp = float(self._log_prob(u, mean[0], log_std[0]))
-        return squash(u), u, logp
+    def act(self, states, noise):
+        """Sample one action per state row [E, state_dim] from the
+        standard-normal draws ``noise`` [E]; returns (actions, raw
+        samples, log_probs), each of length E."""
+        mean, log_std, _ = self._heads(states)
+        u = mean + np.exp(log_std) * noise
+        actions = np.array([squash(x) for x in u])
+        return actions, u, self._log_prob(u, mean, log_std)
 
-    def mean_action(self, state):
-        mean, _, _ = self._heads(state[None, :])
-        return squash(float(mean[0]))
+    def mean_action(self, states):
+        """Deterministic action: a float for one state, an array of E
+        actions for a batch [E, state_dim]."""
+        mean, _, _ = self._heads(np.atleast_2d(states))
+        actions = np.array([squash(x) for x in mean])
+        return float(actions[0]) if np.ndim(states) == 1 else actions
 
     def value(self, states):
         v = self.critic.forward(np.asarray(states, dtype=np.float32),
@@ -203,6 +211,11 @@ class SeedTransmissionEnv:
     The state is the pilot prompt's current block (zero padded), the
     block's gain, and the normalized remaining budget. Every prompt in the
     batch is transmitted under the same power schedule and fading trace.
+
+    E episodes run in lockstep, one block at a time (``start``); the
+    single-episode ``reset``/``step`` interface is the case E = 1. Power,
+    noise and equalization are applied per episode; at the last block the
+    episodes are decoded and scored together, ``SCORE_CHUNK`` at a time.
     """
 
     def __init__(self, bundle: ModelBundle, prompts, rate, snr_db,
@@ -228,6 +241,7 @@ class SeedTransmissionEnv:
             frames.append(res.frame)
             self.ground_truths.append(bundle.autoencoder.decode(res.latent))
         self.frames = frames
+        self._scales = np.array([fr.scale for fr in frames])[:, None]
         # the ground truths are fixed, so every episode's reward reuses
         # one extraction of their features
         self.reference_features = bundle.extractor.extract(
@@ -244,107 +258,156 @@ class SeedTransmissionEnv:
         self.blocks = padded.reshape(len(prompts), self.num_blocks,
                                      block_length)
         self.power_audit = []     # (sum of powers, p_max) per finished episode
-        self.steps_taken = 0
-        self._reset_state = None
+        self.steps_taken = 0      # blocks stepped, summed over episodes
 
     # -- episode control -----------------------------------------------------
 
     def reset(self, trace: ch.FadingTrace | None = None, noise_seed=None):
         """Start an episode; a fixed ``noise_seed`` makes the channel noise
         reproducible so different policies can be compared on paired draws."""
-        if trace is None:
-            trace = ch.sample_fading_trace(self.model, self.num_blocks,
-                                           self._trace_rng)
-        if len(trace) < self.num_blocks:
-            raise ValueError("trace shorter than the seed's block count")
-        self._trace = trace
-        self._t = 0
-        self._remaining = self.p_max
-        self._received = np.zeros_like(self.blocks)
-        self._powers = []
-        if noise_seed is None:
-            noise_seed = derive_seed(self._seed, 0xA2, self._episode_index)
-        self._noise_rng = as_rng(noise_seed)
-        self._episode_index += 1
-        return self._state()
+        return self.start([trace], [noise_seed])[0]
 
-    def _state(self):
-        pilot = self.blocks[0, self._t]
-        return np.concatenate([
-            pilot,
-            [self._trace.gains[self._t]],
-            [self._remaining / self.p_max]]).astype(np.float32)
+    def start(self, traces, noise_seeds):
+        """Start one episode per trace, in lockstep; returns their states
+        [E, state_dim]. A None trace is drawn from the environment's trace
+        stream and a None noise seed follows the episode count, so E
+        episodes started together match E started one after another."""
+        if not traces or len(traces) != len(noise_seeds):
+            raise ValueError("need one noise seed per trace, at least one")
+        gains, self._noise_rngs = [], []
+        for trace, noise_seed in zip(traces, noise_seeds):
+            if trace is None:
+                trace = ch.sample_fading_trace(self.model, self.num_blocks,
+                                               self._trace_rng)
+            if len(trace) < self.num_blocks:
+                raise ValueError("trace shorter than the seed's block count")
+            gains.append(trace.gains[:self.num_blocks])
+            if noise_seed is None:
+                noise_seed = derive_seed(self._seed, 0xA2,
+                                         self._episode_index)
+            self._noise_rngs.append(as_rng(noise_seed))
+            self._episode_index += 1
+        self._gains = np.stack(gains)
+        self._t = 0
+        self._remaining = [self.p_max] * len(traces)
+        self._received = np.zeros((len(traces),) + self.blocks.shape)
+        self._powers = np.zeros((len(traces), self.num_blocks))
+        return self._states()
+
+    def _states(self):
+        states = np.empty((len(self._remaining), self.state_dim),
+                          dtype=np.float32)
+        states[:, :-2] = self.blocks[0, self._t]      # the pilot's block
+        states[:, -2] = self._gains[:, self._t]
+        states[:, -1] = np.array(self._remaining) / self.p_max
+        return states
 
     def step(self, action):
-        """Apply one power decision; returns (next_state, reward, done, info)."""
-        action = float(min(max(action, 0.0), 1.0))
-        p = apply_power(action, self._remaining, self.p_max)
-        gain = float(self._trace.gains[self._t])
-        sent = self.blocks[:, self._t, :]
-        # noise is drawn every block so paired evaluations stay aligned
-        # even when a policy zeroes one out
-        noise = self._noise_rng.normal(0.0, self.noise_std, sent.shape) \
-            if self.noise_std > 0 else np.zeros_like(sent)
-        if p > 0.0:
-            y = gain * np.sqrt(p) * sent + noise
-            try:
-                self._received[:, self._t, :] = ch.equalize(y, gain, p)
-            except ChannelErasure:
-                pass   # leave zeros
-        self._powers.append(p)
-        # one-ulp-down update keeps the exact running sum under the cap
-        if p >= self._remaining:
-            self._remaining = 0.0
-        else:
-            self._remaining = float(np.nextafter(self._remaining - p, 0.0))
-        self.steps_taken += 1
+        """Apply one power decision per running episode.
+
+        After ``reset``, ``action`` is one number and the result is the
+        episode's (next_state, reward, done, info). After ``start``, it
+        holds one action per episode and states, rewards and
+        ``info["power"]`` come back as arrays over the episodes. The next
+        state is None once done; rewards are zero before the last block.
+        """
+        actions = np.atleast_1d(np.asarray(action, dtype=np.float64))
+        if actions.shape != (len(self._remaining),):
+            raise ValueError(f"need one action per episode, got "
+                             f"{actions.shape}")
+        t = self._t
+        sent = self.blocks[:, t, :]
+        for e, a in enumerate(actions):
+            a = float(min(max(a, 0.0), 1.0))
+            remaining = self._remaining[e]
+            p = apply_power(a, remaining, self.p_max)
+            gain = float(self._gains[e, t])
+            # noise is drawn every block so paired evaluations stay
+            # aligned even when a policy zeroes one out
+            noise = self._noise_rngs[e].normal(0.0, self.noise_std,
+                                               sent.shape) \
+                if self.noise_std > 0 else np.zeros_like(sent)
+            if p > 0.0:
+                y = gain * np.sqrt(p) * sent + noise
+                try:
+                    self._received[e, :, t, :] = ch.equalize(y, gain, p)
+                except ChannelErasure:
+                    pass   # leave zeros
+            self._powers[e, t] = p
+            # one-ulp-down update keeps the exact running sum under the cap
+            if p >= remaining:
+                self._remaining[e] = 0.0
+            else:
+                self._remaining[e] = float(np.nextafter(remaining - p, 0.0))
+        self.steps_taken += len(actions)
         self._t += 1
         done = self._t >= self.num_blocks
-        reward = 0.0
-        info = {"power": p}
+        rewards = np.zeros(len(actions))
+        info = {"power": self._powers[:, t].copy()}
+        states = None
         if done:
-            reward = self._finish()
-            total = math.fsum(self._powers)
+            rewards = self._finish()
+            info["powers"] = self._powers.copy()
+        else:
+            states = self._states()
+        if np.ndim(action) > 0:
+            return states, rewards, done, info
+        info = {k: v[0].tolist() for k, v in info.items()}
+        return (None if done else states[0]), float(rewards[0]), done, info
+
+    def _finish(self):
+        for powers in self._powers:
+            total = math.fsum(powers)
             if total > self.p_max:
                 raise AssertionError(
                     f"power budget violated: {total} > {self.p_max}")
             self.power_audit.append((total, self.p_max))
-            info["powers"] = list(self._powers)
-            return None, reward, True, info
-        return self._state(), reward, False, info
-
-    def _finish(self):
-        flat = self._received.reshape(len(self.frames), -1)[:, :self.seed_len]
-        scales = np.array([fr.scale for fr in self.frames])[:, None]
-        symbols = (flat * scales).astype(np.float32)
-        latents = self.codec.decode_flat(symbols, cache=False)
-        images = self.bundle.autoencoder.decode(
-            latents.reshape((len(self.frames),) + self.bundle.latent_shape))
-        # equal to terminal_reward(images, self.ground_truths, extractor)
-        return -metrics.fid(images, None, self.bundle.extractor,
-                            reference_features=self.reference_features)
+        episodes, prompts = len(self._received), len(self.frames)
+        flat = self._received.reshape(episodes, prompts, -1)
+        symbols = (flat[:, :, :self.seed_len] * self._scales) \
+            .astype(np.float32)
+        rewards = np.empty(episodes)
+        for lo in range(0, episodes, SCORE_CHUNK):
+            chunk = symbols[lo:lo + SCORE_CHUNK]
+            latents = self.codec.decode_flat(
+                chunk.reshape(-1, self.seed_len), cache=False)
+            images = self.bundle.autoencoder.decode(
+                latents.reshape((-1,) + self.bundle.latent_shape))
+            # each equal to terminal_reward(its images, self.ground_truths,
+            # extractor)
+            rewards[lo:lo + len(chunk)] = -metrics.fid(
+                images.reshape(chunk.shape[:2] + images.shape[1:]), None,
+                self.bundle.extractor,
+                reference_features=self.reference_features)
+        return rewards
 
     # -- rollouts --------------------------------------------------------------
 
-    def rollout(self, agent: PpoAgent, rng) -> EpisodeRecord:
-        states, us, acts, powers, rewards, dones, logps = \
-            [], [], [], [], [], [], []
-        state = self.reset()
-        done = False
-        while not done:
-            a, u, logp = agent.act(state, rng)
-            states.append(state)
-            next_state, r, done, info = self.step(a)
+    def rollout(self, agent: PpoAgent, rng, episodes=None):
+        """Run ``episodes`` episodes in lockstep under the sampling policy
+        and return their records; with ``episodes=None``, run one and
+        return its record. Each episode takes its block draws from ``rng``
+        in turn, as when the episodes run one after another."""
+        n = 1 if episodes is None else int(episodes)
+        states = self.start([None] * n, [None] * n)
+        draws = rng.standard_normal((n, self.num_blocks))
+        seen, us, acts, logps = [], [], [], []
+        for t in range(self.num_blocks):
+            a, u, logp = agent.act(states, draws[:, t])
+            seen.append(states)
             us.append(u)
             acts.append(a)
-            powers.append(info["power"])
-            rewards.append(r)
-            dones.append(done)
             logps.append(logp)
-            state = next_state
-        return EpisodeRecord(np.stack(states), np.array(us), np.array(acts),
-                             np.array(powers), np.array(rewards),
-                             np.array(dones), np.array(logps), rewards[-1])
+            states, rewards, _, info = self.step(a)
+        # per-block columns become per-episode rows [E, blocks, ...]
+        seen, us, acts, logps = (np.stack(c, axis=1)
+                                 for c in (seen, us, acts, logps))
+        dones = np.arange(self.num_blocks) == self.num_blocks - 1
+        records = [EpisodeRecord(seen[e], us[e], acts[e], info["powers"][e],
+                                 np.where(dones, score, 0.0), dones.copy(),
+                                 logps[e], float(score))
+                   for e, score in enumerate(rewards)]
+        return records if episodes is not None else records[0]
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +498,21 @@ def uniform_policy(num_blocks):
 def evaluate(policy, env: SeedTransmissionEnv, traces):
     """Deterministic terminal rewards of a policy over frozen traces.
 
-    ``policy`` is a PpoAgent (evaluated at its mean action) or any
-    callable mapping a state vector to an action in [0, 1].
+    ``policy`` is a PpoAgent (evaluated at its mean action, one batched
+    forward per block) or any callable mapping a state vector to an
+    action in [0, 1]. All traces run in lockstep.
     """
-    act = policy.mean_action if isinstance(policy, PpoAgent) else policy
-    rewards = []
-    for i, trace in enumerate(traces):
-        # per-trace noise seed pairs the draws across evaluated policies
-        state = env.reset(trace, noise_seed=derive_seed(0xEDA1, i))
-        done = False
-        while not done:
-            state, r, done, _ = env.step(float(act(state)))
-        rewards.append(r)
-    return np.array(rewards)
+    if isinstance(policy, PpoAgent):
+        act = policy.mean_action
+    else:
+        def act(states):
+            return [float(policy(state)) for state in states]
+    # per-trace noise seed pairs the draws across evaluated policies
+    states = env.start(list(traces),
+                       [derive_seed(0xEDA1, i) for i in range(len(traces))])
+    for _ in range(env.num_blocks):
+        states, rewards, _, _ = env.step(act(states))
+    return rewards
 
 
 def train_agent(env: SeedTransmissionEnv, config: PpoConfig,
@@ -466,8 +531,7 @@ def train_agent(env: SeedTransmissionEnv, config: PpoConfig,
     history = []
     best_params, best_score = None, -np.inf
     for rnd in range(config.update_rounds):
-        episodes = [env.rollout(agent, rng)
-                    for _ in range(config.episodes_per_batch)]
+        episodes = env.rollout(agent, rng, config.episodes_per_batch)
         diag = ppo_update(agent, episodes, config, actor_opt, critic_opt)
         mean_reward = float(np.mean([ep.terminal_score for ep in episodes]))
         history.append((rnd, mean_reward,

@@ -105,6 +105,39 @@ class TestTrainCaching:
                 assert name in manifest["files"]
                 assert len(manifest["files"][name]) == 64
 
+    def _copied_bundle(self, tiny_cfg, tmp_path):
+        import shutil
+        experiments.cmd_train(tiny_cfg)
+        cfg = replace(tiny_cfg, out=str(tmp_path / "copy")).validate()
+        shutil.copytree(experiments.bundle_dir(tiny_cfg),
+                        experiments.bundle_dir(cfg))
+        return cfg
+
+    def test_truncated_file_is_a_miss_and_retrained(self, tiny_cfg,
+                                                    tmp_path):
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+        path = os.path.join(experiments.bundle_dir(cfg), "ae_decoder.bin")
+        size = os.path.getsize(path)
+        for cut in (size - 5, 6):     # inside the weights, inside the header
+            with open(path, "r+b") as fh:
+                fh.truncate(cut)
+            assert not experiments._cache_ok(path, "any")
+        result = experiments.cmd_train(cfg)
+        assert result.actions["autoencoder"] == "trained"
+        assert result.actions["denoiser"] == "cached"
+        assert os.path.getsize(path) == size
+
+    def test_unrelated_load_error_propagates(self, tiny_cfg, tmp_path,
+                                             monkeypatch):
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+
+        def broken(path):
+            raise RuntimeError("not a file-format problem")
+
+        monkeypatch.setattr(experiments.nn, "load_network", broken)
+        with pytest.raises(RuntimeError, match="file-format"):
+            experiments.cmd_train(cfg)
+
     def test_missing_bundle_instructive_error(self, tmp_path):
         cfg = replace(config.desk_config(), out=str(tmp_path / "empty"))
         with pytest.raises(FileNotFoundError, match="megsim train"):
@@ -181,6 +214,21 @@ class TestPowerCommand:
             assert episodes == list(range(len(episodes)))
         for path in result["agents"]:
             assert os.path.exists(path)
+
+    def test_block_count_matches_environment(self, tiny_cfg, tiny_bundle):
+        from megsim import corpus, power_rl
+        from megsim.util import derive_seed
+        cfg = replace(tiny_cfg, power_budgets=(1.0,), ppo_update_rounds=1,
+                      power_eval_traces=3)
+        prompts = corpus.sample_prompts(cfg.power_prompts,
+                                        derive_seed(cfg.seed, 21))
+        env = power_rl.SeedTransmissionEnv(
+            tiny_bundle, prompts, cfg.power_rate, cfg.power_snr_db,
+            p_max=1.0, channel_kind=cfg.channel_kind,
+            block_length=cfg.block_length, seed=derive_seed(cfg.seed, 22))
+        result = experiments.cmd_power(cfg)
+        assert os.path.basename(result["traces_csv"]) \
+            == f"eval_traces_3x{env.num_blocks}.csv"
 
     def test_lowest_budget_shows_largest_gain(self, desk_cfg, desk_bundle):
         result = experiments.cmd_power(desk_cfg)

@@ -238,6 +238,61 @@ class TestClosedFormFrechet:
             == metrics.fid(imgs, refs, ext)
 
 
+class TestStackedFrechet:
+    """A stack [E, n, F] scores each batch as a separate call would."""
+
+    def _stack(self, rng, episodes=16, n=16):
+        ext = metrics.FeatureExtractor(2 * 8 * 8, feature_dim=64)
+        truth = rng.random((n, 2, 8, 8))
+        noisy = np.clip(truth + rng.uniform(0.05, 0.4, (episodes, 1, 1, 1, 1))
+                        * rng.standard_normal((episodes,) + truth.shape),
+                        0, 1)
+        return ext, noisy, truth
+
+    def test_stack_equals_per_batch_calls(self, rng):
+        ext, noisy, truth = self._stack(rng)
+        ref = ext.extract(truth)
+        feats = np.stack([ext.extract(batch) for batch in noisy])
+        want = np.array([metrics.frechet_distance(f, ref) for f in feats])
+        got = metrics.frechet_distance(feats, ref)
+        assert got.shape == (16,)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        # fid extracts the whole stack in one float32 forward, so its
+        # features equal per-batch extraction only to float32 rounding
+        flat = ext.extract(noisy.reshape((-1,) + truth.shape[1:]))
+        exact = np.array([metrics.frechet_distance(f, ref)
+                          for f in flat.reshape(16, 16, -1)])
+        per_batch = np.array([metrics.fid(batch, truth, ext)
+                              for batch in noisy])
+        for kwargs in ({}, {"reference_features": ref}):
+            got_fid = metrics.fid(noisy, truth, ext, **kwargs)
+            assert np.all(np.abs(got_fid - exact) <= 1e-12 * exact)
+            assert np.all(np.abs(got_fid - per_batch) <= 1e-6 * per_batch)
+
+    def test_unequal_sizes_and_single_episode_stack(self, rng):
+        a = rng.standard_normal((3, 9, 6))
+        b = 2.0 * rng.standard_normal((40, 6)) + 0.5
+        got = metrics.frechet_distance(a, b)
+        for x, g in zip(a, got):
+            assert _rel(g, reference_frechet_distance(x, b)) <= 1e-9
+        # the 2-d form is the one-episode stack and returns a float
+        single = metrics.frechet_distance(a[0], b)
+        assert isinstance(single, float)
+        assert metrics.frechet_distance(a[:1], b)[0] == single
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_episode_raises(self, rng, bad):
+        stack = rng.standard_normal((5, 16, 64))
+        stack[3, 2, 7] = bad
+        with pytest.raises(FloatingPointError):
+            metrics.frechet_distance(stack, rng.standard_normal((16, 64)))
+
+    def test_stacked_reference_rejected(self, rng):
+        with pytest.raises(ValueError):
+            metrics.frechet_distance(rng.standard_normal((16, 4)),
+                                     rng.standard_normal((2, 16, 4)))
+
+
 class TestSymbolCount:
     def test_reference_values(self):
         shape = (4, 512, 512)

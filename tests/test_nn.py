@@ -353,6 +353,21 @@ class TestNetworkAndSerialization:
         nn.save_network(path2, loaded, extra={"tag": 7})
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_every_truncation_and_trailing_byte_rejected(self, rng,
+                                                         tmp_path):
+        import struct
+        path = tmp_path / "net.bin"
+        nn.save_network(path, self._net(rng))
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises((ValueError, struct.error)):
+                nn.load_network(cut)
+        cut.write_bytes(data + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            nn.load_network(cut)
+
     def test_rejects_double_precision(self, rng, tmp_path):
         net = self._net(rng).clone_as(np.float64)
         with pytest.raises(ValueError):

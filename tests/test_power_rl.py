@@ -259,3 +259,124 @@ class TestTrainingEffect:
         drl = evaluate(agent, env, traces)
         uni = evaluate(uniform_policy(env.num_blocks), env, traces)
         assert abs(float(np.mean(drl - uni))) < 5e-3
+
+
+class TestLockstep:
+    """E episodes in lockstep equal E single episodes run in turn."""
+
+    PROMPTS = ["large blob left", "tiny stripes top", "huge rings center",
+               "small cross bottom"]
+
+    def _env(self, bundle):
+        return SeedTransmissionEnv(bundle, self.PROMPTS, 0.5, snr_db=0.0,
+                                   p_max=1.0, block_length=16, seed=5)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record every trace drawn, noise seed used and act() draw."""
+        seen = {"traces": [], "seeds": [], "draws": []}
+        sample, as_rng, act = (ch.sample_fading_trace, power_rl.as_rng,
+                               PpoAgent.act)
+
+        def spy_sample(*args):
+            trace = sample(*args)
+            seen["traces"].append(trace.gains.copy())
+            return trace
+
+        def spy_as_rng(seed):
+            seen["seeds"].append(seed)
+            return as_rng(seed)
+
+        def spy_act(self, states, noise):
+            seen["draws"].append(np.array(noise))
+            return act(self, states, noise)
+
+        monkeypatch.setattr(ch, "sample_fading_trace", spy_sample)
+        monkeypatch.setattr(power_rl, "as_rng", spy_as_rng)
+        monkeypatch.setattr(PpoAgent, "act", spy_act)
+        return seen
+
+    def test_rollout_matches_sequential_episodes(self, tiny_bundle,
+                                                 monkeypatch):
+        n = 6
+        agent = PpoAgent(self._env(tiny_bundle).state_dim, hidden=16, rng=8)
+        runs = {}
+        for mode in ("sequential", "lockstep"):
+            env = self._env(tiny_bundle)
+            rng = np.random.default_rng(42)
+            seen = self._spy(monkeypatch)
+            if mode == "sequential":
+                episodes = [env.rollout(agent, rng) for _ in range(n)]
+            else:
+                episodes = env.rollout(agent, rng, n)
+            monkeypatch.undo()
+            runs[mode] = (episodes, seen, rng.bit_generator.state, env)
+
+        (seq, seq_seen, seq_rng, _), (lock, lock_seen, lock_rng, env) = \
+            runs["sequential"], runs["lockstep"]
+        assert len(lock) == n and env.num_blocks > 1
+        for key in ("traces", "seeds"):
+            assert len(seq_seen[key]) == len(lock_seen[key]) == n
+            for a, b in zip(seq_seen[key], lock_seen[key]):
+                assert np.array_equal(a, b)
+        # one act() per block: sequential draws [1] per call, lockstep
+        # draws one column of an [n, blocks] matrix per call
+        seq_draws = np.concatenate(seq_seen["draws"]).reshape(n, -1)
+        lock_draws = np.stack(lock_seen["draws"], axis=1)
+        assert np.array_equal(seq_draws, lock_draws)
+        assert seq_rng == lock_rng
+        for a, b in zip(seq, lock):
+            assert np.allclose(a.states, b.states, rtol=0, atol=1e-6)
+            assert np.allclose(a.powers, b.powers, rtol=0, atol=1e-6)
+            assert np.allclose(a.log_probs, b.log_probs, rtol=0, atol=1e-6)
+            assert np.allclose(a.raw_actions, b.raw_actions, rtol=0,
+                               atol=1e-6)
+            assert np.array_equal(a.dones, b.dones)
+            assert np.all(b.rewards[:-1] == 0.0)
+            assert abs(b.terminal_score - a.terminal_score) \
+                <= 1e-6 * abs(a.terminal_score)
+            assert b.rewards[-1] == b.terminal_score
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_evaluate_matches_single_episodes(self, tiny_bundle, n):
+        from megsim.util import derive_seed
+        env = self._env(tiny_bundle)
+        rng = np.random.default_rng(n)
+        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
+                  for _ in range(n)]
+        agent = PpoAgent(env.state_dim, hidden=16, rng=6)
+        for policy, act in ((agent, agent.mean_action),
+                            (uniform_policy(env.num_blocks), None)):
+            act = act or policy
+            got = evaluate(policy, env, traces)
+            want = []
+            for i, trace in enumerate(traces):
+                state = env.reset(trace, noise_seed=derive_seed(0xEDA1, i))
+                done = False
+                while not done:
+                    state, reward, done, _ = env.step(act(state))
+                want.append(reward)
+            want = np.array(want)
+            assert got.shape == (n,)
+            assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
+
+    def test_power_audit_gains_one_row_per_episode(self, tiny_bundle):
+        env = self._env(tiny_bundle)
+        agent = PpoAgent(env.state_dim, hidden=16, rng=7)
+        env.rollout(agent, np.random.default_rng(0), 5)
+        assert len(env.power_audit) == 5
+        assert env.steps_taken == 5 * env.num_blocks
+        rng = np.random.default_rng(1)
+        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
+                  for _ in range(3)]
+        evaluate(agent, env, traces)
+        assert len(env.power_audit) == 8
+        assert all(total <= p_max for total, p_max in env.power_audit)
+
+    def test_step_needs_one_action_per_episode(self, tiny_bundle):
+        env = self._env(tiny_bundle)
+        env.start([None] * 3, [None] * 3)
+        with pytest.raises(ValueError):
+            env.step(0.5)
+        with pytest.raises(ValueError):
+            env.step([0.5, 0.5])
