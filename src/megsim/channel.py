@@ -72,8 +72,13 @@ def sample_fading_trace(model: ChannelModel, num_blocks, rng) -> FadingTrace:
 
 
 def transmit(symbols, gain, power, noise_std, rng):
-    """One block over the link: y = h * sqrt(p) * x + n."""
-    if power < 0:
+    """Symbols over the link: y = h * sqrt(p) * x + n.
+
+    ``gain`` and ``power`` are scalars for one block or per-symbol arrays
+    that broadcast against ``symbols``; the noise is one draw of the
+    symbols' shape.
+    """
+    if np.any(np.asarray(power) < 0):
         raise ValueError("power must be >= 0")
     x = np.asarray(symbols, dtype=np.float64)
     y = gain * np.sqrt(power) * x
@@ -83,13 +88,14 @@ def transmit(symbols, gain, power, noise_std, rng):
 
 
 def equalize(received, gain, power):
-    """Zero-forcing estimate x_hat = y / (h * sqrt(p)).
+    """Zero-forcing estimate x_hat = y / (h * sqrt(p)); ``gain``/``power``
+    may be per-symbol arrays, as in :func:`transmit`.
 
-    Raises :class:`ChannelErasure` when the effective gain is zero; the
-    caller substitutes zeros and marks the block lost.
+    Raises :class:`ChannelErasure` when any effective gain is zero; the
+    caller substitutes zeros and marks those symbols lost.
     """
-    eff = gain * np.sqrt(power) if power > 0 else 0.0
-    if eff <= 0:
+    eff = gain * np.sqrt(power) if np.all(np.asarray(power) > 0) else 0.0
+    if np.any(eff <= 0):
         raise ChannelErasure("block transmitted with zero effective gain")
     return np.asarray(received, dtype=np.float64) / eff
 
@@ -105,23 +111,6 @@ def export_trace_csv(trace: FadingTrace, path):
             writer.writerow([i, repr(float(h))])
 
 
-def import_trace_csv(path) -> FadingTrace:
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        block_length, seed = 1, None
-        if first.startswith("#"):
-            for tok in first.split():
-                if tok.startswith("block_length="):
-                    block_length = int(tok.split("=", 1)[1])
-                if tok.startswith("seed=") and tok.split("=", 1)[1]:
-                    seed = int(tok.split("=", 1)[1])
-        else:
-            fh.seek(0)
-        rows = list(csv.reader(fh))
-    gains = [float(g) for i, g in rows[1:]]
-    return FadingTrace(np.array(gains), block_length, seed)
-
-
 def export_trace_set(traces, path):
     """Write many traces to one CSV as (trace, block, gain) rows."""
     with open(path, "w", newline="") as fh:
@@ -134,19 +123,30 @@ def export_trace_set(traces, path):
                 writer.writerow([t, i, repr(float(h))])
 
 
-def import_trace_set(path):
+def _read_trace_csv(path):
+    """(header ``key=value`` tokens, data rows) of a trace CSV."""
     with open(path, newline="") as fh:
         first = fh.readline()
-        block_length = 1
-        if first.startswith("#"):
-            for tok in first.split():
-                if tok.startswith("block_length="):
-                    block_length = int(tok.split("=", 1)[1])
-        else:
+        if not first.startswith("#"):
+            first = ""
             fh.seek(0)
         rows = list(csv.reader(fh))[1:]
+    return dict(tok.split("=", 1) for tok in first.split() if "=" in tok), \
+        rows
+
+
+def import_trace_csv(path) -> FadingTrace:
+    meta, rows = _read_trace_csv(path)
+    return FadingTrace(np.array([float(g) for _, g in rows]),
+                       int(meta.get("block_length", 1)),
+                       int(meta["seed"]) if meta.get("seed") else None)
+
+
+def import_trace_set(path):
+    meta, rows = _read_trace_csv(path)
     by_trace = {}
     for t, _, g in rows:
         by_trace.setdefault(int(t), []).append(float(g))
-    return [FadingTrace(np.array(by_trace[t]), block_length)
+    return [FadingTrace(np.array(by_trace[t]),
+                        int(meta.get("block_length", 1)))
             for t in sorted(by_trace)]

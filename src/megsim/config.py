@@ -219,19 +219,23 @@ def canonical_form(cfg: ExperimentConfig) -> str:
     return render_config(cfg, include_execution=False)
 
 
-def config_hash(cfg: ExperimentConfig, sections=None) -> str:
-    """12-hex-digit digest of the canonical form (optionally a subset of
-    sections, for artifact-level caching)."""
+def config_hash(cfg: ExperimentConfig, sections=None, extra="",
+                drop_keys=()) -> str:
+    """12-hex-digit digest of the canonical form.
+
+    With ``sections`` it keys one cached artifact instead: the lines of
+    those sections less ``drop_keys``, then the seed and ``extra``.
+    """
     text = canonical_form(cfg)
     if sections is not None:
-        keep = []
-        current = None
+        keep, current = [], None
         for line in text.splitlines():
             if line.startswith("["):
                 current = line.strip("[]")
-            if current in sections:
+            if current in sections and not any(
+                    line.startswith(f"{k} = ") for k in drop_keys):
                 keep.append(line)
-        text = "\n".join(keep)
+        text = "\n".join(keep + [f"seed = {cfg.seed}", extra])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 

@@ -35,3 +35,7 @@ class FrameError(MegsimError):
 
 class ProtocolError(MegsimError):
     """Illegal session transition or mismatched request/model configuration."""
+
+
+class BundleError(MegsimError):
+    """A cached model file was trained for a different configuration."""

@@ -9,7 +9,6 @@ with an unchanged config never retrain.
 """
 
 import csv
-import hashlib
 import json
 import os
 import struct
@@ -20,7 +19,8 @@ import numpy as np
 
 from . import channel as ch
 from . import corpus, genmodel, metrics, nn, plotting, power_rl, seedcodec
-from .config import ExperimentConfig, canonical_form, config_hash
+from .config import ExperimentConfig, config_hash
+from .errors import BundleError
 from .protocol import ModelBundle, RunSpec, run_end_to_end
 from .util import as_rng, derive_seed, sha256_file
 
@@ -33,30 +33,16 @@ _DN_SECTIONS = _AE_SECTIONS + ("diffusion", "denoiser")
 _CODEC_SECTIONS = _DN_SECTIONS + ("codec", "channel")
 
 
-def _scoped_hash(cfg, sections, extra="", drop_keys=()):
-    text = canonical_form(cfg)
-    keep, current = [], None
-    for line in text.splitlines():
-        if line.startswith("["):
-            current = line.strip("[]")
-        if current in sections and not any(line.startswith(f"{k} = ")
-                                           for k in drop_keys):
-            keep.append(line)
-    keep.append(f"seed = {cfg.seed}")
-    keep.append(extra)
-    return hashlib.sha256("\n".join(keep).encode()).hexdigest()[:12]
-
-
 def _codec_hash(cfg, rate):
     # a codec depends on its own rate, not on which other rates exist
-    return _scoped_hash(cfg, _CODEC_SECTIONS, extra=f"rate={rate!r}",
-                        drop_keys=("rates",))
+    return config_hash(cfg, _CODEC_SECTIONS, extra=f"rate={rate!r}",
+                       drop_keys=("rates",))
 
 
 def bundle_dir(cfg: ExperimentConfig) -> str:
     # keyed on the generator stages only, so codec-list edits reuse the
     # cached autoencoder and denoiser and train just the new codecs
-    return os.path.join(cfg.out, f"bundle-{_scoped_hash(cfg, _DN_SECTIONS)}")
+    return os.path.join(cfg.out, f"bundle-{config_hash(cfg, _DN_SECTIONS)}")
 
 
 def _codec_filename(rate):
@@ -81,14 +67,18 @@ class TrainResult:
     manifest_path: str
 
 
-def _cache_ok(path, dep_hash):
+def _cache_ok(path, dep_hash, digests=None):
+    """Whether ``path`` is a readable network trained for ``dep_hash``
+    with the SHA-256 its ``digests`` entry (previous manifest) records."""
     if not os.path.exists(path):
         return False
     try:
         _, meta = nn.load_network(path)
     except (ValueError, KeyError, struct.error):
         return False     # a damaged file is a miss and gets retrained
-    return meta.get("dep_hash") == dep_hash
+    digest = (digests or {}).get(os.path.basename(path))
+    return meta.get("dep_hash") == dep_hash and \
+        digest in (None, sha256_file(path))
 
 
 def _build_corpus(cfg):
@@ -120,13 +110,19 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     out = bundle_dir(cfg)
     os.makedirs(out, exist_ok=True)
     actions = {}
+    manifest_path = os.path.join(out, "manifest.json")
+    digests = {}
+    if os.path.exists(manifest_path):
+        with open(manifest_path) as fh:
+            digests = json.load(fh)["files"]
 
-    ae_hash = _scoped_hash(cfg, _AE_SECTIONS)
+    ae_hash = config_hash(cfg, _AE_SECTIONS)
     enc_path = os.path.join(out, "ae_encoder.bin")
     dec_path = os.path.join(out, "ae_decoder.bin")
-    if _cache_ok(enc_path, ae_hash) and _cache_ok(dec_path, ae_hash):
+    if _cache_ok(enc_path, ae_hash, digests) \
+            and _cache_ok(dec_path, ae_hash, digests):
         actions["autoencoder"] = "cached"
-        pair = _load_autoencoder(cfg, enc_path, dec_path)
+        pair = _load_autoencoder(cfg, out)
     else:
         prompts, images = _build_corpus(cfg)
         ae_cfg = genmodel.AutoencoderTrainConfig(
@@ -142,11 +138,11 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
         actions["autoencoder"] = "trained"
 
     schedule = genmodel.make_schedule(cfg.diffusion_steps)
-    dn_hash = _scoped_hash(cfg, _DN_SECTIONS)
+    dn_hash = config_hash(cfg, _DN_SECTIONS)
     dn_path = os.path.join(out, "denoiser.bin")
-    if _cache_ok(dn_path, dn_hash):
+    if _cache_ok(dn_path, dn_hash, digests):
         actions["denoiser"] = "cached"
-        denoiser = _load_denoiser(cfg, dn_path)
+        denoiser = _load_denoiser(cfg, out)
     else:
         prompts, images = _build_corpus(cfg)
         dn_cfg = genmodel.DenoiserTrainConfig(
@@ -165,9 +161,9 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     for k, rate in enumerate(cfg.codec_rates):
         codec_hash = _codec_hash(cfg, rate)
         path = os.path.join(out, _codec_filename(rate))
-        if _cache_ok(path, codec_hash):
+        if _cache_ok(path, codec_hash, digests):
             actions[f"codec[{rate!r}]"] = "cached"
-            codecs[rate], _ = seedcodec.CodecPair.load(path)
+            codecs[rate] = _load_codec(cfg, out, rate)
             continue
         if latents is None:
             latents = _generated_latents(cfg, (pair, denoiser, schedule))
@@ -183,10 +179,9 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
         codecs[rate] = codec
         actions[f"codec[{rate!r}]"] = "trained"
 
-    manifest_path = os.path.join(out, "manifest.json")
     files = sorted(f for f in os.listdir(out) if f.endswith(".bin"))
     manifest = {"schema": 1, "config_hash": config_hash(cfg),
-                "bundle_hash": _scoped_hash(cfg, _CODEC_SECTIONS),
+                "bundle_hash": config_hash(cfg, _CODEC_SECTIONS),
                 "files": {f: sha256_file(os.path.join(out, f))
                           for f in files}}
     with open(manifest_path, "w") as fh:
@@ -199,27 +194,47 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     return TrainResult(bundle, out, actions, manifest_path)
 
 
-def _load_autoencoder(cfg, enc_path, dec_path):
+def _load_checked(net, out, name, dep_hash):
+    """Fill ``net`` from the bundle file ``name``, refusing a file trained
+    for another config."""
+    path = os.path.join(out, name)
+    if nn.load_into(net, path).get("dep_hash") != dep_hash:
+        raise BundleError(
+            f"{path} was trained for a different config; run `megsim "
+            f"train` with this config to retrain it")
+
+
+def _load_autoencoder(cfg, out):
     pair = genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
                                     cfg.ae_hidden)
-    for mine, path in ((pair.encoder, enc_path), (pair.decoder, dec_path)):
-        saved, _ = nn.load_network(path)
-        for p, q in zip(mine.params(), saved.params()):
-            p[...] = q
+    ae_hash = config_hash(cfg, _AE_SECTIONS)
+    _load_checked(pair.encoder, out, "ae_encoder.bin", ae_hash)
+    _load_checked(pair.decoder, out, "ae_decoder.bin", ae_hash)
     return pair
 
 
-def _load_denoiser(cfg, dn_path):
+def _load_denoiser(cfg, out):
     denoiser = genmodel.Denoiser(cfg.latent_shape, cfg.dn_hidden,
                                  cfg.time_dim, cfg.max_tokens, cfg.embed_dim)
-    net, _ = nn.load_network(dn_path)
-    for p, q in zip(denoiser.net.params(), net.params()):
-        p[...] = q
+    _load_checked(denoiser.net, out, "denoiser.bin",
+                  config_hash(cfg, _DN_SECTIONS))
     return denoiser
 
 
+def _load_codec(cfg, out, rate):
+    codec = seedcodec.CodecPair(cfg.latent_shape, rate, cfg.codec_hidden,
+                                cfg.codec_train_snr_db)
+    _load_checked(nn.Network(codec._layers()), out, _codec_filename(rate),
+                  _codec_hash(cfg, rate))
+    return codec
+
+
 def load_bundle(cfg: ExperimentConfig) -> ModelBundle:
-    """Load a previously trained bundle or explain how to create one."""
+    """Load a previously trained bundle or explain how to create one.
+
+    Every file must have been trained for the current config (its stored
+    ``dep_hash``); a stale one raises :class:`BundleError`.
+    """
     cfg.validate()
     _check_trainable(cfg)
     out = bundle_dir(cfg)
@@ -231,13 +246,10 @@ def load_bundle(cfg: ExperimentConfig) -> ModelBundle:
         raise FileNotFoundError(
             f"model bundle incomplete under {out} (missing {missing}); "
             f"run `megsim train` with this config first")
-    pair = _load_autoencoder(cfg, os.path.join(out, "ae_encoder.bin"),
-                             os.path.join(out, "ae_decoder.bin"))
-    denoiser = _load_denoiser(cfg, os.path.join(out, "denoiser.bin"))
-    codecs = {r: seedcodec.CodecPair.load(
-        os.path.join(out, _codec_filename(r)))[0] for r in cfg.codec_rates}
-    return ModelBundle(pair, denoiser, genmodel.make_schedule(cfg.diffusion_steps),
-                       codecs, metrics.FeatureExtractor(cfg.pixel_count),
+    return ModelBundle(_load_autoencoder(cfg, out), _load_denoiser(cfg, out),
+                       genmodel.make_schedule(cfg.diffusion_steps),
+                       {r: _load_codec(cfg, out, r) for r in cfg.codec_rates},
+                       metrics.FeatureExtractor(cfg.pixel_count),
                        cfg.image_shape, cfg.latent_shape, cfg.downsample,
                        config_hash(cfg))
 
@@ -297,7 +309,8 @@ def cmd_sweep(cfg: ExperimentConfig):
                      (r, s, t) for r in cfg.codec_rates
                      for s in cfg.sweep_snrs_db
                      for t in range(cfg.sweep_trials))]
-        load_bundle(cfg)   # fail fast with the instructive error
+        # fails fast with the instructive error; workers reuse the bundle
+        _WORKER_CACHE[bundle_dir(cfg)] = load_bundle(cfg)
         if cfg.jobs > 1:
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                 for cell_rows in pool.map(_sweep_cell, [cfg] * len(cells),

@@ -3,7 +3,8 @@ noise schedule, conditional denoiser, and the deterministic reverse
 sampler that turns (prompt, initial noise) into a latent feature.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,15 +22,26 @@ class PromptEmbedding:
     values: np.ndarray
     token_count: int
     truncated: bool = False
+    _pooled: np.ndarray | None = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     def pooled(self):
-        return self.values.mean(axis=0)
+        """Mean token vector, computed once (so ``values`` must not change
+        afterwards) and read-only."""
+        if self._pooled is None:
+            self._pooled = self.values.mean(axis=0)
+            self._pooled.flags.writeable = False
+        return self._pooled
 
 
+@lru_cache(maxsize=4096)
 def _token_vector(token, embed_dim):
+    """Unit vector of one token; memoized, so the array is read-only."""
     rng = np.random.default_rng(stable_word_seed(token, "embed"))
     v = rng.standard_normal(embed_dim)
-    return (v / np.linalg.norm(v)).astype(np.float32)
+    v = (v / np.linalg.norm(v)).astype(np.float32)
+    v.flags.writeable = False
+    return v
 
 
 def embed_prompt(text, max_tokens=8, embed_dim=32) -> PromptEmbedding:
@@ -191,6 +203,16 @@ class Denoiser:
             nn.DenseLayer(hidden, hidden, "relu", rng, "h2"),
             nn.DenseLayer(hidden, self.latent_size, "none", rng, "out"),
         ], name="denoiser")
+        self._time_table = np.empty((0, time_dim), dtype=np.float32)
+
+    def time_table(self, steps):
+        """Step embeddings for t = 0..steps (at least), built once."""
+        if steps < 0:
+            raise ValueError(f"step {steps} is negative")
+        if len(self._time_table) <= steps:
+            self._time_table = np.stack([time_embedding(t, self.time_dim)
+                                         for t in range(steps + 1)])
+        return self._time_table
 
     def predict(self, z_t, t, embedding):
         """Noise estimate with the same shape as ``z_t`` (no cache)."""
@@ -200,8 +222,8 @@ class Denoiser:
                 f"latent of size {z_t.size}, denoiser expects {self.latent_size}")
         feats = np.concatenate([
             z_t.reshape(-1).astype(np.float32),
-            time_embedding(t, self.time_dim),
-            embedding.pooled().astype(np.float32)])
+            self.time_table(t)[t],
+            embedding.pooled().astype(np.float32, copy=False)])
         out = self.net.forward(feats, cache=False)
         return out.reshape(z_t.shape)
 
@@ -214,16 +236,6 @@ class DenoiserTrainConfig:
     hidden: int = 128
     time_dim: int = 16
     seed: int = 0
-
-
-def denoiser_loss(denoiser, z0_batch, embeddings, schedule, t_steps, noises):
-    """Mean squared noise-prediction error over a prepared batch."""
-    total = 0.0
-    for z0, emb, t, eps in zip(z0_batch, embeddings, t_steps, noises):
-        z_t = diffuse_forward(z0, t, eps, schedule)
-        err = denoiser.predict(z_t, t, emb) - eps
-        total += float(np.mean(err * err))
-    return total / len(z0_batch)
 
 
 def denoiser_batch(latents, pooled, time_table, idx, ts, eps, schedule):
@@ -256,8 +268,7 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
     pooled = np.stack([
         embed_prompt(p, denoiser.max_tokens, denoiser.embed_dim).pooled()
         for p, _ in dataset])
-    time_table = np.stack([time_embedding(t, denoiser.time_dim)
-                           for t in range(schedule.steps + 1)])
+    time_table = denoiser.time_table(schedule.steps)
     opt = nn.Adam(config.learning_rate)
     history = []
     names = denoiser.net.param_names()

@@ -18,7 +18,6 @@ from .errors import DimensionError
 from .seedcodec import seed_length
 
 EXTRACTOR_SEED = 0xFEED
-REPORT_SCHEMA = 1
 MODES = ("centralized", "raw_feature", "meg")
 
 

@@ -404,26 +404,16 @@ def parameter_count(description) -> int:
         if hasattr(item, "param_count"):
             total += item.param_count
             continue
-        if isinstance(item, dict):
+        if isinstance(item, dict):      # as the tuple form
             kind = item["kind"]
-            if kind == "dense":
-                total += (item["in_features"] * item["out_features"]
-                          + item["out_features"])
-            elif kind == "layernorm":
-                total += 2 * item["size"]
-            elif kind in ("normalize", "flatten", "unflatten", "residual"):
-                pass
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
-            continue
+            item = (kind, item["in_features"], item["out_features"]) \
+                if kind == "dense" else (kind, item.get("size"))
         kind = item[0]
         if kind == "dense":
             total += item[1] * item[2] + item[2]
         elif kind == "layernorm":
             total += 2 * item[1]
-        elif kind in ("normalize", "flatten", "unflatten", "residual"):
-            pass
-        else:
+        elif kind not in ("normalize", "flatten", "unflatten", "residual"):
             raise ValueError(f"unknown layer kind {kind!r}")
     return total
 
@@ -464,17 +454,34 @@ def save_network(path, network: Network, extra=None):
             fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
 
 
-def load_network(path):
-    """Rebuild a network saved by :func:`save_network`; returns (net, extra)."""
+def _read_meta(fh, path):
+    if fh.read(4) != _MAGIC:
+        raise ValueError(f"{path} is not a network file (bad magic)")
+    version, meta_len = struct.unpack("<BI", fh.read(5))
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version}")
+    return json.loads(fh.read(meta_len).decode("utf-8"))
+
+
+def network_extra(path):
+    """The caller metadata saved with a network, without its weights."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path} is not a network file (bad magic)")
-        version, meta_len = struct.unpack("<BI", fh.read(5))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        net = Network([_layer_from_descriptor(d) for d in meta["layers"]],
-                      meta["name"])
+        return _read_meta(fh, path)["extra"]
+
+
+def load_network(path, into=None):
+    """Rebuild a network saved by :func:`save_network`; returns (net, extra).
+    With ``into``, fill that network in place (same layers) instead."""
+    with open(path, "rb") as fh:
+        meta = _read_meta(fh, path)
+        if into is None:
+            net = Network([_layer_from_descriptor(d) for d in meta["layers"]],
+                          meta["name"])
+        elif into.descriptors() != meta["layers"]:
+            raise ValueError(f"{path} holds layers {meta['layers']}, not "
+                             f"{into.descriptors()}")
+        else:
+            net = into
         # one parameter's bytes at a time, so loading never holds the
         # whole file beside the network
         for p in net.params():
@@ -485,6 +492,11 @@ def load_network(path):
         if fh.read(1):
             raise ValueError(f"{path} has trailing bytes")
     return net, meta["extra"]
+
+
+def load_into(net, path):
+    """Fill an existing network from a saved file; returns its extra."""
+    return load_network(path, into=net)[1]
 
 
 def numeric_gradient(loss_fn, arrays, step=1e-4):

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import channel as ch
 from . import metrics, nn
-from .errors import ChannelErasure
 from .protocol import ModelBundle, es_handle_request, GenerationRequest
 from .util import as_rng, derive_seed
 
@@ -28,12 +27,15 @@ GAUSS_ENTROPY_CONST = 0.5 * (1.0 + LOG_2PI)
 
 
 def apply_power(action, remaining, p_max):
-    """Power for one block: the scaled action, clamped to what is left."""
-    if not 0.0 <= action <= 1.0:
+    """Power for one block: the scaled action, clamped to what is left.
+    Scalars give a float, arrays (one entry per episode) an array."""
+    action, remaining = np.asarray(action), np.asarray(remaining)
+    if not np.all((0.0 <= action) & (action <= 1.0)):
         raise ValueError(f"action {action} outside [0, 1]")
-    if not 0.0 <= remaining <= p_max:
+    if not np.all((0.0 <= remaining) & (remaining <= p_max)):
         raise ValueError("remaining budget outside [0, p_max]")
-    return min(action * p_max, remaining)
+    power = np.minimum(action * p_max, remaining)
+    return float(power) if power.ndim == 0 else power
 
 
 def terminal_reward(decoded_images, ground_truths, extractor):
@@ -190,15 +192,12 @@ class PpoAgent:
 
     @classmethod
     def load(cls, path):
-        net, meta = nn.load_network(path)
+        meta = nn.network_extra(path)
         agent = cls(meta["state_dim"], meta["hidden"],
                     log_std_min=meta["log_std_min"],
                     log_std_max=meta["log_std_max"])
-        split = meta["actor_layers"]
-        for mine, saved in zip(agent.actor.layers + agent.critic.layers,
-                               net.layers[:split] + net.layers[split:]):
-            for p, q in zip(mine.params(), saved.params()):
-                p[...] = q
+        nn.load_into(nn.Network(agent.actor.layers + agent.critic.layers,
+                                "ppo"), path)
         return agent, meta
 
 
@@ -213,9 +212,10 @@ class SeedTransmissionEnv:
     batch is transmitted under the same power schedule and fading trace.
 
     E episodes run in lockstep, one block at a time (``start``); the
-    single-episode ``reset``/``step`` interface is the case E = 1. Power,
-    noise and equalization are applied per episode; at the last block the
-    episodes are decoded and scored together, ``SCORE_CHUNK`` at a time.
+    single-episode ``reset``/``step`` interface is the case E = 1. Each
+    step applies power, noise and equalization to all episodes at once;
+    at the last block the episodes are decoded and scored together,
+    ``SCORE_CHUNK`` at a time.
     """
 
     def __init__(self, bundle: ModelBundle, prompts, rate, snr_db,
@@ -251,12 +251,10 @@ class SeedTransmissionEnv:
         self.num_blocks = -(-self.seed_len // block_length)
         self.state_dim = block_length + 2
         # payloads padded to a whole number of blocks, stacked [P, B, block]
-        padded = np.zeros((len(prompts), self.num_blocks * block_length),
-                          dtype=np.float64)
-        for i, fr in enumerate(frames):
-            padded[i, :self.seed_len] = fr.payload
-        self.blocks = padded.reshape(len(prompts), self.num_blocks,
-                                     block_length)
+        pad = self.num_blocks * block_length - self.seed_len
+        self.blocks = np.pad(np.stack([fr.payload for fr in frames])
+                             .astype(np.float64), ((0, 0), (0, pad))) \
+            .reshape(len(prompts), self.num_blocks, block_length)
         self.power_audit = []     # (sum of powers, p_max) per finished episode
         self.steps_taken = 0      # blocks stepped, summed over episodes
 
@@ -274,7 +272,7 @@ class SeedTransmissionEnv:
         episodes started together match E started one after another."""
         if not traces or len(traces) != len(noise_seeds):
             raise ValueError("need one noise seed per trace, at least one")
-        gains, self._noise_rngs = [], []
+        gains, noise = [], []
         for trace, noise_seed in zip(traces, noise_seeds):
             if trace is None:
                 trace = ch.sample_fading_trace(self.model, self.num_blocks,
@@ -285,11 +283,16 @@ class SeedTransmissionEnv:
             if noise_seed is None:
                 noise_seed = derive_seed(self._seed, 0xA2,
                                          self._episode_index)
-            self._noise_rngs.append(as_rng(noise_seed))
+            # every block's noise [P, block] is drawn up front, in block
+            # order, so paired evaluations stay aligned even when a policy
+            # zeroes a block out
+            noise.append(as_rng(noise_seed).normal(
+                0.0, self.noise_std, self.blocks.swapaxes(0, 1).shape))
             self._episode_index += 1
         self._gains = np.stack(gains)
+        self._noise = np.stack(noise)      # [E, B, P, block]
         self._t = 0
-        self._remaining = [self.p_max] * len(traces)
+        self._remaining = np.full(len(traces), self.p_max)
         self._received = np.zeros((len(traces),) + self.blocks.shape)
         self._powers = np.zeros((len(traces), self.num_blocks))
         return self._states()
@@ -299,7 +302,7 @@ class SeedTransmissionEnv:
                           dtype=np.float32)
         states[:, :-2] = self.blocks[0, self._t]      # the pilot's block
         states[:, -2] = self._gains[:, self._t]
-        states[:, -1] = np.array(self._remaining) / self.p_max
+        states[:, -1] = self._remaining / self.p_max
         return states
 
     def step(self, action):
@@ -316,29 +319,20 @@ class SeedTransmissionEnv:
             raise ValueError(f"need one action per episode, got "
                              f"{actions.shape}")
         t = self._t
-        sent = self.blocks[:, t, :]
-        for e, a in enumerate(actions):
-            a = float(min(max(a, 0.0), 1.0))
-            remaining = self._remaining[e]
-            p = apply_power(a, remaining, self.p_max)
-            gain = float(self._gains[e, t])
-            # noise is drawn every block so paired evaluations stay
-            # aligned even when a policy zeroes one out
-            noise = self._noise_rngs[e].normal(0.0, self.noise_std,
-                                               sent.shape) \
-                if self.noise_std > 0 else np.zeros_like(sent)
-            if p > 0.0:
-                y = gain * np.sqrt(p) * sent + noise
-                try:
-                    self._received[e, :, t, :] = ch.equalize(y, gain, p)
-                except ChannelErasure:
-                    pass   # leave zeros
-            self._powers[e, t] = p
-            # one-ulp-down update keeps the exact running sum under the cap
-            if p >= remaining:
-                self._remaining[e] = 0.0
-            else:
-                self._remaining[e] = float(np.nextafter(remaining - p, 0.0))
+        p = apply_power(np.clip(actions, 0.0, 1.0), self._remaining,
+                        self.p_max)
+        gains = self._gains[:, t]
+        amp = gains * np.sqrt(p)
+        # y = h sqrt(p) x + n per episode; erased blocks stay zeros
+        y = amp[:, None, None] * self.blocks[:, t] + self._noise[:, t]
+        live = amp > 0.0
+        self._received[live, :, t] = ch.equalize(
+            y[live], gains[live, None, None], p[live, None, None])
+        self._powers[:, t] = p
+        # one-ulp-down update keeps the exact running sum under the cap
+        self._remaining = np.where(
+            p >= self._remaining, 0.0,
+            np.nextafter(self._remaining - p, 0.0))
         self.steps_taken += len(actions)
         self._t += 1
         done = self._t >= self.num_blocks

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import channel as ch
 from . import genmodel, metrics
-from .errors import ChannelErasure, FrameError, ProtocolError
+from .errors import FrameError, ProtocolError
 from .seedcodec import CodecPair, Seed, seed_length
 from .util import as_rng, derive_seed
 
@@ -225,24 +225,12 @@ def es_handle_request(bundle: ModelBundle, request: GenerationRequest,
 
 
 @dataclass
-class ReceivedBlock:
-    values: np.ndarray
-    gain: float
-    power: float
-
-
-@dataclass
 class GenerationResult:
     mode: str
     images: list
     report: metrics.MetricReport
-    power_log: list
     degraded: bool = False
     trace_seed: int | None = None
-
-    @property
-    def image(self):
-        return self.images[0]
 
 
 @dataclass
@@ -259,64 +247,58 @@ class EndToEndReport:
 # ---------------------------------------------------------------------------
 # transmission helpers
 
-def transmit_stream(symbols, trace: ch.FadingTrace, noise_std, rng,
+def transmit_stream(payloads, trace: ch.FadingTrace, noise_std, rng,
                     powers=None):
-    """Send one symbol vector block by block over a trace."""
-    blocks = chunk_seed(symbols, trace.block_length)
-    out = []
-    for i, block in enumerate(blocks):
-        p = 1.0 if powers is None else float(powers[i])
-        y = ch.transmit(block, trace.gains[i], p, noise_std, rng)
-        out.append(ReceivedBlock(y, float(trace.gains[i]), p))
-    return out
+    """Send payloads [P, N] (or one [N] vector) over a trace, every row on
+    the same blocks at one power per block; returns (received, gains,
+    powers) per symbol. The noise is one draw of the payloads' shape,
+    which equals drawing each row's blocks in turn."""
+    x = np.asarray(payloads)
+    n, block = x.shape[-1], trace.block_length
+    nb = -(-n // block)
+    p = np.ones(nb) if powers is None else np.asarray(powers, np.float64)
+    if len(trace) < nb or len(p) < nb:
+        raise ValueError(f"{n} symbols need {nb} blocks of gain and power")
+    gains = np.repeat(trace.gains[:nb], block)[:n]
+    p = np.repeat(p[:nb], block)[:n]
+    return ch.transmit(x, gains, p, noise_std, rng), gains, p
 
 
-def recover_stream(blocks, expected_len):
-    """Equalize received blocks; erased blocks come back as zeros."""
-    parts = []
-    degraded = False
-    for blk in blocks:
-        try:
-            parts.append(ch.equalize(blk.values, blk.gain, blk.power))
-        except ChannelErasure:
-            parts.append(np.zeros_like(np.asarray(blk.values, dtype=np.float64)))
-            degraded = True
-    flat = np.concatenate(parts) if parts else np.zeros(0)
-    if flat.size != expected_len:
-        raise FrameError(
-            f"recovered {flat.size} symbols, expected {expected_len}")
-    return flat, degraded
+def recover_stream(received, gains, powers):
+    """Equalize received symbols; erased ones (zero power) come back as
+    zeros. Returns (symbols, degraded)."""
+    live = powers > 0
+    out = np.zeros(np.shape(received))
+    out[..., live] = ch.equalize(received[..., live], gains[live],
+                                 powers[live])
+    return out, not live.all()
 
 
-def ue_receive(bundle: ModelBundle, deliveries, ground_truths,
+def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
                config_hash="", trace_seed=None):
     """Receiver side for a batch of seed deliveries.
 
-    Each delivery is (frame_bytes, received blocks or None). ``None``
-    blocks mean the perfect channel carried the payload intact. Returns a
+    ``wire_frames`` holds one encoded frame per prompt and ``received`` what
+    :func:`transmit_stream` returned for their stacked payloads, or None
+    when the perfect channel carried the payloads intact. Returns a
     GenerationResult with quality metrics against the ground-truth batch.
     """
     session = UeSession()
     session.start_receiving()
-    frames = [decode_frame(data) for data, _ in deliveries]
+    frames = [decode_frame(data) for data in wire_frames]
     session.start_decoding()
-    images, degraded_any, power_log = [], False, []
-    for frame, (_, blocks) in zip(frames, deliveries):
+    symbols, degraded = recover_stream(*received) if received is not None \
+        else ([frame.payload.astype(np.float64) for frame in frames], False)
+    images = []
+    for frame, x in zip(frames, symbols):
         codec = bundle.codec_for(_nearest_rate(bundle, frame))
-        if blocks is None:
-            symbols = frame.payload.astype(np.float64)
-        else:
-            symbols, lost = recover_stream(blocks, frame.payload.size)
-            degraded_any |= lost
-            power_log = [b.power for b in blocks]
-        latent = codec.decompress(symbols, frame.scale)
-        images.append(bundle.autoencoder.decode(latent))
+        images.append(bundle.autoencoder.decode(
+            codec.decompress(x, frame.scale)))
     session.decoding_complete()
     report = batch_report(images, ground_truths, bundle.extractor,
                           symbols=frames[0].payload.size,
                           config_hash=config_hash)
-    return GenerationResult("meg", images, report, power_log,
-                            degraded_any, trace_seed)
+    return GenerationResult("meg", images, report, degraded, trace_seed)
 
 
 def _nearest_rate(bundle: ModelBundle, frame: SeedFrame):
@@ -357,8 +339,6 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
     if not spec.prompts:
         raise ValueError("at least one prompt is required")
     block_len = spec.block_length
-    pixels = int(np.prod(bundle.image_shape))
-    latent_size = int(np.prod(bundle.latent_shape))
 
     es_results, ground_truths, latents = [], [], []
     for i, prompt in enumerate(spec.prompts):
@@ -370,7 +350,8 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
         latents.append(res.latent)
         ground_truths.append(bundle.autoencoder.decode(res.latent))
 
-    counts = {"centralized": pixels, "raw_feature": latent_size,
+    counts = {"centralized": int(np.prod(bundle.image_shape)),
+              "raw_feature": int(np.prod(bundle.latent_shape)),
               "meg": es_results[0].seed.symbols.size}
     max_blocks = max(-(-counts[m] // block_len) for m in spec.modes)
     model = ch.ChannelModel(spec.channel_kind, block_len)
@@ -384,49 +365,33 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
     for mode_idx, mode in enumerate(spec.modes):
         noise_rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
         if mode == "meg":
-            deliveries = []
-            for res in es_results:
-                data = encode_frame(res.frame)
-                if perfect:
-                    deliveries.append((data, None))
-                else:
-                    blocks = transmit_stream(res.frame.payload, trace,
-                                             noise_std, noise_rng,
-                                             spec.powers)
-                    deliveries.append((data, blocks))
-            result = ue_receive(bundle, deliveries, ground_truths,
-                                spec.config_hash, trace_seed)
-            if not result.power_log:
-                result.power_log = [1.0] * (-(-counts["meg"] // block_len))
+            sent = None if perfect else transmit_stream(
+                np.stack([res.frame.payload for res in es_results]), trace,
+                noise_std, noise_rng, spec.powers)
+            results[mode] = ue_receive(
+                bundle, [encode_frame(res.frame) for res in es_results],
+                sent, ground_truths, spec.config_hash, trace_seed)
+            continue
+        source = ground_truths if mode == "centralized" else latents
+        payloads = np.stack(source).reshape(len(source), -1) \
+            .astype(np.float64)
+        degraded = False
+        if not perfect:
+            # each row is sent at unit RMS power and rescaled on receipt
+            scale = np.sqrt(np.mean(payloads ** 2, axis=1, keepdims=True))
+            scale = np.where(scale > 0, scale, 1.0)
+            symbols, degraded = recover_stream(*transmit_stream(
+                payloads / scale, trace, noise_std, noise_rng))
+            payloads = symbols * scale
+        if mode == "centralized":
+            images = list(np.clip(payloads, 0.0, 1.0).astype(np.float32)
+                          .reshape((-1,) + bundle.image_shape))
         else:
-            images = []
-            degraded = False
-            n_blocks = -(-counts[mode] // block_len)
-            for res, truth in zip(es_results, ground_truths):
-                if mode == "centralized":
-                    payload = truth.reshape(-1).astype(np.float64)
-                else:
-                    payload = res.latent.reshape(-1).astype(np.float64)
-                if perfect:
-                    recovered = payload
-                else:
-                    scale = float(np.sqrt(np.mean(payload ** 2)))
-                    scale = scale if scale > 0 else 1.0
-                    sent = transmit_stream(payload / scale, trace,
-                                           noise_std, noise_rng)
-                    flat, lost = recover_stream(sent, payload.size)
-                    degraded |= lost
-                    recovered = flat * scale
-                if mode == "centralized":
-                    images.append(np.clip(recovered, 0.0, 1.0)
-                                  .reshape(bundle.image_shape)
-                                  .astype(np.float32))
-                else:
-                    images.append(bundle.autoencoder.decode(
-                        recovered.astype(np.float32).reshape(bundle.latent_shape)))
-            report = batch_report(images, ground_truths, bundle.extractor,
-                                  counts[mode], spec.config_hash)
-            result = GenerationResult(mode, images, report,
-                                      [1.0] * n_blocks, degraded, trace_seed)
-        results[mode] = result
+            images = [bundle.autoencoder.decode(
+                z.astype(np.float32).reshape(bundle.latent_shape))
+                for z in payloads]
+        report = batch_report(images, ground_truths, bundle.extractor,
+                              counts[mode], spec.config_hash)
+        results[mode] = GenerationResult(mode, images, report, degraded,
+                                         trace_seed)
     return EndToEndReport(results, ground_truths, latents, trace)

@@ -183,12 +183,10 @@ class CodecPair:
 
     @classmethod
     def load(cls, path):
-        net, meta = nn.load_network(path)
+        meta = nn.network_extra(path)
         pair = cls(tuple(meta["latent_shape"]), meta["rate"], meta["hidden"],
                    meta.get("train_snr_db"))
-        for ours, theirs in zip(pair._layers(), net.layers):
-            for p, q in zip(ours.params(), theirs.params()):
-                p[...] = q
+        nn.load_into(nn.Network(pair._layers(), name="codec"), path)
         return pair, meta
 
 

@@ -115,3 +115,46 @@ class TestTransmitEqualize:
                 errs.append(float(np.mean((ch.equalize(y, gain, 1.0) - x) ** 2)))
             rho = stats.spearmanr(snrs, errs).statistic
             assert rho < 0
+
+
+class TestPerSymbolArrays:
+    """Per-symbol gain/power arrays equal one scalar call per block."""
+
+    def _blocks(self, rng):
+        x = rng.standard_normal((3, 37))
+        gains = np.maximum(rng.rayleigh(1 / np.sqrt(2), 3), 1e-12)
+        powers = np.array([0.5, 2.0, 1.3])
+        return x, gains, powers, np.repeat(gains, 16)[:37], \
+            np.repeat(powers, 16)[:37]
+
+    def test_transmit_matches_per_block_calls(self, rng):
+        x, gains, powers, g_sym, p_sym = self._blocks(rng)
+        got_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = ch.transmit(x, g_sym, p_sym, 0.3, got_rng)
+        # the reference draws row by row, block by block
+        rows = []
+        for row in x:
+            rows.append(np.concatenate([
+                ch.transmit(row[i * 16:(i + 1) * 16], gains[i], powers[i],
+                            0.3, ref_rng) for i in range(3)]))
+        assert np.array_equal(got, np.stack(rows))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_equalize_matches_per_block_calls(self, rng):
+        x, gains, powers, g_sym, p_sym = self._blocks(rng)
+        y = ch.transmit(x, g_sym, p_sym, 0.1, rng)
+        got = ch.equalize(y, g_sym, p_sym)
+        want = np.concatenate([ch.equalize(y[:, i * 16:(i + 1) * 16],
+                                           gains[i], powers[i])
+                               for i in range(3)], axis=1)
+        assert np.array_equal(got, want)
+
+    def test_any_negative_power_rejected(self, rng):
+        with pytest.raises(ValueError):
+            ch.transmit(np.zeros(4), 1.0, np.array([1.0, 1.0, -1e-9, 1.0]),
+                        0.0, rng)
+
+    def test_any_zero_power_is_erasure(self):
+        with pytest.raises(ChannelErasure):
+            ch.equalize(np.zeros(4), np.ones(4),
+                        np.array([1.0, 0.0, 1.0, 1.0]))

@@ -138,6 +138,44 @@ class TestTrainCaching:
         with pytest.raises(RuntimeError, match="file-format"):
             experiments.cmd_train(cfg)
 
+    def test_flipped_weight_bit_is_a_miss_and_retrained(self, tiny_cfg,
+                                                        tmp_path):
+        import json
+
+        from megsim.util import sha256_file
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+        out = experiments.bundle_dir(cfg)
+        path = os.path.join(out, "ae_decoder.bin")
+        with open(os.path.join(out, "manifest.json")) as fh:
+            digests = json.load(fh)["files"]
+        data = bytearray(open(path, "rb").read())
+        data[-3] ^= 0x01                  # one bit of the last weight
+        open(path, "wb").write(bytes(data))
+        ae_hash = config.config_hash(cfg, experiments._AE_SECTIONS)
+        assert experiments._cache_ok(path, ae_hash)   # readable, same config
+        assert not experiments._cache_ok(path, ae_hash, digests)
+        result = experiments.cmd_train(cfg)
+        assert result.actions["autoencoder"] == "trained"
+        assert result.actions["denoiser"] == "cached"
+        assert sha256_file(path) == digests["ae_decoder.bin"]
+
+    def test_stale_codec_refused(self, tiny_cfg, tmp_path):
+        from megsim.errors import BundleError
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+        stale = replace(cfg, codec_train_snr_db=0.0).validate()
+        assert experiments.bundle_dir(stale) == experiments.bundle_dir(cfg)
+        for command in (experiments.load_bundle, experiments.cmd_sweep,
+                        experiments.cmd_power):
+            with pytest.raises(BundleError,
+                               match=r"codec_r0\.5\.bin.*megsim train"):
+                command(stale)
+        actions = experiments.cmd_train(stale).actions
+        assert actions == {"autoencoder": "cached", "denoiser": "cached",
+                           "codec[0.5]": "trained"}
+        assert experiments.load_bundle(stale).codecs[0.5].train_snr_db == 0.0
+        with pytest.raises(BundleError, match="codec_r0"):
+            experiments.load_bundle(cfg)
+
     def test_missing_bundle_instructive_error(self, tmp_path):
         cfg = replace(config.desk_config(), out=str(tmp_path / "empty"))
         with pytest.raises(FileNotFoundError, match="megsim train"):
@@ -179,6 +217,20 @@ class TestSweep:
         parallel = open(
             experiments.cmd_sweep(parallel_cfg)["sweep_csv"]).read()
         assert parallel == sequential
+
+    def test_bundle_loaded_once_at_one_job(self, tiny_cfg, tiny_bundle,
+                                           monkeypatch):
+        calls = []
+        load = experiments.load_bundle
+
+        def counting(cfg):
+            calls.append(cfg)
+            return load(cfg)
+
+        monkeypatch.setattr(experiments, "load_bundle", counting)
+        experiments._WORKER_CACHE.clear()
+        experiments.cmd_sweep(tiny_cfg)
+        assert len(calls) == 1
 
     def test_paper_arithmetic_symbols(self, tmp_path):
         cfg = replace(config.paper_arithmetic_config(),

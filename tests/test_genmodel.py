@@ -338,3 +338,63 @@ class TestCorpus:
         assert len(set(prompts)) == 10
         flat = images.reshape(10, -1)
         assert np.unique(flat, axis=0).shape[0] == 10
+
+
+class ReferencePredict:
+    """The step-by-step input assembly: a fresh time embedding and a fresh
+    pooled prompt at every call, as the sampler once built them."""
+
+    def __init__(self, denoiser):
+        self.denoiser = denoiser
+
+    def predict(self, z_t, t, embedding):
+        z_t = np.asarray(z_t)
+        feats = np.concatenate([
+            z_t.reshape(-1).astype(np.float32),
+            genmodel.time_embedding(t, self.denoiser.time_dim),
+            embedding.values.mean(axis=0).astype(np.float32)])
+        return self.denoiser.net.forward(feats, cache=False) \
+            .reshape(z_t.shape)
+
+
+class TestSamplerConstants:
+    def test_generate_latent_equals_per_step_reference(self, tiny_bundle,
+                                                       rng):
+        den, sched = tiny_bundle.denoiser, tiny_bundle.schedule
+        ref = ReferencePredict(den)
+        for prompt in ("large blob left", "tiny stripes top center now"):
+            noise = rng.standard_normal(den.latent_shape).astype(np.float32)
+            got = genmodel.generate_latent(den, prompt, noise, sched)
+            emb = genmodel.embed_prompt(prompt, den.max_tokens, den.embed_dim)
+            want = noise
+            for t in range(sched.steps, 0, -1):
+                want = genmodel.ddim_step(ref, want, t, emb, sched) \
+                    .astype(np.float32)
+            assert np.array_equal(got, want)
+
+    def test_time_table_rows_are_time_embeddings(self):
+        den = genmodel.Denoiser((2, 2, 2), hidden=8, time_dim=6, rng=0)
+        table = den.time_table(4)
+        assert den.time_table(3) is table          # built once
+        assert all(np.array_equal(table[t], genmodel.time_embedding(t, 6))
+                   for t in range(5))
+        assert len(den.time_table(9)) == 10
+        with pytest.raises(ValueError):
+            den.time_table(-1)
+
+    def test_memoized_token_vectors_are_read_only(self):
+        v = genmodel._token_vector("blob", 32)
+        assert genmodel._token_vector("blob", 32) is v
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        emb = genmodel.embed_prompt("blob blob")
+        emb.values[0, 0] = 7.0                   # the embedding owns a copy
+        assert genmodel.embed_prompt("blob").values[0, 0] == v[0] != 7.0
+
+    def test_pooled_is_computed_once_and_read_only(self):
+        emb = genmodel.embed_prompt("large rings center")
+        pooled = emb.pooled()
+        assert emb.pooled() is pooled
+        assert np.array_equal(pooled, emb.values.mean(axis=0))
+        with pytest.raises(ValueError):
+            pooled[0] = 1.0

@@ -413,3 +413,31 @@ class TestNetworkAndSerialization:
         none, gw2, gb2 = layer.backward(g, input_grad=False)
         assert gx.shape == (4,) and none is None
         assert np.array_equal(gw, gw2) and np.array_equal(gb, gb2)
+
+
+class TestLoadInto:
+    def _net(self, rng):
+        return TestNetworkAndSerialization()._net(rng)
+
+    def test_fills_in_place_bit_exact_without_building_a_network(
+            self, rng, tmp_path, monkeypatch):
+        saved, target = self._net(rng), self._net(np.random.default_rng(99))
+        path = tmp_path / "net.bin"
+        nn.save_network(path, saved, extra={"dep_hash": "abc"})
+        arrays = target.params()
+
+        def no_build(desc):
+            raise AssertionError("load_into built a layer")
+
+        monkeypatch.setattr(nn, "_layer_from_descriptor", no_build)
+        assert nn.load_into(target, path) == {"dep_hash": "abc"}
+        assert nn.network_extra(path) == {"dep_hash": "abc"}
+        for p, q, a in zip(saved.params(), target.params(), arrays):
+            assert p.tobytes() == q.tobytes() and q is a
+
+    def test_layout_mismatch_rejected(self, rng, tmp_path):
+        path = tmp_path / "net.bin"
+        nn.save_network(path, self._net(rng))
+        other = nn.Network([nn.DenseLayer(5, 4, "relu", rng, "l1")])
+        with pytest.raises(ValueError, match="holds layers"):
+            nn.load_into(other, path)

@@ -5,10 +5,12 @@ import pytest
 
 from megsim import channel as ch
 from megsim import metrics, power_rl
+from megsim.errors import ChannelErasure
 from megsim.power_rl import (PpoAgent, PpoConfig, SeedTransmissionEnv,
                              apply_power, clipped_surrogate, evaluate,
                              gaussian_entropy, ppo_update, terminal_reward,
                              train_agent, uniform_policy)
+from megsim.util import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -380,3 +382,81 @@ class TestLockstep:
             env.step(0.5)
         with pytest.raises(ValueError):
             env.step([0.5, 0.5])
+
+
+class PerEpisodeEnv(SeedTransmissionEnv):
+    """The per-episode power/noise/equalize loop, kept verbatim as the
+    reference of the vectorized ``step``."""
+
+    def start(self, traces, noise_seeds):
+        states = super().start(traces, noise_seeds)
+        self._noise_rngs = [np.random.default_rng(s) for s in noise_seeds]
+        self._remaining = [self.p_max] * len(traces)
+        return states
+
+    def step(self, action):
+        actions = np.atleast_1d(np.asarray(action, dtype=np.float64))
+        t = self._t
+        sent = self.blocks[:, t, :]
+        for e, a in enumerate(actions):
+            a = float(min(max(a, 0.0), 1.0))
+            remaining = self._remaining[e]
+            p = apply_power(a, remaining, self.p_max)
+            gain = float(self._gains[e, t])
+            noise = self._noise_rngs[e].normal(0.0, self.noise_std,
+                                               sent.shape) \
+                if self.noise_std > 0 else np.zeros_like(sent)
+            if p > 0.0:
+                y = gain * np.sqrt(p) * sent + noise
+                try:
+                    self._received[e, :, t, :] = ch.equalize(y, gain, p)
+                except ChannelErasure:
+                    pass   # leave zeros
+            self._powers[e, t] = p
+            if p >= remaining:
+                self._remaining[e] = 0.0
+            else:
+                self._remaining[e] = float(np.nextafter(remaining - p, 0.0))
+        self._t += 1
+        done = self._t >= self.num_blocks
+        return (self._finish() if done else None), done
+
+
+class TestVectorizedStep:
+    def test_matches_per_episode_loop(self, tiny_bundle):
+        args = (tiny_bundle, TestLockstep.PROMPTS, 0.5)
+        kw = dict(snr_db=0.0, p_max=1.0, block_length=16, seed=5)
+        got_env, ref_env = SeedTransmissionEnv(*args, **kw), \
+            PerEpisodeEnv(*args, **kw)
+        rng = np.random.default_rng(3)
+        traces = [ch.sample_fading_trace(got_env.model, got_env.num_blocks,
+                                         rng) for _ in range(6)]
+        seeds = [derive_seed(77, e) for e in range(6)]
+        # zero, tiny, clamped and over-budget actions in every block
+        actions = rng.uniform(0.0, 1.0, (got_env.num_blocks, 6))
+        actions[:, 0] = 0.0
+        actions[0, 1] = 1.0
+        actions[1::2, 2] = 0.0
+        actions[:, 3] = 1e-9
+        got_env.start(traces, seeds)
+        ref_env.start(traces, seeds)
+        for t, a in enumerate(actions):
+            _, got_rewards, done, info = got_env.step(a)
+            ref_out, ref_done = ref_env.step(a)
+            assert done == ref_done
+            assert np.array_equal(got_env._received, ref_env._received)
+            assert np.array_equal(got_env._powers, ref_env._powers)
+            assert got_env._remaining.tolist() == ref_env._remaining
+        assert done and info["powers"][0].sum() == 0.0
+        assert np.array_equal(got_rewards, ref_out)
+
+    def test_apply_power_arrays_match_scalars(self):
+        actions = np.array([0.0, 0.3, 0.9, 1.0])
+        remaining = np.array([0.7, 0.2, 2.0, 0.0])
+        got = apply_power(actions, remaining, 2.0)
+        assert got.tolist() == [apply_power(a, r, 2.0)
+                                for a, r in zip(actions, remaining)]
+        with pytest.raises(ValueError):
+            apply_power(np.array([0.5, 1.5]), np.array([1.0, 1.0]), 2.0)
+        with pytest.raises(ValueError):
+            apply_power(np.array([0.5, 0.5]), np.array([1.0, 2.5]), 2.0)

@@ -1,17 +1,19 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from megsim import channel as ch
 from megsim import metrics, protocol
-from megsim.errors import FrameError, ProtocolError
+from megsim.errors import ChannelErasure, FrameError, ProtocolError
 from megsim.protocol import (EsSession, GenerationRequest, RunSpec, UeSession,
                              chunk_seed, decode_frame, encode_frame,
                              es_handle_request, frame_from_seed,
-                             run_end_to_end)
-from megsim.util import derive_seed
+                             recover_stream, run_end_to_end, transmit_stream)
+from megsim.util import as_rng, derive_seed
 
 
 def random_frame(rng):
@@ -211,3 +213,147 @@ class TestEndToEnd:
         spec = self._spec(["blob left", "rings top"], snr_db=200.0)
         report = run_end_to_end(tiny_bundle, spec)
         assert report["raw_feature"].report.psnr_db > 100.0
+
+
+# -- the per-block link, kept verbatim as the reference of the batched one --
+
+@dataclass
+class ReceivedBlock:
+    values: np.ndarray
+    gain: float
+    power: float
+
+
+def reference_transmit(symbols, gain, power, noise_std, rng):
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    x = np.asarray(symbols, dtype=np.float64)
+    y = gain * np.sqrt(power) * x
+    if noise_std > 0:
+        y = y + as_rng(rng).normal(0.0, noise_std, size=x.shape)
+    return y
+
+
+def reference_equalize(received, gain, power):
+    eff = gain * np.sqrt(power) if power > 0 else 0.0
+    if eff <= 0:
+        raise ChannelErasure("block transmitted with zero effective gain")
+    return np.asarray(received, dtype=np.float64) / eff
+
+
+def reference_transmit_stream(symbols, trace, noise_std, rng, powers=None):
+    blocks = chunk_seed(symbols, trace.block_length)
+    out = []
+    for i, block in enumerate(blocks):
+        p = 1.0 if powers is None else float(powers[i])
+        y = reference_transmit(block, trace.gains[i], p, noise_std, rng)
+        out.append(ReceivedBlock(y, float(trace.gains[i]), p))
+    return out
+
+
+def reference_recover_stream(blocks, expected_len):
+    parts = []
+    degraded = False
+    for blk in blocks:
+        try:
+            parts.append(reference_equalize(blk.values, blk.gain, blk.power))
+        except ChannelErasure:
+            parts.append(np.zeros_like(np.asarray(blk.values,
+                                                  dtype=np.float64)))
+            degraded = True
+    flat = np.concatenate(parts) if parts else np.zeros(0)
+    if flat.size != expected_len:
+        raise FrameError(
+            f"recovered {flat.size} symbols, expected {expected_len}")
+    return flat, degraded
+
+
+class TestBatchedLink:
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh_block"])
+    @pytest.mark.parametrize("prompts", [1, 16])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.4])
+    @pytest.mark.parametrize("powers", [None, "with_zeros"])
+    def test_matches_per_block_reference(self, kind, prompts, noise_std,
+                                         powers):
+        n, block = 70, 16              # a ragged last block of 6 symbols
+        trace = ch.sample_fading_trace(ch.ChannelModel(kind, block), 6, 9)
+        if powers is not None:
+            powers = [0.7, 0.0, 1.9, 0.0, 1.2, 0.3]
+        payloads = np.random.default_rng(prompts).standard_normal(
+            (prompts, n)).astype("<f4")
+        ref_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+        ref_rx, ref_sym, ref_lost = [], [], False
+        for row in payloads:
+            blocks = reference_transmit_stream(row, trace, noise_std,
+                                               ref_rng, powers)
+            ref_rx.append(np.concatenate([b.values for b in blocks]))
+            flat, lost = reference_recover_stream(blocks, n)
+            ref_sym.append(flat)
+            ref_lost |= lost
+        sent = transmit_stream(payloads, trace, noise_std, got_rng, powers)
+        symbols, lost = recover_stream(*sent)
+        assert np.array_equal(sent[0], np.stack(ref_rx))
+        assert np.array_equal(symbols, np.stack(ref_sym))
+        assert lost == ref_lost == (powers is not None)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_vector_matches_one_row(self):
+        trace = ch.sample_fading_trace(ch.ChannelModel("rayleigh_block", 4),
+                                       5, 2)
+        x = np.arange(18, dtype=np.float64)
+        vec = transmit_stream(x, trace, 0.2, np.random.default_rng(1))
+        row = transmit_stream(x[None], trace, 0.2, np.random.default_rng(1))
+        assert np.array_equal(vec[0], row[0][0])
+        assert np.array_equal(recover_stream(*vec)[0],
+                              recover_stream(*row)[0][0])
+
+    def test_too_few_powers_rejected(self):
+        trace = ch.sample_fading_trace(ch.ChannelModel("awgn", 4), 5, 2)
+        with pytest.raises(ValueError, match="blocks"):
+            transmit_stream(np.zeros(18), trace, 0.0, 0, powers=[1.0] * 4)
+
+    @pytest.mark.parametrize("powers", [None, [1.5, 0.0, 0.5, 2.0]])
+    def test_run_end_to_end_matches_per_prompt_reference(self, tiny_bundle,
+                                                         powers):
+        spec = RunSpec(["blob left", "rings top", "tiny stripes top"], 0.5,
+                       0.0, "rayleigh_block", 16, seed=4, powers=powers)
+        report = run_end_to_end(tiny_bundle, spec)
+        codec = tiny_bundle.codec_for(0.5)
+        for mode_idx, mode in enumerate(spec.modes):
+            rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
+            noise_std = ch.snr_to_noise_std(spec.snr_db, 1.0)
+            images, degraded = [], False
+            for truth, latent in zip(report.ground_truths, report.latents):
+                if mode == "meg":
+                    seed = codec.compress(latent)
+                    blocks = reference_transmit_stream(
+                        seed.symbols, report.trace, noise_std, rng, powers)
+                    flat, lost = reference_recover_stream(blocks,
+                                                          seed.symbols.size)
+                    images.append(tiny_bundle.autoencoder.decode(
+                        codec.decompress(flat, seed.scale)))
+                else:
+                    payload = (truth if mode == "centralized" else latent) \
+                        .reshape(-1).astype(np.float64)
+                    scale = float(np.sqrt(np.mean(payload ** 2)))
+                    blocks = reference_transmit_stream(
+                        payload / scale, report.trace, noise_std, rng)
+                    flat, lost = reference_recover_stream(blocks,
+                                                          payload.size)
+                    x = flat * scale
+                    images.append(
+                        np.clip(x, 0.0, 1.0).reshape(truth.shape)
+                        .astype(np.float32) if mode == "centralized"
+                        else tiny_bundle.autoencoder.decode(
+                            x.astype(np.float32).reshape(latent.shape)))
+                degraded |= lost
+            got = report[mode]
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.images, images))
+            assert got.degraded == degraded
+            want = protocol.batch_report(images, report.ground_truths,
+                                         tiny_bundle.extractor,
+                                         got.report.symbols)
+            assert (got.report.psnr_db, got.report.fid_score,
+                    got.report.mse) == (want.psnr_db, want.fid_score,
+                                        want.mse)
