@@ -38,4 +38,4 @@ class ProtocolError(MegsimError):
 
 
 class BundleError(MegsimError):
-    """A cached model file was trained for a different configuration."""
+    """A cached model file is corrupt or was trained for another config."""

@@ -67,18 +67,74 @@ class TrainResult:
     manifest_path: str
 
 
-def _cache_ok(path, dep_hash, digests=None):
-    """Whether ``path`` is a readable network trained for ``dep_hash``
-    with the SHA-256 its ``digests`` entry (previous manifest) records."""
-    if not os.path.exists(path):
-        return False
+def _bundle_files(cfg):
+    """Each bundle file -> (the stage that trains it, the ``dep_hash`` it
+    must carry), in training order."""
+    ae_hash = config_hash(cfg, _AE_SECTIONS)
+    files = {"ae_encoder.bin": ("autoencoder", ae_hash),
+             "ae_decoder.bin": ("autoencoder", ae_hash),
+             "denoiser.bin": ("denoiser", config_hash(cfg, _DN_SECTIONS))}
+    for rate in cfg.codec_rates:
+        files[_codec_filename(rate)] = (f"codec[{rate!r}]",
+                                        _codec_hash(cfg, rate))
+    return files
+
+
+def bundle_status(cfg: ExperimentConfig) -> dict:
+    """Each bundle file the config needs -> ``"ok"``, ``"missing"``,
+    ``"stale"`` (intact, but its ``dep_hash`` names another config) or
+    ``"corrupt"`` (unreadable, or its SHA-256 is not the one
+    ``manifest.json`` records; an unreadable manifest verifies nothing)."""
+    out = bundle_dir(cfg)
     try:
-        _, meta = nn.load_network(path)
-    except (ValueError, KeyError, struct.error):
-        return False     # a damaged file is a miss and gets retrained
-    digest = (digests or {}).get(os.path.basename(path))
-    return meta.get("dep_hash") == dep_hash and \
-        digest in (None, sha256_file(path))
+        with open(os.path.join(out, "manifest.json")) as fh:
+            digests = dict(json.load(fh)["files"])
+    except (OSError, ValueError, KeyError, TypeError):
+        digests = {}
+    status = {}
+    for name, (_, dep_hash) in _bundle_files(cfg).items():
+        path = os.path.join(out, name)
+        if not os.path.exists(path):
+            status[name] = "missing"
+            continue
+        try:
+            intact = digests.get(name) == sha256_file(path)
+            fresh = nn.network_extra(path)["dep_hash"] == dep_hash
+        except (OSError, ValueError, KeyError, struct.error):
+            intact = fresh = False
+        status[name] = ("ok" if fresh else "stale") if intact else "corrupt"
+    return status
+
+
+def _load(cfg, skip=()):
+    """The config's bundle, built without rng draws and filled from its
+    files; models of the stages in ``skip`` stay None, for training."""
+    pair = denoiser = None
+    codecs = dict.fromkeys(cfg.codec_rates)
+    nets = {}
+    if "autoencoder" not in skip:
+        pair = genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
+                                        cfg.ae_hidden)
+        nets.update({"ae_encoder.bin": pair.encoder,
+                     "ae_decoder.bin": pair.decoder})
+    if "denoiser" not in skip:
+        denoiser = genmodel.Denoiser(cfg.latent_shape, cfg.dn_hidden,
+                                     cfg.time_dim, cfg.max_tokens,
+                                     cfg.embed_dim)
+        nets["denoiser.bin"] = denoiser.net
+    for rate in codecs:
+        if f"codec[{rate!r}]" not in skip:
+            codecs[rate] = seedcodec.CodecPair(
+                cfg.latent_shape, rate, cfg.codec_hidden,
+                cfg.codec_train_snr_db)
+            nets[_codec_filename(rate)] = nn.Network(codecs[rate]._layers())
+    for name, net in nets.items():
+        nn.load_network(os.path.join(bundle_dir(cfg), name), net)
+    return ModelBundle(pair, denoiser,
+                       genmodel.make_schedule(cfg.diffusion_steps), codecs,
+                       metrics.FeatureExtractor(cfg.pixel_count),
+                       cfg.image_shape, cfg.latent_shape, cfg.downsample,
+                       config_hash(cfg))
 
 
 def _build_corpus(cfg):
@@ -86,16 +142,15 @@ def _build_corpus(cfg):
                                seed=derive_seed(cfg.seed, 9))
 
 
-def _generated_latents(cfg, bundle_parts):
+def _generated_latents(cfg, bundle):
     """Latent dataset produced by the deployed generator itself."""
-    pair, denoiser, schedule = bundle_parts
     prompts, _ = _build_corpus(cfg)
     latents = []
     for i, prompt in enumerate(prompts):
         noise = as_rng(derive_seed(cfg.seed, 30, i)) \
             .standard_normal(cfg.latent_shape).astype(np.float32)
-        latents.append(genmodel.generate_latent(denoiser, prompt, noise,
-                                                schedule))
+        latents.append(genmodel.generate_latent(bundle.denoiser, prompt,
+                                                noise, bundle.schedule))
     return np.stack(latents)
 
 
@@ -103,27 +158,20 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     """Train autoencoder, then denoiser, then one codec per rate.
 
     Each stage is cached on disk keyed by the hash of the config sections
-    it depends on; deleting one file retrains only that stage.
+    it depends on; a stage is retrained exactly when one of its files is
+    not ``"ok"`` in :func:`bundle_status`.
     """
     cfg.validate()
     _check_trainable(cfg)
     out = bundle_dir(cfg)
     os.makedirs(out, exist_ok=True)
-    actions = {}
-    manifest_path = os.path.join(out, "manifest.json")
-    digests = {}
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            digests = json.load(fh)["files"]
+    files = _bundle_files(cfg)
+    status = bundle_status(cfg)
+    retrain = {stage for name, (stage, _) in files.items()
+               if status[name] != "ok"}
+    bundle = _load(cfg, skip=retrain)
 
-    ae_hash = config_hash(cfg, _AE_SECTIONS)
-    enc_path = os.path.join(out, "ae_encoder.bin")
-    dec_path = os.path.join(out, "ae_decoder.bin")
-    if _cache_ok(enc_path, ae_hash, digests) \
-            and _cache_ok(dec_path, ae_hash, digests):
-        actions["autoencoder"] = "cached"
-        pair = _load_autoencoder(cfg, out)
-    else:
+    if "autoencoder" in retrain:
         prompts, images = _build_corpus(cfg)
         ae_cfg = genmodel.AutoencoderTrainConfig(
             steps=cfg.ae_steps, batch_size=cfg.ae_batch,
@@ -131,42 +179,34 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             hidden=cfg.ae_hidden, seed=derive_seed(cfg.seed, 10))
         pair, _ = genmodel.train_autoencoder(images, cfg.image_shape,
                                              cfg.latent_shape, ae_cfg)
-        meta = {"dep_hash": ae_hash, "image_shape": list(cfg.image_shape),
+        bundle.autoencoder = pair
+        meta = {"dep_hash": files["ae_encoder.bin"][1],
+                "image_shape": list(cfg.image_shape),
                 "latent_shape": list(cfg.latent_shape)}
-        nn.save_network(enc_path, pair.encoder, extra=meta)
-        nn.save_network(dec_path, pair.decoder, extra=meta)
-        actions["autoencoder"] = "trained"
+        for name, net in (("ae_encoder.bin", pair.encoder),
+                          ("ae_decoder.bin", pair.decoder)):
+            nn.save_network(os.path.join(out, name), net, extra=meta)
 
-    schedule = genmodel.make_schedule(cfg.diffusion_steps)
-    dn_hash = config_hash(cfg, _DN_SECTIONS)
-    dn_path = os.path.join(out, "denoiser.bin")
-    if _cache_ok(dn_path, dn_hash, digests):
-        actions["denoiser"] = "cached"
-        denoiser = _load_denoiser(cfg, out)
-    else:
+    if "denoiser" in retrain:
         prompts, images = _build_corpus(cfg)
         dn_cfg = genmodel.DenoiserTrainConfig(
             steps=cfg.dn_steps, batch_size=cfg.dn_batch,
             learning_rate=cfg.dn_lr, hidden=cfg.dn_hidden,
             time_dim=cfg.time_dim, seed=derive_seed(cfg.seed, 11))
-        denoiser, _ = genmodel.train_denoiser(
-            pair, list(zip(prompts, images)), schedule, dn_cfg)
-        nn.save_network(dn_path, denoiser.net,
-                        extra={"dep_hash": dn_hash,
+        bundle.denoiser, _ = genmodel.train_denoiser(
+            bundle.autoencoder, list(zip(prompts, images)), bundle.schedule,
+            dn_cfg)
+        nn.save_network(os.path.join(out, "denoiser.bin"),
+                        bundle.denoiser.net,
+                        extra={"dep_hash": files["denoiser.bin"][1],
                                "latent_shape": list(cfg.latent_shape)})
-        actions["denoiser"] = "trained"
 
-    codecs = {}
     latents = None
     for k, rate in enumerate(cfg.codec_rates):
-        codec_hash = _codec_hash(cfg, rate)
-        path = os.path.join(out, _codec_filename(rate))
-        if _cache_ok(path, codec_hash, digests):
-            actions[f"codec[{rate!r}]"] = "cached"
-            codecs[rate] = _load_codec(cfg, out, rate)
+        if f"codec[{rate!r}]" not in retrain:
             continue
         if latents is None:
-            latents = _generated_latents(cfg, (pair, denoiser, schedule))
+            latents = _generated_latents(cfg, bundle)
         cc = seedcodec.CodecTrainConfig(
             epochs=cfg.codec_epochs, learning_rate=cfg.codec_lr,
             batch_size=cfg.codec_batch, train_snr_db=cfg.codec_train_snr_db,
@@ -174,84 +214,44 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             seed=derive_seed(cfg.seed, 12, k))
         codec, _ = seedcodec.train_codec(latents, cc, rate=rate,
                                          latent_shape=cfg.latent_shape)
-        codec.save(path, extra={"dep_hash": codec_hash,
-                                "corpus_seed": derive_seed(cfg.seed, 9)})
-        codecs[rate] = codec
-        actions[f"codec[{rate!r}]"] = "trained"
+        name = _codec_filename(rate)
+        codec.save(os.path.join(out, name),
+                   extra={"dep_hash": files[name][1],
+                          "corpus_seed": derive_seed(cfg.seed, 9)})
+        bundle.codecs[rate] = codec
 
-    files = sorted(f for f in os.listdir(out) if f.endswith(".bin"))
     manifest = {"schema": 1, "config_hash": config_hash(cfg),
                 "bundle_hash": config_hash(cfg, _CODEC_SECTIONS),
                 "files": {f: sha256_file(os.path.join(out, f))
-                          for f in files}}
-    with open(manifest_path, "w") as fh:
+                          for f in os.listdir(out) if f.endswith(".bin")}}
+    manifest_path = os.path.join(out, "manifest.json")
+    # written whole or not at all: a reader never sees half a manifest
+    with open(manifest_path + ".tmp", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-
-    bundle = ModelBundle(pair, denoiser, schedule, codecs,
-                         metrics.FeatureExtractor(cfg.pixel_count),
-                         cfg.image_shape, cfg.latent_shape, cfg.downsample,
-                         config_hash(cfg))
+    os.replace(manifest_path + ".tmp", manifest_path)
+    actions = {stage: "trained" if stage in retrain else "cached"
+               for stage, _ in files.values()}
     return TrainResult(bundle, out, actions, manifest_path)
-
-
-def _load_checked(net, out, name, dep_hash):
-    """Fill ``net`` from the bundle file ``name``, refusing a file trained
-    for another config."""
-    path = os.path.join(out, name)
-    if nn.load_into(net, path).get("dep_hash") != dep_hash:
-        raise BundleError(
-            f"{path} was trained for a different config; run `megsim "
-            f"train` with this config to retrain it")
-
-
-def _load_autoencoder(cfg, out):
-    pair = genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
-                                    cfg.ae_hidden)
-    ae_hash = config_hash(cfg, _AE_SECTIONS)
-    _load_checked(pair.encoder, out, "ae_encoder.bin", ae_hash)
-    _load_checked(pair.decoder, out, "ae_decoder.bin", ae_hash)
-    return pair
-
-
-def _load_denoiser(cfg, out):
-    denoiser = genmodel.Denoiser(cfg.latent_shape, cfg.dn_hidden,
-                                 cfg.time_dim, cfg.max_tokens, cfg.embed_dim)
-    _load_checked(denoiser.net, out, "denoiser.bin",
-                  config_hash(cfg, _DN_SECTIONS))
-    return denoiser
-
-
-def _load_codec(cfg, out, rate):
-    codec = seedcodec.CodecPair(cfg.latent_shape, rate, cfg.codec_hidden,
-                                cfg.codec_train_snr_db)
-    _load_checked(nn.Network(codec._layers()), out, _codec_filename(rate),
-                  _codec_hash(cfg, rate))
-    return codec
 
 
 def load_bundle(cfg: ExperimentConfig) -> ModelBundle:
     """Load a previously trained bundle or explain how to create one.
 
-    Every file must have been trained for the current config (its stored
-    ``dep_hash``); a stale one raises :class:`BundleError`.
+    Every file must be ``"ok"`` in :func:`bundle_status`. Otherwise this
+    raises one error naming each other file and its status:
+    ``FileNotFoundError`` when one is missing, else :class:`BundleError`.
     """
     cfg.validate()
     _check_trainable(cfg)
-    out = bundle_dir(cfg)
-    needed = ["ae_encoder.bin", "ae_decoder.bin", "denoiser.bin"] + \
-        [_codec_filename(r) for r in cfg.codec_rates]
-    missing = [f for f in needed
-               if not os.path.exists(os.path.join(out, f))]
-    if missing:
-        raise FileNotFoundError(
-            f"model bundle incomplete under {out} (missing {missing}); "
-            f"run `megsim train` with this config first")
-    return ModelBundle(_load_autoencoder(cfg, out), _load_denoiser(cfg, out),
-                       genmodel.make_schedule(cfg.diffusion_steps),
-                       {r: _load_codec(cfg, out, r) for r in cfg.codec_rates},
-                       metrics.FeatureExtractor(cfg.pixel_count),
-                       cfg.image_shape, cfg.latent_shape, cfg.downsample,
-                       config_hash(cfg))
+    status = bundle_status(cfg)
+    bad = ", ".join(f"{name} {s}" for name, s in status.items() if s != "ok")
+    if bad:
+        error = FileNotFoundError if "missing" in status.values() \
+            else BundleError
+        raise error(f"model bundle under {bundle_dir(cfg)} is not usable "
+                    f"({bad}); run `megsim train` with this config to "
+                    f"retrain it")
+    return _load(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +390,17 @@ def cmd_power(cfg: ExperimentConfig):
         "meg", cfg.image_shape, cfg.downsample, cfg.power_rate,
         cfg.latent_channels) // cfg.block_length)
 
+    model = ch.ChannelModel(cfg.channel_kind, cfg.block_length)
     trace_path = os.path.join(
         cfg.out, f"eval_traces_{cfg.power_eval_traces}x{num_blocks}.csv")
     if not os.path.exists(trace_path):
         rng = as_rng(derive_seed(cfg.seed, 23))
-        model = ch.ChannelModel(cfg.channel_kind, cfg.block_length)
         traces = [ch.sample_fading_trace(model, num_blocks, rng)
                   for _ in range(cfg.power_eval_traces)]
         ch.export_trace_set(traces, trace_path)
     frozen = ch.import_trace_set(trace_path)
 
     select_rng = as_rng(derive_seed(cfg.seed, 24))
-    model = ch.ChannelModel(cfg.channel_kind, cfg.block_length)
     select_traces = [ch.sample_fading_trace(model, num_blocks, select_rng)
                      for _ in range(20)]
 

@@ -119,15 +119,6 @@ def diffuse_forward(z0, t, noise, schedule: NoiseSchedule):
     return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * noise
 
 
-def predict_z0(denoiser, z_t, t, embedding, schedule: NoiseSchedule):
-    """Denoised estimate: (z_t - sqrt(1 - abar_t) * eps) / sqrt(abar_t)."""
-    if t < 1:
-        raise ValueError("prediction requires t >= 1")
-    eps = denoiser.predict(z_t, t, embedding)
-    abar = schedule.alpha_bars[t]
-    return (z_t - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar)
-
-
 def ddim_step(denoiser, z_t, t, embedding, schedule: NoiseSchedule,
               step_noise=None):
     """One reverse step z_t -> z_{t-1}.
@@ -191,7 +182,7 @@ class Denoiser:
 
     def __init__(self, latent_shape, hidden=128, time_dim=16,
                  max_tokens=8, embed_dim=32, rng=None):
-        rng = as_rng(rng)
+        rng = None if rng is None else as_rng(rng)
         self.latent_shape = tuple(latent_shape)
         self.latent_size = int(np.prod(latent_shape))
         self.time_dim = time_dim
@@ -297,7 +288,7 @@ class AutoencoderPair:
     """Dense encoder (pixels -> latent) and decoder (latent -> pixels)."""
 
     def __init__(self, image_shape, latent_shape, hidden=256, rng=None):
-        rng = as_rng(rng)
+        rng = None if rng is None else as_rng(rng)
         self.image_shape = tuple(image_shape)
         self.latent_shape = tuple(latent_shape)
         pixels = int(np.prod(image_shape))
@@ -333,7 +324,7 @@ class AutoencoderPair:
         single = z.size == size
         flat = z.reshape(-1, size)
         out = self.decoder.forward(flat, cache=False)
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
         shape = self.image_shape if single else (flat.shape[0],) + self.image_shape
         return out.reshape(shape)
 

@@ -10,6 +10,7 @@ batches, so no covariance matrix or matrix square root is formed.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,29 +42,26 @@ def psnr(generated, reference, peak):
     return 10.0 * math.log10(peak * peak / err)
 
 
-def quantized_view(image):
-    """8-bit view of a unit-range image, for peak-255 metric variants."""
-    arr = np.asarray(image)
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("image values must lie in [0, 1]")
-    return np.round(arr * 255.0).astype(np.uint8)
-
-
 class FeatureExtractor:
     """Frozen tanh network mapping an image to a fixed-length feature vector.
 
-    Parameters are drawn once from a fixed seed and never trained, so the
-    same image always maps to the same features.
+    Parameters are drawn once from a fixed seed, at first use, and never
+    trained, so the same image always maps to the same features.
     """
 
     def __init__(self, input_size, feature_dim=64, hidden=128,
                  seed=EXTRACTOR_SEED):
-        rng = np.random.default_rng(seed)
         self.input_size = int(input_size)
         self.feature_dim = int(feature_dim)
-        self.net = nn.Network([
-            nn.DenseLayer(input_size, hidden, "tanh", rng, "f1"),
-            nn.DenseLayer(hidden, feature_dim, "tanh", rng, "f2"),
+        self.hidden = int(hidden)
+        self.seed = seed
+
+    @cached_property
+    def net(self):
+        rng = np.random.default_rng(self.seed)
+        return nn.Network([
+            nn.DenseLayer(self.input_size, self.hidden, "tanh", rng, "f1"),
+            nn.DenseLayer(self.hidden, self.feature_dim, "tanh", rng, "f2"),
         ], name="extractor")
 
     def extract(self, images):
@@ -181,8 +179,6 @@ class MetricReport:
     symbols: int
     config_hash: str = ""
 
-    CSV_HEADER = "psnr_db,fid_score,mse,symbols,config_hash"
-
     def validate(self):
         for name in ("fid_score", "mse"):
             if not np.isfinite(getattr(self, name)):
@@ -190,7 +186,3 @@ class MetricReport:
         if math.isnan(self.psnr_db):
             raise ValueError("psnr_db may be +inf but not NaN")
         return self
-
-    def to_csv_row(self):
-        return (f"{self.psnr_db!r},{self.fid_score!r},{self.mse!r},"
-                f"{self.symbols},{self.config_hash}")

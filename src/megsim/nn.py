@@ -9,6 +9,7 @@ callers can share a network across threads.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -36,6 +37,8 @@ class DenseLayer:
     """Fully connected layer: y = activation(x @ W.T + b).
 
     Weights are [out_features, in_features]; bias is [out_features].
+    Weights are drawn from ``rng``; without one they start at zero, for a
+    layer that :func:`load_network` fills.
     """
 
     kind = "dense"
@@ -49,10 +52,13 @@ class DenseLayer:
         self.activation = activation
         self.name = name or f"dense{in_features}x{out_features}"
         self.dtype = np.dtype(dtype)
-        rng = as_rng(0 if rng is None else rng)
-        bound = np.sqrt(1.0 / in_features)
-        self.weights = rng.uniform(-bound, bound,
-                                   (out_features, in_features)).astype(self.dtype)
+        shape = (out_features, in_features)
+        if rng is None:       # a skeleton to be filled: no draws
+            self.weights = np.zeros(shape, dtype=self.dtype)
+        else:
+            bound = np.sqrt(1.0 / in_features)
+            self.weights = as_rng(rng).uniform(-bound, bound, shape) \
+                .astype(self.dtype)
         self.bias = np.zeros(out_features, dtype=self.dtype)
         self._cache = None
 
@@ -77,7 +83,8 @@ class DenseLayer:
             raise DimensionError(
                 f"layer {self.name!r} expects trailing dimension "
                 f"{self.in_features}, got {x2.shape[1]}")
-        pre = x2 @ self.weights.T + self.bias
+        pre = x2 @ self.weights.T
+        pre += self.bias
         if self.activation == "relu":
             out = np.maximum(pre, 0)
         elif self.activation == "tanh":
@@ -418,20 +425,6 @@ def parameter_count(description) -> int:
     return total
 
 
-def _layer_from_descriptor(desc):
-    kind = desc["kind"]
-    if kind == "dense":
-        layer = DenseLayer(desc["in_features"], desc["out_features"],
-                           desc["activation"], name=desc["name"])
-    elif kind == "normalize":
-        layer = Normalize(desc["size"], desc["epsilon"], name=desc["name"])
-    elif kind == "layernorm":
-        layer = LayerNorm(desc["size"], desc["epsilon"], name=desc["name"])
-    else:
-        raise ValueError(f"cannot rebuild layer kind {kind!r}")
-    return layer
-
-
 def save_network(path, network: Network, extra=None):
     """Serialize a float32 network to a versioned binary file.
 
@@ -464,24 +457,26 @@ def _read_meta(fh, path):
 
 
 def network_extra(path):
-    """The caller metadata saved with a network, without its weights."""
-    with open(path, "rb") as fh:
-        return _read_meta(fh, path)["extra"]
-
-
-def load_network(path, into=None):
-    """Rebuild a network saved by :func:`save_network`; returns (net, extra).
-    With ``into``, fill that network in place (same layers) instead."""
+    """The caller metadata saved with a network, without reading its
+    weights; a file whose size does not fit its layers is refused."""
     with open(path, "rb") as fh:
         meta = _read_meta(fh, path)
-        if into is None:
-            net = Network([_layer_from_descriptor(d) for d in meta["layers"]],
-                          meta["name"])
-        elif into.descriptors() != meta["layers"]:
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    need = 4 * parameter_count(meta["layers"])
+    if payload != need:
+        raise ValueError(f"{path} holds {payload} weight bytes, not the "
+                         f"{need} its layers need")
+    return meta["extra"]
+
+
+def load_network(path, net):
+    """Fill ``net`` in place from a file saved by :func:`save_network` with
+    the same layers; returns the saved caller metadata."""
+    with open(path, "rb") as fh:
+        meta = _read_meta(fh, path)
+        if net.descriptors() != meta["layers"]:
             raise ValueError(f"{path} holds layers {meta['layers']}, not "
-                             f"{into.descriptors()}")
-        else:
-            net = into
+                             f"{net.descriptors()}")
         # one parameter's bytes at a time, so loading never holds the
         # whole file beside the network
         for p in net.params():
@@ -491,12 +486,7 @@ def load_network(path, into=None):
             p[...] = np.frombuffer(values, dtype="<f4").reshape(p.shape)
         if fh.read(1):
             raise ValueError(f"{path} has trailing bytes")
-    return net, meta["extra"]
-
-
-def load_into(net, path):
-    """Fill an existing network from a saved file; returns its extra."""
-    return load_network(path, into=net)[1]
+    return meta["extra"]
 
 
 def numeric_gradient(loss_fn, arrays, step=1e-4):

@@ -44,11 +44,6 @@ def terminal_reward(decoded_images, ground_truths, extractor):
                         extractor)
 
 
-def gaussian_entropy(log_std):
-    """Differential entropy of a 1-d Gaussian policy head."""
-    return GAUSS_ENTROPY_CONST + float(log_std)
-
-
 def squash(u):
     """Map an unbounded sample into the unit action interval."""
     return 0.5 * (math.tanh(u) + 1.0)
@@ -122,7 +117,7 @@ class PpoAgent:
 
     def __init__(self, state_dim, hidden=32, rng=None,
                  log_std_min=-5.0, log_std_max=1.0):
-        rng = as_rng(rng)
+        rng = None if rng is None else as_rng(rng)
         self.state_dim = int(state_dim)
         self.log_std_min = float(log_std_min)
         self.log_std_max = float(log_std_max)
@@ -196,8 +191,8 @@ class PpoAgent:
         agent = cls(meta["state_dim"], meta["hidden"],
                     log_std_min=meta["log_std_min"],
                     log_std_max=meta["log_std_max"])
-        nn.load_into(nn.Network(agent.actor.layers + agent.critic.layers,
-                                "ppo"), path)
+        nn.load_network(path, nn.Network(agent.actor.layers
+                                         + agent.critic.layers, "ppo"))
         return agent, meta
 
 

@@ -195,11 +195,6 @@ class EsResult:
     latent: np.ndarray
 
 
-def upload_prompt(prompt: str) -> str:
-    """Uplink of the prompt text; modeled as lossless, so a no-op."""
-    return prompt
-
-
 def es_handle_request(bundle: ModelBundle, request: GenerationRequest,
                       block_length: int) -> EsResult:
     """Server side of one request: embed, generate, compress, frame."""
@@ -275,13 +270,14 @@ def recover_stream(received, gains, powers):
 
 
 def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
-               config_hash="", trace_seed=None):
+               config_hash="", trace_seed=None, reference_features=None):
     """Receiver side for a batch of seed deliveries.
 
     ``wire_frames`` holds one encoded frame per prompt and ``received`` what
     :func:`transmit_stream` returned for their stacked payloads, or None
     when the perfect channel carried the payloads intact. Returns a
-    GenerationResult with quality metrics against the ground-truth batch.
+    GenerationResult with quality metrics against the ground-truth batch
+    (whose features, if already extracted, are ``reference_features``).
     """
     session = UeSession()
     session.start_receiving()
@@ -297,7 +293,8 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
     session.decoding_complete()
     report = batch_report(images, ground_truths, bundle.extractor,
                           symbols=frames[0].payload.size,
-                          config_hash=config_hash)
+                          config_hash=config_hash,
+                          reference_features=reference_features)
     return GenerationResult("meg", images, report, degraded, trace_seed)
 
 
@@ -306,13 +303,15 @@ def _nearest_rate(bundle: ModelBundle, frame: SeedFrame):
     return min(bundle.codecs, key=lambda r: abs(r - frame.rate))
 
 
-def batch_report(images, ground_truths, extractor, symbols, config_hash=""):
-    """PSNR/MSE averaged over the batch plus batch Frechet score."""
+def batch_report(images, ground_truths, extractor, symbols, config_hash="",
+                 reference_features=None):
+    """PSNR/MSE averaged over the batch plus batch Frechet score; see
+    :func:`metrics.fid` for ``reference_features``."""
     mses = [metrics.mse(img, ref) for img, ref in zip(images, ground_truths)]
     mean_mse = float(np.mean(mses))
     psnr_db = math.inf if mean_mse == 0.0 else 10.0 * math.log10(1.0 / mean_mse)
     fid_score = metrics.fid(np.stack(images), np.stack(ground_truths),
-                            extractor)
+                            extractor, reference_features)
     return metrics.MetricReport(psnr_db, fid_score, mean_mse, symbols,
                                 config_hash).validate()
 
@@ -342,7 +341,7 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
 
     es_results, ground_truths, latents = [], [], []
     for i, prompt in enumerate(spec.prompts):
-        request = GenerationRequest(upload_prompt(prompt), spec.rate,
+        request = GenerationRequest(prompt, spec.rate,
                                     bundle.image_shape,
                                     derive_seed(spec.seed, 0, i))
         res = es_handle_request(bundle, request, block_len)
@@ -360,6 +359,8 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
     noise_std = (0.0 if spec.snr_db is None
                  else ch.snr_to_noise_std(spec.snr_db, 1.0))
     perfect = spec.snr_db is None
+    # every mode is scored against the same ground truths
+    reference = bundle.extractor.extract(np.stack(ground_truths))
 
     results = {}
     for mode_idx, mode in enumerate(spec.modes):
@@ -370,7 +371,7 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
                 noise_std, noise_rng, spec.powers)
             results[mode] = ue_receive(
                 bundle, [encode_frame(res.frame) for res in es_results],
-                sent, ground_truths, spec.config_hash, trace_seed)
+                sent, ground_truths, spec.config_hash, trace_seed, reference)
             continue
         source = ground_truths if mode == "centralized" else latents
         payloads = np.stack(source).reshape(len(source), -1) \
@@ -391,7 +392,7 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
                 z.astype(np.float32).reshape(bundle.latent_shape))
                 for z in payloads]
         report = batch_report(images, ground_truths, bundle.extractor,
-                              counts[mode], spec.config_hash)
+                              counts[mode], spec.config_hash, reference)
         results[mode] = GenerationResult(mode, images, report, degraded,
                                          trace_seed)
     return EndToEndReport(results, ground_truths, latents, trace)

@@ -76,7 +76,7 @@ class CodecPair:
 
     def __init__(self, latent_shape, rate, hidden=96, train_snr_db=None,
                  rng=None):
-        rng = as_rng(rng)
+        rng = None if rng is None else as_rng(rng)
         self.latent_shape = tuple(latent_shape)
         self.latent_size = int(np.prod(latent_shape))
         self.rate = float(rate)
@@ -186,7 +186,7 @@ class CodecPair:
         meta = nn.network_extra(path)
         pair = cls(tuple(meta["latent_shape"]), meta["rate"], meta["hidden"],
                    meta.get("train_snr_db"))
-        nn.load_into(nn.Network(pair._layers(), name="codec"), path)
+        nn.load_network(path, nn.Network(pair._layers(), name="codec"))
         return pair, meta
 
 

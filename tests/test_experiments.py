@@ -113,6 +113,20 @@ class TestTrainCaching:
                         experiments.bundle_dir(cfg))
         return cfg
 
+    def _vouch_for(self, cfg, name):
+        """Record the file's current SHA-256 in the manifest, as if the
+        manifest had been written over it."""
+        import json
+
+        from megsim.util import sha256_file
+        path = os.path.join(experiments.bundle_dir(cfg), "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        manifest["files"][name] = sha256_file(
+            os.path.join(experiments.bundle_dir(cfg), name))
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+
     def test_truncated_file_is_a_miss_and_retrained(self, tiny_cfg,
                                                     tmp_path):
         cfg = self._copied_bundle(tiny_cfg, tmp_path)
@@ -121,7 +135,12 @@ class TestTrainCaching:
         for cut in (size - 5, 6):     # inside the weights, inside the header
             with open(path, "r+b") as fh:
                 fh.truncate(cut)
-            assert not experiments._cache_ok(path, "any")
+            assert experiments.bundle_status(cfg)["ae_decoder.bin"] \
+                == "corrupt"
+            # unreadable even where the manifest vouches for these bytes
+            self._vouch_for(cfg, "ae_decoder.bin")
+            assert experiments.bundle_status(cfg)["ae_decoder.bin"] \
+                == "corrupt"
         result = experiments.cmd_train(cfg)
         assert result.actions["autoencoder"] == "trained"
         assert result.actions["denoiser"] == "cached"
@@ -134,30 +153,136 @@ class TestTrainCaching:
         def broken(path):
             raise RuntimeError("not a file-format problem")
 
-        monkeypatch.setattr(experiments.nn, "load_network", broken)
-        with pytest.raises(RuntimeError, match="file-format"):
-            experiments.cmd_train(cfg)
+        monkeypatch.setattr(experiments.nn, "network_extra", broken)
+        for command in (experiments.bundle_status, experiments.cmd_train,
+                        experiments.load_bundle):
+            with pytest.raises(RuntimeError, match="file-format"):
+                command(cfg)
 
     def test_flipped_weight_bit_is_a_miss_and_retrained(self, tiny_cfg,
                                                         tmp_path):
-        import json
-
+        from megsim import nn
+        from megsim.errors import BundleError
         from megsim.util import sha256_file
         cfg = self._copied_bundle(tiny_cfg, tmp_path)
-        out = experiments.bundle_dir(cfg)
-        path = os.path.join(out, "ae_decoder.bin")
-        with open(os.path.join(out, "manifest.json")) as fh:
-            digests = json.load(fh)["files"]
+        path = os.path.join(experiments.bundle_dir(cfg), "ae_decoder.bin")
+        digest = sha256_file(path)
         data = bytearray(open(path, "rb").read())
         data[-3] ^= 0x01                  # one bit of the last weight
         open(path, "wb").write(bytes(data))
+        # readable and trained for this config: only the SHA-256 tells
         ae_hash = config.config_hash(cfg, experiments._AE_SECTIONS)
-        assert experiments._cache_ok(path, ae_hash)   # readable, same config
-        assert not experiments._cache_ok(path, ae_hash, digests)
+        assert nn.network_extra(path)["dep_hash"] == ae_hash
+        status = experiments.bundle_status(cfg)
+        assert status.pop("ae_decoder.bin") == "corrupt"
+        assert set(status.values()) == {"ok"}
+        for command in (experiments.load_bundle, experiments.cmd_sweep,
+                        experiments.cmd_power):
+            with pytest.raises(BundleError,
+                               match=r"ae_decoder\.bin corrupt.*megsim train"):
+                command(cfg)
         result = experiments.cmd_train(cfg)
         assert result.actions["autoencoder"] == "trained"
         assert result.actions["denoiser"] == "cached"
-        assert sha256_file(path) == digests["ae_decoder.bin"]
+        assert sha256_file(path) == digest
+
+    def test_truncated_manifest_retrains_every_stage(self, tiny_cfg,
+                                                     tmp_path):
+        import json
+
+        from megsim.errors import BundleError
+        from megsim.util import sha256_file
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+        out = experiments.bundle_dir(cfg)
+        manifest_path = os.path.join(out, "manifest.json")
+        with open(manifest_path, "r+b") as fh:
+            fh.truncate(os.path.getsize(manifest_path) // 2)
+        names = ["ae_encoder.bin", "ae_decoder.bin", "denoiser.bin",
+                 "codec_r0.5.bin"]
+        assert experiments.bundle_status(cfg) == dict.fromkeys(names,
+                                                                "corrupt")
+        with pytest.raises(BundleError) as refused:
+            experiments.load_bundle(cfg)
+        assert all(f"{name} corrupt" in str(refused.value)
+                   for name in names)
+        result = experiments.cmd_train(cfg)
+        assert set(result.actions.values()) == {"trained"}
+        with open(manifest_path) as fh:
+            files = json.load(fh)["files"]
+        assert {name: files[name] for name in names} == {
+            name: sha256_file(os.path.join(out, name)) for name in names}
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+        assert set(experiments.bundle_status(cfg).values()) == {"ok"}
+
+    def test_unlisted_and_missing_files_named(self, tiny_cfg, tmp_path):
+        import json
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+        out = experiments.bundle_dir(cfg)
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        del manifest["files"]["denoiser.bin"]
+        with open(os.path.join(out, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh)
+        os.remove(os.path.join(out, "codec_r0.5.bin"))
+        assert experiments.bundle_status(cfg) == {
+            "ae_encoder.bin": "ok", "ae_decoder.bin": "ok",
+            "denoiser.bin": "corrupt", "codec_r0.5.bin": "missing"}
+        with pytest.raises(FileNotFoundError,
+                           match=r"denoiser\.bin corrupt, "
+                                 r"codec_r0\.5\.bin missing.*megsim train"):
+            experiments.load_bundle(cfg)
+        assert experiments.cmd_train(cfg).actions == {
+            "autoencoder": "cached", "denoiser": "trained",
+            "codec[0.5]": "trained"}
+
+    def test_load_bundle_draws_nothing_and_matches_files(
+            self, tiny_cfg, tiny_bundle, tmp_path, monkeypatch):
+        import numpy as np
+
+        from megsim import nn
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        bundle = experiments.load_bundle(tiny_cfg)
+        monkeypatch.undo()
+        assert made == []
+        codec = bundle.codecs[0.5]
+        nets = {"ae_encoder.bin": bundle.autoencoder.encoder,
+                "ae_decoder.bin": bundle.autoencoder.decoder,
+                "denoiser.bin": bundle.denoiser.net,
+                "codec_r0.5.bin": nn.Network(codec._layers(), "codec")}
+        for name, net in nets.items():
+            path = os.path.join(experiments.bundle_dir(tiny_cfg), name)
+            again = tmp_path / name
+            nn.save_network(again, net, extra=nn.network_extra(path))
+            assert again.read_bytes() == open(path, "rb").read()
+
+    def test_cold_desk_train_digests(self, desk_cfg, desk_bundle):
+        import hashlib
+        import json
+
+        # desk preset, seed 0, as recorded with numpy 2 on OpenBLAS 0.3.31
+        # (another BLAS kernel may sum in another order and move them)
+        with open(os.path.join(experiments.bundle_dir(desk_cfg),
+                               "manifest.json"), "rb") as fh:
+            raw = fh.read()
+        assert json.loads(raw)["files"] == {
+            "ae_encoder.bin": "fcf50ad11c0cb891c1ddf308d30023bb"
+                              "8e29557eb97363b292f1074dc4fad826",
+            "ae_decoder.bin": "520127324e08fd1a18494aa1fba53aeb"
+                              "35479354cfa29d4ffd3f454dba16f03e",
+            "denoiser.bin": "5a01b23ff1d1cd5a6885680d0782a088"
+                            "bb656a5f4eb3957904b3a8aa6945b9e0",
+            "codec_r0.5.bin": "585cbeb0fcf34027d6609d295f6a41f1"
+                              "a53ee0d02a838531e014978b083d7b51"}
+        assert hashlib.sha256(raw).hexdigest() == (
+            "ea565851e5c165942d1f4913057745cd"
+            "8944bdd3b7c2a07224e270e2d57798f5")
 
     def test_stale_codec_refused(self, tiny_cfg, tmp_path):
         from megsim.errors import BundleError

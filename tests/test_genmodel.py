@@ -95,30 +95,6 @@ class TestDiffusionAlgebra:
         with pytest.raises(ValueError):
             genmodel.diffuse_forward(np.zeros(2), 5, np.zeros(2), s)
 
-    def test_predict_z0_inverts_exact_noise(self, rng):
-        s = genmodel.make_schedule(9)
-        z0 = rng.standard_normal(12)
-        eps = rng.standard_normal(12)
-        zt = genmodel.diffuse_forward(z0, 7, eps, s)
-        back = genmodel.predict_z0(ExactNoiseOracle(eps), zt, 7, None, s)
-        assert np.max(np.abs(back - z0)) < 1e-5
-
-    def test_predict_z0_zero_denoiser(self, rng):
-        s = genmodel.make_schedule(9)
-        zt = rng.standard_normal(12)
-        out = genmodel.predict_z0(ZeroDenoiser(None), zt, 4, None, s)
-        assert np.allclose(out, zt / np.sqrt(s.alpha_bars[4]))
-
-    def test_predict_z0_matches_hand_formula(self, rng):
-        s = genmodel.make_schedule(9)
-        eps = rng.standard_normal(12)
-        den = ExactNoiseOracle(eps)
-        zt = rng.standard_normal(12)
-        got = genmodel.predict_z0(den, zt, 3, None, s)
-        abar = s.alpha_bars[3]
-        want = (zt - np.sqrt(1 - abar) * eps) / np.sqrt(abar)
-        assert np.max(np.abs(got - want)) < 1e-6
-
 
 class TestDdim:
     def test_deterministic_when_sigma_zero(self, rng):

@@ -112,6 +112,21 @@ class TestDense:
         gx, gw, gb = layer.backward(np.array([1.0]))
         assert gx[0] == 0 and gw[0, 0] == 0 and gb[0] == 0
 
+    def test_seeded_weights_are_one_uniform_draw(self):
+        layer = nn.DenseLayer(5, 3, rng=np.random.default_rng(4))
+        bound = np.sqrt(1.0 / 5)
+        want = np.random.default_rng(4).uniform(-bound, bound, (3, 5))
+        assert layer.weights.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_without_rng_starts_at_zero_and_draws_nothing(self,
+                                                           monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("a skeleton layer made a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        layer = nn.DenseLayer(4, 3, "relu")
+        assert layer.weights.shape == (3, 4) and not layer.weights.any()
+
     def test_backward_without_forward_raises(self):
         layer = nn.DenseLayer(2, 2)
         with pytest.raises(StateError):
@@ -344,8 +359,8 @@ class TestNetworkAndSerialization:
         net = self._net(rng)
         path = tmp_path / "net.bin"
         nn.save_network(path, net, extra={"tag": 7})
-        loaded, extra = nn.load_network(path)
-        assert extra == {"tag": 7}
+        loaded = self._net(np.random.default_rng(99))
+        assert nn.load_network(path, loaded) == {"tag": 7}
         for p, q in zip(net.params(), loaded.params()):
             assert p.tobytes() == q.tobytes()
         # second save of the loaded network is byte identical
@@ -362,11 +377,15 @@ class TestNetworkAndSerialization:
         cut = tmp_path / "cut.bin"
         for size in range(len(data)):
             cut.write_bytes(data[:size])
-            with pytest.raises((ValueError, struct.error)):
-                nn.load_network(cut)
+            for read in (nn.network_extra,
+                         lambda p: nn.load_network(p, self._net(rng))):
+                with pytest.raises((ValueError, struct.error)):
+                    read(cut)
         cut.write_bytes(data + b"\0")
         with pytest.raises(ValueError, match="trailing"):
-            nn.load_network(cut)
+            nn.load_network(cut, self._net(rng))
+        with pytest.raises(ValueError, match="weight bytes"):
+            nn.network_extra(cut)
 
     def test_rejects_double_precision(self, rng, tmp_path):
         net = self._net(rng).clone_as(np.float64)
@@ -416,6 +435,8 @@ class TestNetworkAndSerialization:
 
 
 class TestLoadInto:
+    """``load_network`` fills a given network in place."""
+
     def _net(self, rng):
         return TestNetworkAndSerialization()._net(rng)
 
@@ -426,11 +447,11 @@ class TestLoadInto:
         nn.save_network(path, saved, extra={"dep_hash": "abc"})
         arrays = target.params()
 
-        def no_build(desc):
-            raise AssertionError("load_into built a layer")
+        def no_build(*args, **kwargs):
+            raise AssertionError("load_network built a layer")
 
-        monkeypatch.setattr(nn, "_layer_from_descriptor", no_build)
-        assert nn.load_into(target, path) == {"dep_hash": "abc"}
+        monkeypatch.setattr(nn.DenseLayer, "__init__", no_build)
+        assert nn.load_network(path, target) == {"dep_hash": "abc"}
         assert nn.network_extra(path) == {"dep_hash": "abc"}
         for p, q, a in zip(saved.params(), target.params(), arrays):
             assert p.tobytes() == q.tobytes() and q is a
@@ -440,4 +461,4 @@ class TestLoadInto:
         nn.save_network(path, self._net(rng))
         other = nn.Network([nn.DenseLayer(5, 4, "relu", rng, "l1")])
         with pytest.raises(ValueError, match="holds layers"):
-            nn.load_into(other, path)
+            nn.load_network(path, other)

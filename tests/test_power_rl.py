@@ -8,8 +8,8 @@ from megsim import metrics, power_rl
 from megsim.errors import ChannelErasure
 from megsim.power_rl import (PpoAgent, PpoConfig, SeedTransmissionEnv,
                              apply_power, clipped_surrogate, evaluate,
-                             gaussian_entropy, ppo_update, terminal_reward,
-                             train_agent, uniform_policy)
+                             ppo_update, terminal_reward, train_agent,
+                             uniform_policy)
 from megsim.util import derive_seed
 
 
@@ -88,12 +88,6 @@ class TestCachedReference:
 
 
 class TestEntropyAndSurrogate:
-    def test_entropy_nonnegative_above_floor(self):
-        floor = -0.5 * (1.0 + math.log(2 * math.pi))
-        assert gaussian_entropy(floor + 1e-9) >= 0
-        assert gaussian_entropy(floor - 0.1) < 0
-        assert gaussian_entropy(0.0) > 0
-
     def test_identical_policies_mean_advantage(self, rng):
         lp = rng.standard_normal(16)
         adv = rng.standard_normal(16)

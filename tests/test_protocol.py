@@ -314,10 +314,18 @@ class TestBatchedLink:
 
     @pytest.mark.parametrize("powers", [None, [1.5, 0.0, 0.5, 2.0]])
     def test_run_end_to_end_matches_per_prompt_reference(self, tiny_bundle,
-                                                         powers):
+                                                         powers, monkeypatch):
         spec = RunSpec(["blob left", "rings top", "tiny stripes top"], 0.5,
                        0.0, "rayleigh_block", 16, seed=4, powers=powers)
+        extracted = []
+        extract = metrics.FeatureExtractor.extract
+        monkeypatch.setattr(metrics.FeatureExtractor, "extract",
+                            lambda self, images: extracted.append(len(images))
+                            or extract(self, images))
         report = run_end_to_end(tiny_bundle, spec)
+        monkeypatch.undo()
+        # the ground truths once, then each mode's images
+        assert extracted == [3] * (1 + len(spec.modes))
         codec = tiny_bundle.codec_for(0.5)
         for mode_idx, mode in enumerate(spec.modes):
             rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
