@@ -28,15 +28,12 @@ def snr_to_noise_std(snr_db, signal_power=1.0):
 class ChannelModel:
     kind: str = "rayleigh_block"
     block_length: int = 16
-    noise_std: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.block_length < 1:
             raise ValueError("block length must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise std must be >= 0")
 
 
 @dataclass

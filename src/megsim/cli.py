@@ -11,6 +11,7 @@ import sys
 
 from . import experiments
 from .config import PRESETS, config_hash, load_config
+from .errors import BundleError
 
 
 def build_parser():
@@ -39,30 +40,34 @@ def main(argv=None):
     cfg = load_config(args.config, args.preset,
                       {"out": args.out, "seed": args.seed, "jobs": args.jobs})
     print(f"config hash {config_hash(cfg)} (preset {cfg.preset})")
-    if args.command == "train":
-        result = experiments.cmd_train(cfg)
-        for name, action in sorted(result.actions.items()):
-            print(f"  {name}: {action}")
-        print(f"bundle at {result.bundle_dir}")
-    elif args.command == "sweep":
-        result = experiments.cmd_sweep(cfg)
-        print(f"wrote {result['sweep_csv']} "
-              f"and {len(result['plots'])} plot files")
-    elif args.command == "power":
-        result = experiments.cmd_power(cfg)
-        print(f"wrote {result['summary_csv']}")
-        for row in result["rows"]:
-            print(f"  p_max={row[0]:g} uniform fid={row[1]:.4f} "
-                  f"drl fid={row[2]:.4f} (n={row[4]})")
-    elif args.command == "table":
-        print(experiments.cmd_table(cfg).text)
-    elif args.command == "eval":
-        result = experiments.cmd_eval(cfg)
-        for mode, gen in result["report"].results.items():
-            r = gen.report
-            print(f"  {mode:<12} psnr={r.psnr_db:.2f} dB "
-                  f"fid_proxy={r.fid_score:.4f} symbols={r.symbols}")
-        print(f"wrote {result['eval_csv']}")
+    try:
+        if args.command == "train":
+            result = experiments.cmd_train(cfg)
+            for name, action in sorted(result.actions.items()):
+                print(f"  {name}: {action}")
+            print(f"bundle at {result.bundle_dir}")
+        elif args.command == "sweep":
+            result = experiments.cmd_sweep(cfg)
+            print(f"wrote {result['sweep_csv']} "
+                  f"and {len(result['plots'])} plot files")
+        elif args.command == "power":
+            result = experiments.cmd_power(cfg)
+            print(f"wrote {result['summary_csv']}")
+            for row in result["rows"]:
+                print(f"  p_max={row[0]:g} uniform fid={row[1]:.4f} "
+                      f"drl fid={row[2]:.4f} (n={row[4]})")
+        elif args.command == "table":
+            print(experiments.cmd_table(cfg).text)
+        elif args.command == "eval":
+            result = experiments.cmd_eval(cfg)
+            for mode, gen in result["report"].results.items():
+                r = gen.report
+                print(f"  {mode:<12} psnr={r.psnr_db:.2f} dB "
+                      f"fid_proxy={r.fid_score:.4f} symbols={r.symbols}")
+            print(f"wrote {result['eval_csv']}")
+    except (BundleError, FileNotFoundError) as exc:
+        print(f"megsim: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -9,6 +9,7 @@ with an unchanged config never retrain.
 """
 
 import csv
+import itertools
 import json
 import os
 import struct
@@ -80,17 +81,22 @@ def _bundle_files(cfg):
     return files
 
 
+def _manifest_digests(out):
+    """File -> SHA-256 in ``out``'s manifest; empty if it is unreadable."""
+    try:
+        with open(os.path.join(out, "manifest.json")) as fh:
+            return dict(json.load(fh)["files"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+
+
 def bundle_status(cfg: ExperimentConfig) -> dict:
     """Each bundle file the config needs -> ``"ok"``, ``"missing"``,
     ``"stale"`` (intact, but its ``dep_hash`` names another config) or
     ``"corrupt"`` (unreadable, or its SHA-256 is not the one
     ``manifest.json`` records; an unreadable manifest verifies nothing)."""
     out = bundle_dir(cfg)
-    try:
-        with open(os.path.join(out, "manifest.json")) as fh:
-            digests = dict(json.load(fh)["files"])
-    except (OSError, ValueError, KeyError, TypeError):
-        digests = {}
+    digests = _manifest_digests(out)
     status = {}
     for name, (_, dep_hash) in _bundle_files(cfg).items():
         path = os.path.join(out, name)
@@ -133,8 +139,7 @@ def _load(cfg, skip=()):
     return ModelBundle(pair, denoiser,
                        genmodel.make_schedule(cfg.diffusion_steps), codecs,
                        metrics.FeatureExtractor(cfg.pixel_count),
-                       cfg.image_shape, cfg.latent_shape, cfg.downsample,
-                       config_hash(cfg))
+                       cfg.image_shape, cfg.latent_shape)
 
 
 def _build_corpus(cfg):
@@ -146,6 +151,7 @@ def _generated_latents(cfg, bundle):
     """Latent dataset produced by the deployed generator itself."""
     prompts, _ = _build_corpus(cfg)
     latents = []
+    # per prompt: a batch sums in another order and moves the codec weights
     for i, prompt in enumerate(prompts):
         noise = as_rng(derive_seed(cfg.seed, 30, i)) \
             .standard_normal(cfg.latent_shape).astype(np.float32)
@@ -220,9 +226,12 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
                           "corpus_seed": derive_seed(cfg.seed, 9)})
         bundle.codecs[rate] = codec
 
+    digests = _manifest_digests(out)
     manifest = {"schema": 1, "config_hash": config_hash(cfg),
                 "bundle_hash": config_hash(cfg, _CODEC_SECTIONS),
                 "files": {f: sha256_file(os.path.join(out, f))
+                          if f not in files or files[f][0] in retrain
+                          else digests[f]
                           for f in os.listdir(out) if f.endswith(".bin")}}
     manifest_path = os.path.join(out, "manifest.json")
     # written whole or not at all: a reader never sees half a manifest
@@ -266,14 +275,14 @@ def _eval_prompt_set(cfg):
 
 def _sweep_cell(cfg, cell):
     """One paired trial; returns CSV rows for every mode."""
-    index, rate, snr_db, trial = cell
-    key = bundle_dir(cfg)
+    index, rate, snr_db, trial, chash = cell
+    key = (cfg.out, chash)
     if key not in _WORKER_CACHE:
         _WORKER_CACHE[key] = load_bundle(cfg)
     bundle = _WORKER_CACHE[key]
     cell_seed = derive_seed(cfg.seed, 100, index)
     spec = RunSpec(_eval_prompt_set(cfg), rate, snr_db, cfg.channel_kind,
-                   cfg.block_length, cell_seed, config_hash=config_hash(cfg))
+                   cfg.block_length, cell_seed, config_hash=chash)
     report = run_end_to_end(bundle, spec)
     rows = []
     for mode in spec.modes:
@@ -292,25 +301,22 @@ def cmd_sweep(cfg: ExperimentConfig):
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
     sweep_path = os.path.join(cfg.out, "sweep.csv")
+    chash = config_hash(cfg)
+    grid = list(itertools.product(cfg.codec_rates, cfg.sweep_snrs_db,
+                                  range(cfg.sweep_trials)))
     rows = []
     if cfg.preset == "paper-arithmetic":
-        for rate in cfg.codec_rates:
-            for snr in cfg.sweep_snrs_db:
-                for trial in range(cfg.sweep_trials):
-                    for mode in ("centralized", "raw_feature", "meg"):
-                        symbols = metrics.symbol_count(
-                            mode, cfg.image_shape, cfg.downsample, rate,
-                            cfg.latent_channels)
-                        rows.append((mode, rate, snr, trial, "", "", "",
-                                     symbols, cfg.seed))
+        for (rate, snr, trial), mode in itertools.product(grid, metrics.MODES):
+            symbols = metrics.symbol_count(mode, cfg.image_shape,
+                                           cfg.downsample, rate,
+                                           cfg.latent_channels)
+            rows.append((mode, rate, snr, trial, "", "", "", symbols,
+                         cfg.seed))
     else:
-        cells = [(i, rate, snr, trial)
-                 for i, (rate, snr, trial) in enumerate(
-                     (r, s, t) for r in cfg.codec_rates
-                     for s in cfg.sweep_snrs_db
-                     for t in range(cfg.sweep_trials))]
+        cells = [(i, rate, snr, trial, chash)
+                 for i, (rate, snr, trial) in enumerate(grid)]
         # fails fast with the instructive error; workers reuse the bundle
-        _WORKER_CACHE[bundle_dir(cfg)] = load_bundle(cfg)
+        _WORKER_CACHE[cfg.out, chash] = load_bundle(cfg)
         if cfg.jobs > 1:
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                 for cell_rows in pool.map(_sweep_cell, [cfg] * len(cells),
@@ -320,7 +326,6 @@ def cmd_sweep(cfg: ExperimentConfig):
             for cell in cells:
                 rows.extend(_sweep_cell(cfg, cell))
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
-    chash = config_hash(cfg)
     with open(sweep_path, "w", newline="") as fh:
         fh.write(f"# {SWEEP_SCHEMA}\n")
         writer = csv.writer(fh)

@@ -147,11 +147,16 @@ def ddim_step(denoiser, z_t, t, embedding, schedule: NoiseSchedule,
 def generate_latent(denoiser, prompt, initial_noise, schedule: NoiseSchedule):
     """Run the reverse chain from t = steps down to 1.
 
-    ``prompt`` may be a string or a prepared PromptEmbedding. With all
-    sigmas zero this is a pure function of (denoiser, prompt, noise).
+    ``prompt`` may be a string or a PromptEmbedding, or a list of P strings
+    with noise [P, *latent_shape], sampled as one batch. With all sigmas
+    zero this is a pure function of (denoiser, prompt, noise).
     """
     if isinstance(prompt, str):
         prompt = embed_prompt(prompt, denoiser.max_tokens, denoiser.embed_dim)
+    elif isinstance(prompt, list):      # the pooled rows, stacked once
+        prompt = np.stack([embed_prompt(text, denoiser.max_tokens,
+                                        denoiser.embed_dim).pooled()
+                           for text in prompt])
     z = np.asarray(initial_noise, dtype=np.float32)
     for t in range(schedule.steps, 0, -1):
         z = ddim_step(denoiser, z, t, prompt, schedule).astype(np.float32)
@@ -206,15 +211,18 @@ class Denoiser:
         return self._time_table
 
     def predict(self, z_t, t, embedding):
-        """Noise estimate with the same shape as ``z_t`` (no cache)."""
+        """Noise estimate shaped like ``z_t``: one latent and a
+        PromptEmbedding, or P latents and pooled rows [P, embed_dim]."""
         z_t = np.asarray(z_t)
-        if z_t.size != self.latent_size:
-            raise DimensionError(
-                f"latent of size {z_t.size}, denoiser expects {self.latent_size}")
+        pooled = embedding.pooled()[None] \
+            if isinstance(embedding, PromptEmbedding) else embedding
+        rows = len(pooled)
+        if z_t.size != rows * self.latent_size:
+            raise DimensionError(f"{z_t.size} latent values for {rows} rows")
         feats = np.concatenate([
-            z_t.reshape(-1).astype(np.float32),
-            self.time_table(t)[t],
-            embedding.pooled().astype(np.float32, copy=False)])
+            z_t.reshape(rows, -1).astype(np.float32),
+            np.broadcast_to(self.time_table(t)[t], (rows, self.time_dim)),
+            pooled], axis=1)
         out = self.net.forward(feats, cache=False)
         return out.reshape(z_t.shape)
 
@@ -302,31 +310,27 @@ class AutoencoderPair:
             nn.DenseLayer(hidden, pixels, "none", rng, "d2"),
         ], name="decoder")
 
+    @staticmethod
+    def _apply(net, x, in_shape, out_shape):
+        """``net`` on one array of ``in_shape`` or a batch [P, *in_shape]."""
+        x = np.asarray(x, dtype=np.float32)
+        if x.shape != in_shape and x.shape[1:] != in_shape:
+            raise DimensionError(
+                f"input shape {x.shape} is not {in_shape} or a batch of it")
+        out = net.forward(x.reshape(-1, int(np.prod(in_shape))), cache=False)
+        return out.reshape(out_shape if x.shape == in_shape
+                           else (len(out),) + out_shape)
+
     def encode(self, image):
         """Map an image (or batch) into latent space."""
-        img = np.asarray(image, dtype=np.float32)
-        if img.shape[-len(self.image_shape):] != self.image_shape:
-            raise DimensionError(
-                f"image shape {img.shape} does not end with {self.image_shape}")
-        flat = img.reshape(-1, int(np.prod(self.image_shape)))
-        z = self.encoder.forward(flat, cache=False)
-        shape = self.latent_shape if img.shape == self.image_shape \
-            else (flat.shape[0],) + self.latent_shape
-        return z.reshape(shape)
+        return self._apply(self.encoder, image, self.image_shape,
+                           self.latent_shape)
 
     def decode(self, latent):
         """Map a latent (or batch) back to pixel space, clamped to [0, 1]."""
-        z = np.asarray(latent, dtype=np.float32)
-        size = int(np.prod(self.latent_shape))
-        if z.size == 0 or z.size % size:
-            raise DimensionError(
-                f"latent of size {z.size} is not a multiple of {size}")
-        single = z.size == size
-        flat = z.reshape(-1, size)
-        out = self.decoder.forward(flat, cache=False)
-        np.clip(out, 0.0, 1.0, out=out)
-        shape = self.image_shape if single else (flat.shape[0],) + self.image_shape
-        return out.reshape(shape)
+        out = self._apply(self.decoder, latent, self.latent_shape,
+                          self.image_shape)
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 @dataclass

@@ -227,20 +227,18 @@ class SeedTransmissionEnv:
         self._trace_rng = as_rng(derive_seed(seed, 0xE0))
         self._episode_index = 0
 
-        frames = []
-        self.ground_truths = []
-        for i, prompt in enumerate(prompts):
-            req = GenerationRequest(prompt, rate, bundle.image_shape,
-                                    derive_seed(seed, 0xE1, i))
-            res = es_handle_request(bundle, req, block_length)
-            frames.append(res.frame)
-            self.ground_truths.append(bundle.autoencoder.decode(res.latent))
-        self.frames = frames
+        results = es_handle_request(bundle, [
+            GenerationRequest(prompt, rate, bundle.image_shape,
+                              derive_seed(seed, 0xE1, i))
+            for i, prompt in enumerate(prompts)], block_length)
+        self.frames = frames = [res.frame for res in results]
+        truths = bundle.autoencoder.decode(
+            np.stack([res.latent for res in results]))
+        self.ground_truths = list(truths)
         self._scales = np.array([fr.scale for fr in frames])[:, None]
         # the ground truths are fixed, so every episode's reward reuses
         # one extraction of their features
-        self.reference_features = bundle.extractor.extract(
-            np.stack(self.ground_truths))
+        self.reference_features = bundle.extractor.extract(truths)
         self.codec = bundle.codec_for(rate)
         self.seed_len = frames[0].payload.size
         self.num_blocks = -(-self.seed_len // block_length)

@@ -179,8 +179,6 @@ class ModelBundle:
     extractor: metrics.FeatureExtractor
     image_shape: tuple
     latent_shape: tuple
-    downsample: int
-    config_hash: str = ""
 
     def codec_for(self, rate) -> CodecPair:
         if rate not in self.codecs:
@@ -195,33 +193,37 @@ class EsResult:
     latent: np.ndarray
 
 
-def es_handle_request(bundle: ModelBundle, request: GenerationRequest,
-                      block_length: int) -> EsResult:
-    """Server side of one request: embed, generate, compress, frame."""
-    if tuple(request.image_shape) != tuple(bundle.image_shape):
-        raise ProtocolError(
-            f"request dims {request.image_shape} do not match deployed "
-            f"model dims {bundle.image_shape}")
-    codec = bundle.codec_for(request.rate)
+def es_handle_request(bundle: ModelBundle, requests, block_length: int):
+    """Server side: embed, generate, compress, frame. One request gives an
+    EsResult; a list of requests sharing a rate is served as one batch and
+    gives a list, each noise drawn from its request's ``noise_seed``."""
+    single = isinstance(requests, GenerationRequest)
+    batch = [requests] if single else requests
+    if not isinstance(batch, list) or not batch or not all(
+            isinstance(r, GenerationRequest) for r in batch):
+        raise ProtocolError("expected a GenerationRequest or a list of them")
+    if len({(r.rate, tuple(r.image_shape)) for r in batch}) > 1:
+        raise ProtocolError("batched requests must share rate and dims")
+    if tuple(batch[0].image_shape) != tuple(bundle.image_shape):
+        raise ProtocolError(f"request dims {batch[0].image_shape} do not "
+                            f"match deployed model dims {bundle.image_shape}")
+    codec = bundle.codec_for(batch[0].rate)
     session = EsSession()
     session.start_inference()
-    embedding = genmodel.embed_prompt(request.prompt,
-                                      bundle.denoiser.max_tokens,
-                                      bundle.denoiser.embed_dim)
-    noise = as_rng(request.noise_seed).standard_normal(bundle.latent_shape)
-    latent = genmodel.generate_latent(bundle.denoiser, embedding,
-                                      noise.astype(np.float32),
-                                      bundle.schedule)
-    seed = codec.compress(latent)
+    noise = np.stack([as_rng(r.noise_seed).standard_normal(bundle.latent_shape)
+                      for r in batch]).astype(np.float32)
+    latents = genmodel.generate_latent(
+        bundle.denoiser, [r.prompt for r in batch], noise, bundle.schedule)
+    seeds = codec.compress(latents)
     session.seed_ready()
-    frame = frame_from_seed(seed, block_length)
+    results = [EsResult(seed, frame_from_seed(seed, block_length), latent)
+               for seed, latent in zip(seeds, latents)]
     session.transmission_complete()
-    return EsResult(seed, frame, latent)
+    return results[0] if single else results
 
 
 @dataclass
 class GenerationResult:
-    mode: str
     images: list
     report: metrics.MetricReport
     degraded: bool = False
@@ -286,21 +288,17 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
     symbols, degraded = recover_stream(*received) if received is not None \
         else ([frame.payload.astype(np.float64) for frame in frames], False)
     images = []
+    # each UE decodes its frame at the deployed rate nearest the header's
     for frame, x in zip(frames, symbols):
-        codec = bundle.codec_for(_nearest_rate(bundle, frame))
+        rate = min(bundle.codecs, key=lambda r: abs(r - frame.rate))
         images.append(bundle.autoencoder.decode(
-            codec.decompress(x, frame.scale)))
+            bundle.codec_for(rate).decompress(x, frame.scale)))
     session.decoding_complete()
     report = batch_report(images, ground_truths, bundle.extractor,
                           symbols=frames[0].payload.size,
                           config_hash=config_hash,
                           reference_features=reference_features)
-    return GenerationResult("meg", images, report, degraded, trace_seed)
-
-
-def _nearest_rate(bundle: ModelBundle, frame: SeedFrame):
-    # the header rate is 16-bit quantized; snap to the deployed codec set
-    return min(bundle.codecs, key=lambda r: abs(r - frame.rate))
+    return GenerationResult(images, report, degraded, trace_seed)
 
 
 def batch_report(images, ground_truths, extractor, symbols, config_hash="",
@@ -337,30 +335,25 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
     """Generate, transmit under every requested mode, decode, and score."""
     if not spec.prompts:
         raise ValueError("at least one prompt is required")
-    block_len = spec.block_length
-
-    es_results, ground_truths, latents = [], [], []
-    for i, prompt in enumerate(spec.prompts):
-        request = GenerationRequest(prompt, spec.rate,
-                                    bundle.image_shape,
-                                    derive_seed(spec.seed, 0, i))
-        res = es_handle_request(bundle, request, block_len)
-        es_results.append(res)
-        latents.append(res.latent)
-        ground_truths.append(bundle.autoencoder.decode(res.latent))
+    es_results = es_handle_request(bundle, [
+        GenerationRequest(prompt, spec.rate, bundle.image_shape,
+                          derive_seed(spec.seed, 0, i))
+        for i, prompt in enumerate(spec.prompts)], spec.block_length)
+    latents = [res.latent for res in es_results]
+    truths = bundle.autoencoder.decode(np.stack(latents))
+    ground_truths = list(truths)
 
     counts = {"centralized": int(np.prod(bundle.image_shape)),
               "raw_feature": int(np.prod(bundle.latent_shape)),
               "meg": es_results[0].seed.symbols.size}
-    max_blocks = max(-(-counts[m] // block_len) for m in spec.modes)
-    model = ch.ChannelModel(spec.channel_kind, block_len)
+    model = ch.ChannelModel(spec.channel_kind, spec.block_length)
+    max_blocks = max(-(-counts[m] // spec.block_length) for m in spec.modes)
     trace_seed = derive_seed(spec.seed, 1)
     trace = ch.sample_fading_trace(model, max_blocks, trace_seed)
-    noise_std = (0.0 if spec.snr_db is None
-                 else ch.snr_to_noise_std(spec.snr_db, 1.0))
     perfect = spec.snr_db is None
+    noise_std = None if perfect else ch.snr_to_noise_std(spec.snr_db, 1.0)
     # every mode is scored against the same ground truths
-    reference = bundle.extractor.extract(np.stack(ground_truths))
+    reference = bundle.extractor.extract(truths)
 
     results = {}
     for mode_idx, mode in enumerate(spec.modes):
@@ -373,9 +366,8 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
                 bundle, [encode_frame(res.frame) for res in es_results],
                 sent, ground_truths, spec.config_hash, trace_seed, reference)
             continue
-        source = ground_truths if mode == "centralized" else latents
-        payloads = np.stack(source).reshape(len(source), -1) \
-            .astype(np.float64)
+        source = truths if mode == "centralized" else np.stack(latents)
+        payloads = source.reshape(len(source), -1).astype(np.float64)
         degraded = False
         if not perfect:
             # each row is sent at unit RMS power and rescaled on receipt
@@ -384,15 +376,11 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
             symbols, degraded = recover_stream(*transmit_stream(
                 payloads / scale, trace, noise_std, noise_rng))
             payloads = symbols * scale
-        if mode == "centralized":
-            images = list(np.clip(payloads, 0.0, 1.0).astype(np.float32)
-                          .reshape((-1,) + bundle.image_shape))
-        else:
-            images = [bundle.autoencoder.decode(
-                z.astype(np.float32).reshape(bundle.latent_shape))
-                for z in payloads]
+        images = list(np.clip(payloads, 0.0, 1.0).astype(np.float32)
+                      .reshape(source.shape) if mode == "centralized"
+                      else bundle.autoencoder.decode(
+                          payloads.astype(np.float32).reshape(source.shape)))
         report = batch_report(images, ground_truths, bundle.extractor,
                               counts[mode], spec.config_hash, reference)
-        results[mode] = GenerationResult(mode, images, report, degraded,
-                                         trace_seed)
+        results[mode] = GenerationResult(images, report, degraded, trace_seed)
     return EndToEndReport(results, ground_truths, latents, trace)

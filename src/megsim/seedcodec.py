@@ -147,19 +147,22 @@ class CodecPair:
 
     # -- public codec operations --------------------------------------------
 
-    def compress(self, latent) -> Seed:
-        """Flatten, encode, and normalize to unit average symbol power."""
+    def compress(self, latent):
+        """Encode at unit mean symbol power; a batch [P, ...] gives P seeds."""
         z = np.asarray(latent, dtype=np.float32)
-        if z.shape != self.latent_shape and z.size != self.latent_size:
+        batch = z.shape[1:] == self.latent_shape
+        if not batch and z.size != self.latent_size:
             raise DimensionError(
                 f"latent shape {z.shape} does not match codec "
                 f"shape {self.latent_shape}")
-        raw = self.encode_flat(z.reshape(-1), cache=False)
-        scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
-        if scale == 0.0:
+        raw = self.encode_flat(z.reshape(-1, self.latent_size), cache=False)
+        scales = np.sqrt(np.mean(raw.astype(np.float64) ** 2, axis=1))
+        if not scales.all():
             raise CodecError("encoder produced a zero-power seed")
-        symbols = (raw / scale).astype(np.float32)
-        return Seed(symbols, self.latent_shape, self.rate, scale)
+        symbols = raw / scales.astype(np.float32)[:, None]
+        seeds = [Seed(row, self.latent_shape, self.rate, float(scale))
+                 for row, scale in zip(symbols, scales)]
+        return seeds if batch else seeds[0]
 
     def decompress(self, received, scale):
         """Undo the power normalization, decode, and reshape to the latent."""

@@ -186,6 +186,33 @@ class TestTrainCaching:
         assert result.actions["denoiser"] == "cached"
         assert sha256_file(path) == digest
 
+    def test_cached_train_hashes_each_file_once(self, tiny_cfg, tmp_path,
+                                                monkeypatch):
+        from megsim.util import sha256_file
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+        out = experiments.bundle_dir(cfg)
+        manifest_path = os.path.join(out, "manifest.json")
+        manifest = open(manifest_path, "rb").read()
+        bins = sorted(f for f in os.listdir(out) if f.endswith(".bin"))
+        hashed = []
+        monkeypatch.setattr(experiments, "sha256_file",
+                            lambda path: hashed.append(os.path.basename(path))
+                            or sha256_file(path))
+        result = experiments.cmd_train(cfg)
+        assert set(result.actions.values()) == {"cached"}
+        assert sorted(hashed) == bins
+        assert open(manifest_path, "rb").read() == manifest
+        # a retrained stage's files are hashed again, and only those
+        path = os.path.join(out, "ae_decoder.bin")
+        data = bytearray(open(path, "rb").read())
+        data[-3] ^= 0x01
+        open(path, "wb").write(bytes(data))
+        hashed.clear()
+        assert experiments.cmd_train(cfg).actions["autoencoder"] == "trained"
+        assert sorted(hashed) == sorted(bins + ["ae_decoder.bin",
+                                                "ae_encoder.bin"])
+        assert open(manifest_path, "rb").read() == manifest
+
     def test_truncated_manifest_retrains_every_stage(self, tiny_cfg,
                                                      tmp_path):
         import json
@@ -357,6 +384,22 @@ class TestSweep:
         experiments.cmd_sweep(tiny_cfg)
         assert len(calls) == 1
 
+    def test_config_rendered_per_sweep_not_per_cell(self, tiny_cfg,
+                                                    tiny_bundle,
+                                                    monkeypatch):
+        renders = []
+        render = config.render_config
+        monkeypatch.setattr(config, "render_config",
+                            lambda *a, **kw: renders.append(1)
+                            or render(*a, **kw))
+        counts = []
+        for snrs in ((0.0,), (0.0, 10.0, 20.0)):
+            renders.clear()
+            experiments._WORKER_CACHE.clear()
+            experiments.cmd_sweep(replace(tiny_cfg, sweep_snrs_db=snrs))
+            counts.append(len(renders))
+        assert counts[0] == counts[1]
+
     def test_paper_arithmetic_symbols(self, tmp_path):
         cfg = replace(config.paper_arithmetic_config(),
                       out=str(tmp_path / "pa"))
@@ -448,3 +491,31 @@ class TestCli:
         monkeypatch.setenv("MEGSIM_OUT", str(tmp_path))
         cli_main(["--preset", "paper-arithmetic", "table"])
         assert "paper-arithmetic" in capsys.readouterr().out
+
+    def test_unusable_bundle_is_one_error_line(self, tiny_cfg, tmp_path,
+                                               capsys, monkeypatch):
+        import shutil
+        for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(key)
+        assert cli_main(["--out", str(tmp_path / "empty"), "eval"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("megsim: error: ") and err.count("\n") == 1
+        assert "ae_decoder.bin missing" in err and "megsim train" in err
+        assert "Traceback" not in err
+        # a bit-flipped copy of the tiny bundle, run through its config file
+        experiments.cmd_train(tiny_cfg)
+        cfg = replace(tiny_cfg, out=str(tmp_path / "copy"))
+        shutil.copytree(experiments.bundle_dir(tiny_cfg),
+                        experiments.bundle_dir(cfg))
+        path = os.path.join(experiments.bundle_dir(cfg), "ae_decoder.bin")
+        data = bytearray(open(path, "rb").read())
+        data[-1] ^= 1
+        open(path, "wb").write(bytes(data))
+        config.write_config(cfg, tmp_path / "tiny.cfg")
+        argv = ["--config", str(tmp_path / "tiny.cfg"), "--out", cfg.out]
+        for command in ("eval", "sweep", "power"):
+            assert cli_main(argv + [command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("megsim: error: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert "ae_decoder.bin corrupt" in err and "megsim train" in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from megsim import corpus, genmodel, metrics
-from megsim.errors import ScheduleError
+from megsim.errors import DimensionError, ScheduleError
 
 
 class ExactNoiseOracle:
@@ -374,3 +374,70 @@ class TestSamplerConstants:
         assert np.array_equal(pooled, emb.values.mean(axis=0))
         with pytest.raises(ValueError):
             pooled[0] = 1.0
+
+
+class TestPromptBatch:
+    """P prompts sampled and decoded at once agree with P single calls up
+    to float32 gemm summation order; P = 1 is the single path bit for bit."""
+
+    PROMPTS = ("large blob left", "tiny stripes top", "rings center", "blob")
+
+    def test_generate_latent_batch_matches_single_calls(self, tiny_bundle,
+                                                        rng):
+        den, sched = tiny_bundle.denoiser, tiny_bundle.schedule
+        prompts = list(self.PROMPTS)
+        noise = rng.standard_normal((len(prompts),) + den.latent_shape) \
+            .astype(np.float32)
+        batch = genmodel.generate_latent(den, prompts, noise, sched)
+        assert batch.shape == noise.shape and batch.dtype == np.float32
+        for prompt, z, got in zip(prompts, noise, batch):
+            want = genmodel.generate_latent(den, prompt, z, sched)
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+            one = genmodel.generate_latent(den, [prompt], z[None], sched)
+            assert one.shape == (1,) + den.latent_shape
+            assert np.array_equal(one[0], want)
+
+    def test_predict_needs_one_pooled_row_per_latent(self, tiny_bundle):
+        den = tiny_bundle.denoiser
+        emb = genmodel.embed_prompt("blob")
+        z = np.zeros((2,) + den.latent_shape)
+        for cond in (emb, emb.pooled()[None], np.stack([emb.pooled()] * 3)):
+            with pytest.raises(DimensionError):
+                den.predict(z, 1, cond)
+        assert den.predict(z, 1, np.stack([emb.pooled()] * 2)).shape \
+            == z.shape
+        assert np.array_equal(den.predict(z[:1], 1, emb.pooled()[None])[0],
+                              den.predict(z[0], 1, emb))
+
+    def test_decode_batch_matches_single_calls(self, tiny_bundle, rng):
+        pair = tiny_bundle.autoencoder
+        z = rng.standard_normal((5,) + pair.latent_shape).astype(np.float32)
+        batch = pair.decode(z)
+        assert batch.shape == (5,) + pair.image_shape
+        for row, got in zip(z, batch):
+            assert np.max(np.abs(got - pair.decode(row))) <= 1e-5
+        one = pair.decode(z[:1])
+        assert one.shape == (1,) + pair.image_shape
+        # one latent: one decoder forward on the flat vector, clamped
+        want = np.clip(pair.decoder.forward(z[0].reshape(-1), cache=False),
+                       0.0, 1.0).reshape(pair.image_shape)
+        assert np.array_equal(pair.decode(z[0]), want)
+        assert np.array_equal(one[0], want)
+
+    def test_encode_one_image_is_one_encoder_forward(self, tiny_bundle, rng):
+        pair = tiny_bundle.autoencoder
+        img = rng.random(pair.image_shape).astype(np.float32)
+        want = pair.encoder.forward(img.reshape(1, -1), cache=False) \
+            .reshape(pair.latent_shape)
+        assert np.array_equal(pair.encode(img), want)
+        assert np.array_equal(pair.encode(img[None])[0], want)
+
+    def test_other_shapes_rejected(self, tiny_bundle):
+        pair = tiny_bundle.autoencoder
+        for bad in (np.zeros(pair.latent_shape[1:]),
+                    np.zeros((2, 2) + pair.latent_shape),
+                    np.zeros(int(np.prod(pair.latent_shape)))):
+            with pytest.raises(DimensionError):
+                pair.decode(bad)
+        with pytest.raises(DimensionError):
+            pair.encode(np.zeros((1, 64, 64)))

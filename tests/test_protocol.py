@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megsim import channel as ch
-from megsim import metrics, protocol
+from megsim import genmodel, metrics, protocol
 from megsim.errors import ChannelErasure, FrameError, ProtocolError
 from megsim.protocol import (EsSession, GenerationRequest, RunSpec, UeSession,
                              chunk_seed, decode_frame, encode_frame,
                              es_handle_request, frame_from_seed,
                              recover_stream, run_end_to_end, transmit_stream)
+from megsim.seedcodec import Seed
 from megsim.util import as_rng, derive_seed
 
 
@@ -136,6 +137,93 @@ class TestEsSide:
         bad = GenerationRequest("blob", 0.25, tiny_bundle.image_shape, 0)
         with pytest.raises(ProtocolError, match="rate"):
             es_handle_request(tiny_bundle, bad, 16)
+
+
+def reference_es_handle_request(bundle, request, block_length):
+    """The one-request server path: embed, sample one latent, encode the
+    flat vector and divide by its RMS, frame."""
+    codec = bundle.codec_for(request.rate)
+    emb = genmodel.embed_prompt(request.prompt, bundle.denoiser.max_tokens,
+                                bundle.denoiser.embed_dim)
+    noise = as_rng(request.noise_seed).standard_normal(bundle.latent_shape)
+    latent = genmodel.generate_latent(bundle.denoiser, emb,
+                                      noise.astype(np.float32),
+                                      bundle.schedule)
+    raw = codec.encode_flat(latent.reshape(-1), cache=False)
+    scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
+    seed = Seed((raw / scale).astype(np.float32), codec.latent_shape,
+                codec.rate, scale)
+    return protocol.EsResult(seed, frame_from_seed(seed, block_length),
+                             latent)
+
+
+class TestEsBatch:
+    PROMPTS = ("large blob left", "tiny stripes top", "rings center", "blob")
+
+    def _requests(self, bundle, seeds=(10, 11, 12, 13)):
+        return [GenerationRequest(p, 0.5, bundle.image_shape, s)
+                for p, s in zip(self.PROMPTS, seeds)]
+
+    def test_batch_matches_single_requests(self, tiny_bundle):
+        requests = self._requests(tiny_bundle)
+        batch = es_handle_request(tiny_bundle, requests, 16)
+        assert isinstance(batch, list) and len(batch) == len(requests)
+        for request, got in zip(requests, batch):
+            want = es_handle_request(tiny_bundle, request, 16)
+            assert np.max(np.abs(got.latent - want.latent)) \
+                <= 1e-5 * np.max(np.abs(want.latent))
+            assert np.max(np.abs(got.seed.symbols - want.seed.symbols)) \
+                <= 1e-5
+            assert abs(got.seed.scale - want.seed.scale) \
+                <= 1e-5 * want.seed.scale
+            assert got.frame.payload.size == want.frame.payload.size
+
+    def test_one_request_equals_the_reference(self, tiny_bundle):
+        request = self._requests(tiny_bundle)[0]
+        want = reference_es_handle_request(tiny_bundle, request, 16)
+        single = es_handle_request(tiny_bundle, request, 16)
+        (listed,) = es_handle_request(tiny_bundle, [request], 16)
+        for got in (single, listed):
+            assert np.array_equal(got.latent, want.latent)
+            assert np.array_equal(got.seed.symbols, want.seed.symbols)
+            assert got.seed.scale == want.seed.scale
+            assert encode_frame(got.frame) == encode_frame(want.frame)
+
+    def test_each_request_draws_its_own_noise(self, tiny_bundle,
+                                              monkeypatch):
+        seen = []
+        generate = genmodel.generate_latent
+        monkeypatch.setattr(genmodel, "generate_latent",
+                            lambda den, prompts, noise, sched:
+                            seen.append(noise.copy())
+                            or generate(den, prompts, noise, sched))
+        requests = self._requests(tiny_bundle, seeds=(5, 9, 5, 2))
+        batch = es_handle_request(tiny_bundle, requests, 16)
+        (noise,) = seen
+        for request, row in zip(requests, noise):
+            want = as_rng(request.noise_seed) \
+                .standard_normal(tiny_bundle.latent_shape)
+            assert np.array_equal(row, want.astype(np.float32))
+        # requests 0 and 2 share a noise seed, so they share a noise row
+        assert np.array_equal(noise[0], noise[2])
+        assert len(batch) == len(requests)
+
+    def test_mixed_or_malformed_batches_rejected(self, tiny_bundle):
+        good = self._requests(tiny_bundle)[0]
+        other_rate = GenerationRequest("blob", 0.25,
+                                       tiny_bundle.image_shape, 0)
+        wrong_dims = GenerationRequest("blob", 0.5, (1, 64, 64), 0)
+        for bad, match in (([good, other_rate], "share"),
+                           ([good, wrong_dims], "share"),
+                           ([wrong_dims, wrong_dims], "dims"),
+                           ([other_rate], "rate"),
+                           ([], "GenerationRequest"),
+                           ((good,), "GenerationRequest"),
+                           ([good, "blob"], "GenerationRequest"),
+                           ("blob", "GenerationRequest"),
+                           (None, "GenerationRequest")):
+            with pytest.raises(ProtocolError, match=match):
+                es_handle_request(tiny_bundle, bad, 16)
 
 
 class TestEndToEnd:
@@ -317,23 +405,33 @@ class TestBatchedLink:
                                                          powers, monkeypatch):
         spec = RunSpec(["blob left", "rings top", "tiny stripes top"], 0.5,
                        0.0, "rayleigh_block", 16, seed=4, powers=powers)
-        extracted = []
+        extracted, decoded = [], []
         extract = metrics.FeatureExtractor.extract
         monkeypatch.setattr(metrics.FeatureExtractor, "extract",
                             lambda self, images: extracted.append(len(images))
                             or extract(self, images))
+        decode = genmodel.AutoencoderPair.decode
+        monkeypatch.setattr(genmodel.AutoencoderPair, "decode",
+                            lambda self, z: decoded.append(np.shape(z))
+                            or decode(self, z))
         report = run_end_to_end(tiny_bundle, spec)
         monkeypatch.undo()
         # the ground truths once, then each mode's images
         assert extracted == [3] * (1 + len(spec.modes))
+        # ground truths and raw_feature rows as batches; each UE its frame
+        latent = tiny_bundle.latent_shape
+        assert decoded == [(3,) + latent] * 2 + [latent] * 3
         codec = tiny_bundle.codec_for(0.5)
+        # the server compresses the stacked latents in one call, as
+        # production does; the link below stays per prompt
+        seeds = codec.compress(np.stack(report.latents))
         for mode_idx, mode in enumerate(spec.modes):
             rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
             noise_std = ch.snr_to_noise_std(spec.snr_db, 1.0)
-            images, degraded = [], False
-            for truth, latent in zip(report.ground_truths, report.latents):
+            images, received, degraded = [], [], False
+            for truth, latent, seed in zip(report.ground_truths,
+                                           report.latents, seeds):
                 if mode == "meg":
-                    seed = codec.compress(latent)
                     blocks = reference_transmit_stream(
                         seed.symbols, report.trace, noise_std, rng, powers)
                     flat, lost = reference_recover_stream(blocks,
@@ -349,12 +447,18 @@ class TestBatchedLink:
                     flat, lost = reference_recover_stream(blocks,
                                                           payload.size)
                     x = flat * scale
-                    images.append(
-                        np.clip(x, 0.0, 1.0).reshape(truth.shape)
-                        .astype(np.float32) if mode == "centralized"
-                        else tiny_bundle.autoencoder.decode(
-                            x.astype(np.float32).reshape(latent.shape)))
+                    if mode == "centralized":
+                        images.append(np.clip(x, 0.0, 1.0).reshape(truth.shape)
+                                      .astype(np.float32))
+                    else:
+                        received.append(x.astype(np.float32)
+                                        .reshape(latent.shape))
                 degraded |= lost
+            if mode == "raw_feature":
+                # the received latents are decoded together, as production
+                # does
+                images = list(tiny_bundle.autoencoder.decode(
+                    np.stack(received)))
             got = report[mode]
             assert all(np.array_equal(a, b)
                        for a, b in zip(got.images, images))

@@ -75,6 +75,48 @@ class TestCompressDecompress:
             pair.compress(np.zeros((1, 2, 2), dtype=np.float32))
 
 
+def reference_compress(pair, z):
+    """The one-latent compression: encode the flat vector, divide by its
+    RMS. Returns (symbols, scale)."""
+    raw = pair.encode_flat(z.reshape(-1), cache=False)
+    scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
+    return (raw / scale).astype(np.float32), scale
+
+
+class TestCompressBatch:
+    def test_batch_matches_single_calls(self, small_pair, rng):
+        z = rng.standard_normal((6,) + small_pair.latent_shape) \
+            .astype(np.float32)
+        seeds = small_pair.compress(z)
+        assert len(seeds) == 6
+        for row, seed in zip(z, seeds):
+            one = small_pair.compress(row)
+            assert np.max(np.abs(seed.symbols - one.symbols)) <= 1e-5
+            assert abs(seed.scale - one.scale) <= 1e-5 * one.scale
+            assert (seed.rate, seed.latent_shape) == (one.rate,
+                                                      one.latent_shape)
+
+    def test_one_latent_and_one_row_batch_equal_the_reference(self,
+                                                               small_pair,
+                                                               rng):
+        z = rng.standard_normal(small_pair.latent_shape).astype(np.float32)
+        symbols, scale = reference_compress(small_pair, z)
+        single = small_pair.compress(z)
+        assert isinstance(single, seedcodec.Seed)
+        (row,) = small_pair.compress(z[None])
+        for seed in (single, row):
+            assert seed.symbols.dtype == np.float32
+            assert np.array_equal(seed.symbols, symbols)
+            assert seed.scale == scale
+
+    def test_zero_power_row_rejected(self):
+        pair = seedcodec.CodecPair((1, 2, 2), 0.5, hidden=8, rng=0)
+        pair.enc.bias[...] = 0
+        z = np.stack([np.ones((1, 2, 2)), np.zeros((1, 2, 2))])
+        with pytest.raises(CodecError):
+            pair.compress(z.astype(np.float32))
+
+
 @pytest.fixture(scope="module")
 def latents():
     return np.random.default_rng(0).standard_normal(
