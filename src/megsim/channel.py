@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelErasure
-from .util import as_rng
+from .util import as_rng, write_csv
 
 KINDS = ("awgn", "rayleigh_block")
 
@@ -99,25 +99,19 @@ def equalize(received, gain, power):
 
 def export_trace_csv(trace: FadingTrace, path):
     """Write one trace as (block, gain) rows; block length rides in a comment."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# megsim fading trace v1 block_length={trace.block_length}"
-                 f" seed={trace.seed if trace.seed is not None else ''}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["block", "gain"])
-        for i, h in enumerate(trace.gains):
-            writer.writerow([i, repr(float(h))])
+    write_csv(path, ["block", "gain"], enumerate(trace.gains),
+              comment=f"megsim fading trace v1 "
+                      f"block_length={trace.block_length} "
+                      f"seed={trace.seed if trace.seed is not None else ''}")
 
 
 def export_trace_set(traces, path):
     """Write many traces to one CSV as (trace, block, gain) rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# megsim fading trace set v1 "
-                 f"block_length={traces[0].block_length}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["trace", "block", "gain"])
-        for t, trace in enumerate(traces):
-            for i, h in enumerate(trace.gains):
-                writer.writerow([t, i, repr(float(h))])
+    write_csv(path, ["trace", "block", "gain"],
+              ((t, i, h) for t, trace in enumerate(traces)
+               for i, h in enumerate(trace.gains)),
+              comment=f"megsim fading trace set v1 "
+                      f"block_length={traces[0].block_length}")
 
 
 def _read_trace_csv(path):

@@ -3,7 +3,7 @@
 Subcommands: train, sweep, power, table, eval. Global flags mirror the
 MEGSIM_* environment variables (--config/MEGSIM_CONFIG, --out/MEGSIM_OUT,
 --seed/MEGSIM_SEED, --jobs/MEGSIM_JOBS, --preset/MEGSIM_PRESET); explicit
-flags win.
+flags win. --jobs is accepted; sweeps run in one process.
 """
 
 import argparse
@@ -23,7 +23,7 @@ def build_parser():
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--seed", type=int, metavar="N", help="master seed")
     parser.add_argument("--jobs", type=int, metavar="N",
-                        help="parallel sweep workers")
+                        help="accepted; sweeps run in one process")
     parser.add_argument("--preset", choices=PRESETS,
                         help="configuration preset")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -195,8 +195,8 @@ def _parse_value(text, kind):
     return text
 
 
-# where results land and how many workers run are execution context, not
-# part of the experiment's identity
+# where results land and the job count (accepted, but sweeps run in one
+# process) are execution context, not part of the experiment's identity
 _EXECUTION_KEYS = {"out", "jobs"}
 
 

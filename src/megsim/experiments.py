@@ -8,12 +8,10 @@ is keyed by a hash of the configuration sections it depends on, so reruns
 with an unchanged config never retrain.
 """
 
-import csv
 import itertools
 import json
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +21,7 @@ from . import corpus, genmodel, metrics, nn, plotting, power_rl, seedcodec
 from .config import ExperimentConfig, config_hash
 from .errors import BundleError
 from .protocol import ModelBundle, RunSpec, run_end_to_end
-from .util import as_rng, derive_seed, sha256_file
+from .util import as_rng, derive_seed, sha256_file, write_csv
 
 SWEEP_SCHEMA = "megsim sweep v1"
 POWER_SCHEMA = "megsim power v1"
@@ -266,6 +264,7 @@ def load_bundle(cfg: ExperimentConfig) -> ModelBundle:
 # ---------------------------------------------------------------------------
 # sweep
 
+# sweeps run in the calling process; kept for callers that still clear it
 _WORKER_CACHE = {}
 
 
@@ -273,30 +272,12 @@ def _eval_prompt_set(cfg):
     return corpus.sample_prompts(cfg.eval_prompts, derive_seed(cfg.seed, 20))
 
 
-def _sweep_cell(cfg, cell):
-    """One paired trial; returns CSV rows for every mode."""
-    index, rate, snr_db, trial, chash = cell
-    key = (cfg.out, chash)
-    if key not in _WORKER_CACHE:
-        _WORKER_CACHE[key] = load_bundle(cfg)
-    bundle = _WORKER_CACHE[key]
-    cell_seed = derive_seed(cfg.seed, 100, index)
-    spec = RunSpec(_eval_prompt_set(cfg), rate, snr_db, cfg.channel_kind,
-                   cfg.block_length, cell_seed, config_hash=chash)
-    report = run_end_to_end(bundle, spec)
-    rows = []
-    for mode in spec.modes:
-        r = report[mode].report
-        rows.append((mode, rate, snr_db, trial, r.psnr_db, r.fid_score,
-                     r.mse, r.symbols, cell_seed))
-    return rows
-
-
 def cmd_sweep(cfg: ExperimentConfig):
     """Quality-versus-SNR grid over (mode, rate, SNR, trial).
 
     At the paper-arithmetic preset only the symbol column is filled; no
-    full-scale model exists to simulate. Returns the output paths.
+    full-scale model exists to simulate. Every cell runs in the calling
+    process, whatever ``cfg.jobs`` says. Returns the output paths.
     """
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
@@ -313,60 +294,41 @@ def cmd_sweep(cfg: ExperimentConfig):
             rows.append((mode, rate, snr, trial, "", "", "", symbols,
                          cfg.seed))
     else:
-        cells = [(i, rate, snr, trial, chash)
-                 for i, (rate, snr, trial) in enumerate(grid)]
-        # fails fast with the instructive error; workers reuse the bundle
-        _WORKER_CACHE[cfg.out, chash] = load_bundle(cfg)
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                for cell_rows in pool.map(_sweep_cell, [cfg] * len(cells),
-                                          cells):
-                    rows.extend(cell_rows)
-        else:
-            for cell in cells:
-                rows.extend(_sweep_cell(cfg, cell))
+        bundle = load_bundle(cfg)
+        prompts = _eval_prompt_set(cfg)
+        for index, (rate, snr, trial) in enumerate(grid):
+            cell_seed = derive_seed(cfg.seed, 100, index)
+            spec = RunSpec(prompts, rate, snr, cfg.channel_kind,
+                           cfg.block_length, cell_seed, config_hash=chash)
+            report = run_end_to_end(bundle, spec)
+            for mode in spec.modes:
+                r = report[mode].report
+                rows.append((mode, rate, snr, trial, r.psnr_db, r.fid_score,
+                             r.mse, r.symbols, cell_seed))
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
-    with open(sweep_path, "w", newline="") as fh:
-        fh.write(f"# {SWEEP_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["config_hash", "mode", "f_c", "snr_db", "trial",
-                         "psnr_db", "fid_proxy", "mse", "symbols", "seed"])
-        for row in rows:
-            writer.writerow([chash, row[0], repr(float(row[1])),
-                             repr(float(row[2])), row[3],
-                             _fmt(row[4]), _fmt(row[5]), _fmt(row[6]),
-                             row[7], row[8]])
+    write_csv(sweep_path, ["config_hash", "mode", "f_c", "snr_db", "trial",
+                           "psnr_db", "fid_proxy", "mse", "symbols", "seed"],
+              [(chash,) + row for row in rows], comment=SWEEP_SCHEMA)
     plot_paths = [] if cfg.preset == "paper-arithmetic" \
         else _sweep_plots(cfg, rows)
     return {"sweep_csv": sweep_path, "plots": plot_paths, "rows": rows}
-
-
-def _fmt(value):
-    if value == "":
-        return ""
-    return repr(float(value))
 
 
 def _sweep_plots(cfg, rows):
     paths = []
     for rate in cfg.codec_rates:
         for col, label in ((4, "psnr_db"), (5, "fid_proxy")):
-            series = {}
+            series, points = {}, []
+            for mode in ("centralized", "raw_feature", "meg"):
+                ys = [float(np.median([r[col] for r in rows
+                                       if r[0] == mode and r[1] == rate
+                                       and r[2] == snr]))
+                      for snr in cfg.sweep_snrs_db]
+                series[mode] = (list(cfg.sweep_snrs_db), ys)
+                points += [(mode, snr, y)
+                           for snr, y in zip(cfg.sweep_snrs_db, ys)]
             data_path = os.path.join(cfg.out, f"plot_{label}_r{rate!r}.csv")
-            with open(data_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["series", "x", "y"])
-                for mode in ("centralized", "raw_feature", "meg"):
-                    xs, ys = [], []
-                    for snr in cfg.sweep_snrs_db:
-                        vals = [r[col] for r in rows
-                                if r[0] == mode and r[1] == rate
-                                and r[2] == snr]
-                        med = float(np.median(vals))
-                        xs.append(snr)
-                        ys.append(med)
-                        writer.writerow([mode, repr(float(snr)), repr(med)])
-                    series[mode] = (xs, ys)
+            write_csv(data_path, ["series", "x", "y"], points)
             svg_path = data_path[:-4] + ".svg"
             plotting.write_line_chart(
                 svg_path, series, title=f"{label} vs SNR (rate {rate})",
@@ -396,14 +358,14 @@ def cmd_power(cfg: ExperimentConfig):
         cfg.latent_channels) // cfg.block_length)
 
     model = ch.ChannelModel(cfg.channel_kind, cfg.block_length)
+    # drawn from the seed on every run: a file left by another config is
+    # overwritten, never scored
     trace_path = os.path.join(
         cfg.out, f"eval_traces_{cfg.power_eval_traces}x{num_blocks}.csv")
-    if not os.path.exists(trace_path):
-        rng = as_rng(derive_seed(cfg.seed, 23))
-        traces = [ch.sample_fading_trace(model, num_blocks, rng)
-                  for _ in range(cfg.power_eval_traces)]
-        ch.export_trace_set(traces, trace_path)
-    frozen = ch.import_trace_set(trace_path)
+    frozen_rng = as_rng(derive_seed(cfg.seed, 23))
+    frozen = [ch.sample_fading_trace(model, num_blocks, frozen_rng)
+              for _ in range(cfg.power_eval_traces)]
+    ch.export_trace_set(frozen, trace_path)
 
     select_rng = as_rng(derive_seed(cfg.seed, 24))
     select_traces = [ch.sample_fading_trace(model, num_blocks, select_rng)
@@ -433,14 +395,10 @@ def cmd_power(cfg: ExperimentConfig):
         agent_paths.append(agent_path)
 
         curve_path = os.path.join(cfg.out, f"curve_p{budget!r}.csv")
-        with open(curve_path, "w", newline="") as fh:
-            fh.write(f"# {CURVE_SCHEMA}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["config_hash", "episode", "mean_reward",
-                             "surrogate", "value_loss", "entropy"])
-            for row in history:
-                writer.writerow([chash, row[0]]
-                                + [repr(float(v)) for v in row[1:]])
+        write_csv(curve_path, ["config_hash", "episode", "mean_reward",
+                               "surrogate", "value_loss", "entropy"],
+                  [(chash,) + row for row in history],
+                  comment=CURVE_SCHEMA)
         curve_paths.append(curve_path)
 
         drl = power_rl.evaluate(agent, env, frozen)
@@ -451,15 +409,9 @@ def cmd_power(cfg: ExperimentConfig):
                              len(frozen)))
 
     summary_path = os.path.join(cfg.out, "power_summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        fh.write(f"# {POWER_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["config_hash", "p_max", "uniform_fid_mean",
-                         "drl_fid_mean", "drl_fid_std", "n"])
-        for row in summary_rows:
-            writer.writerow([chash, repr(float(row[0]))]
-                            + [repr(float(v)) for v in row[1:4]]
-                            + [row[4]])
+    write_csv(summary_path, ["config_hash", "p_max", "uniform_fid_mean",
+                             "drl_fid_mean", "drl_fid_std", "n"],
+              [(chash,) + row for row in summary_rows], comment=POWER_SCHEMA)
     xs = [r[0] for r in summary_rows]
     plotting.write_line_chart(
         os.path.join(cfg.out, "power_summary.svg"),
@@ -532,12 +484,9 @@ def cmd_eval(cfg: ExperimentConfig):
     report = run_end_to_end(bundle, spec)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "eval.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "psnr_db", "fid_proxy", "mse", "symbols",
-                         "config_hash"])
-        for mode in spec.modes:
-            r = report[mode].report
-            writer.writerow([mode, repr(r.psnr_db), repr(r.fid_score),
-                             repr(r.mse), r.symbols, r.config_hash])
+    reports = {mode: report[mode].report for mode in spec.modes}
+    write_csv(path, ["mode", "psnr_db", "fid_proxy", "mse", "symbols",
+                     "config_hash"],
+              [(mode, r.psnr_db, r.fid_score, r.mse, r.symbols, r.config_hash)
+               for mode, r in reports.items()])
     return {"eval_csv": path, "report": report}

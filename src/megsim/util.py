@@ -1,5 +1,6 @@
-"""Small shared helpers: deterministic seeding and hashing."""
+"""Small shared helpers: deterministic seeding, hashing and CSV output."""
 
+import csv
 import hashlib
 
 import numpy as np
@@ -30,3 +31,18 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def write_csv(path, header, rows, comment=None):
+    """Write ``rows`` under ``header``, after a ``# comment`` line if given.
+
+    Float cells are written as ``repr(float(v))``, which round-trips
+    exactly; every other cell as ``str(v)``.
+    """
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating))
+                          else str(v) for v in row] for row in rows)

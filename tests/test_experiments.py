@@ -1,6 +1,9 @@
+import csv
+import hashlib
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from megsim import config, experiments
@@ -290,7 +293,6 @@ class TestTrainCaching:
             assert again.read_bytes() == open(path, "rb").read()
 
     def test_cold_desk_train_digests(self, desk_cfg, desk_bundle):
-        import hashlib
         import json
 
         # desk preset, seed 0, as recorded with numpy 2 on OpenBLAS 0.3.31
@@ -363,12 +365,19 @@ class TestSweep:
         second = open(experiments.cmd_sweep(tiny_cfg)["sweep_csv"]).read()
         assert first == second
 
-    def test_parallel_jobs_byte_identical(self, tiny_cfg, tiny_bundle):
-        sequential = open(experiments.cmd_sweep(tiny_cfg)["sweep_csv"]).read()
-        parallel_cfg = replace(tiny_cfg, jobs=2)
+    def test_parallel_jobs_byte_identical(self, tiny_cfg, tiny_bundle,
+                                          monkeypatch):
+        grid = replace(tiny_cfg, sweep_snrs_db=(0.0, 10.0))
+        sequential = open(experiments.cmd_sweep(grid)["sweep_csv"]).read()
+        pids = []
+        run = experiments.run_end_to_end
+        monkeypatch.setattr(experiments, "run_end_to_end",
+                            lambda *a: pids.append(os.getpid()) or run(*a))
         parallel = open(
-            experiments.cmd_sweep(parallel_cfg)["sweep_csv"]).read()
+            experiments.cmd_sweep(replace(grid, jobs=2))["sweep_csv"]).read()
         assert parallel == sequential
+        # --jobs is accepted but inert: every cell runs in this process
+        assert pids == [os.getpid()] * 2
 
     def test_bundle_loaded_once_at_one_job(self, tiny_cfg, tiny_bundle,
                                            monkeypatch):
@@ -380,25 +389,29 @@ class TestSweep:
             return load(cfg)
 
         monkeypatch.setattr(experiments, "load_bundle", counting)
-        experiments._WORKER_CACHE.clear()
         experiments.cmd_sweep(tiny_cfg)
         assert len(calls) == 1
 
     def test_config_rendered_per_sweep_not_per_cell(self, tiny_cfg,
                                                     tiny_bundle,
                                                     monkeypatch):
-        renders = []
+        from megsim import corpus
+        renders, samples = [], []
         render = config.render_config
         monkeypatch.setattr(config, "render_config",
                             lambda *a, **kw: renders.append(1)
                             or render(*a, **kw))
+        sample = corpus.sample_prompts
+        monkeypatch.setattr(corpus, "sample_prompts",
+                            lambda *a: samples.append(1) or sample(*a))
         counts = []
         for snrs in ((0.0,), (0.0, 10.0, 20.0)):
             renders.clear()
-            experiments._WORKER_CACHE.clear()
+            samples.clear()
             experiments.cmd_sweep(replace(tiny_cfg, sweep_snrs_db=snrs))
-            counts.append(len(renders))
+            counts.append((len(renders), len(samples)))
         assert counts[0] == counts[1]
+        assert counts[0][1] == 1
 
     def test_paper_arithmetic_symbols(self, tmp_path):
         cfg = replace(config.paper_arithmetic_config(),
@@ -412,6 +425,11 @@ class TestSweep:
             == {1_048_576}
         assert {r[7] for r in result["rows"] if r[0] == "raw_feature"} \
             == {16_384}
+        # integer-only arithmetic, so the bytes do not depend on the BLAS
+        with open(result["sweep_csv"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "78f3ce3b9ce5957d4f78708636c81c17"
+                "f4ac018dddf2fcaca92dd9ca3cdd861a")
 
 
 class TestPowerCommand:
@@ -450,12 +468,90 @@ class TestPowerCommand:
         assert os.path.basename(result["traces_csv"]) \
             == f"eval_traces_3x{env.num_blocks}.csv"
 
+    def test_traces_redrawn_for_each_config(self, tiny_cfg, tiny_bundle,
+                                            tmp_path):
+        import shutil
+        first = replace(tiny_cfg, out=str(tmp_path), power_budgets=(1.0,),
+                        ppo_update_rounds=1, power_eval_traces=3).validate()
+        shutil.copytree(experiments.bundle_dir(tiny_cfg),
+                        experiments.bundle_dir(first))
+        path = experiments.cmd_power(first)["traces_csv"]
+        # same file name, another channel: the first run's file must not
+        # be scored
+        second = replace(first, channel_kind="awgn").validate()
+        experiments.cmd_train(second)
+        assert experiments.cmd_power(second)["traces_csv"] == path
+        assert _traces_match_fresh_draw(second, path)
+
     def test_lowest_budget_shows_largest_gain(self, desk_cfg, desk_bundle):
         result = experiments.cmd_power(desk_cfg)
         gaps = [row[1] - row[2] for row in result["rows"]]   # uniform - drl
         budgets = [row[0] for row in result["rows"]]
         assert budgets == sorted(budgets)
         assert gaps[0] == max(gaps)
+
+
+def _csv_body(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+
+
+def _traces_match_fresh_draw(cfg, path):
+    from megsim import channel as ch
+    from megsim.util import as_rng, derive_seed
+    written = ch.import_trace_set(path)
+    model = ch.ChannelModel(cfg.channel_kind, cfg.block_length)
+    rng = as_rng(derive_seed(cfg.seed, 23))
+    fresh = [ch.sample_fading_trace(model, len(written[0]), rng)
+             for _ in range(cfg.power_eval_traces)]
+    return len(written) == len(fresh) and all(
+        np.array_equal(a.gains, b.gains) for a, b in zip(written, fresh))
+
+
+class TestCsvContract:
+    """Every float cell parses back to the value the command produced."""
+
+    def test_sweep_and_eval(self, tiny_cfg, tiny_bundle):
+        result = experiments.cmd_sweep(tiny_cfg)
+        written = _csv_body(result["sweep_csv"])
+        assert len(written) == len(result["rows"])
+        for line, row in zip(written, result["rows"]):
+            assert [float(line[k]) for k in ("f_c", "snr_db", "psnr_db",
+                                             "fid_proxy", "mse")] \
+                == [row[i] for i in (1, 2, 4, 5, 6)]
+        result = experiments.cmd_eval(tiny_cfg)
+        written = _csv_body(result["eval_csv"])
+        assert len(written) == 3
+        for line in written:
+            r = result["report"][line["mode"]].report
+            assert [float(line[k]) for k in ("psnr_db", "fid_proxy", "mse")] \
+                == [r.psnr_db, r.fid_score, r.mse]
+
+    def test_power(self, tiny_cfg, tiny_bundle, monkeypatch):
+        from megsim import power_rl
+        cfg = replace(tiny_cfg, power_budgets=(0.5, 1.0),
+                      ppo_update_rounds=2, power_eval_traces=4)
+        histories = []
+        train = power_rl.train_agent
+
+        def recording(*args, **kwargs):
+            agent, history = train(*args, **kwargs)
+            histories.append(history)
+            return agent, history
+
+        monkeypatch.setattr(power_rl, "train_agent", recording)
+        result = experiments.cmd_power(cfg)
+        for path, history in zip(result["curves"], histories, strict=True):
+            written = [[float(line[k]) for k in (
+                "episode", "mean_reward", "surrogate", "value_loss",
+                "entropy")] for line in _csv_body(path)]
+            assert np.array_equal(written, history, equal_nan=True)
+        written = [[float(line[k]) for k in (
+            "p_max", "uniform_fid_mean", "drl_fid_mean", "drl_fid_std", "n")]
+            for line in _csv_body(result["summary_csv"])]
+        assert written == [list(row) for row in result["rows"]]
+        assert _traces_match_fresh_draw(cfg, result["traces_csv"])
 
 
 class TestTableAndEval:
