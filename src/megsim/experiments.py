@@ -64,6 +64,7 @@ class TrainResult:
     bundle_dir: str
     actions: dict
     manifest_path: str
+    losses: dict        # retrained stage -> its loss history
 
 
 def _bundle_files(cfg):
@@ -148,14 +149,11 @@ def _build_corpus(cfg):
 def _generated_latents(cfg, bundle):
     """Latent dataset produced by the deployed generator itself."""
     prompts, _ = _build_corpus(cfg)
-    latents = []
-    # per prompt: a batch sums in another order and moves the codec weights
-    for i, prompt in enumerate(prompts):
-        noise = as_rng(derive_seed(cfg.seed, 30, i)) \
-            .standard_normal(cfg.latent_shape).astype(np.float32)
-        latents.append(genmodel.generate_latent(bundle.denoiser, prompt,
-                                                noise, bundle.schedule))
-    return np.stack(latents)
+    noise = np.stack([as_rng(derive_seed(cfg.seed, 30, i))
+                      .standard_normal(cfg.latent_shape).astype(np.float32)
+                      for i in range(len(prompts))])
+    return genmodel.generate_latent(bundle.denoiser, prompts, noise,
+                                    bundle.schedule)
 
 
 def cmd_train(cfg: ExperimentConfig) -> TrainResult:
@@ -174,6 +172,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     retrain = {stage for name, (stage, _) in files.items()
                if status[name] != "ok"}
     bundle = _load(cfg, skip=retrain)
+    losses = {}
 
     if "autoencoder" in retrain:
         prompts, images = _build_corpus(cfg)
@@ -181,8 +180,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             steps=cfg.ae_steps, batch_size=cfg.ae_batch,
             learning_rate=cfg.ae_lr, center_penalty=cfg.ae_center_penalty,
             hidden=cfg.ae_hidden, seed=derive_seed(cfg.seed, 10))
-        pair, _ = genmodel.train_autoencoder(images, cfg.image_shape,
-                                             cfg.latent_shape, ae_cfg)
+        pair, losses["autoencoder"] = genmodel.train_autoencoder(
+            images, cfg.image_shape, cfg.latent_shape, ae_cfg)
         bundle.autoencoder = pair
         meta = {"dep_hash": files["ae_encoder.bin"][1],
                 "image_shape": list(cfg.image_shape),
@@ -197,7 +196,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             steps=cfg.dn_steps, batch_size=cfg.dn_batch,
             learning_rate=cfg.dn_lr, hidden=cfg.dn_hidden,
             time_dim=cfg.time_dim, seed=derive_seed(cfg.seed, 11))
-        bundle.denoiser, _ = genmodel.train_denoiser(
+        bundle.denoiser, losses["denoiser"] = genmodel.train_denoiser(
             bundle.autoencoder, list(zip(prompts, images)), bundle.schedule,
             dn_cfg)
         nn.save_network(os.path.join(out, "denoiser.bin"),
@@ -207,7 +206,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
 
     latents = None
     for k, rate in enumerate(cfg.codec_rates):
-        if f"codec[{rate!r}]" not in retrain:
+        stage = f"codec[{rate!r}]"
+        if stage not in retrain:
             continue
         if latents is None:
             latents = _generated_latents(cfg, bundle)
@@ -216,8 +216,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             batch_size=cfg.codec_batch, train_snr_db=cfg.codec_train_snr_db,
             channel_kind=cfg.channel_kind, hidden=cfg.codec_hidden,
             seed=derive_seed(cfg.seed, 12, k))
-        codec, _ = seedcodec.train_codec(latents, cc, rate=rate,
-                                         latent_shape=cfg.latent_shape)
+        codec, losses[stage] = seedcodec.train_codec(
+            latents, cc, rate=rate, latent_shape=cfg.latent_shape)
         name = _codec_filename(rate)
         codec.save(os.path.join(out, name),
                    extra={"dep_hash": files[name][1],
@@ -238,7 +238,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     os.replace(manifest_path + ".tmp", manifest_path)
     actions = {stage: "trained" if stage in retrain else "cached"
                for stage, _ in files.values()}
-    return TrainResult(bundle, out, actions, manifest_path)
+    return TrainResult(bundle, out, actions, manifest_path, losses)
 
 
 def load_bundle(cfg: ExperimentConfig) -> ModelBundle:

