@@ -29,7 +29,7 @@ print("correlation of z_10 with z0:",
 class OracleDenoiser:
     """Returns the exact noise, so the reverse pass must recover z0."""
 
-    def predict(self, z_t, t, embedding):
+    def predict(self, z_t, t, pooled):
         return eps
 
 
@@ -50,14 +50,13 @@ denoiser, history = genmodel.train_denoiser(
 print(f"noise-prediction loss: {history[0]:.3f} -> {history[-1]:.3f}",
       "(predicting zero would score ~1.0)")
 
-print("\n== sample a latent from a prompt ==")
+print("\n== sample latents from a batch of prompts ==")
 noise = rng.standard_normal((2, 8, 8)).astype(np.float32)
-latent = genmodel.generate_latent(denoiser, "large rings center", noise,
-                                  schedule)
-again = genmodel.generate_latent(denoiser, "large rings center", noise,
-                                 schedule)
-other = genmodel.generate_latent(denoiser, "tiny stripes left", noise,
-                                 schedule)
+prompts = ["large rings center", "tiny stripes left"]
+# one noise draw for both prompts, so only the prompt differs
+batch = np.stack([noise, noise])
+latent, other = genmodel.generate_latent(denoiser, prompts, batch, schedule)
+again, _ = genmodel.generate_latent(denoiser, prompts, batch, schedule)
 print("deterministic resample identical:", np.array_equal(latent, again))
 print("different prompt changes the latent by (max abs):",
       round(float(np.max(np.abs(latent - other))), 4))

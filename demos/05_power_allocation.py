@@ -43,12 +43,11 @@ print(f"  even split: {-np.mean(uniform):.4f}")
 print(f"  trained:    {-np.mean(drl):.4f}   ({wins}/100 paired wins)")
 
 trace = frozen[0]
-state = env.reset(trace, noise_seed=1)
+states = env.start([trace], [1])     # one episode: a batch of one
 done, powers = False, []
 while not done:
-    a = agent.mean_action(state)
-    state, _, done, info = env.step(a)
-    powers.append(info["power"])
+    states, _, done, info = env.step(agent.mean_action(states))
+    powers.append(float(info["power"][0]))
 print("\none trace, gains: ", np.round(trace.gains, 2))
 print("learned powers:    ", np.round(powers, 3),
       f"(sum {sum(powers):.3f} <= 0.5)")

@@ -6,7 +6,6 @@ in for the fading magnitude, and allocated power enters as an amplitude
 factor sqrt(p) so that transmitted energy scales linearly with p.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,31 +112,3 @@ def export_trace_set(traces, path):
               comment=f"megsim fading trace set v1 "
                       f"block_length={traces[0].block_length}")
 
-
-def _read_trace_csv(path):
-    """(header ``key=value`` tokens, data rows) of a trace CSV."""
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            first = ""
-            fh.seek(0)
-        rows = list(csv.reader(fh))[1:]
-    return dict(tok.split("=", 1) for tok in first.split() if "=" in tok), \
-        rows
-
-
-def import_trace_csv(path) -> FadingTrace:
-    meta, rows = _read_trace_csv(path)
-    return FadingTrace(np.array([float(g) for _, g in rows]),
-                       int(meta.get("block_length", 1)),
-                       int(meta["seed"]) if meta.get("seed") else None)
-
-
-def import_trace_set(path):
-    meta, rows = _read_trace_csv(path)
-    by_trace = {}
-    for t, _, g in rows:
-        by_trace.setdefault(int(t), []).append(float(g))
-    return [FadingTrace(np.array(by_trace[t]),
-                        int(meta.get("block_length", 1)))
-            for t in sorted(by_trace)]

@@ -3,7 +3,7 @@ noise schedule, conditional denoiser, and the deterministic reverse
 sampler that turns (prompt, initial noise) into a latent feature.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,16 +22,10 @@ class PromptEmbedding:
     values: np.ndarray
     token_count: int
     truncated: bool = False
-    _pooled: np.ndarray | None = field(default=None, init=False,
-                                       repr=False, compare=False)
 
     def pooled(self):
-        """Mean token vector, computed once (so ``values`` must not change
-        afterwards) and read-only."""
-        if self._pooled is None:
-            self._pooled = self.values.mean(axis=0)
-            self._pooled.flags.writeable = False
-        return self._pooled
+        """Mean token vector [embed_dim], the denoiser's prompt input."""
+        return self.values.mean(axis=0)
 
 
 @lru_cache(maxsize=4096)
@@ -68,12 +62,11 @@ class NoiseSchedule:
     """Per-step noise variances and their running products.
 
     ``betas[t-1]`` is the variance added at step t; ``alpha_bars[t]`` is the
-    cumulative product of (1 - beta) with ``alpha_bars[0] == 1``. ``sigmas[t]``
-    is the reverse-step noise level (all zero for deterministic sampling).
+    cumulative product of (1 - beta) with ``alpha_bars[0] == 1``. The
+    reverse sampler is deterministic (DDIM with zero step noise).
     """
     betas: np.ndarray
     alpha_bars: np.ndarray
-    sigmas: np.ndarray
 
     @property
     def steps(self):
@@ -85,13 +78,10 @@ class NoiseSchedule:
             raise ScheduleError("betas must be nondecreasing within (0, 1)")
         if self.alpha_bars[0] != 1.0 or np.any(np.diff(self.alpha_bars) >= 0):
             raise ScheduleError("alpha_bars must start at 1 and strictly decrease")
-        for t in range(1, self.steps + 1):
-            if self.sigmas[t] ** 2 > 1.0 - self.alpha_bars[t - 1] + 1e-12:
-                raise ScheduleError(f"sigma at step {t} exceeds the variance budget")
         return self
 
 
-def make_schedule(steps, beta_start=None, beta_end=None, sigmas=None):
+def make_schedule(steps, beta_start=None, beta_end=None):
     """Linear variance schedule; the endpoints rescale with step count so a
     short schedule destroys as much signal as the 50-step reference."""
     if steps < 1:
@@ -102,9 +92,7 @@ def make_schedule(steps, beta_start=None, beta_end=None, sigmas=None):
         beta_end = 0.02 * (50.0 / steps)
     betas = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
     alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    if sigmas is None:
-        sigmas = np.zeros(steps + 1, dtype=np.float64)
-    return NoiseSchedule(betas, alpha_bars, np.asarray(sigmas, dtype=np.float64)).validate()
+    return NoiseSchedule(betas, alpha_bars).validate()
 
 
 def diffuse_forward(z0, t, noise, schedule: NoiseSchedule):
@@ -119,47 +107,29 @@ def diffuse_forward(z0, t, noise, schedule: NoiseSchedule):
     return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * noise
 
 
-def ddim_step(denoiser, z_t, t, embedding, schedule: NoiseSchedule,
-              step_noise=None):
-    """One reverse step z_t -> z_{t-1}.
-
-    Combines the denoised estimate with the predicted noise direction and,
-    when sigma_t > 0, fresh Gaussian noise.
-    """
+def ddim_step(denoiser, z_t, t, pooled, schedule: NoiseSchedule):
+    """One deterministic reverse step z_t -> z_{t-1}: the denoised estimate
+    plus the predicted noise direction."""
     if t < 1:
         raise ValueError("reverse step requires t >= 1")
     abar_prev = schedule.alpha_bars[t - 1]
-    sigma = schedule.sigmas[t]
-    radicand = 1.0 - abar_prev - sigma * sigma
-    if radicand < -1e-12:
-        raise ScheduleError(f"sigma at step {t} exceeds the variance budget")
-    eps = denoiser.predict(z_t, t, embedding)
+    eps = denoiser.predict(z_t, t, pooled)
     abar = schedule.alpha_bars[t]
     z0 = (z_t - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar)
-    out = np.sqrt(abar_prev) * z0 + np.sqrt(max(radicand, 0.0)) * eps
-    if sigma > 0:
-        if step_noise is None:
-            raise ValueError("step_noise required when sigma > 0")
-        out = out + sigma * np.asarray(step_noise)
-    return out
+    return np.sqrt(abar_prev) * z0 + np.sqrt(1.0 - abar_prev) * eps
 
 
-def generate_latent(denoiser, prompt, initial_noise, schedule: NoiseSchedule):
-    """Run the reverse chain from t = steps down to 1.
-
-    ``prompt`` may be a string or a PromptEmbedding, or a list of P strings
-    with noise [P, *latent_shape], sampled as one batch. With all sigmas
-    zero this is a pure function of (denoiser, prompt, noise).
+def generate_latent(denoiser, prompts, initial_noise, schedule: NoiseSchedule):
+    """Run the reverse chain from t = steps down to 1 for a list of P
+    prompts and their noise [P, *latent_shape], sampled as one batch; a
+    pure function of (denoiser, prompts, noise).
     """
-    if isinstance(prompt, str):
-        prompt = embed_prompt(prompt, denoiser.max_tokens, denoiser.embed_dim)
-    elif isinstance(prompt, list):      # the pooled rows, stacked once
-        prompt = np.stack([embed_prompt(text, denoiser.max_tokens,
-                                        denoiser.embed_dim).pooled()
-                           for text in prompt])
+    pooled = np.stack([embed_prompt(text, denoiser.max_tokens,
+                                    denoiser.embed_dim).pooled()
+                       for text in prompts])
     z = np.asarray(initial_noise, dtype=np.float32)
     for t in range(schedule.steps, 0, -1):
-        z = ddim_step(denoiser, z, t, prompt, schedule).astype(np.float32)
+        z = ddim_step(denoiser, z, t, pooled, schedule).astype(np.float32)
     return z
 
 
@@ -210,12 +180,10 @@ class Denoiser:
                                          for t in range(steps + 1)])
         return self._time_table
 
-    def predict(self, z_t, t, embedding):
-        """Noise estimate shaped like ``z_t``: one latent and a
-        PromptEmbedding, or P latents and pooled rows [P, embed_dim]."""
+    def predict(self, z_t, t, pooled):
+        """Noise estimate shaped like ``z_t``, for P latents and their
+        pooled prompt rows [P, embed_dim]."""
         z_t = np.asarray(z_t)
-        pooled = embedding.pooled()[None] \
-            if isinstance(embedding, PromptEmbedding) else embedding
         rows = len(pooled)
         if z_t.size != rows * self.latent_size:
             raise DimensionError(f"{z_t.size} latent values for {rows} rows")

@@ -3,7 +3,8 @@
 Everything runs on plain numpy arrays, float32 by default; gradient
 checking rebuilds layers in float64. There is no autodiff graph: each
 layer knows its own backward pass, and the optimizer works on flat lists
-of parameter arrays. Forward passes are pure functions of (parameters,
+of parameter arrays. Every layer takes a 2-d batch [B, n]; one sample is
+a batch of one. Forward passes are pure functions of (parameters,
 input); caching for backward is opt-out via ``cache=False`` so read-only
 callers can share a network across threads.
 """
@@ -24,14 +25,13 @@ _MAGIC = b"MEGN"
 _FORMAT_VERSION = 1
 
 
-def _promote(x, dtype):
-    """View input as a 2-d batch [B, n]; remember if it arrived 1-d."""
+def _batch(x, dtype):
+    """Input as a 2-d batch [B, n] of ``dtype``; any other rank is refused."""
     x = np.asarray(x, dtype=dtype)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise DimensionError(f"expected 1-d or 2-d input, got shape {x.shape}")
+    if x.ndim != 2:
+        raise DimensionError(f"expected a 2-d batch [B, n], got shape "
+                             f"{x.shape}")
+    return x
 
 
 class DenseLayer:
@@ -79,12 +79,12 @@ class DenseLayer:
         return [f"{self.name}.weights", f"{self.name}.bias"]
 
     def forward(self, x, cache=True):
-        x2, squeeze = _promote(x, self.dtype)
-        if x2.shape[1] != self.in_features:
+        x = _batch(x, self.dtype)
+        if x.shape[1] != self.in_features:
             raise DimensionError(
                 f"layer {self.name!r} expects trailing dimension "
-                f"{self.in_features}, got {x2.shape[1]}")
-        pre = x2 @ self.weights.T
+                f"{self.in_features}, got {x.shape[1]}")
+        pre = x @ self.weights.T
         pre += self.bias
         if self.activation == "relu":
             out = np.maximum(pre, 0)
@@ -93,16 +93,16 @@ class DenseLayer:
         else:
             out = pre
         if cache:
-            self._cache = (x2, pre, out, squeeze)
-        return out[0] if squeeze else out
+            self._cache = (x, pre, out)
+        return out
 
     def backward(self, upstream, input_grad=True):
         """Return (input_grad, weight_grad, bias_grad) for the cached forward;
         ``input_grad=False`` skips the input gradient and returns None."""
         if self._cache is None:
             raise StateError(f"backward on {self.name!r} before forward")
-        x2, pre, out, squeeze = self._cache
-        g, _ = _promote(upstream, self.dtype)
+        x, pre, out = self._cache
+        g = _batch(upstream, self.dtype)
         if g.shape != pre.shape:
             raise DimensionError(
                 f"upstream gradient shape {g.shape} does not match "
@@ -111,12 +111,11 @@ class DenseLayer:
             g = g * (pre > 0)
         elif self.activation == "tanh":
             g = g * (1.0 - out * out)
-        grad_w = g.T @ x2
+        grad_w = g.T @ x
         grad_b = g.sum(axis=0)
         if not input_grad:
             return None, grad_w, grad_b
-        grad_x = g @ self.weights
-        return (grad_x[0] if squeeze else grad_x), grad_w, grad_b
+        return g @ self.weights, grad_w, grad_b
 
     def clone_as(self, dtype):
         dup = DenseLayer.__new__(DenseLayer)
@@ -141,15 +140,18 @@ class _NormBase:
         self.dtype = np.dtype(dtype)
         self._cache = None
 
-    def _check(self, x2):
-        if x2.shape[1] != self.normalized_size:
+    def _check(self, x):
+        """``x`` as a batch of this layer's dtype and width."""
+        x = _batch(x, self.dtype)
+        if x.shape[1] != self.normalized_size:
             raise DimensionError(
                 f"layer {self.name!r} normalizes size {self.normalized_size}, "
-                f"got trailing dimension {x2.shape[1]}")
+                f"got trailing dimension {x.shape[1]}")
+        return x
 
-    def _normalize(self, x2):
-        mean = x2.mean(axis=1, keepdims=True)
-        centered = x2 - mean
+    def _normalize(self, x):
+        mean = x.mean(axis=1, keepdims=True)
+        centered = x - mean
         var = (centered * centered).mean(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.epsilon)
         return centered * inv, inv
@@ -178,22 +180,18 @@ class Normalize(_NormBase):
         return []
 
     def forward(self, x, cache=True):
-        x2, squeeze = _promote(x, self.dtype)
-        self._check(x2)
-        x_hat, inv = self._normalize(x2)
+        x_hat, inv = self._normalize(self._check(x))
         if cache:
-            self._cache = (x_hat, inv, squeeze)
-        return x_hat[0] if squeeze else x_hat
+            self._cache = (x_hat, inv)
+        return x_hat
 
     def backward(self, upstream, input_grad=True):
         if self._cache is None:
             raise StateError(f"backward on {self.name!r} before forward")
         if not input_grad:
             return (None,)
-        x_hat, inv, squeeze = self._cache
-        g, _ = _promote(upstream, self.dtype)
-        grad_x = self._input_grad(g, x_hat, inv)
-        return (grad_x[0] if squeeze else grad_x,)
+        x_hat, inv = self._cache
+        return (self._input_grad(_batch(upstream, self.dtype), x_hat, inv),)
 
     def clone_as(self, dtype):
         return Normalize(self.normalized_size, self.epsilon, self.name, dtype)
@@ -224,27 +222,24 @@ class LayerNorm(_NormBase):
         return [f"{self.name}.gain", f"{self.name}.offset"]
 
     def forward(self, x, cache=True):
-        x2, squeeze = _promote(x, self.dtype)
-        self._check(x2)
-        x_hat, inv = self._normalize(x2)
-        out = self.gain * x_hat + self.offset
+        x_hat, inv = self._normalize(self._check(x))
         if cache:
-            self._cache = (x_hat, inv, squeeze)
-        return out[0] if squeeze else out
+            self._cache = (x_hat, inv)
+        return self.gain * x_hat + self.offset
 
     def backward(self, upstream, input_grad=True):
         """Return (input_grad, gain_grad, offset_grad); ``input_grad=False``
         skips the input gradient and returns None."""
         if self._cache is None:
             raise StateError(f"backward on {self.name!r} before forward")
-        x_hat, inv, squeeze = self._cache
-        g, _ = _promote(upstream, self.dtype)
+        x_hat, inv = self._cache
+        g = _batch(upstream, self.dtype)
         grad_gain = (g * x_hat).sum(axis=0)
         grad_offset = g.sum(axis=0)
         if not input_grad:
             return None, grad_gain, grad_offset
-        grad_x = self._input_grad(g * self.gain, x_hat, inv)
-        return (grad_x[0] if squeeze else grad_x), grad_gain, grad_offset
+        return (self._input_grad(g * self.gain, x_hat, inv), grad_gain,
+                grad_offset)
 
     def clone_as(self, dtype):
         dup = LayerNorm(self.normalized_size, self.epsilon, self.name, dtype)
@@ -404,15 +399,12 @@ class Adam:
 def parameter_count(description) -> int:
     """Total parameter count from layer metadata alone.
 
-    Accepts layer instances, descriptor dicts (as produced by
-    ``descriptor()``), or short tuples like ``("dense", n_in, n_out)``.
+    Accepts descriptor dicts (as produced by ``descriptor()``) or short
+    tuples like ``("dense", n_in, n_out)``.
     Additive over concatenation; never allocates weights.
     """
     total = 0
     for item in description:
-        if hasattr(item, "param_count"):
-            total += item.param_count
-            continue
         if isinstance(item, dict):      # as the tuple form
             kind = item["kind"]
             item = (kind, item["in_features"], item["out_features"]) \

@@ -93,23 +93,16 @@ class PpoConfig:
 
 
 @dataclass
-class EpisodeRecord:
-    """One rollout of per-step tuples plus the terminal quality score.
-
-    Successor states are the following rows of ``states``; the episode
-    ends at the single step where ``dones`` is True.
+class Rollout:
+    """E episodes run in lockstep: per-block rows [E, blocks, ...] plus
+    each episode's terminal quality score. The reward is the score at an
+    episode's last block and zero before it.
     """
-    states: np.ndarray
-    raw_actions: np.ndarray       # pre-squash Gaussian samples
-    actions: np.ndarray           # squashed into [0, 1]
-    powers: np.ndarray
-    rewards: np.ndarray
-    dones: np.ndarray
-    log_probs: np.ndarray         # under the policy that acted
-    terminal_score: float
-
-    def __len__(self):
-        return len(self.powers)
+    states: np.ndarray            # [E, blocks, state_dim]
+    raw_actions: np.ndarray       # [E, blocks] pre-squash Gaussian samples
+    powers: np.ndarray            # [E, blocks]
+    log_probs: np.ndarray         # [E, blocks] under the policy that acted
+    scores: np.ndarray            # [E]
 
 
 class PpoAgent:
@@ -133,7 +126,6 @@ class PpoAgent:
     def _heads(self, states, cache=False):
         out = self.actor.forward(np.asarray(states, dtype=np.float32),
                                  cache=cache)
-        out = np.atleast_2d(out)
         mean = out[:, 0].astype(np.float64)
         raw_ls = out[:, 1].astype(np.float64)
         log_std = np.clip(raw_ls, self.log_std_min, self.log_std_max)
@@ -156,16 +148,14 @@ class PpoAgent:
         return actions, u, self._log_prob(u, mean, log_std)
 
     def mean_action(self, states):
-        """Deterministic action: a float for one state, an array of E
-        actions for a batch [E, state_dim]."""
-        mean, _, _ = self._heads(np.atleast_2d(states))
-        actions = np.array([squash(x) for x in mean])
-        return float(actions[0]) if np.ndim(states) == 1 else actions
+        """Deterministic actions, one per state row [E, state_dim]."""
+        mean, _, _ = self._heads(states)
+        return np.array([squash(x) for x in mean])
 
     def value(self, states):
         v = self.critic.forward(np.asarray(states, dtype=np.float32),
                                 cache=False)
-        return np.atleast_2d(v)[:, 0].astype(np.float64)
+        return v[:, 0].astype(np.float64)
 
     def snapshot(self):
         return [p.copy() for p in self.actor.params() + self.critic.params()]
@@ -206,11 +196,10 @@ class SeedTransmissionEnv:
     block's gain, and the normalized remaining budget. Every prompt in the
     batch is transmitted under the same power schedule and fading trace.
 
-    E episodes run in lockstep, one block at a time (``start``); the
-    single-episode ``reset``/``step`` interface is the case E = 1. Each
-    step applies power, noise and equalization to all episodes at once;
-    at the last block the episodes are decoded and scored together,
-    ``SCORE_CHUNK`` at a time.
+    E episodes run in lockstep, one block at a time (``start``, then
+    ``step``); one episode is the case E = 1. Each step applies power,
+    noise and equalization to all episodes at once; at the last block the
+    episodes are decoded and scored together, ``SCORE_CHUNK`` at a time.
     """
 
     def __init__(self, bundle: ModelBundle, prompts, rate, snr_db,
@@ -253,16 +242,13 @@ class SeedTransmissionEnv:
 
     # -- episode control -----------------------------------------------------
 
-    def reset(self, trace: ch.FadingTrace | None = None, noise_seed=None):
-        """Start an episode; a fixed ``noise_seed`` makes the channel noise
-        reproducible so different policies can be compared on paired draws."""
-        return self.start([trace], [noise_seed])[0]
-
     def start(self, traces, noise_seeds):
         """Start one episode per trace, in lockstep; returns their states
         [E, state_dim]. A None trace is drawn from the environment's trace
         stream and a None noise seed follows the episode count, so E
-        episodes started together match E started one after another."""
+        episodes started together match E started one after another. A
+        fixed noise seed makes an episode's channel noise reproducible, so
+        different policies can be compared on paired draws."""
         if not traces or len(traces) != len(noise_seeds):
             raise ValueError("need one noise seed per trace, at least one")
         gains, noise = [], []
@@ -298,16 +284,13 @@ class SeedTransmissionEnv:
         states[:, -1] = self._remaining / self.p_max
         return states
 
-    def step(self, action):
-        """Apply one power decision per running episode.
-
-        After ``reset``, ``action`` is one number and the result is the
-        episode's (next_state, reward, done, info). After ``start``, it
-        holds one action per episode and states, rewards and
-        ``info["power"]`` come back as arrays over the episodes. The next
-        state is None once done; rewards are zero before the last block.
+    def step(self, actions):
+        """Apply one power decision per running episode; returns (states,
+        rewards, done, info) with states, rewards and ``info["power"]`` as
+        arrays over the episodes. The next states are None once done;
+        rewards are zero before the last block.
         """
-        actions = np.atleast_1d(np.asarray(action, dtype=np.float64))
+        actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (len(self._remaining),):
             raise ValueError(f"need one action per episode, got "
                              f"{actions.shape}")
@@ -337,10 +320,7 @@ class SeedTransmissionEnv:
             info["powers"] = self._powers.copy()
         else:
             states = self._states()
-        if np.ndim(action) > 0:
-            return states, rewards, done, info
-        info = {k: v[0].tolist() for k, v in info.items()}
-        return (None if done else states[0]), float(rewards[0]), done, info
+        return states, rewards, done, info
 
     def _finish(self):
         for powers in self._powers:
@@ -370,63 +350,58 @@ class SeedTransmissionEnv:
 
     # -- rollouts --------------------------------------------------------------
 
-    def rollout(self, agent: PpoAgent, rng, episodes=None):
-        """Run ``episodes`` episodes in lockstep under the sampling policy
-        and return their records; with ``episodes=None``, run one and
-        return its record. Each episode takes its block draws from ``rng``
-        in turn, as when the episodes run one after another."""
-        n = 1 if episodes is None else int(episodes)
-        states = self.start([None] * n, [None] * n)
-        draws = rng.standard_normal((n, self.num_blocks))
-        seen, us, acts, logps = [], [], [], []
+    def rollout(self, agent: PpoAgent, rng, episodes) -> Rollout:
+        """Run ``episodes`` episodes in lockstep under the sampling policy.
+        Each episode takes its block draws from ``rng`` in turn, as when
+        the episodes run one after another."""
+        states = self.start([None] * episodes, [None] * episodes)
+        draws = rng.standard_normal((episodes, self.num_blocks))
+        seen, us, logps = [], [], []
         for t in range(self.num_blocks):
             a, u, logp = agent.act(states, draws[:, t])
             seen.append(states)
             us.append(u)
-            acts.append(a)
             logps.append(logp)
-            states, rewards, _, info = self.step(a)
+            states, scores, _, info = self.step(a)
         # per-block columns become per-episode rows [E, blocks, ...]
-        seen, us, acts, logps = (np.stack(c, axis=1)
-                                 for c in (seen, us, acts, logps))
-        dones = np.arange(self.num_blocks) == self.num_blocks - 1
-        records = [EpisodeRecord(seen[e], us[e], acts[e], info["powers"][e],
-                                 np.where(dones, score, 0.0), dones.copy(),
-                                 logps[e], float(score))
-                   for e, score in enumerate(rewards)]
-        return records if episodes is not None else records[0]
+        seen, us, logps = (np.stack(c, axis=1) for c in (seen, us, logps))
+        return Rollout(seen, us, info["powers"], logps, scores)
 
 
 # ---------------------------------------------------------------------------
 # PPO update and training loop
 
 def discounted_returns(rewards, gamma):
-    out = np.zeros(len(rewards))
-    acc = 0.0
-    for i in range(len(rewards) - 1, -1, -1):
-        acc = rewards[i] + gamma * acc
-        out[i] = acc
+    """Returns-to-go of rewards [E, blocks], one episode per row."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    out = np.zeros(rewards.shape)
+    acc = np.zeros(len(rewards))
+    for i in range(rewards.shape[1] - 1, -1, -1):
+        acc = rewards[:, i] + gamma * acc
+        out[:, i] = acc
     return out
 
 
-def ppo_update(agent: PpoAgent, episodes, config: PpoConfig,
+def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
                actor_opt: nn.Adam | None = None,
                critic_opt: nn.Adam | None = None):
-    """Several epochs of clipped-objective ascent on one episode batch.
+    """Several epochs of clipped-objective ascent on one rollout.
 
     The per-transition log probabilities recorded at rollout time are the
-    old-policy snapshot. Returns a diagnostics dict; aborts (without
-    stepping) if any loss goes non-finite.
+    old-policy snapshot; transitions are taken episode by episode. Returns
+    a diagnostics dict; aborts (without stepping) if any loss goes
+    non-finite.
     """
-    if not episodes:
+    if not len(rollout.scores):
         raise ValueError("episode batch is empty")
     actor_opt = actor_opt or nn.Adam(config.learning_rate)
     critic_opt = critic_opt or nn.Adam(config.learning_rate)
-    states = np.concatenate([ep.states for ep in episodes])
-    us = np.concatenate([ep.raw_actions for ep in episodes])
-    logp_old = np.concatenate([ep.log_probs for ep in episodes])
-    returns = np.concatenate([discounted_returns(ep.rewards, config.gamma)
-                              for ep in episodes])
+    states = rollout.states.reshape(-1, rollout.states.shape[-1])
+    us = rollout.raw_actions.reshape(-1)
+    logp_old = rollout.log_probs.reshape(-1)
+    rewards = np.zeros(rollout.raw_actions.shape)
+    rewards[:, -1] = rollout.scores
+    returns = discounted_returns(rewards, config.gamma).reshape(-1)
     advantages = returns - agent.value(states)
     if config.normalize_advantages and len(advantages) > 1:
         advantages = ((advantages - advantages.mean())
@@ -443,7 +418,7 @@ def ppo_update(agent: PpoAgent, episodes, config: PpoConfig,
                                                  config.clip_range)
         entropy = float(np.mean(GAUSS_ENTROPY_CONST + log_std))
         v_pred = agent.critic.forward(states.astype(np.float32), cache=True)
-        v_err = np.atleast_2d(v_pred)[:, 0].astype(np.float64) - returns
+        v_err = v_pred[:, 0].astype(np.float64) - returns
         value_loss = float(np.mean(v_err * v_err))
         if epoch == 0:
             diag["first_epoch_max_ratio_err"] = float(
@@ -518,9 +493,9 @@ def train_agent(env: SeedTransmissionEnv, config: PpoConfig,
     history = []
     best_params, best_score = None, -np.inf
     for rnd in range(config.update_rounds):
-        episodes = env.rollout(agent, rng, config.episodes_per_batch)
-        diag = ppo_update(agent, episodes, config, actor_opt, critic_opt)
-        mean_reward = float(np.mean([ep.terminal_score for ep in episodes]))
+        rollout = env.rollout(agent, rng, config.episodes_per_batch)
+        diag = ppo_update(agent, rollout, config, actor_opt, critic_opt)
+        mean_reward = float(np.mean(rollout.scores))
         history.append((rnd, mean_reward,
                         diag["surrogate"][-1] if diag["surrogate"] else math.nan,
                         diag["value_loss"][-1] if diag["value_loss"] else math.nan,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import channel as ch
 from . import genmodel, metrics
-from .errors import FrameError, ProtocolError
+from .errors import DimensionError, FrameError, ProtocolError
 from .seedcodec import CodecPair, Seed, seed_length
 from .util import as_rng, derive_seed
 
@@ -110,7 +110,7 @@ def chunk_seed(symbols, block_length):
     """Split a symbol vector into contiguous blocks; the last may be short."""
     if block_length < 1:
         raise ValueError("block length must be >= 1")
-    x = symbols.symbols if isinstance(symbols, Seed) else np.asarray(symbols)
+    x = np.asarray(symbols)
     return [x[i:i + block_length] for i in range(0, len(x), block_length)]
 
 
@@ -305,8 +305,13 @@ def batch_report(images, ground_truths, extractor, symbols, config_hash="",
                  reference_features=None):
     """PSNR/MSE averaged over the batch plus batch Frechet score; see
     :func:`metrics.fid` for ``reference_features``."""
-    mses = [metrics.mse(img, ref) for img, ref in zip(images, ground_truths)]
-    mean_mse = float(np.mean(mses))
+    a = np.stack(images).astype(np.float64)
+    b = np.stack(ground_truths).astype(np.float64)
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
+    # per-image means over contiguous rows, as metrics.mse takes them
+    d = (a - b).reshape(len(a), -1)
+    mean_mse = float(np.mean(np.mean(d * d, axis=1)))
     psnr_db = math.inf if mean_mse == 0.0 else 10.0 * math.log10(1.0 / mean_mse)
     fid_score = metrics.fid(np.stack(images), np.stack(ground_truths),
                             extractor, reference_features)

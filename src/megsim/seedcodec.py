@@ -147,22 +147,21 @@ class CodecPair:
 
     # -- public codec operations --------------------------------------------
 
-    def compress(self, latent):
-        """Encode at unit mean symbol power; a batch [P, ...] gives P seeds."""
-        z = np.asarray(latent, dtype=np.float32)
-        batch = z.shape[1:] == self.latent_shape
-        if not batch and z.size != self.latent_size:
+    def compress(self, latents):
+        """Encode latents [P, *latent_shape] at unit mean symbol power;
+        returns their P seeds."""
+        z = np.asarray(latents, dtype=np.float32)
+        if z.shape[1:] != self.latent_shape:
             raise DimensionError(
-                f"latent shape {z.shape} does not match codec "
-                f"shape {self.latent_shape}")
+                f"latent batch shape {z.shape} is not [P, "
+                f"*{self.latent_shape}]")
         raw = self.encode_flat(z.reshape(-1, self.latent_size), cache=False)
         scales = np.sqrt(np.mean(raw.astype(np.float64) ** 2, axis=1))
         if not scales.all():
             raise CodecError("encoder produced a zero-power seed")
         symbols = raw / scales.astype(np.float32)[:, None]
-        seeds = [Seed(row, self.latent_shape, self.rate, float(scale))
-                 for row, scale in zip(symbols, scales)]
-        return seeds if batch else seeds[0]
+        return [Seed(row, self.latent_shape, self.rate, float(scale))
+                for row, scale in zip(symbols, scales)]
 
     def decompress(self, received, scale):
         """Undo the power normalization, decode, and reshape to the latent."""
@@ -170,7 +169,7 @@ class CodecPair:
         if x.size != self.seed_len:
             raise CodecError(
                 f"received {x.size} symbols, codec expects {self.seed_len}")
-        u = (x.reshape(-1) * scale).astype(np.float32)
+        u = (x.reshape(1, -1) * scale).astype(np.float32)
         z = self.decode_flat(u, cache=False)
         return z.reshape(self.latent_shape)
 

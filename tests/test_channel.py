@@ -1,9 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from megsim import channel as ch
 from megsim.errors import ChannelErasure
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestSnrConversion:
@@ -44,9 +51,11 @@ class TestFadingTraces:
         trace = ch.sample_fading_trace(model, 40, 9)
         path = tmp_path / "trace.csv"
         ch.export_trace_csv(trace, path)
-        back = ch.import_trace_csv(path)
-        assert np.array_equal(back.gains, trace.gains)
-        assert back.block_length == 16 and back.seed == 9
+        comment, header, *rows = read_csv(path)
+        assert comment == ["# megsim fading trace v1 block_length=16 seed=9"]
+        assert header == ["block", "gain"]
+        assert [int(b) for b, _ in rows] == list(range(40))
+        assert np.array_equal([float(g) for _, g in rows], trace.gains)
 
     def test_trace_set_round_trip(self, tmp_path):
         model = ch.ChannelModel("rayleigh_block", 4)
@@ -54,10 +63,13 @@ class TestFadingTraces:
         traces = [ch.sample_fading_trace(model, 6, rng) for _ in range(5)]
         path = tmp_path / "set.csv"
         ch.export_trace_set(traces, path)
-        back = ch.import_trace_set(path)
-        assert len(back) == 5
-        for a, b in zip(traces, back):
-            assert np.array_equal(a.gains, b.gains)
+        comment, header, *rows = read_csv(path)
+        assert comment == ["# megsim fading trace set v1 block_length=4"]
+        assert header == ["trace", "block", "gain"]
+        assert [(int(t), int(b)) for t, b, _ in rows] \
+            == [(t, b) for t in range(5) for b in range(6)]
+        back = np.array([float(g) for _, _, g in rows]).reshape(5, 6)
+        assert np.array_equal(back, [trace.gains for trace in traces])
 
 
 class TestTransmitEqualize:

@@ -114,15 +114,15 @@ class TestDense:
         layer = nn.DenseLayer(3, 3, "relu")
         layer.weights[...] = np.eye(3)
         layer.bias[...] = 0
-        out = layer.forward(np.array([-1.0, 0.0, 2.0]))
-        assert np.array_equal(out, [0.0, 0.0, 2.0])
+        out = layer.forward(np.array([[-1.0, 0.0, 2.0]]))
+        assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_zero_weights_give_bias(self, rng):
         layer = nn.DenseLayer(4, 2, "none", rng)
         layer.weights[...] = 0
         layer.bias[...] = [0.5, -1.5]
-        out = layer.forward(rng.standard_normal(4))
-        assert np.allclose(out, [0.5, -1.5])
+        out = layer.forward(rng.standard_normal((2, 4)))
+        assert np.allclose(out, [[0.5, -1.5]] * 2)
 
     def test_matches_hand_computed_product(self, rng):
         layer = nn.DenseLayer(4, 3, "none", rng)
@@ -130,27 +130,37 @@ class TestDense:
         # independent oracle: explicit loops
         want = [sum(float(layer.weights[o, i]) * float(x[i]) for i in range(4))
                 + float(layer.bias[o]) for o in range(3)]
-        assert np.allclose(layer.forward(x), want, atol=1e-6)
+        assert np.allclose(layer.forward(x[None]), [want], atol=1e-6)
 
     def test_shape_mismatch_names_layer(self, rng):
         layer = nn.DenseLayer(4, 3, name="enc0")
         with pytest.raises(DimensionError, match="enc0"):
-            layer.forward(np.zeros(5))
+            layer.forward(np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 4), ()])
+    def test_only_2d_batches_accepted(self, shape):
+        layers = [nn.DenseLayer(4, 3), nn.Normalize(4), nn.LayerNorm(4)]
+        for layer in layers:
+            with pytest.raises(DimensionError):
+                layer.forward(np.zeros(shape))
+            out = layer.forward(np.zeros((1, 4)))
+            with pytest.raises(DimensionError):
+                layer.backward(np.zeros(out.shape[1:]))
 
     def test_bias_grad_equals_upstream(self, rng):
         layer = nn.DenseLayer(3, 2, "none", rng)
-        layer.forward(rng.standard_normal(3))
-        g = np.array([0.3, -0.7], dtype=np.float32)
+        layer.forward(rng.standard_normal((1, 3)))
+        g = np.array([[0.3, -0.7]], dtype=np.float32)
         _, _, gb = layer.backward(g)
-        assert np.allclose(gb, g)
+        assert np.allclose(gb, g[0])
 
     def test_relu_blocks_gradient_at_negative_preactivation(self):
         layer = nn.DenseLayer(1, 1, "relu")
         layer.weights[...] = 1.0
         layer.bias[...] = 0.0
-        layer.forward(np.array([-2.0]))
-        gx, gw, gb = layer.backward(np.array([1.0]))
-        assert gx[0] == 0 and gw[0, 0] == 0 and gb[0] == 0
+        layer.forward(np.array([[-2.0]]))
+        gx, gw, gb = layer.backward(np.array([[1.0]]))
+        assert gx[0, 0] == 0 and gw[0, 0] == 0 and gb[0] == 0
 
     def test_seeded_weights_are_one_uniform_draw(self):
         layer = nn.DenseLayer(5, 3, rng=np.random.default_rng(4))
@@ -170,7 +180,7 @@ class TestDense:
     def test_backward_without_forward_raises(self):
         layer = nn.DenseLayer(2, 2)
         with pytest.raises(StateError):
-            layer.backward(np.zeros(2))
+            layer.backward(np.zeros((1, 2)))
 
     @pytest.mark.parametrize("activation", ["none", "relu", "tanh"])
     def test_finite_difference(self, activation, rng):
@@ -183,18 +193,18 @@ class TestNormalizeAndLayerNorm:
     def test_constant_input_returns_offset(self, rng):
         ln = nn.LayerNorm(4)
         ln.offset[...] = [1.0, 2.0, 3.0, 4.0]
-        out = ln.forward(np.full(4, 7.0))
+        out = ln.forward(np.full((1, 4), 7.0))
         assert np.allclose(out, ln.offset, atol=1e-3)
 
     def test_two_point_closed_form(self):
         ln = nn.LayerNorm(2)
-        out = ln.forward(np.array([1.0, 3.0]))
+        out = ln.forward(np.array([[1.0, 3.0]]))
         # mean 2, population std 1, so the normalized pair is (-1, +1)
-        assert np.allclose(out, [-1.0, 1.0], atol=1e-5)
+        assert np.allclose(out, [[-1.0, 1.0]], atol=1e-5)
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
-            nn.Normalize(4).forward(np.zeros(3))
+            nn.Normalize(4).forward(np.zeros((1, 3)))
 
     def test_finite_difference_layernorm(self, rng):
         for _ in range(10):
@@ -428,7 +438,10 @@ class TestParameterCount:
     def test_counts_match_instances(self, rng):
         layers = [nn.DenseLayer(6, 4, "relu", rng), nn.LayerNorm(4),
                   nn.Normalize(4)]
-        assert nn.parameter_count(layers) == 6 * 4 + 4 + 8
+        descriptors = [layer.descriptor() for layer in layers]
+        assert nn.parameter_count(descriptors) == 6 * 4 + 4 + 8
+        assert nn.parameter_count(descriptors) \
+            == sum(layer.param_count for layer in layers)
 
 
 class TestNetworkAndSerialization:
@@ -518,11 +531,11 @@ class TestNetworkAndSerialization:
 
     def test_dense_without_input_grad_single_sample(self, rng):
         layer = nn.DenseLayer(4, 3, "relu", rng)
-        layer.forward(rng.standard_normal(4))
-        g = rng.standard_normal(3)
+        layer.forward(rng.standard_normal((1, 4)))
+        g = rng.standard_normal((1, 3))
         gx, gw, gb = layer.backward(g)
         none, gw2, gb2 = layer.backward(g, input_grad=False)
-        assert gx.shape == (4,) and none is None
+        assert gx.shape == (1, 4) and none is None
         assert np.array_equal(gw, gw2) and np.array_equal(gb, gb2)
 
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from megsim import channel as ch
-from megsim import metrics, power_rl
+from megsim import metrics, nn, power_rl
 from megsim.errors import ChannelErasure
 from megsim.power_rl import (PpoAgent, PpoConfig, SeedTransmissionEnv,
                              apply_power, clipped_surrogate, evaluate,
@@ -19,6 +20,98 @@ def env(tiny_bundle):
                "small cross bottom"]
     return SeedTransmissionEnv(tiny_bundle, prompts, 0.5, snr_db=0.0,
                                p_max=1.0, block_length=16, seed=5)
+
+
+def reference_discounted_returns(rewards, gamma):
+    """Returns-to-go of one episode's rewards, as a scalar loop."""
+    out = np.zeros(len(rewards))
+    acc = 0.0
+    for i in range(len(rewards) - 1, -1, -1):
+        acc = rewards[i] + gamma * acc
+        out[i] = acc
+    return out
+
+
+@dataclass
+class EpisodeRecord:
+    """One episode of a rollout, as the list-of-records update read it."""
+    states: np.ndarray
+    raw_actions: np.ndarray
+    rewards: np.ndarray
+    log_probs: np.ndarray
+
+
+def records_of(rollout):
+    """Per-episode records of a rollout; the reward is the score at the
+    last block and zero before it."""
+    dones = np.arange(rollout.raw_actions.shape[1]) \
+        == rollout.raw_actions.shape[1] - 1
+    return [EpisodeRecord(rollout.states[e], rollout.raw_actions[e],
+                          np.where(dones, score, 0.0), rollout.log_probs[e])
+            for e, score in enumerate(rollout.scores)]
+
+
+def reference_ppo_update(agent, episodes, config, actor_opt=None,
+                         critic_opt=None):
+    """The PPO update on a list of per-episode records, kept verbatim as
+    the reference of ``ppo_update`` on one stacked rollout."""
+    if not episodes:
+        raise ValueError("episode batch is empty")
+    actor_opt = actor_opt or nn.Adam(config.learning_rate)
+    critic_opt = critic_opt or nn.Adam(config.learning_rate)
+    states = np.concatenate([ep.states for ep in episodes])
+    us = np.concatenate([ep.raw_actions for ep in episodes])
+    logp_old = np.concatenate([ep.log_probs for ep in episodes])
+    returns = np.concatenate([reference_discounted_returns(ep.rewards,
+                                                           config.gamma)
+                              for ep in episodes])
+    advantages = returns - agent.value(states)
+    if config.normalize_advantages and len(advantages) > 1:
+        advantages = ((advantages - advantages.mean())
+                      / (advantages.std() + 1e-8))
+
+    diag = {"surrogate": [], "value_loss": [], "entropy": [],
+            "first_epoch_max_ratio_err": None, "aborted": False}
+    n = len(states)
+    for epoch in range(config.epochs):
+        mean, log_std, raw_ls = agent._heads(states, cache=True)
+        logp_new = agent._log_prob(us, mean, log_std)
+        surr, ratios, g_logp = clipped_surrogate(logp_new, logp_old,
+                                                 advantages,
+                                                 config.clip_range)
+        entropy = float(np.mean(power_rl.GAUSS_ENTROPY_CONST + log_std))
+        v_pred = agent.critic.forward(states.astype(np.float32), cache=True)
+        v_err = np.atleast_2d(v_pred)[:, 0].astype(np.float64) - returns
+        value_loss = float(np.mean(v_err * v_err))
+        if epoch == 0:
+            diag["first_epoch_max_ratio_err"] = float(
+                np.max(np.abs(ratios - 1.0)))
+        if not (np.isfinite(surr) and np.isfinite(value_loss)
+                and np.isfinite(entropy)):
+            diag["aborted"] = True
+            return diag
+        diag["surrogate"].append(surr)
+        diag["value_loss"].append(value_loss)
+        diag["entropy"].append(entropy)
+
+        # maximize surr + c2 * entropy, so descend on the negation
+        sigma = np.exp(log_std)
+        z = (us - mean) / sigma
+        clamp = ((raw_ls > agent.log_std_min)
+                 & (raw_ls < agent.log_std_max)).astype(np.float64)
+        g_mean = -g_logp * z / sigma
+        g_ls = (-g_logp * (z * z - 1.0) - config.entropy_coef / n) * clamp
+        g_actor_out = np.stack([g_mean, g_ls], axis=1).astype(np.float32)
+        _, actor_grads = agent.actor.backward(g_actor_out, input_grad=False)
+
+        g_v = (config.value_coef * 2.0 * v_err / n)[:, None].astype(np.float32)
+        _, critic_grads = agent.critic.backward(g_v, input_grad=False)
+
+        actor_opt.step(agent.actor.params(), actor_grads,
+                       agent.actor.param_names())
+        critic_opt.step(agent.critic.params(), critic_grads,
+                        agent.critic.param_names())
+    return diag
 
 
 class TestApplyPower:
@@ -78,13 +171,13 @@ class TestCachedReference:
         monkeypatch.setattr(metrics.FeatureExtractor, "extract", counting)
         trace = ch.sample_fading_trace(env.model, env.num_blocks,
                                        np.random.default_rng(11))
-        env.reset(trace, noise_seed=12)
+        env.start([trace], [12])
         done = False
         while not done:
-            _, reward, done, _ = env.step(1.0 / env.num_blocks)
+            _, rewards, done, _ = env.step([1.0 / env.num_blocks])
         assert len(seen) == 1
         want = terminal_reward(list(seen[0]), env.ground_truths, extractor)
-        assert reward == want < 0
+        assert rewards.tolist() == [want] and want < 0
 
 
 class TestEntropyAndSurrogate:
@@ -123,57 +216,90 @@ class TestEnvironment:
     def test_budget_never_exceeded(self, env, rng):
         agent = PpoAgent(env.state_dim, hidden=16, rng=1)
         start = len(env.power_audit)
-        for _ in range(50):
-            env.rollout(agent, rng)
+        for _ in range(5):
+            env.rollout(agent, rng, 10)
         audit = env.power_audit[start:]
         assert len(audit) == 50
         assert all(total <= p_max for total, p_max in audit)
 
-    def test_reward_sparsity(self, env, rng):
-        agent = PpoAgent(env.state_dim, hidden=16, rng=2)
-        ep = env.rollout(agent, rng)
-        assert np.all(ep.rewards[:-1] == 0.0)
-        assert ep.rewards[-1] == ep.terminal_score < 0
-        assert not np.any(ep.dones[:-1]) and ep.dones[-1]
+    def test_reward_sparsity(self, env):
+        env.start([None] * 2, [None] * 2)
+        for t in range(env.num_blocks):
+            states, rewards, done, _ = env.step([0.5, 0.25])
+            assert done == (t == env.num_blocks - 1)
+            assert (states is None) == done
+            if not done:
+                assert rewards.tolist() == [0.0, 0.0]
+        assert np.all(rewards < 0)
 
     def test_zero_action_erases_block(self, env):
-        state = env.reset()
-        _, _, _, info = env.step(0.0)
-        assert info["power"] == 0.0
+        env.start([None], [None])
+        _, _, _, info = env.step([0.0])
+        assert info["power"].tolist() == [0.0]
         # drain the episode
         done = False
         while not done:
-            _, _, done, _ = env.step(0.5)
+            _, _, done, _ = env.step([0.5])
 
     def test_state_layout(self, env):
-        state = env.reset()
-        assert state.shape == (env.block_length + 2,)
-        assert state[-1] == 1.0   # full budget remaining
+        state = env.start([None], [None])
+        assert state.shape == (1, env.block_length + 2)
+        assert state[0, -1] == 1.0   # full budget remaining
         done = False
         while not done:
-            state, _, done, _ = env.step(0.25)
+            state, _, done, _ = env.step([0.25])
 
 
 class TestPpoUpdate:
     def test_ratio_identity_on_first_epoch(self, env, rng):
         agent = PpoAgent(env.state_dim, hidden=16, rng=3)
-        eps = [env.rollout(agent, rng) for _ in range(4)]
-        diag = ppo_update(agent, eps, PpoConfig(epochs=2, seed=0))
+        rollout = env.rollout(agent, rng, 4)
+        diag = ppo_update(agent, rollout, PpoConfig(epochs=2, seed=0))
         assert diag["first_epoch_max_ratio_err"] < 1e-6
 
     def test_losses_finite_and_recorded(self, env, rng):
         agent = PpoAgent(env.state_dim, hidden=16, rng=4)
-        eps = [env.rollout(agent, rng) for _ in range(4)]
-        diag = ppo_update(agent, eps, PpoConfig(epochs=3, seed=0))
+        rollout = env.rollout(agent, rng, 4)
+        diag = ppo_update(agent, rollout, PpoConfig(epochs=3, seed=0))
         assert not diag["aborted"]
         assert len(diag["surrogate"]) == 3
         assert all(np.isfinite(v) for v in diag["value_loss"])
 
     def test_discounted_returns(self):
-        r = power_rl.discounted_returns([0.0, 0.0, -2.0], 0.5)
-        assert np.allclose(r, [-0.5, -1.0, -2.0])
-        r1 = power_rl.discounted_returns([0.0, 0.0, -2.0], 1.0)
-        assert np.allclose(r1, [-2.0, -2.0, -2.0])
+        rewards = [[0.0, 0.0, -2.0], [0.0, 1.0, -4.0]]
+        r = power_rl.discounted_returns(rewards, 0.5)
+        assert np.allclose(r, [[-0.5, -1.0, -2.0], [-0.5, -1.0, -4.0]])
+        r1 = power_rl.discounted_returns(rewards, 1.0)
+        assert np.allclose(r1, [[-2.0, -2.0, -2.0], [-3.0, -3.0, -4.0]])
+        for gamma in (0.5, 1.0):
+            for row, got in zip(rewards, power_rl.discounted_returns(
+                    rewards, gamma)):
+                assert got.tolist() == reference_discounted_returns(
+                    row, gamma).tolist()
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9])
+    def test_matches_list_of_records_reference(self, env, gamma):
+        cfg = PpoConfig(epochs=3, gamma=gamma, seed=0)
+        agents = [PpoAgent(env.state_dim, hidden=16, rng=10)
+                  for _ in range(2)]
+        opts = [(nn.Adam(cfg.learning_rate), nn.Adam(cfg.learning_rate))
+                for _ in agents]
+        rng = np.random.default_rng(21)
+        # two rounds, so the second update starts from carried Adam moments
+        for _ in range(2):
+            rollout = env.rollout(agents[0], rng, 5)
+            got = ppo_update(agents[0], rollout, cfg, *opts[0])
+            want = reference_ppo_update(agents[1], records_of(rollout), cfg,
+                                        *opts[1])
+            assert got == want and not got["aborted"]
+        for p, q in zip(agents[0].snapshot(), agents[1].snapshot()):
+            assert p.tobytes() == q.tobytes()
+        for got_opt, ref_opt in zip(*opts):
+            assert got_opt.step_count == ref_opt.step_count == 6
+            for (m, v), (m_ref, v_ref) in zip(got_opt._moments,
+                                              ref_opt._moments):
+                assert m.tobytes() == m_ref.tobytes()
+                assert v.tobytes() == v_ref.tobytes()
 
 
 class TestEvaluation:
@@ -201,8 +327,9 @@ class TestEvaluation:
         agent.save(path, extra={"p_max": 1.0})
         loaded, meta = PpoAgent.load(path)
         assert meta["p_max"] == 1.0
-        state = env.reset()
-        assert loaded.mean_action(state) == agent.mean_action(state)
+        states = env.start([None] * 3, [None] * 3)
+        assert np.array_equal(loaded.mean_action(states),
+                              agent.mean_action(states))
         for p, q in zip(agent.snapshot(), loaded.snapshot()):
             assert np.array_equal(p, q)
 
@@ -302,7 +429,7 @@ class TestLockstep:
             rng = np.random.default_rng(42)
             seen = self._spy(monkeypatch)
             if mode == "sequential":
-                episodes = [env.rollout(agent, rng) for _ in range(n)]
+                episodes = [env.rollout(agent, rng, 1) for _ in range(n)]
             else:
                 episodes = env.rollout(agent, rng, n)
             monkeypatch.undo()
@@ -310,7 +437,7 @@ class TestLockstep:
 
         (seq, seq_seen, seq_rng, _), (lock, lock_seen, lock_rng, env) = \
             runs["sequential"], runs["lockstep"]
-        assert len(lock) == n and env.num_blocks > 1
+        assert len(lock.scores) == n and env.num_blocks > 1
         for key in ("traces", "seeds"):
             assert len(seq_seen[key]) == len(lock_seen[key]) == n
             for a, b in zip(seq_seen[key], lock_seen[key]):
@@ -321,17 +448,14 @@ class TestLockstep:
         lock_draws = np.stack(lock_seen["draws"], axis=1)
         assert np.array_equal(seq_draws, lock_draws)
         assert seq_rng == lock_rng
-        for a, b in zip(seq, lock):
-            assert np.allclose(a.states, b.states, rtol=0, atol=1e-6)
-            assert np.allclose(a.powers, b.powers, rtol=0, atol=1e-6)
-            assert np.allclose(a.log_probs, b.log_probs, rtol=0, atol=1e-6)
-            assert np.allclose(a.raw_actions, b.raw_actions, rtol=0,
-                               atol=1e-6)
-            assert np.array_equal(a.dones, b.dones)
-            assert np.all(b.rewards[:-1] == 0.0)
-            assert abs(b.terminal_score - a.terminal_score) \
-                <= 1e-6 * abs(a.terminal_score)
-            assert b.rewards[-1] == b.terminal_score
+        for e, a in enumerate(seq):
+            assert a.states.shape == (1,) + lock.states.shape[1:]
+            for field in ("states", "powers", "log_probs", "raw_actions"):
+                assert np.allclose(getattr(a, field)[0],
+                                   getattr(lock, field)[e], rtol=0,
+                                   atol=1e-6)
+            assert abs(lock.scores[e] - a.scores[0]) \
+                <= 1e-6 * abs(a.scores[0])
 
     @pytest.mark.parametrize("n", [20, 100])
     def test_evaluate_matches_single_episodes(self, tiny_bundle, n):
@@ -341,17 +465,17 @@ class TestLockstep:
         traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
                   for _ in range(n)]
         agent = PpoAgent(env.state_dim, hidden=16, rng=6)
+        uniform = uniform_policy(env.num_blocks)
         for policy, act in ((agent, agent.mean_action),
-                            (uniform_policy(env.num_blocks), None)):
-            act = act or policy
+                            (uniform, lambda states: [uniform(states[0])])):
             got = evaluate(policy, env, traces)
             want = []
             for i, trace in enumerate(traces):
-                state = env.reset(trace, noise_seed=derive_seed(0xEDA1, i))
+                state = env.start([trace], [derive_seed(0xEDA1, i)])
                 done = False
                 while not done:
                     state, reward, done, _ = env.step(act(state))
-                want.append(reward)
+                want.append(reward[0])
             want = np.array(want)
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from megsim import channel as ch
 from megsim import genmodel, metrics, protocol
-from megsim.errors import ChannelErasure, FrameError, ProtocolError
+from megsim.errors import (ChannelErasure, DimensionError, FrameError,
+                           ProtocolError)
 from megsim.protocol import (EsSession, GenerationRequest, RunSpec, UeSession,
                              chunk_seed, decode_frame, encode_frame,
                              es_handle_request, frame_from_seed,
@@ -58,8 +60,8 @@ class TestSeedFrame:
 
     def test_frame_from_seed_checks_rate_contract(self, tiny_bundle, rng):
         codec = tiny_bundle.codec_for(0.5)
-        z = rng.standard_normal(codec.latent_shape).astype(np.float32)
-        seed = codec.compress(z)
+        z = rng.standard_normal((1,) + codec.latent_shape).astype(np.float32)
+        (seed,) = codec.compress(z)
         frame = frame_from_seed(seed, 16)
         assert frame.payload.size == codec.seed_len
         seed.symbols = seed.symbols[:-1]
@@ -140,16 +142,14 @@ class TestEsSide:
 
 
 def reference_es_handle_request(bundle, request, block_length):
-    """The one-request server path: embed, sample one latent, encode the
-    flat vector and divide by its RMS, frame."""
+    """The one-request server path: sample one latent as a batch of one,
+    encode the flat vector and divide by its RMS, frame."""
     codec = bundle.codec_for(request.rate)
-    emb = genmodel.embed_prompt(request.prompt, bundle.denoiser.max_tokens,
-                                bundle.denoiser.embed_dim)
     noise = as_rng(request.noise_seed).standard_normal(bundle.latent_shape)
-    latent = genmodel.generate_latent(bundle.denoiser, emb,
-                                      noise.astype(np.float32),
-                                      bundle.schedule)
-    raw = codec.encode_flat(latent.reshape(-1), cache=False)
+    (latent,) = genmodel.generate_latent(bundle.denoiser, [request.prompt],
+                                         noise[None].astype(np.float32),
+                                         bundle.schedule)
+    raw = codec.encode_flat(latent.reshape(1, -1), cache=False)[0]
     scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
     seed = Seed((raw / scale).astype(np.float32), codec.latent_shape,
                 codec.rate, scale)
@@ -224,6 +224,35 @@ class TestEsBatch:
                            (None, "GenerationRequest")):
             with pytest.raises(ProtocolError, match=match):
                 es_handle_request(tiny_bundle, bad, 16)
+
+
+class TestBatchReport:
+    """One per-row mean over the stacked difference equals the per-image
+    ``metrics.mse`` loop bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 16])
+    def test_mse_equals_per_image_loop(self, tiny_bundle, monkeypatch, p):
+        # the Frechet term needs two images; the mse does not
+        monkeypatch.setattr(metrics, "fid", lambda *args: 0.0)
+        rng = np.random.default_rng(p)
+        shape = (p,) + tiny_bundle.image_shape
+        for _ in range(50):
+            images = list(rng.random(shape, dtype=np.float32))
+            truths = list(rng.random(shape, dtype=np.float32))
+            got = protocol.batch_report(images, truths,
+                                        tiny_bundle.extractor, 64)
+            want = float(np.mean([metrics.mse(img, ref)
+                                  for img, ref in zip(images, truths)]))
+            assert got.mse == want
+            assert got.psnr_db == 10.0 * math.log10(1.0 / want)
+
+    def test_shape_mismatch_rejected(self, tiny_bundle, monkeypatch):
+        monkeypatch.setattr(metrics, "fid", lambda *args: 0.0)
+        images = [np.zeros(tiny_bundle.image_shape, np.float32)] * 3
+        for truths in (images[:2], [np.zeros((1, 2, 2), np.float32)] * 3):
+            with pytest.raises(DimensionError):
+                protocol.batch_report(images, truths, tiny_bundle.extractor,
+                                      64)
 
 
 class TestEndToEnd:

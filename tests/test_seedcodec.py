@@ -38,26 +38,30 @@ class TestSeedLength:
 
 class TestCompressDecompress:
     def test_length_and_power_contract(self, small_pair, rng):
-        z = rng.standard_normal(small_pair.latent_shape).astype(np.float32)
-        seed = small_pair.compress(z)
+        z = rng.standard_normal((1,) + small_pair.latent_shape) \
+            .astype(np.float32)
+        (seed,) = small_pair.compress(z)
         assert seed.symbols.size == seedcodec.seed_length(32, 0.5)
         assert abs(np.mean(seed.symbols.astype(np.float64) ** 2) - 1.0) < 1e-5
 
     def test_deterministic(self, small_pair, rng):
-        z = rng.standard_normal(small_pair.latent_shape).astype(np.float32)
-        a = small_pair.compress(z)
-        b = small_pair.compress(z)
+        z = rng.standard_normal((1,) + small_pair.latent_shape) \
+            .astype(np.float32)
+        (a,) = small_pair.compress(z)
+        (b,) = small_pair.compress(z)
         assert np.array_equal(a.symbols, b.symbols) and a.scale == b.scale
 
     def test_shape_mismatch(self, small_pair):
-        with pytest.raises(DimensionError):
-            small_pair.compress(np.zeros((3, 4, 4), dtype=np.float32))
+        for bad in ((1, 3, 4, 4), small_pair.latent_shape, (32,)):
+            with pytest.raises(DimensionError):
+                small_pair.compress(np.zeros(bad, dtype=np.float32))
 
     def test_round_trip_shape(self, small_pair, rng):
-        z = rng.standard_normal(small_pair.latent_shape).astype(np.float32)
-        seed = small_pair.compress(z)
+        z = rng.standard_normal((1,) + small_pair.latent_shape) \
+            .astype(np.float32)
+        (seed,) = small_pair.compress(z)
         back = small_pair.decompress(seed.symbols, seed.scale)
-        assert back.shape == z.shape
+        assert back.shape == small_pair.latent_shape
 
     def test_zero_symbols_decode_finite(self, small_pair):
         out = small_pair.decompress(np.zeros(small_pair.seed_len), 1.0)
@@ -72,13 +76,13 @@ class TestCompressDecompress:
         pair.enc.weights[...] = 0
         pair.enc.bias[...] = 0
         with pytest.raises(CodecError):
-            pair.compress(np.zeros((1, 2, 2), dtype=np.float32))
+            pair.compress(np.zeros((1, 1, 2, 2), dtype=np.float32))
 
 
 def reference_compress(pair, z):
     """The one-latent compression: encode the flat vector, divide by its
     RMS. Returns (symbols, scale)."""
-    raw = pair.encode_flat(z.reshape(-1), cache=False)
+    raw = pair.encode_flat(z.reshape(1, -1), cache=False)[0]
     scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
     return (raw / scale).astype(np.float32), scale
 
@@ -90,7 +94,7 @@ class TestCompressBatch:
         seeds = small_pair.compress(z)
         assert len(seeds) == 6
         for row, seed in zip(z, seeds):
-            one = small_pair.compress(row)
+            (one,) = small_pair.compress(row[None])
             assert np.max(np.abs(seed.symbols - one.symbols)) <= 1e-5
             assert abs(seed.scale - one.scale) <= 1e-5 * one.scale
             assert (seed.rate, seed.latent_shape) == (one.rate,
@@ -101,13 +105,13 @@ class TestCompressBatch:
                                                                rng):
         z = rng.standard_normal(small_pair.latent_shape).astype(np.float32)
         symbols, scale = reference_compress(small_pair, z)
-        single = small_pair.compress(z)
-        assert isinstance(single, seedcodec.Seed)
-        (row,) = small_pair.compress(z[None])
-        for seed in (single, row):
-            assert seed.symbols.dtype == np.float32
-            assert np.array_equal(seed.symbols, symbols)
-            assert seed.scale == scale
+        seeds = small_pair.compress(z[None])
+        assert isinstance(seeds, list) and len(seeds) == 1
+        (seed,) = seeds
+        assert isinstance(seed, seedcodec.Seed)
+        assert seed.symbols.dtype == np.float32
+        assert np.array_equal(seed.symbols, symbols)
+        assert seed.scale == scale
 
     def test_zero_power_row_rejected(self):
         pair = seedcodec.CodecPair((1, 2, 2), 0.5, hidden=8, rng=0)
@@ -166,8 +170,7 @@ class TestTraining:
 
         def recon_err(pair):
             total = 0.0
-            for z in latents[:20]:
-                seed = pair.compress(z)
+            for z, seed in zip(latents[:20], pair.compress(latents[:20])):
                 back = pair.decompress(seed.symbols, seed.scale)
                 total += float(np.mean((back - z) ** 2))
             return total
@@ -203,6 +206,7 @@ class TestReferenceArchitecture:
         small_pair.save(path, extra={"note": 1})
         loaded, meta = seedcodec.CodecPair.load(path)
         assert meta["note"] == 1 and meta["rate"] == 0.5
-        z = rng.standard_normal(small_pair.latent_shape).astype(np.float32)
-        a, b = small_pair.compress(z), loaded.compress(z)
-        assert np.array_equal(a.symbols, b.symbols)
+        z = rng.standard_normal((2,) + small_pair.latent_shape) \
+            .astype(np.float32)
+        for a, b in zip(small_pair.compress(z), loaded.compress(z)):
+            assert np.array_equal(a.symbols, b.symbols)
