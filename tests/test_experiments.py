@@ -1,7 +1,7 @@
 import csv
 import hashlib
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,30 @@ class TestConfig:
         assert config.config_hash(a) == config.config_hash(b)
         assert config.config_hash(a) != config.config_hash(
             replace(a, seed=1))
+
+    @pytest.mark.parametrize("preset, digests", [
+        ("desk", ("f964b448cd6d", "14fa9da3e4cdcd18", "b0f48e70b6f7",
+                  "de937c026a75", "232d7b4a0e93")),
+        ("paper-arithmetic", ("1fec3146ab29", "97968d1d88df4094",
+                              "47a6c61e066a", "36d19f06e482",
+                              "b71d9a78b868")),
+    ])
+    def test_pinned_digests(self, preset, digests):
+        # every cached bundle and CSV is keyed on these; a schema rewrite
+        # must leave them alone
+        cfg = config.preset_config(preset)
+        rendered = config.render_config(cfg).encode("utf-8")
+        assert (config.config_hash(cfg),
+                hashlib.sha256(rendered).hexdigest()[:16],
+                config.config_hash(cfg, experiments._AE_SECTIONS),
+                config.config_hash(cfg, experiments._DN_SECTIONS),
+                experiments._codec_hash(cfg, 0.5)) == digests
+
+    def test_every_field_sits_in_exactly_one_section(self):
+        attrs = [attr for rows in config._SCHEMA.values()
+                 for _, attr, _ in rows]
+        assert sorted(attrs) == sorted(
+            f.name for f in fields(config.ExperimentConfig))
 
     def test_file_round_trip_and_key_order(self, tmp_path):
         cfg = replace(config.desk_config(), seed=42, codec_rates=(0.3, 0.5))
