@@ -11,7 +11,7 @@ hash equal exactly when they mean the same experiment.
 import configparser
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .seedcodec import seed_length
 
@@ -19,70 +19,67 @@ ENV_PREFIX = "MEGSIM_"
 PRESETS = ("desk", "paper-arithmetic")
 
 
+def _key(section, default):
+    """A config field and the file section that declares it."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class ExperimentConfig:
-    # run
-    preset: str = "desk"
-    seed: int = 0
-    out: str = "runs"
-    jobs: int = 1
-    # image geometry
-    channels: int = 2
-    height: int = 32
-    width: int = 32
-    downsample: int = 4
-    latent_channels: int = 2
-    # diffusion / embedding
-    diffusion_steps: int = 10
-    embed_dim: int = 32
-    max_tokens: int = 8
-    time_dim: int = 16
-    # corpus
-    corpus_size: int = 48
-    # autoencoder training
-    ae_steps: int = 700
-    ae_batch: int = 16
-    ae_lr: float = 1e-3
-    ae_center_penalty: float = 1e-2
-    ae_hidden: int = 256
-    # denoiser training
-    dn_steps: int = 1200
-    dn_batch: int = 16
-    dn_lr: float = 1e-3
-    dn_hidden: int = 128
-    # codec
-    codec_rates: tuple = (0.5,)
-    codec_epochs: int = 120
-    codec_lr: float = 1e-3
-    codec_batch: int = 16
-    codec_train_snr_db: float = 20.0
-    codec_hidden: int = 96
-    # channel
-    channel_kind: str = "rayleigh_block"
-    block_length: int = 16
-    # sweep
-    sweep_snrs_db: tuple = (-10.0, 0.0, 10.0, 20.0, 30.0)
-    sweep_trials: int = 5
-    eval_prompts: int = 16
-    # power / ppo
-    power_budgets: tuple = (0.5, 2.0, 8.0)
-    power_snr_db: float = 0.0
-    power_rate: float = 0.5
-    power_prompts: int = 16
-    power_eval_traces: int = 100
-    ppo_clip: float = 0.2
-    ppo_value_coef: float = 0.5
-    ppo_entropy_coef: float = 0.01
-    ppo_gamma: float = 1.0
-    ppo_lr: float = 3e-3
-    ppo_epochs: int = 8
-    ppo_episodes_per_batch: int = 16
-    ppo_update_rounds: int = 160
-    ppo_hidden: int = 32
-    # single-shot eval command
-    eval_prompt: str = "large rings center"
-    eval_snr_db: float = 10.0
-    eval_rate: float = 0.5
+    """Every config key, each declared once with its file section; the
+    file key is the attribute less the section's prefix (``_PREFIX``)."""
+
+    preset: str = _key("run", "desk")
+    seed: int = _key("run", 0)
+    out: str = _key("run", "runs")
+    jobs: int = _key("run", 1)
+    channels: int = _key("image", 2)
+    height: int = _key("image", 32)
+    width: int = _key("image", 32)
+    downsample: int = _key("image", 4)
+    latent_channels: int = _key("image", 2)
+    diffusion_steps: int = _key("diffusion", 10)
+    embed_dim: int = _key("diffusion", 32)
+    max_tokens: int = _key("diffusion", 8)
+    time_dim: int = _key("diffusion", 16)
+    corpus_size: int = _key("corpus", 48)
+    ae_steps: int = _key("autoencoder", 700)
+    ae_batch: int = _key("autoencoder", 16)
+    ae_lr: float = _key("autoencoder", 1e-3)
+    ae_center_penalty: float = _key("autoencoder", 1e-2)
+    ae_hidden: int = _key("autoencoder", 256)
+    dn_steps: int = _key("denoiser", 1200)
+    dn_batch: int = _key("denoiser", 16)
+    dn_lr: float = _key("denoiser", 1e-3)
+    dn_hidden: int = _key("denoiser", 128)
+    codec_rates: tuple = _key("codec", (0.5,))
+    codec_epochs: int = _key("codec", 120)
+    codec_lr: float = _key("codec", 1e-3)
+    codec_batch: int = _key("codec", 16)
+    codec_train_snr_db: float = _key("codec", 20.0)
+    codec_hidden: int = _key("codec", 96)
+    channel_kind: str = _key("channel", "rayleigh_block")
+    block_length: int = _key("channel", 16)
+    sweep_snrs_db: tuple = _key("sweep", (-10.0, 0.0, 10.0, 20.0, 30.0))
+    sweep_trials: int = _key("sweep", 5)
+    eval_prompts: int = _key("sweep", 16)
+    power_budgets: tuple = _key("power", (0.5, 2.0, 8.0))
+    power_snr_db: float = _key("power", 0.0)
+    power_rate: float = _key("power", 0.5)
+    power_prompts: int = _key("power", 16)
+    power_eval_traces: int = _key("power", 100)
+    ppo_clip: float = _key("ppo", 0.2)
+    ppo_value_coef: float = _key("ppo", 0.5)
+    ppo_entropy_coef: float = _key("ppo", 0.01)
+    ppo_gamma: float = _key("ppo", 1.0)
+    ppo_lr: float = _key("ppo", 3e-3)
+    ppo_epochs: int = _key("ppo", 8)
+    ppo_episodes_per_batch: int = _key("ppo", 16)
+    ppo_update_rounds: int = _key("ppo", 160)
+    ppo_hidden: int = _key("ppo", 32)
+    eval_prompt: str = _key("eval", "large rings center")
+    eval_snr_db: float = _key("eval", 10.0)
+    eval_rate: float = _key("eval", 0.5)
 
     # -- derived geometry ---------------------------------------------------
 
@@ -106,6 +103,10 @@ class ExperimentConfig:
 
     def validate(self):
         """Check every cross-module dimension contract before running."""
+        for f in fields(self):
+            if f.type is tuple and not getattr(self, f.name):
+                section, key = _file_key(f)
+                raise ValueError(f"[{section}] {key} needs at least one value")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.downsample < 2:
@@ -131,54 +132,30 @@ class ExperimentConfig:
         return self
 
 
-# section -> [(key, attribute, type)] where type drives parse/format
-_SCHEMA = {
-    "run": [("preset", "preset", str), ("seed", "seed", int),
-            ("out", "out", str), ("jobs", "jobs", int)],
-    "image": [("channels", "channels", int), ("height", "height", int),
-              ("width", "width", int), ("downsample", "downsample", int),
-              ("latent_channels", "latent_channels", int)],
-    "diffusion": [("steps", "diffusion_steps", int),
-                  ("embed_dim", "embed_dim", int),
-                  ("max_tokens", "max_tokens", int),
-                  ("time_dim", "time_dim", int)],
-    "corpus": [("size", "corpus_size", int)],
-    "autoencoder": [("steps", "ae_steps", int), ("batch", "ae_batch", int),
-                    ("lr", "ae_lr", float),
-                    ("center_penalty", "ae_center_penalty", float),
-                    ("hidden", "ae_hidden", int)],
-    "denoiser": [("steps", "dn_steps", int), ("batch", "dn_batch", int),
-                 ("lr", "dn_lr", float), ("hidden", "dn_hidden", int)],
-    "codec": [("rates", "codec_rates", "floats"),
-              ("epochs", "codec_epochs", int), ("lr", "codec_lr", float),
-              ("batch", "codec_batch", int),
-              ("train_snr_db", "codec_train_snr_db", float),
-              ("hidden", "codec_hidden", int)],
-    "channel": [("kind", "channel_kind", str),
-                ("block_length", "block_length", int)],
-    "sweep": [("snrs_db", "sweep_snrs_db", "floats"),
-              ("trials", "sweep_trials", int),
-              ("eval_prompts", "eval_prompts", int)],
-    "power": [("budgets", "power_budgets", "floats"),
-              ("snr_db", "power_snr_db", float),
-              ("rate", "power_rate", float),
-              ("prompts", "power_prompts", int),
-              ("eval_traces", "power_eval_traces", int)],
-    "ppo": [("clip", "ppo_clip", float),
-            ("value_coef", "ppo_value_coef", float),
-            ("entropy_coef", "ppo_entropy_coef", float),
-            ("gamma", "ppo_gamma", float), ("lr", "ppo_lr", float),
-            ("epochs", "ppo_epochs", int),
-            ("episodes_per_batch", "ppo_episodes_per_batch", int),
-            ("update_rounds", "ppo_update_rounds", int),
-            ("hidden", "ppo_hidden", int)],
-    "eval": [("prompt", "eval_prompt", str),
-             ("snr_db", "eval_snr_db", float), ("rate", "eval_rate", float)],
-}
+# the prefix a section's attributes carry and its file keys drop
+_PREFIX = {"autoencoder": "ae_", "denoiser": "dn_"}
+
+
+def _file_key(f):
+    section = f.metadata["section"]
+    return section, f.name.removeprefix(_PREFIX.get(section, section + "_"))
+
+
+def _schema():
+    """section -> [(key, attribute, type)]; the field's type drives
+    parse/format, a tuple being a comma list of floats."""
+    schema = {}
+    for f in fields(ExperimentConfig):
+        section, key = _file_key(f)
+        schema.setdefault(section, []).append((key, f.name, f.type))
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def _format_value(value, kind):
-    if kind == "floats":
+    if kind is tuple:
         return ",".join(repr(float(v)) for v in value)
     if kind is float:
         return repr(float(value))
@@ -186,13 +163,9 @@ def _format_value(value, kind):
 
 
 def _parse_value(text, kind):
-    if kind == "floats":
+    if kind is tuple:
         return tuple(float(v) for v in text.split(",") if v.strip())
-    if kind is float:
-        return float(text)
-    if kind is int:
-        return int(text)
-    return text
+    return kind(text)
 
 
 # where results land and the job count (accepted, but sweeps run in one
@@ -239,11 +212,6 @@ def config_hash(cfg: ExperimentConfig, sections=None, extra="",
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def write_config(cfg: ExperimentConfig, path):
-    with open(path, "w") as fh:
-        fh.write(render_config(cfg))
-
-
 def read_config_file(path, base: ExperimentConfig) -> ExperimentConfig:
     """Overlay a key-value file on top of a base config."""
     parser = configparser.ConfigParser()
@@ -258,7 +226,11 @@ def read_config_file(path, base: ExperimentConfig) -> ExperimentConfig:
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             attr, kind = known[key]
-            updates[attr] = _parse_value(value, kind)
+            try:
+                updates[attr] = _parse_value(value, kind)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key} = {value!r}: {exc}") \
+                    from exc
     return replace(base, **updates)
 
 
@@ -304,12 +276,8 @@ def load_config(path=None, preset=None, overrides=None) -> ExperimentConfig:
     cfg = preset_config(preset or "desk")
     if path:
         cfg = read_config_file(path, cfg)
-    updates = {}
-    for key in ("seed", "jobs"):
-        if key in env:
-            updates[key] = int(env[key])
-    if "out" in env:
-        updates["out"] = env["out"]
+    updates = {attr: _parse_value(env[key], kind)
+               for key, attr, kind in _SCHEMA["run"] if key in env}
     for key, value in (overrides or {}).items():
         if value is not None:
             updates[key] = value

@@ -34,7 +34,7 @@ class FrameError(MegsimError):
 
 
 class ProtocolError(MegsimError):
-    """Illegal session transition or mismatched request/model configuration."""
+    """A request does not match the deployed model or its batch."""
 
 
 class BundleError(MegsimError):

@@ -1,6 +1,7 @@
-"""Edge-inferencing protocol: server/receiver state machines, the binary
-seed frame, and the end-to-end driver that runs one generation (plus the
-two benchmark transmission modes) over a shared fading trace.
+"""Edge-inferencing protocol: the edge server's and the receiver's sides,
+the binary seed frame, and the end-to-end driver that runs one
+generation (plus the two benchmark transmission modes) over a shared
+fading trace.
 
 Seed frame layout (little endian)::
 
@@ -115,50 +116,6 @@ def chunk_seed(symbols, block_length):
 
 
 # ---------------------------------------------------------------------------
-# session state machines
-
-class _Session:
-    """Linear state machine; any out-of-order call is a protocol error."""
-
-    ORDER = ()
-
-    def __init__(self):
-        self.state = self.ORDER[0]
-
-    def _advance(self, expected_from, method):
-        if self.state != expected_from:
-            raise ProtocolError(
-                f"{type(self).__name__}.{method} called in state {self.state!r}")
-        self.state = self.ORDER[self.ORDER.index(expected_from) + 1]
-
-
-class EsSession(_Session):
-    ORDER = ("idle", "inferring", "transmitting", "done")
-
-    def start_inference(self):
-        self._advance("idle", "start_inference")
-
-    def seed_ready(self):
-        self._advance("inferring", "seed_ready")
-
-    def transmission_complete(self):
-        self._advance("transmitting", "transmission_complete")
-
-
-class UeSession(_Session):
-    ORDER = ("idle", "receiving", "decoding", "done")
-
-    def start_receiving(self):
-        self._advance("idle", "start_receiving")
-
-    def start_decoding(self):
-        self._advance("receiving", "start_decoding")
-
-    def decoding_complete(self):
-        self._advance("decoding", "decoding_complete")
-
-
-# ---------------------------------------------------------------------------
 # requests, bundles, results
 
 @dataclass
@@ -208,17 +165,13 @@ def es_handle_request(bundle: ModelBundle, requests, block_length: int):
         raise ProtocolError(f"request dims {batch[0].image_shape} do not "
                             f"match deployed model dims {bundle.image_shape}")
     codec = bundle.codec_for(batch[0].rate)
-    session = EsSession()
-    session.start_inference()
     noise = np.stack([as_rng(r.noise_seed).standard_normal(bundle.latent_shape)
                       for r in batch]).astype(np.float32)
     latents = genmodel.generate_latent(
         bundle.denoiser, [r.prompt for r in batch], noise, bundle.schedule)
     seeds = codec.compress(latents)
-    session.seed_ready()
     results = [EsResult(seed, frame_from_seed(seed, block_length), latent)
                for seed, latent in zip(seeds, latents)]
-    session.transmission_complete()
     return results[0] if single else results
 
 
@@ -281,10 +234,7 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
     GenerationResult with quality metrics against the ground-truth batch
     (whose features, if already extracted, are ``reference_features``).
     """
-    session = UeSession()
-    session.start_receiving()
     frames = [decode_frame(data) for data in wire_frames]
-    session.start_decoding()
     symbols, degraded = recover_stream(*received) if received is not None \
         else ([frame.payload.astype(np.float64) for frame in frames], False)
     images = []
@@ -293,7 +243,6 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
         rate = min(bundle.codecs, key=lambda r: abs(r - frame.rate))
         images.append(bundle.autoencoder.decode(
             bundle.codec_for(rate).decompress(x, frame.scale)))
-    session.decoding_complete()
     report = batch_report(images, ground_truths, bundle.extractor,
                           symbols=frames[0].payload.size,
                           config_hash=config_hash,

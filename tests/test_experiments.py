@@ -45,7 +45,7 @@ class TestConfig:
     def test_file_round_trip_and_key_order(self, tmp_path):
         cfg = replace(config.desk_config(), seed=42, codec_rates=(0.3, 0.5))
         path = tmp_path / "run.cfg"
-        config.write_config(cfg, path)
+        path.write_text(config.render_config(cfg))
         loaded = config.load_config(str(path))
         assert config.config_hash(loaded) == config.config_hash(cfg)
         # scrambled key order parses to the same config
@@ -74,11 +74,28 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonsense"):
             config.load_config(str(path))
 
+    @pytest.mark.parametrize("section, key", [
+        ("codec", "rates"), ("sweep", "snrs_db"), ("power", "budgets")])
+    def test_empty_list_key_rejected(self, tmp_path, section, key):
+        path = tmp_path / "empty.cfg"
+        path.write_text(f"[{section}]\n{key} =\n")
+        with pytest.raises(ValueError, match=rf"\[{section}\] {key} "):
+            config.load_config(str(path))
+
+    def test_parse_error_names_its_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[ppo]\nupdate_rounds = 1.5\n")
+        with pytest.raises(ValueError, match=r"\[ppo\] update_rounds = "
+                                             r"'1\.5': invalid literal"):
+            config.load_config(str(path))
+
     def test_env_overrides(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MEGSIM_SEED", "99")
         monkeypatch.setenv("MEGSIM_OUT", str(tmp_path / "envout"))
+        monkeypatch.setenv("MEGSIM_JOBS", "3")
         cfg = config.load_config()
         assert cfg.seed == 99 and cfg.out.endswith("envout")
+        assert cfg.jobs == 3
         # explicit overrides beat the environment
         cfg2 = config.load_config(overrides={"seed": 7})
         assert cfg2.seed == 7
@@ -647,7 +664,7 @@ class TestCli:
         data = bytearray(open(path, "rb").read())
         data[-1] ^= 1
         open(path, "wb").write(bytes(data))
-        config.write_config(cfg, tmp_path / "tiny.cfg")
+        (tmp_path / "tiny.cfg").write_text(config.render_config(cfg))
         argv = ["--config", str(tmp_path / "tiny.cfg"), "--out", cfg.out]
         for command in ("eval", "sweep", "power"):
             assert cli_main(argv + [command]) == 2

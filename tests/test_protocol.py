@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -11,10 +10,10 @@ from megsim import channel as ch
 from megsim import genmodel, metrics, protocol
 from megsim.errors import (ChannelErasure, DimensionError, FrameError,
                            ProtocolError)
-from megsim.protocol import (EsSession, GenerationRequest, RunSpec, UeSession,
-                             chunk_seed, decode_frame, encode_frame,
-                             es_handle_request, frame_from_seed,
-                             recover_stream, run_end_to_end, transmit_stream)
+from megsim.protocol import (GenerationRequest, RunSpec, chunk_seed,
+                             decode_frame, encode_frame, es_handle_request,
+                             frame_from_seed, recover_stream, run_end_to_end,
+                             transmit_stream)
 from megsim.seedcodec import Seed
 from megsim.util import as_rng, derive_seed
 
@@ -84,31 +83,6 @@ class TestChunking:
     def test_concat_reproduces_seed(self, n, block):
         x = np.arange(n, dtype=np.float32)
         assert np.array_equal(np.concatenate(chunk_seed(x, block)), x)
-
-
-class TestSessions:
-    @pytest.mark.parametrize("session_cls,methods", [
-        (EsSession, ("start_inference", "seed_ready", "transmission_complete")),
-        (UeSession, ("start_receiving", "start_decoding", "decoding_complete")),
-    ])
-    def test_exhaustive_small_traces(self, session_cls, methods):
-        # every call sequence up to length 4 is legal iff it is a prefix
-        # of the canonical order
-        for length in range(1, 5):
-            for seq in itertools.product(methods, repeat=length):
-                session = session_cls()
-                legal = seq == methods[:length]
-                try:
-                    for step in seq:
-                        getattr(session, step)()
-                    survived = True
-                except ProtocolError:
-                    survived = False
-                assert survived == legal, seq
-        session = session_cls()
-        for step in methods:
-            getattr(session, step)()
-        assert session.state == "done"
 
 
 class TestEsSide:
