@@ -37,8 +37,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = load_config(args.config, args.preset,
-                      {"out": args.out, "seed": args.seed, "jobs": args.jobs})
+    try:
+        cfg = load_config(args.config, args.preset, {
+            "out": args.out, "seed": args.seed, "jobs": args.jobs})
+    except (OSError, ValueError) as exc:
+        print(f"megsim: error: {exc}", file=sys.stderr)
+        return 2
     print(f"config hash {config_hash(cfg)} (preset {cfg.preset})")
     try:
         if args.command == "train":

@@ -132,7 +132,7 @@ def _load(cfg, skip=()):
             codecs[rate] = seedcodec.CodecPair(
                 cfg.latent_shape, rate, cfg.codec_hidden,
                 cfg.codec_train_snr_db)
-            nets[_codec_filename(rate)] = nn.Network(codecs[rate]._layers())
+            nets[_codec_filename(rate)] = codecs[rate].net
     for name, net in nets.items():
         nn.load_network(os.path.join(bundle_dir(cfg), name), net)
     return ModelBundle(pair, denoiser,

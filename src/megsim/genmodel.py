@@ -238,7 +238,6 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
     time_table = denoiser.time_table(schedule.steps)
     opt = nn.Adam(config.learning_rate)
     history = []
-    names = denoiser.net.param_names()
     for _ in range(config.steps):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
         ts = rng.integers(1, schedule.steps + 1, size=config.batch_size)
@@ -252,8 +251,9 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
             raise TrainingError("denoiser loss is not finite")
         history.append(loss)
         g = (2.0 / diff.size) * diff
-        _, grads = denoiser.net.backward(g, input_grad=False)
-        opt.step(denoiser.net.params(), grads, names)
+        denoiser.net.backward(g, input_grad=False)
+        opt.step(*nn.network_vectors([denoiser.net]))
+    denoiser.net.release_grad()
     return denoiser, history
 
 
@@ -325,8 +325,6 @@ def train_autoencoder(images, image_shape, latent_shape,
     pair = AutoencoderPair(image_shape, latent_shape, config.hidden, rng)
     flat = images.reshape(images.shape[0], -1)
     opt = nn.Adam(config.learning_rate)
-    params = pair.encoder.params() + pair.decoder.params()
-    names = pair.encoder.param_names() + pair.decoder.param_names()
     history = []
     lam = config.center_penalty
     for _ in range(config.steps):
@@ -340,8 +338,10 @@ def train_autoencoder(images, image_shape, latent_shape,
             raise TrainingError("autoencoder loss is not finite")
         history.append(loss)
         g_recon = (2.0 / diff.size) * diff
-        g_z_dec, dec_grads = pair.decoder.backward(g_recon)
+        g_z_dec, _ = pair.decoder.backward(g_recon)
         g_z = g_z_dec + (2.0 * lam / z.size) * z
-        _, enc_grads = pair.encoder.backward(g_z, input_grad=False)
-        opt.step(params, enc_grads + dec_grads, names)
+        pair.encoder.backward(g_z, input_grad=False)
+        opt.step(*nn.network_vectors([pair.encoder, pair.decoder]))
+    for net in (pair.encoder, pair.decoder):
+        net.release_grad()
     return pair, history

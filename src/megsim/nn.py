@@ -2,13 +2,14 @@
 
 Everything runs on plain numpy arrays, float32 by default; gradient
 checking rebuilds layers in float64. There is no autodiff graph: each
-layer knows its own backward pass, and the optimizer works on flat lists
-of parameter arrays. Every layer takes a 2-d batch [B, n]; one sample is
+layer knows its own backward pass, and the optimizer steps each network's
+one parameter vector. Every layer takes a 2-d batch [B, n]; one sample is
 a batch of one. Forward passes are pure functions of (parameters,
 input); caching for backward is opt-out via ``cache=False`` so read-only
 callers can share a network across threads.
 """
 
+import copy
 import json
 import math
 import os
@@ -34,7 +35,36 @@ def _batch(x, dtype):
     return x
 
 
-class DenseLayer:
+class _Layer:
+    """Parameter bookkeeping shared by the layers. A :class:`Network` turns
+    the ``param_attrs`` into views of its ``flat`` and sets ``grads`` to
+    views of its ``grad``: the arrays ``backward`` writes into (without
+    them, ``backward`` returns new arrays)."""
+
+    param_attrs = ()
+    network = grads = None
+
+    def params(self):
+        return [getattr(self, attr) for attr in self.param_attrs]
+
+    def param_names(self):
+        return [f"{self.name}.{attr}" for attr in self.param_attrs]
+
+    @property
+    def param_count(self):
+        return sum(p.size for p in self.params())
+
+    def clone_as(self, dtype):
+        """A copy outside any network, its parameters cast to ``dtype``."""
+        dup = copy.copy(self)
+        dup.dtype, dup._cache = np.dtype(dtype), None
+        dup.network = dup.grads = None
+        for attr in self.param_attrs:
+            setattr(dup, attr, getattr(self, attr).astype(dtype))
+        return dup
+
+
+class DenseLayer(_Layer):
     """Fully connected layer: y = activation(x @ W.T + b).
 
     Weights are [out_features, in_features]; bias is [out_features].
@@ -43,6 +73,7 @@ class DenseLayer:
     """
 
     kind = "dense"
+    param_attrs = ("weights", "bias")
 
     def __init__(self, in_features, out_features, activation="none",
                  rng=None, name=None, dtype=np.float32):
@@ -63,20 +94,10 @@ class DenseLayer:
         self.bias = np.zeros(out_features, dtype=self.dtype)
         self._cache = None
 
-    @property
-    def param_count(self):
-        return self.in_features * self.out_features + self.out_features
-
     def descriptor(self):
         return {"kind": "dense", "in_features": self.in_features,
                 "out_features": self.out_features,
                 "activation": self.activation, "name": self.name}
-
-    def params(self):
-        return [self.weights, self.bias]
-
-    def param_names(self):
-        return [f"{self.name}.weights", f"{self.name}.bias"]
 
     def forward(self, x, cache=True):
         x = _batch(x, self.dtype)
@@ -111,26 +132,15 @@ class DenseLayer:
             g = g * (pre > 0)
         elif self.activation == "tanh":
             g = g * (1.0 - out * out)
-        grad_w = g.T @ x
-        grad_b = g.sum(axis=0)
+        grad_w, grad_b = self.grads or (None, None)
+        grad_w = np.matmul(g.T, x, out=grad_w)
+        grad_b = g.sum(axis=0, out=grad_b)
         if not input_grad:
             return None, grad_w, grad_b
         return g @ self.weights, grad_w, grad_b
 
-    def clone_as(self, dtype):
-        dup = DenseLayer.__new__(DenseLayer)
-        dup.in_features = self.in_features
-        dup.out_features = self.out_features
-        dup.activation = self.activation
-        dup.name = self.name
-        dup.dtype = np.dtype(dtype)
-        dup.weights = self.weights.astype(dtype)
-        dup.bias = self.bias.astype(dtype)
-        dup._cache = None
-        return dup
 
-
-class _NormBase:
+class _NormBase(_Layer):
     """Mean/variance normalization over the trailing dimension."""
 
     def __init__(self, normalized_size, epsilon=1e-6, name=None, dtype=np.float32):
@@ -167,17 +177,10 @@ class Normalize(_NormBase):
     """Parameter-free normalization layer."""
 
     kind = "normalize"
-    param_count = 0
 
     def descriptor(self):
         return {"kind": "normalize", "size": self.normalized_size,
                 "epsilon": self.epsilon, "name": self.name}
-
-    def params(self):
-        return []
-
-    def param_names(self):
-        return []
 
     def forward(self, x, cache=True):
         x_hat, inv = self._normalize(self._check(x))
@@ -193,33 +196,21 @@ class Normalize(_NormBase):
         x_hat, inv = self._cache
         return (self._input_grad(_batch(upstream, self.dtype), x_hat, inv),)
 
-    def clone_as(self, dtype):
-        return Normalize(self.normalized_size, self.epsilon, self.name, dtype)
-
 
 class LayerNorm(_NormBase):
     """Normalization followed by a learned elementwise affine map."""
 
     kind = "layernorm"
+    param_attrs = ("gain", "offset")
 
     def __init__(self, normalized_size, epsilon=1e-6, name=None, dtype=np.float32):
         super().__init__(normalized_size, epsilon, name, dtype)
         self.gain = np.ones(self.normalized_size, dtype=self.dtype)
         self.offset = np.zeros(self.normalized_size, dtype=self.dtype)
 
-    @property
-    def param_count(self):
-        return 2 * self.normalized_size
-
     def descriptor(self):
         return {"kind": "layernorm", "size": self.normalized_size,
                 "epsilon": self.epsilon, "name": self.name}
-
-    def params(self):
-        return [self.gain, self.offset]
-
-    def param_names(self):
-        return [f"{self.name}.gain", f"{self.name}.offset"]
 
     def forward(self, x, cache=True):
         x_hat, inv = self._normalize(self._check(x))
@@ -234,26 +225,56 @@ class LayerNorm(_NormBase):
             raise StateError(f"backward on {self.name!r} before forward")
         x_hat, inv = self._cache
         g = _batch(upstream, self.dtype)
-        grad_gain = (g * x_hat).sum(axis=0)
-        grad_offset = g.sum(axis=0)
+        grad_gain, grad_offset = self.grads or (None, None)
+        grad_gain = np.sum(g * x_hat, axis=0, out=grad_gain)
+        grad_offset = g.sum(axis=0, out=grad_offset)
         if not input_grad:
             return None, grad_gain, grad_offset
         return (self._input_grad(g * self.gain, x_hat, inv), grad_gain,
                 grad_offset)
 
-    def clone_as(self, dtype):
-        dup = LayerNorm(self.normalized_size, self.epsilon, self.name, dtype)
-        dup.gain = self.gain.astype(dtype)
-        dup.offset = self.offset.astype(dtype)
-        return dup
-
 
 class Network:
-    """A stack of layers applied in order, with a chained backward pass."""
+    """A stack of layers applied in order, with a chained backward pass.
+
+    The layers' parameters are views of one vector ``flat``, in params()
+    order. The first backward allocates ``grad`` of the same size, which
+    every later one overwrites. A layer belongs to one network.
+    """
 
     def __init__(self, layers, name="net"):
         self.layers = list(layers)
         self.name = name
+        self.flat = np.empty(self.param_count, self.layers[0].dtype)
+        self.grad = None
+        for layer, views in zip(self.layers, self._views(self.flat)):
+            if layer.network is not None:
+                raise ValueError(f"layer {layer.name!r} already belongs to "
+                                 f"network {layer.network!r}")
+            layer.network = name
+            for attr, view in zip(layer.param_attrs, views):
+                view[...] = getattr(layer, attr)
+                setattr(layer, attr, view)
+
+    def _views(self, vector):
+        """``vector`` cut into one list of parameter-shaped views per layer."""
+        ends = np.cumsum([p.size for p in self.params()], dtype=int)
+        pieces = iter(np.split(vector, ends[:-1]))
+        return [[next(pieces).reshape(p.shape) for p in layer.params()]
+                for layer in self.layers]
+
+    def bind_grad(self):
+        """Allocate ``grad`` if absent, as the layers' gradient arrays."""
+        if self.grad is None:
+            self.grad = np.empty_like(self.flat)
+            for layer, views in zip(self.layers, self._views(self.grad)):
+                layer.grads = views
+
+    def release_grad(self):
+        """Drop ``grad``: a trained network need not hold its gradients."""
+        self.grad = None
+        for layer in self.layers:
+            layer.grads = None
 
     def forward(self, x, cache=True):
         for layer in self.layers:
@@ -261,9 +282,10 @@ class Network:
         return x
 
     def backward(self, upstream, input_grad=True):
-        """Return (input_grad, [per-parameter grads in params() order]);
-        ``input_grad=False`` skips the first layer's input gradient and
-        returns None for it."""
+        """Fill ``grad``; return (input_grad, [per-parameter views of
+        ``grad`` in params() order]). ``input_grad=False`` skips the first
+        layer's input gradient and returns None for it."""
+        self.bind_grad()
         grads = []
         g = upstream
         for i in range(len(self.layers) - 1, -1, -1):
@@ -278,6 +300,11 @@ class Network:
     def param_names(self):
         return [f"{self.name}.{n}" for layer in self.layers
                 for n in layer.param_names()]
+
+    def name_at(self, index):
+        """Name of the parameter that holds element ``index`` of ``flat``."""
+        ends = np.cumsum([p.size for p in self.params()])
+        return self.param_names()[int(np.searchsorted(ends, index, "right"))]
 
     def descriptors(self):
         return [layer.descriptor() for layer in self.layers]
@@ -336,6 +363,8 @@ class Adam:
     def step(self, params, grads, names=None):
         """Update params in place from grads; returns the params list.
 
+        A name may be a function from an element index to a label, such as
+        a network's ``name_at`` when ``params`` holds its ``flat`` vector.
         Raises TrainingError naming the first parameter whose gradient holds
         a NaN or infinity in the parameter's dtype, before any parameter or
         moment changes.
@@ -343,20 +372,22 @@ class Adam:
         if len(grads) != len(params):
             raise ValueError(f"{len(grads)} gradients for {len(params)} "
                              "parameters")
+        def label(i, element=0):
+            name = names[i] if names else f"param[{i}]"
+            return name(element) if callable(name) else name
         # rounded to the parameter's dtype once, on entry, so the check below
         # also refuses a float64 gradient beyond that dtype's range
         grads = [np.asarray(g, dtype=p.dtype) for p, g in zip(params, grads)]
         for i, g in enumerate(grads):
             if not np.isfinite(g).all():
-                label = names[i] if names else f"param[{i}]"
-                raise TrainingError(f"non-finite gradient for {label}")
+                bad = label(i, int(np.argmin(np.isfinite(g))))
+                raise TrainingError(f"non-finite gradient for {bad}")
         for i, (p, g) in enumerate(zip(params, grads)):
-            label = names[i] if names else f"param[{i}]"
             if not p.flags.c_contiguous:
-                raise ValueError(f"parameter {label} is not C-contiguous; "
+                raise ValueError(f"parameter {label(i)} is not C-contiguous; "
                                  "Adam updates it through a flat view")
             if g.size != p.size:
-                raise ValueError(f"gradient for {label} has {g.size} "
+                raise ValueError(f"gradient for {label(i)} has {g.size} "
                                  f"elements, parameter has {p.size}")
         if self._moments is None:
             self._moments = [(np.zeros_like(p), np.zeros_like(p))
@@ -419,26 +450,33 @@ def parameter_count(description) -> int:
     return total
 
 
-def save_network(path, network: Network, extra=None):
+def network_vectors(networks):
+    """``Adam.step`` arguments: each network's ``flat``, grad, name_at."""
+    return ([net.flat for net in networks], [net.grad for net in networks],
+            [net.name_at for net in networks])
+
+
+def save_network(path, *networks, extra=None, name=None):
     """Serialize a float32 network to a versioned binary file.
 
     Layout: magic ``MEGN``, u8 format version, u32 metadata length, JSON
     metadata (layer descriptors plus an optional caller dict), then each
-    parameter array as raw little-endian float32 bytes in params() order.
-    The round trip is bit-exact.
+    parameter array as raw little-endian float32 bytes in params() order,
+    which is the network's ``flat`` vector. Several networks are stored
+    back to back as one file called ``name``. The round trip is bit-exact.
     """
-    for p in network.params():
-        if p.dtype != np.float32:
-            raise ValueError("only float32 networks are serialized")
-    meta = {"name": network.name, "layers": network.descriptors(),
+    if any(net.flat.dtype != "<f4" for net in networks):
+        raise ValueError("only float32 networks are serialized")
+    meta = {"name": name or networks[0].name,
+            "layers": [d for net in networks for d in net.descriptors()],
             "extra": extra or {}}
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<BI", _FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for p in network.params():
-            fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+        for net in networks:
+            fh.write(net.flat.data)
 
 
 def _read_meta(fh, path):
@@ -463,21 +501,23 @@ def network_extra(path):
     return meta["extra"]
 
 
-def load_network(path, net):
-    """Fill ``net`` in place from a file saved by :func:`save_network` with
-    the same layers; returns the saved caller metadata."""
+def load_network(path, *networks):
+    """Fill float32 ``networks`` in place from a file saved by
+    :func:`save_network` with the same layers; returns the saved caller
+    metadata."""
+    if any(net.flat.dtype != "<f4" for net in networks):
+        raise ValueError("only float32 networks are loaded")
+    layers = [d for net in networks for d in net.descriptors()]
     with open(path, "rb") as fh:
         meta = _read_meta(fh, path)
-        if net.descriptors() != meta["layers"]:
+        if layers != meta["layers"]:
             raise ValueError(f"{path} holds layers {meta['layers']}, not "
-                             f"{net.descriptors()}")
-        # one parameter's bytes at a time, so loading never holds the
-        # whole file beside the network
-        for p in net.params():
-            values = fh.read(p.size * 4)
-            if len(values) != p.size * 4:
+                             f"{layers}")
+        # straight into each vector, so loading never holds a second copy
+        # of the weights
+        for net in networks:
+            if fh.readinto(net.flat) != net.flat.nbytes:
                 raise ValueError(f"{path} is truncated")
-            p[...] = np.frombuffer(values, dtype="<f4").reshape(p.shape)
         if fh.read(1):
             raise ValueError(f"{path} has trailing bytes")
     return meta["extra"]

@@ -158,11 +158,10 @@ class PpoAgent:
         return v[:, 0].astype(np.float64)
 
     def snapshot(self):
-        return [p.copy() for p in self.actor.params() + self.critic.params()]
+        return [self.actor.flat.copy(), self.critic.flat.copy()]
 
     def restore(self, saved):
-        for p, q in zip(self.actor.params() + self.critic.params(), saved):
-            p[...] = q
+        self.actor.flat[...], self.critic.flat[...] = saved
 
     def save(self, path, extra=None):
         """Checkpoint both heads into one network file."""
@@ -172,8 +171,7 @@ class PpoAgent:
                 "log_std_min": self.log_std_min,
                 "log_std_max": self.log_std_max}
         meta.update(extra or {})
-        combined = nn.Network(self.actor.layers + self.critic.layers, "ppo")
-        nn.save_network(path, combined, extra=meta)
+        nn.save_network(path, self.actor, self.critic, extra=meta, name="ppo")
 
     @classmethod
     def load(cls, path):
@@ -181,8 +179,7 @@ class PpoAgent:
         agent = cls(meta["state_dim"], meta["hidden"],
                     log_std_min=meta["log_std_min"],
                     log_std_max=meta["log_std_max"])
-        nn.load_network(path, nn.Network(agent.actor.layers
-                                         + agent.critic.layers, "ppo"))
+        nn.load_network(path, agent.actor, agent.critic)
         return agent, meta
 
 
@@ -383,19 +380,17 @@ def discounted_returns(rewards, gamma):
 
 
 def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
-               actor_opt: nn.Adam | None = None,
-               critic_opt: nn.Adam | None = None):
+               opt: nn.Adam | None = None):
     """Several epochs of clipped-objective ascent on one rollout.
 
     The per-transition log probabilities recorded at rollout time are the
-    old-policy snapshot; transitions are taken episode by episode. Returns
-    a diagnostics dict; aborts (without stepping) if any loss goes
-    non-finite.
+    old-policy snapshot; transitions are taken episode by episode; each
+    epoch is one ``opt`` step over both heads. Returns a diagnostics dict;
+    aborts (without stepping) if any loss goes non-finite.
     """
     if not len(rollout.scores):
         raise ValueError("episode batch is empty")
-    actor_opt = actor_opt or nn.Adam(config.learning_rate)
-    critic_opt = critic_opt or nn.Adam(config.learning_rate)
+    opt = opt or nn.Adam(config.learning_rate)
     states = rollout.states.reshape(-1, rollout.states.shape[-1])
     us = rollout.raw_actions.reshape(-1)
     logp_old = rollout.log_probs.reshape(-1)
@@ -439,15 +434,12 @@ def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
         g_mean = -g_logp * z / sigma
         g_ls = (-g_logp * (z * z - 1.0) - config.entropy_coef / n) * clamp
         g_actor_out = np.stack([g_mean, g_ls], axis=1).astype(np.float32)
-        _, actor_grads = agent.actor.backward(g_actor_out, input_grad=False)
+        agent.actor.backward(g_actor_out, input_grad=False)
 
         g_v = (config.value_coef * 2.0 * v_err / n)[:, None].astype(np.float32)
-        _, critic_grads = agent.critic.backward(g_v, input_grad=False)
+        agent.critic.backward(g_v, input_grad=False)
 
-        actor_opt.step(agent.actor.params(), actor_grads,
-                       agent.actor.param_names())
-        critic_opt.step(agent.critic.params(), critic_grads,
-                        agent.critic.param_names())
+        opt.step(*nn.network_vectors([agent.actor, agent.critic]))
     return diag
 
 
@@ -488,13 +480,12 @@ def train_agent(env: SeedTransmissionEnv, config: PpoConfig,
     rng = as_rng(config.seed)
     agent = PpoAgent(env.state_dim, config.hidden, rng,
                      config.log_std_min, config.log_std_max)
-    actor_opt = nn.Adam(config.learning_rate)
-    critic_opt = nn.Adam(config.learning_rate)
+    opt = nn.Adam(config.learning_rate)
     history = []
     best_params, best_score = None, -np.inf
     for rnd in range(config.update_rounds):
         rollout = env.rollout(agent, rng, config.episodes_per_batch)
-        diag = ppo_update(agent, rollout, config, actor_opt, critic_opt)
+        diag = ppo_update(agent, rollout, config, opt)
         mean_reward = float(np.mean(rollout.scores))
         history.append((rnd, mean_reward,
                         diag["surrogate"][-1] if diag["surrogate"] else math.nan,

@@ -7,6 +7,7 @@ a residual connection from its first projection. One pair is trained per
 both.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,32 +92,19 @@ class CodecPair:
         self.n2 = nn.Normalize(h, name="n2")
         self.d3 = nn.DenseLayer(h, n, "relu", rng, "d3")
         self.ln = nn.LayerNorm(n, name="ln")
+        self.net = nn.Network([self.enc, self.d1, self.n1, self.d2, self.n2,
+                               self.d3, self.ln], name="codec")
 
     # -- plumbing ----------------------------------------------------------
 
-    def _layers(self):
-        return [self.enc, self.d1, self.n1, self.d2, self.n2, self.d3, self.ln]
-
     def params(self):
-        return [p for layer in self._layers() for p in layer.params()]
-
-    def param_names(self):
-        return [n for layer in self._layers() for n in layer.param_names()]
-
-    @property
-    def param_count(self):
-        return sum(layer.param_count for layer in self._layers())
+        return self.net.params()
 
     def clone_as(self, dtype):
-        dup = CodecPair.__new__(CodecPair)
-        dup.latent_shape = self.latent_shape
-        dup.latent_size = self.latent_size
-        dup.rate = self.rate
-        dup.hidden = self.hidden
-        dup.train_snr_db = self.train_snr_db
-        dup.seed_len = self.seed_len
-        for attr in ("enc", "d1", "n1", "d2", "n2", "d3", "ln"):
-            setattr(dup, attr, getattr(self, attr).clone_as(dtype))
+        dup = copy.copy(self)
+        dup.net = self.net.clone_as(dtype)
+        dup.enc, dup.d1, dup.n1, dup.d2, dup.n2, dup.d3, dup.ln = \
+            dup.net.layers
         return dup
 
     # -- forward maps ------------------------------------------------------
@@ -180,15 +168,14 @@ class CodecPair:
                 "latent_shape": list(self.latent_shape),
                 "train_snr_db": self.train_snr_db}
         meta.update(extra or {})
-        net = nn.Network(self._layers(), name="codec")
-        nn.save_network(path, net, extra=meta)
+        nn.save_network(path, self.net, extra=meta)
 
     @classmethod
     def load(cls, path):
         meta = nn.network_extra(path)
         pair = cls(tuple(meta["latent_shape"]), meta["rate"], meta["hidden"],
                    meta.get("train_snr_db"))
-        nn.load_network(path, nn.Network(pair._layers(), name="codec"))
+        nn.load_network(path, pair.net)
         return pair, meta
 
 
@@ -221,12 +208,13 @@ def transmission_loss(pair: CodecPair, latents, eff_noise):
 
 
 def transmission_gradients(pair: CodecPair, latents, eff_noise):
-    """Analytic gradients of :func:`transmission_loss` for every parameter.
+    """Analytic gradients of :func:`transmission_loss` into ``pair.net.grad``.
 
     The fading gain and noise draw are treated as constants; the
     per-sample normalization scale is differentiated exactly.
     """
     z = np.asarray(latents).reshape(len(latents), -1)
+    pair.net.bind_grad()
     loss, raw, scale, diff = _transmission_forward(pair, z, eff_noise,
                                                    cache=True)
     if not np.isfinite(loss):
@@ -267,7 +255,6 @@ def train_codec(latents, config: CodecTrainConfig, rate=None,
     else:
         noise_std = np.sqrt(1.0 / 10.0 ** (config.train_snr_db / 10.0))
     opt = nn.Adam(config.learning_rate)
-    names = pair.param_names()
     history = []
     for _ in range(config.epochs):
         order = rng.permutation(flat.shape[0])
@@ -286,8 +273,9 @@ def train_codec(latents, config: CodecTrainConfig, rate=None,
                 eff_noise = noise / gains
             else:
                 eff_noise = np.zeros((batch.shape[0], pair.seed_len))
-            loss, grads = transmission_gradients(pair, batch, eff_noise)
+            loss, _ = transmission_gradients(pair, batch, eff_noise)
             epoch_losses.append(loss)
-            opt.step(pair.params(), grads, names)
+            opt.step(*nn.network_vectors([pair.net]))
         history.append(float(np.mean(epoch_losses)))
+    pair.net.release_grad()
     return pair, history

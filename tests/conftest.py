@@ -40,3 +40,20 @@ def desk_bundle(desk_cfg):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def assert_aliased():
+    """Check that every parameter array of a network's layers is a view of
+    the network's ``flat`` and, once it has one, every gradient array a
+    view of its ``grad``."""
+    def check(net):
+        for layer in net.layers:
+            assert layer.network == net.name
+            for p in layer.params():
+                assert np.shares_memory(p, net.flat)
+            if net.grad is not None:
+                assert len(layer.grads) == len(layer.params())
+                for g in layer.grads:
+                    assert np.shares_memory(g, net.grad)
+    return check

@@ -338,7 +338,7 @@ class TestTrainCaching:
         nets = {"ae_encoder.bin": bundle.autoencoder.encoder,
                 "ae_decoder.bin": bundle.autoencoder.decoder,
                 "denoiser.bin": bundle.denoiser.net,
-                "codec_r0.5.bin": nn.Network(codec._layers(), "codec")}
+                "codec_r0.5.bin": codec.net}
         for name, net in nets.items():
             path = os.path.join(experiments.bundle_dir(tiny_cfg), name)
             again = tmp_path / name
@@ -644,6 +644,24 @@ class TestCli:
         monkeypatch.setenv("MEGSIM_OUT", str(tmp_path))
         cli_main(["--preset", "paper-arithmetic", "table"])
         assert "paper-arithmetic" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,words", [
+        ("[sweep]\nsnrs_db =\n", "snrs_db needs at least one value"),
+        ("[ppo]\nupdate_rounds = 1.5\n", "update_rounds = '1.5'"),
+        ("[nosuch]\nkey = 1\n", "unknown config section [nosuch]"),
+        (None, "No such file")])
+    def test_bad_config_is_one_error_line(self, tmp_path, capsys,
+                                          monkeypatch, text, words):
+        for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(key)
+        path = tmp_path / "bad.cfg"
+        if text is not None:
+            path.write_text(text)
+        assert cli_main(["--config", str(path), "table"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("megsim: error: ")
+        assert captured.err.count("\n") == 1 and words in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_unusable_bundle_is_one_error_line(self, tiny_cfg, tmp_path,
                                                capsys, monkeypatch):

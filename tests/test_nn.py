@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from megsim import corpus, genmodel, nn
+from megsim import corpus, genmodel, nn, seedcodec
 from megsim.errors import DimensionError, StateError, TrainingError
 
 
@@ -276,6 +276,38 @@ class TestAdam:
         for (m, v), (m0, v0) in zip(opt._moments, moments):
             assert np.array_equal(m, m0) and np.array_equal(v, v0)
 
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf])
+    def test_one_vector_steps_like_its_parameters(self, rng, bad):
+        # one network vector over four parameters; its ADAM_BLOCK blocks
+        # straddle the bounds between them
+        net = nn.Network([nn.DenseLayer(400, 300, rng=rng, name="a"),
+                          nn.DenseLayer(300, 50, rng=rng, name="b")], "n")
+        assert net.flat.size > 2 * nn.ADAM_BLOCK
+        net.bind_grad()
+        arrays = [p.copy() for p in net.params()]
+        grads = [g for layer in net.layers for g in layer.grads]
+        opt, ref_opt = nn.Adam(1e-2), nn.Adam(1e-2)
+        for _ in range(3):
+            net.grad[...] = _spread_gradients(rng, [net.grad.shape],
+                                              np.float32)[0]
+            opt.step(*nn.network_vectors([net]))
+            ref_opt.step(arrays, grads, net.param_names())
+        if bad is not None:
+            # the third parameter's slice, n.b.weights
+            net.layers[1].grads[0][1, 5] = bad
+            before = net.flat.copy()
+            with pytest.raises(TrainingError, match=r"for n\.b\.weights$"):
+                opt.step(*nn.network_vectors([net]))
+            assert net.flat.tobytes() == before.tobytes()
+        assert opt.step_count == ref_opt.step_count == 3
+        assert [p.tobytes() for p in net.params()] \
+            == [a.tobytes() for a in arrays]
+        (m, v), = opt._moments
+        assert m.tobytes() == np.concatenate(
+            [rm.reshape(-1) for rm, _ in ref_opt._moments]).tobytes()
+        assert v.tobytes() == np.concatenate(
+            [rv.reshape(-1) for _, rv in ref_opt._moments]).tobytes()
+
     def test_float64_gradient_beyond_float32_range_raises(self):
         # it would round to inf on entry and turn the parameter into NaN
         p = np.ones(3, dtype=np.float32)
@@ -445,13 +477,15 @@ class TestParameterCount:
 
 
 class TestNetworkAndSerialization:
+    @staticmethod
+    def _layers(rng):
+        return [nn.DenseLayer(5, 4, "relu", rng, "l1"),
+                nn.Normalize(4, name="l2"),
+                nn.DenseLayer(4, 3, "tanh", rng, "l3"),
+                nn.LayerNorm(3, name="l4")]
+
     def _net(self, rng):
-        return nn.Network([
-            nn.DenseLayer(5, 4, "relu", rng, "l1"),
-            nn.Normalize(4, name="l2"),
-            nn.DenseLayer(4, 3, "tanh", rng, "l3"),
-            nn.LayerNorm(3, name="l4"),
-        ], name="t")
+        return nn.Network(self._layers(rng), name="t")
 
     def test_forward_is_pure(self, rng):
         net = self._net(rng)
@@ -518,11 +552,14 @@ class TestNetworkAndSerialization:
                 "layernorm": nn.LayerNorm(5, name="l0")}[first]
         if first == "layernorm":
             head.gain = rng.standard_normal(5).astype(np.float32)
-        net = nn.Network([head] + self._net(rng).layers, name="t")
+        net = nn.Network([head] + self._layers(rng), name="t")
         x = rng.standard_normal((6, 5)).astype(np.float32)
         g = rng.standard_normal((6, 3)).astype(np.float32)
         net.forward(x)
         gx, full = net.backward(g)
+        # the returned gradients are views of net.grad, which the second
+        # backward overwrites
+        full = [a.copy() for a in full]
         none, skipped = net.backward(g, input_grad=False)
         assert gx.shape == x.shape and none is None
         assert len(full) == len(skipped) == len(net.params())
@@ -567,3 +604,77 @@ class TestLoadInto:
         other = nn.Network([nn.DenseLayer(5, 4, "relu", rng, "l1")])
         with pytest.raises(ValueError, match="holds layers"):
             nn.load_network(path, other)
+
+
+class TestOneVectorPerNetwork:
+    """Each layer's arrays stay views of its network's ``flat`` and
+    ``grad``, so the vector Adam steps is the one the layers compute with."""
+
+    def test_construction_load_and_clone(self, rng, tmp_path,
+                                         assert_aliased):
+        layers = TestNetworkAndSerialization._layers(rng)
+        params = [p.copy() for layer in layers for p in layer.params()]
+        net = nn.Network(layers, "t")
+        assert_aliased(net)
+        assert net.flat.tobytes() == np.concatenate(
+            [p.reshape(-1) for p in params]).tobytes()
+        # a network that has run no backward holds no gradient vector
+        assert net.grad is None and all(layer.grads is None
+                                        for layer in net.layers)
+        net.forward(rng.standard_normal((2, 5)))
+        _, grads = net.backward(rng.standard_normal((2, 3)))
+        assert net.grad.shape == net.flat.shape
+        assert all(g.base is net.grad for g in grads)
+        assert_aliased(net)
+        nn.save_network(tmp_path / "net.bin", net)
+        loaded = nn.Network(TestNetworkAndSerialization._layers(
+            np.random.default_rng(99)), "t")
+        nn.load_network(tmp_path / "net.bin", loaded)
+        assert_aliased(loaded)
+        assert loaded.flat.tobytes() == net.flat.tobytes()
+        assert_aliased(net.clone_as(np.float64))
+
+    def test_a_layer_belongs_to_one_network(self, rng):
+        net = nn.Network(TestNetworkAndSerialization._layers(rng), "t")
+        with pytest.raises(ValueError, match="l3.*already belongs.*'t'"):
+            nn.Network(net.layers[2:], "again")
+
+    def test_name_at_names_each_element(self, rng):
+        net = nn.Network(TestNetworkAndSerialization._layers(rng), "t")
+        names = [name for p, name in zip(net.params(), net.param_names())
+                 for _ in range(p.size)]
+        assert [net.name_at(i) for i in range(net.flat.size)] == names
+
+    def test_training_steps_move_the_layer_arrays(self, rng, tmp_path,
+                                                  assert_aliased):
+        images = rng.uniform(0, 1, (6, 3, 4, 4))
+        ae_cfg = genmodel.AutoencoderTrainConfig(steps=1, batch_size=2,
+                                                 hidden=8, seed=1)
+        pair, _ = genmodel.train_autoencoder(images, (3, 4, 4), (2, 2, 2),
+                                             ae_cfg)
+        start = genmodel.AutoencoderPair((3, 4, 4), (2, 2, 2), 8,
+                                         np.random.default_rng(1))
+        for net, net0 in ((pair.encoder, start.encoder),
+                          (pair.decoder, start.decoder)):
+            assert_aliased(net)
+            # training gives its gradient memory back
+            assert net.grad is None and net.layers[0].grads is None
+            assert not np.array_equal(net.layers[0].weights,
+                                      net0.layers[0].weights)
+
+        cc = seedcodec.CodecTrainConfig(epochs=1, batch_size=4, hidden=8,
+                                        seed=2)
+        codec, _ = seedcodec.train_codec(rng.standard_normal((4, 2, 2, 2)),
+                                         cc, rate=0.5)
+        start = seedcodec.CodecPair((2, 2, 2), 0.5, 8, cc.train_snr_db,
+                                    np.random.default_rng(2))
+        assert_aliased(codec.net)
+        assert codec.net.grad is None
+        assert codec.net.layers == [codec.enc, codec.d1, codec.n1, codec.d2,
+                                    codec.n2, codec.d3, codec.ln]
+        assert not np.array_equal(codec.enc.weights, start.enc.weights)
+        codec.save(tmp_path / "codec.bin")
+        loaded, _ = seedcodec.CodecPair.load(tmp_path / "codec.bin")
+        assert_aliased(loaded.net)
+        assert loaded.net.flat.tobytes() == codec.net.flat.tobytes()
+        assert_aliased(codec.clone_as(np.float64).net)

@@ -282,24 +282,37 @@ class TestPpoUpdate:
         cfg = PpoConfig(epochs=3, gamma=gamma, seed=0)
         agents = [PpoAgent(env.state_dim, hidden=16, rng=10)
                   for _ in range(2)]
-        opts = [(nn.Adam(cfg.learning_rate), nn.Adam(cfg.learning_rate))
-                for _ in agents]
+        opt = nn.Adam(cfg.learning_rate)
+        ref_opts = (nn.Adam(cfg.learning_rate), nn.Adam(cfg.learning_rate))
         rng = np.random.default_rng(21)
         # two rounds, so the second update starts from carried Adam moments
         for _ in range(2):
             rollout = env.rollout(agents[0], rng, 5)
-            got = ppo_update(agents[0], rollout, cfg, *opts[0])
+            got = ppo_update(agents[0], rollout, cfg, opt)
             want = reference_ppo_update(agents[1], records_of(rollout), cfg,
-                                        *opts[1])
+                                        *ref_opts)
             assert got == want and not got["aborted"]
         for p, q in zip(agents[0].snapshot(), agents[1].snapshot()):
             assert p.tobytes() == q.tobytes()
-        for got_opt, ref_opt in zip(*opts):
-            assert got_opt.step_count == ref_opt.step_count == 6
-            for (m, v), (m_ref, v_ref) in zip(got_opt._moments,
-                                              ref_opt._moments):
-                assert m.tobytes() == m_ref.tobytes()
-                assert v.tobytes() == v_ref.tobytes()
+        # one optimizer over [actor.flat, critic.flat]; the reference keeps
+        # one per head, over that head's separate arrays
+        assert len(opt._moments) == 2
+        for (m, v), ref_opt in zip(opt._moments, ref_opts):
+            assert opt.step_count == ref_opt.step_count == 6
+            assert m.tobytes() == np.concatenate(
+                [m_ref.reshape(-1) for m_ref, _ in ref_opt._moments]).tobytes()
+            assert v.tobytes() == np.concatenate(
+                [v_ref.reshape(-1) for _, v_ref in ref_opt._moments]).tobytes()
+
+    def test_update_moves_the_layer_arrays(self, env, rng, assert_aliased):
+        agent = PpoAgent(env.state_dim, hidden=16, rng=4)
+        weights = agent.actor.layers[0].weights
+        before = weights.copy()
+        ppo_update(agent, env.rollout(agent, rng, 4), PpoConfig(epochs=2))
+        assert weights is agent.actor.layers[0].weights
+        assert not np.array_equal(weights, before)
+        for net in (agent.actor, agent.critic):
+            assert_aliased(net)
 
 
 class TestEvaluation:
@@ -321,7 +334,8 @@ class TestEvaluation:
         b = evaluate(agent, env, traces)
         assert np.array_equal(a, b)
 
-    def test_agent_checkpoint_round_trip(self, env, tmp_path, rng):
+    def test_agent_checkpoint_round_trip(self, env, tmp_path, rng,
+                                         assert_aliased):
         agent = PpoAgent(env.state_dim, hidden=16, rng=9)
         path = tmp_path / "agent.bin"
         agent.save(path, extra={"p_max": 1.0})
@@ -332,6 +346,8 @@ class TestEvaluation:
                               agent.mean_action(states))
         for p, q in zip(agent.snapshot(), loaded.snapshot()):
             assert np.array_equal(p, q)
+        for net in (agent.actor, agent.critic, loaded.actor, loaded.critic):
+            assert_aliased(net)
 
     def test_policy_comparison_reproducible(self, tiny_bundle):
         prompts = ["large blob left", "tiny stripes top", "huge rings center",
