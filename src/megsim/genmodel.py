@@ -280,14 +280,16 @@ class AutoencoderPair:
 
     @staticmethod
     def _apply(net, x, in_shape, out_shape):
-        """``net`` on one array of ``in_shape`` or a batch [P, *in_shape]."""
+        """``net`` on one array of ``in_shape`` (a batch of one), a batch
+        [P, *in_shape] or a stack of batches [S, B, *in_shape]."""
         x = np.asarray(x, dtype=np.float32)
-        if x.shape != in_shape and x.shape[1:] != in_shape:
-            raise DimensionError(
-                f"input shape {x.shape} is not {in_shape} or a batch of it")
-        out = net.forward(x.reshape(-1, int(np.prod(in_shape))), cache=False)
-        return out.reshape(out_shape if x.shape == in_shape
-                           else (len(out),) + out_shape)
+        lead = x.ndim - len(in_shape)
+        if not 0 <= lead <= 2 or x.shape[lead:] != in_shape:
+            raise DimensionError(f"input shape {x.shape} is not {in_shape}, "
+                                 "a batch of it or a stack of batches")
+        rows = (x.shape[:lead] or (1,)) + (int(np.prod(in_shape)),)
+        out = net.forward(x.reshape(rows), cache=False)
+        return out.reshape(x.shape[:lead] + out_shape)
 
     def encode(self, image):
         """Map an image (or batch) into latent space."""
@@ -295,7 +297,7 @@ class AutoencoderPair:
                            self.latent_shape)
 
     def decode(self, latent):
-        """Map a latent (or batch) back to pixel space, clamped to [0, 1]."""
+        """Map latents (one, a batch or a stack) to pixels clamped to 0..1."""
         out = self._apply(self.decoder, latent, self.latent_shape,
                           self.image_shape)
         return np.clip(out, 0.0, 1.0, out=out)

@@ -4,7 +4,9 @@ Everything runs on plain numpy arrays, float32 by default; gradient
 checking rebuilds layers in float64. There is no autodiff graph: each
 layer knows its own backward pass, and the optimizer steps each network's
 one parameter vector. Every layer takes a 2-d batch [B, n]; one sample is
-a batch of one. Forward passes are pure functions of (parameters,
+a batch of one. Without caching, ``forward`` also takes a stack [S, B, n]:
+matmul makes one BLAS call per batch, so each batch gets the arithmetic of
+a call of its own. Forward passes are pure functions of (parameters,
 input); caching for backward is opt-out via ``cache=False`` so read-only
 callers can share a network across threads.
 """
@@ -26,12 +28,12 @@ _MAGIC = b"MEGN"
 _FORMAT_VERSION = 1
 
 
-def _batch(x, dtype):
-    """Input as a 2-d batch [B, n] of ``dtype``; any other rank is refused."""
+def _batch(x, dtype, stack=False):
+    """Input as a batch [B, n] of ``dtype``, or with ``stack`` [S, B, n]."""
     x = np.asarray(x, dtype=dtype)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a 2-d batch [B, n], got shape "
-                             f"{x.shape}")
+    if x.ndim != 2 and not (stack and x.ndim == 3):
+        raise DimensionError(f"expected a 2-d batch [B, n] (or a stack [S, B, "
+                             f"n] for an uncached forward), got {x.shape}")
     return x
 
 
@@ -100,11 +102,11 @@ class DenseLayer(_Layer):
                 "activation": self.activation, "name": self.name}
 
     def forward(self, x, cache=True):
-        x = _batch(x, self.dtype)
-        if x.shape[1] != self.in_features:
+        x = _batch(x, self.dtype, stack=not cache)
+        if x.shape[-1] != self.in_features:
             raise DimensionError(
                 f"layer {self.name!r} expects trailing dimension "
-                f"{self.in_features}, got {x.shape[1]}")
+                f"{self.in_features}, got {x.shape[-1]}")
         pre = x @ self.weights.T
         pre += self.bias
         if self.activation == "relu":
@@ -150,19 +152,19 @@ class _NormBase(_Layer):
         self.dtype = np.dtype(dtype)
         self._cache = None
 
-    def _check(self, x):
-        """``x`` as a batch of this layer's dtype and width."""
-        x = _batch(x, self.dtype)
-        if x.shape[1] != self.normalized_size:
+    def _check(self, x, cache):
+        """``x`` as a batch (or uncached stack) of this dtype and width."""
+        x = _batch(x, self.dtype, stack=not cache)
+        if x.shape[-1] != self.normalized_size:
             raise DimensionError(
                 f"layer {self.name!r} normalizes size {self.normalized_size}, "
-                f"got trailing dimension {x.shape[1]}")
+                f"got trailing dimension {x.shape[-1]}")
         return x
 
     def _normalize(self, x):
-        mean = x.mean(axis=1, keepdims=True)
+        mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
-        var = (centered * centered).mean(axis=1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.epsilon)
         return centered * inv, inv
 
@@ -183,7 +185,7 @@ class Normalize(_NormBase):
                 "epsilon": self.epsilon, "name": self.name}
 
     def forward(self, x, cache=True):
-        x_hat, inv = self._normalize(self._check(x))
+        x_hat, inv = self._normalize(self._check(x, cache))
         if cache:
             self._cache = (x_hat, inv)
         return x_hat
@@ -213,7 +215,7 @@ class LayerNorm(_NormBase):
                 "epsilon": self.epsilon, "name": self.name}
 
     def forward(self, x, cache=True):
-        x_hat, inv = self._normalize(self._check(x))
+        x_hat, inv = self._normalize(self._check(x, cache))
         if cache:
             self._cache = (x_hat, inv)
         return self.gain * x_hat + self.offset

@@ -237,17 +237,22 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
     frames = [decode_frame(data) for data in wire_frames]
     symbols, degraded = recover_stream(*received) if received is not None \
         else ([frame.payload.astype(np.float64) for frame in frames], False)
-    images = []
-    # each UE decodes its frame at the deployed rate nearest the header's
-    for frame, x in zip(frames, symbols):
-        rate = min(bundle.codecs, key=lambda r: abs(r - frame.rate))
-        images.append(bundle.autoencoder.decode(
-            bundle.codec_for(rate).decompress(x, frame.scale)))
+    # each UE decodes its frame at the deployed rate nearest the header's, as
+    # a batch of one in a stack that holds every frame of that rate
+    rates = [min(bundle.codecs, key=lambda r: abs(r - frame.rate))
+             for frame in frames]
+    images = np.empty((len(frames),) + tuple(bundle.image_shape), np.float32)
+    for rate in sorted(set(rates)):
+        rows = [i for i, r in enumerate(rates) if r == rate]
+        latents = bundle.codec_for(rate).decompress(
+            np.stack([symbols[i] for i in rows]),
+            [frames[i].scale for i in rows])
+        images[rows] = bundle.autoencoder.decode(latents[:, None])[:, 0]
     report = batch_report(images, ground_truths, bundle.extractor,
                           symbols=frames[0].payload.size,
                           config_hash=config_hash,
                           reference_features=reference_features)
-    return GenerationResult(images, report, degraded, trace_seed)
+    return GenerationResult(list(images), report, degraded, trace_seed)
 
 
 def batch_report(images, ground_truths, extractor, symbols, config_hash="",

@@ -152,14 +152,18 @@ class CodecPair:
                 for row, scale in zip(symbols, scales)]
 
     def decompress(self, received, scale):
-        """Undo the power normalization, decode, and reshape to the latent."""
+        """Undo the power normalization, decode, and reshape to the latent.
+        P seeds [P, seed_len] and P scales give [P, *latent_shape], each row
+        rescaled in the symbols' dtype and decoded as a batch of one."""
         x = np.asarray(received)
-        if x.size != self.seed_len:
-            raise CodecError(
-                f"received {x.size} symbols, codec expects {self.seed_len}")
-        u = (x.reshape(1, -1) * scale).astype(np.float32)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.seed_len:
+            raise CodecError(f"received symbols of shape {x.shape}, codec "
+                             f"expects [{self.seed_len}] or [P, "
+                             f"{self.seed_len}]")
+        scales = np.reshape(scale, (-1, 1, 1)).astype(np.result_type(x, 1.0))
+        u = (x.reshape(-1, 1, self.seed_len) * scales).astype(np.float32)
         z = self.decode_flat(u, cache=False)
-        return z.reshape(self.latent_shape)
+        return z.reshape(x.shape[:-1] + self.latent_shape)
 
     # -- persistence ---------------------------------------------------------
 

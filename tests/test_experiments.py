@@ -366,6 +366,20 @@ class TestTrainCaching:
             "cfd78e80b9444b0926f5453450fe7c9e"
             "a76f0c3f4178b31dfda1d0ba4bc24b4e")
 
+    def test_desk_sweep_and_eval_digests(self, desk_cfg, desk_bundle):
+        # desk preset, seed 0, as recorded with numpy 2 on OpenBLAS 0.3.31
+        # (another BLAS kernel may sum in another order and move them); a
+        # change that only makes the program faster keeps these bytes
+        want = {"sweep": "3e9a443eabb1f135e75617219d44f136"
+                         "4418aa372a98991f99ff01bdc1e530e8",
+                "eval": "3e76469c8ff051ab072ca4a8de27df84"
+                        "c0c9e90017c377336cdf5ad061411372"}
+        for command, digest in want.items():
+            path = getattr(experiments, f"cmd_{command}")(desk_cfg)[
+                f"{command}_csv"]
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, path
+
     def test_stale_codec_refused(self, tiny_cfg, tmp_path):
         from megsim.errors import BundleError
         cfg = self._copied_bundle(tiny_cfg, tmp_path)

@@ -413,9 +413,15 @@ class TestPromptBatch:
     def test_other_shapes_rejected(self, tiny_bundle):
         pair = tiny_bundle.autoencoder
         for bad in (np.zeros(pair.latent_shape[1:]),
-                    np.zeros((2, 2) + pair.latent_shape),
+                    np.zeros((2, 2, 2) + pair.latent_shape),
                     np.zeros(int(np.prod(pair.latent_shape)))):
             with pytest.raises(DimensionError):
                 pair.decode(bad)
+        # a stack of batches [S, B, *latent] decodes each batch as a call of
+        # its own
+        z = np.random.default_rng(1).standard_normal(
+            (2, 2) + pair.latent_shape).astype(np.float32)
+        assert np.array_equal(pair.decode(z),
+                              np.stack([pair.decode(batch) for batch in z]))
         with pytest.raises(DimensionError):
             pair.encode(np.zeros((1, 64, 64)))

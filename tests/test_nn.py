@@ -137,15 +137,20 @@ class TestDense:
         with pytest.raises(DimensionError, match="enc0"):
             layer.forward(np.zeros((1, 5)))
 
-    @pytest.mark.parametrize("shape", [(4,), (1, 1, 4), ()])
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 1, 4), ()])
     def test_only_2d_batches_accepted(self, shape):
+        # a stack [S, B, n] is the one other form, and only uncached
+        # (TestStackedForward)
         layers = [nn.DenseLayer(4, 3), nn.Normalize(4), nn.LayerNorm(4)]
         for layer in layers:
-            with pytest.raises(DimensionError):
-                layer.forward(np.zeros(shape))
+            for cache in (True, False):
+                with pytest.raises(DimensionError):
+                    layer.forward(np.zeros(shape), cache=cache)
             out = layer.forward(np.zeros((1, 4)))
             with pytest.raises(DimensionError):
                 layer.backward(np.zeros(out.shape[1:]))
+            with pytest.raises(DimensionError):
+                layer.backward(np.zeros((1,) + out.shape))
 
     def test_bias_grad_equals_upstream(self, rng):
         layer = nn.DenseLayer(3, 2, "none", rng)
@@ -187,6 +192,36 @@ class TestDense:
         for _ in range(10):
             layer = nn.DenseLayer(5, 4, activation, rng, dtype=np.float64)
             fd_check(layer, 5, rng)
+
+
+class TestStackedForward:
+    """An uncached forward over a stack of batches [S, B, n] computes each
+    batch as a 2-d call of its own would, bit for bit. The widths are large
+    enough that one [S * B, n] product would take another BLAS kernel and
+    round differently."""
+
+    @staticmethod
+    def _layers(rng):
+        dense = [nn.DenseLayer(256, 384, act, rng) for act in nn.ACTIVATIONS]
+        ln = nn.LayerNorm(256)
+        ln.gain[...] = rng.standard_normal(256)
+        ln.offset[...] = rng.standard_normal(256)
+        return dense + [nn.Normalize(256), ln]
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_stack_equals_separate_calls(self, rng, batch):
+        for layer in self._layers(rng):
+            x = rng.standard_normal((16, batch, 256)).astype(np.float32)
+            want = np.stack([layer.forward(b, cache=False) for b in x])
+            got = layer.forward(x, cache=False)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), layer.name
+
+    def test_cached_stack_rejected(self, rng):
+        # backward takes only 2-d batches, so a cached forward does too
+        for layer in self._layers(rng):
+            with pytest.raises(DimensionError):
+                layer.forward(np.zeros((2, 1, 256)), cache=True)
 
 
 class TestNormalizeAndLayerNorm:

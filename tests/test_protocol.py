@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from megsim.protocol import (GenerationRequest, RunSpec, chunk_seed,
                              decode_frame, encode_frame, es_handle_request,
                              frame_from_seed, recover_stream, run_end_to_end,
                              transmit_stream)
-from megsim.seedcodec import Seed
+from megsim.seedcodec import CodecPair, Seed
 from megsim.util import as_rng, derive_seed
 
 
@@ -306,6 +306,70 @@ class TestEndToEnd:
         assert report["raw_feature"].report.psnr_db > 100.0
 
 
+def reference_ue_images(bundle, frames, symbols):
+    """The per-frame UE loop, kept as the oracle of ``ue_receive``: each
+    frame decoded alone at the deployed rate nearest its header's."""
+    images = []
+    for frame, x in zip(frames, symbols):
+        rate = min(bundle.codecs, key=lambda r: abs(r - frame.rate))
+        images.append(bundle.autoencoder.decode(
+            bundle.codec_for(rate).decompress(x, frame.scale)))
+    return images
+
+
+class TestUeReceive:
+    PROMPTS = ["blob left", "rings top", "tiny stripes top", "large blob",
+               "rings left"]
+
+    @staticmethod
+    def _serve(bundle, prompts, rate):
+        return es_handle_request(bundle, [
+            GenerationRequest(p, rate, bundle.image_shape, derive_seed(7, i))
+            for i, p in enumerate(prompts)], 16)
+
+    @staticmethod
+    def _check(bundle, served, received, symbols=None):
+        wire = [encode_frame(res.frame) for res in served]
+        truths = list(bundle.autoencoder.decode(
+            np.stack([res.latent for res in served])))
+        got = protocol.ue_receive(bundle, wire, received, truths)
+        frames = [decode_frame(data) for data in wire]
+        if symbols is None:
+            symbols = [frame.payload.astype(np.float64) for frame in frames]
+        want = reference_ue_images(bundle, frames, symbols)
+        assert len(got.images) == len(want)
+        for a, b in zip(got.images, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        return got
+
+    def test_noisy_link_matches_per_frame_loop(self, tiny_bundle):
+        served = self._serve(tiny_bundle, self.PROMPTS, 0.5)
+        trace = ch.sample_fading_trace(
+            ch.ChannelModel("rayleigh_block", 16), 8, 3)
+        sent = transmit_stream(np.stack([res.frame.payload for res in served]),
+                               trace, 0.3, np.random.default_rng(2),
+                               [1.0, 0.0, 2.0, 0.5])
+        got = self._check(tiny_bundle, served, sent, recover_stream(*sent)[0])
+        assert got.degraded
+
+    def test_perfect_channel_matches_per_frame_loop(self, tiny_bundle):
+        served = self._serve(tiny_bundle, self.PROMPTS, 0.5)
+        assert not self._check(tiny_bundle, served, None).degraded
+
+    def test_mixed_rates_match_per_frame_loop(self, tiny_bundle):
+        # a second, untrained codec with another seed length; the frames
+        # alternate rates, so each rate's stack must land in frame order
+        codec = CodecPair(tiny_bundle.latent_shape, 0.25, hidden=16, rng=5)
+        bundle = replace(tiny_bundle,
+                         codecs={**tiny_bundle.codecs, 0.25: codec})
+        half = self._serve(bundle, self.PROMPTS, 0.5)
+        quarter = self._serve(bundle, self.PROMPTS[:3], 0.25)
+        served = [half[0], quarter[0], half[1], quarter[1], quarter[2],
+                  half[2]]
+        assert len({res.frame.payload.size for res in served}) == 2
+        self._check(bundle, served, None)
+
+
 # -- the per-block link, kept verbatim as the reference of the batched one --
 
 @dataclass
@@ -421,9 +485,10 @@ class TestBatchedLink:
         monkeypatch.undo()
         # the ground truths once, then each mode's images
         assert extracted == [3] * (1 + len(spec.modes))
-        # ground truths and raw_feature rows as batches; each UE its frame
+        # ground truths and raw_feature rows as batches; the UEs' frames as
+        # one stack of batches of one
         latent = tiny_bundle.latent_shape
-        assert decoded == [(3,) + latent] * 2 + [latent] * 3
+        assert decoded == [(3,) + latent] * 2 + [(3, 1) + latent]
         codec = tiny_bundle.codec_for(0.5)
         # the server compresses the stacked latents in one call, as
         # production does; the link below stays per prompt

@@ -71,6 +71,22 @@ class TestCompressDecompress:
         with pytest.raises(CodecError):
             small_pair.decompress(np.zeros(small_pair.seed_len + 1), 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_seeds_equal_single_calls(self, small_pair, rng, dtype):
+        x = rng.standard_normal((5, small_pair.seed_len)).astype(dtype)
+        scales = rng.random(5) + 0.5
+        got = small_pair.decompress(x, scales)
+        assert got.shape == (5,) + small_pair.latent_shape
+        for row, scale, latent in zip(x, scales, got):
+            one = small_pair.decompress(row, float(scale))
+            # one seed: one decoder forward, rescaled in the symbols' dtype
+            want = small_pair.decode_flat(
+                (row[None] * float(scale)).astype(np.float32))
+            assert np.array_equal(one, want.reshape(small_pair.latent_shape))
+            assert np.array_equal(latent, one)
+        with pytest.raises(CodecError):
+            small_pair.decompress(x[None], scales)
+
     def test_zero_power_seed_rejected(self):
         pair = seedcodec.CodecPair((1, 2, 2), 0.5, hidden=8, rng=0)
         pair.enc.weights[...] = 0
