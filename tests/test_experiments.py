@@ -380,6 +380,23 @@ class TestTrainCaching:
             with open(path, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, path
 
+    def test_desk_power_digests(self, desk_cfg, desk_bundle):
+        # desk preset, seed 0, one budget and 10 PPO rounds, as recorded
+        # with numpy 2 on OpenBLAS 0.3.31 (another BLAS kernel may sum in
+        # another order and move them); a change that only reshapes the
+        # environment keeps these bytes
+        cfg = replace(desk_cfg, power_budgets=(2.0,), ppo_update_rounds=10)
+        experiments.cmd_power(cfg)
+        want = {"power_summary.csv": "3288951b929800dcc324a0a16d6e9bc0"
+                                     "fb19a4ae736cb1fe1a61be22de88b818",
+                "curve_p2.0.csv": "a394897bc7a1b367ae13e376e540da1a"
+                                  "a924e633981b5cb0aec38b2520b28488",
+                "agent_p2.0.bin": "e1ed9939f66fd013561fb8c3fa11e8c8"
+                                  "69678d45c472fb1be9b38f31f2256e3e"}
+        for name, digest in want.items():
+            with open(os.path.join(cfg.out, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
     def test_stale_codec_refused(self, tiny_cfg, tmp_path):
         from megsim.errors import BundleError
         cfg = self._copied_bundle(tiny_cfg, tmp_path)
