@@ -228,26 +228,24 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
                config_hash="", trace_seed=None, reference_features=None):
     """Receiver side for a batch of seed deliveries.
 
-    ``wire_frames`` holds one encoded frame per prompt and ``received`` what
+    ``wire_frames`` holds one encoded frame per prompt, all at one codec
+    rate (a mixed batch raises ProtocolError), and ``received`` what
     :func:`transmit_stream` returned for their stacked payloads, or None
     when the perfect channel carried the payloads intact. Returns a
     GenerationResult with quality metrics against the ground-truth batch
     (whose features, if already extracted, are ``reference_features``).
     """
     frames = [decode_frame(data) for data in wire_frames]
+    if len({frame.rate_fixed for frame in frames}) > 1:
+        raise ProtocolError("a received batch must share one codec rate")
     symbols, degraded = recover_stream(*received) if received is not None \
         else ([frame.payload.astype(np.float64) for frame in frames], False)
     # each UE decodes its frame at the deployed rate nearest the header's, as
-    # a batch of one in a stack that holds every frame of that rate
-    rates = [min(bundle.codecs, key=lambda r: abs(r - frame.rate))
-             for frame in frames]
-    images = np.empty((len(frames),) + tuple(bundle.image_shape), np.float32)
-    for rate in sorted(set(rates)):
-        rows = [i for i, r in enumerate(rates) if r == rate]
-        latents = bundle.codec_for(rate).decompress(
-            np.stack([symbols[i] for i in rows]),
-            [frames[i].scale for i in rows])
-        images[rows] = bundle.autoencoder.decode(latents[:, None])[:, 0]
+    # a batch of one in a stack that holds every frame
+    rate = min(bundle.codecs, key=lambda r: abs(r - frames[0].rate))
+    latents = bundle.codec_for(rate).decompress(
+        np.stack(symbols), [frame.scale for frame in frames])
+    images = bundle.autoencoder.decode(latents[:, None])[:, 0]
     report = batch_report(images, ground_truths, bundle.extractor,
                           symbols=frames[0].payload.size,
                           config_hash=config_hash,

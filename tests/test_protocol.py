@@ -356,18 +356,21 @@ class TestUeReceive:
         served = self._serve(tiny_bundle, self.PROMPTS, 0.5)
         assert not self._check(tiny_bundle, served, None).degraded
 
-    def test_mixed_rates_match_per_frame_loop(self, tiny_bundle):
-        # a second, untrained codec with another seed length; the frames
-        # alternate rates, so each rate's stack must land in frame order
+    def test_mixed_rates_rejected(self, tiny_bundle):
+        # a second, untrained codec with another seed length: one received
+        # batch shares one rate, in either frame order
         codec = CodecPair(tiny_bundle.latent_shape, 0.25, hidden=16, rng=5)
         bundle = replace(tiny_bundle,
                          codecs={**tiny_bundle.codecs, 0.25: codec})
-        half = self._serve(bundle, self.PROMPTS, 0.5)
-        quarter = self._serve(bundle, self.PROMPTS[:3], 0.25)
-        served = [half[0], quarter[0], half[1], quarter[1], quarter[2],
-                  half[2]]
-        assert len({res.frame.payload.size for res in served}) == 2
-        self._check(bundle, served, None)
+        half = self._serve(bundle, self.PROMPTS[:2], 0.5)
+        quarter = self._serve(bundle, self.PROMPTS[:2], 0.25)
+        truths = list(bundle.autoencoder.decode(
+            np.stack([res.latent for res in half + quarter])))
+        for served in (half + quarter, quarter + half):
+            wire = [encode_frame(res.frame) for res in served]
+            with pytest.raises(ProtocolError, match="one codec rate"):
+                protocol.ue_receive(bundle, wire, None, truths)
+        self._check(bundle, quarter, None)
 
 
 # -- the per-block link, kept verbatim as the reference of the batched one --
