@@ -35,19 +35,18 @@ rng = np.random.default_rng(123)
 frozen = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
           for _ in range(100)]
 drl = power_rl.evaluate(agent, env, frozen)
-uniform = power_rl.evaluate(power_rl.uniform_policy(env.num_blocks), env,
-                            frozen)
+# the even split is a constant action schedule, one fraction per block
+uniform = power_rl.evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
+                            env, frozen)
 wins = int(np.sum(drl > uniform))
 print(f"\nfrozen-trace comparison (fid proxy, lower is better):")
 print(f"  even split: {-np.mean(uniform):.4f}")
 print(f"  trained:    {-np.mean(drl):.4f}   ({wins}/100 paired wins)")
 
 trace = frozen[0]
-states = env.start([trace], [1])     # one episode: a batch of one
-done, powers = False, []
-while not done:
-    states, _, done, info = env.step(agent.mean_action(states))
-    powers.append(float(info["power"][0]))
+# one episode, a batch of one; run returns (states, powers, scores)
+powers = env.run(lambda states, t: agent.mean_action(states), [trace],
+                 [1])[1][0]
 print("\none trace, gains: ", np.round(trace.gains, 2))
 print("learned powers:    ", np.round(powers, 3),
-      f"(sum {sum(powers):.3f} <= 0.5)")
+      f"(sum {powers.sum():.3f} <= 0.5)")

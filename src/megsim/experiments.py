@@ -402,7 +402,7 @@ def cmd_power(cfg: ExperimentConfig):
         curve_paths.append(curve_path)
 
         drl = power_rl.evaluate(agent, env, frozen)
-        uniform = power_rl.evaluate(power_rl.uniform_policy(num_blocks),
+        uniform = power_rl.evaluate(np.full(num_blocks, 1.0 / num_blocks),
                                     env, frozen)
         summary_rows.append((budget, float(np.mean(-uniform)),
                              float(np.mean(-drl)), float(np.std(-drl)),

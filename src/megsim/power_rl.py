@@ -81,7 +81,6 @@ class PpoConfig:
     hidden: int = 32
     log_std_min: float = -5.0
     log_std_max: float = 1.0
-    normalize_advantages: bool = True
     eval_every: int = 20
     seed: int = 0
 
@@ -187,15 +186,15 @@ class PpoAgent:
 # environment
 
 class SeedTransmissionEnv:
-    """Per-block stepping around one seed download for a prompt batch.
+    """Per-block power decisions around one seed download for a prompt batch.
 
     The state is the pilot prompt's current block (zero padded), the
     block's gain, and the normalized remaining budget. Every prompt in the
     batch is transmitted under the same power schedule and fading trace.
 
-    E episodes run in lockstep, one block at a time (``start``, then
-    ``step``); one episode is the case E = 1. Each step applies power,
-    noise and equalization to all episodes at once; at the last block the
+    :meth:`run` plays E episodes in lockstep, one block at a time; one
+    episode is the case E = 1. Each :meth:`step` applies power, noise and
+    equalization to all episodes at once; after the last block the
     episodes are decoded and scored together, ``SCORE_CHUNK`` at a time.
     """
 
@@ -217,7 +216,7 @@ class SeedTransmissionEnv:
             GenerationRequest(prompt, rate, bundle.image_shape,
                               derive_seed(seed, 0xE1, i))
             for i, prompt in enumerate(prompts)], block_length)
-        self.frames = frames = [res.frame for res in results]
+        frames = [res.frame for res in results]
         truths = bundle.autoencoder.decode(
             np.stack([res.latent for res in results]))
         self.ground_truths = list(truths)
@@ -237,15 +236,16 @@ class SeedTransmissionEnv:
         self.power_audit = []     # (sum of powers, p_max) per finished episode
         self.steps_taken = 0      # blocks stepped, summed over episodes
 
-    # -- episode control -----------------------------------------------------
+    # -- episodes ------------------------------------------------------------
 
-    def start(self, traces, noise_seeds):
-        """Start one episode per trace, in lockstep; returns their states
-        [E, state_dim]. A None trace is drawn from the environment's trace
-        stream and a None noise seed follows the episode count, so E
-        episodes started together match E started one after another. A
-        fixed noise seed makes an episode's channel noise reproducible, so
-        different policies can be compared on paired draws."""
+    def run(self, policy, traces, noise_seeds):
+        """Play one episode per trace in lockstep; ``policy(states, t)``
+        maps block t's states [E, state_dim] to one action in [0, 1] per
+        episode. A None trace comes from the environment's trace stream
+        and a None noise seed follows the episode count, so E episodes run
+        together match E run in turn; a fixed noise seed pairs the channel
+        noise across policies. Returns (states [E, B, state_dim], powers
+        [E, B], terminal rewards [E])."""
         if not traces or len(traces) != len(noise_seeds):
             raise ValueError("need one noise seed per trace, at least one")
         gains, noise = [], []
@@ -257,112 +257,87 @@ class SeedTransmissionEnv:
                 raise ValueError("trace shorter than the seed's block count")
             gains.append(trace.gains[:self.num_blocks])
             if noise_seed is None:
-                noise_seed = derive_seed(self._seed, 0xA2,
-                                         self._episode_index)
+                noise_seed = derive_seed(self._seed, 0xA2, self._episode_index)
             # every block's noise [P, block] is drawn up front, in block
             # order, so paired evaluations stay aligned even when a policy
             # zeroes a block out
             noise.append(as_rng(noise_seed).normal(
                 0.0, self.noise_std, self.blocks.swapaxes(0, 1).shape))
             self._episode_index += 1
-        self._gains = np.stack(gains)
-        self._noise = np.stack(noise)      # [E, B, P, block]
-        self._t = 0
-        self._remaining = np.full(len(traces), self.p_max)
-        self._received = np.zeros((len(traces),) + self.blocks.shape)
-        self._powers = np.zeros((len(traces), self.num_blocks))
-        return self._states()
-
-    def _states(self):
-        states = np.empty((len(self._remaining), self.state_dim),
+        # float64 gains [E, B] for the link; only the state column rounds
+        gains, noise = np.stack(gains), np.stack(noise)
+        episodes = len(gains)
+        # block-major, so that each block's states are one contiguous batch
+        states = np.empty((self.num_blocks, episodes, self.state_dim),
                           dtype=np.float32)
-        states[:, :-2] = self.blocks[0, self._t]      # the pilot's block
-        states[:, -2] = self._gains[:, self._t]
-        states[:, -1] = self._remaining / self.p_max
-        return states
-
-    def step(self, actions):
-        """Apply one power decision per running episode; returns (states,
-        rewards, done, info) with states, rewards and ``info["power"]`` as
-        arrays over the episodes. The next states are None once done;
-        rewards are zero before the last block.
-        """
-        actions = np.asarray(actions, dtype=np.float64)
-        if actions.shape != (len(self._remaining),):
-            raise ValueError(f"need one action per episode, got "
-                             f"{actions.shape}")
-        t = self._t
-        p = apply_power(np.clip(actions, 0.0, 1.0), self._remaining,
-                        self.p_max)
-        gains = self._gains[:, t]
-        amp = gains * np.sqrt(p)
-        # y = h sqrt(p) x + n per episode; erased blocks stay zeros
-        y = amp[:, None, None] * self.blocks[:, t] + self._noise[:, t]
-        live = amp > 0.0
-        self._received[live, :, t] = ch.equalize(
-            y[live], gains[live, None, None], p[live, None, None])
-        self._powers[:, t] = p
-        # one-ulp-down update keeps the exact running sum under the cap
-        self._remaining = np.where(
-            p >= self._remaining, 0.0,
-            np.nextafter(self._remaining - p, 0.0))
-        self.steps_taken += len(actions)
-        self._t += 1
-        done = self._t >= self.num_blocks
-        rewards = np.zeros(len(actions))
-        info = {"power": self._powers[:, t].copy()}
-        states = None
-        if done:
-            rewards = self._finish()
-            info["powers"] = self._powers.copy()
-        else:
-            states = self._states()
-        return states, rewards, done, info
-
-    def _finish(self):
-        for powers in self._powers:
-            total = math.fsum(powers)
+        states[:, :, :-2] = self.blocks[0, :, None]    # the pilot's blocks
+        states[:, :, -2] = gains.T
+        powers = np.empty((episodes, self.num_blocks))
+        remaining = np.full(episodes, self.p_max)
+        received = np.zeros((episodes,) + self.blocks.shape)
+        for t in range(self.num_blocks):
+            states[t, :, -1] = remaining / self.p_max
+            p = powers[:, t] = self.step(t, policy(states[t], t), remaining,
+                                         gains[:, t], noise[:, t], received)
+            # one-ulp-down update keeps the exact running sum under the cap
+            remaining = np.where(p >= remaining, 0.0,
+                                 np.nextafter(remaining - p, 0.0))
+        for total in map(math.fsum, powers):
             if total > self.p_max:
                 raise AssertionError(
                     f"power budget violated: {total} > {self.p_max}")
             self.power_audit.append((total, self.p_max))
-        episodes, prompts = len(self._received), len(self.frames)
-        flat = self._received.reshape(episodes, prompts, -1)
-        symbols = (flat[:, :, :self.seed_len] * self._scales) \
-            .astype(np.float32)
-        rewards = np.empty(episodes)
-        for lo in range(0, episodes, SCORE_CHUNK):
+        return states.swapaxes(0, 1), powers, self._score(received)
+
+    def step(self, t, actions, remaining, gains, noise, received):
+        """Block t of every episode: clamp ``actions`` [E] to the
+        ``remaining`` budgets, then send the block and equalize it into
+        ``received`` [E, P, B, block]; returns the powers [E]."""
+        actions = np.asarray(actions, dtype=np.float64)
+        if actions.shape != remaining.shape:
+            raise ValueError(f"need one action per episode, got "
+                             f"{actions.shape}")
+        p = apply_power(np.clip(actions, 0.0, 1.0), remaining, self.p_max)
+        amp = gains * np.sqrt(p)
+        # y = h sqrt(p) x + n per episode; erased blocks stay zeros
+        y = amp[:, None, None] * self.blocks[:, t] + noise
+        live = amp > 0.0
+        received[live, :, t] = ch.equalize(
+            y[live], gains[live, None, None], p[live, None, None])
+        self.steps_taken += len(p)
+        return p
+
+    def _score(self, received):
+        """Terminal rewards of the received payloads [E, P, B, block]."""
+        flat = received.reshape(received.shape[:2] + (-1,))
+        symbols = (flat[..., :self.seed_len] * self._scales).astype(np.float32)
+        rewards = np.empty(len(received))
+        for lo in range(0, len(received), SCORE_CHUNK):
             chunk = symbols[lo:lo + SCORE_CHUNK]
             latents = self.codec.decode_flat(
                 chunk.reshape(-1, self.seed_len), cache=False)
             images = self.bundle.autoencoder.decode(
                 latents.reshape((-1,) + self.bundle.latent_shape))
-            # each equal to terminal_reward(its images, self.ground_truths,
-            # extractor)
+            # each equals terminal_reward(images, ground_truths, extractor)
             rewards[lo:lo + len(chunk)] = -metrics.fid(
                 images.reshape(chunk.shape[:2] + images.shape[1:]), None,
                 self.bundle.extractor,
                 reference_features=self.reference_features)
         return rewards
 
-    # -- rollouts --------------------------------------------------------------
-
     def rollout(self, agent: PpoAgent, rng, episodes) -> Rollout:
-        """Run ``episodes`` episodes in lockstep under the sampling policy.
-        Each episode takes its block draws from ``rng`` in turn, as when
-        the episodes run one after another."""
-        states = self.start([None] * episodes, [None] * episodes)
+        """Run ``episodes`` episodes in lockstep under the sampling policy;
+        each takes its block draws from ``rng`` in turn, as when run alone."""
         draws = rng.standard_normal((episodes, self.num_blocks))
-        seen, us, logps = [], [], []
-        for t in range(self.num_blocks):
-            a, u, logp = agent.act(states, draws[:, t])
-            seen.append(states)
-            us.append(u)
-            logps.append(logp)
-            states, scores, _, info = self.step(a)
-        # per-block columns become per-episode rows [E, blocks, ...]
-        seen, us, logps = (np.stack(c, axis=1) for c in (seen, us, logps))
-        return Rollout(seen, us, info["powers"], logps, scores)
+        us, logps = np.empty((2, episodes, self.num_blocks))
+
+        def sample(states, t):
+            actions, us[:, t], logps[:, t] = agent.act(states, draws[:, t])
+            return actions
+
+        states, powers, scores = self.run(sample, [None] * episodes,
+                                          [None] * episodes)
+        return Rollout(states, us, powers, logps, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +373,7 @@ def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
     rewards[:, -1] = rollout.scores
     returns = discounted_returns(rewards, config.gamma).reshape(-1)
     advantages = returns - agent.value(states)
-    if config.normalize_advantages and len(advantages) > 1:
+    if len(advantages) > 1:
         advantages = ((advantages - advantages.mean())
                       / (advantages.std() + 1e-8))
 
@@ -443,30 +418,26 @@ def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
     return diag
 
 
-def uniform_policy(num_blocks):
-    """Fixed policy spreading the budget evenly over the blocks."""
-    frac = 1.0 / num_blocks
-    return lambda state: frac
-
-
 def evaluate(policy, env: SeedTransmissionEnv, traces):
     """Deterministic terminal rewards of a policy over frozen traces.
 
     ``policy`` is a PpoAgent (evaluated at its mean action, one batched
-    forward per block) or any callable mapping a state vector to an
-    action in [0, 1]. All traces run in lockstep.
+    forward per block) or an action schedule in [0, 1]: ``[blocks]``
+    shared by every trace, or ``[traces, blocks]``. All traces run in
+    lockstep.
     """
     if isinstance(policy, PpoAgent):
-        act = policy.mean_action
+        def act(states, t):
+            return policy.mean_action(states)
     else:
-        def act(states):
-            return [float(policy(state)) for state in states]
+        schedule = np.broadcast_to(np.asarray(policy, dtype=np.float64),
+                                   (len(traces), env.num_blocks))
+
+        def act(states, t):
+            return schedule[:, t]
     # per-trace noise seed pairs the draws across evaluated policies
-    states = env.start(list(traces),
-                       [derive_seed(0xEDA1, i) for i in range(len(traces))])
-    for _ in range(env.num_blocks):
-        states, rewards, _, _ = env.step(act(states))
-    return rewards
+    return env.run(act, list(traces),
+                   [derive_seed(0xEDA1, i) for i in range(len(traces))])[2]
 
 
 def train_agent(env: SeedTransmissionEnv, config: PpoConfig,
@@ -486,11 +457,9 @@ def train_agent(env: SeedTransmissionEnv, config: PpoConfig,
     for rnd in range(config.update_rounds):
         rollout = env.rollout(agent, rng, config.episodes_per_batch)
         diag = ppo_update(agent, rollout, config, opt)
-        mean_reward = float(np.mean(rollout.scores))
-        history.append((rnd, mean_reward,
-                        diag["surrogate"][-1] if diag["surrogate"] else math.nan,
-                        diag["value_loss"][-1] if diag["value_loss"] else math.nan,
-                        diag["entropy"][-1] if diag["entropy"] else math.nan))
+        history.append((rnd, float(np.mean(rollout.scores)), *(
+            diag[k][-1] if diag[k] else math.nan
+            for k in ("surrogate", "value_loss", "entropy"))))
         if eval_traces is not None and ((rnd + 1) % config.eval_every == 0
                                         or rnd == config.update_rounds - 1):
             score = float(np.mean(evaluate(agent, env, eval_traces)))

@@ -46,7 +46,7 @@ def ppo_run(desk_bundle, desk_cfg):
                              seed=3)
     agent, history = power_rl.train_agent(env, cfg, eval_traces=select)
     drl = power_rl.evaluate(agent, env, frozen)
-    uniform = power_rl.evaluate(power_rl.uniform_policy(env.num_blocks),
+    uniform = power_rl.evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
                                 env, frozen)
     return env, agent, history, drl, uniform
 

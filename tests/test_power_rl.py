@@ -9,8 +9,7 @@ from megsim import metrics, nn, power_rl
 from megsim.errors import ChannelErasure
 from megsim.power_rl import (PpoAgent, PpoConfig, SeedTransmissionEnv,
                              apply_power, clipped_surrogate, evaluate,
-                             ppo_update, terminal_reward, train_agent,
-                             uniform_policy)
+                             ppo_update, terminal_reward, train_agent)
 from megsim.util import derive_seed
 
 
@@ -66,7 +65,7 @@ def reference_ppo_update(agent, episodes, config, actor_opt=None,
                                                            config.gamma)
                               for ep in episodes])
     advantages = returns - agent.value(states)
-    if config.normalize_advantages and len(advantages) > 1:
+    if len(advantages) > 1:
         advantages = ((advantages - advantages.mean())
                       / (advantages.std() + 1e-8))
 
@@ -171,13 +170,11 @@ class TestCachedReference:
         monkeypatch.setattr(metrics.FeatureExtractor, "extract", counting)
         trace = ch.sample_fading_trace(env.model, env.num_blocks,
                                        np.random.default_rng(11))
-        env.start([trace], [12])
-        done = False
-        while not done:
-            _, rewards, done, _ = env.step([1.0 / env.num_blocks])
+        _, _, scores = env.run(lambda states, t: [1.0 / env.num_blocks],
+                               [trace], [12])
         assert len(seen) == 1
         want = terminal_reward(list(seen[0]), env.ground_truths, extractor)
-        assert rewards.tolist() == [want] and want < 0
+        assert scores.tolist() == [want] and want < 0
 
 
 class TestEntropyAndSurrogate:
@@ -223,31 +220,38 @@ class TestEnvironment:
         assert all(total <= p_max for total, p_max in audit)
 
     def test_reward_sparsity(self, env):
-        env.start([None] * 2, [None] * 2)
-        for t in range(env.num_blocks):
-            states, rewards, done, _ = env.step([0.5, 0.25])
-            assert done == (t == env.num_blocks - 1)
-            assert (states is None) == done
-            if not done:
-                assert rewards.tolist() == [0.0, 0.0]
-        assert np.all(rewards < 0)
+        # the policy is asked once per block, in order; the only reward is
+        # each episode's score after the last block
+        asked = []
+
+        def policy(states, t):
+            asked.append(t)
+            return [0.5, 0.25]
+
+        states, powers, scores = env.run(policy, [None] * 2, [None] * 2)
+        assert asked == list(range(env.num_blocks))
+        assert states.shape == (2, env.num_blocks, env.state_dim)
+        assert powers.shape == (2, env.num_blocks)
+        assert scores.shape == (2,) and np.all(scores < 0)
 
     def test_zero_action_erases_block(self, env):
-        env.start([None], [None])
-        _, _, _, info = env.step([0.0])
-        assert info["power"].tolist() == [0.0]
-        # drain the episode
-        done = False
-        while not done:
-            _, _, done, _ = env.step([0.5])
+        states, powers, _ = env.run(lambda states, t: [0.5 * (t > 0)],
+                                    [None], [None])
+        assert powers[0, 0] == 0.0 and powers[0, 1] == 0.5
+        assert states[0, 1, -1] == 1.0   # an erased block costs nothing
 
     def test_state_layout(self, env):
-        state = env.start([None], [None])
-        assert state.shape == (1, env.block_length + 2)
-        assert state[0, -1] == 1.0   # full budget remaining
-        done = False
-        while not done:
-            state, _, done, _ = env.step([0.25])
+        trace = ch.sample_fading_trace(env.model, env.num_blocks,
+                                       np.random.default_rng(4))
+        states, _, _ = env.run(lambda states, t: [0.25], [trace], [None])
+        assert states.shape == (1, env.num_blocks, env.block_length + 2)
+        assert states.dtype == np.float32
+        # the pilot's block, the block's gain, the budget left (p_max = 1)
+        assert np.array_equal(states[0, :, :-2], env.blocks[0])
+        assert np.array_equal(states[0, :, -2],
+                              trace.gains.astype(np.float32))
+        assert states[0, 0, -1] == 1.0   # full budget remaining
+        assert states[0, 1, -1] == np.float32(0.75)
 
 
 class TestPpoUpdate:
@@ -323,7 +327,7 @@ class TestEvaluation:
 
     def test_uniform_policy_spends_whole_budget(self, env):
         traces = self._traces(env, 3)
-        evaluate(uniform_policy(env.num_blocks), env, traces)
+        evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env, traces)
         for total, p_max in env.power_audit[-3:]:
             assert abs(total - p_max) < 1e-6
 
@@ -341,7 +345,8 @@ class TestEvaluation:
         agent.save(path, extra={"p_max": 1.0})
         loaded, meta = PpoAgent.load(path)
         assert meta["p_max"] == 1.0
-        states = env.start([None] * 3, [None] * 3)
+        states = env.run(lambda states, t: [0.5] * 3, [None] * 3,
+                         [None] * 3)[0].reshape(-1, env.state_dim)
         assert np.array_equal(loaded.mean_action(states),
                               agent.mean_action(states))
         for p, q in zip(agent.snapshot(), loaded.snapshot()):
@@ -360,7 +365,8 @@ class TestEvaluation:
             cfg = PpoConfig(update_rounds=3, episodes_per_batch=4, seed=2)
             agent, _ = train_agent(env, cfg)
             drl = evaluate(agent, env, traces)
-            uni = evaluate(uniform_policy(env.num_blocks), env, traces)
+            uni = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
+                           env, traces)
             return float(np.mean(drl)), float(np.mean(uni))
 
         assert run() == run()
@@ -382,7 +388,8 @@ class TestTrainingEffect:
         agent, history = train_agent(env, cfg, eval_traces=select)
         assert len(history) == 80
         drl = evaluate(agent, env, frozen)
-        uni = evaluate(uniform_policy(env.num_blocks), env, frozen)
+        uni = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env,
+                       frozen)
         assert float(np.mean(drl - uni)) > 0
 
     def test_saturation_makes_policies_equivalent(self, desk_bundle):
@@ -396,7 +403,8 @@ class TestTrainingEffect:
                   for _ in range(30)]
         agent, _ = train_agent(env, PpoConfig(update_rounds=20, seed=3))
         drl = evaluate(agent, env, traces)
-        uni = evaluate(uniform_policy(env.num_blocks), env, traces)
+        uni = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env,
+                       traces)
         assert abs(float(np.mean(drl - uni))) < 5e-3
 
 
@@ -481,20 +489,31 @@ class TestLockstep:
         traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
                   for _ in range(n)]
         agent = PpoAgent(env.state_dim, hidden=16, rng=6)
-        uniform = uniform_policy(env.num_blocks)
-        for policy, act in ((agent, agent.mean_action),
-                            (uniform, lambda states: [uniform(states[0])])):
+        even = np.full(env.num_blocks, 1.0 / env.num_blocks)
+        for policy, act in ((agent, lambda states, t: agent.mean_action(
+                                states)),
+                            (even, lambda states, t: even[t:t + 1])):
             got = evaluate(policy, env, traces)
-            want = []
-            for i, trace in enumerate(traces):
-                state = env.start([trace], [derive_seed(0xEDA1, i)])
-                done = False
-                while not done:
-                    state, reward, done, _ = env.step(act(state))
-                want.append(reward[0])
-            want = np.array(want)
+            want = np.array([
+                env.run(act, [trace], [derive_seed(0xEDA1, i)])[2][0]
+                for i, trace in enumerate(traces)])
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
+
+    def test_schedule_rows_match_one_trace_at_a_time(self, tiny_bundle):
+        from megsim.util import derive_seed
+        env = self._env(tiny_bundle)
+        rng = np.random.default_rng(9)
+        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
+                  for _ in range(5)]
+        schedule = rng.uniform(0.0, 1.0, (len(traces), env.num_blocks))
+        got = evaluate(schedule, env, traces)
+        for i, trace in enumerate(traces):
+            want = env.run(lambda states, t: schedule[i, t:t + 1], [trace],
+                           [derive_seed(0xEDA1, i)])[2][0]
+            assert abs(got[i] - want) <= 1e-6 * abs(want)
+        with pytest.raises(ValueError):
+            evaluate(schedule[:, :-1], env, traces)
 
     def test_power_audit_gains_one_row_per_episode(self, tiny_bundle):
         env = self._env(tiny_bundle)
@@ -511,78 +530,76 @@ class TestLockstep:
 
     def test_step_needs_one_action_per_episode(self, tiny_bundle):
         env = self._env(tiny_bundle)
-        env.start([None] * 3, [None] * 3)
-        with pytest.raises(ValueError):
-            env.step(0.5)
-        with pytest.raises(ValueError):
-            env.step([0.5, 0.5])
+        for action in (0.5, [0.5, 0.5]):
+            with pytest.raises(ValueError, match="one action per episode"):
+                env.run(lambda states, t: action, [None] * 3, [None] * 3)
 
 
-class PerEpisodeEnv(SeedTransmissionEnv):
-    """The per-episode power/noise/equalize loop, kept verbatim as the
-    reference of the vectorized ``step``."""
-
-    def start(self, traces, noise_seeds):
-        states = super().start(traces, noise_seeds)
-        self._noise_rngs = [np.random.default_rng(s) for s in noise_seeds]
-        self._remaining = [self.p_max] * len(traces)
-        return states
-
-    def step(self, action):
-        actions = np.atleast_1d(np.asarray(action, dtype=np.float64))
-        t = self._t
-        sent = self.blocks[:, t, :]
-        for e, a in enumerate(actions):
-            a = float(min(max(a, 0.0), 1.0))
-            remaining = self._remaining[e]
-            p = apply_power(a, remaining, self.p_max)
-            gain = float(self._gains[e, t])
-            noise = self._noise_rngs[e].normal(0.0, self.noise_std,
-                                               sent.shape) \
-                if self.noise_std > 0 else np.zeros_like(sent)
+def per_episode_reference(env, traces, noise_seeds, actions):
+    """The per-episode power/noise/equalize loop, kept as the reference of
+    the lockstep ``SeedTransmissionEnv.run``: actions [blocks, E] in;
+    states [E, blocks, state_dim], powers [E, blocks] and the equalized
+    payloads [E, P, blocks, block] out."""
+    episodes = len(traces)
+    states = np.zeros((episodes, env.num_blocks, env.state_dim), np.float32)
+    powers = np.zeros((episodes, env.num_blocks))
+    received = np.zeros((episodes,) + env.blocks.shape)
+    for e, (trace, seed) in enumerate(zip(traces, noise_seeds)):
+        noise_rng = np.random.default_rng(seed)
+        remaining = env.p_max
+        for t in range(env.num_blocks):
+            sent = env.blocks[:, t, :]
+            gain = float(trace.gains[t])
+            states[e, t, :-2] = env.blocks[0, t]
+            states[e, t, -2] = gain
+            states[e, t, -1] = remaining / env.p_max
+            a = float(min(max(actions[t, e], 0.0), 1.0))
+            p = apply_power(a, remaining, env.p_max)
+            noise = noise_rng.normal(0.0, env.noise_std, sent.shape) \
+                if env.noise_std > 0 else np.zeros_like(sent)
             if p > 0.0:
                 y = gain * np.sqrt(p) * sent + noise
                 try:
-                    self._received[e, :, t, :] = ch.equalize(y, gain, p)
+                    received[e, :, t, :] = ch.equalize(y, gain, p)
                 except ChannelErasure:
                     pass   # leave zeros
-            self._powers[e, t] = p
+            powers[e, t] = p
             if p >= remaining:
-                self._remaining[e] = 0.0
+                remaining = 0.0
             else:
-                self._remaining[e] = float(np.nextafter(remaining - p, 0.0))
-        self._t += 1
-        done = self._t >= self.num_blocks
-        return (self._finish() if done else None), done
+                remaining = float(np.nextafter(remaining - p, 0.0))
+    return states, powers, received
 
 
 class TestVectorizedStep:
-    def test_matches_per_episode_loop(self, tiny_bundle):
-        args = (tiny_bundle, TestLockstep.PROMPTS, 0.5)
-        kw = dict(snr_db=0.0, p_max=1.0, block_length=16, seed=5)
-        got_env, ref_env = SeedTransmissionEnv(*args, **kw), \
-            PerEpisodeEnv(*args, **kw)
+    def test_matches_per_episode_loop(self, tiny_bundle, monkeypatch):
+        env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
+                                  snr_db=0.0, p_max=1.0, block_length=16,
+                                  seed=5)
         rng = np.random.default_rng(3)
-        traces = [ch.sample_fading_trace(got_env.model, got_env.num_blocks,
-                                         rng) for _ in range(6)]
+        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
+                  for _ in range(6)]
         seeds = [derive_seed(77, e) for e in range(6)]
         # zero, tiny, clamped and over-budget actions in every block
-        actions = rng.uniform(0.0, 1.0, (got_env.num_blocks, 6))
+        actions = rng.uniform(0.0, 1.0, (env.num_blocks, 6))
         actions[:, 0] = 0.0
         actions[0, 1] = 1.0
         actions[1::2, 2] = 0.0
         actions[:, 3] = 1e-9
-        got_env.start(traces, seeds)
-        ref_env.start(traces, seeds)
-        for t, a in enumerate(actions):
-            _, got_rewards, done, info = got_env.step(a)
-            ref_out, ref_done = ref_env.step(a)
-            assert done == ref_done
-            assert np.array_equal(got_env._received, ref_env._received)
-            assert np.array_equal(got_env._powers, ref_env._powers)
-            assert got_env._remaining.tolist() == ref_env._remaining
-        assert done and info["powers"][0].sum() == 0.0
-        assert np.array_equal(got_rewards, ref_out)
+        scored = []
+        score = env._score
+        monkeypatch.setattr(env, "_score", lambda received: (
+            scored.append(received.copy()), score(received))[1])
+        states, powers, scores = env.run(lambda states, t: actions[t],
+                                         traces, seeds)
+        want_states, want_powers, want_received = per_episode_reference(
+            env, traces, seeds, actions)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(powers, want_powers)
+        assert powers[0].sum() == 0.0
+        assert len(scored) == 1
+        assert np.array_equal(scored[0], want_received)
+        assert np.array_equal(scores, score(want_received))
 
     def test_apply_power_arrays_match_scalars(self):
         actions = np.array([0.0, 0.3, 0.9, 1.0])
