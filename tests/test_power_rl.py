@@ -490,9 +490,9 @@ class TestLockstep:
                   for _ in range(n)]
         agent = PpoAgent(env.state_dim, hidden=16, rng=6)
         even = np.full(env.num_blocks, 1.0 / env.num_blocks)
-        for policy, act in ((agent, lambda states, t: agent.mean_action(
-                                states)),
-                            (even, lambda states, t: even[t:t + 1])):
+        for policy, act in (
+                (agent, lambda states, t: agent.mean_action(states)),
+                (even, lambda states, t: even[t:t + 1])):
             got = evaluate(policy, env, traces)
             want = np.array([
                 env.run(act, [trace], [derive_seed(0xEDA1, i)])[2][0]
@@ -586,10 +586,13 @@ class TestVectorizedStep:
         actions[0, 1] = 1.0
         actions[1::2, 2] = 0.0
         actions[:, 3] = 1e-9
-        scored = []
-        score = env._score
-        monkeypatch.setattr(env, "_score", lambda received: (
-            scored.append(received.copy()), score(received))[1])
+        scored, score = [], env._score
+
+        def spy_score(received):
+            scored.append(received.copy())
+            return score(received)
+
+        monkeypatch.setattr(env, "_score", spy_score)
         states, powers, scores = env.run(lambda states, t: actions[t],
                                          traces, seeds)
         want_states, want_powers, want_received = per_episode_reference(
