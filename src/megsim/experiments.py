@@ -146,9 +146,8 @@ def _build_corpus(cfg):
                                seed=derive_seed(cfg.seed, 9))
 
 
-def _generated_latents(cfg, bundle):
+def _generated_latents(cfg, bundle, prompts):
     """Latent dataset produced by the deployed generator itself."""
-    prompts, _ = _build_corpus(cfg)
     noise = np.stack([as_rng(derive_seed(cfg.seed, 30, i))
                       .standard_normal(cfg.latent_shape).astype(np.float32)
                       for i in range(len(prompts))])
@@ -173,9 +172,10 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
                if status[name] != "ok"}
     bundle = _load(cfg, skip=retrain)
     losses = {}
+    # every stage trains on the corpus or on its prompts
+    prompts, images = _build_corpus(cfg) if retrain else (None, None)
 
     if "autoencoder" in retrain:
-        prompts, images = _build_corpus(cfg)
         ae_cfg = genmodel.AutoencoderTrainConfig(
             steps=cfg.ae_steps, batch_size=cfg.ae_batch,
             learning_rate=cfg.ae_lr, center_penalty=cfg.ae_center_penalty,
@@ -191,7 +191,6 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             nn.save_network(os.path.join(out, name), net, extra=meta)
 
     if "denoiser" in retrain:
-        prompts, images = _build_corpus(cfg)
         dn_cfg = genmodel.DenoiserTrainConfig(
             steps=cfg.dn_steps, batch_size=cfg.dn_batch,
             learning_rate=cfg.dn_lr, hidden=cfg.dn_hidden,
@@ -210,7 +209,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
         if stage not in retrain:
             continue
         if latents is None:
-            latents = _generated_latents(cfg, bundle)
+            latents = _generated_latents(cfg, bundle, prompts)
         cc = seedcodec.CodecTrainConfig(
             epochs=cfg.codec_epochs, learning_rate=cfg.codec_lr,
             batch_size=cfg.codec_batch, train_snr_db=cfg.codec_train_snr_db,

@@ -323,6 +323,8 @@ class Network:
 # autoencoder's 1.12 M float32 parameters: a block's six streams (p, g, m,
 # v and two scratch blocks, 1.5 MiB) stay resident in a 2 MiB L2 cache.
 ADAM_BLOCK = 65536
+# Steps between flushes of first moments that are about to turn subnormal.
+ADAM_FLUSH_EVERY = 16
 
 
 class Adam:
@@ -343,6 +345,20 @@ class Adam:
     blocking cannot change a value. A float32 ``v`` saturates to infinity
     once a gradient exceeds about 6e20 in magnitude; that element then
     stops moving.
+
+    A unit that stops receiving gradient (a dead ReLU) decays its ``m``
+    by b1 per step into subnormals, where arithmetic is many times slower.
+    So every ``ADAM_FLUSH_EVERY`` steps, right after the ``m`` update,
+    ``step`` zeroes each element of ``m`` that passes two tests: ``|m|``
+    is below :meth:`flush_threshold`, under which ``m`` or ``alpha_t m``
+    would turn subnormal before the next flush; and ``alpha_t |m| /
+    eps_hat``, rounding included, is below a quarter of ``spacing(p)``,
+    half the gap from ``p`` to its nearer neighbour. Under zero gradient
+    that bound is the largest update the moment can still make, and it
+    only shrinks (``m`` decays, ``alpha_t / eps_hat = lr / (eps c1)``
+    falls), so the unflushed arithmetic never moves ``p`` either: every
+    parameter stays bit-identical. A gradient that returns later meets a
+    moment that differs by less than the threshold.
     """
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -361,6 +377,35 @@ class Adam:
         if buf is None or buf.size < size:
             buf = self._scratch[key] = np.empty(size, dtype=dtype)
         return buf
+
+    def _rates(self):
+        """(alpha_t, eps_hat_t) as Python floats, so every op that uses
+        them runs in the parameter's dtype."""
+        c2 = 1.0 - self.beta2 ** self.step_count
+        return (self.learning_rate * math.sqrt(c2)
+                / (1.0 - self.beta1 ** self.step_count),
+                self.epsilon * math.sqrt(c2))
+
+    def flush_threshold(self, dtype):
+        """Magnitude below which a first moment of ``dtype``, or alpha_t
+        times it, turns subnormal before the next flush; from step 1 on."""
+        decay = self.beta1 ** ADAM_FLUSH_EVERY * min(1.0, self._rates()[0])
+        return float(np.finfo(dtype).tiny) / decay if decay else math.inf
+
+    def _flush_bounds(self, dtype):
+        """(rate, cap, exponent mask) for :func:`_flush_moments`."""
+        info = np.finfo(dtype)
+        alpha, eps_hat = self._rates()
+        # alpha_t (1 + margin) / eps_hat bounds each later update with the
+        # rounding of its ops; 2 / eps_hat adds, for any nonzero |m|, more
+        # than the absolute error of a subnormal product or quotient. The
+        # scale compares with 2**floor(log2 |p|), not spacing(p) / 4.
+        rate = (alpha * (1.0 + 2.0 ** -16) + 2.0 * (1.0 + eps_hat)) \
+            / eps_hat * 2.0 ** (info.nmant + 2)
+        x = dtype.type
+        with np.errstate(over="ignore"):
+            cap = x(self.flush_threshold(dtype)) * x(rate)
+        return rate, cap, ~(-1 << (info.bits - 1)) & (-1 << info.nmant)
 
     def step(self, params, grads, names=None):
         """Update params in place from grads; returns the params list.
@@ -398,17 +443,17 @@ class Adam:
             raise ValueError("parameter list changed size between steps")
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.step_count
-        c2 = 1.0 - b2 ** self.step_count
-        # Python floats, so every op below runs in the parameter's dtype
-        alpha = self.learning_rate * math.sqrt(c2) / c1
-        eps_hat = self.epsilon * math.sqrt(c2)
+        alpha, eps_hat = self._rates()
+        flush = self.step_count % ADAM_FLUSH_EVERY == 0 and eps_hat > 0
         width = min(ADAM_BLOCK, max((p.size for p in params), default=0))
         for p, g, (m, v) in zip(params, grads, self._moments):
             pf, gf, mf, vf = (p.reshape(-1), g.reshape(-1), m.reshape(-1),
                               v.reshape(-1))
             a_buf = self._block("a", p.dtype, width)
             b_buf = self._block("b", p.dtype, width)
+            if flush:
+                keep_buf = self._block("keep", np.dtype(bool), width)
+                bounds = self._flush_bounds(p.dtype)
             for s in range(0, pf.size, ADAM_BLOCK):
                 e = min(s + ADAM_BLOCK, pf.size)
                 n = e - s
@@ -417,6 +462,8 @@ class Adam:
                 mc *= b1
                 np.multiply(gc, 1.0 - b1, out=a)
                 mc += a
+                if flush:
+                    _flush_moments(pc, mc, a, b, keep_buf[:n], *bounds)
                 vc *= b2
                 np.multiply(gc, 1.0 - b2, out=a)
                 a *= gc
@@ -427,6 +474,21 @@ class Adam:
                 a /= b
                 pc -= a
         return params
+
+
+def _flush_moments(p, m, a, b, keep, rate, cap, exponent):
+    """Zero the moments that pass both flush tests (see :class:`Adam`),
+    working in ``a``, ``b`` and ``keep``; a zero moment keeps its sign."""
+    np.abs(m, out=a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a *= rate
+    # the exponent bits alone: 2**floor(log2 |p|), 0 for a subnormal p
+    bits = b.view(f"u{b.itemsize}")
+    np.bitwise_and(p.view(bits.dtype), exponent, out=bits)
+    # a < cap is the same test as |m| < threshold: rounding is monotone
+    np.fmin(b, cap, out=b)
+    np.greater_equal(a, b, out=keep)
+    m *= keep
 
 
 def parameter_count(description) -> int:

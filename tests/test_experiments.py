@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from megsim import config, experiments
+from megsim import config, corpus, experiments
 from megsim.cli import main as cli_main
 
 
@@ -122,6 +122,20 @@ class TestTrainCaching:
         experiments.cmd_train(tiny_cfg)
         result = experiments.cmd_train(tiny_cfg)
         assert set(result.actions.values()) == {"cached"}
+
+    def test_cold_train_builds_the_corpus_once(self, tiny_cfg, tmp_path,
+                                               monkeypatch):
+        cfg = replace(tiny_cfg, out=str(tmp_path / "cold")).validate()
+        calls = []
+        build = corpus.build_corpus
+        monkeypatch.setattr(corpus, "build_corpus",
+                            lambda *args, **kw: calls.append(args)
+                            or build(*args, **kw))
+        assert set(experiments.cmd_train(cfg).actions.values()) == {"trained"}
+        assert len(calls) == 1
+        calls.clear()
+        assert set(experiments.cmd_train(cfg).actions.values()) == {"cached"}
+        assert calls == []
 
     def test_deleting_codec_retrains_only_codec(self, tiny_cfg):
         experiments.cmd_train(tiny_cfg)

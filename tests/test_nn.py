@@ -458,6 +458,65 @@ class TestAdamMatchesReference:
         assert mine == ref
 
 
+def _bits(x):
+    """``x`` as unsigned integers: equal bits, signed zeros included."""
+    return x.view(f"u{x.itemsize}")
+
+
+class TestAdamFlush:
+    """Dead units: a third of the elements get a zero gradient after step
+    50, and their first moments decay below the smallest normal number
+    around step 800. ``nn.Adam`` flushes them; ``WholeArrayAdam`` never
+    does. Two elements of the first parameter test the spacing guard,
+    which must keep their moments: element 0 sits at p = 0 with a gradient
+    of ten subnormal units over the first 50 steps, too small to move it;
+    element 1 sits at p = 2**26 tiny with a gradient of tiny, so moments
+    under the flush threshold still move it."""
+
+    STEPS, LIVE_STEPS, SIZES = 1000, 50, (2000, 1000)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dead_units_match_the_unflushed_form(self, rng, dtype):
+        info = np.finfo(dtype)
+        # |m| starts near 1e34 * tiny and decays by 0.9 a step
+        scale = 1e35 * float(info.tiny)
+        mine = [rng.standard_normal(n).astype(dtype) for n in self.SIZES]
+        mine[0][:2] = 0, 2.0 ** 26 * info.tiny
+        ref = [p.copy() for p in mine]
+        dead = [rng.random(n) < 1 / 3 for n in self.SIZES]
+        dead[0][:2] = True
+        opt, ref_opt = nn.Adam(), WholeArrayAdam()
+        flushed = 0
+        for step in range(1, self.STEPS + 1):
+            grads = [(scale * rng.standard_normal(n)).astype(dtype)
+                     for n in self.SIZES]
+            grads[0][:2] = 10 * info.smallest_subnormal, info.tiny
+            if step > self.LIVE_STEPS:
+                for g, d in zip(grads, dead):
+                    g[d] = 0
+            opt.step(mine, grads)
+            ref_opt.step(ref, grads)
+            for p, q in zip(mine, ref):
+                assert np.array_equal(_bits(p), _bits(q)), step
+            if step % nn.ADAM_FLUSH_EVERY:
+                continue
+            threshold = opt.flush_threshold(dtype)
+            for k, ((m, _), (rm, _)) in enumerate(zip(opt._moments,
+                                                      ref_opt._moments)):
+                moved = _bits(m) != _bits(rm)
+                assert np.all(np.abs(rm[moved]) < threshold), step
+                flushed += int(np.count_nonzero(moved))
+                sub = np.flatnonzero((m != 0) & (np.abs(m) < info.tiny))
+                assert list(sub) == ([0, 1] if k == 0 else []), step
+        assert mine[0][0] == 0 and mine[0][1] != 2.0 ** 26 * info.tiny
+        assert np.all(np.abs(opt._moments[0][0][:2]) < info.tiny)
+        # the schedule reaches the subnormal range: without the flush,
+        # hundreds of moments end there
+        ref_sub = sum(int(np.count_nonzero((rm != 0) & (np.abs(rm) < info.tiny)))
+                      for rm, _ in ref_opt._moments)
+        assert ref_sub > 100 and flushed > 0
+
+
 class TestAdamDrift:
     """``nn.Adam`` against the float64 reference form: after ``STEPS``
     spread-magnitude steps every parameter is within 2 ulps of the
