@@ -96,14 +96,6 @@ def equalize(received, gain, power):
     return np.asarray(received, dtype=np.float64) / eff
 
 
-def export_trace_csv(trace: FadingTrace, path):
-    """Write one trace as (block, gain) rows; block length rides in a comment."""
-    write_csv(path, ["block", "gain"], enumerate(trace.gains),
-              comment=f"megsim fading trace v1 "
-                      f"block_length={trace.block_length} "
-                      f"seed={trace.seed if trace.seed is not None else ''}")
-
-
 def export_trace_set(traces, path):
     """Write many traces to one CSV as (trace, block, gain) rows."""
     write_csv(path, ["trace", "block", "gain"],

@@ -48,6 +48,7 @@ class ExperimentConfig:
     ae_lr: float = _key("autoencoder", 1e-3)
     ae_center_penalty: float = _key("autoencoder", 1e-2)
     ae_hidden: int = _key("autoencoder", 256)
+    ae_encoder_hidden: int = _key("autoencoder", 64)
     dn_steps: int = _key("denoiser", 1200)
     dn_batch: int = _key("denoiser", 16)
     dn_lr: float = _key("denoiser", 1e-3)
@@ -104,9 +105,12 @@ class ExperimentConfig:
     def validate(self):
         """Check every cross-module dimension contract before running."""
         for f in fields(self):
-            if f.type is tuple and not getattr(self, f.name):
-                section, key = _file_key(f)
+            section, key = _file_key(f)
+            value = getattr(self, f.name)
+            if f.type is tuple and not value:
                 raise ValueError(f"[{section}] {key} needs at least one value")
+            if f.name.endswith("_hidden") and value < 1:
+                raise ValueError(f"[{section}] {key} must be >= 1")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.downsample < 2:

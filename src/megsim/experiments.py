@@ -119,7 +119,8 @@ def _load(cfg, skip=()):
     nets = {}
     if "autoencoder" not in skip:
         pair = genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
-                                        cfg.ae_hidden)
+                                        cfg.ae_hidden,
+                                        encoder_hidden=cfg.ae_encoder_hidden)
         nets.update({"ae_encoder.bin": pair.encoder,
                      "ae_decoder.bin": pair.decoder})
     if "denoiser" not in skip:
@@ -179,7 +180,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
         ae_cfg = genmodel.AutoencoderTrainConfig(
             steps=cfg.ae_steps, batch_size=cfg.ae_batch,
             learning_rate=cfg.ae_lr, center_penalty=cfg.ae_center_penalty,
-            hidden=cfg.ae_hidden, seed=derive_seed(cfg.seed, 10))
+            hidden=cfg.ae_hidden, encoder_hidden=cfg.ae_encoder_hidden,
+            seed=derive_seed(cfg.seed, 10))
         pair, losses["autoencoder"] = genmodel.train_autoencoder(
             images, cfg.image_shape, cfg.latent_shape, ae_cfg)
         bundle.autoencoder = pair

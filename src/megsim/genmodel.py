@@ -261,17 +261,21 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
 # pixel <-> latent autoencoder
 
 class AutoencoderPair:
-    """Dense encoder (pixels -> latent) and decoder (latent -> pixels)."""
+    """Dense encoder (pixels -> latent) and decoder (latent -> pixels);
+    only training runs the encoder, so its hidden width may differ."""
 
-    def __init__(self, image_shape, latent_shape, hidden=256, rng=None):
+    def __init__(self, image_shape, latent_shape, hidden=256, rng=None,
+                 encoder_hidden=None):
         rng = None if rng is None else as_rng(rng)
         self.image_shape = tuple(image_shape)
         self.latent_shape = tuple(latent_shape)
         pixels = int(np.prod(image_shape))
         latent = int(np.prod(latent_shape))
+        if encoder_hidden is None:
+            encoder_hidden = hidden
         self.encoder = nn.Network([
-            nn.DenseLayer(pixels, hidden, "relu", rng, "e1"),
-            nn.DenseLayer(hidden, latent, "none", rng, "e2"),
+            nn.DenseLayer(pixels, encoder_hidden, "relu", rng, "e1"),
+            nn.DenseLayer(encoder_hidden, latent, "none", rng, "e2"),
         ], name="encoder")
         self.decoder = nn.Network([
             nn.DenseLayer(latent, hidden, "relu", rng, "d1"),
@@ -310,6 +314,7 @@ class AutoencoderTrainConfig:
     learning_rate: float = 1e-3
     center_penalty: float = 1e-2   # pulls latents toward zero mean
     hidden: int = 256
+    encoder_hidden: int = None     # None: as wide as the decoder
     seed: int = 0
 
 
@@ -324,7 +329,8 @@ def train_autoencoder(images, image_shape, latent_shape,
     if images.ndim != 4 or images.shape[0] == 0:
         raise ValueError("expected a non-empty batch of images [N, C, H, W]")
     rng = as_rng(config.seed)
-    pair = AutoencoderPair(image_shape, latent_shape, config.hidden, rng)
+    pair = AutoencoderPair(image_shape, latent_shape, config.hidden, rng,
+                           config.encoder_hidden)
     flat = images.reshape(images.shape[0], -1)
     opt = nn.Adam(config.learning_rate)
     history = []

@@ -38,12 +38,6 @@ def apply_power(action, remaining, p_max):
     return float(power) if power.ndim == 0 else power
 
 
-def terminal_reward(decoded_images, ground_truths, extractor):
-    """Negative Frechet proxy of the episode's decoded batch."""
-    return -metrics.fid(np.stack(decoded_images), np.stack(ground_truths),
-                        extractor)
-
-
 def squash(u):
     """Map an unbounded sample into the unit action interval."""
     return 0.5 * (math.tanh(u) + 1.0)
@@ -318,7 +312,8 @@ class SeedTransmissionEnv:
                 chunk.reshape(-1, self.seed_len), cache=False)
             images = self.bundle.autoencoder.decode(
                 latents.reshape((-1,) + self.bundle.latent_shape))
-            # each equals terminal_reward(images, ground_truths, extractor)
+            # each is the negative Frechet proxy of the episode's decoded
+            # batch against the ground truths
             rewards[lo:lo + len(chunk)] = -metrics.fid(
                 images.reshape(chunk.shape[:2] + images.shape[1:]), None,
                 self.bundle.extractor,

@@ -107,14 +107,6 @@ def decode_frame(data: bytes) -> SeedFrame:
     return SeedFrame(rate_fixed, (d0, d1, d2), block_len, scale, payload)
 
 
-def chunk_seed(symbols, block_length):
-    """Split a symbol vector into contiguous blocks; the last may be short."""
-    if block_length < 1:
-        raise ValueError("block length must be >= 1")
-    x = np.asarray(symbols)
-    return [x[i:i + block_length] for i in range(0, len(x), block_length)]
-
-
 # ---------------------------------------------------------------------------
 # requests, bundles, results
 

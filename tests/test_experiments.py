@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,11 +20,11 @@ class TestConfig:
             replace(a, seed=1))
 
     @pytest.mark.parametrize("preset, digests", [
-        ("desk", ("f964b448cd6d", "14fa9da3e4cdcd18", "b0f48e70b6f7",
-                  "de937c026a75", "232d7b4a0e93")),
-        ("paper-arithmetic", ("1fec3146ab29", "97968d1d88df4094",
-                              "47a6c61e066a", "36d19f06e482",
-                              "b71d9a78b868")),
+        ("desk", ("f068647645a2", "77132a9e52a3be96", "23d1449d1100",
+                  "3e42cfbd06bf", "c917e3b95eb7")),
+        ("paper-arithmetic", ("b194f6c345e9", "d769ee011f9e611f",
+                              "b4f8898f03cd", "e73bb5347f83",
+                              "2f8afd2ed986")),
     ])
     def test_pinned_digests(self, preset, digests):
         # every cached bundle and CSV is keyed on these; a schema rewrite
@@ -81,6 +82,24 @@ class TestConfig:
         path.write_text(f"[{section}]\n{key} =\n")
         with pytest.raises(ValueError, match=rf"\[{section}\] {key} "):
             config.load_config(str(path))
+
+    @pytest.mark.parametrize("attr, name", [
+        ("ae_hidden", "[autoencoder] hidden"),
+        ("ae_encoder_hidden", "[autoencoder] encoder_hidden"),
+        ("dn_hidden", "[denoiser] hidden"), ("codec_hidden", "[codec] hidden"),
+        ("ppo_hidden", "[ppo] hidden")])
+    def test_zero_width_rejected(self, tmp_path, capsys, monkeypatch, attr,
+                                 name):
+        for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(key)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be")):
+            config.load_config(overrides={attr: 0})
+        section, key = name[1:].split("] ")
+        path = tmp_path / "zero.cfg"
+        path.write_text(f"[{section}]\n{key} = 0\n")
+        assert cli_main(["--config", str(path), "train"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"megsim: error: {name} must be >= 1\n"
 
     def test_parse_error_names_its_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -182,6 +201,23 @@ class TestTrainCaching:
         shutil.copytree(experiments.bundle_dir(tiny_cfg),
                         experiments.bundle_dir(cfg))
         return cfg
+
+    def test_encoder_width_is_part_of_the_artifact_identity(self, tiny_cfg,
+                                                            tmp_path):
+        import shutil
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+        narrow = replace(cfg, ae_encoder_hidden=16).validate()
+        assert experiments.bundle_dir(narrow) != experiments.bundle_dir(cfg)
+        old, new = (experiments._bundle_files(c) for c in (cfg, narrow))
+        assert all(new[name][1] != old[name][1] for name in old)
+        # files an older width wrote where the new width looks are stale
+        shutil.copytree(experiments.bundle_dir(cfg),
+                        experiments.bundle_dir(narrow))
+        assert set(experiments.bundle_status(narrow).values()) == {"stale"}
+        result = experiments.cmd_train(narrow)
+        assert set(result.actions.values()) == {"trained"}
+        encoder = result.bundle.autoencoder.encoder.descriptors()
+        assert encoder[0]["out_features"] == 16
 
     def _vouch_for(self, cfg, name):
         """Record the file's current SHA-256 in the manifest, as if the
@@ -368,26 +404,26 @@ class TestTrainCaching:
                                "manifest.json"), "rb") as fh:
             raw = fh.read()
         assert json.loads(raw)["files"] == {
-            "ae_encoder.bin": "14a643f444af5f61416883e0033c6b60"
-                              "383502c382462bd0935ee78f8e19297f",
-            "ae_decoder.bin": "f7a9976e08605dccfcbe79997b755b25"
-                              "c7eab7e42fec72a5b31d8191dc9135c1",
-            "denoiser.bin": "28723caed63ce25bbba7b05e57e113bb"
-                            "8d87736334eb3e7a752be1fead798377",
-            "codec_r0.5.bin": "af699d4883d7aa282a635323a96b5706"
-                              "18b0559bce02cc382fc81a539e749599"}
+            "ae_encoder.bin": "a4cd1e892145b1074db308b6e62b9e13"
+                              "26295cc6c1b74929ae825fc00e224d78",
+            "ae_decoder.bin": "7b759a8380b82250c2ac642b032133c5"
+                              "fa0f1b34a588741cc64df36c9a06a440",
+            "denoiser.bin": "c75635d52bb645abbf08c18ecc43904e"
+                            "b955c9e9095251e1cccae1f93b64aed7",
+            "codec_r0.5.bin": "a9f3db1d8c8ba9a33759360615308813"
+                              "47c7ee28d0bd7c858ca941dfc6b3988c"}
         assert hashlib.sha256(raw).hexdigest() == (
-            "cfd78e80b9444b0926f5453450fe7c9e"
-            "a76f0c3f4178b31dfda1d0ba4bc24b4e")
+            "af189857c5eade7f2c5b35cf4db175b3"
+            "795b44b4ba45f08aedf84137da11707b")
 
     def test_desk_sweep_and_eval_digests(self, desk_cfg, desk_bundle):
         # desk preset, seed 0, as recorded with numpy 2 on OpenBLAS 0.3.31
         # (another BLAS kernel may sum in another order and move them); a
         # change that only makes the program faster keeps these bytes
-        want = {"sweep": "3e9a443eabb1f135e75617219d44f136"
-                         "4418aa372a98991f99ff01bdc1e530e8",
-                "eval": "3e76469c8ff051ab072ca4a8de27df84"
-                        "c0c9e90017c377336cdf5ad061411372"}
+        want = {"sweep": "e1828afba1e1a5cb1f2fb252ba1e4837"
+                         "cfe6e1cb6ad6747c0edacbfa09304827",
+                "eval": "793898fd5331f5c66a186024fddb41d7"
+                        "aaff389d2e92114dfba90e341235956d"}
         for command, digest in want.items():
             path = getattr(experiments, f"cmd_{command}")(desk_cfg)[
                 f"{command}_csv"]
@@ -401,12 +437,12 @@ class TestTrainCaching:
         # environment keeps these bytes
         cfg = replace(desk_cfg, power_budgets=(2.0,), ppo_update_rounds=10)
         experiments.cmd_power(cfg)
-        want = {"power_summary.csv": "3288951b929800dcc324a0a16d6e9bc0"
-                                     "fb19a4ae736cb1fe1a61be22de88b818",
-                "curve_p2.0.csv": "a394897bc7a1b367ae13e376e540da1a"
-                                  "a924e633981b5cb0aec38b2520b28488",
-                "agent_p2.0.bin": "e1ed9939f66fd013561fb8c3fa11e8c8"
-                                  "69678d45c472fb1be9b38f31f2256e3e"}
+        want = {"power_summary.csv": "06ce3758c195bb39bda937b581bc2445"
+                                     "f7b9e872b4ef56bfc6907329f9acc5ab",
+                "curve_p2.0.csv": "9bd8544c34140baa3d6c7a9615c7362e"
+                                  "04dee50b7ae6215048e34452b3cf308e",
+                "agent_p2.0.bin": "9f9afebaef03acb1a21de993244c3398"
+                                  "f2efaa19d1447d83f63f08e3add91719"}
         for name, digest in want.items():
             with open(os.path.join(cfg.out, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
@@ -526,8 +562,8 @@ class TestSweep:
         # integer-only arithmetic, so the bytes do not depend on the BLAS
         with open(result["sweep_csv"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == (
-                "78f3ce3b9ce5957d4f78708636c81c17"
-                "f4ac018dddf2fcaca92dd9ca3cdd861a")
+                "74b349c91b4337831b328e860bb778ca"
+                "e23f67b2a7928292611e5f324f6b0d4f")
 
 
 class TestPowerCommand:

@@ -129,6 +129,18 @@ class TestAutoencoder:
             return metrics.mse(out, images)
         assert recon_mse(pair) < recon_mse(random_pair)
 
+    def test_encoder_and_decoder_widths_are_independent(self):
+        def widths(net):
+            return [(d["in_features"], d["out_features"])
+                    for d in net.descriptors()]
+
+        pair = genmodel.AutoencoderPair((2, 8, 8), (2, 2, 2), 24, rng=0,
+                                        encoder_hidden=6)
+        assert widths(pair.encoder) == [(128, 6), (6, 8)]
+        assert widths(pair.decoder) == [(8, 24), (24, 128)]
+        same = genmodel.AutoencoderPair((2, 8, 8), (2, 2, 2), 24, rng=0)
+        assert widths(same.encoder) == [(128, 24), (24, 8)]
+
     def test_overfits_two_images_with_identity_sized_latent(self):
         images = corpus.build_corpus(2, 1, 8, 8, seed=3)[1]
         cfg = genmodel.AutoencoderTrainConfig(steps=2500, batch_size=2,

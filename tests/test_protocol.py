@@ -10,12 +10,20 @@ from megsim import channel as ch
 from megsim import genmodel, metrics, protocol
 from megsim.errors import (ChannelErasure, DimensionError, FrameError,
                            ProtocolError)
-from megsim.protocol import (GenerationRequest, RunSpec, chunk_seed,
-                             decode_frame, encode_frame, es_handle_request,
+from megsim.protocol import (GenerationRequest, RunSpec, decode_frame,
+                             encode_frame, es_handle_request,
                              frame_from_seed, recover_stream, run_end_to_end,
                              transmit_stream)
 from megsim.seedcodec import CodecPair, Seed
 from megsim.util import as_rng, derive_seed
+
+
+def chunk_seed(symbols, block_length):
+    """Split a symbol vector into contiguous blocks; the last may be short."""
+    if block_length < 1:
+        raise ValueError("block length must be >= 1")
+    x = np.asarray(symbols)
+    return [x[i:i + block_length] for i in range(0, len(x), block_length)]
 
 
 def random_frame(rng):
