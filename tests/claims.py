@@ -23,10 +23,10 @@ from scipy import stats
 
 from megsim import channel as ch
 from megsim import config, corpus, experiments, power_rl, protocol
+from megsim.metrics import MODES
 from megsim.util import derive_seed, write_csv
 
 CLAIMS_SCHEMA = "megsim claims v1"
-MODES = ("meg", "raw_feature", "centralized")
 
 
 def low_snr_ordering(bundle, cfg):
