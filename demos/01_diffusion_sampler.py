@@ -60,6 +60,6 @@ again, _ = genmodel.generate_latent(denoiser, prompts, batch, schedule)
 print("deterministic resample identical:", np.array_equal(latent, again))
 print("different prompt changes the latent by (max abs):",
       round(float(np.max(np.abs(latent - other))), 4))
-image = pair.decode(latent)
+(image,) = pair.decode(latent[None])
 print("decoded image shape:", image.shape, "in [%.2f, %.2f]"
       % (image.min(), image.max()))

@@ -19,8 +19,8 @@ bundle = experiments.cmd_train(cfg).bundle
 prompts = sample_prompts(16, derive_seed(cfg.seed, 20))
 print(f"evaluation prompts: {prompts[:3]} ... ({len(prompts)} total)\n")
 
-frame_demo = protocol.es_handle_request(
-    bundle, protocol.GenerationRequest(prompts[0], 0.5, cfg.image_shape, 1),
+(frame_demo,) = protocol.es_handle_request(
+    bundle, [protocol.GenerationRequest(prompts[0], 0.5, cfg.image_shape, 1)],
     cfg.block_length)
 wire = protocol.encode_frame(frame_demo.frame)
 print(f"seed frame for one prompt: {len(wire)} bytes "

@@ -40,7 +40,6 @@ class FadingTrace:
     """Per-block channel magnitudes; unit average power for Rayleigh fading."""
     gains: np.ndarray
     block_length: int
-    seed: int | None = None
 
     def __post_init__(self):
         self.gains = np.asarray(self.gains, dtype=np.float64)
@@ -56,7 +55,6 @@ def sample_fading_trace(model: ChannelModel, num_blocks, rng) -> FadingTrace:
     E[h^2] = 1 for block fading."""
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = as_rng(rng)
     if model.kind == "awgn":
         gains = np.ones(num_blocks)
@@ -64,7 +62,7 @@ def sample_fading_trace(model: ChannelModel, num_blocks, rng) -> FadingTrace:
         # Rayleigh scale 1/sqrt(2) gives E[h^2] = 2 * scale^2 = 1
         gains = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=num_blocks)
         gains = np.maximum(gains, 1e-12)
-    return FadingTrace(gains, model.block_length, seed)
+    return FadingTrace(gains, model.block_length)
 
 
 def transmit(symbols, gain, power, noise_std, rng):

@@ -109,8 +109,11 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type is tuple and not value:
                 raise ValueError(f"[{section}] {key} needs at least one value")
-            if f.name.endswith("_hidden") and value < 1:
-                raise ValueError(f"[{section}] {key} must be >= 1")
+            # every count is positive; a batch Frechet score needs two
+            # prompts
+            low = 2 if f.name in ("eval_prompts", "power_prompts") else 1
+            if f.type is int and f.name != "seed" and value < low:
+                raise ValueError(f"[{section}] {key} must be >= {low}")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.downsample < 2:
@@ -129,10 +132,6 @@ class ExperimentConfig:
                     f"overhead bound {budget}")
         if self.power_rate not in self.codec_rates:
             raise ValueError("power experiments need a codec at power_rate")
-        if self.block_length < 1:
-            raise ValueError("block length must be >= 1")
-        if self.sweep_trials < 1 or self.eval_prompts < 2:
-            raise ValueError("sweeps need >= 1 trial and >= 2 eval prompts")
         return self
 
 

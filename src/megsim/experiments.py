@@ -217,8 +217,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             batch_size=cfg.codec_batch, train_snr_db=cfg.codec_train_snr_db,
             channel_kind=cfg.channel_kind, hidden=cfg.codec_hidden,
             seed=derive_seed(cfg.seed, 12, k))
-        codec, losses[stage] = seedcodec.train_codec(
-            latents, cc, rate=rate, latent_shape=cfg.latent_shape)
+        codec, losses[stage] = seedcodec.train_codec(latents, cc, rate)
         name = _codec_filename(rate)
         codec.save(os.path.join(out, name),
                    extra={"dep_hash": files[name][1],

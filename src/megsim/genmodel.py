@@ -16,18 +16,6 @@ from .util import as_rng, stable_word_seed
 # ---------------------------------------------------------------------------
 # prompt embedding
 
-@dataclass
-class PromptEmbedding:
-    """Token embedding matrix [max_tokens, embed_dim]; padding rows are zero."""
-    values: np.ndarray
-    token_count: int
-    truncated: bool = False
-
-    def pooled(self):
-        """Mean token vector [embed_dim], the denoiser's prompt input."""
-        return self.values.mean(axis=0)
-
-
 @lru_cache(maxsize=4096)
 def _token_vector(token, embed_dim):
     """Unit vector of one token; memoized, so the array is read-only."""
@@ -38,20 +26,20 @@ def _token_vector(token, embed_dim):
     return v
 
 
-def embed_prompt(text, max_tokens=8, embed_dim=32) -> PromptEmbedding:
-    """Hash each token to a fixed unit vector; deterministic per text.
+def embed_prompt(text, max_tokens=8, embed_dim=32):
+    """The denoiser's prompt input [embed_dim]: the mean over ``max_tokens``
+    rows of the tokens' fixed unit vectors, padding rows zero; a token is
+    hashed to its vector, so the result is deterministic per text.
 
-    Prompts longer than ``max_tokens`` are truncated and flagged.
+    Tokens past ``max_tokens`` are dropped.
     """
     tokens = text.lower().split()
     if not tokens:
         raise ValueError("prompt is empty after trimming")
-    truncated = len(tokens) > max_tokens
-    tokens = tokens[:max_tokens]
     values = np.zeros((max_tokens, embed_dim), dtype=np.float32)
-    for i, tok in enumerate(tokens):
+    for i, tok in enumerate(tokens[:max_tokens]):
         values[i] = _token_vector(tok, embed_dim)
-    return PromptEmbedding(values, len(tokens), truncated)
+    return values.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +84,18 @@ def make_schedule(steps, beta_start=None, beta_end=None):
 
 
 def diffuse_forward(z0, t, noise, schedule: NoiseSchedule):
-    """Closed-form jump to step t: sqrt(abar_t) z0 + sqrt(1 - abar_t) noise."""
-    if not 0 <= t <= schedule.steps:
+    """Closed-form jump to step t: sqrt(abar_t) z0 + sqrt(1 - abar_t) noise.
+    ``t`` is one step, or a vector of steps with one per row of ``z0``."""
+    steps = np.asarray(t)
+    if np.any((steps < 0) | (steps > schedule.steps)):
         raise ValueError(f"step {t} outside [0, {schedule.steps}]")
     z0 = np.asarray(z0)
     noise = np.asarray(noise)
     if noise.shape != z0.shape:
         raise DimensionError("noise shape must match z0")
     abar = schedule.alpha_bars[t]
+    if steps.ndim:
+        abar = abar[:, None]
     return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * noise
 
 
@@ -125,8 +117,7 @@ def generate_latent(denoiser, prompts, initial_noise, schedule: NoiseSchedule):
     pure function of (denoiser, prompts, noise).
     """
     pooled = np.stack([embed_prompt(text, denoiser.max_tokens,
-                                    denoiser.embed_dim).pooled()
-                       for text in prompts])
+                                    denoiser.embed_dim) for text in prompts])
     z = np.asarray(initial_noise, dtype=np.float32)
     for t in range(schedule.steps, 0, -1):
         z = ddim_step(denoiser, z, t, pooled, schedule).astype(np.float32)
@@ -209,12 +200,10 @@ def denoiser_batch(latents, pooled, time_table, idx, ts, eps, schedule):
     """Denoiser inputs [B, latent + time_dim + embed_dim] for one batch.
 
     Row j is the latent ``latents[idx[j]]`` diffused to step ``ts[j]`` with
-    noise ``eps[j]`` (the :func:`diffuse_forward` formula, broadcast over
-    the batch), then the step's row of ``time_table`` and the prompt's row
-    of ``pooled``.
+    noise ``eps[j]``, then the step's row of ``time_table`` and the
+    prompt's row of ``pooled``.
     """
-    abar = schedule.alpha_bars[ts][:, None]
-    z_t = np.sqrt(abar) * latents[idx] + np.sqrt(1.0 - abar) * eps
+    z_t = diffuse_forward(latents[idx], ts, eps, schedule)
     return np.concatenate([z_t.astype(np.float32), time_table[ts],
                            pooled[idx]], axis=1)
 
@@ -231,10 +220,12 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
     rng = as_rng(config.seed)
     denoiser = Denoiser(pair.latent_shape, config.hidden, config.time_dim,
                         rng=rng)
-    latents = np.stack([pair.encode(img).reshape(-1) for _, img in dataset])
-    pooled = np.stack([
-        embed_prompt(p, denoiser.max_tokens, denoiser.embed_dim).pooled()
-        for p, _ in dataset])
+    # a stack of batches of one, not one batch: each image keeps the
+    # arithmetic of a call of its own, which the pinned weights depend on
+    images = np.stack([img for _, img in dataset])
+    latents = pair.encode(images[:, None]).reshape(len(dataset), -1)
+    pooled = np.stack([embed_prompt(p, denoiser.max_tokens, denoiser.embed_dim)
+                       for p, _ in dataset])
     time_table = denoiser.time_table(schedule.steps)
     opt = nn.Adam(config.learning_rate)
     history = []
@@ -284,24 +275,24 @@ class AutoencoderPair:
 
     @staticmethod
     def _apply(net, x, in_shape, out_shape):
-        """``net`` on one array of ``in_shape`` (a batch of one), a batch
-        [P, *in_shape] or a stack of batches [S, B, *in_shape]."""
+        """``net`` on a batch [P, *in_shape] or a stack of batches
+        [S, B, *in_shape]."""
         x = np.asarray(x, dtype=np.float32)
         lead = x.ndim - len(in_shape)
-        if not 0 <= lead <= 2 or x.shape[lead:] != in_shape:
-            raise DimensionError(f"input shape {x.shape} is not {in_shape}, "
-                                 "a batch of it or a stack of batches")
-        rows = (x.shape[:lead] or (1,)) + (int(np.prod(in_shape)),)
+        if not 1 <= lead <= 2 or x.shape[lead:] != in_shape:
+            raise DimensionError(f"input shape {x.shape} is not a batch of "
+                                 f"{in_shape} or a stack of batches")
+        rows = x.shape[:lead] + (int(np.prod(in_shape)),)
         out = net.forward(x.reshape(rows), cache=False)
         return out.reshape(x.shape[:lead] + out_shape)
 
-    def encode(self, image):
-        """Map an image (or batch) into latent space."""
-        return self._apply(self.encoder, image, self.image_shape,
+    def encode(self, images):
+        """Map images (a batch or a stack) into latent space."""
+        return self._apply(self.encoder, images, self.image_shape,
                            self.latent_shape)
 
     def decode(self, latent):
-        """Map latents (one, a batch or a stack) to pixels clamped to 0..1."""
+        """Map latents (a batch or a stack) to pixels clamped to 0..1."""
         out = self._apply(self.decoder, latent, self.latent_shape,
                           self.image_shape)
         return np.clip(out, 0.0, 1.0, out=out)

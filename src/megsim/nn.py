@@ -1,7 +1,7 @@
 """Dense-network substrate with hand-derived gradients.
 
-Everything runs on plain numpy arrays, float32 by default; gradient
-checking rebuilds layers in float64. There is no autodiff graph: each
+Everything runs on plain numpy arrays, float32 by default; the gradient
+checks rebuild layers in float64. There is no autodiff graph: each
 layer knows its own backward pass, and the optimizer steps each network's
 one parameter vector. Every layer takes a 2-d batch [B, n]; one sample is
 a batch of one. Without caching, ``forward`` also takes a stack [S, B, n]:
@@ -11,7 +11,6 @@ input); caching for backward is opt-out via ``cache=False`` so read-only
 callers can share a network across threads.
 """
 
-import copy
 import json
 import math
 import os
@@ -56,14 +55,11 @@ class _Layer:
     def param_count(self):
         return sum(p.size for p in self.params())
 
-    def clone_as(self, dtype):
-        """A copy outside any network, its parameters cast to ``dtype``."""
-        dup = copy.copy(self)
-        dup.dtype, dup._cache = np.dtype(dtype), None
-        dup.network = dup.grads = None
-        for attr in self.param_attrs:
-            setattr(dup, attr, getattr(self, attr).astype(dtype))
-        return dup
+    def _cached(self):
+        """What the last caching forward kept for ``backward``."""
+        if self._cache is None:
+            raise StateError(f"backward on {self.name!r} before forward")
+        return self._cache
 
 
 class DenseLayer(_Layer):
@@ -122,9 +118,7 @@ class DenseLayer(_Layer):
     def backward(self, upstream, input_grad=True):
         """Return (input_grad, weight_grad, bias_grad) for the cached forward;
         ``input_grad=False`` skips the input gradient and returns None."""
-        if self._cache is None:
-            raise StateError(f"backward on {self.name!r} before forward")
-        x, pre, out = self._cache
+        x, pre, out = self._cached()
         g = _batch(upstream, self.dtype)
         if g.shape != pre.shape:
             raise DimensionError(
@@ -142,8 +136,11 @@ class DenseLayer(_Layer):
         return g @ self.weights, grad_w, grad_b
 
 
-class _NormBase(_Layer):
-    """Mean/variance normalization over the trailing dimension."""
+class Normalize(_Layer):
+    """Parameter-free mean/variance normalization over the trailing
+    dimension."""
+
+    kind = "normalize"
 
     def __init__(self, normalized_size, epsilon=1e-6, name=None, dtype=np.float32):
         self.normalized_size = int(normalized_size)
@@ -152,54 +149,36 @@ class _NormBase(_Layer):
         self.dtype = np.dtype(dtype)
         self._cache = None
 
-    def _check(self, x, cache):
-        """``x`` as a batch (or uncached stack) of this dtype and width."""
+    def descriptor(self):
+        return {"kind": self.kind, "size": self.normalized_size,
+                "epsilon": self.epsilon, "name": self.name}
+
+    def forward(self, x, cache=True):
         x = _batch(x, self.dtype, stack=not cache)
         if x.shape[-1] != self.normalized_size:
             raise DimensionError(
                 f"layer {self.name!r} normalizes size {self.normalized_size}, "
                 f"got trailing dimension {x.shape[-1]}")
-        return x
-
-    def _normalize(self, x):
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         var = (centered * centered).mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.epsilon)
-        return centered * inv, inv
-
-    @staticmethod
-    def _input_grad(g_hat, x_hat, inv):
-        n_mean = g_hat.mean(axis=1, keepdims=True)
-        proj = (g_hat * x_hat).mean(axis=1, keepdims=True)
-        return inv * (g_hat - n_mean - x_hat * proj)
-
-
-class Normalize(_NormBase):
-    """Parameter-free normalization layer."""
-
-    kind = "normalize"
-
-    def descriptor(self):
-        return {"kind": "normalize", "size": self.normalized_size,
-                "epsilon": self.epsilon, "name": self.name}
-
-    def forward(self, x, cache=True):
-        x_hat, inv = self._normalize(self._check(x, cache))
+        x_hat = centered * inv
         if cache:
             self._cache = (x_hat, inv)
         return x_hat
 
     def backward(self, upstream, input_grad=True):
-        if self._cache is None:
-            raise StateError(f"backward on {self.name!r} before forward")
+        x_hat, inv = self._cached()
         if not input_grad:
             return (None,)
-        x_hat, inv = self._cache
-        return (self._input_grad(_batch(upstream, self.dtype), x_hat, inv),)
+        g = _batch(upstream, self.dtype)
+        n_mean = g.mean(axis=1, keepdims=True)
+        proj = (g * x_hat).mean(axis=1, keepdims=True)
+        return (inv * (g - n_mean - x_hat * proj),)
 
 
-class LayerNorm(_NormBase):
+class LayerNorm(Normalize):
     """Normalization followed by a learned elementwise affine map."""
 
     kind = "layernorm"
@@ -210,30 +189,21 @@ class LayerNorm(_NormBase):
         self.gain = np.ones(self.normalized_size, dtype=self.dtype)
         self.offset = np.zeros(self.normalized_size, dtype=self.dtype)
 
-    def descriptor(self):
-        return {"kind": "layernorm", "size": self.normalized_size,
-                "epsilon": self.epsilon, "name": self.name}
-
     def forward(self, x, cache=True):
-        x_hat, inv = self._normalize(self._check(x, cache))
-        if cache:
-            self._cache = (x_hat, inv)
-        return self.gain * x_hat + self.offset
+        return self.gain * super().forward(x, cache) + self.offset
 
     def backward(self, upstream, input_grad=True):
         """Return (input_grad, gain_grad, offset_grad); ``input_grad=False``
         skips the input gradient and returns None."""
-        if self._cache is None:
-            raise StateError(f"backward on {self.name!r} before forward")
-        x_hat, inv = self._cache
+        x_hat, _ = self._cached()
         g = _batch(upstream, self.dtype)
         grad_gain, grad_offset = self.grads or (None, None)
         grad_gain = np.sum(g * x_hat, axis=0, out=grad_gain)
         grad_offset = g.sum(axis=0, out=grad_offset)
         if not input_grad:
             return None, grad_gain, grad_offset
-        return (self._input_grad(g * self.gain, x_hat, inv), grad_gain,
-                grad_offset)
+        (g_x,) = super().backward(g * self.gain)
+        return g_x, grad_gain, grad_offset
 
 
 class Network:
@@ -314,9 +284,6 @@ class Network:
     @property
     def param_count(self):
         return sum(layer.param_count for layer in self.layers)
-
-    def clone_as(self, dtype):
-        return Network([layer.clone_as(dtype) for layer in self.layers], self.name)
 
 
 # Elements per Adam work block, set by timing one step on the desk
@@ -586,25 +553,3 @@ def load_network(path, *networks):
             raise ValueError(f"{path} has trailing bytes")
     return meta["extra"]
 
-
-def numeric_gradient(loss_fn, arrays, step=1e-4):
-    """Central finite-difference gradients of a scalar loss.
-
-    ``loss_fn`` takes no arguments and reads ``arrays`` in place; arrays
-    should be float64 for the check to be tight.
-    """
-    grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr, dtype=np.float64)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            hi = loss_fn()
-            flat[i] = keep - step
-            lo = loss_fn()
-            flat[i] = keep
-            gflat[i] = (hi - lo) / (2.0 * step)
-        grads.append(g)
-    return grads

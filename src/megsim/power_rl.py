@@ -27,15 +27,14 @@ GAUSS_ENTROPY_CONST = 0.5 * (1.0 + LOG_2PI)
 
 
 def apply_power(action, remaining, p_max):
-    """Power for one block: the scaled action, clamped to what is left.
-    Scalars give a float, arrays (one entry per episode) an array."""
+    """Power for one block of each episode: the scaled actions, clamped
+    to what is left of each budget."""
     action, remaining = np.asarray(action), np.asarray(remaining)
     if not np.all((0.0 <= action) & (action <= 1.0)):
         raise ValueError(f"action {action} outside [0, 1]")
     if not np.all((0.0 <= remaining) & (remaining <= p_max)):
         raise ValueError("remaining budget outside [0, p_max]")
-    power = np.minimum(action * p_max, remaining)
-    return float(power) if power.ndim == 0 else power
+    return np.minimum(action * p_max, remaining)
 
 
 def squash(u):

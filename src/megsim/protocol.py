@@ -43,8 +43,10 @@ RATE_FIXED_ONE = 1 << 16
 # ---------------------------------------------------------------------------
 # wire format
 
-@dataclass
+@dataclass(eq=False)
 class SeedFrame:
+    """One seed frame. Compare frames by their ``encode_frame`` bytes:
+    ``==`` is identity."""
     rate_fixed: int
     latent_shape: tuple
     block_length: int
@@ -54,14 +56,6 @@ class SeedFrame:
     @property
     def rate(self):
         return self.rate_fixed / RATE_FIXED_ONE
-
-    def __eq__(self, other):
-        return (isinstance(other, SeedFrame)
-                and self.rate_fixed == other.rate_fixed
-                and self.latent_shape == other.latent_shape
-                and self.block_length == other.block_length
-                and self.scale == other.scale
-                and self.payload.tobytes() == other.payload.tobytes())
 
 
 def frame_from_seed(seed: Seed, block_length: int) -> SeedFrame:
@@ -143,28 +137,25 @@ class EsResult:
 
 
 def es_handle_request(bundle: ModelBundle, requests, block_length: int):
-    """Server side: embed, generate, compress, frame. One request gives an
-    EsResult; a list of requests sharing a rate is served as one batch and
-    gives a list, each noise drawn from its request's ``noise_seed``."""
-    single = isinstance(requests, GenerationRequest)
-    batch = [requests] if single else requests
-    if not isinstance(batch, list) or not batch or not all(
-            isinstance(r, GenerationRequest) for r in batch):
-        raise ProtocolError("expected a GenerationRequest or a list of them")
-    if len({(r.rate, tuple(r.image_shape)) for r in batch}) > 1:
+    """Server side: embed, generate, compress, frame. A non-empty list of
+    requests sharing a rate is served as one batch and gives one EsResult
+    per request, each noise drawn from its request's ``noise_seed``."""
+    if not isinstance(requests, list) or not requests or not all(
+            isinstance(r, GenerationRequest) for r in requests):
+        raise ProtocolError("expected a non-empty list of GenerationRequest")
+    if len({(r.rate, tuple(r.image_shape)) for r in requests}) > 1:
         raise ProtocolError("batched requests must share rate and dims")
-    if tuple(batch[0].image_shape) != tuple(bundle.image_shape):
-        raise ProtocolError(f"request dims {batch[0].image_shape} do not "
+    if tuple(requests[0].image_shape) != tuple(bundle.image_shape):
+        raise ProtocolError(f"request dims {requests[0].image_shape} do not "
                             f"match deployed model dims {bundle.image_shape}")
-    codec = bundle.codec_for(batch[0].rate)
+    codec = bundle.codec_for(requests[0].rate)
     noise = np.stack([as_rng(r.noise_seed).standard_normal(bundle.latent_shape)
-                      for r in batch]).astype(np.float32)
+                      for r in requests]).astype(np.float32)
     latents = genmodel.generate_latent(
-        bundle.denoiser, [r.prompt for r in batch], noise, bundle.schedule)
+        bundle.denoiser, [r.prompt for r in requests], noise, bundle.schedule)
     seeds = codec.compress(latents)
-    results = [EsResult(seed, frame_from_seed(seed, block_length), latent)
-               for seed, latent in zip(seeds, latents)]
-    return results[0] if single else results
+    return [EsResult(seed, frame_from_seed(seed, block_length), latent)
+            for seed, latent in zip(seeds, latents)]
 
 
 @dataclass

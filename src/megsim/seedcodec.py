@@ -7,7 +7,6 @@ a residual connection from its first projection. One pair is trained per
 both.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,22 +94,7 @@ class CodecPair:
         self.net = nn.Network([self.enc, self.d1, self.n1, self.d2, self.n2,
                                self.d3, self.ln], name="codec")
 
-    # -- plumbing ----------------------------------------------------------
-
-    def params(self):
-        return self.net.params()
-
-    def clone_as(self, dtype):
-        dup = copy.copy(self)
-        dup.net = self.net.clone_as(dtype)
-        dup.enc, dup.d1, dup.n1, dup.d2, dup.n2, dup.d3, dup.ln = \
-            dup.net.layers
-        return dup
-
     # -- forward maps ------------------------------------------------------
-
-    def encode_flat(self, z_flat, cache=False):
-        return self.enc.forward(z_flat, cache=cache)
 
     def decode_flat(self, symbols, cache=False):
         """Decoder stack with the residual add of its first projection."""
@@ -143,7 +127,7 @@ class CodecPair:
             raise DimensionError(
                 f"latent batch shape {z.shape} is not [P, "
                 f"*{self.latent_shape}]")
-        raw = self.encode_flat(z.reshape(-1, self.latent_size), cache=False)
+        raw = self.enc.forward(z.reshape(-1, self.latent_size), cache=False)
         scales = np.sqrt(np.mean(raw.astype(np.float64) ** 2, axis=1))
         if not scales.all():
             raise CodecError("encoder produced a zero-power seed")
@@ -156,14 +140,13 @@ class CodecPair:
         P seeds [P, seed_len] and P scales give [P, *latent_shape], each row
         rescaled in the symbols' dtype and decoded as a batch of one."""
         x = np.asarray(received)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.seed_len:
+        if x.ndim != 2 or x.shape[1] != self.seed_len:
             raise CodecError(f"received symbols of shape {x.shape}, codec "
-                             f"expects [{self.seed_len}] or [P, "
-                             f"{self.seed_len}]")
+                             f"expects [P, {self.seed_len}]")
         scales = np.reshape(scale, (-1, 1, 1)).astype(np.result_type(x, 1.0))
-        u = (x.reshape(-1, 1, self.seed_len) * scales).astype(np.float32)
+        u = (x[:, None] * scales).astype(np.float32)
         z = self.decode_flat(u, cache=False)
-        return z.reshape(x.shape[:-1] + self.latent_shape)
+        return z.reshape((len(x),) + self.latent_shape)
 
     # -- persistence ---------------------------------------------------------
 
@@ -173,14 +156,6 @@ class CodecPair:
                 "train_snr_db": self.train_snr_db}
         meta.update(extra or {})
         nn.save_network(path, self.net, extra=meta)
-
-    @classmethod
-    def load(cls, path):
-        meta = nn.network_extra(path)
-        pair = cls(tuple(meta["latent_shape"]), meta["rate"], meta["hidden"],
-                   meta.get("train_snr_db"))
-        nn.load_network(path, pair.net)
-        return pair, meta
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +207,9 @@ def transmission_gradients(pair: CodecPair, latents, eff_noise):
     return loss, [gw_enc, gb_enc] + dec_grads
 
 
-def train_codec(latents, config: CodecTrainConfig, rate=None,
-                latent_shape=None):
-    """Joint encoder/decoder training through the fading channel.
+def train_codec(latents, config: CodecTrainConfig, rate):
+    """Joint encoder/decoder training through the fading channel, for
+    latents [N, *latent_shape] at compression ``rate``.
 
     Fresh fading and noise are drawn for every batch at the configured
     training SNR; a ``train_snr_db`` of None trains against a clean
@@ -244,14 +219,10 @@ def train_codec(latents, config: CodecTrainConfig, rate=None,
     latents = np.asarray(latents, dtype=np.float32)
     if latents.ndim < 2 or latents.shape[0] == 0:
         raise ValueError("expected a non-empty batch of latents")
-    if latent_shape is None:
-        latent_shape = latents.shape[1:]
-    if rate is None:
-        raise ValueError("a compression rate is required")
     if config.channel_kind not in KINDS:
         raise ValueError(f"unknown channel kind {config.channel_kind!r}")
     rng = as_rng(config.seed)
-    pair = CodecPair(latent_shape, rate, config.hidden,
+    pair = CodecPair(latents.shape[1:], rate, config.hidden,
                      config.train_snr_db, rng)
     flat = latents.reshape(latents.shape[0], -1)
     if config.train_snr_db is None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import claims
+from gradcheck import clone_codec, numeric_gradient
 from megsim import channel as ch
 from megsim import (config, corpus, experiments, genmodel, metrics, nn,
                     protocol, seedcodec)
@@ -115,7 +116,7 @@ def _layer_fd_worst(layer_factory, in_dim, draws, rng):
         out = layer.forward(x)
         grads = layer.backward(2.0 * (out - target))
         analytic = [grads[0]] + list(grads[1:])
-        numeric = nn.numeric_gradient(loss, [x] + layer.params(), step=1e-4)
+        numeric = numeric_gradient(loss, [x] + layer.params(), step=1e-4)
         for a, n in zip(analytic, numeric):
             # relative to the gradient's own scale; components far below
             # the array maximum are floored so FD truncation noise on
@@ -145,13 +146,13 @@ def test_criterion_04_gradient_integrity(rng):
     worst_layers = max(worst_layers, _layer_fd_worst(
         lambda r: nn.Normalize(6, dtype=np.float64), 6, 100, rng))
 
-    pair = seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24,
-                               rng=rng).clone_as(np.float64)
+    pair = clone_codec(seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24,
+                                           rng=rng), np.float64)
     z = rng.standard_normal((3, 32))
     noise = rng.standard_normal((3, pair.seed_len)) * 0.3
     _, grads = seedcodec.transmission_gradients(pair, z, noise)
-    numeric = nn.numeric_gradient(
-        lambda: seedcodec.transmission_loss(pair, z, noise), pair.params())
+    numeric = numeric_gradient(
+        lambda: seedcodec.transmission_loss(pair, z, noise), pair.net.params())
     worst_comp = max(float(np.max(np.abs(a - n) / np.maximum(np.abs(n), 1e-6)))
                      for a, n in zip(grads, numeric))
     elapsed = time.perf_counter() - start
@@ -247,13 +248,13 @@ def test_criterion_10_protocol_exactness(desk_bundle, desk_cfg):
     codec = desk_bundle.codec_for(0.5)
     worst = 0.0
     for i, prompt in enumerate(prompts):
-        res = protocol.es_handle_request(
+        (res,) = protocol.es_handle_request(
             desk_bundle,
-            protocol.GenerationRequest(prompt, 0.5, desk_bundle.image_shape,
-                                       derive_seed(11, 0, i)),
+            [protocol.GenerationRequest(prompt, 0.5, desk_bundle.image_shape,
+                                        derive_seed(11, 0, i))],
             desk_cfg.block_length)
-        local = desk_bundle.autoencoder.decode(
-            codec.decompress(res.seed.symbols, res.seed.scale))
+        (local,) = desk_bundle.autoencoder.decode(
+            codec.decompress(res.seed.symbols[None], [res.seed.scale]))
         worst = max(worst, float(np.max(np.abs(local - rep["meg"].images[i]))))
     ok = mismatches == 0 and worst < 1e-6
     report(10, ok, f"10^4 frame round trips byte-identical "

@@ -18,8 +18,7 @@ def export_trace_csv(trace, path):
     """Write one trace as (block, gain) rows; block length rides in a comment."""
     write_csv(path, ["block", "gain"], enumerate(trace.gains),
               comment=f"megsim fading trace v1 "
-                      f"block_length={trace.block_length} "
-                      f"seed={trace.seed if trace.seed is not None else ''}")
+                      f"block_length={trace.block_length}")
 
 
 class TestSnrConversion:
@@ -61,7 +60,7 @@ class TestFadingTraces:
         path = tmp_path / "trace.csv"
         export_trace_csv(trace, path)
         comment, header, *rows = read_csv(path)
-        assert comment == ["# megsim fading trace v1 block_length=16 seed=9"]
+        assert comment == ["# megsim fading trace v1 block_length=16"]
         assert header == ["block", "gain"]
         assert [int(b) for b, _ in rows] == list(range(40))
         assert np.array_equal([float(g) for _, g in rows], trace.gains)

@@ -101,6 +101,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err == f"megsim: error: {name} must be >= 1\n"
 
+    @pytest.mark.parametrize("section, key, attr", [
+        (section, key, attr) for section, rows in config._SCHEMA.items()
+        for key, attr, kind in rows if kind is int and attr != "seed"])
+    def test_count_below_its_minimum_rejected(self, monkeypatch, section, key,
+                                              attr):
+        for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(name)
+        # a batch Frechet score needs two prompts; every other count one
+        low = 2 if attr in ("eval_prompts", "power_prompts") else 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"[{section}] {key} must be >= {low}")):
+            config.load_config(overrides={attr: low - 1})
+        if low == 2:
+            assert getattr(config.load_config(overrides={attr: 2}), attr) == 2
+
     def test_parse_error_names_its_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[ppo]\nupdate_rounds = 1.5\n")
@@ -743,6 +758,21 @@ class TestCli:
         assert captured.err.startswith("megsim: error: ")
         assert captured.err.count("\n") == 1 and words in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("text,command,words", [
+        ("[corpus]\nsize = 0\n", "train", "[corpus] size must be >= 1"),
+        ("[power]\nprompts = 1\n", "power", "[power] prompts must be >= 2")])
+    def test_count_below_its_minimum_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, text, command, words):
+        for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(key)
+        path = tmp_path / "zero.cfg"
+        path.write_text(text)
+        argv = ["--config", str(path), "--out", str(tmp_path), command]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"megsim: error: {words}\n"
+        assert captured.out == "" and os.listdir(tmp_path) == ["zero.cfg"]
 
     def test_unusable_bundle_is_one_error_line(self, tiny_cfg, tmp_path,
                                                capsys, monkeypatch):

@@ -25,28 +25,32 @@ class TestPromptEmbedding:
     def test_deterministic(self):
         a = genmodel.embed_prompt("large rings center")
         b = genmodel.embed_prompt("large rings center")
-        assert np.array_equal(a.values, b.values)
-        assert not a.truncated
+        assert a.shape == (32,) and np.array_equal(a, b)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             genmodel.embed_prompt("   ")
 
     def test_distinct_words_not_collinear(self):
-        a = genmodel.embed_prompt("blob").values[0]
-        b = genmodel.embed_prompt("stripes").values[0]
+        a = genmodel._token_vector("blob", 32)
+        b = genmodel._token_vector("stripes", 32)
         cos = float(a @ b)
         assert cos < 1.0 - 1e-3
 
     def test_unit_rows_and_zero_padding(self):
-        emb = genmodel.embed_prompt("two words", max_tokens=5)
-        norms = np.linalg.norm(emb.values, axis=1)
-        assert np.allclose(norms[:2], 1.0, atol=1e-5)
-        assert np.all(norms[2:] == 0)
+        two, words = (genmodel._token_vector(t, 32) for t in ("two", "words"))
+        assert np.allclose(np.linalg.norm([two, words], axis=1), 1.0,
+                           atol=1e-5)
+        # the mean over max_tokens rows, the padding rows zero
+        padded = np.zeros((5, 32), np.float32)
+        padded[:2] = two, words
+        assert np.array_equal(genmodel.embed_prompt("two words", max_tokens=5),
+                              padded.mean(axis=0))
 
     def test_truncation_flag(self):
-        emb = genmodel.embed_prompt("a b c d", max_tokens=2)
-        assert emb.truncated and emb.token_count == 2
+        # tokens past max_tokens are dropped
+        assert np.array_equal(genmodel.embed_prompt("a b c d", max_tokens=2),
+                              genmodel.embed_prompt("a b", max_tokens=2))
 
 
 class TestSchedule:
@@ -89,6 +93,14 @@ class TestDiffusionAlgebra:
         s = genmodel.make_schedule(4)
         with pytest.raises(ValueError):
             genmodel.diffuse_forward(np.zeros(2), 5, np.zeros(2), s)
+        # a vector of steps, one per row, is checked step by step
+        rows = np.zeros((2, 3))
+        with pytest.raises(ValueError):
+            genmodel.diffuse_forward(rows, np.array([1, 5]), rows, s)
+        with pytest.raises(ValueError):
+            genmodel.diffuse_forward(rows, np.array([-1, 2]), rows, s)
+        assert genmodel.diffuse_forward(rows, np.array([0, 4]), rows,
+                                        s).shape == rows.shape
 
 
 class TestDdim:
@@ -172,14 +184,15 @@ class TestAutoencoder:
 
     def test_shape_round_trip_and_clamp(self, tiny_bundle, rng):
         pair = tiny_bundle.autoencoder
-        img = rng.random(pair.image_shape).astype(np.float32)
+        img = rng.random((1,) + pair.image_shape).astype(np.float32)
         out = pair.decode(pair.encode(img))
         assert out.shape == img.shape
         # force a raw output above 1 and check the clamp
         pair_hot = genmodel.AutoencoderPair(pair.image_shape,
                                             pair.latent_shape, 8, rng=0)
         pair_hot.decoder.layers[-1].bias[...] = 5.0
-        decoded = pair_hot.decode(np.zeros(pair.latent_shape, np.float32))
+        decoded = pair_hot.decode(np.zeros((1,) + pair.latent_shape,
+                                           np.float32))
         assert decoded.max() <= 1.0 and decoded.min() >= 0.0
 
     def test_psnr_trained_beats_random(self, tiny_bundle, tiny_cfg):
@@ -188,7 +201,7 @@ class TestAutoencoder:
         random_pair = genmodel.AutoencoderPair(tiny_cfg.image_shape,
                                                tiny_cfg.latent_shape,
                                                tiny_cfg.ae_hidden, rng=123)
-        img = images[0]
+        img = images[:1]
         good = metrics.psnr(pair.decode(pair.encode(img)), img, 1.0)
         bad = metrics.psnr(random_pair.decode(random_pair.encode(img)), img,
                            1.0)
@@ -211,9 +224,9 @@ class TestDenoiserTraining:
         pair = genmodel.AutoencoderPair((3, 16, 16), (2, 4, 4), 24, rng=3)
         sched = genmodel.make_schedule(9)
         time_dim = 16
-        latents = np.stack([pair.encode(img).reshape(-1) for img in images])
-        embeddings = [genmodel.embed_prompt(p) for p in prompts]
-        pooled = np.stack([e.pooled() for e in embeddings])
+        latents = np.stack([pair.encode(img[None]).reshape(-1)
+                            for img in images])
+        pooled = np.stack([genmodel.embed_prompt(p) for p in prompts])
         time_table = np.stack([genmodel.time_embedding(t, time_dim)
                                for t in range(sched.steps + 1)])
         idx = rng.integers(0, len(prompts), size=32)
@@ -223,7 +236,7 @@ class TestDenoiserTraining:
             genmodel.diffuse_forward(latents[i], int(t), e, sched)
             .astype(np.float32),
             genmodel.time_embedding(int(t), time_dim),
-            embeddings[i].pooled()]) for i, t, e in zip(idx, ts, eps)])
+            genmodel.embed_prompt(prompts[i])]) for i, t, e in zip(idx, ts, eps)])
         got = genmodel.denoiser_batch(latents, pooled, time_table, idx, ts,
                                       eps, sched)
         assert got.dtype == want.dtype == np.float32
@@ -248,14 +261,14 @@ class TestDenoiserTraining:
         pair = tiny_bundle.autoencoder
         rng = np.random.default_rng(11)
         embs = [genmodel.embed_prompt(p) for p in prompts]
-        z0s = [pair.encode(img).reshape(-1) for img in images]
+        z0s = [pair.encode(img[None]).reshape(-1) for img in images]
         ts = rng.integers(1, sched.steps + 1, size=40)
         noises = rng.standard_normal((40, z0s[0].size))
         trained, zero = 0.0, 0.0
         for k in range(40):
             i = k % len(z0s)
             zt = genmodel.diffuse_forward(z0s[i], int(ts[k]), noises[k], sched)
-            err = den.predict(zt, int(ts[k]), embs[i].pooled()[None]) \
+            err = den.predict(zt, int(ts[k]), embs[i][None]) \
                 - noises[k]
             trained += float(np.mean(err * err))
             zero += float(np.mean(noises[k] ** 2))
@@ -287,7 +300,7 @@ class TestGeneration:
         s1 = genmodel.make_schedule(1)
         noise = rng.standard_normal((1,) + tiny_bundle.latent_shape) \
             .astype(np.float32)
-        pooled = genmodel.embed_prompt("blob").pooled()[None]
+        pooled = genmodel.embed_prompt("blob")[None]
         got = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], noise,
                                        s1)
         want = genmodel.ddim_step(tiny_bundle.denoiser, noise, 1, pooled, s1)
@@ -317,18 +330,20 @@ class TestCorpus:
 class ReferencePredict:
     """The step-by-step input assembly: a fresh time embedding and a fresh
     pooled prompt at every call, as the sampler once built them, for one
-    latent [1, *latent_shape] and its PromptEmbedding."""
+    latent [1, *latent_shape] and its prompt."""
 
-    def __init__(self, denoiser, embedding):
+    def __init__(self, denoiser, prompt):
         self.denoiser = denoiser
-        self.embedding = embedding
+        self.prompt = prompt
 
     def predict(self, z_t, t, pooled):
         z_t = np.asarray(z_t)
+        den = self.denoiser
         feats = np.concatenate([
             z_t.reshape(-1).astype(np.float32),
-            genmodel.time_embedding(t, self.denoiser.time_dim),
-            self.embedding.values.mean(axis=0).astype(np.float32)])
+            genmodel.time_embedding(t, den.time_dim),
+            genmodel.embed_prompt(self.prompt, den.max_tokens,
+                                  den.embed_dim)])
         return self.denoiser.net.forward(feats[None], cache=False) \
             .reshape(z_t.shape)
 
@@ -341,8 +356,7 @@ class TestSamplerConstants:
             noise = rng.standard_normal((1,) + den.latent_shape) \
                 .astype(np.float32)
             got = genmodel.generate_latent(den, [prompt], noise, sched)
-            ref = ReferencePredict(den, genmodel.embed_prompt(
-                prompt, den.max_tokens, den.embed_dim))
+            ref = ReferencePredict(den, prompt)
             want = noise
             for t in range(sched.steps, 0, -1):
                 want = genmodel.ddim_step(ref, want, t, None, sched) \
@@ -364,9 +378,9 @@ class TestSamplerConstants:
         assert genmodel._token_vector("blob", 32) is v
         with pytest.raises(ValueError):
             v[0] = 1.0
-        emb = genmodel.embed_prompt("blob blob")
-        emb.values[0, 0] = 7.0                   # the embedding owns a copy
-        assert genmodel.embed_prompt("blob").values[0, 0] == v[0] != 7.0
+        emb = genmodel.embed_prompt("blob")
+        emb[0] = 7.0                             # the embedding owns a copy
+        assert genmodel.embed_prompt("blob")[0] == v[0] / 8 != 7.0
 
 
 class TestPromptBatch:
@@ -393,10 +407,10 @@ class TestPromptBatch:
         den = tiny_bundle.denoiser
         emb = genmodel.embed_prompt("blob")
         z = np.zeros((2,) + den.latent_shape)
-        for cond in (emb.pooled()[None], np.stack([emb.pooled()] * 3)):
+        for cond in (emb[None], np.stack([emb] * 3)):
             with pytest.raises(DimensionError):
                 den.predict(z, 1, cond)
-        assert den.predict(z, 1, np.stack([emb.pooled()] * 2)).shape \
+        assert den.predict(z, 1, np.stack([emb] * 2)).shape \
             == z.shape
 
     def test_decode_batch_matches_single_calls(self, tiny_bundle, rng):
@@ -405,13 +419,12 @@ class TestPromptBatch:
         batch = pair.decode(z)
         assert batch.shape == (5,) + pair.image_shape
         for row, got in zip(z, batch):
-            assert np.max(np.abs(got - pair.decode(row))) <= 1e-5
+            assert np.max(np.abs(got - pair.decode(row[None])[0])) <= 1e-5
         one = pair.decode(z[:1])
         assert one.shape == (1,) + pair.image_shape
         # one latent: one decoder forward on the flat vector, clamped
         want = np.clip(pair.decoder.forward(z[0].reshape(1, -1), cache=False),
                        0.0, 1.0).reshape(pair.image_shape)
-        assert np.array_equal(pair.decode(z[0]), want)
         assert np.array_equal(one[0], want)
 
     def test_encode_one_image_is_one_encoder_forward(self, tiny_bundle, rng):
@@ -419,12 +432,13 @@ class TestPromptBatch:
         img = rng.random(pair.image_shape).astype(np.float32)
         want = pair.encoder.forward(img.reshape(1, -1), cache=False) \
             .reshape(pair.latent_shape)
-        assert np.array_equal(pair.encode(img), want)
         assert np.array_equal(pair.encode(img[None])[0], want)
 
     def test_other_shapes_rejected(self, tiny_bundle):
         pair = tiny_bundle.autoencoder
+        # one latent is a batch of one: a bare latent is refused too
         for bad in (np.zeros(pair.latent_shape[1:]),
+                    np.zeros(pair.latent_shape),
                     np.zeros((2, 2, 2) + pair.latent_shape),
                     np.zeros(int(np.prod(pair.latent_shape)))):
             with pytest.raises(DimensionError):

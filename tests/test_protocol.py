@@ -37,8 +37,13 @@ def random_frame(rng):
 class TestSeedFrame:
     def test_encode_decode_equality(self, rng):
         frame = random_frame(rng)
-        back = decode_frame(encode_frame(frame))
-        assert back == frame
+        data = encode_frame(frame)
+        back = decode_frame(data)
+        assert encode_frame(back) == data
+        assert np.array_equal(back.payload, frame.payload)
+        assert (back.rate_fixed, back.latent_shape, back.block_length,
+                back.scale) == (frame.rate_fixed, frame.latent_shape,
+                                frame.block_length, frame.scale)
 
     @given(st.integers(1, 65535), st.integers(0, 2 ** 31),
            st.lists(st.floats(-1e6, 1e6, width=32), min_size=1, max_size=64))
@@ -94,33 +99,34 @@ class TestChunking:
 
 
 class TestEsSide:
-    def _request(self, bundle, seed=1):
-        return GenerationRequest("large blob left", 0.5, bundle.image_shape,
-                                 seed)
+    def _serve(self, bundle, seed=1):
+        """One request, served as a batch of one."""
+        (res,) = es_handle_request(bundle, [GenerationRequest(
+            "large blob left", 0.5, bundle.image_shape, seed)], 16)
+        return res
 
     def test_payload_length_matches_rate(self, tiny_bundle):
-        res = es_handle_request(tiny_bundle, self._request(tiny_bundle), 16)
+        res = self._serve(tiny_bundle)
         assert res.frame.payload.size == tiny_bundle.codec_for(0.5).seed_len
 
     def test_identical_requests_byte_equal(self, tiny_bundle):
-        a = es_handle_request(tiny_bundle, self._request(tiny_bundle), 16)
-        b = es_handle_request(tiny_bundle, self._request(tiny_bundle), 16)
+        a = self._serve(tiny_bundle)
+        b = self._serve(tiny_bundle)
         assert encode_frame(a.frame) == encode_frame(b.frame)
 
     def test_header_round_trip(self, tiny_bundle):
-        res = es_handle_request(tiny_bundle, self._request(tiny_bundle), 16)
-        back = decode_frame(encode_frame(res.frame))
-        assert back == res.frame
+        data = encode_frame(self._serve(tiny_bundle).frame)
+        assert encode_frame(decode_frame(data)) == data
 
     def test_dims_mismatch_rejected(self, tiny_bundle):
         bad = GenerationRequest("blob", 0.5, (1, 64, 64), 0)
         with pytest.raises(ProtocolError, match="dims"):
-            es_handle_request(tiny_bundle, bad, 16)
+            es_handle_request(tiny_bundle, [bad], 16)
 
     def test_unknown_rate_rejected(self, tiny_bundle):
         bad = GenerationRequest("blob", 0.25, tiny_bundle.image_shape, 0)
         with pytest.raises(ProtocolError, match="rate"):
-            es_handle_request(tiny_bundle, bad, 16)
+            es_handle_request(tiny_bundle, [bad], 16)
 
 
 def reference_es_handle_request(bundle, request, block_length):
@@ -131,7 +137,7 @@ def reference_es_handle_request(bundle, request, block_length):
     (latent,) = genmodel.generate_latent(bundle.denoiser, [request.prompt],
                                          noise[None].astype(np.float32),
                                          bundle.schedule)
-    raw = codec.encode_flat(latent.reshape(1, -1), cache=False)[0]
+    raw = codec.enc.forward(latent.reshape(1, -1), cache=False)[0]
     scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
     seed = Seed((raw / scale).astype(np.float32), codec.latent_shape,
                 codec.rate, scale)
@@ -151,7 +157,7 @@ class TestEsBatch:
         batch = es_handle_request(tiny_bundle, requests, 16)
         assert isinstance(batch, list) and len(batch) == len(requests)
         for request, got in zip(requests, batch):
-            want = es_handle_request(tiny_bundle, request, 16)
+            (want,) = es_handle_request(tiny_bundle, [request], 16)
             assert np.max(np.abs(got.latent - want.latent)) \
                 <= 1e-5 * np.max(np.abs(want.latent))
             assert np.max(np.abs(got.seed.symbols - want.seed.symbols)) \
@@ -163,13 +169,11 @@ class TestEsBatch:
     def test_one_request_equals_the_reference(self, tiny_bundle):
         request = self._requests(tiny_bundle)[0]
         want = reference_es_handle_request(tiny_bundle, request, 16)
-        single = es_handle_request(tiny_bundle, request, 16)
-        (listed,) = es_handle_request(tiny_bundle, [request], 16)
-        for got in (single, listed):
-            assert np.array_equal(got.latent, want.latent)
-            assert np.array_equal(got.seed.symbols, want.seed.symbols)
-            assert got.seed.scale == want.seed.scale
-            assert encode_frame(got.frame) == encode_frame(want.frame)
+        (got,) = es_handle_request(tiny_bundle, [request], 16)
+        assert np.array_equal(got.latent, want.latent)
+        assert np.array_equal(got.seed.symbols, want.seed.symbols)
+        assert got.seed.scale == want.seed.scale
+        assert encode_frame(got.frame) == encode_frame(want.frame)
 
     def test_each_request_draws_its_own_noise(self, tiny_bundle,
                                               monkeypatch):
@@ -200,6 +204,7 @@ class TestEsBatch:
                            ([wrong_dims, wrong_dims], "dims"),
                            ([other_rate], "rate"),
                            ([], "GenerationRequest"),
+                           (good, "GenerationRequest"),
                            ((good,), "GenerationRequest"),
                            ([good, "blob"], "GenerationRequest"),
                            ("blob", "GenerationRequest"),
@@ -249,12 +254,12 @@ class TestEndToEnd:
         report = run_end_to_end(tiny_bundle, self._spec(prompts))
         codec = tiny_bundle.codec_for(0.5)
         for i, prompt in enumerate(prompts):
-            res = es_handle_request(
-                tiny_bundle, GenerationRequest(prompt, 0.5,
-                                               tiny_bundle.image_shape,
-                                               derive_seed(3, 0, i)), 16)
-            local = tiny_bundle.autoencoder.decode(
-                codec.decompress(res.seed.symbols, res.seed.scale))
+            (res,) = es_handle_request(
+                tiny_bundle, [GenerationRequest(prompt, 0.5,
+                                                tiny_bundle.image_shape,
+                                                derive_seed(3, 0, i))], 16)
+            (local,) = tiny_bundle.autoencoder.decode(
+                codec.decompress(res.seed.symbols[None], [res.seed.scale]))
             remote = report["meg"].images[i]
             assert np.max(np.abs(local - remote)) < 1e-6
 
@@ -321,7 +326,7 @@ def reference_ue_images(bundle, frames, symbols):
     for frame, x in zip(frames, symbols):
         rate = min(bundle.codecs, key=lambda r: abs(r - frame.rate))
         images.append(bundle.autoencoder.decode(
-            bundle.codec_for(rate).decompress(x, frame.scale)))
+            bundle.codec_for(rate).decompress(x[None], [frame.scale]))[0])
     return images
 
 
@@ -516,7 +521,7 @@ class TestBatchedLink:
                     flat, lost = reference_recover_stream(blocks,
                                                           seed.symbols.size)
                     images.append(tiny_bundle.autoencoder.decode(
-                        codec.decompress(flat, seed.scale)))
+                        codec.decompress(flat[None], [seed.scale]))[0])
                 else:
                     payload = (truth if mode == "centralized" else latent) \
                         .reshape(-1).astype(np.float64)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import clone_codec, numeric_gradient
 from megsim import nn, seedcodec
 from megsim.errors import CodecError, DimensionError
 
@@ -60,16 +61,18 @@ class TestCompressDecompress:
         z = rng.standard_normal((1,) + small_pair.latent_shape) \
             .astype(np.float32)
         (seed,) = small_pair.compress(z)
-        back = small_pair.decompress(seed.symbols, seed.scale)
-        assert back.shape == small_pair.latent_shape
+        back = small_pair.decompress(seed.symbols[None], [seed.scale])
+        assert back.shape == (1,) + small_pair.latent_shape
 
     def test_zero_symbols_decode_finite(self, small_pair):
-        out = small_pair.decompress(np.zeros(small_pair.seed_len), 1.0)
+        out = small_pair.decompress(np.zeros((1, small_pair.seed_len)), [1.0])
         assert np.all(np.isfinite(out))
 
     def test_wrong_length_rejected(self, small_pair):
-        with pytest.raises(CodecError):
-            small_pair.decompress(np.zeros(small_pair.seed_len + 1), 1.0)
+        for bad in (np.zeros((1, small_pair.seed_len + 1)),
+                    np.zeros(small_pair.seed_len)):
+            with pytest.raises(CodecError):
+                small_pair.decompress(bad, [1.0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stacked_seeds_equal_single_calls(self, small_pair, rng, dtype):
@@ -78,12 +81,13 @@ class TestCompressDecompress:
         got = small_pair.decompress(x, scales)
         assert got.shape == (5,) + small_pair.latent_shape
         for row, scale, latent in zip(x, scales, got):
-            one = small_pair.decompress(row, float(scale))
+            one = small_pair.decompress(row[None], [scale])
             # one seed: one decoder forward, rescaled in the symbols' dtype
             want = small_pair.decode_flat(
                 (row[None] * float(scale)).astype(np.float32))
-            assert np.array_equal(one, want.reshape(small_pair.latent_shape))
-            assert np.array_equal(latent, one)
+            assert np.array_equal(one[0],
+                                  want.reshape(small_pair.latent_shape))
+            assert np.array_equal(latent, one[0])
         with pytest.raises(CodecError):
             small_pair.decompress(x[None], scales)
 
@@ -98,7 +102,7 @@ class TestCompressDecompress:
 def reference_compress(pair, z):
     """The one-latent compression: encode the flat vector, divide by its
     RMS. Returns (symbols, scale)."""
-    raw = pair.encode_flat(z.reshape(1, -1), cache=False)[0]
+    raw = pair.enc.forward(z.reshape(1, -1), cache=False)[0]
     scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
     return (raw / scale).astype(np.float32), scale
 
@@ -187,7 +191,7 @@ class TestTraining:
         def recon_err(pair):
             total = 0.0
             for z, seed in zip(latents[:20], pair.compress(latents[:20])):
-                back = pair.decompress(seed.symbols, seed.scale)
+                (back,) = pair.decompress(seed.symbols[None], [seed.scale])
                 total += float(np.mean((back - z) ** 2))
             return total
 
@@ -196,8 +200,8 @@ class TestTraining:
 
 class TestGradients:
     def test_composition_matches_finite_differences(self, rng):
-        pair = seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24,
-                                   rng=rng).clone_as(np.float64)
+        pair = clone_codec(seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24,
+                                               rng=rng), np.float64)
         z = rng.standard_normal((3, 32))
         noise = rng.standard_normal((3, pair.seed_len)) * 0.3
         _, grads = seedcodec.transmission_gradients(pair, z, noise)
@@ -205,7 +209,7 @@ class TestGradients:
         def loss():
             return seedcodec.transmission_loss(pair, z, noise)
 
-        numeric = nn.numeric_gradient(loss, pair.params())
+        numeric = numeric_gradient(loss, pair.net.params())
         for a, n in zip(grads, numeric):
             rel = np.max(np.abs(a - n) / np.maximum(np.abs(n), 1e-6))
             assert rel < 1e-3
@@ -220,7 +224,9 @@ class TestReferenceArchitecture:
     def test_save_load_round_trip(self, small_pair, tmp_path, rng):
         path = tmp_path / "codec.bin"
         small_pair.save(path, extra={"note": 1})
-        loaded, meta = seedcodec.CodecPair.load(path)
+        # a skeleton filled from the file, as the bundle loader does
+        loaded = seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24)
+        meta = nn.load_network(path, loaded.net)
         assert meta["note"] == 1 and meta["rate"] == 0.5
         z = rng.standard_normal((2,) + small_pair.latent_shape) \
             .astype(np.float32)
