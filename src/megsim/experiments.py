@@ -11,6 +11,7 @@ with an unchanged config never retrain.
 import itertools
 import json
 import os
+import statistics
 import struct
 from dataclasses import dataclass
 
@@ -320,9 +321,10 @@ def _sweep_plots(cfg, rows):
         for col, label in ((4, "psnr_db"), (5, "fid_proxy")):
             series, points = {}, []
             for mode in ("centralized", "raw_feature", "meg"):
-                ys = [float(np.median([r[col] for r in rows
-                                       if r[0] == mode and r[1] == rate
-                                       and r[2] == snr]))
+                # statistics, not np.median: its first call imports numpy.ma
+                ys = [statistics.median([r[col] for r in rows
+                                         if r[0] == mode and r[1] == rate
+                                         and r[2] == snr])
                       for snr in cfg.sweep_snrs_db]
                 series[mode] = (list(cfg.sweep_snrs_db), ys)
                 points += [(mode, snr, y)

@@ -26,20 +26,26 @@ def _token_vector(token, embed_dim):
     return v
 
 
-def embed_prompt(text, max_tokens=8, embed_dim=32):
-    """The denoiser's prompt input [embed_dim]: the mean over ``max_tokens``
-    rows of the tokens' fixed unit vectors, padding rows zero; a token is
-    hashed to its vector, so the result is deterministic per text.
-
-    Tokens past ``max_tokens`` are dropped.
-    """
+@lru_cache(maxsize=4096)
+def _pooled_prompt(text, max_tokens, embed_dim):
+    """:func:`embed_prompt`'s row; memoized, so the array is read-only."""
     tokens = text.lower().split()
     if not tokens:
         raise ValueError("prompt is empty after trimming")
     values = np.zeros((max_tokens, embed_dim), dtype=np.float32)
     for i, tok in enumerate(tokens[:max_tokens]):
         values[i] = _token_vector(tok, embed_dim)
-    return values.mean(axis=0)
+    pooled = values.mean(axis=0)
+    pooled.flags.writeable = False
+    return pooled
+
+
+def embed_prompt(text, max_tokens=8, embed_dim=32):
+    """The denoiser's prompt input [embed_dim], owned by the caller: the
+    mean over ``max_tokens`` rows of the tokens' fixed unit vectors, padding
+    rows zero and tokens past ``max_tokens`` dropped; a token is hashed to
+    its vector, so the result is deterministic per text."""
+    return _pooled_prompt(text, max_tokens, embed_dim).copy()
 
 
 # ---------------------------------------------------------------------------

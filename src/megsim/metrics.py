@@ -10,7 +10,7 @@ batches, so no covariance matrix or matrix square root is formed.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,11 +42,24 @@ def psnr(generated, reference, peak):
     return 10.0 * math.log10(peak * peak / err)
 
 
+@lru_cache(maxsize=16)
+def _frozen_network(input_size, feature_dim, hidden, seed):
+    """The extractor's network, built once per process and read-only."""
+    rng = np.random.default_rng(seed)
+    net = nn.Network([
+        nn.DenseLayer(input_size, hidden, "tanh", rng, "f1"),
+        nn.DenseLayer(hidden, feature_dim, "tanh", rng, "f2"),
+    ], name="extractor")
+    for array in [net.flat] + net.params():
+        array.flags.writeable = False
+    return net
+
+
 class FeatureExtractor:
     """Frozen tanh network mapping an image to a fixed-length feature vector.
 
-    Parameters are drawn once from a fixed seed, at first use, and never
-    trained, so the same image always maps to the same features.
+    Parameters are drawn from a fixed seed once per process, at first use,
+    and never trained, so the same image always maps to the same features.
     """
 
     def __init__(self, input_size, feature_dim=64, hidden=128,
@@ -58,11 +71,8 @@ class FeatureExtractor:
 
     @cached_property
     def net(self):
-        rng = np.random.default_rng(self.seed)
-        return nn.Network([
-            nn.DenseLayer(self.input_size, self.hidden, "tanh", rng, "f1"),
-            nn.DenseLayer(self.hidden, self.feature_dim, "tanh", rng, "f2"),
-        ], name="extractor")
+        return _frozen_network(self.input_size, self.feature_dim, self.hidden,
+                               self.seed)
 
     def extract(self, images):
         """Features for a batch of images, shape [N, feature_dim] (float64)."""

@@ -182,12 +182,13 @@ class EndToEndReport:
 
 def transmit_stream(payloads, trace: ch.FadingTrace, noise_std, rng,
                     powers=None):
-    """Send payloads [P, N] (or one [N] vector) over a trace, every row on
-    the same blocks at one power per block; returns (received, gains,
-    powers) per symbol. The noise is one draw of the payloads' shape,
-    which equals drawing each row's blocks in turn."""
+    """Send payloads [P, N] over a trace, every row on the same blocks at
+    one power per block; returns (received, gains, powers) per symbol. One
+    noise draw of the payloads' shape equals drawing each row in turn."""
     x = np.asarray(payloads)
-    n, block = x.shape[-1], trace.block_length
+    if x.ndim != 2:
+        raise DimensionError(f"payloads must be a stack [P, N], got {x.shape}")
+    n, block = x.shape[1], trace.block_length
     nb = -(-n // block)
     p = np.ones(nb) if powers is None else np.asarray(powers, np.float64)
     if len(trace) < nb or len(p) < nb:
@@ -201,10 +202,12 @@ def recover_stream(received, gains, powers):
     """Equalize received symbols; erased ones (zero power) come back as
     zeros. Returns (symbols, degraded)."""
     live = powers > 0
+    if live.all():
+        return ch.equalize(received, gains, powers), False
     out = np.zeros(np.shape(received))
     out[..., live] = ch.equalize(received[..., live], gains[live],
                                  powers[live])
-    return out, not live.all()
+    return out, True
 
 
 def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
@@ -238,18 +241,16 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
 
 def batch_report(images, ground_truths, extractor, symbols, config_hash="",
                  reference_features=None):
-    """PSNR/MSE averaged over the batch plus batch Frechet score; see
-    :func:`metrics.fid` for ``reference_features``."""
-    a = np.stack(images).astype(np.float64)
-    b = np.stack(ground_truths).astype(np.float64)
+    """PSNR/MSE averaged over a batch [P, C, H, W] plus its Frechet score;
+    see :func:`metrics.fid` for ``reference_features``."""
+    a, b = np.asarray(images), np.asarray(ground_truths)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
     # per-image means over contiguous rows, as metrics.mse takes them
-    d = (a - b).reshape(len(a), -1)
+    d = np.subtract(a, b, dtype=np.float64).reshape(len(a), -1)
     mean_mse = float(np.mean(np.mean(d * d, axis=1)))
     psnr_db = math.inf if mean_mse == 0.0 else 10.0 * math.log10(1.0 / mean_mse)
-    fid_score = metrics.fid(np.stack(images), np.stack(ground_truths),
-                            extractor, reference_features)
+    fid_score = metrics.fid(a, b, extractor, reference_features)
     return metrics.MetricReport(psnr_db, fid_score, mean_mse, symbols,
                                 config_hash).validate()
 
@@ -281,7 +282,6 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
         for i, prompt in enumerate(spec.prompts)], spec.block_length)
     latents = [res.latent for res in es_results]
     truths = bundle.autoencoder.decode(np.stack(latents))
-    ground_truths = list(truths)
 
     counts = {"centralized": int(np.prod(bundle.image_shape)),
               "raw_feature": int(np.prod(bundle.latent_shape)),
@@ -304,7 +304,7 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
                 noise_std, noise_rng, spec.powers)
             results[mode] = ue_receive(
                 bundle, [encode_frame(res.frame) for res in es_results],
-                sent, ground_truths, spec.config_hash, trace_seed, reference)
+                sent, truths, spec.config_hash, trace_seed, reference)
             continue
         source = truths if mode == "centralized" else np.stack(latents)
         payloads = source.reshape(len(source), -1).astype(np.float64)
@@ -316,11 +316,12 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
             symbols, degraded = recover_stream(*transmit_stream(
                 payloads / scale, trace, noise_std, noise_rng))
             payloads = symbols * scale
-        images = list(np.clip(payloads, 0.0, 1.0).astype(np.float32)
-                      .reshape(source.shape) if mode == "centralized"
-                      else bundle.autoencoder.decode(
-                          payloads.astype(np.float32).reshape(source.shape)))
-        report = batch_report(images, ground_truths, bundle.extractor,
+        batch = (np.clip(payloads, 0.0, 1.0).astype(np.float32)
+                 .reshape(source.shape) if mode == "centralized"
+                 else bundle.autoencoder.decode(
+                     payloads.astype(np.float32).reshape(source.shape)))
+        report = batch_report(batch, truths, bundle.extractor,
                               counts[mode], spec.config_hash, reference)
-        results[mode] = GenerationResult(images, report, degraded, trace_seed)
-    return EndToEndReport(results, ground_truths, latents, trace)
+        results[mode] = GenerationResult(list(batch), report, degraded,
+                                         trace_seed)
+    return EndToEndReport(results, list(truths), latents, trace)

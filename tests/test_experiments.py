@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import re
 from dataclasses import fields, replace
@@ -462,6 +463,26 @@ class TestTrainCaching:
             with open(os.path.join(cfg.out, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
+    def test_repeated_sweeps_keep_their_digests(self, desk_cfg, desk_bundle):
+        # prompt rows and the extractor network are memoized per process,
+        # so a second sweep and a sweep after cmd_power reuse them and must
+        # still write the bytes pinned above (the plot medians too)
+        want = {"sweep.csv": "e1828afba1e1a5cb1f2fb252ba1e4837"
+                             "cfe6e1cb6ad6747c0edacbfa09304827",
+                "plot_psnr_db_r0.5.csv": "8f1505aaedf32c8707ab78e877c620cc"
+                                         "bf010263b4933bb98ec246849c1578a2",
+                "plot_fid_proxy_r0.5.csv": "51ff78abe6a9931623dc15534aef8df9"
+                                           "2e6981d55edb8387837224548c6c76cf"}
+        power = replace(desk_cfg, power_budgets=(2.0,), ppo_update_rounds=1)
+        for power_first in (False, False, True):
+            if power_first:
+                experiments.cmd_power(power)
+            experiments.cmd_sweep(desk_cfg)
+            for name, digest in want.items():
+                with open(os.path.join(desk_cfg.out, name), "rb") as fh:
+                    assert hashlib.sha256(fh.read()).hexdigest() == digest, \
+                        name
+
     def test_stale_codec_refused(self, tiny_cfg, tmp_path):
         from megsim.errors import BundleError
         cfg = self._copied_bundle(tiny_cfg, tmp_path)
@@ -561,6 +582,30 @@ class TestSweep:
             counts.append((len(renders), len(samples)))
         assert counts[0] == counts[1]
         assert counts[0][1] == 1
+
+    @pytest.mark.parametrize("trials", [4, 5])
+    def test_plot_medians_equal_numpy_medians(self, tmp_path, trials):
+        # the plots take statistics.median, which must equal np.median
+        cfg = replace(config.desk_config(), out=str(tmp_path),
+                      sweep_trials=trials)
+        rng = np.random.default_rng(trials)
+        rows = [(mode, rate, snr, trial, *rng.standard_normal(3) * 10, 64, 0)
+                for mode in ("centralized", "raw_feature", "meg")
+                for rate in cfg.codec_rates for snr in cfg.sweep_snrs_db
+                for trial in range(trials)]
+        rows.append(("meg", cfg.codec_rates[0], cfg.sweep_snrs_db[0], trials,
+                     math.inf, 0.5, 0.0, 64, 0))     # one exact delivery
+        for path in experiments._sweep_plots(cfg, rows)[::2]:
+            col = 4 if "psnr_db" in path else 5
+            rate = float(path.rsplit("_r", 1)[1][:-4])
+            with open(path, newline="") as fh:
+                points = list(csv.DictReader(fh))
+            assert len(points) == 3 * len(cfg.sweep_snrs_db)
+            for point in points:
+                want = np.median([r[col] for r in rows if r[0] ==
+                                  point["series"] and r[1] == rate
+                                  and r[2] == float(point["x"])])
+                assert point["y"] == repr(float(want))
 
     def test_paper_arithmetic_symbols(self, tmp_path):
         cfg = replace(config.paper_arithmetic_config(),

@@ -52,6 +52,20 @@ class TestPromptEmbedding:
         assert np.array_equal(genmodel.embed_prompt("a b c d", max_tokens=2),
                               genmodel.embed_prompt("a b", max_tokens=2))
 
+    def test_embedding_is_a_writable_copy_of_the_memoized_row(self):
+        text = "large rings center"
+        row = genmodel._pooled_prompt(text, 8, 32)
+        assert genmodel._pooled_prompt(text, 8, 32) is row
+        assert not row.flags.writeable
+        emb = genmodel.embed_prompt(text)
+        assert emb.flags.writeable and not np.shares_memory(emb, row)
+        # bit-equal to the row and to the mean it memoizes
+        reference = np.zeros((8, 32), np.float32)
+        for i, token in enumerate(text.split()):
+            reference[i] = genmodel._token_vector(token, 32)
+        assert emb.tobytes() == row.tobytes() \
+            == reference.mean(axis=0).tobytes()
+
 
 class TestSchedule:
     def test_alpha_bars_strictly_decreasing(self):

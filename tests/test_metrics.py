@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from megsim import metrics
+from megsim import metrics, nn
 from megsim.errors import DimensionError
 
 
@@ -155,6 +155,21 @@ class TestFrechet:
         a = metrics.FeatureExtractor(128).extract(img)
         b = metrics.FeatureExtractor(128).extract(img)
         assert np.array_equal(a, b)
+
+    def test_shared_network_is_read_only_and_equals_a_fresh_build(self):
+        net = metrics.FeatureExtractor(128, feature_dim=16, hidden=32).net
+        assert metrics.FeatureExtractor(128, feature_dim=16, hidden=32).net \
+            is net
+        assert metrics.FeatureExtractor(128, feature_dim=16).net is not net
+        rng = np.random.default_rng(metrics.EXTRACTOR_SEED)
+        fresh = nn.Network([nn.DenseLayer(128, 32, "tanh", rng, "f1"),
+                            nn.DenseLayer(32, 16, "tanh", rng, "f2")],
+                           name="extractor")
+        assert net.flat.tobytes() == fresh.flat.tobytes()
+        for array in [net.flat] + net.params():
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
 
     def test_constant_image_batches_through_extractor(self):
         ext = metrics.FeatureExtractor(64, feature_dim=8)

@@ -468,20 +468,35 @@ class TestBatchedLink:
         assert lost == ref_lost == (powers is not None)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_one_vector_matches_one_row(self):
+    def test_only_a_stack_of_payloads_accepted(self):
+        # one payload is a stack of one row [1, N]
         trace = ch.sample_fading_trace(ch.ChannelModel("rayleigh_block", 4),
                                        5, 2)
         x = np.arange(18, dtype=np.float64)
-        vec = transmit_stream(x, trace, 0.2, np.random.default_rng(1))
-        row = transmit_stream(x[None], trace, 0.2, np.random.default_rng(1))
-        assert np.array_equal(vec[0], row[0][0])
-        assert np.array_equal(recover_stream(*vec)[0],
-                              recover_stream(*row)[0][0])
+        for bad in (x, x[None, None], np.float64(1.0)):
+            with pytest.raises(DimensionError, match=r"\[P, N\]"):
+                transmit_stream(bad, trace, 0.2, np.random.default_rng(1))
+        assert transmit_stream(x[None], trace, 0.2, 1)[0].shape == (1, 18)
 
     def test_too_few_powers_rejected(self):
         trace = ch.sample_fading_trace(ch.ChannelModel("awgn", 4), 5, 2)
         with pytest.raises(ValueError, match="blocks"):
-            transmit_stream(np.zeros(18), trace, 0.0, 0, powers=[1.0] * 4)
+            transmit_stream(np.zeros((1, 18)), trace, 0.0, 0,
+                            powers=[1.0] * 4)
+
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh_block"])
+    def test_unerased_stream_equals_the_masked_path(self, kind):
+        # the whole-stream shortcut against the gather and scatter it skips
+        trace = ch.sample_fading_trace(ch.ChannelModel(kind, 16), 5, 3)
+        payloads = np.random.default_rng(4).standard_normal((3, 70))
+        received, gains, powers = transmit_stream(payloads, trace, 0.3, 5,
+                                                  [0.5, 1.0, 2.0, 1.5, 0.1])
+        live = powers > 0
+        want = np.zeros(received.shape)
+        want[..., live] = ch.equalize(received[..., live], gains[live],
+                                      powers[live])
+        got, lost = recover_stream(received, gains, powers)
+        assert np.array_equal(got, want) and not lost
 
     @pytest.mark.parametrize("powers", [None, [1.5, 0.0, 0.5, 2.0]])
     def test_run_end_to_end_matches_per_prompt_reference(self, tiny_bundle,
