@@ -6,9 +6,11 @@ small conditional denoiser on the synthetic corpus and samples a latent
 from a text prompt.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from megsim import corpus, genmodel
+from megsim import config, corpus, genmodel
 
 rng = np.random.default_rng(0)
 
@@ -41,12 +43,13 @@ print("max |recovered - z0| after full reverse pass:",
 
 print("\n== train a small denoiser on the synthetic corpus ==")
 prompts, images = corpus.build_corpus(16, 2, 32, 32, seed=1)
-pair, _ = genmodel.train_autoencoder(
-    images, (2, 32, 32), (2, 8, 8),
-    genmodel.AutoencoderTrainConfig(steps=300, seed=2))
+# every training setting lives in the experiment config
+cfg = replace(config.desk_config(), ae_steps=300, ae_encoder_hidden=256,
+              dn_steps=400)
+pair, _ = genmodel.train_autoencoder(images, (2, 32, 32), (2, 8, 8), cfg,
+                                     seed=2)
 denoiser, history = genmodel.train_denoiser(
-    pair, list(zip(prompts, images)), schedule,
-    genmodel.DenoiserTrainConfig(steps=400, seed=3))
+    pair, list(zip(prompts, images)), schedule, cfg, seed=3)
 print(f"noise-prediction loss: {history[0]:.3f} -> {history[-1]:.3f}",
       "(predicting zero would score ~1.0)")
 

@@ -6,9 +6,11 @@ decoder learns to undo the damage. Training at the wrong SNR visibly
 hurts.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from megsim import seedcodec
+from megsim import config, seedcodec
 
 rng = np.random.default_rng(0)
 latents = rng.standard_normal((120, 2, 8, 8)).astype(np.float32)
@@ -19,9 +21,10 @@ print("seed lengths at a 128-element latent:",
 print("\ntraining one codec per SNR (rate 0.5) ...")
 codecs = {}
 for train_snr in (0.0, 20.0, None):
-    cfg = seedcodec.CodecTrainConfig(epochs=120, train_snr_db=train_snr,
-                                     seed=1)
-    codecs[train_snr], hist = seedcodec.train_codec(latents, cfg, rate=0.5)
+    cfg = replace(config.desk_config(), codec_epochs=120,
+                  codec_train_snr_db=train_snr)
+    codecs[train_snr], hist = seedcodec.train_codec(latents, cfg, rate=0.5,
+                                                    seed=1)
     label = "clean" if train_snr is None else f"{train_snr:g} dB"
     print(f"  trained at {label:>6}: loss {hist[0]:.3f} -> {hist[-1]:.3f}")
 

@@ -26,8 +26,8 @@ print(f"each episode: {env.num_blocks} blocks of {env.block_length} symbols, "
       f"budget 0.5 (even split gives {0.5 / env.num_blocks:.3f} per block)\n")
 
 print("training the allocator ...")
-ppo = power_rl.PpoConfig(update_rounds=120, seed=3)
-agent, history = power_rl.train_agent(env, ppo)
+agent, history = power_rl.train_agent(
+    env, replace(cfg, ppo_update_rounds=120), seed=3)
 print("mean terminal reward:",
       " -> ".join(f"{history[i][1]:.3f}" for i in (0, len(history) // 2, -1)))
 

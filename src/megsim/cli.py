@@ -11,7 +11,7 @@ import sys
 
 from . import experiments
 from .config import PRESETS, config_hash, load_config
-from .errors import BundleError
+from .errors import BundleError, ConfigError
 
 
 def build_parser():
@@ -69,7 +69,7 @@ def main(argv=None):
                 print(f"  {mode:<12} psnr={r.psnr_db:.2f} dB "
                       f"fid_proxy={r.fid_score:.4f} symbols={r.symbols}")
             print(f"wrote {result['eval_csv']}")
-    except (BundleError, FileNotFoundError) as exc:
+    except (BundleError, ConfigError, FileNotFoundError) as exc:
         print(f"megsim: error: {exc}", file=sys.stderr)
         return 2
     return 0

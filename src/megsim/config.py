@@ -13,6 +13,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .channel import KINDS
 from .seedcodec import seed_length
 
 ENV_PREFIX = "MEGSIM_"
@@ -116,6 +117,13 @@ class ExperimentConfig:
                 raise ValueError(f"[{section}] {key} must be >= {low}")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
+        if self.channel_kind not in KINDS:
+            raise ValueError(f"[channel] kind {self.channel_kind!r} is not "
+                             f"one of {', '.join(KINDS)}")
+        if not 0.0 < self.ppo_clip < 1.0:
+            raise ValueError("[ppo] clip must lie in (0, 1)")
+        if not 0.0 < self.ppo_gamma <= 1.0:
+            raise ValueError("[ppo] gamma must lie in (0, 1]")
         if self.downsample < 2:
             raise ValueError("downsample factor must be > 1")
         if self.height % self.downsample or self.width % self.downsample:

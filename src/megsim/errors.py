@@ -5,6 +5,10 @@ class MegsimError(Exception):
     """Base class for all simulator errors."""
 
 
+class ConfigError(MegsimError, ValueError):
+    """A valid config asks for something its preset cannot do."""
+
+
 class DimensionError(MegsimError):
     """Array shape does not match a layer or pipeline contract."""
 

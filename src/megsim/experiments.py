@@ -20,7 +20,7 @@ import numpy as np
 from . import channel as ch
 from . import corpus, genmodel, metrics, nn, plotting, power_rl, seedcodec
 from .config import ExperimentConfig, config_hash
-from .errors import BundleError
+from .errors import BundleError, ConfigError
 from .protocol import ModelBundle, RunSpec, run_end_to_end
 from .util import as_rng, derive_seed, sha256_file, write_csv
 
@@ -51,7 +51,7 @@ def _codec_filename(rate):
 
 def _check_trainable(cfg):
     if cfg.preset == "paper-arithmetic":
-        raise ValueError(
+        raise ConfigError(
             "the paper-arithmetic preset is for symbol/parameter arithmetic "
             "only; use --preset desk (or a config file) to train models")
 
@@ -178,13 +178,9 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     prompts, images = _build_corpus(cfg) if retrain else (None, None)
 
     if "autoencoder" in retrain:
-        ae_cfg = genmodel.AutoencoderTrainConfig(
-            steps=cfg.ae_steps, batch_size=cfg.ae_batch,
-            learning_rate=cfg.ae_lr, center_penalty=cfg.ae_center_penalty,
-            hidden=cfg.ae_hidden, encoder_hidden=cfg.ae_encoder_hidden,
-            seed=derive_seed(cfg.seed, 10))
         pair, losses["autoencoder"] = genmodel.train_autoencoder(
-            images, cfg.image_shape, cfg.latent_shape, ae_cfg)
+            images, cfg.image_shape, cfg.latent_shape, cfg,
+            derive_seed(cfg.seed, 10))
         bundle.autoencoder = pair
         meta = {"dep_hash": files["ae_encoder.bin"][1],
                 "image_shape": list(cfg.image_shape),
@@ -194,13 +190,9 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             nn.save_network(os.path.join(out, name), net, extra=meta)
 
     if "denoiser" in retrain:
-        dn_cfg = genmodel.DenoiserTrainConfig(
-            steps=cfg.dn_steps, batch_size=cfg.dn_batch,
-            learning_rate=cfg.dn_lr, hidden=cfg.dn_hidden,
-            time_dim=cfg.time_dim, seed=derive_seed(cfg.seed, 11))
         bundle.denoiser, losses["denoiser"] = genmodel.train_denoiser(
             bundle.autoencoder, list(zip(prompts, images)), bundle.schedule,
-            dn_cfg)
+            cfg, derive_seed(cfg.seed, 11))
         nn.save_network(os.path.join(out, "denoiser.bin"),
                         bundle.denoiser.net,
                         extra={"dep_hash": files["denoiser.bin"][1],
@@ -213,12 +205,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
             continue
         if latents is None:
             latents = _generated_latents(cfg, bundle, prompts)
-        cc = seedcodec.CodecTrainConfig(
-            epochs=cfg.codec_epochs, learning_rate=cfg.codec_lr,
-            batch_size=cfg.codec_batch, train_snr_db=cfg.codec_train_snr_db,
-            channel_kind=cfg.channel_kind, hidden=cfg.codec_hidden,
-            seed=derive_seed(cfg.seed, 12, k))
-        codec, losses[stage] = seedcodec.train_codec(latents, cc, rate)
+        codec, losses[stage] = seedcodec.train_codec(
+            latents, cfg, rate, derive_seed(cfg.seed, 12, k))
         name = _codec_filename(rate)
         codec.save(os.path.join(out, name),
                    extra={"dep_hash": files[name][1],
@@ -383,14 +371,8 @@ def cmd_power(cfg: ExperimentConfig):
             p_max=budget, channel_kind=cfg.channel_kind,
             block_length=cfg.block_length,
             seed=derive_seed(cfg.seed, 25, b_idx))
-        ppo_cfg = power_rl.PpoConfig(
-            clip_range=cfg.ppo_clip, value_coef=cfg.ppo_value_coef,
-            entropy_coef=cfg.ppo_entropy_coef, gamma=cfg.ppo_gamma,
-            learning_rate=cfg.ppo_lr, epochs=cfg.ppo_epochs,
-            episodes_per_batch=cfg.ppo_episodes_per_batch,
-            update_rounds=cfg.ppo_update_rounds, hidden=cfg.ppo_hidden,
-            seed=derive_seed(cfg.seed, 26, b_idx))
-        agent, history = power_rl.train_agent(env, ppo_cfg, select_traces)
+        agent, history = power_rl.train_agent(
+            env, cfg, derive_seed(cfg.seed, 26, b_idx), select_traces)
         agent_path = os.path.join(cfg.out, f"agent_p{budget!r}.bin")
         agent.save(agent_path, extra={"config_hash": chash,
                                       "p_max": budget})

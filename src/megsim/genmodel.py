@@ -192,16 +192,6 @@ class Denoiser:
         return out.reshape(z_t.shape)
 
 
-@dataclass
-class DenoiserTrainConfig:
-    steps: int = 1500
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    hidden: int = 128
-    time_dim: int = 16
-    seed: int = 0
-
-
 def denoiser_batch(latents, pooled, time_table, idx, ts, eps, schedule):
     """Denoiser inputs [B, latent + time_dim + embed_dim] for one batch.
 
@@ -214,8 +204,10 @@ def denoiser_batch(latents, pooled, time_table, idx, ts, eps, schedule):
                            pooled[idx]], axis=1)
 
 
-def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
-    """Fit the noise predictor on corpus (prompt, image) pairs.
+def train_denoiser(pair, dataset, schedule, cfg, seed):
+    """Fit the noise predictor on corpus (prompt, image) pairs, with the
+    ``dn_*``, ``time_dim``, ``max_tokens`` and ``embed_dim`` settings of
+    the experiment config ``cfg``.
 
     For each sample a step t is drawn uniformly from [1, T], the encoded
     latent is diffused to z_t with fresh Gaussian noise, and the network
@@ -223,9 +215,9 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
     """
     if not dataset:
         raise ValueError("dataset is empty")
-    rng = as_rng(config.seed)
-    denoiser = Denoiser(pair.latent_shape, config.hidden, config.time_dim,
-                        rng=rng)
+    rng = as_rng(seed)
+    denoiser = Denoiser(pair.latent_shape, cfg.dn_hidden, cfg.time_dim,
+                        cfg.max_tokens, cfg.embed_dim, rng)
     # a stack of batches of one, not one batch: each image keeps the
     # arithmetic of a call of its own, which the pinned weights depend on
     images = np.stack([img for _, img in dataset])
@@ -233,12 +225,12 @@ def train_denoiser(pair, dataset, schedule, config: DenoiserTrainConfig):
     pooled = np.stack([embed_prompt(p, denoiser.max_tokens, denoiser.embed_dim)
                        for p, _ in dataset])
     time_table = denoiser.time_table(schedule.steps)
-    opt = nn.Adam(config.learning_rate)
+    opt = nn.Adam(cfg.dn_lr)
     history = []
-    for _ in range(config.steps):
-        idx = rng.integers(0, len(dataset), size=config.batch_size)
-        ts = rng.integers(1, schedule.steps + 1, size=config.batch_size)
-        eps = rng.standard_normal((config.batch_size, denoiser.latent_size))
+    for _ in range(cfg.dn_steps):
+        idx = rng.integers(0, len(dataset), size=cfg.dn_batch)
+        ts = rng.integers(1, schedule.steps + 1, size=cfg.dn_batch)
+        eps = rng.standard_normal((cfg.dn_batch, denoiser.latent_size))
         feats = denoiser_batch(latents, pooled, time_table, idx, ts, eps,
                                schedule)
         pred = denoiser.net.forward(feats, cache=True)
@@ -304,20 +296,10 @@ class AutoencoderPair:
         return np.clip(out, 0.0, 1.0, out=out)
 
 
-@dataclass
-class AutoencoderTrainConfig:
-    steps: int = 800
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    center_penalty: float = 1e-2   # pulls latents toward zero mean
-    hidden: int = 256
-    encoder_hidden: int = None     # None: as wide as the decoder
-    seed: int = 0
-
-
-def train_autoencoder(images, image_shape, latent_shape,
-                      config: AutoencoderTrainConfig):
-    """Minimize reconstruction MSE plus a small penalty on latent energy.
+def train_autoencoder(images, image_shape, latent_shape, cfg, seed):
+    """Minimize reconstruction MSE plus a small penalty on latent energy
+    (``ae_center_penalty``, which pulls latents toward zero mean), with
+    the ``ae_*`` settings of the experiment config ``cfg``.
 
     Returns (pair, per-step loss history). The decoder is trained on its
     raw output; clamping to [0, 1] happens only at inference.
@@ -325,15 +307,15 @@ def train_autoencoder(images, image_shape, latent_shape,
     images = np.asarray(images, dtype=np.float32)
     if images.ndim != 4 or images.shape[0] == 0:
         raise ValueError("expected a non-empty batch of images [N, C, H, W]")
-    rng = as_rng(config.seed)
-    pair = AutoencoderPair(image_shape, latent_shape, config.hidden, rng,
-                           config.encoder_hidden)
+    rng = as_rng(seed)
+    pair = AutoencoderPair(image_shape, latent_shape, cfg.ae_hidden, rng,
+                           cfg.ae_encoder_hidden)
     flat = images.reshape(images.shape[0], -1)
-    opt = nn.Adam(config.learning_rate)
+    opt = nn.Adam(cfg.ae_lr)
     history = []
-    lam = config.center_penalty
-    for _ in range(config.steps):
-        idx = rng.integers(0, flat.shape[0], size=config.batch_size)
+    lam = cfg.ae_center_penalty
+    for _ in range(cfg.ae_steps):
+        idx = rng.integers(0, flat.shape[0], size=cfg.ae_batch)
         x = flat[idx]
         z = pair.encoder.forward(x, cache=True)
         recon = pair.decoder.forward(z, cache=True)

@@ -24,6 +24,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 SCORE_CHUNK = 16
 # entropy of a unit-variance Gaussian; S(sigma) = this + log(sigma)
 GAUSS_ENTROPY_CONST = 0.5 * (1.0 + LOG_2PI)
+# the policy's log standard deviation is clipped to this range
+LOG_STD_MIN, LOG_STD_MAX = -5.0, 1.0
+# PPO rounds between held-out evaluations of the agent in training
+EVAL_EVERY = 20
 
 
 def apply_power(action, remaining, p_max):
@@ -62,29 +66,6 @@ def clipped_surrogate(log_prob_new, log_prob_old, advantages, clip_range):
 
 
 @dataclass
-class PpoConfig:
-    clip_range: float = 0.2
-    value_coef: float = 0.5       # c1
-    entropy_coef: float = 0.01    # c2
-    gamma: float = 1.0            # terminal-only reward, so no discounting
-    learning_rate: float = 3e-3
-    epochs: int = 8
-    episodes_per_batch: int = 16
-    update_rounds: int = 120
-    hidden: int = 32
-    log_std_min: float = -5.0
-    log_std_max: float = 1.0
-    eval_every: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.clip_range < 1.0:
-            raise ValueError("clip range must lie in (0, 1)")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-
-
-@dataclass
 class Rollout:
     """E episodes run in lockstep: per-block rows [E, blocks, ...] plus
     each episode's terminal quality score. The reward is the score at an
@@ -100,12 +81,9 @@ class Rollout:
 class PpoAgent:
     """Gaussian policy over the power fraction plus a state-value critic."""
 
-    def __init__(self, state_dim, hidden=32, rng=None,
-                 log_std_min=-5.0, log_std_max=1.0):
+    def __init__(self, state_dim, hidden=32, rng=None):
         rng = None if rng is None else as_rng(rng)
         self.state_dim = int(state_dim)
-        self.log_std_min = float(log_std_min)
-        self.log_std_max = float(log_std_max)
         self.actor = nn.Network([
             nn.DenseLayer(state_dim, hidden, "tanh", rng, "a1"),
             nn.DenseLayer(hidden, 2, "none", rng, "a2"),
@@ -120,7 +98,7 @@ class PpoAgent:
                                  cache=cache)
         mean = out[:, 0].astype(np.float64)
         raw_ls = out[:, 1].astype(np.float64)
-        log_std = np.clip(raw_ls, self.log_std_min, self.log_std_max)
+        log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
         return mean, log_std, raw_ls
 
     @staticmethod
@@ -160,17 +138,14 @@ class PpoAgent:
         meta = {"state_dim": self.state_dim,
                 "hidden": self.actor.layers[0].out_features,
                 "actor_layers": len(self.actor.layers),
-                "log_std_min": self.log_std_min,
-                "log_std_max": self.log_std_max}
+                "log_std_min": LOG_STD_MIN, "log_std_max": LOG_STD_MAX}
         meta.update(extra or {})
         nn.save_network(path, self.actor, self.critic, extra=meta, name="ppo")
 
     @classmethod
     def load(cls, path):
         meta = nn.network_extra(path)
-        agent = cls(meta["state_dim"], meta["hidden"],
-                    log_std_min=meta["log_std_min"],
-                    log_std_max=meta["log_std_max"])
+        agent = cls(meta["state_dim"], meta["hidden"])
         nn.load_network(path, agent.actor, agent.critic)
         return agent, meta
 
@@ -348,9 +323,10 @@ def discounted_returns(rewards, gamma):
     return out
 
 
-def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
+def ppo_update(agent: PpoAgent, rollout: Rollout, cfg,
                opt: nn.Adam | None = None):
-    """Several epochs of clipped-objective ascent on one rollout.
+    """Several epochs of clipped-objective ascent on one rollout, with the
+    ``ppo_*`` settings of the experiment config ``cfg``.
 
     The per-transition log probabilities recorded at rollout time are the
     old-policy snapshot; transitions are taken episode by episode; each
@@ -359,13 +335,13 @@ def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
     """
     if not len(rollout.scores):
         raise ValueError("episode batch is empty")
-    opt = opt or nn.Adam(config.learning_rate)
+    opt = opt or nn.Adam(cfg.ppo_lr)
     states = rollout.states.reshape(-1, rollout.states.shape[-1])
     us = rollout.raw_actions.reshape(-1)
     logp_old = rollout.log_probs.reshape(-1)
     rewards = np.zeros(rollout.raw_actions.shape)
     rewards[:, -1] = rollout.scores
-    returns = discounted_returns(rewards, config.gamma).reshape(-1)
+    returns = discounted_returns(rewards, cfg.ppo_gamma).reshape(-1)
     advantages = returns - agent.value(states)
     if len(advantages) > 1:
         advantages = ((advantages - advantages.mean())
@@ -374,12 +350,12 @@ def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
     diag = {"surrogate": [], "value_loss": [], "entropy": [],
             "first_epoch_max_ratio_err": None, "aborted": False}
     n = len(states)
-    for epoch in range(config.epochs):
+    for epoch in range(cfg.ppo_epochs):
         mean, log_std, raw_ls = agent._heads(states, cache=True)
         logp_new = agent._log_prob(us, mean, log_std)
         surr, ratios, g_logp = clipped_surrogate(logp_new, logp_old,
                                                  advantages,
-                                                 config.clip_range)
+                                                 cfg.ppo_clip)
         entropy = float(np.mean(GAUSS_ENTROPY_CONST + log_std))
         v_pred = agent.critic.forward(states.astype(np.float32), cache=True)
         v_err = v_pred[:, 0].astype(np.float64) - returns
@@ -398,15 +374,15 @@ def ppo_update(agent: PpoAgent, rollout: Rollout, config: PpoConfig,
         # maximize surr + c2 * entropy, so descend on the negation
         sigma = np.exp(log_std)
         z = (us - mean) / sigma
-        clamp = ((raw_ls > agent.log_std_min)
-                 & (raw_ls < agent.log_std_max)).astype(np.float64)
+        clamp = ((raw_ls > LOG_STD_MIN)
+                 & (raw_ls < LOG_STD_MAX)).astype(np.float64)
         g_mean = -g_logp * z / sigma
-        g_ls = (-g_logp * (z * z - 1.0) - config.entropy_coef / n) * clamp
+        g_ls = (-g_logp * (z * z - 1.0) - cfg.ppo_entropy_coef / n) * clamp
         g_actor_out = np.stack([g_mean, g_ls], axis=1).astype(np.float32)
         agent.actor.backward(g_actor_out, input_grad=False)
 
-        g_v = (config.value_coef * 2.0 * v_err / n)[:, None].astype(np.float32)
-        agent.critic.backward(g_v, input_grad=False)
+        g_v = (cfg.ppo_value_coef * 2.0 * v_err / n)[:, None]
+        agent.critic.backward(g_v.astype(np.float32), input_grad=False)
 
         opt.step(*nn.network_vectors([agent.actor, agent.critic]))
     return diag
@@ -434,28 +410,29 @@ def evaluate(policy, env: SeedTransmissionEnv, traces):
                    [derive_seed(0xEDA1, i) for i in range(len(traces))])[2]
 
 
-def train_agent(env: SeedTransmissionEnv, config: PpoConfig,
-                eval_traces=None):
+def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
     """Algorithm: roll out a batch of episodes, then run a PPO update;
     track the best agent by held-out evaluation when traces are given.
+    The ``ppo_*`` settings come from the experiment config ``cfg``, which
+    is validated first.
 
     Returns (agent, history) where history rows are
     (round, mean terminal reward, surrogate, value loss, entropy).
     """
-    rng = as_rng(config.seed)
-    agent = PpoAgent(env.state_dim, config.hidden, rng,
-                     config.log_std_min, config.log_std_max)
-    opt = nn.Adam(config.learning_rate)
+    cfg.validate()
+    rng = as_rng(seed)
+    agent = PpoAgent(env.state_dim, cfg.ppo_hidden, rng)
+    opt = nn.Adam(cfg.ppo_lr)
     history = []
     best_params, best_score = None, -np.inf
-    for rnd in range(config.update_rounds):
-        rollout = env.rollout(agent, rng, config.episodes_per_batch)
-        diag = ppo_update(agent, rollout, config, opt)
+    for rnd in range(cfg.ppo_update_rounds):
+        rollout = env.rollout(agent, rng, cfg.ppo_episodes_per_batch)
+        diag = ppo_update(agent, rollout, cfg, opt)
         history.append((rnd, float(np.mean(rollout.scores)), *(
             diag[k][-1] if diag[k] else math.nan
             for k in ("surrogate", "value_loss", "entropy"))))
-        if eval_traces is not None and ((rnd + 1) % config.eval_every == 0
-                                        or rnd == config.update_rounds - 1):
+        if eval_traces is not None and ((rnd + 1) % EVAL_EVERY == 0
+                                        or rnd == cfg.ppo_update_rounds - 1):
             score = float(np.mean(evaluate(agent, env, eval_traces)))
             if score > best_score:
                 best_score = score

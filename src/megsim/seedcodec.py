@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .channel import KINDS
 from .errors import CodecError, DimensionError, TrainingError
 from .util import as_rng
 
@@ -39,17 +38,6 @@ class Seed:
     latent_shape: tuple
     rate: float
     scale: float
-
-
-@dataclass
-class CodecTrainConfig:
-    epochs: int = 150
-    learning_rate: float = 1e-3
-    batch_size: int = 16
-    train_snr_db: float | None = 20.0   # None means a noiseless channel
-    channel_kind: str = "rayleigh_block"
-    hidden: int = 96
-    seed: int = 0
 
 
 def codec_descriptors(latent_size, seed_len, hidden):
@@ -207,37 +195,36 @@ def transmission_gradients(pair: CodecPair, latents, eff_noise):
     return loss, [gw_enc, gb_enc] + dec_grads
 
 
-def train_codec(latents, config: CodecTrainConfig, rate):
+def train_codec(latents, cfg, rate, seed):
     """Joint encoder/decoder training through the fading channel, for
-    latents [N, *latent_shape] at compression ``rate``.
+    latents [N, *latent_shape] at compression ``rate``, with the
+    ``codec_*`` and ``channel_kind`` settings of the experiment config
+    ``cfg``, which is validated first.
 
     Fresh fading and noise are drawn for every batch at the configured
-    training SNR; a ``train_snr_db`` of None trains against a clean
+    training SNR; a ``codec_train_snr_db`` of None trains against a clean
     channel, reducing the codec to a plain autoencoder on latents.
     Returns (pair, per-epoch mean loss history).
     """
     latents = np.asarray(latents, dtype=np.float32)
     if latents.ndim < 2 or latents.shape[0] == 0:
         raise ValueError("expected a non-empty batch of latents")
-    if config.channel_kind not in KINDS:
-        raise ValueError(f"unknown channel kind {config.channel_kind!r}")
-    rng = as_rng(config.seed)
-    pair = CodecPair(latents.shape[1:], rate, config.hidden,
-                     config.train_snr_db, rng)
+    cfg.validate()
+    rng = as_rng(seed)
+    snr_db = cfg.codec_train_snr_db
+    pair = CodecPair(latents.shape[1:], rate, cfg.codec_hidden, snr_db, rng)
     flat = latents.reshape(latents.shape[0], -1)
-    if config.train_snr_db is None:
-        noise_std = 0.0
-    else:
-        noise_std = np.sqrt(1.0 / 10.0 ** (config.train_snr_db / 10.0))
-    opt = nn.Adam(config.learning_rate)
+    noise_std = 0.0 if snr_db is None \
+        else np.sqrt(1.0 / 10.0 ** (snr_db / 10.0))
+    opt = nn.Adam(cfg.codec_lr)
     history = []
-    for _ in range(config.epochs):
+    for _ in range(cfg.codec_epochs):
         order = rng.permutation(flat.shape[0])
         epoch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = flat[order[start:start + config.batch_size]]
+        for start in range(0, len(order), cfg.codec_batch):
+            batch = flat[order[start:start + cfg.codec_batch]]
             if noise_std > 0:
-                if config.channel_kind == "rayleigh_block":
+                if cfg.channel_kind == "rayleigh_block":
                     gains = rng.rayleigh(scale=1.0 / np.sqrt(2.0),
                                          size=(batch.shape[0], 1))
                     gains = np.maximum(gains, 1e-3)

@@ -73,9 +73,10 @@ def allocator_gain(bundle, cfg):
               for _ in range(100)]
     select = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
               for _ in range(20)]
-    ppo_cfg = power_rl.PpoConfig(update_rounds=160, episodes_per_batch=16,
-                                 seed=3)
-    agent, _ = power_rl.train_agent(env, ppo_cfg, eval_traces=select)
+    ppo_cfg = replace(config.desk_config(), ppo_update_rounds=160,
+                      ppo_episodes_per_batch=16)
+    agent, _ = power_rl.train_agent(env, ppo_cfg, seed=3,
+                                    eval_traces=select)
     diff = power_rl.evaluate(agent, env, frozen) - power_rl.evaluate(
         np.full(env.num_blocks, 1.0 / env.num_blocks), env, frozen)
     gain = float(np.mean(diff))
@@ -98,8 +99,8 @@ def saturation_gap(bundle, cfg):
     rng = np.random.default_rng(5)
     traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
               for _ in range(30)]
-    ppo_cfg = power_rl.PpoConfig(update_rounds=20, seed=3)
-    agent, _ = power_rl.train_agent(env, ppo_cfg)
+    ppo_cfg = replace(config.desk_config(), ppo_update_rounds=20)
+    agent, _ = power_rl.train_agent(env, ppo_cfg, seed=3)
     drl = power_rl.evaluate(agent, env, traces)
     even = power_rl.evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
                              env, traces)

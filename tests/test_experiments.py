@@ -144,6 +144,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="smaller"):
             replace(config.desk_config(), latent_channels=40).validate()
 
+    def test_ppo_ranges_rejected(self):
+        desk = config.desk_config()
+        for clip in (0.0, 1.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    "[ppo] clip must lie in (0, 1)")):
+                replace(desk, ppo_clip=clip).validate()
+        for gamma in (0.0, 1.5):
+            with pytest.raises(ValueError, match=re.escape(
+                    "[ppo] gamma must lie in (0, 1]")):
+                replace(desk, ppo_gamma=gamma).validate()
+        replace(desk, ppo_clip=0.5, ppo_gamma=0.5).validate()
+
+    def test_unknown_channel_kind_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "[channel] kind 'foo' is not one of awgn, rayleigh_block")):
+            replace(config.desk_config(), channel_kind="foo").validate()
+
     def test_presets_are_channel_preserving(self):
         # latent element count times downsample^2 equals the pixel count
         for cfg in (config.desk_config(), config.paper_arithmetic_config()):
@@ -192,6 +209,20 @@ class TestTrainCaching:
         assert all(type(x) is float and np.isfinite(x)
                    for curve in cold.values() for x in curve)
         assert experiments.cmd_train(cfg).losses == {}
+
+    def test_prompt_geometry_trained_is_the_geometry_served(self, tiny_cfg,
+                                                            tmp_path):
+        # the denoiser is trained at the config's prompt geometry, so the
+        # bundle loads and serves at the geometry it was trained with
+        cfg = replace(tiny_cfg, out=str(tmp_path / "prompt"), embed_dim=16,
+                      max_tokens=4).validate()
+        trained = experiments.cmd_train(cfg).bundle.denoiser
+        loaded = experiments.load_bundle(cfg).denoiser
+        assert (trained.embed_dim, trained.max_tokens) == (16, 4)
+        assert (loaded.embed_dim, loaded.max_tokens) == (16, 4)
+        assert trained.net.flat.tobytes() == loaded.net.flat.tobytes()
+        rows = experiments.cmd_sweep(cfg)["rows"]
+        assert len(rows) == 3 * len(cfg.sweep_snrs_db) * cfg.sweep_trials
 
     def test_adding_a_rate_trains_only_the_new_codec(self, tiny_cfg,
                                                      tiny_bundle):
@@ -818,6 +849,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"megsim: error: {words}\n"
         assert captured.out == "" and os.listdir(tmp_path) == ["zero.cfg"]
+
+    @pytest.mark.parametrize("text,command,words", [
+        ("[channel]\nkind = foo\n", "train", "[channel] kind 'foo'"),
+        ("[ppo]\nclip = 0\n", "power", "[ppo] clip must lie in (0, 1)"),
+        ("[ppo]\ngamma = 0\n", "power", "[ppo] gamma must lie in (0, 1]")])
+    def test_out_of_range_setting_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, text, command, words):
+        for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(key)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        argv = ["--config", str(path), "--out", str(tmp_path), command]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"megsim: error: {words}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
+    @pytest.mark.parametrize("command", ["train", "power", "eval"])
+    def test_paper_preset_training_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, command):
+        for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(key)
+        argv = ["--preset", "paper-arithmetic", "--out", str(tmp_path),
+                command]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("megsim: error: the paper-arithmetic preset")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
 
     def test_unusable_bundle_is_one_error_line(self, tiny_cfg, tmp_path,
                                                capsys, monkeypatch):

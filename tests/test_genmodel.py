@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from megsim import corpus, genmodel, metrics
+from megsim import config, corpus, genmodel, metrics
 from megsim.errors import DimensionError, ScheduleError
 
 
@@ -169,11 +171,11 @@ class TestAutoencoder:
 
     def test_overfits_two_images_with_identity_sized_latent(self):
         images = corpus.build_corpus(2, 1, 8, 8, seed=3)[1]
-        cfg = genmodel.AutoencoderTrainConfig(steps=2500, batch_size=2,
-                                              learning_rate=3e-3,
-                                              center_penalty=0.0, hidden=96,
-                                              seed=1)
-        pair, _ = genmodel.train_autoencoder(images, (1, 8, 8), (1, 8, 8), cfg)
+        cfg = replace(config.desk_config(), ae_steps=2500, ae_batch=2,
+                      ae_lr=3e-3, ae_center_penalty=0.0, ae_hidden=96,
+                      ae_encoder_hidden=96)
+        pair, _ = genmodel.train_autoencoder(images, (1, 8, 8), (1, 8, 8),
+                                             cfg, seed=1)
         out = pair.decode(pair.encode(images))
         assert metrics.mse(out, images) < 1e-3
 
@@ -182,10 +184,10 @@ class TestAutoencoder:
         shapes = ((1, 16, 16), (1, 4, 4))
 
         def train(lam):
-            cfg = genmodel.AutoencoderTrainConfig(steps=400, batch_size=8,
-                                                  center_penalty=lam, seed=2,
-                                                  hidden=64)
-            return genmodel.train_autoencoder(images, *shapes, cfg)[0]
+            cfg = replace(config.desk_config(), ae_steps=400, ae_batch=8,
+                          ae_center_penalty=lam, ae_hidden=64,
+                          ae_encoder_hidden=64)
+            return genmodel.train_autoencoder(images, *shapes, cfg, seed=2)[0]
 
         before = genmodel.AutoencoderPair(*shapes, 64, rng=2)
         center_before = abs(float(np.mean(before.encode(images))))
@@ -226,10 +228,10 @@ class TestDenoiserTraining:
     def test_loss_decreases(self, tiny_cfg, tiny_bundle):
         prompts, images = corpus.build_corpus(8, *tiny_cfg.image_shape, seed=5)
         sched = genmodel.make_schedule(6)
-        cfg = genmodel.DenoiserTrainConfig(steps=300, hidden=48, seed=0)
+        cfg = replace(config.desk_config(), dn_steps=300, dn_hidden=48)
         _, hist = genmodel.train_denoiser(tiny_bundle.autoencoder,
                                           list(zip(prompts, images)), sched,
-                                          cfg)
+                                          cfg, seed=0)
         tail = float(np.mean(hist[-max(1, len(hist) // 10):]))
         assert tail < hist[0]
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gradcheck import clone_codec, clone_network, numeric_gradient
-from megsim import corpus, genmodel, nn, seedcodec
+from megsim import config, corpus, genmodel, nn, seedcodec
 from megsim.errors import DimensionError, StateError, TrainingError
 
 
@@ -436,16 +437,15 @@ class TestAdamMatchesReference:
         # 3 x 16 x 16 pixels x 32 hidden = 24,576 weights, more than a block
         prompts, images = corpus.build_corpus(10, 3, 16, 16, seed=4)
         shapes = ((3, 16, 16), (2, 4, 4))
-        ae_cfg = genmodel.AutoencoderTrainConfig(steps=40, batch_size=4,
-                                                 hidden=32, seed=1)
-        dn_cfg = genmodel.DenoiserTrainConfig(steps=40, batch_size=4,
-                                              hidden=24, time_dim=8, seed=2)
+        cfg = replace(config.desk_config(), ae_steps=40, ae_batch=4,
+                      ae_hidden=32, ae_encoder_hidden=32, dn_steps=40,
+                      dn_batch=4, dn_hidden=24, time_dim=8)
         schedule = genmodel.make_schedule(6)
 
         def train_and_save(tag):
-            pair, _ = genmodel.train_autoencoder(images, *shapes, ae_cfg)
+            pair, _ = genmodel.train_autoencoder(images, *shapes, cfg, seed=1)
             den, _ = genmodel.train_denoiser(
-                pair, list(zip(prompts, images)), schedule, dn_cfg)
+                pair, list(zip(prompts, images)), schedule, cfg, seed=2)
             blobs = []
             for k, net in enumerate((pair.encoder, pair.decoder, den.net)):
                 path = tmp_path / f"{tag}{k}.bin"
@@ -743,10 +743,11 @@ class TestOneVectorPerNetwork:
     def test_training_steps_move_the_layer_arrays(self, rng, tmp_path,
                                                   assert_aliased):
         images = rng.uniform(0, 1, (6, 3, 4, 4))
-        ae_cfg = genmodel.AutoencoderTrainConfig(steps=1, batch_size=2,
-                                                 hidden=8, seed=1)
+        cfg = replace(config.desk_config(), ae_steps=1, ae_batch=2,
+                      ae_hidden=8, ae_encoder_hidden=8, codec_epochs=1,
+                      codec_batch=4, codec_hidden=8)
         pair, _ = genmodel.train_autoencoder(images, (3, 4, 4), (2, 2, 2),
-                                             ae_cfg)
+                                             cfg, seed=1)
         start = genmodel.AutoencoderPair((3, 4, 4), (2, 2, 2), 8,
                                          np.random.default_rng(1))
         for net, net0 in ((pair.encoder, start.encoder),
@@ -757,11 +758,9 @@ class TestOneVectorPerNetwork:
             assert not np.array_equal(net.layers[0].weights,
                                       net0.layers[0].weights)
 
-        cc = seedcodec.CodecTrainConfig(epochs=1, batch_size=4, hidden=8,
-                                        seed=2)
         codec, _ = seedcodec.train_codec(rng.standard_normal((4, 2, 2, 2)),
-                                         cc, rate=0.5)
-        start = seedcodec.CodecPair((2, 2, 2), 0.5, 8, cc.train_snr_db,
+                                         cfg, rate=0.5, seed=2)
+        start = seedcodec.CodecPair((2, 2, 2), 0.5, 8, cfg.codec_train_snr_db,
                                     np.random.default_rng(2))
         assert_aliased(codec.net)
         assert codec.net.grad is None
@@ -769,7 +768,8 @@ class TestOneVectorPerNetwork:
                                     codec.n2, codec.d3, codec.ln]
         assert not np.array_equal(codec.enc.weights, start.enc.weights)
         codec.save(tmp_path / "codec.bin")
-        loaded = seedcodec.CodecPair((2, 2, 2), 0.5, 8, cc.train_snr_db)
+        loaded = seedcodec.CodecPair((2, 2, 2), 0.5, 8,
+                                     cfg.codec_train_snr_db)
         nn.load_network(tmp_path / "codec.bin", loaded.net)
         assert_aliased(loaded.net)
         assert loaded.net.flat.tobytes() == codec.net.flat.tobytes()

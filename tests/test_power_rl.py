@@ -1,17 +1,22 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 import claims
 from megsim import channel as ch
-from megsim import metrics, nn, power_rl
+from megsim import config, metrics, nn, power_rl
 from megsim.errors import ChannelErasure
-from megsim.power_rl import (PpoAgent, PpoConfig, SeedTransmissionEnv,
-                             apply_power, clipped_surrogate, evaluate,
-                             ppo_update, train_agent)
+from megsim.power_rl import (PpoAgent, SeedTransmissionEnv, apply_power,
+                             clipped_surrogate, evaluate, ppo_update,
+                             train_agent)
 from megsim.util import derive_seed
+
+
+def ppo_cfg(**settings):
+    """The desk config with the given ``ppo_*`` settings."""
+    return replace(config.desk_config(), **settings)
 
 
 def terminal_reward(decoded_images, ground_truths, extractor):
@@ -57,19 +62,19 @@ def records_of(rollout):
             for e, score in enumerate(rollout.scores)]
 
 
-def reference_ppo_update(agent, episodes, config, actor_opt=None,
+def reference_ppo_update(agent, episodes, cfg, actor_opt=None,
                          critic_opt=None):
     """The PPO update on a list of per-episode records, kept verbatim as
     the reference of ``ppo_update`` on one stacked rollout."""
     if not episodes:
         raise ValueError("episode batch is empty")
-    actor_opt = actor_opt or nn.Adam(config.learning_rate)
-    critic_opt = critic_opt or nn.Adam(config.learning_rate)
+    actor_opt = actor_opt or nn.Adam(cfg.ppo_lr)
+    critic_opt = critic_opt or nn.Adam(cfg.ppo_lr)
     states = np.concatenate([ep.states for ep in episodes])
     us = np.concatenate([ep.raw_actions for ep in episodes])
     logp_old = np.concatenate([ep.log_probs for ep in episodes])
     returns = np.concatenate([reference_discounted_returns(ep.rewards,
-                                                           config.gamma)
+                                                           cfg.ppo_gamma)
                               for ep in episodes])
     advantages = returns - agent.value(states)
     if len(advantages) > 1:
@@ -79,12 +84,12 @@ def reference_ppo_update(agent, episodes, config, actor_opt=None,
     diag = {"surrogate": [], "value_loss": [], "entropy": [],
             "first_epoch_max_ratio_err": None, "aborted": False}
     n = len(states)
-    for epoch in range(config.epochs):
+    for epoch in range(cfg.ppo_epochs):
         mean, log_std, raw_ls = agent._heads(states, cache=True)
         logp_new = agent._log_prob(us, mean, log_std)
         surr, ratios, g_logp = clipped_surrogate(logp_new, logp_old,
                                                  advantages,
-                                                 config.clip_range)
+                                                 cfg.ppo_clip)
         entropy = float(np.mean(power_rl.GAUSS_ENTROPY_CONST + log_std))
         v_pred = agent.critic.forward(states.astype(np.float32), cache=True)
         v_err = np.atleast_2d(v_pred)[:, 0].astype(np.float64) - returns
@@ -103,14 +108,15 @@ def reference_ppo_update(agent, episodes, config, actor_opt=None,
         # maximize surr + c2 * entropy, so descend on the negation
         sigma = np.exp(log_std)
         z = (us - mean) / sigma
-        clamp = ((raw_ls > agent.log_std_min)
-                 & (raw_ls < agent.log_std_max)).astype(np.float64)
+        clamp = ((raw_ls > power_rl.LOG_STD_MIN)
+                 & (raw_ls < power_rl.LOG_STD_MAX)).astype(np.float64)
         g_mean = -g_logp * z / sigma
-        g_ls = (-g_logp * (z * z - 1.0) - config.entropy_coef / n) * clamp
+        g_ls = (-g_logp * (z * z - 1.0) - cfg.ppo_entropy_coef / n) * clamp
         g_actor_out = np.stack([g_mean, g_ls], axis=1).astype(np.float32)
         _, actor_grads = agent.actor.backward(g_actor_out, input_grad=False)
 
-        g_v = (config.value_coef * 2.0 * v_err / n)[:, None].astype(np.float32)
+        g_v = (cfg.ppo_value_coef * 2.0 * v_err / n)[:, None].astype(
+            np.float32)
         _, critic_grads = agent.critic.backward(g_v, input_grad=False)
 
         actor_opt.step(agent.actor.params(), actor_grads,
@@ -209,12 +215,6 @@ class TestEntropyAndSurrogate:
         value2, _, _ = clipped_surrogate([-0.5], [-1.0], [-2.0], 0.2)
         assert abs(value2 - (-2.0 * math.exp(0.5))) < 1e-6
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PpoConfig(clip_range=0.0)
-        with pytest.raises(ValueError):
-            PpoConfig(gamma=0.0)
-
 
 class TestEnvironment:
     def test_budget_never_exceeded(self, env, rng):
@@ -265,13 +265,13 @@ class TestPpoUpdate:
     def test_ratio_identity_on_first_epoch(self, env, rng):
         agent = PpoAgent(env.state_dim, hidden=16, rng=3)
         rollout = env.rollout(agent, rng, 4)
-        diag = ppo_update(agent, rollout, PpoConfig(epochs=2, seed=0))
+        diag = ppo_update(agent, rollout, ppo_cfg(ppo_epochs=2))
         assert diag["first_epoch_max_ratio_err"] < 1e-6
 
     def test_losses_finite_and_recorded(self, env, rng):
         agent = PpoAgent(env.state_dim, hidden=16, rng=4)
         rollout = env.rollout(agent, rng, 4)
-        diag = ppo_update(agent, rollout, PpoConfig(epochs=3, seed=0))
+        diag = ppo_update(agent, rollout, ppo_cfg(ppo_epochs=3))
         assert not diag["aborted"]
         assert len(diag["surrogate"]) == 3
         assert all(np.isfinite(v) for v in diag["value_loss"])
@@ -290,11 +290,11 @@ class TestPpoUpdate:
 
     @pytest.mark.parametrize("gamma", [1.0, 0.9])
     def test_matches_list_of_records_reference(self, env, gamma):
-        cfg = PpoConfig(epochs=3, gamma=gamma, seed=0)
+        cfg = ppo_cfg(ppo_epochs=3, ppo_gamma=gamma)
         agents = [PpoAgent(env.state_dim, hidden=16, rng=10)
                   for _ in range(2)]
-        opt = nn.Adam(cfg.learning_rate)
-        ref_opts = (nn.Adam(cfg.learning_rate), nn.Adam(cfg.learning_rate))
+        opt = nn.Adam(cfg.ppo_lr)
+        ref_opts = (nn.Adam(cfg.ppo_lr), nn.Adam(cfg.ppo_lr))
         rng = np.random.default_rng(21)
         # two rounds, so the second update starts from carried Adam moments
         for _ in range(2):
@@ -319,7 +319,7 @@ class TestPpoUpdate:
         agent = PpoAgent(env.state_dim, hidden=16, rng=4)
         weights = agent.actor.layers[0].weights
         before = weights.copy()
-        ppo_update(agent, env.rollout(agent, rng, 4), PpoConfig(epochs=2))
+        ppo_update(agent, env.rollout(agent, rng, 4), ppo_cfg(ppo_epochs=2))
         assert weights is agent.actor.layers[0].weights
         assert not np.array_equal(weights, before)
         for net in (agent.actor, agent.critic):
@@ -361,6 +361,11 @@ class TestEvaluation:
         for net in (agent.actor, agent.critic, loaded.actor, loaded.critic):
             assert_aliased(net)
 
+    def test_training_refuses_out_of_range_settings(self, env):
+        for settings in ({"ppo_clip": 0.0}, {"ppo_gamma": 0.0}):
+            with pytest.raises(ValueError, match=r"\[ppo\] "):
+                train_agent(env, ppo_cfg(**settings), seed=0)
+
     def test_policy_comparison_reproducible(self, tiny_bundle):
         prompts = ["large blob left", "tiny stripes top", "huge rings center",
                    "small cross bottom"]
@@ -369,8 +374,8 @@ class TestEvaluation:
             env = SeedTransmissionEnv(tiny_bundle, prompts, 0.5, 0.0,
                                       p_max=1.0, seed=5)
             traces = self._traces(env, 10, seed=1)
-            cfg = PpoConfig(update_rounds=3, episodes_per_batch=4, seed=2)
-            agent, _ = train_agent(env, cfg)
+            cfg = ppo_cfg(ppo_update_rounds=3, ppo_episodes_per_batch=4)
+            agent, _ = train_agent(env, cfg, seed=2)
             drl = evaluate(agent, env, traces)
             uni = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
                            env, traces)
@@ -391,8 +396,8 @@ class TestTrainingEffect:
                   for _ in range(60)]
         select = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
                   for _ in range(15)]
-        cfg = PpoConfig(update_rounds=80, seed=3)
-        agent, history = train_agent(env, cfg, eval_traces=select)
+        cfg = ppo_cfg(ppo_update_rounds=80)
+        agent, history = train_agent(env, cfg, seed=3, eval_traces=select)
         assert len(history) == 80
         drl = evaluate(agent, env, frozen)
         uni = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env,

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gradcheck import clone_codec, numeric_gradient
-from megsim import nn, seedcodec
+from megsim import config, nn, seedcodec
 from megsim.errors import CodecError, DimensionError
 
 
@@ -147,20 +149,30 @@ def latents():
         (60, 2, 4, 4)).astype(np.float32)
 
 
+def codec_cfg(**settings):
+    """The desk config with the given ``codec_*`` settings."""
+    return replace(config.desk_config(), **settings)
+
+
 class TestTraining:
 
     def test_loss_decreases(self, latents):
-        cfg = seedcodec.CodecTrainConfig(epochs=30, hidden=24,
-                                         train_snr_db=10.0, seed=1)
-        _, hist = seedcodec.train_codec(latents, cfg, rate=0.5)
+        cfg = codec_cfg(codec_epochs=30, codec_hidden=24,
+                        codec_train_snr_db=10.0)
+        _, hist = seedcodec.train_codec(latents, cfg, rate=0.5, seed=1)
         assert hist[-1] < hist[0]
+
+    def test_unknown_channel_kind_refused(self, latents):
+        with pytest.raises(ValueError, match=r"\[channel\] kind 'foo'"):
+            seedcodec.train_codec(latents, codec_cfg(channel_kind="foo"),
+                                  rate=0.5, seed=1)
 
     def test_noiseless_training_overfits(self):
         latents = np.random.default_rng(0).standard_normal(
             (100, 2, 8, 8)).astype(np.float32)
-        cfg = seedcodec.CodecTrainConfig(epochs=800, learning_rate=3e-3,
-                                         train_snr_db=None, seed=1)
-        pair, hist = seedcodec.train_codec(latents, cfg, rate=0.5)
+        cfg = codec_cfg(codec_epochs=800, codec_lr=3e-3,
+                        codec_train_snr_db=None)
+        pair, hist = seedcodec.train_codec(latents, cfg, rate=0.5, seed=1)
         assert hist[-1] < 0.1 * float(np.var(latents))
 
     def test_snr_matched_training_wins(self, latents):
@@ -176,16 +188,18 @@ class TestTraining:
                     pair, flat[i % len(flat)][None, :], eff[None, :])
             return total / n
 
-        low, _ = seedcodec.train_codec(latents, seedcodec.CodecTrainConfig(
-            epochs=60, hidden=24, train_snr_db=0.0, seed=2), rate=0.5)
-        high, _ = seedcodec.train_codec(latents, seedcodec.CodecTrainConfig(
-            epochs=60, hidden=24, train_snr_db=40.0, seed=2), rate=0.5)
+        low, _ = seedcodec.train_codec(latents, codec_cfg(
+            codec_epochs=60, codec_hidden=24, codec_train_snr_db=0.0),
+            rate=0.5, seed=2)
+        high, _ = seedcodec.train_codec(latents, codec_cfg(
+            codec_epochs=60, codec_hidden=24, codec_train_snr_db=40.0),
+            rate=0.5, seed=2)
         assert held_out_loss(low, 0.0) < held_out_loss(high, 0.0)
 
     def test_trained_beats_untrained_noiseless(self, latents):
-        cfg = seedcodec.CodecTrainConfig(epochs=60, hidden=24,
-                                         train_snr_db=None, seed=3)
-        trained, _ = seedcodec.train_codec(latents, cfg, rate=0.5)
+        cfg = codec_cfg(codec_epochs=60, codec_hidden=24,
+                        codec_train_snr_db=None)
+        trained, _ = seedcodec.train_codec(latents, cfg, rate=0.5, seed=3)
         untrained = seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24, rng=77)
 
         def recon_err(pair):
