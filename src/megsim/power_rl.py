@@ -20,7 +20,8 @@ from .util import as_rng, derive_seed
 
 LOG_2PI = math.log(2.0 * math.pi)
 # episodes decoded and scored together; caps the decode batch, and so the
-# peak memory, when many episodes run in lockstep
+# peak memory, when many episodes run in lockstep: at most one chunk of
+# decoded images is alive at a time
 SCORE_CHUNK = 16
 # entropy of a unit-variance Gaussian; S(sigma) = this + log(sigma)
 GAUSS_ENTROPY_CONST = 0.5 * (1.0 + LOG_2PI)
@@ -163,7 +164,8 @@ class SeedTransmissionEnv:
     :meth:`run` plays E episodes in lockstep, one block at a time; one
     episode is the case E = 1. Each :meth:`step` applies power, noise and
     equalization to all episodes at once; after the last block the
-    episodes are decoded and scored together, ``SCORE_CHUNK`` at a time.
+    episodes are decoded and scored ``SCORE_CHUNK`` at a time, and at most
+    one chunk of decoded images is alive at a time.
     """
 
     def __init__(self, bundle: ModelBundle, prompts, rate, snr_db,
@@ -276,23 +278,27 @@ class SeedTransmissionEnv:
         return p
 
     def _score(self, received):
-        """Terminal rewards of the received payloads [E, P, B, block]."""
+        """Terminal rewards of the received payloads [E, P, B, block],
+        ``SCORE_CHUNK`` episodes at a time. Each chunk is rescaled,
+        decoded and scored by :meth:`_score_chunk`, whose latents and
+        images are freed when it returns, so at most one chunk of decoded
+        images is alive at a time."""
+        return np.concatenate([
+            self._score_chunk(received[lo:lo + SCORE_CHUNK])
+            for lo in range(0, len(received), SCORE_CHUNK)])
+
+    def _score_chunk(self, received):
+        """Negative Frechet proxy of each episode's decoded batch against
+        the ground truths, for the received payloads [e, P, B, block]."""
         flat = received.reshape(received.shape[:2] + (-1,))
         symbols = (flat[..., :self.seed_len] * self._scales).astype(np.float32)
-        rewards = np.empty(len(received))
-        for lo in range(0, len(received), SCORE_CHUNK):
-            chunk = symbols[lo:lo + SCORE_CHUNK]
-            latents = self.codec.decode_flat(
-                chunk.reshape(-1, self.seed_len), cache=False)
-            images = self.bundle.autoencoder.decode(
-                latents.reshape((-1,) + self.bundle.latent_shape))
-            # each is the negative Frechet proxy of the episode's decoded
-            # batch against the ground truths
-            rewards[lo:lo + len(chunk)] = -metrics.fid(
-                images.reshape(chunk.shape[:2] + images.shape[1:]), None,
-                self.bundle.extractor,
-                reference_features=self.reference_features)
-        return rewards
+        latents = self.codec.decode_flat(symbols.reshape(-1, self.seed_len),
+                                         cache=False)
+        images = self.bundle.autoencoder.decode(
+            latents.reshape((-1,) + self.bundle.latent_shape))
+        return -metrics.fid(
+            images.reshape(symbols.shape[:2] + images.shape[1:]), None,
+            self.bundle.extractor, reference_features=self.reference_features)
 
     def rollout(self, agent: PpoAgent, rng, episodes) -> Rollout:
         """Run ``episodes`` episodes in lockstep under the sampling policy;
@@ -326,13 +332,15 @@ def discounted_returns(rewards, gamma):
 def ppo_update(agent: PpoAgent, rollout: Rollout, cfg,
                opt: nn.Adam | None = None):
     """Several epochs of clipped-objective ascent on one rollout, with the
-    ``ppo_*`` settings of the experiment config ``cfg``.
+    ``ppo_*`` settings of the experiment config ``cfg``, which is
+    validated first.
 
     The per-transition log probabilities recorded at rollout time are the
     old-policy snapshot; transitions are taken episode by episode; each
     epoch is one ``opt`` step over both heads. Returns a diagnostics dict;
     aborts (without stepping) if any loss goes non-finite.
     """
+    cfg.validate()
     if not len(rollout.scores):
         raise ValueError("episode batch is empty")
     opt = opt or nn.Adam(cfg.ppo_lr)

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import claims
 from megsim import channel as ch
-from megsim import config, metrics, nn, power_rl
+from megsim import config, genmodel, metrics, nn, power_rl
 from megsim.errors import ChannelErasure
 from megsim.power_rl import (PpoAgent, SeedTransmissionEnv, apply_power,
                              clipped_surrogate, evaluate, ppo_update,
@@ -315,6 +316,25 @@ class TestPpoUpdate:
             assert v.tobytes() == np.concatenate(
                 [v_ref.reshape(-1) for _, v_ref in ref_opt._moments]).tobytes()
 
+    def test_out_of_range_settings_refused_before_any_step(self, rng):
+        episodes, blocks, state_dim = 4, 3, 6
+        rollout = power_rl.Rollout(
+            rng.standard_normal((episodes, blocks, state_dim))
+            .astype(np.float32),
+            rng.standard_normal((episodes, blocks)),
+            rng.uniform(0.0, 0.3, (episodes, blocks)),
+            rng.standard_normal((episodes, blocks)),
+            -rng.uniform(0.1, 1.0, episodes))
+        agent = PpoAgent(state_dim, hidden=16, rng=12)
+        before = agent.snapshot()
+        for settings in ({"ppo_clip": 0.0}, {"ppo_gamma": 0.0}):
+            opt = nn.Adam(1e-3)
+            with pytest.raises(ValueError, match=r"\[ppo\] "):
+                ppo_update(agent, rollout, ppo_cfg(**settings), opt)
+            assert opt.step_count == 0
+            for p, q in zip(before, agent.snapshot()):
+                assert p.tobytes() == q.tobytes()
+
     def test_update_moves_the_layer_arrays(self, env, rng, assert_aliased):
         agent = PpoAgent(env.state_dim, hidden=16, rng=4)
         weights = agent.actor.layers[0].weights
@@ -570,6 +590,60 @@ def per_episode_reference(env, traces, noise_seeds, actions):
             else:
                 remaining = float(np.nextafter(remaining - p, 0.0))
     return states, powers, received
+
+
+def score_all_then_chunk(env, received):
+    """The scoring form that rescales every episode's symbols first and
+    then decodes them ``SCORE_CHUNK`` episodes at a time, kept as the
+    reference of the streamed ``SeedTransmissionEnv._score``."""
+    flat = received.reshape(received.shape[:2] + (-1,))
+    symbols = (flat[..., :env.seed_len] * env._scales).astype(np.float32)
+    rewards = np.empty(len(received))
+    for lo in range(0, len(received), power_rl.SCORE_CHUNK):
+        chunk = symbols[lo:lo + power_rl.SCORE_CHUNK]
+        latents = env.codec.decode_flat(chunk.reshape(-1, env.seed_len),
+                                        cache=False)
+        images = env.bundle.autoencoder.decode(
+            latents.reshape((-1,) + env.bundle.latent_shape))
+        rewards[lo:lo + len(chunk)] = -metrics.fid(
+            images.reshape(chunk.shape[:2] + images.shape[1:]), None,
+            env.bundle.extractor, reference_features=env.reference_features)
+    return rewards
+
+
+class TestScoreChunks:
+    def test_one_chunk_of_images_alive_and_rewards_unchanged(
+            self, tiny_bundle, monkeypatch):
+        env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
+                                  snr_db=0.0, p_max=1.0, block_length=16,
+                                  seed=5)
+        n = 2 * power_rl.SCORE_CHUNK + 1
+        rng = np.random.default_rng(4)
+        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
+                  for _ in range(n)]
+        decoded, alive_at_start, received = [], [], []
+        decode, score = genmodel.AutoencoderPair.decode, env._score
+
+        def spy_decode(self, latent):
+            alive_at_start.append(sum(ref() is not None for ref in decoded))
+            out = decode(self, latent)
+            decoded.append(weakref.ref(out))
+            return out
+
+        def spy_score(payloads):
+            received.append(payloads.copy())
+            return score(payloads)
+
+        monkeypatch.setattr(genmodel.AutoencoderPair, "decode", spy_decode)
+        monkeypatch.setattr(env, "_score", spy_score)
+        got = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env,
+                       traces)
+        monkeypatch.undo()
+        # one decode per chunk, the last one a single episode
+        assert alive_at_start == [0, 0, 0]
+        assert got.shape == (n,) and got.dtype == np.float64
+        want = score_all_then_chunk(env, received[0])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestVectorizedStep:
