@@ -8,7 +8,7 @@ high SNR.
 
 from dataclasses import replace
 
-from megsim import config, experiments, protocol
+from megsim import config, experiments, metrics, protocol
 from megsim.corpus import sample_prompts
 from megsim.util import derive_seed
 
@@ -32,7 +32,7 @@ for snr_db in (30.0, 0.0, -10.0):
     spec = protocol.RunSpec(prompts, 0.5, snr_db, cfg.channel_kind,
                             cfg.block_length, seed=42)
     report = protocol.run_end_to_end(bundle, spec)
-    for mode in spec.modes:
+    for mode in metrics.MODES:
         r = report[mode].report
         print(f"{snr_db:>6}  {mode:<12} {r.psnr_db:>8.2f} "
               f"{r.fid_score:>10.4f} {r.symbols:>8,}")

@@ -65,6 +65,11 @@ def sample_fading_trace(model: ChannelModel, num_blocks, rng) -> FadingTrace:
     return FadingTrace(gains, model.block_length)
 
 
+def block_count(symbols, block_length):
+    """Coherence blocks that ``symbols`` fill; the last may be short."""
+    return -(-symbols // block_length)
+
+
 def transmit(symbols, gain, power, noise_std, rng):
     """Symbols over the link: y = h * sqrt(p) * x + n.
 
@@ -85,8 +90,8 @@ def equalize(received, gain, power):
     """Zero-forcing estimate x_hat = y / (h * sqrt(p)); ``gain``/``power``
     may be per-symbol arrays, as in :func:`transmit`.
 
-    Raises :class:`ChannelErasure` when any effective gain is zero; the
-    caller substitutes zeros and marks those symbols lost.
+    Raises :class:`ChannelErasure` when any effective gain is zero: such
+    a block carries nothing to estimate, so callers leave it out.
     """
     eff = gain * np.sqrt(power) if np.all(np.asarray(power) > 0) else 0.0
     if np.any(eff <= 0):

@@ -110,11 +110,14 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type is tuple and not value:
                 raise ValueError(f"[{section}] {key} needs at least one value")
-            # every count is positive; a batch Frechet score needs two
-            # prompts
-            low = 2 if f.name in ("eval_prompts", "power_prompts") else 1
-            if f.type is int and f.name != "seed" and value < low:
+            # every count is positive, the seed feeds numpy's generators,
+            # and a batch Frechet score needs two prompts
+            low = {"seed": 0, "eval_prompts": 2, "power_prompts": 2}.get(
+                f.name, 1)
+            if f.type is int and value < low:
                 raise ValueError(f"[{section}] {key} must be >= {low}")
+        if not self.eval_prompt.split():
+            raise ValueError("[eval] prompt must hold at least one word")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.channel_kind not in KINDS:

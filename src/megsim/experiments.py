@@ -290,7 +290,7 @@ def cmd_sweep(cfg: ExperimentConfig):
             spec = RunSpec(prompts, rate, snr, cfg.channel_kind,
                            cfg.block_length, cell_seed, config_hash=chash)
             report = run_end_to_end(bundle, spec)
-            for mode in spec.modes:
+            for mode in metrics.MODES:
                 r = report[mode].report
                 rows.append((mode, rate, snr, trial, r.psnr_db, r.fid_score,
                              r.mse, r.symbols, cell_seed))
@@ -343,9 +343,9 @@ def cmd_power(cfg: ExperimentConfig):
     prompts = corpus.sample_prompts(cfg.power_prompts,
                                     derive_seed(cfg.seed, 21))
     # blocks per episode, as SeedTransmissionEnv.num_blocks counts them
-    num_blocks = -(-metrics.symbol_count(
+    num_blocks = ch.block_count(metrics.symbol_count(
         "meg", cfg.image_shape, cfg.downsample, cfg.power_rate,
-        cfg.latent_channels) // cfg.block_length)
+        cfg.latent_channels), cfg.block_length)
 
     model = ch.ChannelModel(cfg.channel_kind, cfg.block_length)
     # drawn from the seed on every run: a file left by another config is
@@ -468,7 +468,7 @@ def cmd_eval(cfg: ExperimentConfig):
     report = run_end_to_end(bundle, spec)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "eval.csv")
-    reports = {mode: report[mode].report for mode in spec.modes}
+    reports = {mode: report[mode].report for mode in metrics.MODES}
     write_csv(path, ["mode", "psnr_db", "fid_proxy", "mse", "symbols",
                      "config_hash"],
               [(mode, r.psnr_db, r.fid_score, r.mse, r.symbols, r.config_hash)

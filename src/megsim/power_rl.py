@@ -196,7 +196,7 @@ class SeedTransmissionEnv:
         self.reference_features = bundle.extractor.extract(truths)
         self.codec = bundle.codec_for(rate)
         self.seed_len = frames[0].payload.size
-        self.num_blocks = -(-self.seed_len // block_length)
+        self.num_blocks = ch.block_count(self.seed_len, block_length)
         self.state_dim = block_length + 2
         # payloads padded to a whole number of blocks, stacked [P, B, block]
         pad = self.num_blocks * block_length - self.seed_len

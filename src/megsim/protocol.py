@@ -1,7 +1,7 @@
 """Edge-inferencing protocol: the edge server's and the receiver's sides,
 the binary seed frame, and the end-to-end driver that runs one
-generation (plus the two benchmark transmission modes) over a shared
-fading trace.
+generation (plus the two benchmark deliveries, see ``metrics.MODES``)
+over a shared fading trace.
 
 Seed frame layout (little endian)::
 
@@ -162,8 +162,7 @@ def es_handle_request(bundle: ModelBundle, requests, block_length: int):
 class GenerationResult:
     images: list
     report: metrics.MetricReport
-    degraded: bool = False
-    trace_seed: int | None = None
+    degraded: bool = False    # read by perfbench's protocol.degraded_share
 
 
 @dataclass
@@ -180,38 +179,28 @@ class EndToEndReport:
 # ---------------------------------------------------------------------------
 # transmission helpers
 
-def transmit_stream(payloads, trace: ch.FadingTrace, noise_std, rng,
-                    powers=None):
-    """Send payloads [P, N] over a trace, every row on the same blocks at
-    one power per block; returns (received, gains, powers) per symbol. One
-    noise draw of the payloads' shape equals drawing each row in turn."""
+def transmit_stream(payloads, trace: ch.FadingTrace, noise_std, rng):
+    """Send payloads [P, N] over a trace at unit power, every row on the
+    same blocks; returns (received, gains) per symbol. One noise draw of
+    the payloads' shape equals drawing each row in turn."""
     x = np.asarray(payloads)
     if x.ndim != 2:
         raise DimensionError(f"payloads must be a stack [P, N], got {x.shape}")
     n, block = x.shape[1], trace.block_length
-    nb = -(-n // block)
-    p = np.ones(nb) if powers is None else np.asarray(powers, np.float64)
-    if len(trace) < nb or len(p) < nb:
-        raise ValueError(f"{n} symbols need {nb} blocks of gain and power")
+    nb = ch.block_count(n, block)
+    if len(trace) < nb:
+        raise ValueError(f"{n} symbols need {nb} blocks of gain")
     gains = np.repeat(trace.gains[:nb], block)[:n]
-    p = np.repeat(p[:nb], block)[:n]
-    return ch.transmit(x, gains, p, noise_std, rng), gains, p
+    return ch.transmit(x, gains, 1.0, noise_std, rng), gains
 
 
-def recover_stream(received, gains, powers):
-    """Equalize received symbols; erased ones (zero power) come back as
-    zeros. Returns (symbols, degraded)."""
-    live = powers > 0
-    if live.all():
-        return ch.equalize(received, gains, powers), False
-    out = np.zeros(np.shape(received))
-    out[..., live] = ch.equalize(received[..., live], gains[live],
-                                 powers[live])
-    return out, True
+def recover_stream(received, gains):
+    """Zero-forcing estimate of what :func:`transmit_stream` sent."""
+    return ch.equalize(received, gains, 1.0)
 
 
 def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
-               config_hash="", trace_seed=None, reference_features=None):
+               config_hash="", reference_features=None):
     """Receiver side for a batch of seed deliveries.
 
     ``wire_frames`` holds one encoded frame per prompt, all at one codec
@@ -224,8 +213,8 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
     frames = [decode_frame(data) for data in wire_frames]
     if len({frame.rate_fixed for frame in frames}) > 1:
         raise ProtocolError("a received batch must share one codec rate")
-    symbols, degraded = recover_stream(*received) if received is not None \
-        else ([frame.payload.astype(np.float64) for frame in frames], False)
+    symbols = recover_stream(*received) if received is not None \
+        else [frame.payload.astype(np.float64) for frame in frames]
     # each UE decodes its frame at the deployed rate nearest the header's, as
     # a batch of one in a stack that holds every frame
     rate = min(bundle.codecs, key=lambda r: abs(r - frames[0].rate))
@@ -236,7 +225,7 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
                           symbols=frames[0].payload.size,
                           config_hash=config_hash,
                           reference_features=reference_features)
-    return GenerationResult(list(images), report, degraded, trace_seed)
+    return GenerationResult(list(images), report)
 
 
 def batch_report(images, ground_truths, extractor, symbols, config_hash="",
@@ -267,13 +256,11 @@ class RunSpec:
     channel_kind: str = "rayleigh_block"
     block_length: int = 16
     seed: int = 0
-    modes: tuple = ("centralized", "raw_feature", "meg")
-    powers: list | None = None    # per-block powers for the meg seed download
     config_hash: str = ""
 
 
 def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
-    """Generate, transmit under every requested mode, decode, and score."""
+    """Generate, transmit under every mode, decode, and score."""
     if not spec.prompts:
         raise ValueError("at least one prompt is required")
     es_results = es_handle_request(bundle, [
@@ -287,33 +274,32 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
               "raw_feature": int(np.prod(bundle.latent_shape)),
               "meg": es_results[0].seed.symbols.size}
     model = ch.ChannelModel(spec.channel_kind, spec.block_length)
-    max_blocks = max(-(-counts[m] // spec.block_length) for m in spec.modes)
-    trace_seed = derive_seed(spec.seed, 1)
-    trace = ch.sample_fading_trace(model, max_blocks, trace_seed)
+    trace = ch.sample_fading_trace(
+        model, ch.block_count(max(counts.values()), spec.block_length),
+        derive_seed(spec.seed, 1))
     perfect = spec.snr_db is None
     noise_std = None if perfect else ch.snr_to_noise_std(spec.snr_db, 1.0)
     # every mode is scored against the same ground truths
     reference = bundle.extractor.extract(truths)
 
     results = {}
-    for mode_idx, mode in enumerate(spec.modes):
+    for mode_idx, mode in enumerate(metrics.MODES):
         noise_rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
         if mode == "meg":
             sent = None if perfect else transmit_stream(
                 np.stack([res.frame.payload for res in es_results]), trace,
-                noise_std, noise_rng, spec.powers)
+                noise_std, noise_rng)
             results[mode] = ue_receive(
                 bundle, [encode_frame(res.frame) for res in es_results],
-                sent, truths, spec.config_hash, trace_seed, reference)
+                sent, truths, spec.config_hash, reference)
             continue
         source = truths if mode == "centralized" else np.stack(latents)
         payloads = source.reshape(len(source), -1).astype(np.float64)
-        degraded = False
         if not perfect:
             # each row is sent at unit RMS power and rescaled on receipt
             scale = np.sqrt(np.mean(payloads ** 2, axis=1, keepdims=True))
             scale = np.where(scale > 0, scale, 1.0)
-            symbols, degraded = recover_stream(*transmit_stream(
+            symbols = recover_stream(*transmit_stream(
                 payloads / scale, trace, noise_std, noise_rng))
             payloads = symbols * scale
         batch = (np.clip(payloads, 0.0, 1.0).astype(np.float32)
@@ -322,6 +308,5 @@ def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
                      payloads.astype(np.float32).reshape(source.shape)))
         report = batch_report(batch, truths, bundle.extractor,
                               counts[mode], spec.config_hash, reference)
-        results[mode] = GenerationResult(list(batch), report, degraded,
-                                         trace_seed)
+        results[mode] = GenerationResult(list(batch), report)
     return EndToEndReport(results, list(truths), latents, trace)

@@ -104,18 +104,34 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, attr", [
         (section, key, attr) for section, rows in config._SCHEMA.items()
-        for key, attr, kind in rows if kind is int and attr != "seed"])
+        for key, attr, kind in rows if kind is int])
     def test_count_below_its_minimum_rejected(self, monkeypatch, section, key,
                                               attr):
         for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
             monkeypatch.delenv(name)
-        # a batch Frechet score needs two prompts; every other count one
-        low = 2 if attr in ("eval_prompts", "power_prompts") else 1
+        # the seed feeds numpy's generators, a batch Frechet score needs
+        # two prompts, and every other count one
+        low = {"seed": 0, "eval_prompts": 2, "power_prompts": 2}.get(attr, 1)
         with pytest.raises(ValueError, match=re.escape(
                 f"[{section}] {key} must be >= {low}")):
             config.load_config(overrides={attr: low - 1})
-        if low == 2:
-            assert getattr(config.load_config(overrides={attr: 2}), attr) == 2
+        if low != 1:
+            assert getattr(config.load_config(overrides={attr: low}),
+                           attr) == low
+
+    def test_blank_eval_prompt_refused(self, tmp_path, capsys, monkeypatch):
+        for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(name)
+        message = "[eval] prompt must hold at least one word"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(config.desk_config(), eval_prompt=" \t").validate()
+        path = tmp_path / "blank.cfg"
+        path.write_text("[eval]\nprompt =   \n")
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(path), "--out", str(out),
+                         "eval"]) == 2
+        assert capsys.readouterr().err == f"megsim: error: {message}\n"
+        assert not out.exists()
 
     def test_parse_error_names_its_key(self, tmp_path):
         path = tmp_path / "bad.cfg"

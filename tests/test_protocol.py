@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from megsim import channel as ch
 from megsim import genmodel, metrics, protocol
-from megsim.errors import (ChannelErasure, DimensionError, FrameError,
-                           ProtocolError)
+from megsim.errors import DimensionError, FrameError, ProtocolError
 from megsim.protocol import (GenerationRequest, RunSpec, decode_frame,
                              encode_frame, es_handle_request,
                              frame_from_seed, recover_stream, run_end_to_end,
@@ -268,16 +267,6 @@ class TestEndToEnd:
                                 self._spec(["blob left", "rings top"]))
         assert report["raw_feature"].report.psnr_db == float("inf")
 
-    def test_total_erasure_flagged_and_finite(self, tiny_bundle):
-        codec = tiny_bundle.codec_for(0.5)
-        blocks = -(-codec.seed_len // 16)
-        spec = self._spec(["blob left", "rings top"], snr_db=10.0,
-                          powers=[0.0] * blocks, modes=("meg",))
-        report = run_end_to_end(tiny_bundle, spec)
-        assert report["meg"].degraded
-        for img in report["meg"].images:
-            assert np.all(np.isfinite(img))
-
     def test_metrics_match_external_computation(self, tiny_bundle):
         spec = self._spec(["blob left", "rings top"], snr_db=5.0,
                           channel_kind="rayleigh_block")
@@ -290,13 +279,6 @@ class TestEndToEnd:
                                tiny_bundle.extractor)
         assert abs(meg.report.mse - want_mse) < 1e-12
         assert abs(meg.report.fid_score - want_fid) < 1e-9
-
-    def test_modes_share_the_fading_trace(self, tiny_bundle):
-        spec = self._spec(["blob left", "rings top"], snr_db=0.0,
-                          channel_kind="rayleigh_block")
-        report = run_end_to_end(tiny_bundle, spec)
-        seeds = {report[m].trace_seed for m in spec.modes}
-        assert len(seeds) == 1
 
     def test_symbol_counts_match_accounting(self, tiny_bundle, tiny_cfg):
         spec = self._spec(["blob left", "rings top"], snr_db=10.0)
@@ -353,21 +335,18 @@ class TestUeReceive:
         assert len(got.images) == len(want)
         for a, b in zip(got.images, want):
             assert a.shape == b.shape and np.array_equal(a, b)
-        return got
 
     def test_noisy_link_matches_per_frame_loop(self, tiny_bundle):
         served = self._serve(tiny_bundle, self.PROMPTS, 0.5)
         trace = ch.sample_fading_trace(
             ch.ChannelModel("rayleigh_block", 16), 8, 3)
         sent = transmit_stream(np.stack([res.frame.payload for res in served]),
-                               trace, 0.3, np.random.default_rng(2),
-                               [1.0, 0.0, 2.0, 0.5])
-        got = self._check(tiny_bundle, served, sent, recover_stream(*sent)[0])
-        assert got.degraded
+                               trace, 0.3, np.random.default_rng(2))
+        self._check(tiny_bundle, served, sent, recover_stream(*sent))
 
     def test_perfect_channel_matches_per_frame_loop(self, tiny_bundle):
         served = self._serve(tiny_bundle, self.PROMPTS, 0.5)
-        assert not self._check(tiny_bundle, served, None).degraded
+        self._check(tiny_bundle, served, None)
 
     def test_mixed_rates_rejected(self, tiny_bundle):
         # a second, untrained codec with another seed length: one received
@@ -386,86 +365,57 @@ class TestUeReceive:
         self._check(bundle, quarter, None)
 
 
-# -- the per-block link, kept verbatim as the reference of the batched one --
+# -- the per-block link at unit power, kept as the reference of the batched
+# one --
 
 @dataclass
 class ReceivedBlock:
     values: np.ndarray
     gain: float
-    power: float
 
 
-def reference_transmit(symbols, gain, power, noise_std, rng):
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    x = np.asarray(symbols, dtype=np.float64)
-    y = gain * np.sqrt(power) * x
+def reference_transmit(symbols, gain, noise_std, rng):
+    y = gain * np.asarray(symbols, dtype=np.float64)
     if noise_std > 0:
-        y = y + as_rng(rng).normal(0.0, noise_std, size=x.shape)
+        y = y + as_rng(rng).normal(0.0, noise_std, size=y.shape)
     return y
 
 
-def reference_equalize(received, gain, power):
-    eff = gain * np.sqrt(power) if power > 0 else 0.0
-    if eff <= 0:
-        raise ChannelErasure("block transmitted with zero effective gain")
-    return np.asarray(received, dtype=np.float64) / eff
-
-
-def reference_transmit_stream(symbols, trace, noise_std, rng, powers=None):
-    blocks = chunk_seed(symbols, trace.block_length)
-    out = []
-    for i, block in enumerate(blocks):
-        p = 1.0 if powers is None else float(powers[i])
-        y = reference_transmit(block, trace.gains[i], p, noise_std, rng)
-        out.append(ReceivedBlock(y, float(trace.gains[i]), p))
-    return out
+def reference_transmit_stream(symbols, trace, noise_std, rng):
+    return [ReceivedBlock(reference_transmit(block, trace.gains[i],
+                                             noise_std, rng),
+                          float(trace.gains[i]))
+            for i, block in enumerate(chunk_seed(symbols,
+                                                 trace.block_length))]
 
 
 def reference_recover_stream(blocks, expected_len):
-    parts = []
-    degraded = False
-    for blk in blocks:
-        try:
-            parts.append(reference_equalize(blk.values, blk.gain, blk.power))
-        except ChannelErasure:
-            parts.append(np.zeros_like(np.asarray(blk.values,
-                                                  dtype=np.float64)))
-            degraded = True
-    flat = np.concatenate(parts) if parts else np.zeros(0)
+    flat = np.concatenate([np.asarray(blk.values, dtype=np.float64)
+                           / blk.gain for blk in blocks])
     if flat.size != expected_len:
         raise FrameError(
             f"recovered {flat.size} symbols, expected {expected_len}")
-    return flat, degraded
+    return flat
 
 
 class TestBatchedLink:
     @pytest.mark.parametrize("kind", ["awgn", "rayleigh_block"])
     @pytest.mark.parametrize("prompts", [1, 16])
     @pytest.mark.parametrize("noise_std", [0.0, 0.4])
-    @pytest.mark.parametrize("powers", [None, "with_zeros"])
-    def test_matches_per_block_reference(self, kind, prompts, noise_std,
-                                         powers):
+    def test_matches_per_block_reference(self, kind, prompts, noise_std):
         n, block = 70, 16              # a ragged last block of 6 symbols
         trace = ch.sample_fading_trace(ch.ChannelModel(kind, block), 6, 9)
-        if powers is not None:
-            powers = [0.7, 0.0, 1.9, 0.0, 1.2, 0.3]
         payloads = np.random.default_rng(prompts).standard_normal(
             (prompts, n)).astype("<f4")
         ref_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
-        ref_rx, ref_sym, ref_lost = [], [], False
+        ref_rx, ref_sym = [], []
         for row in payloads:
-            blocks = reference_transmit_stream(row, trace, noise_std,
-                                               ref_rng, powers)
+            blocks = reference_transmit_stream(row, trace, noise_std, ref_rng)
             ref_rx.append(np.concatenate([b.values for b in blocks]))
-            flat, lost = reference_recover_stream(blocks, n)
-            ref_sym.append(flat)
-            ref_lost |= lost
-        sent = transmit_stream(payloads, trace, noise_std, got_rng, powers)
-        symbols, lost = recover_stream(*sent)
+            ref_sym.append(reference_recover_stream(blocks, n))
+        sent = transmit_stream(payloads, trace, noise_std, got_rng)
         assert np.array_equal(sent[0], np.stack(ref_rx))
-        assert np.array_equal(symbols, np.stack(ref_sym))
-        assert lost == ref_lost == (powers is not None)
+        assert np.array_equal(recover_stream(*sent), np.stack(ref_sym))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_only_a_stack_of_payloads_accepted(self):
@@ -478,31 +428,18 @@ class TestBatchedLink:
                 transmit_stream(bad, trace, 0.2, np.random.default_rng(1))
         assert transmit_stream(x[None], trace, 0.2, 1)[0].shape == (1, 18)
 
-    def test_too_few_powers_rejected(self):
-        trace = ch.sample_fading_trace(ch.ChannelModel("awgn", 4), 5, 2)
-        with pytest.raises(ValueError, match="blocks"):
-            transmit_stream(np.zeros((1, 18)), trace, 0.0, 0,
-                            powers=[1.0] * 4)
+    def test_too_short_trace_rejected(self):
+        # 18 symbols fill 5 blocks of 4; a trace of 4 blocks is one short
+        trace = ch.sample_fading_trace(ch.ChannelModel("awgn", 4), 4, 2)
+        with pytest.raises(ValueError, match="18 symbols need 5 blocks"):
+            transmit_stream(np.zeros((1, 18)), trace, 0.0, 0)
+        assert transmit_stream(np.zeros((1, 16)), trace, 0.0, 0)[0].shape \
+            == (1, 16)
 
-    @pytest.mark.parametrize("kind", ["awgn", "rayleigh_block"])
-    def test_unerased_stream_equals_the_masked_path(self, kind):
-        # the whole-stream shortcut against the gather and scatter it skips
-        trace = ch.sample_fading_trace(ch.ChannelModel(kind, 16), 5, 3)
-        payloads = np.random.default_rng(4).standard_normal((3, 70))
-        received, gains, powers = transmit_stream(payloads, trace, 0.3, 5,
-                                                  [0.5, 1.0, 2.0, 1.5, 0.1])
-        live = powers > 0
-        want = np.zeros(received.shape)
-        want[..., live] = ch.equalize(received[..., live], gains[live],
-                                      powers[live])
-        got, lost = recover_stream(received, gains, powers)
-        assert np.array_equal(got, want) and not lost
-
-    @pytest.mark.parametrize("powers", [None, [1.5, 0.0, 0.5, 2.0]])
     def test_run_end_to_end_matches_per_prompt_reference(self, tiny_bundle,
-                                                         powers, monkeypatch):
+                                                         monkeypatch):
         spec = RunSpec(["blob left", "rings top", "tiny stripes top"], 0.5,
-                       0.0, "rayleigh_block", 16, seed=4, powers=powers)
+                       0.0, "rayleigh_block", 16, seed=4)
         extracted, decoded = [], []
         extract = metrics.FeatureExtractor.extract
         monkeypatch.setattr(metrics.FeatureExtractor, "extract",
@@ -515,7 +452,7 @@ class TestBatchedLink:
         report = run_end_to_end(tiny_bundle, spec)
         monkeypatch.undo()
         # the ground truths once, then each mode's images
-        assert extracted == [3] * (1 + len(spec.modes))
+        assert extracted == [3] * (1 + len(metrics.MODES))
         # ground truths and raw_feature rows as batches; the UEs' frames as
         # one stack of batches of one
         latent = tiny_bundle.latent_shape
@@ -524,17 +461,16 @@ class TestBatchedLink:
         # the server compresses the stacked latents in one call, as
         # production does; the link below stays per prompt
         seeds = codec.compress(np.stack(report.latents))
-        for mode_idx, mode in enumerate(spec.modes):
+        for mode_idx, mode in enumerate(metrics.MODES):
             rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
             noise_std = ch.snr_to_noise_std(spec.snr_db, 1.0)
-            images, received, degraded = [], [], False
+            images, received = [], []
             for truth, latent, seed in zip(report.ground_truths,
                                            report.latents, seeds):
                 if mode == "meg":
                     blocks = reference_transmit_stream(
-                        seed.symbols, report.trace, noise_std, rng, powers)
-                    flat, lost = reference_recover_stream(blocks,
-                                                          seed.symbols.size)
+                        seed.symbols, report.trace, noise_std, rng)
+                    flat = reference_recover_stream(blocks, seed.symbols.size)
                     images.append(tiny_bundle.autoencoder.decode(
                         codec.decompress(flat[None], [seed.scale]))[0])
                 else:
@@ -543,8 +479,7 @@ class TestBatchedLink:
                     scale = float(np.sqrt(np.mean(payload ** 2)))
                     blocks = reference_transmit_stream(
                         payload / scale, report.trace, noise_std, rng)
-                    flat, lost = reference_recover_stream(blocks,
-                                                          payload.size)
+                    flat = reference_recover_stream(blocks, payload.size)
                     x = flat * scale
                     if mode == "centralized":
                         images.append(np.clip(x, 0.0, 1.0).reshape(truth.shape)
@@ -552,7 +487,6 @@ class TestBatchedLink:
                     else:
                         received.append(x.astype(np.float32)
                                         .reshape(latent.shape))
-                degraded |= lost
             if mode == "raw_feature":
                 # the received latents are decoded together, as production
                 # does
@@ -561,7 +495,6 @@ class TestBatchedLink:
             got = report[mode]
             assert all(np.array_equal(a, b)
                        for a, b in zip(got.images, images))
-            assert got.degraded == degraded
             want = protocol.batch_report(images, report.ground_truths,
                                          tiny_bundle.extractor,
                                          got.report.symbols)
