@@ -25,10 +25,12 @@ def _key(section, default):
     return field(default=default, metadata={"section": section})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Every config key, each declared once with its file section; the
-    file key is the attribute less the section's prefix (``_PREFIX``)."""
+    file key is the attribute less the section's prefix (``_PREFIX``).
+    Immutable, and checked by :meth:`validate` whenever one is built,
+    ``dataclasses.replace`` included."""
 
     preset: str = _key("run", "desk")
     seed: int = _key("run", 0)
@@ -103,8 +105,11 @@ class ExperimentConfig:
     def pixel_count(self):
         return self.channels * self.height * self.width
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        """Check every cross-module dimension contract before running."""
+        """Check every cross-module dimension contract; returns self."""
         for f in fields(self):
             section, key = _file_key(f)
             value = getattr(self, f.name)
@@ -141,8 +146,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"seed length {n} at rate {rate} violates the "
                     f"overhead bound {budget}")
-        if self.power_rate not in self.codec_rates:
-            raise ValueError("power experiments need a codec at power_rate")
+        for name, rate in (("power", self.power_rate),
+                           ("eval", self.eval_rate)):
+            if rate not in self.codec_rates:
+                raise ValueError(f"[{name}] rate {rate!r} is not one of "
+                                 f"[codec] rates")
         return self
 
 
@@ -226,8 +234,8 @@ def config_hash(cfg: ExperimentConfig, sections=None, extra="",
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def read_config_file(path, base: ExperimentConfig) -> ExperimentConfig:
-    """Overlay a key-value file on top of a base config."""
+def read_config_file(path) -> dict:
+    """A key-value file's settings as ``{attribute: value}``."""
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_string(fh.read())
@@ -245,7 +253,7 @@ def read_config_file(path, base: ExperimentConfig) -> ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key} = {value!r}: {exc}") \
                     from exc
-    return replace(base, **updates)
+    return updates
 
 
 def desk_config() -> ExperimentConfig:
@@ -279,24 +287,15 @@ def preset_config(name: str) -> ExperimentConfig:
 
 def load_config(path=None, preset=None, overrides=None) -> ExperimentConfig:
     """Resolve a config from preset defaults, an optional file, environment
-    variables (MEGSIM_SEED and friends), then explicit overrides."""
+    variables (MEGSIM_SEED and friends), then explicit overrides. The
+    preset is the argument's, else the environment's, else the file's."""
     env = {k[len(ENV_PREFIX):].lower(): v for k, v in os.environ.items()
            if k.startswith(ENV_PREFIX)}
     path = path or env.get("config")
-    preset = preset or env.get("preset")
-    if path and not preset:
-        # the file may pick its own preset as the base for its overrides
-        preset = read_config_file(path, ExperimentConfig()).preset
-    cfg = preset_config(preset or "desk")
-    if path:
-        cfg = read_config_file(path, cfg)
-    updates = {attr: _parse_value(env[key], kind)
-               for key, attr, kind in _SCHEMA["run"] if key in env}
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            updates[key] = value
-    if preset:
-        updates["preset"] = preset
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg.validate()
+    updates = read_config_file(path) if path else {}
+    updates.update({attr: _parse_value(env[key], kind)
+                    for key, attr, kind in _SCHEMA["run"] if key in env})
+    updates.update({key: value for key, value in (overrides or {}).items()
+                    if value is not None})
+    updates["preset"] = preset or updates.get("preset", "desk")
+    return replace(preset_config(updates["preset"]), **updates)

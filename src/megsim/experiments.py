@@ -164,7 +164,6 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     it depends on; a stage is retrained exactly when one of its files is
     not ``"ok"`` in :func:`bundle_status`.
     """
-    cfg.validate()
     _check_trainable(cfg)
     out = bundle_dir(cfg)
     os.makedirs(out, exist_ok=True)
@@ -237,7 +236,6 @@ def load_bundle(cfg: ExperimentConfig) -> ModelBundle:
     raises one error naming each other file and its status:
     ``FileNotFoundError`` when one is missing, else :class:`BundleError`.
     """
-    cfg.validate()
     _check_trainable(cfg)
     status = bundle_status(cfg)
     bad = ", ".join(f"{name} {s}" for name, s in status.items() if s != "ok")
@@ -268,7 +266,6 @@ def cmd_sweep(cfg: ExperimentConfig):
     full-scale model exists to simulate. Every cell runs in the calling
     process, whatever ``cfg.jobs`` says. Returns the output paths.
     """
-    cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
     sweep_path = os.path.join(cfg.out, "sweep.csv")
     chash = config_hash(cfg)
@@ -308,7 +305,7 @@ def _sweep_plots(cfg, rows):
     for rate in cfg.codec_rates:
         for col, label in ((4, "psnr_db"), (5, "fid_proxy")):
             series, points = {}, []
-            for mode in ("centralized", "raw_feature", "meg"):
+            for mode in metrics.MODES:
                 # statistics, not np.median: its first call imports numpy.ma
                 ys = [statistics.median([r[col] for r in rows
                                          if r[0] == mode and r[1] == rate
@@ -336,8 +333,6 @@ def cmd_power(cfg: ExperimentConfig):
     Emits one summary row per budget plus a training-curve CSV, all from
     the same frozen trace set.
     """
-    cfg.validate()
-    _check_trainable(cfg)
     bundle = load_bundle(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     prompts = corpus.sample_prompts(cfg.power_prompts,
@@ -421,7 +416,6 @@ class TableReport:
 
 def cmd_table(cfg: ExperimentConfig) -> TableReport:
     """Transmission overhead and codec complexity, from metadata alone."""
-    cfg.validate()
     symbol_rows = [
         ("centralized", metrics.symbol_count("centralized", cfg.image_shape,
                                              cfg.downsample)),
@@ -459,7 +453,6 @@ def cmd_table(cfg: ExperimentConfig) -> TableReport:
 
 def cmd_eval(cfg: ExperimentConfig):
     """One end-to-end generation at the configured prompt/SNR/rate."""
-    cfg.validate()
     bundle = load_bundle(cfg)
     prompts = [cfg.eval_prompt] + _eval_prompt_set(cfg)[:cfg.eval_prompts - 1]
     spec = RunSpec(prompts, cfg.eval_rate, cfg.eval_snr_db, cfg.channel_kind,

@@ -66,13 +66,12 @@ class NoiseSchedule:
     def steps(self):
         return len(self.betas)
 
-    def validate(self):
+    def __post_init__(self):
         b = self.betas
         if len(b) < 1 or b[0] <= 0 or b[-1] >= 1 or np.any(np.diff(b) < 0):
             raise ScheduleError("betas must be nondecreasing within (0, 1)")
         if self.alpha_bars[0] != 1.0 or np.any(np.diff(self.alpha_bars) >= 0):
             raise ScheduleError("alpha_bars must start at 1 and strictly decrease")
-        return self
 
 
 def make_schedule(steps, beta_start=None, beta_end=None):
@@ -86,7 +85,7 @@ def make_schedule(steps, beta_start=None, beta_end=None):
         beta_end = 0.02 * (50.0 / steps)
     betas = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
     alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    return NoiseSchedule(betas, alpha_bars).validate()
+    return NoiseSchedule(betas, alpha_bars)
 
 
 def diffuse_forward(z0, t, noise, schedule: NoiseSchedule):

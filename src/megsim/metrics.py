@@ -189,10 +189,9 @@ class MetricReport:
     symbols: int
     config_hash: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("fid_score", "mse"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if math.isnan(self.psnr_db):
             raise ValueError("psnr_db may be +inf but not NaN")
-        return self

@@ -332,15 +332,13 @@ def discounted_returns(rewards, gamma):
 def ppo_update(agent: PpoAgent, rollout: Rollout, cfg,
                opt: nn.Adam | None = None):
     """Several epochs of clipped-objective ascent on one rollout, with the
-    ``ppo_*`` settings of the experiment config ``cfg``, which is
-    validated first.
+    ``ppo_*`` settings of the experiment config ``cfg``.
 
     The per-transition log probabilities recorded at rollout time are the
     old-policy snapshot; transitions are taken episode by episode; each
     epoch is one ``opt`` step over both heads. Returns a diagnostics dict;
     aborts (without stepping) if any loss goes non-finite.
     """
-    cfg.validate()
     if not len(rollout.scores):
         raise ValueError("episode batch is empty")
     opt = opt or nn.Adam(cfg.ppo_lr)
@@ -421,13 +419,11 @@ def evaluate(policy, env: SeedTransmissionEnv, traces):
 def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
     """Algorithm: roll out a batch of episodes, then run a PPO update;
     track the best agent by held-out evaluation when traces are given.
-    The ``ppo_*`` settings come from the experiment config ``cfg``, which
-    is validated first.
+    The ``ppo_*`` settings come from the experiment config ``cfg``.
 
     Returns (agent, history) where history rows are
     (round, mean terminal reward, surrogate, value loss, entropy).
     """
-    cfg.validate()
     rng = as_rng(seed)
     agent = PpoAgent(env.state_dim, cfg.ppo_hidden, rng)
     opt = nn.Adam(cfg.ppo_lr)

@@ -241,7 +241,7 @@ def batch_report(images, ground_truths, extractor, symbols, config_hash="",
     psnr_db = math.inf if mean_mse == 0.0 else 10.0 * math.log10(1.0 / mean_mse)
     fid_score = metrics.fid(a, b, extractor, reference_features)
     return metrics.MetricReport(psnr_db, fid_score, mean_mse, symbols,
-                                config_hash).validate()
+                                config_hash)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .channel import snr_to_noise_std
 from .errors import CodecError, DimensionError, TrainingError
 from .util import as_rng
 
@@ -199,7 +200,7 @@ def train_codec(latents, cfg, rate, seed):
     """Joint encoder/decoder training through the fading channel, for
     latents [N, *latent_shape] at compression ``rate``, with the
     ``codec_*`` and ``channel_kind`` settings of the experiment config
-    ``cfg``, which is validated first.
+    ``cfg``.
 
     Fresh fading and noise are drawn for every batch at the configured
     training SNR; a ``codec_train_snr_db`` of None trains against a clean
@@ -209,13 +210,11 @@ def train_codec(latents, cfg, rate, seed):
     latents = np.asarray(latents, dtype=np.float32)
     if latents.ndim < 2 or latents.shape[0] == 0:
         raise ValueError("expected a non-empty batch of latents")
-    cfg.validate()
     rng = as_rng(seed)
     snr_db = cfg.codec_train_snr_db
     pair = CodecPair(latents.shape[1:], rate, cfg.codec_hidden, snr_db, rng)
     flat = latents.reshape(latents.shape[0], -1)
-    noise_std = 0.0 if snr_db is None \
-        else np.sqrt(1.0 / 10.0 ** (snr_db / 10.0))
+    noise_std = 0.0 if snr_db is None else snr_to_noise_std(snr_db)
     opt = nn.Adam(cfg.codec_lr)
     history = []
     for _ in range(cfg.codec_epochs):

@@ -3,7 +3,7 @@ import hashlib
 import math
 import os
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -132,6 +132,39 @@ class TestConfig:
                          "eval"]) == 2
         assert capsys.readouterr().err == f"megsim: error: {message}\n"
         assert not out.exists()
+
+    def test_eval_rate_without_codec_refused(self, tmp_path, capsys,
+                                             monkeypatch):
+        for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(name)
+        message = "[eval] rate 0.3 is not one of [codec] rates"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(config.desk_config(), eval_rate=0.3)
+        path = tmp_path / "rate.cfg"
+        path.write_text("[eval]\nrate = 0.3\n")
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(path), "--out", str(out),
+                         "eval"]) == 2
+        assert capsys.readouterr().err == f"megsim: error: {message}\n"
+        assert not out.exists()
+
+    def test_checked_when_built(self, tmp_path, monkeypatch):
+        for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(name)
+        desk = config.desk_config()
+        with pytest.raises(ValueError, match=re.escape("[ppo] clip")):
+            replace(desk, ppo_clip=0.0)
+        with pytest.raises(FrozenInstanceError):
+            desk.seed = 1
+        # a file value that an override replaces is never checked alone
+        path = tmp_path / "run.cfg"
+        path.write_text("[run]\nseed = -1\n")
+        assert config.load_config(str(path), overrides={"seed": 3}).seed == 3
+        # nor is a file checked against a preset other than its own
+        path.write_text("[run]\npreset = paper-arithmetic\n\n"
+                        "[power]\nrate = 0.3\n")
+        cfg = config.load_config(str(path))
+        assert (cfg.preset, cfg.power_rate) == ("paper-arithmetic", 0.3)
 
     def test_parse_error_names_its_key(self, tmp_path):
         path = tmp_path / "bad.cfg"

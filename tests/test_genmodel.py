@@ -78,10 +78,10 @@ class TestSchedule:
     def test_bad_schedules_rejected(self):
         with pytest.raises(ScheduleError):
             genmodel.NoiseSchedule(np.array([0.5, 0.1]),
-                                   np.array([1.0, 0.5, 0.45])).validate()
+                                   np.array([1.0, 0.5, 0.45]))
         with pytest.raises(ScheduleError):
             genmodel.NoiseSchedule(np.array([0.1, 0.5]),
-                                   np.array([1.0, 0.9, 0.9])).validate()
+                                   np.array([1.0, 0.9, 0.9]))
 
 
 class TestDiffusionAlgebra:

@@ -331,7 +331,6 @@ class TestSymbolCount:
 
 class TestMetricReport:
     def test_validation(self):
-        good = metrics.MetricReport(math.inf, 0.5, 0.0, 64, "abc")
-        good.validate()
+        metrics.MetricReport(math.inf, 0.5, 0.0, 64, "abc")
         with pytest.raises(ValueError):
-            metrics.MetricReport(10.0, math.nan, 0.1, 64).validate()
+            metrics.MetricReport(10.0, math.nan, 0.1, 64)
