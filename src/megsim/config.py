@@ -10,6 +10,7 @@ hash equal exactly when they mean the same experiment.
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -121,6 +122,13 @@ class ExperimentConfig:
                 f.name, 1)
             if f.type is int and value < low:
                 raise ValueError(f"[{section}] {key} must be >= {low}")
+            # None (a clean codec training channel) has nothing to check
+            floats = value if f.type is tuple else (value,)
+            if f.type in (float, tuple) and not all(
+                    v is None or math.isfinite(v) for v in floats):
+                raise ValueError(f"[{section}] {key} must be finite")
+        if min(self.power_budgets) <= 0.0:
+            raise ValueError("[power] budgets must be positive")
         if not self.eval_prompt.split():
             raise ValueError("[eval] prompt must hold at least one word")
         if self.preset not in PRESETS:

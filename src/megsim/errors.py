@@ -42,4 +42,5 @@ class ProtocolError(MegsimError):
 
 
 class BundleError(MegsimError):
-    """A cached model file is corrupt or was trained for another config."""
+    """A cached model file is corrupt or was trained for another config,
+    or a loaded bundle lacks the network that a call needs."""

@@ -112,18 +112,21 @@ def bundle_status(cfg: ExperimentConfig) -> dict:
     return status
 
 
-def _load(cfg, skip=()):
+def _load(cfg, skip=(), encoder=False):
     """The config's bundle, built without rng draws and filled from its
-    files; models of the stages in ``skip`` stay None, for training."""
+    files; models of the stages in ``skip`` stay None, and the pixel
+    encoder, which only training runs, is built only with ``encoder``."""
     pair = denoiser = None
     codecs = dict.fromkeys(cfg.codec_rates)
     nets = {}
     if "autoencoder" not in skip:
         pair = genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
                                         cfg.ae_hidden,
-                                        encoder_hidden=cfg.ae_encoder_hidden)
-        nets.update({"ae_encoder.bin": pair.encoder,
-                     "ae_decoder.bin": pair.decoder})
+                                        encoder_hidden=cfg.ae_encoder_hidden,
+                                        encoder=encoder)
+        nets["ae_decoder.bin"] = pair.decoder
+        if encoder:
+            nets["ae_encoder.bin"] = pair.encoder
     if "denoiser" not in skip:
         denoiser = genmodel.Denoiser(cfg.latent_shape, cfg.dn_hidden,
                                      cfg.time_dim, cfg.max_tokens,
@@ -171,7 +174,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     status = bundle_status(cfg)
     retrain = {stage for name, (stage, _) in files.items()
                if status[name] != "ok"}
-    bundle = _load(cfg, skip=retrain)
+    bundle = _load(cfg, skip=retrain, encoder=True)
     losses = {}
     # every stage trains on the corpus or on its prompts
     prompts, images = _build_corpus(cfg) if retrain else (None, None)
@@ -235,6 +238,8 @@ def load_bundle(cfg: ExperimentConfig) -> ModelBundle:
     Every file must be ``"ok"`` in :func:`bundle_status`. Otherwise this
     raises one error naming each other file and its status:
     ``FileNotFoundError`` when one is missing, else :class:`BundleError`.
+    The encoder file is verified like every other, but its network is not
+    built: ``sweep``, ``eval`` and ``power`` run only the decoder.
     """
     _check_trainable(cfg)
     status = bundle_status(cfg)

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nn
-from .errors import DimensionError, ScheduleError, TrainingError
+from .errors import BundleError, DimensionError, ScheduleError, TrainingError
 from .util import as_rng, stable_word_seed
 
 
@@ -250,10 +250,11 @@ def train_denoiser(pair, dataset, schedule, cfg, seed):
 
 class AutoencoderPair:
     """Dense encoder (pixels -> latent) and decoder (latent -> pixels);
-    only training runs the encoder, so its hidden width may differ."""
+    only training runs the encoder, so its hidden width may differ, and a
+    pair built with ``encoder=False`` holds the decoder alone."""
 
     def __init__(self, image_shape, latent_shape, hidden=256, rng=None,
-                 encoder_hidden=None):
+                 encoder_hidden=None, encoder=True):
         rng = None if rng is None else as_rng(rng)
         self.image_shape = tuple(image_shape)
         self.latent_shape = tuple(latent_shape)
@@ -261,10 +262,12 @@ class AutoencoderPair:
         latent = int(np.prod(latent_shape))
         if encoder_hidden is None:
             encoder_hidden = hidden
+        # built first, so a trained pair draws the encoder's initial
+        # weights before the decoder's
         self.encoder = nn.Network([
             nn.DenseLayer(pixels, encoder_hidden, "relu", rng, "e1"),
             nn.DenseLayer(encoder_hidden, latent, "none", rng, "e2"),
-        ], name="encoder")
+        ], name="encoder") if encoder else None
         self.decoder = nn.Network([
             nn.DenseLayer(latent, hidden, "relu", rng, "d1"),
             nn.DenseLayer(hidden, pixels, "none", rng, "d2"),
@@ -285,6 +288,10 @@ class AutoencoderPair:
 
     def encode(self, images):
         """Map images (a batch or a stack) into latent space."""
+        if self.encoder is None:
+            raise BundleError("this autoencoder holds only the decoder, as "
+                              "load_bundle builds it; encode with the "
+                              "bundle that cmd_train returns")
         return self._apply(self.encoder, images, self.image_shape,
                            self.latent_shape)
 

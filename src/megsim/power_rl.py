@@ -163,9 +163,10 @@ class SeedTransmissionEnv:
 
     :meth:`run` plays E episodes in lockstep, one block at a time; one
     episode is the case E = 1. Each :meth:`step` applies power, noise and
-    equalization to all episodes at once; after the last block the
-    episodes are decoded and scored ``SCORE_CHUNK`` at a time, and at most
-    one chunk of decoded images is alive at a time.
+    equalization to all episodes at once and keeps only the block's
+    rescaled float32 symbols; after the last block the episodes are
+    decoded and scored ``SCORE_CHUNK`` at a time, and at most one chunk of
+    decoded images is alive at a time.
     """
 
     def __init__(self, bundle: ModelBundle, prompts, rate, snr_db,
@@ -175,6 +176,8 @@ class SeedTransmissionEnv:
             raise ValueError("the reward batch needs at least 2 prompts")
         self.bundle = bundle
         self.p_max = float(p_max)
+        if not self.p_max > 0.0:
+            raise ValueError(f"p_max must be positive, got {p_max}")
         self.block_length = int(block_length)
         self.noise_std = ch.snr_to_noise_std(snr_db, 1.0)
         self.model = ch.ChannelModel(channel_kind, block_length)
@@ -218,7 +221,7 @@ class SeedTransmissionEnv:
         [E, B], terminal rewards [E])."""
         if not traces or len(traces) != len(noise_seeds):
             raise ValueError("need one noise seed per trace, at least one")
-        gains, noise = [], []
+        gains, rngs = [], []
         for trace, noise_seed in zip(traces, noise_seeds):
             if trace is None:
                 trace = ch.sample_fading_trace(self.model, self.num_blocks,
@@ -228,14 +231,10 @@ class SeedTransmissionEnv:
             gains.append(trace.gains[:self.num_blocks])
             if noise_seed is None:
                 noise_seed = derive_seed(self._seed, 0xA2, self._episode_index)
-            # every block's noise [P, block] is drawn up front, in block
-            # order, so paired evaluations stay aligned even when a policy
-            # zeroes a block out
-            noise.append(as_rng(noise_seed).normal(
-                0.0, self.noise_std, self.blocks.swapaxes(0, 1).shape))
+            rngs.append(as_rng(noise_seed))
             self._episode_index += 1
         # float64 gains [E, B] for the link; only the state column rounds
-        gains, noise = np.stack(gains), np.stack(noise)
+        gains = np.stack(gains)
         episodes = len(gains)
         # block-major, so that each block's states are one contiguous batch
         states = np.empty((self.num_blocks, episodes, self.state_dim),
@@ -244,54 +243,67 @@ class SeedTransmissionEnv:
         states[:, :, -2] = gains.T
         powers = np.empty((episodes, self.num_blocks))
         remaining = np.full(episodes, self.p_max)
-        received = np.zeros((episodes,) + self.blocks.shape)
+        symbols = np.empty((episodes, len(self.blocks), self.seed_len),
+                           dtype=np.float32)
         for t in range(self.num_blocks):
             states[t, :, -1] = remaining / self.p_max
             p = powers[:, t] = self.step(t, policy(states[t], t), remaining,
-                                         gains[:, t], noise[:, t], received)
+                                         gains[:, t], rngs, symbols)
             # one-ulp-down update keeps the exact running sum under the cap
             remaining = np.where(p >= remaining, 0.0,
                                  np.nextafter(remaining - p, 0.0))
+        # the generators, about 0.9 KB each, are freed before any decode
+        del rngs
         for total in map(math.fsum, powers):
             if total > self.p_max:
                 raise AssertionError(
                     f"power budget violated: {total} > {self.p_max}")
             self.power_audit.append((total, self.p_max))
-        return states.swapaxes(0, 1), powers, self._score(received)
+        return states.swapaxes(0, 1), powers, self._score(symbols)
 
-    def step(self, t, actions, remaining, gains, noise, received):
+    def step(self, t, actions, remaining, gains, rngs, symbols):
         """Block t of every episode: clamp ``actions`` [E] to the
-        ``remaining`` budgets, then send the block and equalize it into
-        ``received`` [E, P, B, block]; returns the powers [E]."""
+        ``remaining`` budgets, draw the block's noise [P, block] from each
+        episode's generator in ``rngs`` (also where the block is erased,
+        so the streams stay aligned across policies), send the block,
+        equalize it and write its rescaled float32 symbols into
+        ``symbols`` [E, P, seed_len]; returns the powers [E]."""
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != remaining.shape:
             raise ValueError(f"need one action per episode, got "
                              f"{actions.shape}")
         p = apply_power(np.clip(actions, 0.0, 1.0), remaining, self.p_max)
+        sent = self.blocks[:, t]
+        # one [E, P, block] buffer holds the noise, then y = h sqrt(p) x + n,
+        # then the equalized block, where an erased block is zeros
+        y = np.empty((len(rngs),) + sent.shape)
+        for e, rng in enumerate(rngs):
+            y[e] = rng.normal(0.0, self.noise_std, sent.shape)
         amp = gains * np.sqrt(p)
-        # y = h sqrt(p) x + n per episode; erased blocks stay zeros
-        y = amp[:, None, None] * self.blocks[:, t] + noise
+        y += amp[:, None, None] * sent
         live = amp > 0.0
-        received[live, :, t] = ch.equalize(
+        y[~live] = 0.0
+        y[live] = ch.equalize(
             y[live], gains[live, None, None], p[live, None, None])
+        lo = t * self.block_length
+        hi = min(lo + self.block_length, self.seed_len)
+        symbols[:, :, lo:hi] = y[..., :hi - lo] * self._scales
         self.steps_taken += len(p)
         return p
 
-    def _score(self, received):
-        """Terminal rewards of the received payloads [E, P, B, block],
-        ``SCORE_CHUNK`` episodes at a time. Each chunk is rescaled,
-        decoded and scored by :meth:`_score_chunk`, whose latents and
-        images are freed when it returns, so at most one chunk of decoded
-        images is alive at a time."""
+    def _score(self, symbols):
+        """Terminal rewards of the received symbols [E, P, seed_len],
+        ``SCORE_CHUNK`` episodes at a time. Each chunk is decoded and
+        scored by :meth:`_score_chunk`, whose latents and images are freed
+        when it returns, so at most one chunk of decoded images is alive
+        at a time."""
         return np.concatenate([
-            self._score_chunk(received[lo:lo + SCORE_CHUNK])
-            for lo in range(0, len(received), SCORE_CHUNK)])
+            self._score_chunk(symbols[lo:lo + SCORE_CHUNK])
+            for lo in range(0, len(symbols), SCORE_CHUNK)])
 
-    def _score_chunk(self, received):
+    def _score_chunk(self, symbols):
         """Negative Frechet proxy of each episode's decoded batch against
-        the ground truths, for the received payloads [e, P, B, block]."""
-        flat = received.reshape(received.shape[:2] + (-1,))
-        symbols = (flat[..., :self.seed_len] * self._scales).astype(np.float32)
+        the ground truths, for the received symbols [e, P, seed_len]."""
         latents = self.codec.decode_flat(symbols.reshape(-1, self.seed_len),
                                          cache=False)
         images = self.bundle.autoencoder.decode(

@@ -119,6 +119,25 @@ class TestConfig:
             assert getattr(config.load_config(overrides={attr: low}),
                            attr) == low
 
+    @pytest.mark.parametrize("section, key, attr, kind", [
+        (section, key, attr, kind) for section, rows in config._SCHEMA.items()
+        for key, attr, kind in rows if kind in (float, tuple)])
+    def test_non_finite_float_rejected(self, section, key, attr, kind):
+        desk = config.desk_config()
+        for bad in (math.nan, math.inf, -math.inf):
+            value = getattr(desk, attr)[:1] + (bad,) if kind is tuple else bad
+            with pytest.raises(ValueError, match=re.escape(
+                    f"[{section}] {key} must be finite")):
+                replace(desk, **{attr: value})
+
+    def test_non_positive_power_budget_rejected(self):
+        desk = config.desk_config()
+        for budgets in ((0.0,), (2.0, -1.0), (-0.0, 8.0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "[power] budgets must be positive")):
+                replace(desk, power_budgets=budgets)
+        assert replace(desk, power_budgets=(1e-6,)).power_budgets == (1e-6,)
+
     def test_blank_eval_prompt_refused(self, tmp_path, capsys, monkeypatch):
         for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
             monkeypatch.delenv(name)
@@ -478,10 +497,14 @@ class TestTrainCaching:
 
         monkeypatch.setattr(np.random, "default_rng", counting)
         bundle = experiments.load_bundle(tiny_cfg)
+        # the encoder is loaded only by training, here a cached train
+        cached = experiments.cmd_train(tiny_cfg)
         monkeypatch.undo()
         assert made == []
+        assert set(cached.actions.values()) == {"cached"}
+        assert bundle.autoencoder.encoder is None
         codec = bundle.codecs[0.5]
-        nets = {"ae_encoder.bin": bundle.autoencoder.encoder,
+        nets = {"ae_encoder.bin": cached.bundle.autoencoder.encoder,
                 "ae_decoder.bin": bundle.autoencoder.decoder,
                 "denoiser.bin": bundle.denoiser.net,
                 "codec_r0.5.bin": codec.net}
@@ -490,6 +513,51 @@ class TestTrainCaching:
             again = tmp_path / name
             nn.save_network(again, net, extra=nn.network_extra(path))
             assert again.read_bytes() == open(path, "rb").read()
+
+    def test_run_time_bundle_builds_no_encoder(self, tiny_cfg, tiny_bundle,
+                                               monkeypatch):
+        from megsim.errors import BundleError
+        read, load = [], experiments.nn.load_network
+
+        def reading(path, *nets):
+            read.append(os.path.basename(path))
+            return load(path, *nets)
+
+        monkeypatch.setattr(experiments.nn, "load_network", reading)
+        bundle = experiments.load_bundle(tiny_cfg)
+        monkeypatch.undo()
+        assert bundle.autoencoder.encoder is None
+        assert "ae_encoder.bin" not in read and "ae_decoder.bin" in read
+        images = np.zeros((1,) + tiny_cfg.image_shape, dtype=np.float32)
+        with pytest.raises(BundleError, match="holds only the decoder"):
+            bundle.autoencoder.encode(images)
+        # the bundle that training returns still encodes
+        assert tiny_bundle.autoencoder.encode(images).shape \
+            == (1,) + tiny_cfg.latent_shape
+
+    def test_tampered_or_stale_encoder_refused(self, tiny_cfg, tmp_path):
+        from megsim import genmodel, nn
+        from megsim.errors import BundleError
+        cfg = self._copied_bundle(tiny_cfg, tmp_path)
+        path = os.path.join(experiments.bundle_dir(cfg), "ae_encoder.bin")
+        original = open(path, "rb").read()
+        data = bytearray(original)
+        data[-3] ^= 0x01
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(BundleError,
+                           match=r"\(ae_encoder\.bin corrupt\).*megsim train"):
+            experiments.load_bundle(cfg)
+        # intact by the manifest, but trained for another config
+        encoder = genmodel.AutoencoderPair(
+            cfg.image_shape, cfg.latent_shape, cfg.ae_hidden,
+            encoder_hidden=cfg.ae_encoder_hidden).encoder
+        open(path, "wb").write(original)
+        meta = nn.load_network(path, encoder)
+        nn.save_network(path, encoder, extra={**meta, "dep_hash": "0" * 12})
+        self._vouch_for(cfg, "ae_encoder.bin")
+        with pytest.raises(BundleError,
+                           match=r"\(ae_encoder\.bin stale\).*megsim train"):
+            experiments.load_bundle(cfg)
 
     def test_cold_desk_train_digests(self, desk_cfg, desk_bundle):
         import json
@@ -902,7 +970,13 @@ class TestCli:
     @pytest.mark.parametrize("text,command,words", [
         ("[channel]\nkind = foo\n", "train", "[channel] kind 'foo'"),
         ("[ppo]\nclip = 0\n", "power", "[ppo] clip must lie in (0, 1)"),
-        ("[ppo]\ngamma = 0\n", "power", "[ppo] gamma must lie in (0, 1]")])
+        ("[ppo]\ngamma = 0\n", "power", "[ppo] gamma must lie in (0, 1]"),
+        ("[power]\nbudgets = 0\n", "power", "[power] budgets must be positive"),
+        ("[power]\nbudgets = -1\n", "power",
+         "[power] budgets must be positive"),
+        ("[power]\nsnr_db = nan\n", "power", "[power] snr_db must be finite"),
+        ("[sweep]\nsnrs_db = nan\n", "sweep",
+         "[sweep] snrs_db must be finite")])
     def test_out_of_range_setting_is_one_error_line(
             self, tmp_path, capsys, monkeypatch, text, command, words):
         for key in [k for k in os.environ if k.startswith("MEGSIM_")]:

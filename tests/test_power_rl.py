@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import dataclass, replace
 
@@ -549,6 +550,12 @@ class TestLockstep:
         assert len(env.power_audit) == 8
         assert all(total <= p_max for total, p_max in env.power_audit)
 
+    def test_non_positive_budget_refused(self, tiny_bundle):
+        for p_max in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="p_max must be positive"):
+                SeedTransmissionEnv(tiny_bundle, self.PROMPTS, 0.5,
+                                    snr_db=0.0, p_max=p_max)
+
     def test_step_needs_one_action_per_episode(self, tiny_bundle):
         env = self._env(tiny_bundle)
         for action in (0.5, [0.5, 0.5]):
@@ -560,7 +567,9 @@ def per_episode_reference(env, traces, noise_seeds, actions):
     """The per-episode power/noise/equalize loop, kept as the reference of
     the lockstep ``SeedTransmissionEnv.run``: actions [blocks, E] in;
     states [E, blocks, state_dim], powers [E, blocks] and the equalized
-    payloads [E, P, blocks, block] out."""
+    float64 payloads [E, P, blocks, block] out. Each episode draws its
+    noise block by block, which ``test_split_normal_draw_equals_one_draw``
+    proves equal to one draw of every block's noise."""
     episodes = len(traces)
     states = np.zeros((episodes, env.num_blocks, env.state_dim), np.float32)
     powers = np.zeros((episodes, env.num_blocks))
@@ -592,14 +601,20 @@ def per_episode_reference(env, traces, noise_seeds, actions):
     return states, powers, received
 
 
-def score_all_then_chunk(env, received):
-    """The scoring form that rescales every episode's symbols first and
-    then decodes them ``SCORE_CHUNK`` episodes at a time, kept as the
-    reference of the streamed ``SeedTransmissionEnv._score``."""
+def payload_symbols(env, received):
+    """The float32 symbols [E, P, seed_len] that the scorer reads, from
+    whole float64 payloads [E, P, blocks, block]: unpadded, rescaled, then
+    cast, as one array op over every episode."""
     flat = received.reshape(received.shape[:2] + (-1,))
-    symbols = (flat[..., :env.seed_len] * env._scales).astype(np.float32)
-    rewards = np.empty(len(received))
-    for lo in range(0, len(received), power_rl.SCORE_CHUNK):
+    return (flat[..., :env.seed_len] * env._scales).astype(np.float32)
+
+
+def score_all_then_chunk(env, symbols):
+    """The scoring form that decodes the float32 symbols [E, P, seed_len]
+    of every episode ``SCORE_CHUNK`` episodes at a time in one loop, kept
+    as the reference of the streamed ``SeedTransmissionEnv._score``."""
+    rewards = np.empty(len(symbols))
+    for lo in range(0, len(symbols), power_rl.SCORE_CHUNK):
         chunk = symbols[lo:lo + power_rl.SCORE_CHUNK]
         latents = env.codec.decode_flat(chunk.reshape(-1, env.seed_len),
                                         cache=False)
@@ -621,7 +636,7 @@ class TestScoreChunks:
         rng = np.random.default_rng(4)
         traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
                   for _ in range(n)]
-        decoded, alive_at_start, received = [], [], []
+        decoded, alive_at_start, scored = [], [], []
         decode, score = genmodel.AutoencoderPair.decode, env._score
 
         def spy_decode(self, latent):
@@ -630,9 +645,9 @@ class TestScoreChunks:
             decoded.append(weakref.ref(out))
             return out
 
-        def spy_score(payloads):
-            received.append(payloads.copy())
-            return score(payloads)
+        def spy_score(symbols):
+            scored.append(symbols.copy())
+            return score(symbols)
 
         monkeypatch.setattr(genmodel.AutoencoderPair, "decode", spy_decode)
         monkeypatch.setattr(env, "_score", spy_score)
@@ -642,8 +657,49 @@ class TestScoreChunks:
         # one decode per chunk, the last one a single episode
         assert alive_at_start == [0, 0, 0]
         assert got.shape == (n,) and got.dtype == np.float64
-        want = score_all_then_chunk(env, received[0])
+        assert scored[0].shape == (n, len(env.blocks), env.seed_len)
+        assert scored[0].dtype == np.float32
+        want = score_all_then_chunk(env, scored[0])
         assert got.tobytes() == want.tobytes()
+
+    def test_peak_grows_by_at_most_twice_the_symbols_per_trace(
+            self, tiny_bundle):
+        # while a chunk decodes, each trace may hold its float32 symbols
+        # and small per-episode rows, but no float64 payload or noise
+        env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
+                                  snr_db=0.0, p_max=1.0, block_length=16,
+                                  seed=5)
+        even = np.full(env.num_blocks, 1.0 / env.num_blocks)
+        rng = np.random.default_rng(6)
+        small, large = power_rl.SCORE_CHUNK, 8 * power_rl.SCORE_CHUNK
+        peaks = []
+        # the first run fills the per-process caches
+        for n in (small, small, large):
+            traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
+                      for _ in range(n)]
+            tracemalloc.start()
+            try:
+                evaluate(even, env, traces)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_trace = (peaks[2] - peaks[1]) / (large - small)
+        symbols = 4 * len(env.blocks) * env.seed_len
+        assert per_trace <= 2 * symbols, (per_trace, peaks)
+
+
+@pytest.mark.parametrize("seed, shape, scale", [
+    (0, (4, 4, 16), 1.0), (derive_seed(0xEDA1, 3), (4, 16, 16), 0.7),
+    (12345, (7, 3, 5), 1e-3)])
+def test_split_normal_draw_equals_one_draw(seed, shape, scale):
+    """Block-by-block noise draws from one generator are the values and
+    the final state of one draw of every block's noise."""
+    whole, split = np.random.default_rng(seed), np.random.default_rng(seed)
+    at_once = whole.normal(0.0, scale, shape)
+    blocks = np.stack([split.normal(0.0, scale, shape[1:])
+                       for _ in range(shape[0])])
+    assert at_once.tobytes() == blocks.tobytes()
+    assert whole.bit_generator.state == split.bit_generator.state
 
 
 class TestVectorizedStep:
@@ -663,21 +719,23 @@ class TestVectorizedStep:
         actions[:, 3] = 1e-9
         scored, score = [], env._score
 
-        def spy_score(received):
-            scored.append(received.copy())
-            return score(received)
+        def spy_score(symbols):
+            scored.append(symbols.copy())
+            return score(symbols)
 
         monkeypatch.setattr(env, "_score", spy_score)
         states, powers, scores = env.run(lambda states, t: actions[t],
                                          traces, seeds)
         want_states, want_powers, want_received = per_episode_reference(
             env, traces, seeds, actions)
+        want_symbols = payload_symbols(env, want_received)
         assert np.array_equal(states, want_states)
         assert np.array_equal(powers, want_powers)
         assert powers[0].sum() == 0.0
         assert len(scored) == 1
-        assert np.array_equal(scored[0], want_received)
-        assert np.array_equal(scores, score(want_received))
+        assert scored[0].dtype == np.float32
+        assert scored[0].tobytes() == want_symbols.tobytes()
+        assert np.array_equal(scores, score(want_symbols))
 
     def test_apply_power_arrays_match_scalars(self):
         actions = np.array([0.0, 0.3, 0.9, 1.0])
