@@ -82,7 +82,7 @@ def transmit(symbols, gain, power, noise_std, rng):
     x = np.asarray(symbols, dtype=np.float64)
     y = gain * np.sqrt(power) * x
     if noise_std > 0:
-        y = y + as_rng(rng).normal(0.0, noise_std, size=x.shape)
+        y += as_rng(rng).normal(0.0, noise_std, size=x.shape)
     return y
 
 

@@ -64,7 +64,7 @@ def main(argv=None):
             print(experiments.cmd_table(cfg).text)
         elif args.command == "eval":
             result = experiments.cmd_eval(cfg)
-            for mode, gen in result["report"].results.items():
+            for (_, mode), gen in result["report"].results.items():
                 r = gen.report
                 print(f"  {mode:<12} psnr={r.psnr_db:.2f} dB "
                       f"fid_proxy={r.fid_score:.4f} symbols={r.symbols}")

@@ -75,13 +75,16 @@ class FeatureExtractor:
                                self.seed)
 
     def extract(self, images):
-        """Features for a batch of images, shape [N, feature_dim] (float64)."""
+        """Features [N, feature_dim] (float64) of a batch of images [N, ...],
+        or [S, N, feature_dim] of a stack of batches [S, N, C, H, W], each
+        batch extracted as a network call of its own (see ``nn``)."""
         batch = np.asarray(images, dtype=np.float32)
-        flat = batch.reshape(batch.shape[0], -1)
-        if flat.shape[1] != self.input_size:
+        lead = 2 if batch.ndim == 5 else 1
+        flat = batch.reshape(batch.shape[:lead] + (-1,))
+        if flat.shape[-1] != self.input_size:
             raise DimensionError(
                 f"extractor built for {self.input_size} values per image, "
-                f"got {flat.shape[1]}")
+                f"got {flat.shape[-1]}")
         return self.net.forward(flat, cache=False).astype(np.float64)
 
 
@@ -104,32 +107,39 @@ def frechet_distance(features_a, features_b):
 
     ``features_a`` may also be a stack of E batches [E, n, F]; the result
     is then an array of E distances, each against ``features_b``, whose
-    fit is computed once.
+    fit is computed once, or, when ``features_b`` is a stack [E, m, F]
+    too, each against its own reference batch.
     """
     a = np.asarray(features_a, dtype=np.float64)
     b = np.asarray(features_b, dtype=np.float64)
-    if a.ndim not in (2, 3) or b.ndim != 2:
+    if a.ndim not in (2, 3) or b.ndim not in (2, a.ndim):
         raise ValueError("feature batches must be 2-d [N, F] (the first "
-                         "may be a stack [E, N, F])")
+                         "may be a stack [E, N, F], and then the second "
+                         "too)")
     stacked = a.ndim == 3
-    if not stacked:
-        a = a[None]
-    if a.shape[1] < 2 or b.shape[0] < 2:
+    if b.ndim == 3 and len(b) != len(a):
+        raise ValueError(f"{len(a)} batches against {len(b)} references")
+    # [E, n, F] against [1, m, F] (one reference) or [E, m, F]
+    a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
+    if a.shape[1] < 2 or b.shape[1] < 2:
         raise ValueError("each batch needs at least 2 samples")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise FloatingPointError("feature batches hold NaN or infinity")
-    n, m = a.shape[1], b.shape[0]
-    mu_a, mu_b = a.mean(axis=1), b.mean(axis=0)
-    centered_a, centered_b = a - mu_a[:, None], b - mu_b
+    n, m = a.shape[1], b.shape[1]
+    mu_a, mu_b = a.mean(axis=1), b.mean(axis=1)
+    centered_a, centered_b = a - mu_a[:, None], b - mu_b[:, None]
     diff = mu_a - mu_b
     r_a = np.linalg.qr(centered_a, mode="r")
     r_b = np.linalg.qr(centered_b, mode="r")
-    nuclear = np.linalg.svd(r_a @ r_b.T, compute_uv=False).sum(axis=-1)
-    spread_b = np.vdot(centered_b, centered_b) / (m - 1)
+    nuclear = np.linalg.svd(r_a @ r_b.swapaxes(1, 2),
+                            compute_uv=False).sum(axis=-1)
+    spread_b = np.broadcast_to(
+        [np.vdot(c, c) / (m - 1) for c in centered_b], len(a))
     scale = math.sqrt((n - 1) * (m - 1))
-    values = np.array([d @ d + np.vdot(c, c) / (n - 1) + spread_b
+    values = np.array([d @ d + np.vdot(c, c) / (n - 1) + s_b
                        - 2.0 * s / scale
-                       for d, c, s in zip(diff, centered_a, nuclear)])
+                       for d, c, s, s_b in zip(diff, centered_a, nuclear,
+                                               spread_b)])
     if not np.isfinite(values).all():
         raise FloatingPointError("Frechet distance is not finite")
     values = np.maximum(values, 0.0)
@@ -144,13 +154,16 @@ def fid(batch_generated, batch_reference, extractor: FeatureExtractor,
     extracted, ``extractor.extract(batch_reference)``, as
     ``reference_features``; ``batch_reference`` is then not read.
     ``batch_generated`` is one batch of images [n, C, H, W] or a stack of
-    E batches [E, n, C, H, W]; a stack is extracted in one call and
-    returns an array of E distances.
+    E batches [E, n, C, H, W], which returns an array of E distances. A
+    stack scored against one reference is extracted in one call on its
+    flat rows; against a stack of E references (a stack of E batches or
+    their features [E, m, F]) both are extracted batch by batch, so each
+    distance is the one its batch scores alone.
     """
     if reference_features is None:
         reference_features = extractor.extract(batch_reference)
     generated = np.asarray(batch_generated)
-    if generated.ndim == 5:
+    if generated.ndim == 5 and np.ndim(reference_features) == 2:
         flat = generated.reshape((-1,) + generated.shape[2:])
         features = extractor.extract(flat).reshape(
             generated.shape[:2] + (-1,))

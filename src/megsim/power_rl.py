@@ -274,20 +274,24 @@ class SeedTransmissionEnv:
                              f"{actions.shape}")
         p = apply_power(np.clip(actions, 0.0, 1.0), remaining, self.p_max)
         sent = self.blocks[:, t]
-        # one [E, P, block] buffer holds the noise, then y = h sqrt(p) x + n,
-        # then the equalized block, where an erased block is zeros
+        # one [E, P, block] buffer holds the noise, then y = h sqrt(p) x + n;
+        # the equalized block replaces it, where an erased block is zeros
         y = np.empty((len(rngs),) + sent.shape)
         for e, rng in enumerate(rngs):
             y[e] = rng.normal(0.0, self.noise_std, sent.shape)
         amp = gains * np.sqrt(p)
         y += amp[:, None, None] * sent
         live = amp > 0.0
-        y[~live] = 0.0
-        y[live] = ch.equalize(
-            y[live], gains[live, None, None], p[live, None, None])
+        if live.all():
+            y = ch.equalize(y, gains[:, None, None], p[:, None, None])
+        else:
+            y[~live] = 0.0
+            y[live] = ch.equalize(
+                y[live], gains[live, None, None], p[live, None, None])
         lo = t * self.block_length
         hi = min(lo + self.block_length, self.seed_len)
-        symbols[:, :, lo:hi] = y[..., :hi - lo] * self._scales
+        np.multiply(y[..., :hi - lo], self._scales,
+                    out=symbols[:, :, lo:hi])
         self.steps_taken += len(p)
         return p
 

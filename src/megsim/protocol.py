@@ -1,7 +1,7 @@
 """Edge-inferencing protocol: the edge server's and the receiver's sides,
-the binary seed frame, and the end-to-end driver that runs one
-generation (plus the two benchmark deliveries, see ``metrics.MODES``)
-over a shared fading trace.
+the binary seed frame, and the end-to-end driver that serves a chunk of
+sweep cells, each one generation (plus the two benchmark deliveries, see
+``metrics.MODES``) over a fading trace of its own.
 
 Seed frame layout (little endian)::
 
@@ -136,10 +136,14 @@ class EsResult:
     latent: np.ndarray
 
 
-def es_handle_request(bundle: ModelBundle, requests, block_length: int):
+def es_handle_request(bundle: ModelBundle, requests, block_length: int,
+                      cells=1):
     """Server side: embed, generate, compress, frame. A non-empty list of
     requests sharing a rate is served as one batch and gives one EsResult
-    per request, each noise drawn from its request's ``noise_seed``."""
+    per request, each noise drawn from its request's ``noise_seed``. The
+    batch may hold ``cells`` equal groups of consecutive requests, one per
+    sweep cell: the sampler runs on every row at once and the codec
+    encoder group by group, as each group alone (see ``nn``)."""
     if not isinstance(requests, list) or not requests or not all(
             isinstance(r, GenerationRequest) for r in requests):
         raise ProtocolError("expected a non-empty list of GenerationRequest")
@@ -148,12 +152,15 @@ def es_handle_request(bundle: ModelBundle, requests, block_length: int):
     if tuple(requests[0].image_shape) != tuple(bundle.image_shape):
         raise ProtocolError(f"request dims {requests[0].image_shape} do not "
                             f"match deployed model dims {bundle.image_shape}")
+    if len(requests) % cells:
+        raise ProtocolError(f"{len(requests)} requests do not split into "
+                            f"{cells} equal groups")
     codec = bundle.codec_for(requests[0].rate)
     noise = np.stack([as_rng(r.noise_seed).standard_normal(bundle.latent_shape)
                       for r in requests]).astype(np.float32)
     latents = genmodel.generate_latent(
         bundle.denoiser, [r.prompt for r in requests], noise, bundle.schedule)
-    seeds = codec.compress(latents)
+    seeds = codec.compress(latents.reshape((cells, -1) + bundle.latent_shape))
     return [EsResult(seed, frame_from_seed(seed, block_length), latent)
             for seed, latent in zip(seeds, latents)]
 
@@ -167,13 +174,16 @@ class GenerationResult:
 
 @dataclass
 class EndToEndReport:
+    """One chunk of S cells of P prompts: ``results[cell, mode]`` is a
+    GenerationResult; ground truths [S, P, C, H, W], latents [S, P,
+    *latent_shape] and one fading trace per cell."""
     results: dict
-    ground_truths: list
-    latents: list
-    trace: ch.FadingTrace
+    ground_truths: np.ndarray
+    latents: np.ndarray
+    traces: list
 
-    def __getitem__(self, mode):
-        return self.results[mode]
+    def __getitem__(self, key):
+        return self.results[key]
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +209,14 @@ def recover_stream(received, gains):
     return ch.equalize(received, gains, 1.0)
 
 
-def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
-               config_hash="", reference_features=None):
+def ue_receive(bundle: ModelBundle, wire_frames, received):
     """Receiver side for a batch of seed deliveries.
 
     ``wire_frames`` holds one encoded frame per prompt, all at one codec
     rate (a mixed batch raises ProtocolError), and ``received`` what
     :func:`transmit_stream` returned for their stacked payloads, or None
-    when the perfect channel carried the payloads intact. Returns a
-    GenerationResult with quality metrics against the ground-truth batch
-    (whose features, if already extracted, are ``reference_features``).
+    when the perfect channel carried the payloads intact. Returns the
+    decoded images [P, C, H, W].
     """
     frames = [decode_frame(data) for data in wire_frames]
     if len({frame.rate_fixed for frame in frames}) > 1:
@@ -220,28 +228,33 @@ def ue_receive(bundle: ModelBundle, wire_frames, received, ground_truths,
     rate = min(bundle.codecs, key=lambda r: abs(r - frames[0].rate))
     latents = bundle.codec_for(rate).decompress(
         np.stack(symbols), [frame.scale for frame in frames])
-    images = bundle.autoencoder.decode(latents[:, None])[:, 0]
-    report = batch_report(images, ground_truths, bundle.extractor,
-                          symbols=frames[0].payload.size,
-                          config_hash=config_hash,
-                          reference_features=reference_features)
-    return GenerationResult(list(images), report)
+    return bundle.autoencoder.decode(latents[:, None])[:, 0]
 
 
 def batch_report(images, ground_truths, extractor, symbols, config_hash="",
                  reference_features=None):
-    """PSNR/MSE averaged over a batch [P, C, H, W] plus its Frechet score;
-    see :func:`metrics.fid` for ``reference_features``."""
+    """One MetricReport per batch of a stack [S, P, C, H, W]: PSNR/MSE
+    averaged over the batch plus its Frechet score against its own
+    ground truths [S, P, C, H, W], whose features [S, P, F], if already
+    extracted, are ``reference_features`` (see :func:`metrics.fid`)."""
     a, b = np.asarray(images), np.asarray(ground_truths)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    # per-image means over contiguous rows, as metrics.mse takes them
-    d = np.subtract(a, b, dtype=np.float64).reshape(len(a), -1)
-    mean_mse = float(np.mean(np.mean(d * d, axis=1)))
-    psnr_db = math.inf if mean_mse == 0.0 else 10.0 * math.log10(1.0 / mean_mse)
-    fid_score = metrics.fid(a, b, extractor, reference_features)
-    return metrics.MetricReport(psnr_db, fid_score, mean_mse, symbols,
-                                config_hash)
+    if a.shape != b.shape or a.ndim != 5:
+        raise DimensionError(f"shapes {a.shape} and {b.shape} are not one "
+                             f"stack of batches [S, P, C, H, W]")
+    fids = metrics.fid(a, b, extractor, reference_features)
+    reports = []
+    # one float64 difference buffer for every batch
+    d = np.empty((a.shape[1], a[0, 0].size))
+    for x, y, fid_score in zip(a, b, fids):
+        # per-image means over contiguous rows, as metrics.mse takes them
+        np.subtract(x.reshape(d.shape), y.reshape(d.shape), out=d,
+                    dtype=np.float64)
+        mean_mse = float(np.mean(np.mean(np.square(d, out=d), axis=1)))
+        psnr_db = math.inf if mean_mse == 0.0 \
+            else 10.0 * math.log10(1.0 / mean_mse)
+        reports.append(metrics.MetricReport(psnr_db, float(fid_score),
+                                            mean_mse, symbols, config_hash))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +262,8 @@ def batch_report(images, ground_truths, extractor, symbols, config_hash="",
 
 @dataclass
 class RunSpec:
-    """One paired trial: every mode rides the same fading trace."""
+    """One paired trial, a sweep cell: every mode rides the same fading
+    trace."""
     prompts: list
     rate: float
     snr_db: float | None          # None is the perfect channel
@@ -259,54 +273,82 @@ class RunSpec:
     config_hash: str = ""
 
 
-def run_end_to_end(bundle: ModelBundle, spec: RunSpec) -> EndToEndReport:
-    """Generate, transmit under every mode, decode, and score."""
-    if not spec.prompts:
-        raise ValueError("at least one prompt is required")
+def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
+    """Generate, transmit under every mode, decode and score one chunk of
+    cells, a list of RunSpecs that share prompts, rate, block length and
+    config hash.
+
+    Each cell keeps its own seed paths, fading trace, noise and SNR, so
+    its results are bit for bit those of a chunk of one. The sampler and
+    the decodes of the ground truths and of the raw-feature latents run
+    once on the chunk's flat rows, the codec encoder and the feature
+    extractor on its stack of cells (see ``nn``), and the link, the frame
+    round trip and each UE's batch-of-one decode per cell.
+    """
+    if not specs or not specs[0].prompts:
+        raise ValueError("at least one cell and one prompt are required")
+    first = specs[0]
+    if len({(tuple(spec.prompts), spec.rate, spec.block_length,
+             spec.config_hash) for spec in specs}) > 1:
+        raise ProtocolError("the cells of a chunk must share prompts, rate, "
+                            "block length and config hash")
+    cells, prompts = len(specs), len(first.prompts)
     es_results = es_handle_request(bundle, [
-        GenerationRequest(prompt, spec.rate, bundle.image_shape,
+        GenerationRequest(prompt, first.rate, bundle.image_shape,
                           derive_seed(spec.seed, 0, i))
-        for i, prompt in enumerate(spec.prompts)], spec.block_length)
-    latents = [res.latent for res in es_results]
-    truths = bundle.autoencoder.decode(np.stack(latents))
+        for spec in specs for i, prompt in enumerate(first.prompts)],
+        first.block_length, cells)
+    latents = np.stack([res.latent for res in es_results])
+    stack = (cells, prompts)
+    truths = bundle.autoencoder.decode(latents).reshape(
+        stack + bundle.image_shape)
+    latents = latents.reshape(stack + bundle.latent_shape)
+    # every mode of a cell is scored against the cell's ground truths
+    reference = bundle.extractor.extract(truths)
 
     counts = {"centralized": int(np.prod(bundle.image_shape)),
               "raw_feature": int(np.prod(bundle.latent_shape)),
               "meg": es_results[0].seed.symbols.size}
-    model = ch.ChannelModel(spec.channel_kind, spec.block_length)
-    trace = ch.sample_fading_trace(
-        model, ch.block_count(max(counts.values()), spec.block_length),
-        derive_seed(spec.seed, 1))
-    perfect = spec.snr_db is None
-    noise_std = None if perfect else ch.snr_to_noise_std(spec.snr_db, 1.0)
-    # every mode is scored against the same ground truths
-    reference = bundle.extractor.extract(truths)
+    blocks = ch.block_count(max(counts.values()), first.block_length)
+    traces = [ch.sample_fading_trace(
+        ch.ChannelModel(spec.channel_kind, spec.block_length), blocks,
+        derive_seed(spec.seed, 1)) for spec in specs]
 
     results = {}
     for mode_idx, mode in enumerate(metrics.MODES):
-        noise_rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
-        if mode == "meg":
-            sent = None if perfect else transmit_stream(
-                np.stack([res.frame.payload for res in es_results]), trace,
-                noise_std, noise_rng)
-            results[mode] = ue_receive(
-                bundle, [encode_frame(res.frame) for res in es_results],
-                sent, truths, spec.config_hash, reference)
-            continue
-        source = truths if mode == "centralized" else np.stack(latents)
-        payloads = source.reshape(len(source), -1).astype(np.float64)
-        if not perfect:
-            # each row is sent at unit RMS power and rescaled on receipt
-            scale = np.sqrt(np.mean(payloads ** 2, axis=1, keepdims=True))
-            scale = np.where(scale > 0, scale, 1.0)
-            symbols = recover_stream(*transmit_stream(
-                payloads / scale, trace, noise_std, noise_rng))
-            payloads = symbols * scale
-        batch = (np.clip(payloads, 0.0, 1.0).astype(np.float32)
-                 .reshape(source.shape) if mode == "centralized"
-                 else bundle.autoencoder.decode(
-                     payloads.astype(np.float32).reshape(source.shape)))
-        report = batch_report(batch, truths, bundle.extractor,
-                              counts[mode], spec.config_hash, reference)
-        results[mode] = GenerationResult(list(batch), report)
-    return EndToEndReport(results, list(truths), latents, trace)
+        source = latents if mode == "raw_feature" else truths
+        # the received images, or the latents that raw_feature receives
+        batch = np.empty(source.shape, np.float32)
+        for cell, (spec, trace) in enumerate(zip(specs, traces)):
+            noise_rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
+            noise_std = None if spec.snr_db is None \
+                else ch.snr_to_noise_std(spec.snr_db, 1.0)
+            if mode == "meg":
+                served = es_results[cell * prompts:(cell + 1) * prompts]
+                sent = None if noise_std is None else transmit_stream(
+                    np.stack([res.frame.payload for res in served]), trace,
+                    noise_std, noise_rng)
+                batch[cell] = ue_receive(
+                    bundle, [encode_frame(res.frame) for res in served], sent)
+                continue
+            payloads = source[cell].reshape(prompts, -1).astype(np.float64)
+            if noise_std is not None:
+                # each row is sent at unit RMS power and rescaled on receipt
+                scale = np.sqrt(np.mean(payloads ** 2, axis=1, keepdims=True))
+                scale = np.where(scale > 0, scale, 1.0)
+                payloads /= scale
+                payloads = recover_stream(*transmit_stream(
+                    payloads, trace, noise_std, noise_rng))
+                payloads *= scale
+            if mode == "centralized":
+                np.clip(payloads, 0.0, 1.0, out=payloads)
+            batch[cell] = payloads.reshape(source.shape[1:])
+        if mode == "raw_feature":
+            batch = bundle.autoencoder.decode(
+                batch.reshape((-1,) + bundle.latent_shape)).reshape(
+                    stack + bundle.image_shape)
+        reports = batch_report(batch, truths, bundle.extractor, counts[mode],
+                               first.config_hash, reference)
+        for cell, report in enumerate(reports):
+            results[cell, mode] = GenerationResult(list(batch[cell]), report)
+    return EndToEndReport(results, truths, latents, traces)

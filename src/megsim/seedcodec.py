@@ -109,14 +109,17 @@ class CodecPair:
     # -- public codec operations --------------------------------------------
 
     def compress(self, latents):
-        """Encode latents [P, *latent_shape] at unit mean symbol power;
-        returns their P seeds."""
+        """Encode latents [P, *latent_shape], or a stack of batches [S, P,
+        *latent_shape] with each batch encoded as a call of its own, at
+        unit mean symbol power; returns their seeds in row order."""
         z = np.asarray(latents, dtype=np.float32)
-        if z.shape[1:] != self.latent_shape:
+        lead = z.ndim - len(self.latent_shape)
+        if lead not in (1, 2) or z.shape[lead:] != self.latent_shape:
             raise DimensionError(
                 f"latent batch shape {z.shape} is not [P, "
-                f"*{self.latent_shape}]")
-        raw = self.enc.forward(z.reshape(-1, self.latent_size), cache=False)
+                f"*{self.latent_shape}] or a stack of such batches")
+        raw = self.enc.forward(z.reshape(z.shape[:lead] + (-1,)),
+                               cache=False).reshape(-1, self.seed_len)
         scales = np.sqrt(np.mean(raw.astype(np.float64) ** 2, axis=1))
         if not scales.all():
             raise CodecError("encoder produced a zero-power seed")

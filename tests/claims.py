@@ -43,12 +43,12 @@ def low_snr_ordering(bundle, cfg):
             spec = protocol.RunSpec(prompts, 0.5, snr, cfg.channel_kind,
                                     cfg.block_length,
                                     derive_seed(cfg.seed, 100, trial))
-            rep = protocol.run_end_to_end(bundle, spec)
+            rep = protocol.run_end_to_end(bundle, [spec])
             for m in MODES:
                 if snr == -10.0:
-                    fids[m].append(rep[m].report.fid_score)
+                    fids[m].append(rep[0, m].report.fid_score)
                 else:
-                    psnrs[m].append(rep[m].report.psnr_db)
+                    psnrs[m].append(rep[0, m].report.psnr_db)
     fid = {m: float(np.median(v)) for m, v in fids.items()}
     psnr = {m: float(np.median(v)) for m, v in psnrs.items()}
     holds = (fid["meg"] < fid["raw_feature"] < fid["centralized"]

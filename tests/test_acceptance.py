@@ -244,7 +244,7 @@ def test_criterion_10_protocol_exactness(desk_bundle, desk_cfg):
     prompts = corpus.sample_prompts(4, derive_seed(desk_cfg.seed, 20))
     spec = protocol.RunSpec(prompts, 0.5, None, "awgn",
                             desk_cfg.block_length, 11)
-    rep = protocol.run_end_to_end(desk_bundle, spec)
+    rep = protocol.run_end_to_end(desk_bundle, [spec])
     codec = desk_bundle.codec_for(0.5)
     worst = 0.0
     for i, prompt in enumerate(prompts):
@@ -255,7 +255,7 @@ def test_criterion_10_protocol_exactness(desk_bundle, desk_cfg):
             desk_cfg.block_length)
         (local,) = desk_bundle.autoencoder.decode(
             codec.decompress(res.seed.symbols[None], [res.seed.scale]))
-        worst = max(worst, float(np.max(np.abs(local - rep["meg"].images[i]))))
+        worst = max(worst, float(np.max(np.abs(local - rep[0, "meg"].images[i]))))
     ok = mismatches == 0 and worst < 1e-6
     report(10, ok, f"10^4 frame round trips byte-identical "
                    f"({mismatches} mismatches); noiseless end-to-end vs "

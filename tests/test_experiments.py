@@ -694,8 +694,28 @@ class TestSweep:
         parallel = open(
             experiments.cmd_sweep(replace(grid, jobs=2))["sweep_csv"]).read()
         assert parallel == sequential
-        # --jobs is accepted but inert: every cell runs in this process
-        assert pids == [os.getpid()] * 2
+        # --jobs is accepted but inert: every chunk of cells runs in this
+        # process, and the grid's two cells are one chunk
+        assert pids == [os.getpid()]
+
+    def test_chunked_sweep_equals_one_cell_chunks(self, tiny_cfg, tiny_bundle,
+                                                  monkeypatch):
+        # 6 cells of 16 prompts, which end in a partial chunk of 2 at the
+        # default SWEEP_CHUNK of 4
+        grid = replace(tiny_cfg, sweep_snrs_db=(-10.0, 10.0, 30.0),
+                       sweep_trials=2, eval_prompts=16)
+        whole = experiments.SWEEP_CHUNK
+        calls = []
+        run = experiments.run_end_to_end
+        monkeypatch.setattr(experiments, "run_end_to_end",
+                            lambda bundle, specs: calls.append(len(specs))
+                            or run(bundle, specs))
+        chunked = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
+        monkeypatch.setattr(experiments, "SWEEP_CHUNK", 1)
+        cells = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
+        assert calls == [min(whole, 6 - lo) for lo in range(0, 6, whole)] \
+            + [1] * 6
+        assert chunked == cells
 
     def test_bundle_loaded_once_at_one_job(self, tiny_cfg, tiny_bundle,
                                            monkeypatch):
@@ -870,7 +890,7 @@ class TestCsvContract:
         written = _csv_body(result["eval_csv"])
         assert len(written) == 3
         for line in written:
-            r = result["report"][line["mode"]].report
+            r = result["report"][0, line["mode"]].report
             assert [float(line[k]) for k in ("psnr_db", "fid_proxy", "mse")] \
                 == [r.psnr_db, r.fid_score, r.mse]
 
@@ -917,8 +937,8 @@ class TestTableAndEval:
     def test_eval_command(self, tiny_cfg, tiny_bundle):
         result = experiments.cmd_eval(tiny_cfg)
         assert os.path.exists(result["eval_csv"])
-        assert set(result["report"].results) == {"centralized", "raw_feature",
-                                                 "meg"}
+        assert set(result["report"].results) == {
+            (0, "centralized"), (0, "raw_feature"), (0, "meg")}
 
 
 class TestCli:

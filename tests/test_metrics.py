@@ -298,6 +298,23 @@ class TestStackedFrechet:
         with pytest.raises(FloatingPointError):
             metrics.frechet_distance(stack, rng.standard_normal((16, 64)))
 
+    def test_stack_of_references_equals_per_batch_calls(self, rng):
+        a = rng.standard_normal((4, 16, 64))
+        b = 1.5 * rng.standard_normal((4, 12, 64)) + 0.2
+        got = metrics.frechet_distance(a, b)
+        assert got.tolist() == [metrics.frechet_distance(x, y)
+                                for x, y in zip(a, b)]
+        with pytest.raises(ValueError, match="4 batches against 3"):
+            metrics.frechet_distance(a, b[:3])
+        # fid extracts both stacks batch by batch, each as a call of its own
+        ext, noisy, _ = self._stack(rng, episodes=4)
+        truths = np.clip(noisy[::-1] + 0.1, 0, 1)
+        want = [metrics.fid(x, y, ext) for x, y in zip(noisy, truths)]
+        assert metrics.fid(noisy, truths, ext).tolist() == want
+        assert metrics.fid(noisy, None, ext,
+                           reference_features=ext.extract(truths)).tolist() \
+            == want
+
     def test_stacked_reference_rejected(self, rng):
         with pytest.raises(ValueError):
             metrics.frechet_distance(rng.standard_normal((16, 4)),

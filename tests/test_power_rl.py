@@ -737,6 +737,37 @@ class TestVectorizedStep:
         assert scored[0].tobytes() == want_symbols.tobytes()
         assert np.array_equal(scores, score(want_symbols))
 
+    def test_live_blocks_equalized_whole_match_per_episode_loop(
+            self, tiny_bundle, monkeypatch):
+        # no block is erased, so each step equalizes its whole buffer
+        env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
+                                  snr_db=0.0, p_max=1.0, block_length=16,
+                                  seed=5)
+        rng = np.random.default_rng(4)
+        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
+                  for _ in range(6)]
+        seeds = [derive_seed(78, e) for e in range(6)]
+        # positive actions whose powers sum under the budget
+        actions = rng.uniform(0.05, 1.0 / env.num_blocks,
+                              (env.num_blocks, 6))
+        shapes, scored = [], []
+        equalize, score = ch.equalize, env._score
+        monkeypatch.setattr(ch, "equalize", lambda y, *args:
+                            shapes.append(np.shape(y)) or equalize(y, *args))
+        monkeypatch.setattr(env, "_score", lambda symbols:
+                            scored.append(symbols.copy()) or score(symbols))
+        states, powers, scores = env.run(lambda states, t: actions[t],
+                                         traces, seeds)
+        monkeypatch.undo()
+        assert shapes == [(6,) + env.blocks[:, 0].shape] * env.num_blocks
+        want_states, want_powers, want_received = per_episode_reference(
+            env, traces, seeds, actions)
+        want_symbols = payload_symbols(env, want_received)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(powers, want_powers)
+        assert scored[0].tobytes() == want_symbols.tobytes()
+        assert np.array_equal(scores, score(want_symbols))
+
     def test_apply_power_arrays_match_scalars(self):
         actions = np.array([0.0, 0.3, 0.9, 1.0])
         remaining = np.array([0.7, 0.2, 2.0, 0.0])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megsim import channel as ch
-from megsim import genmodel, metrics, protocol
+from megsim import config, corpus, experiments, genmodel, metrics, protocol
 from megsim.errors import DimensionError, FrameError, ProtocolError
 from megsim.protocol import (GenerationRequest, RunSpec, decode_frame,
                              encode_frame, es_handle_request,
@@ -193,6 +193,11 @@ class TestEsBatch:
         assert np.array_equal(noise[0], noise[2])
         assert len(batch) == len(requests)
 
+    def test_cells_split_into_equal_groups(self, tiny_bundle):
+        requests = self._requests(tiny_bundle)
+        with pytest.raises(ProtocolError, match="3 equal groups"):
+            es_handle_request(tiny_bundle, requests, 16, cells=3)
+
     def test_mixed_or_malformed_batches_rejected(self, tiny_bundle):
         good = self._requests(tiny_bundle)[0]
         other_rate = GenerationRequest("blob", 0.25,
@@ -219,26 +224,29 @@ class TestBatchReport:
     @pytest.mark.parametrize("p", [1, 2, 16])
     def test_mse_equals_per_image_loop(self, tiny_bundle, monkeypatch, p):
         # the Frechet term needs two images; the mse does not
-        monkeypatch.setattr(metrics, "fid", lambda *args: 0.0)
+        monkeypatch.setattr(metrics, "fid", lambda *args: [0.0])
         rng = np.random.default_rng(p)
         shape = (p,) + tiny_bundle.image_shape
         for _ in range(50):
             images = list(rng.random(shape, dtype=np.float32))
             truths = list(rng.random(shape, dtype=np.float32))
-            got = protocol.batch_report(images, truths,
-                                        tiny_bundle.extractor, 64)
+            (got,) = protocol.batch_report([images], [truths],
+                                           tiny_bundle.extractor, 64)
             want = float(np.mean([metrics.mse(img, ref)
                                   for img, ref in zip(images, truths)]))
             assert got.mse == want
             assert got.psnr_db == 10.0 * math.log10(1.0 / want)
 
     def test_shape_mismatch_rejected(self, tiny_bundle, monkeypatch):
-        monkeypatch.setattr(metrics, "fid", lambda *args: 0.0)
+        monkeypatch.setattr(metrics, "fid", lambda *args: [0.0])
         images = [np.zeros(tiny_bundle.image_shape, np.float32)] * 3
         for truths in (images[:2], [np.zeros((1, 2, 2), np.float32)] * 3):
             with pytest.raises(DimensionError):
-                protocol.batch_report(images, truths, tiny_bundle.extractor,
-                                      64)
+                protocol.batch_report([images], [truths],
+                                      tiny_bundle.extractor, 64)
+        # one batch, not a stack of batches
+        with pytest.raises(DimensionError):
+            protocol.batch_report(images, images, tiny_bundle.extractor, 64)
 
 
 class TestEndToEnd:
@@ -250,7 +258,7 @@ class TestEndToEnd:
 
     def test_perfect_channel_matches_local_pipeline(self, tiny_bundle):
         prompts = ["large blob left", "tiny stripes top"]
-        report = run_end_to_end(tiny_bundle, self._spec(prompts))
+        report = run_end_to_end(tiny_bundle, [self._spec(prompts)])
         codec = tiny_bundle.codec_for(0.5)
         for i, prompt in enumerate(prompts):
             (res,) = es_handle_request(
@@ -259,46 +267,123 @@ class TestEndToEnd:
                                                 derive_seed(3, 0, i))], 16)
             (local,) = tiny_bundle.autoencoder.decode(
                 codec.decompress(res.seed.symbols[None], [res.seed.scale]))
-            remote = report["meg"].images[i]
+            remote = report[0, "meg"].images[i]
             assert np.max(np.abs(local - remote)) < 1e-6
 
     def test_perfect_channel_raw_feature_sentinel(self, tiny_bundle):
         report = run_end_to_end(tiny_bundle,
-                                self._spec(["blob left", "rings top"]))
-        assert report["raw_feature"].report.psnr_db == float("inf")
+                                [self._spec(["blob left", "rings top"])])
+        assert report[0, "raw_feature"].report.psnr_db == float("inf")
 
     def test_metrics_match_external_computation(self, tiny_bundle):
         spec = self._spec(["blob left", "rings top"], snr_db=5.0,
                           channel_kind="rayleigh_block")
-        report = run_end_to_end(tiny_bundle, spec)
-        meg = report["meg"]
+        report = run_end_to_end(tiny_bundle, [spec])
+        meg = report[0, "meg"]
         want_mse = float(np.mean([metrics.mse(img, ref) for img, ref in
-                                  zip(meg.images, report.ground_truths)]))
+                                  zip(meg.images, report.ground_truths[0])]))
         want_fid = metrics.fid(np.stack(meg.images),
-                               np.stack(report.ground_truths),
+                               np.stack(report.ground_truths[0]),
                                tiny_bundle.extractor)
         assert abs(meg.report.mse - want_mse) < 1e-12
         assert abs(meg.report.fid_score - want_fid) < 1e-9
 
     def test_symbol_counts_match_accounting(self, tiny_bundle, tiny_cfg):
         spec = self._spec(["blob left", "rings top"], snr_db=10.0)
-        report = run_end_to_end(tiny_bundle, spec)
+        report = run_end_to_end(tiny_bundle, [spec])
         shape = tiny_cfg.image_shape
         fd = tiny_cfg.downsample
         z = tiny_cfg.latent_channels
-        assert report["centralized"].report.symbols == \
+        assert report[0, "centralized"].report.symbols == \
             metrics.symbol_count("centralized", shape, fd)
-        assert report["raw_feature"].report.symbols == \
+        assert report[0, "raw_feature"].report.symbols == \
             metrics.symbol_count("raw_feature", shape, fd, latent_channels=z)
-        assert report["meg"].report.symbols == \
+        assert report[0, "meg"].report.symbols == \
             metrics.symbol_count("meg", shape, fd, 0.5, z)
 
     def test_noisy_awgn_near_local_pipeline_at_zero_noise(self, tiny_bundle):
         # sigma = 0 over the literal normalize/transmit/equalize chain
         # leaves only float residue
         spec = self._spec(["blob left", "rings top"], snr_db=200.0)
-        report = run_end_to_end(tiny_bundle, spec)
-        assert report["raw_feature"].report.psnr_db > 100.0
+        report = run_end_to_end(tiny_bundle, [spec])
+        assert report[0, "raw_feature"].report.psnr_db > 100.0
+
+
+class TestChunk:
+    """A chunk of cells gives every cell the bits of a chunk of one, at the
+    desk preset's 16 prompts per cell (see ``TestChunkLayers``)."""
+    PROMPTS = corpus.sample_prompts(16, 1)
+    # (snr_db, channel kind, cell seed): mixed SNRs, the perfect channel and
+    # both channel kinds
+    CELLS = ((None, "awgn", 3), (0.0, "rayleigh_block", 4),
+             (-10.0, "rayleigh_block", 5), (20.0, "awgn", 6),
+             (None, "rayleigh_block", 7))
+
+    def _specs(self):
+        return [RunSpec(self.PROMPTS, 0.5, snr, kind, 16, seed, "c0ffee")
+                for snr, kind, seed in self.CELLS]
+
+    def test_chunk_equals_one_cell_chunks(self, tiny_bundle):
+        specs = self._specs()
+        chunk = run_end_to_end(tiny_bundle, specs)
+        assert set(chunk.results) == {(cell, mode)
+                                      for cell in range(len(specs))
+                                      for mode in metrics.MODES}
+        for cell, spec in enumerate(specs):
+            alone = run_end_to_end(tiny_bundle, [spec])
+            assert chunk.ground_truths[cell].tobytes() \
+                == alone.ground_truths[0].tobytes()
+            assert chunk.latents[cell].tobytes() == alone.latents[0].tobytes()
+            assert np.array_equal(chunk.traces[cell].gains,
+                                  alone.traces[0].gains)
+            for mode in metrics.MODES:
+                got, want = chunk[cell, mode], alone[0, mode]
+                assert got.report == want.report
+                assert len(got.images) == len(want.images) == 16
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(got.images, want.images))
+
+    def test_cells_must_share_prompts_rate_and_block_length(self,
+                                                            tiny_bundle):
+        spec = self._specs()[0]
+        for other in (replace(spec, prompts=self.PROMPTS[:2]),
+                      replace(spec, block_length=8),
+                      replace(spec, config_hash="other")):
+            with pytest.raises(ProtocolError, match="share"):
+                run_end_to_end(tiny_bundle, [spec, other])
+        with pytest.raises(ValueError, match="at least one"):
+            run_end_to_end(tiny_bundle, [])
+
+
+class TestChunkLayers:
+    """The networks a sweep chunk runs on flat rows [S·P, n] give each
+    cell's rows the bits of a call on that cell alone, at the desk
+    preset's layer shapes (a BLAS whose kernels round by row count fails
+    here, naming the network)."""
+
+    @staticmethod
+    def _network(name):
+        cfg = config.desk_config()
+        if name == "denoiser":
+            return genmodel.Denoiser(cfg.latent_shape, cfg.dn_hidden,
+                                     cfg.time_dim, cfg.max_tokens,
+                                     cfg.embed_dim, rng=1).net
+        return genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
+                                        cfg.ae_hidden, rng=2,
+                                        encoder=False).decoder
+
+    @pytest.mark.parametrize("cells", [2, experiments.SWEEP_CHUNK, 25])
+    @pytest.mark.parametrize("name", ["denoiser", "autoencoder_decoder"])
+    def test_flat_chunk_rows_equal_per_cell_calls(self, name, cells):
+        net = self._network(name)
+        rows = config.desk_config().eval_prompts
+        x = np.random.default_rng(cells).standard_normal(
+            (cells * rows, net.layers[0].in_features)).astype(np.float32)
+        flat = net.forward(x, cache=False)
+        for cell in range(cells):
+            part = x[cell * rows:(cell + 1) * rows]
+            assert flat[cell * rows:(cell + 1) * rows].tobytes() \
+                == net.forward(part, cache=False).tobytes(), (name, cell)
 
 
 def reference_ue_images(bundle, frames, symbols):
@@ -325,15 +410,13 @@ class TestUeReceive:
     @staticmethod
     def _check(bundle, served, received, symbols=None):
         wire = [encode_frame(res.frame) for res in served]
-        truths = list(bundle.autoencoder.decode(
-            np.stack([res.latent for res in served])))
-        got = protocol.ue_receive(bundle, wire, received, truths)
+        got = protocol.ue_receive(bundle, wire, received)
         frames = [decode_frame(data) for data in wire]
         if symbols is None:
             symbols = [frame.payload.astype(np.float64) for frame in frames]
         want = reference_ue_images(bundle, frames, symbols)
-        assert len(got.images) == len(want)
-        for a, b in zip(got.images, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_noisy_link_matches_per_frame_loop(self, tiny_bundle):
@@ -356,12 +439,10 @@ class TestUeReceive:
                          codecs={**tiny_bundle.codecs, 0.25: codec})
         half = self._serve(bundle, self.PROMPTS[:2], 0.5)
         quarter = self._serve(bundle, self.PROMPTS[:2], 0.25)
-        truths = list(bundle.autoencoder.decode(
-            np.stack([res.latent for res in half + quarter])))
         for served in (half + quarter, quarter + half):
             wire = [encode_frame(res.frame) for res in served]
             with pytest.raises(ProtocolError, match="one codec rate"):
-                protocol.ue_receive(bundle, wire, None, truths)
+                protocol.ue_receive(bundle, wire, None)
         self._check(bundle, quarter, None)
 
 
@@ -443,16 +524,18 @@ class TestBatchedLink:
         extracted, decoded = [], []
         extract = metrics.FeatureExtractor.extract
         monkeypatch.setattr(metrics.FeatureExtractor, "extract",
-                            lambda self, images: extracted.append(len(images))
+                            lambda self, images:
+                            extracted.append(np.shape(images)[:-3])
                             or extract(self, images))
         decode = genmodel.AutoencoderPair.decode
         monkeypatch.setattr(genmodel.AutoencoderPair, "decode",
                             lambda self, z: decoded.append(np.shape(z))
                             or decode(self, z))
-        report = run_end_to_end(tiny_bundle, spec)
+        report = run_end_to_end(tiny_bundle, [spec])
         monkeypatch.undo()
-        # the ground truths once, then each mode's images
-        assert extracted == [3] * (1 + len(metrics.MODES))
+        # the ground truths once, then each mode's images, each a stack of
+        # one cell
+        assert extracted == [(1, 3)] * (1 + len(metrics.MODES))
         # ground truths and raw_feature rows as batches; the UEs' frames as
         # one stack of batches of one
         latent = tiny_bundle.latent_shape
@@ -460,16 +543,16 @@ class TestBatchedLink:
         codec = tiny_bundle.codec_for(0.5)
         # the server compresses the stacked latents in one call, as
         # production does; the link below stays per prompt
-        seeds = codec.compress(np.stack(report.latents))
+        seeds = codec.compress(report.latents[0])
         for mode_idx, mode in enumerate(metrics.MODES):
             rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
             noise_std = ch.snr_to_noise_std(spec.snr_db, 1.0)
             images, received = [], []
-            for truth, latent, seed in zip(report.ground_truths,
-                                           report.latents, seeds):
+            for truth, latent, seed in zip(report.ground_truths[0],
+                                           report.latents[0], seeds):
                 if mode == "meg":
                     blocks = reference_transmit_stream(
-                        seed.symbols, report.trace, noise_std, rng)
+                        seed.symbols, report.traces[0], noise_std, rng)
                     flat = reference_recover_stream(blocks, seed.symbols.size)
                     images.append(tiny_bundle.autoencoder.decode(
                         codec.decompress(flat[None], [seed.scale]))[0])
@@ -478,7 +561,7 @@ class TestBatchedLink:
                         .reshape(-1).astype(np.float64)
                     scale = float(np.sqrt(np.mean(payload ** 2)))
                     blocks = reference_transmit_stream(
-                        payload / scale, report.trace, noise_std, rng)
+                        payload / scale, report.traces[0], noise_std, rng)
                     flat = reference_recover_stream(blocks, payload.size)
                     x = flat * scale
                     if mode == "centralized":
@@ -492,12 +575,12 @@ class TestBatchedLink:
                 # does
                 images = list(tiny_bundle.autoencoder.decode(
                     np.stack(received)))
-            got = report[mode]
+            got = report[0, mode]
             assert all(np.array_equal(a, b)
                        for a, b in zip(got.images, images))
-            want = protocol.batch_report(images, report.ground_truths,
-                                         tiny_bundle.extractor,
-                                         got.report.symbols)
+            (want,) = protocol.batch_report([images], report.ground_truths,
+                                            tiny_bundle.extractor,
+                                            got.report.symbols)
             assert (got.report.psnr_db, got.report.fid_score,
                     got.report.mse) == (want.psnr_db, want.fid_score,
                                         want.mse)

@@ -135,6 +135,16 @@ class TestCompressBatch:
         assert np.array_equal(seed.symbols, symbols)
         assert seed.scale == scale
 
+    def test_stack_encodes_each_batch_as_its_own_call(self, small_pair, rng):
+        z = rng.standard_normal((3, 5) + small_pair.latent_shape) \
+            .astype(np.float32)
+        seeds = small_pair.compress(z)
+        want = [seed for batch in z for seed in small_pair.compress(batch)]
+        assert len(seeds) == 15
+        for got, one in zip(seeds, want):
+            assert got.symbols.tobytes() == one.symbols.tobytes()
+            assert got.scale == one.scale
+
     def test_zero_power_row_rejected(self):
         pair = seedcodec.CodecPair((1, 2, 2), 0.5, hidden=8, rng=0)
         pair.enc.bias[...] = 0
