@@ -49,7 +49,7 @@ for train_snr, pair in codecs.items():
 print("matching the training SNR to the operating point wins.")
 
 print("\nseed anatomy:")
-(seed,) = codecs[0.0].compress(latents[:1])
-print(f"  {seed.symbols.size} unit-power symbols "
-      f"(mean square {np.mean(seed.symbols ** 2):.6f}), "
-      f"scale {seed.scale:.3f} rides in the frame header")
+(symbols,), (scale,) = codecs[0.0].compress(latents[:1])
+print(f"  {symbols.size} unit-power symbols "
+      f"(mean square {np.mean(symbols ** 2):.6f}), "
+      f"scale {scale:.3f} rides in the frame header")

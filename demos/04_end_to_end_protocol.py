@@ -19,12 +19,12 @@ bundle = experiments.cmd_train(cfg).bundle
 prompts = sample_prompts(16, derive_seed(cfg.seed, 20))
 print(f"evaluation prompts: {prompts[:3]} ... ({len(prompts)} total)\n")
 
-(frame_demo,) = protocol.es_handle_request(
+(frame,), _ = protocol.es_handle_request(
     bundle, [protocol.GenerationRequest(prompts[0], 0.5, cfg.image_shape, 1)],
     cfg.block_length)
-wire = protocol.encode_frame(frame_demo.frame)
+wire = protocol.encode_frame(frame)
 print(f"seed frame for one prompt: {len(wire)} bytes "
-      f"({frame_demo.frame.payload.size} float32 symbols + 33-byte header), "
+      f"({frame.payload.size} float32 symbols + 33-byte header), "
       f"magic {wire[:4]!r}\n")
 
 # the three SNRs are one chunk of cells, served in one call; each cell

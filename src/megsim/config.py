@@ -147,6 +147,8 @@ class ExperimentConfig:
                              "downsample factor")
         if self.latent_size >= self.pixel_count:
             raise ValueError("latent must be strictly smaller than the image")
+        if len(set(self.codec_rates)) < len(self.codec_rates):
+            raise ValueError("[codec] rates repeats a rate")
         budget = self.pixel_count / self.downsample ** 2
         for rate in self.codec_rates:
             n = seed_length(self.latent_size, rate)
@@ -243,22 +245,26 @@ def config_hash(cfg: ExperimentConfig, sections=None, extra="",
 
 
 def read_config_file(path) -> dict:
-    """A key-value file's settings as ``{attribute: value}``."""
+    """A key-value file's settings as ``{attribute: value}``. A file that
+    configparser cannot read raises a ValueError of one line naming it."""
     parser = configparser.ConfigParser()
     with open(path) as fh:
-        parser.read_string(fh.read())
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(" ".join(str(exc).split())) from exc
     updates = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ValueError(f"unknown config section [{section}]")
         known = {key: (attr, kind) for key, attr, kind in _SCHEMA[section]}
-        for key, value in parser.items(section):
+        for key, value in parser.items(section, raw=True):
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             attr, kind = known[key]
             try:
-                updates[attr] = _parse_value(value, kind)
-            except ValueError as exc:
+                updates[attr] = _parse_value(parser.get(section, key), kind)
+            except (ValueError, configparser.Error) as exc:
                 raise ValueError(f"[{section}] {key} = {value!r}: {exc}") \
                     from exc
     return updates

@@ -34,8 +34,11 @@ _CODEC_SECTIONS = _DN_SECTIONS + ("codec", "channel")
 
 
 def _codec_hash(cfg, rate):
-    # a codec depends on its own rate, not on which other rates exist
-    return config_hash(cfg, _CODEC_SECTIONS, extra=f"rate={rate!r}",
+    # a codec depends on its own rate and on its position in [codec] rates,
+    # which seeds its training, not on which other rates exist
+    k = cfg.codec_rates.index(rate)
+    return config_hash(cfg, _CODEC_SECTIONS,
+                       extra=f"rate={rate!r} position={k}",
                        drop_keys=("rates",))
 
 
@@ -274,8 +277,10 @@ def cmd_sweep(cfg: ExperimentConfig):
     At the paper-arithmetic preset only the symbol column is filled; no
     full-scale model exists to simulate. Every cell runs in the calling
     process, whatever ``cfg.jobs`` says, in chunks of up to
-    ``SWEEP_CHUNK`` consecutive cells of one rate. Returns the output
-    paths.
+    ``SWEEP_CHUNK`` consecutive cells of one rate. The CSV is independent
+    of the chunk size only when ``[sweep] eval_prompts`` meets
+    :func:`protocol.run_end_to_end`'s condition: 10 or more at the desk
+    preset on OpenBLAS 0.3.31. Returns the output paths.
     """
     os.makedirs(cfg.out, exist_ok=True)
     sweep_path = os.path.join(cfg.out, "sweep.csv")
@@ -302,7 +307,7 @@ def cmd_sweep(cfg: ExperimentConfig):
                          in cells[lo:lo + SWEEP_CHUNK]]
                 report = run_end_to_end(bundle, [
                     RunSpec(prompts, rate, snr, cfg.channel_kind,
-                            cfg.block_length, cell_seed, config_hash=chash)
+                            cfg.block_length, cell_seed)
                     for rate, snr, _, cell_seed in chunk])
                 for (cell, (rate, snr, trial, cell_seed)), mode in \
                         itertools.product(enumerate(chunk), metrics.MODES):
@@ -477,14 +482,14 @@ def cmd_eval(cfg: ExperimentConfig):
     bundle = load_bundle(cfg)
     prompts = [cfg.eval_prompt] + _eval_prompt_set(cfg)[:cfg.eval_prompts - 1]
     spec = RunSpec(prompts, cfg.eval_rate, cfg.eval_snr_db, cfg.channel_kind,
-                   cfg.block_length, derive_seed(cfg.seed, 40),
-                   config_hash=config_hash(cfg))
+                   cfg.block_length, derive_seed(cfg.seed, 40))
     report = run_end_to_end(bundle, [spec])
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "eval.csv")
+    chash = config_hash(cfg)
     reports = {mode: report[0, mode].report for mode in metrics.MODES}
     write_csv(path, ["mode", "psnr_db", "fid_proxy", "mse", "symbols",
                      "config_hash"],
-              [(mode, r.psnr_db, r.fid_score, r.mse, r.symbols, r.config_hash)
+              [(mode, r.psnr_db, r.fid_score, r.mse, r.symbols, chash)
                for mode, r in reports.items()])
     return {"eval_csv": path, "report": report}

@@ -200,7 +200,6 @@ class MetricReport:
     fid_score: float
     mse: float
     symbols: int
-    config_hash: str = ""
 
     def __post_init__(self):
         for name in ("fid_score", "mse"):

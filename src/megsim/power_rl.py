@@ -185,13 +185,11 @@ class SeedTransmissionEnv:
         self._trace_rng = as_rng(derive_seed(seed, 0xE0))
         self._episode_index = 0
 
-        results = es_handle_request(bundle, [
+        frames, latents = es_handle_request(bundle, [
             GenerationRequest(prompt, rate, bundle.image_shape,
                               derive_seed(seed, 0xE1, i))
             for i, prompt in enumerate(prompts)], block_length)
-        frames = [res.frame for res in results]
-        truths = bundle.autoencoder.decode(
-            np.stack([res.latent for res in results]))
+        truths = bundle.autoencoder.decode(latents)
         self.ground_truths = list(truths)
         self._scales = np.array([fr.scale for fr in frames])[:, None]
         # the ground truths are fixed, so every episode's reward reuses

@@ -30,7 +30,7 @@ import numpy as np
 from . import channel as ch
 from . import genmodel, metrics
 from .errors import DimensionError, FrameError, ProtocolError
-from .seedcodec import CodecPair, Seed, seed_length
+from .seedcodec import CodecPair
 from .util import as_rng, derive_seed
 
 FRAME_MAGIC = b"MGSF"
@@ -56,20 +56,6 @@ class SeedFrame:
     @property
     def rate(self):
         return self.rate_fixed / RATE_FIXED_ONE
-
-
-def frame_from_seed(seed: Seed, block_length: int) -> SeedFrame:
-    """Wrap a seed for the wire; checks the payload/rate contract."""
-    if len(seed.latent_shape) != 3:
-        raise FrameError("latent shape must have three dimensions")
-    expected = seed_length(int(np.prod(seed.latent_shape)), seed.rate)
-    if seed.symbols.size != expected:
-        raise FrameError(
-            f"seed has {seed.symbols.size} symbols, rate implies {expected}")
-    return SeedFrame(int(round(seed.rate * RATE_FIXED_ONE)),
-                     tuple(seed.latent_shape), int(block_length),
-                     float(seed.scale),
-                     np.ascontiguousarray(seed.symbols, dtype="<f4"))
 
 
 def encode_frame(frame: SeedFrame) -> bytes:
@@ -129,21 +115,16 @@ class ModelBundle:
         return self.codecs[rate]
 
 
-@dataclass
-class EsResult:
-    seed: Seed
-    frame: SeedFrame
-    latent: np.ndarray
-
-
 def es_handle_request(bundle: ModelBundle, requests, block_length: int,
                       cells=1):
     """Server side: embed, generate, compress, frame. A non-empty list of
-    requests sharing a rate is served as one batch and gives one EsResult
-    per request, each noise drawn from its request's ``noise_seed``. The
-    batch may hold ``cells`` equal groups of consecutive requests, one per
-    sweep cell: the sampler runs on every row at once and the codec
-    encoder group by group, as each group alone (see ``nn``)."""
+    N requests sharing a rate is served as one batch, each noise drawn
+    from its request's ``noise_seed``; returns (frames, latents), one
+    SeedFrame per request and the sampled latents [N, *latent_shape], in
+    request order. The batch may hold ``cells`` equal groups of
+    consecutive requests, one per sweep cell: the sampler runs on every
+    row at once and the codec encoder group by group, as each group alone
+    (see ``nn``)."""
     if not isinstance(requests, list) or not requests or not all(
             isinstance(r, GenerationRequest) for r in requests):
         raise ProtocolError("expected a non-empty list of GenerationRequest")
@@ -160,9 +141,13 @@ def es_handle_request(bundle: ModelBundle, requests, block_length: int,
                       for r in requests]).astype(np.float32)
     latents = genmodel.generate_latent(
         bundle.denoiser, [r.prompt for r in requests], noise, bundle.schedule)
-    seeds = codec.compress(latents.reshape((cells, -1) + bundle.latent_shape))
-    return [EsResult(seed, frame_from_seed(seed, block_length), latent)
-            for seed, latent in zip(seeds, latents)]
+    symbols, scales = codec.compress(
+        latents.reshape((cells, -1) + bundle.latent_shape))
+    rate_fixed = int(round(codec.rate * RATE_FIXED_ONE))
+    frames = [SeedFrame(rate_fixed, codec.latent_shape, int(block_length),
+                        float(scale), np.ascontiguousarray(row, dtype="<f4"))
+              for row, scale in zip(symbols, scales)]
+    return frames, latents
 
 
 @dataclass
@@ -231,7 +216,7 @@ def ue_receive(bundle: ModelBundle, wire_frames, received):
     return bundle.autoencoder.decode(latents[:, None])[:, 0]
 
 
-def batch_report(images, ground_truths, extractor, symbols, config_hash="",
+def batch_report(images, ground_truths, extractor, symbols,
                  reference_features=None):
     """One MetricReport per batch of a stack [S, P, C, H, W]: PSNR/MSE
     averaged over the batch plus its Frechet score against its own
@@ -253,7 +238,7 @@ def batch_report(images, ground_truths, extractor, symbols, config_hash="",
         psnr_db = math.inf if mean_mse == 0.0 \
             else 10.0 * math.log10(1.0 / mean_mse)
         reports.append(metrics.MetricReport(psnr_db, float(fid_score),
-                                            mean_mse, symbols, config_hash))
+                                            mean_mse, symbols))
     return reports
 
 
@@ -270,35 +255,36 @@ class RunSpec:
     channel_kind: str = "rayleigh_block"
     block_length: int = 16
     seed: int = 0
-    config_hash: str = ""
 
 
 def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
     """Generate, transmit under every mode, decode and score one chunk of
-    cells, a list of RunSpecs that share prompts, rate, block length and
-    config hash.
+    cells, a list of RunSpecs that share prompts, rate and block length.
 
-    Each cell keeps its own seed paths, fading trace, noise and SNR, so
-    its results are bit for bit those of a chunk of one. The sampler and
-    the decodes of the ground truths and of the raw-feature latents run
-    once on the chunk's flat rows, the codec encoder and the feature
-    extractor on its stack of cells (see ``nn``), and the link, the frame
-    round trip and each UE's batch-of-one decode per cell.
+    Each cell keeps its own seed paths, fading trace, noise and SNR. The
+    sampler and the decodes of the ground truths and of the raw-feature
+    latents run once on the chunk's flat rows, the codec encoder and the
+    feature extractor on its stack of cells (see ``nn``), and the link,
+    the frame round trip and each UE's batch-of-one decode per cell. So a
+    cell's results are bit for bit those of a chunk of one only where the
+    BLAS rounds each cell's share of the flat rows as it rounds that cell
+    alone: at desk layer widths on OpenBLAS 0.3.31, from 10 prompts per
+    cell (checked end to end at 10 to 64 for chunks of 2 to 4 cells), but
+    not at 9 or fewer, where the sampler's latents already differ.
     """
     if not specs or not specs[0].prompts:
         raise ValueError("at least one cell and one prompt are required")
     first = specs[0]
-    if len({(tuple(spec.prompts), spec.rate, spec.block_length,
-             spec.config_hash) for spec in specs}) > 1:
-        raise ProtocolError("the cells of a chunk must share prompts, rate, "
-                            "block length and config hash")
+    if len({(tuple(spec.prompts), spec.rate, spec.block_length)
+            for spec in specs}) > 1:
+        raise ProtocolError("the cells of a chunk must share prompts, rate "
+                            "and block length")
     cells, prompts = len(specs), len(first.prompts)
-    es_results = es_handle_request(bundle, [
+    frames, latents = es_handle_request(bundle, [
         GenerationRequest(prompt, first.rate, bundle.image_shape,
                           derive_seed(spec.seed, 0, i))
         for spec in specs for i, prompt in enumerate(first.prompts)],
         first.block_length, cells)
-    latents = np.stack([res.latent for res in es_results])
     stack = (cells, prompts)
     truths = bundle.autoencoder.decode(latents).reshape(
         stack + bundle.image_shape)
@@ -308,7 +294,7 @@ def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
 
     counts = {"centralized": int(np.prod(bundle.image_shape)),
               "raw_feature": int(np.prod(bundle.latent_shape)),
-              "meg": es_results[0].seed.symbols.size}
+              "meg": frames[0].payload.size}
     blocks = ch.block_count(max(counts.values()), first.block_length)
     traces = [ch.sample_fading_trace(
         ch.ChannelModel(spec.channel_kind, spec.block_length), blocks,
@@ -324,12 +310,12 @@ def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
             noise_std = None if spec.snr_db is None \
                 else ch.snr_to_noise_std(spec.snr_db, 1.0)
             if mode == "meg":
-                served = es_results[cell * prompts:(cell + 1) * prompts]
+                served = frames[cell * prompts:(cell + 1) * prompts]
                 sent = None if noise_std is None else transmit_stream(
-                    np.stack([res.frame.payload for res in served]), trace,
+                    np.stack([frame.payload for frame in served]), trace,
                     noise_std, noise_rng)
                 batch[cell] = ue_receive(
-                    bundle, [encode_frame(res.frame) for res in served], sent)
+                    bundle, [encode_frame(frame) for frame in served], sent)
                 continue
             payloads = source[cell].reshape(prompts, -1).astype(np.float64)
             if noise_std is not None:
@@ -348,7 +334,7 @@ def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
                 batch.reshape((-1,) + bundle.latent_shape)).reshape(
                     stack + bundle.image_shape)
         reports = batch_report(batch, truths, bundle.extractor, counts[mode],
-                               first.config_hash, reference)
+                               reference)
         for cell, report in enumerate(reports):
             results[cell, mode] = GenerationResult(list(batch[cell]), report)
     return EndToEndReport(results, truths, latents, traces)

@@ -7,8 +7,6 @@ a residual connection from its first projection. One pair is trained per
 both.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn
@@ -30,15 +28,6 @@ def seed_length(latent_size, rate) -> int:
         raise ValueError(
             f"rate {rate} degenerates for latent size {latent_size}")
     return n
-
-
-@dataclass
-class Seed:
-    """Unit-power symbol vector plus the metadata the receiver needs."""
-    symbols: np.ndarray
-    latent_shape: tuple
-    rate: float
-    scale: float
 
 
 def codec_descriptors(latent_size, seed_len, hidden):
@@ -111,7 +100,9 @@ class CodecPair:
     def compress(self, latents):
         """Encode latents [P, *latent_shape], or a stack of batches [S, P,
         *latent_shape] with each batch encoded as a call of its own, at
-        unit mean symbol power; returns their seeds in row order."""
+        unit mean symbol power. Returns the seeds in row order: float32
+        symbols [N, seed_len] and the float64 scales [N] that undo the
+        normalization."""
         z = np.asarray(latents, dtype=np.float32)
         lead = z.ndim - len(self.latent_shape)
         if lead not in (1, 2) or z.shape[lead:] != self.latent_shape:
@@ -123,9 +114,7 @@ class CodecPair:
         scales = np.sqrt(np.mean(raw.astype(np.float64) ** 2, axis=1))
         if not scales.all():
             raise CodecError("encoder produced a zero-power seed")
-        symbols = raw / scales.astype(np.float32)[:, None]
-        return [Seed(row, self.latent_shape, self.rate, float(scale))
-                for row, scale in zip(symbols, scales)]
+        return raw / scales.astype(np.float32)[:, None], scales
 
     def decompress(self, received, scale):
         """Undo the power normalization, decode, and reshape to the latent.

@@ -248,13 +248,13 @@ def test_criterion_10_protocol_exactness(desk_bundle, desk_cfg):
     codec = desk_bundle.codec_for(0.5)
     worst = 0.0
     for i, prompt in enumerate(prompts):
-        (res,) = protocol.es_handle_request(
+        (frame,), _ = protocol.es_handle_request(
             desk_bundle,
             [protocol.GenerationRequest(prompt, 0.5, desk_bundle.image_shape,
                                         derive_seed(11, 0, i))],
             desk_cfg.block_length)
         (local,) = desk_bundle.autoencoder.decode(
-            codec.decompress(res.seed.symbols[None], [res.seed.scale]))
+            codec.decompress(frame.payload[None], [frame.scale]))
         worst = max(worst, float(np.max(np.abs(local - rep[0, "meg"].images[i]))))
     ok = mismatches == 0 and worst < 1e-6
     report(10, ok, f"10^4 frame round trips byte-identical "

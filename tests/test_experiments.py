@@ -22,10 +22,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("preset, digests", [
         ("desk", ("f068647645a2", "77132a9e52a3be96", "23d1449d1100",
-                  "3e42cfbd06bf", "c917e3b95eb7")),
+                  "3e42cfbd06bf", "bfc87070010c")),
         ("paper-arithmetic", ("b194f6c345e9", "d769ee011f9e611f",
                               "b4f8898f03cd", "e73bb5347f83",
-                              "2f8afd2ed986")),
+                              "8e8558f68f0b")),
     ])
     def test_pinned_digests(self, preset, digests):
         # every cached bundle and CSV is keyed on these; a schema rewrite
@@ -229,6 +229,16 @@ class TestConfig:
                 "[channel] kind 'foo' is not one of awgn, rayleigh_block")):
             replace(config.desk_config(), channel_kind="foo").validate()
 
+    def test_repeated_codec_rate_refused(self, tmp_path):
+        # two codecs of one rate would share one bundle file
+        with pytest.raises(ValueError, match=re.escape(
+                "[codec] rates repeats a rate")):
+            replace(config.desk_config(), codec_rates=(0.5, 0.3, 0.5))
+        path = tmp_path / "twice.cfg"
+        path.write_text("[codec]\nrates = 0.5, 0.5\n")
+        with pytest.raises(ValueError, match="repeats"):
+            config.load_config(str(path))
+
     def test_presets_are_channel_preserving(self):
         # latent element count times downsample^2 equals the pixel count
         for cfg in (config.desk_config(), config.paper_arithmetic_config()):
@@ -298,6 +308,24 @@ class TestTrainCaching:
         actions = experiments.cmd_train(grown).actions
         assert actions == {"autoencoder": "cached", "denoiser": "cached",
                            "codec[0.5]": "cached", "codec[0.3]": "trained"}
+
+    def test_codec_cache_names_its_position(self, tiny_cfg, tmp_path):
+        # codec k of [codec] rates trains from a seed derived from k, so a
+        # codec cached at another position is retrained, and the bundle
+        # holds the weights a fresh training of this config writes
+        short = replace(tiny_cfg, ae_steps=50, dn_steps=40, codec_epochs=5,
+                        out=str(tmp_path / "history"), codec_rates=(0.5,))
+        grown = replace(short, codec_rates=(0.3, 0.5))
+        experiments.cmd_train(short)
+        actions = experiments.cmd_train(grown).actions
+        assert actions == {"autoencoder": "cached", "denoiser": "cached",
+                           "codec[0.3]": "trained", "codec[0.5]": "trained"}
+        fresh = experiments.cmd_train(
+            replace(grown, out=str(tmp_path / "fresh"))).bundle
+        kept = experiments.load_bundle(grown)
+        for rate in grown.codec_rates:
+            assert kept.codecs[rate].net.flat.tobytes() \
+                == fresh.codecs[rate].net.flat.tobytes(), rate
 
     def test_manifest_lists_files_with_hashes(self, tiny_cfg):
         import json
@@ -574,11 +602,11 @@ class TestTrainCaching:
                               "fa0f1b34a588741cc64df36c9a06a440",
             "denoiser.bin": "c75635d52bb645abbf08c18ecc43904e"
                             "b955c9e9095251e1cccae1f93b64aed7",
-            "codec_r0.5.bin": "a9f3db1d8c8ba9a33759360615308813"
-                              "47c7ee28d0bd7c858ca941dfc6b3988c"}
+            "codec_r0.5.bin": "d9fb600b31dbd5099d91f5b7f43fe74b"
+                              "03c6e25def8b60378a274ea48c67da55"}
         assert hashlib.sha256(raw).hexdigest() == (
-            "af189857c5eade7f2c5b35cf4db175b3"
-            "795b44b4ba45f08aedf84137da11707b")
+            "d88bacf6e2c28128c85fbae0a5c30032"
+            "2f0e75dd6b977da7c49188dc8777aab8")
 
     def test_desk_sweep_and_eval_digests(self, desk_cfg, desk_bundle):
         # desk preset, seed 0, as recorded with numpy 2 on OpenBLAS 0.3.31
@@ -996,7 +1024,17 @@ class TestCli:
          "[power] budgets must be positive"),
         ("[power]\nsnr_db = nan\n", "power", "[power] snr_db must be finite"),
         ("[sweep]\nsnrs_db = nan\n", "sweep",
-         "[sweep] snrs_db must be finite")])
+         "[sweep] snrs_db must be finite"),
+        # a file configparser cannot read is named in its one line
+        ("seed = 3\n", "table",
+         "File contains no section headers. file: '{path}', line: 1"),
+        ("[run]\nseed = 3\nseed = 4\n", "table",
+         "While reading from '{path}' [line 3]: option 'seed' in section "
+         "'run' already exists"),
+        ("[run]\nseed\n", "table",
+         "Source contains parsing errors: '{path}' [line 2]: 'seed\\n'"),
+        ("[eval]\nprompt = 50% blob\n", "eval",
+         "[eval] prompt = '50% blob': '%' must be followed by")])
     def test_out_of_range_setting_is_one_error_line(
             self, tmp_path, capsys, monkeypatch, text, command, words):
         for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
@@ -1006,6 +1044,7 @@ class TestCli:
         argv = ["--config", str(path), "--out", str(tmp_path), command]
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
+        words = words.format(path=path)
         assert captured.err.startswith(f"megsim: error: {words}")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert os.listdir(tmp_path) == ["bad.cfg"]

@@ -348,6 +348,6 @@ class TestSymbolCount:
 
 class TestMetricReport:
     def test_validation(self):
-        metrics.MetricReport(math.inf, 0.5, 0.0, 64, "abc")
+        metrics.MetricReport(math.inf, 0.5, 0.0, 64)
         with pytest.raises(ValueError):
             metrics.MetricReport(10.0, math.nan, 0.1, 64)

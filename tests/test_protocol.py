@@ -10,10 +10,9 @@ from megsim import channel as ch
 from megsim import config, corpus, experiments, genmodel, metrics, protocol
 from megsim.errors import DimensionError, FrameError, ProtocolError
 from megsim.protocol import (GenerationRequest, RunSpec, decode_frame,
-                             encode_frame, es_handle_request,
-                             frame_from_seed, recover_stream, run_end_to_end,
-                             transmit_stream)
-from megsim.seedcodec import CodecPair, Seed
+                             encode_frame, es_handle_request, recover_stream,
+                             run_end_to_end, transmit_stream)
+from megsim.seedcodec import CodecPair
 from megsim.util import as_rng, derive_seed
 
 
@@ -69,16 +68,6 @@ class TestSeedFrame:
         with pytest.raises(FrameError):
             decode_frame(data[:-4])
 
-    def test_frame_from_seed_checks_rate_contract(self, tiny_bundle, rng):
-        codec = tiny_bundle.codec_for(0.5)
-        z = rng.standard_normal((1,) + codec.latent_shape).astype(np.float32)
-        (seed,) = codec.compress(z)
-        frame = frame_from_seed(seed, 16)
-        assert frame.payload.size == codec.seed_len
-        seed.symbols = seed.symbols[:-1]
-        with pytest.raises(FrameError):
-            frame_from_seed(seed, 16)
-
 
 class TestChunking:
     def test_single_chunk_when_block_large(self, rng):
@@ -99,22 +88,22 @@ class TestChunking:
 
 class TestEsSide:
     def _serve(self, bundle, seed=1):
-        """One request, served as a batch of one."""
-        (res,) = es_handle_request(bundle, [GenerationRequest(
+        """One request, served as a batch of one; returns its frame."""
+        (frame,), _ = es_handle_request(bundle, [GenerationRequest(
             "large blob left", 0.5, bundle.image_shape, seed)], 16)
-        return res
+        return frame
 
     def test_payload_length_matches_rate(self, tiny_bundle):
-        res = self._serve(tiny_bundle)
-        assert res.frame.payload.size == tiny_bundle.codec_for(0.5).seed_len
+        frame = self._serve(tiny_bundle)
+        assert frame.payload.size == tiny_bundle.codec_for(0.5).seed_len
 
     def test_identical_requests_byte_equal(self, tiny_bundle):
         a = self._serve(tiny_bundle)
         b = self._serve(tiny_bundle)
-        assert encode_frame(a.frame) == encode_frame(b.frame)
+        assert encode_frame(a) == encode_frame(b)
 
     def test_header_round_trip(self, tiny_bundle):
-        data = encode_frame(self._serve(tiny_bundle).frame)
+        data = encode_frame(self._serve(tiny_bundle))
         assert encode_frame(decode_frame(data)) == data
 
     def test_dims_mismatch_rejected(self, tiny_bundle):
@@ -130,7 +119,8 @@ class TestEsSide:
 
 def reference_es_handle_request(bundle, request, block_length):
     """The one-request server path: sample one latent as a batch of one,
-    encode the flat vector and divide by its RMS, frame."""
+    encode the flat vector and divide by its RMS, frame. Returns (frame,
+    latent)."""
     codec = bundle.codec_for(request.rate)
     noise = as_rng(request.noise_seed).standard_normal(bundle.latent_shape)
     (latent,) = genmodel.generate_latent(bundle.denoiser, [request.prompt],
@@ -138,10 +128,10 @@ def reference_es_handle_request(bundle, request, block_length):
                                          bundle.schedule)
     raw = codec.enc.forward(latent.reshape(1, -1), cache=False)[0]
     scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
-    seed = Seed((raw / scale).astype(np.float32), codec.latent_shape,
-                codec.rate, scale)
-    return protocol.EsResult(seed, frame_from_seed(seed, block_length),
-                             latent)
+    frame = protocol.SeedFrame(round(codec.rate * 2 ** 16),
+                               codec.latent_shape, block_length, scale,
+                               (raw / scale).astype("<f4"))
+    return frame, latent
 
 
 class TestEsBatch:
@@ -153,26 +143,27 @@ class TestEsBatch:
 
     def test_batch_matches_single_requests(self, tiny_bundle):
         requests = self._requests(tiny_bundle)
-        batch = es_handle_request(tiny_bundle, requests, 16)
-        assert isinstance(batch, list) and len(batch) == len(requests)
-        for request, got in zip(requests, batch):
-            (want,) = es_handle_request(tiny_bundle, [request], 16)
-            assert np.max(np.abs(got.latent - want.latent)) \
-                <= 1e-5 * np.max(np.abs(want.latent))
-            assert np.max(np.abs(got.seed.symbols - want.seed.symbols)) \
-                <= 1e-5
-            assert abs(got.seed.scale - want.seed.scale) \
-                <= 1e-5 * want.seed.scale
-            assert got.frame.payload.size == want.frame.payload.size
+        frames, latents = es_handle_request(tiny_bundle, requests, 16)
+        assert isinstance(frames, list) and len(frames) == len(requests)
+        assert latents.shape == (len(requests),) + tiny_bundle.latent_shape
+        for request, got, latent in zip(requests, frames, latents):
+            (want,), (want_latent,) = es_handle_request(tiny_bundle,
+                                                        [request], 16)
+            assert np.max(np.abs(latent - want_latent)) \
+                <= 1e-5 * np.max(np.abs(want_latent))
+            assert np.max(np.abs(got.payload - want.payload)) <= 1e-5
+            assert abs(got.scale - want.scale) <= 1e-5 * want.scale
+            assert got.payload.size == want.payload.size
 
     def test_one_request_equals_the_reference(self, tiny_bundle):
         request = self._requests(tiny_bundle)[0]
-        want = reference_es_handle_request(tiny_bundle, request, 16)
-        (got,) = es_handle_request(tiny_bundle, [request], 16)
-        assert np.array_equal(got.latent, want.latent)
-        assert np.array_equal(got.seed.symbols, want.seed.symbols)
-        assert got.seed.scale == want.seed.scale
-        assert encode_frame(got.frame) == encode_frame(want.frame)
+        want, want_latent = reference_es_handle_request(tiny_bundle, request,
+                                                        16)
+        (got,), (latent,) = es_handle_request(tiny_bundle, [request], 16)
+        assert np.array_equal(latent, want_latent)
+        assert np.array_equal(got.payload, want.payload)
+        assert got.scale == want.scale
+        assert encode_frame(got) == encode_frame(want)
 
     def test_each_request_draws_its_own_noise(self, tiny_bundle,
                                               monkeypatch):
@@ -183,7 +174,7 @@ class TestEsBatch:
                             seen.append(noise.copy())
                             or generate(den, prompts, noise, sched))
         requests = self._requests(tiny_bundle, seeds=(5, 9, 5, 2))
-        batch = es_handle_request(tiny_bundle, requests, 16)
+        frames, _ = es_handle_request(tiny_bundle, requests, 16)
         (noise,) = seen
         for request, row in zip(requests, noise):
             want = as_rng(request.noise_seed) \
@@ -191,7 +182,26 @@ class TestEsBatch:
             assert np.array_equal(row, want.astype(np.float32))
         # requests 0 and 2 share a noise seed, so they share a noise row
         assert np.array_equal(noise[0], noise[2])
-        assert len(batch) == len(requests)
+        assert len(frames) == len(requests)
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_frames_carry_the_codec_rows(self, tiny_bundle, cells):
+        # each frame holds its compress row and scale bit for bit, the rate
+        # and shapes the receiver reads, and crosses the wire unchanged
+        codec = tiny_bundle.codec_for(0.5)
+        frames, latents = es_handle_request(
+            tiny_bundle, self._requests(tiny_bundle), 8, cells=cells)
+        symbols, scales = codec.compress(
+            latents.reshape((cells, -1) + codec.latent_shape))
+        assert len(frames) == len(symbols) == 4
+        for frame, row, scale in zip(frames, symbols, scales):
+            assert frame.payload.tobytes() == row.tobytes()
+            assert frame.scale == scale
+            assert frame.rate_fixed == round(0.5 * 2 ** 16)
+            assert frame.latent_shape == tiny_bundle.latent_shape
+            assert frame.block_length == 8
+            data = encode_frame(frame)
+            assert encode_frame(decode_frame(data)) == data
 
     def test_cells_split_into_equal_groups(self, tiny_bundle):
         requests = self._requests(tiny_bundle)
@@ -261,12 +271,12 @@ class TestEndToEnd:
         report = run_end_to_end(tiny_bundle, [self._spec(prompts)])
         codec = tiny_bundle.codec_for(0.5)
         for i, prompt in enumerate(prompts):
-            (res,) = es_handle_request(
+            (frame,), _ = es_handle_request(
                 tiny_bundle, [GenerationRequest(prompt, 0.5,
                                                 tiny_bundle.image_shape,
                                                 derive_seed(3, 0, i))], 16)
             (local,) = tiny_bundle.autoencoder.decode(
-                codec.decompress(res.seed.symbols[None], [res.seed.scale]))
+                codec.decompress(frame.payload[None], [frame.scale]))
             remote = report[0, "meg"].images[i]
             assert np.max(np.abs(local - remote)) < 1e-6
 
@@ -320,7 +330,7 @@ class TestChunk:
              (None, "rayleigh_block", 7))
 
     def _specs(self):
-        return [RunSpec(self.PROMPTS, 0.5, snr, kind, 16, seed, "c0ffee")
+        return [RunSpec(self.PROMPTS, 0.5, snr, kind, 16, seed)
                 for snr, kind, seed in self.CELLS]
 
     def test_chunk_equals_one_cell_chunks(self, tiny_bundle):
@@ -347,8 +357,7 @@ class TestChunk:
                                                             tiny_bundle):
         spec = self._specs()[0]
         for other in (replace(spec, prompts=self.PROMPTS[:2]),
-                      replace(spec, block_length=8),
-                      replace(spec, config_hash="other")):
+                      replace(spec, block_length=8)):
             with pytest.raises(ProtocolError, match="share"):
                 run_end_to_end(tiny_bundle, [spec, other])
         with pytest.raises(ValueError, match="at least one"):
@@ -403,13 +412,14 @@ class TestUeReceive:
 
     @staticmethod
     def _serve(bundle, prompts, rate):
-        return es_handle_request(bundle, [
+        frames, _ = es_handle_request(bundle, [
             GenerationRequest(p, rate, bundle.image_shape, derive_seed(7, i))
             for i, p in enumerate(prompts)], 16)
+        return frames
 
     @staticmethod
     def _check(bundle, served, received, symbols=None):
-        wire = [encode_frame(res.frame) for res in served]
+        wire = [encode_frame(frame) for frame in served]
         got = protocol.ue_receive(bundle, wire, received)
         frames = [decode_frame(data) for data in wire]
         if symbols is None:
@@ -423,7 +433,7 @@ class TestUeReceive:
         served = self._serve(tiny_bundle, self.PROMPTS, 0.5)
         trace = ch.sample_fading_trace(
             ch.ChannelModel("rayleigh_block", 16), 8, 3)
-        sent = transmit_stream(np.stack([res.frame.payload for res in served]),
+        sent = transmit_stream(np.stack([frame.payload for frame in served]),
                                trace, 0.3, np.random.default_rng(2))
         self._check(tiny_bundle, served, sent, recover_stream(*sent))
 
@@ -440,7 +450,7 @@ class TestUeReceive:
         half = self._serve(bundle, self.PROMPTS[:2], 0.5)
         quarter = self._serve(bundle, self.PROMPTS[:2], 0.25)
         for served in (half + quarter, quarter + half):
-            wire = [encode_frame(res.frame) for res in served]
+            wire = [encode_frame(frame) for frame in served]
             with pytest.raises(ProtocolError, match="one codec rate"):
                 protocol.ue_receive(bundle, wire, None)
         self._check(bundle, quarter, None)
@@ -543,19 +553,20 @@ class TestBatchedLink:
         codec = tiny_bundle.codec_for(0.5)
         # the server compresses the stacked latents in one call, as
         # production does; the link below stays per prompt
-        seeds = codec.compress(report.latents[0])
+        symbols, scales = codec.compress(report.latents[0])
         for mode_idx, mode in enumerate(metrics.MODES):
             rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
             noise_std = ch.snr_to_noise_std(spec.snr_db, 1.0)
             images, received = [], []
-            for truth, latent, seed in zip(report.ground_truths[0],
-                                           report.latents[0], seeds):
+            for truth, latent, seed, scale in zip(report.ground_truths[0],
+                                                  report.latents[0], symbols,
+                                                  scales):
                 if mode == "meg":
                     blocks = reference_transmit_stream(
-                        seed.symbols, report.traces[0], noise_std, rng)
-                    flat = reference_recover_stream(blocks, seed.symbols.size)
+                        seed, report.traces[0], noise_std, rng)
+                    flat = reference_recover_stream(blocks, seed.size)
                     images.append(tiny_bundle.autoencoder.decode(
-                        codec.decompress(flat[None], [seed.scale]))[0])
+                        codec.decompress(flat[None], [scale]))[0])
                 else:
                     payload = (truth if mode == "centralized" else latent) \
                         .reshape(-1).astype(np.float64)

@@ -43,16 +43,16 @@ class TestCompressDecompress:
     def test_length_and_power_contract(self, small_pair, rng):
         z = rng.standard_normal((1,) + small_pair.latent_shape) \
             .astype(np.float32)
-        (seed,) = small_pair.compress(z)
-        assert seed.symbols.size == seedcodec.seed_length(32, 0.5)
-        assert abs(np.mean(seed.symbols.astype(np.float64) ** 2) - 1.0) < 1e-5
+        (symbols,), _ = small_pair.compress(z)
+        assert symbols.size == seedcodec.seed_length(32, 0.5)
+        assert abs(np.mean(symbols.astype(np.float64) ** 2) - 1.0) < 1e-5
 
     def test_deterministic(self, small_pair, rng):
         z = rng.standard_normal((1,) + small_pair.latent_shape) \
             .astype(np.float32)
-        (a,) = small_pair.compress(z)
-        (b,) = small_pair.compress(z)
-        assert np.array_equal(a.symbols, b.symbols) and a.scale == b.scale
+        a, a_scales = small_pair.compress(z)
+        b, b_scales = small_pair.compress(z)
+        assert np.array_equal(a, b) and np.array_equal(a_scales, b_scales)
 
     def test_shape_mismatch(self, small_pair):
         for bad in ((1, 3, 4, 4), small_pair.latent_shape, (32,)):
@@ -62,8 +62,8 @@ class TestCompressDecompress:
     def test_round_trip_shape(self, small_pair, rng):
         z = rng.standard_normal((1,) + small_pair.latent_shape) \
             .astype(np.float32)
-        (seed,) = small_pair.compress(z)
-        back = small_pair.decompress(seed.symbols[None], [seed.scale])
+        symbols, scales = small_pair.compress(z)
+        back = small_pair.decompress(symbols, scales)
         assert back.shape == (1,) + small_pair.latent_shape
 
     def test_zero_symbols_decode_finite(self, small_pair):
@@ -113,37 +113,35 @@ class TestCompressBatch:
     def test_batch_matches_single_calls(self, small_pair, rng):
         z = rng.standard_normal((6,) + small_pair.latent_shape) \
             .astype(np.float32)
-        seeds = small_pair.compress(z)
-        assert len(seeds) == 6
-        for row, seed in zip(z, seeds):
-            (one,) = small_pair.compress(row[None])
-            assert np.max(np.abs(seed.symbols - one.symbols)) <= 1e-5
-            assert abs(seed.scale - one.scale) <= 1e-5 * one.scale
-            assert (seed.rate, seed.latent_shape) == (one.rate,
-                                                      one.latent_shape)
+        symbols, scales = small_pair.compress(z)
+        assert symbols.shape == (6, small_pair.seed_len)
+        assert scales.shape == (6,)
+        for row, got, scale in zip(z, symbols, scales):
+            (one,), (one_scale,) = small_pair.compress(row[None])
+            assert np.max(np.abs(got - one)) <= 1e-5
+            assert abs(scale - one_scale) <= 1e-5 * one_scale
 
     def test_one_latent_and_one_row_batch_equal_the_reference(self,
                                                                small_pair,
                                                                rng):
         z = rng.standard_normal(small_pair.latent_shape).astype(np.float32)
         symbols, scale = reference_compress(small_pair, z)
-        seeds = small_pair.compress(z[None])
-        assert isinstance(seeds, list) and len(seeds) == 1
-        (seed,) = seeds
-        assert isinstance(seed, seedcodec.Seed)
-        assert seed.symbols.dtype == np.float32
-        assert np.array_equal(seed.symbols, symbols)
-        assert seed.scale == scale
+        got, scales = small_pair.compress(z[None])
+        assert got.shape == (1, small_pair.seed_len)
+        assert got.dtype == np.float32 and scales.dtype == np.float64
+        assert np.array_equal(got[0], symbols)
+        assert scales[0] == scale
 
     def test_stack_encodes_each_batch_as_its_own_call(self, small_pair, rng):
         z = rng.standard_normal((3, 5) + small_pair.latent_shape) \
             .astype(np.float32)
-        seeds = small_pair.compress(z)
-        want = [seed for batch in z for seed in small_pair.compress(batch)]
-        assert len(seeds) == 15
-        for got, one in zip(seeds, want):
-            assert got.symbols.tobytes() == one.symbols.tobytes()
-            assert got.scale == one.scale
+        symbols, scales = small_pair.compress(z)
+        want = [small_pair.compress(batch) for batch in z]
+        assert symbols.shape == (15, small_pair.seed_len)
+        assert symbols.tobytes() == np.concatenate(
+            [one for one, _ in want]).tobytes()
+        assert np.array_equal(scales,
+                              np.concatenate([one for _, one in want]))
 
     def test_zero_power_row_rejected(self):
         pair = seedcodec.CodecPair((1, 2, 2), 0.5, hidden=8, rng=0)
@@ -214,8 +212,9 @@ class TestTraining:
 
         def recon_err(pair):
             total = 0.0
-            for z, seed in zip(latents[:20], pair.compress(latents[:20])):
-                (back,) = pair.decompress(seed.symbols[None], [seed.scale])
+            for z, symbols, scale in zip(latents[:20],
+                                         *pair.compress(latents[:20])):
+                (back,) = pair.decompress(symbols[None], [scale])
                 total += float(np.mean((back - z) ** 2))
             return total
 
@@ -254,5 +253,5 @@ class TestReferenceArchitecture:
         assert meta["note"] == 1 and meta["rate"] == 0.5
         z = rng.standard_normal((2,) + small_pair.latent_shape) \
             .astype(np.float32)
-        for a, b in zip(small_pair.compress(z), loaded.compress(z)):
-            assert np.array_equal(a.symbols, b.symbols)
+        assert np.array_equal(small_pair.compress(z)[0],
+                              loaded.compress(z)[0])
