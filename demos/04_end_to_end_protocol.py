@@ -19,9 +19,8 @@ bundle = experiments.cmd_train(cfg).bundle
 prompts = sample_prompts(16, derive_seed(cfg.seed, 20))
 print(f"evaluation prompts: {prompts[:3]} ... ({len(prompts)} total)\n")
 
-(frame,), _ = protocol.es_handle_request(
-    bundle, [protocol.GenerationRequest(prompts[0], 0.5, cfg.image_shape, 1)],
-    cfg.block_length)
+(frame,), _ = protocol.es_handle_request(bundle, prompts[:1], [1], 0.5,
+                                         cfg.block_length)
 wire = protocol.encode_frame(frame)
 print(f"seed frame for one prompt: {len(wire)} bytes "
       f"({frame.payload.size} float32 symbols + 33-byte header), "
@@ -30,9 +29,9 @@ print(f"seed frame for one prompt: {len(wire)} bytes "
 # the three SNRs are one chunk of cells, served in one call; each cell
 # keeps its own trace and noise, so it scores as it would alone
 snrs = (30.0, 0.0, -10.0)
-report = protocol.run_end_to_end(bundle, [
-    protocol.RunSpec(prompts, 0.5, snr_db, cfg.channel_kind,
-                     cfg.block_length, seed=42) for snr_db in snrs])
+report = protocol.run_end_to_end(
+    bundle, prompts, 0.5, cfg.block_length,
+    [protocol.RunSpec(snr_db, cfg.channel_kind, seed=42) for snr_db in snrs])
 print(f"{'snr':>6}  {'mode':<12} {'psnr_db':>8} {'fid_proxy':>10} {'symbols':>8}")
 for cell, snr_db in enumerate(snrs):
     for mode in metrics.MODES:

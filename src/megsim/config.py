@@ -131,6 +131,9 @@ class ExperimentConfig:
             raise ValueError("[power] budgets must be positive")
         if not self.eval_prompt.split():
             raise ValueError("[eval] prompt must hold at least one word")
+        # consumers split it into words: one spelling per experiment
+        if self.eval_prompt != " ".join(self.eval_prompt.split()):
+            raise ValueError("[eval] prompt must be single-spaced words")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.channel_kind not in KINDS:
@@ -245,10 +248,11 @@ def config_hash(cfg: ExperimentConfig, sections=None, extra="",
 
 
 def read_config_file(path) -> dict:
-    """A key-value file's settings as ``{attribute: value}``. A file that
+    """A UTF-8 key-value file's settings as ``{attribute: value}``, each
+    value read literally (no ``%`` interpolation). A file that
     configparser cannot read raises a ValueError of one line naming it."""
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
+    parser = configparser.ConfigParser(interpolation=None)
+    with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
         except configparser.Error as exc:
@@ -258,13 +262,13 @@ def read_config_file(path) -> dict:
         if section not in _SCHEMA:
             raise ValueError(f"unknown config section [{section}]")
         known = {key: (attr, kind) for key, attr, kind in _SCHEMA[section]}
-        for key, value in parser.items(section, raw=True):
+        for key, value in parser.items(section):
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             attr, kind = known[key]
             try:
-                updates[attr] = _parse_value(parser.get(section, key), kind)
-            except (ValueError, configparser.Error) as exc:
+                updates[attr] = _parse_value(value, kind)
+            except ValueError as exc:
                 raise ValueError(f"[{section}] {key} = {value!r}: {exc}") \
                     from exc
     return updates

@@ -298,18 +298,18 @@ def cmd_sweep(cfg: ExperimentConfig):
     else:
         bundle = load_bundle(cfg)
         prompts = _eval_prompt_set(cfg)
-        for _, cells in itertools.groupby(enumerate(grid),
-                                          lambda cell: cell[1][0]):
+        for rate, cells in itertools.groupby(enumerate(grid),
+                                             lambda cell: cell[1][0]):
             cells = list(cells)
             for lo in range(0, len(cells), SWEEP_CHUNK):
-                chunk = [(rate, snr, trial, derive_seed(cfg.seed, 100, index))
-                         for index, (rate, snr, trial)
+                chunk = [(snr, trial, derive_seed(cfg.seed, 100, index))
+                         for index, (_, snr, trial)
                          in cells[lo:lo + SWEEP_CHUNK]]
-                report = run_end_to_end(bundle, [
-                    RunSpec(prompts, rate, snr, cfg.channel_kind,
-                            cfg.block_length, cell_seed)
-                    for rate, snr, _, cell_seed in chunk])
-                for (cell, (rate, snr, trial, cell_seed)), mode in \
+                report = run_end_to_end(
+                    bundle, prompts, rate, cfg.block_length,
+                    [RunSpec(snr, cfg.channel_kind, cell_seed)
+                     for snr, _, cell_seed in chunk])
+                for (cell, (snr, trial, cell_seed)), mode in \
                         itertools.product(enumerate(chunk), metrics.MODES):
                     r = report[cell, mode].report
                     rows.append((mode, rate, snr, trial, r.psnr_db,
@@ -481,9 +481,9 @@ def cmd_eval(cfg: ExperimentConfig):
     chunk of one cell."""
     bundle = load_bundle(cfg)
     prompts = [cfg.eval_prompt] + _eval_prompt_set(cfg)[:cfg.eval_prompts - 1]
-    spec = RunSpec(prompts, cfg.eval_rate, cfg.eval_snr_db, cfg.channel_kind,
-                   cfg.block_length, derive_seed(cfg.seed, 40))
-    report = run_end_to_end(bundle, [spec])
+    report = run_end_to_end(bundle, prompts, cfg.eval_rate, cfg.block_length,
+                            [RunSpec(cfg.eval_snr_db, cfg.channel_kind,
+                                     derive_seed(cfg.seed, 40))])
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "eval.csv")
     chash = config_hash(cfg)

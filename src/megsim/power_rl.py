@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channel as ch
 from . import metrics, nn
-from .protocol import ModelBundle, es_handle_request, GenerationRequest
+from .protocol import ModelBundle, es_handle_request
 from .util import as_rng, derive_seed
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -185,10 +185,10 @@ class SeedTransmissionEnv:
         self._trace_rng = as_rng(derive_seed(seed, 0xE0))
         self._episode_index = 0
 
-        frames, latents = es_handle_request(bundle, [
-            GenerationRequest(prompt, rate, bundle.image_shape,
-                              derive_seed(seed, 0xE1, i))
-            for i, prompt in enumerate(prompts)], block_length)
+        frames, latents = es_handle_request(
+            bundle, prompts,
+            [derive_seed(seed, 0xE1, i) for i in range(len(prompts))], rate,
+            block_length)
         truths = bundle.autoencoder.decode(latents)
         self.ground_truths = list(truths)
         self._scales = np.array([fr.scale for fr in frames])[:, None]

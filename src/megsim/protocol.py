@@ -88,15 +88,7 @@ def decode_frame(data: bytes) -> SeedFrame:
 
 
 # ---------------------------------------------------------------------------
-# requests, bundles, results
-
-@dataclass
-class GenerationRequest:
-    prompt: str
-    rate: float
-    image_shape: tuple
-    noise_seed: int
-
+# bundles and results
 
 @dataclass
 class ModelBundle:
@@ -115,32 +107,28 @@ class ModelBundle:
         return self.codecs[rate]
 
 
-def es_handle_request(bundle: ModelBundle, requests, block_length: int,
-                      cells=1):
+def es_handle_request(bundle: ModelBundle, prompts, noise_seeds, rate,
+                      block_length: int, cells=1):
     """Server side: embed, generate, compress, frame. A non-empty list of
-    N requests sharing a rate is served as one batch, each noise drawn
-    from its request's ``noise_seed``; returns (frames, latents), one
-    SeedFrame per request and the sampled latents [N, *latent_shape], in
-    request order. The batch may hold ``cells`` equal groups of
-    consecutive requests, one per sweep cell: the sampler runs on every
-    row at once and the codec encoder group by group, as each group alone
-    (see ``nn``)."""
-    if not isinstance(requests, list) or not requests or not all(
-            isinstance(r, GenerationRequest) for r in requests):
-        raise ProtocolError("expected a non-empty list of GenerationRequest")
-    if len({(r.rate, tuple(r.image_shape)) for r in requests}) > 1:
-        raise ProtocolError("batched requests must share rate and dims")
-    if tuple(requests[0].image_shape) != tuple(bundle.image_shape):
-        raise ProtocolError(f"request dims {requests[0].image_shape} do not "
-                            f"match deployed model dims {bundle.image_shape}")
-    if len(requests) % cells:
-        raise ProtocolError(f"{len(requests)} requests do not split into "
+    N prompts is served as one batch at one codec ``rate``, each noise
+    drawn from the prompt's entry of ``noise_seeds``; returns (frames,
+    latents), one SeedFrame per prompt and the sampled latents [N,
+    *latent_shape], in prompt order. The batch may hold ``cells`` equal
+    groups of consecutive prompts, one per sweep cell: the sampler runs on
+    every row at once and the codec encoder group by group, as each group
+    alone (see ``nn``)."""
+    if not prompts or len(noise_seeds) != len(prompts):
+        raise ProtocolError(f"expected at least one prompt and one noise "
+                            f"seed per prompt, got {len(prompts)} prompts "
+                            f"and {len(noise_seeds)} noise seeds")
+    if len(prompts) % cells:
+        raise ProtocolError(f"{len(prompts)} prompts do not split into "
                             f"{cells} equal groups")
-    codec = bundle.codec_for(requests[0].rate)
-    noise = np.stack([as_rng(r.noise_seed).standard_normal(bundle.latent_shape)
-                      for r in requests]).astype(np.float32)
-    latents = genmodel.generate_latent(
-        bundle.denoiser, [r.prompt for r in requests], noise, bundle.schedule)
+    codec = bundle.codec_for(rate)
+    noise = np.stack([as_rng(seed).standard_normal(bundle.latent_shape)
+                      for seed in noise_seeds]).astype(np.float32)
+    latents = genmodel.generate_latent(bundle.denoiser, prompts, noise,
+                                       bundle.schedule)
     symbols, scales = codec.compress(
         latents.reshape((cells, -1) + bundle.latent_shape))
     rate_fixed = int(round(codec.rate * RATE_FIXED_ONE))
@@ -249,17 +237,16 @@ def batch_report(images, ground_truths, extractor, symbols,
 class RunSpec:
     """One paired trial, a sweep cell: every mode rides the same fading
     trace."""
-    prompts: list
-    rate: float
     snr_db: float | None          # None is the perfect channel
     channel_kind: str = "rayleigh_block"
-    block_length: int = 16
     seed: int = 0
 
 
-def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
+def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
+                   specs) -> EndToEndReport:
     """Generate, transmit under every mode, decode and score one chunk of
-    cells, a list of RunSpecs that share prompts, rate and block length.
+    cells: the same prompts at one codec rate and block length, one
+    RunSpec per cell.
 
     Each cell keeps its own seed paths, fading trace, noise and SNR. The
     sampler and the decodes of the ground truths and of the raw-feature
@@ -272,20 +259,14 @@ def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
     cell (checked end to end at 10 to 64 for chunks of 2 to 4 cells), but
     not at 9 or fewer, where the sampler's latents already differ.
     """
-    if not specs or not specs[0].prompts:
+    if not specs or not prompts:
         raise ValueError("at least one cell and one prompt are required")
-    first = specs[0]
-    if len({(tuple(spec.prompts), spec.rate, spec.block_length)
-            for spec in specs}) > 1:
-        raise ProtocolError("the cells of a chunk must share prompts, rate "
-                            "and block length")
-    cells, prompts = len(specs), len(first.prompts)
-    frames, latents = es_handle_request(bundle, [
-        GenerationRequest(prompt, first.rate, bundle.image_shape,
-                          derive_seed(spec.seed, 0, i))
-        for spec in specs for i, prompt in enumerate(first.prompts)],
-        first.block_length, cells)
-    stack = (cells, prompts)
+    cells, count = len(specs), len(prompts)
+    frames, latents = es_handle_request(
+        bundle, list(prompts) * cells,
+        [derive_seed(spec.seed, 0, i) for spec in specs for i in range(count)],
+        rate, block_length, cells)
+    stack = (cells, count)
     truths = bundle.autoencoder.decode(latents).reshape(
         stack + bundle.image_shape)
     latents = latents.reshape(stack + bundle.latent_shape)
@@ -295,9 +276,9 @@ def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
     counts = {"centralized": int(np.prod(bundle.image_shape)),
               "raw_feature": int(np.prod(bundle.latent_shape)),
               "meg": frames[0].payload.size}
-    blocks = ch.block_count(max(counts.values()), first.block_length)
+    blocks = ch.block_count(max(counts.values()), block_length)
     traces = [ch.sample_fading_trace(
-        ch.ChannelModel(spec.channel_kind, spec.block_length), blocks,
+        ch.ChannelModel(spec.channel_kind, block_length), blocks,
         derive_seed(spec.seed, 1)) for spec in specs]
 
     results = {}
@@ -310,14 +291,14 @@ def run_end_to_end(bundle: ModelBundle, specs) -> EndToEndReport:
             noise_std = None if spec.snr_db is None \
                 else ch.snr_to_noise_std(spec.snr_db, 1.0)
             if mode == "meg":
-                served = frames[cell * prompts:(cell + 1) * prompts]
+                served = frames[cell * count:(cell + 1) * count]
                 sent = None if noise_std is None else transmit_stream(
                     np.stack([frame.payload for frame in served]), trace,
                     noise_std, noise_rng)
                 batch[cell] = ue_receive(
                     bundle, [encode_frame(frame) for frame in served], sent)
                 continue
-            payloads = source[cell].reshape(prompts, -1).astype(np.float64)
+            payloads = source[cell].reshape(count, -1).astype(np.float64)
             if noise_std is not None:
                 # each row is sent at unit RMS power and rescaled on receipt
                 scale = np.sqrt(np.mean(payloads ** 2, axis=1, keepdims=True))

@@ -40,10 +40,10 @@ def low_snr_ordering(bundle, cfg):
     psnrs = {m: [] for m in MODES}
     for trial in range(5):
         for snr in (-10.0, 30.0):
-            spec = protocol.RunSpec(prompts, 0.5, snr, cfg.channel_kind,
-                                    cfg.block_length,
+            spec = protocol.RunSpec(snr, cfg.channel_kind,
                                     derive_seed(cfg.seed, 100, trial))
-            rep = protocol.run_end_to_end(bundle, [spec])
+            rep = protocol.run_end_to_end(bundle, prompts, 0.5,
+                                          cfg.block_length, [spec])
             for m in MODES:
                 if snr == -10.0:
                     fids[m].append(rep[0, m].report.fid_score)

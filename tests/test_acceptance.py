@@ -242,16 +242,14 @@ def test_criterion_10_protocol_exactness(desk_bundle, desk_cfg):
         if protocol.encode_frame(protocol.decode_frame(data)) != data:
             mismatches += 1
     prompts = corpus.sample_prompts(4, derive_seed(desk_cfg.seed, 20))
-    spec = protocol.RunSpec(prompts, 0.5, None, "awgn",
-                            desk_cfg.block_length, 11)
-    rep = protocol.run_end_to_end(desk_bundle, [spec])
+    rep = protocol.run_end_to_end(desk_bundle, prompts, 0.5,
+                                  desk_cfg.block_length,
+                                  [protocol.RunSpec(None, "awgn", 11)])
     codec = desk_bundle.codec_for(0.5)
     worst = 0.0
     for i, prompt in enumerate(prompts):
         (frame,), _ = protocol.es_handle_request(
-            desk_bundle,
-            [protocol.GenerationRequest(prompt, 0.5, desk_bundle.image_shape,
-                                        derive_seed(11, 0, i))],
+            desk_bundle, [prompt], [derive_seed(11, 0, i)], 0.5,
             desk_cfg.block_length)
         (local,) = desk_bundle.autoencoder.decode(
             codec.decompress(frame.payload[None], [frame.scale]))

@@ -7,6 +7,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from megsim import config, corpus, experiments
 from megsim.cli import main as cli_main
@@ -66,6 +68,44 @@ class TestConfig:
         path2.write_text("\n".join(scrambled))
         assert config.config_hash(config.load_config(str(path2))) \
             == config.config_hash(cfg)
+
+    def test_percent_in_a_value_round_trips(self, tmp_path, monkeypatch):
+        # values are read literally: no '%' interpolation
+        for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(name)
+        cfg = replace(config.desk_config(), eval_prompt="50% blob %(x)s %%")
+        path = tmp_path / "percent.cfg"
+        path.write_text(config.render_config(cfg), encoding="utf-8")
+        loaded = config.load_config(str(path))
+        assert loaded.eval_prompt == "50% blob %(x)s %%"
+        assert config.config_hash(loaded) == config.config_hash(cfg)
+
+    @given(st.text(st.characters(exclude_categories=("Cs",)), min_size=1))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_canonical_prompt_round_trips(self, tmp_path, monkeypatch,
+                                                text):
+        # surrogates are excluded: no UTF-8 file can hold one
+        prompt = " ".join(text.split())
+        assume(prompt)
+        for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(name)
+        cfg = replace(config.desk_config(), eval_prompt=prompt)
+        path = tmp_path / "prompt.cfg"
+        path.write_text(config.render_config(cfg), encoding="utf-8")
+        loaded = config.load_config(str(path))
+        assert loaded.eval_prompt == prompt
+        assert config.config_hash(loaded) == config.config_hash(cfg)
+
+    def test_non_canonical_eval_prompt_refused(self):
+        # a file could not keep these spellings apart from the canonical one
+        for prompt in (" large rings", "large rings ", "large  rings",
+                       "large\nrings", "large\trings", "large\u3000rings"):
+            with pytest.raises(ValueError, match=re.escape(
+                    "[eval] prompt must be single-spaced words")):
+                replace(config.desk_config(), eval_prompt=prompt)
+        assert replace(config.desk_config(),
+                       eval_prompt="large rings").eval_prompt == "large rings"
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -735,9 +775,11 @@ class TestSweep:
         whole = experiments.SWEEP_CHUNK
         calls = []
         run = experiments.run_end_to_end
-        monkeypatch.setattr(experiments, "run_end_to_end",
-                            lambda bundle, specs: calls.append(len(specs))
-                            or run(bundle, specs))
+        monkeypatch.setattr(
+            experiments, "run_end_to_end",
+            lambda bundle, prompts, rate, block_length, specs:
+            calls.append(len(specs))
+            or run(bundle, prompts, rate, block_length, specs))
         chunked = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", 1)
         cells = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
@@ -1033,8 +1075,8 @@ class TestCli:
          "'run' already exists"),
         ("[run]\nseed\n", "table",
          "Source contains parsing errors: '{path}' [line 2]: 'seed\\n'"),
-        ("[eval]\nprompt = 50% blob\n", "eval",
-         "[eval] prompt = '50% blob': '%' must be followed by")])
+        ("[eval]\nprompt = large  rings\n", "eval",
+         "[eval] prompt must be single-spaced words")])
     def test_out_of_range_setting_is_one_error_line(
             self, tmp_path, capsys, monkeypatch, text, command, words):
         for key in [k for k in os.environ if k.startswith("MEGSIM_")]:

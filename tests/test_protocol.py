@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from megsim import channel as ch
 from megsim import config, corpus, experiments, genmodel, metrics, protocol
 from megsim.errors import DimensionError, FrameError, ProtocolError
-from megsim.protocol import (GenerationRequest, RunSpec, decode_frame,
-                             encode_frame, es_handle_request, recover_stream,
+from megsim.protocol import (RunSpec, decode_frame, encode_frame,
+                             es_handle_request, recover_stream,
                              run_end_to_end, transmit_stream)
 from megsim.seedcodec import CodecPair
 from megsim.util import as_rng, derive_seed
@@ -88,9 +88,9 @@ class TestChunking:
 
 class TestEsSide:
     def _serve(self, bundle, seed=1):
-        """One request, served as a batch of one; returns its frame."""
-        (frame,), _ = es_handle_request(bundle, [GenerationRequest(
-            "large blob left", 0.5, bundle.image_shape, seed)], 16)
+        """One prompt, served as a batch of one; returns its frame."""
+        (frame,), _ = es_handle_request(bundle, ["large blob left"], [seed],
+                                        0.5, 16)
         return frame
 
     def test_payload_length_matches_rate(self, tiny_bundle):
@@ -106,24 +106,19 @@ class TestEsSide:
         data = encode_frame(self._serve(tiny_bundle))
         assert encode_frame(decode_frame(data)) == data
 
-    def test_dims_mismatch_rejected(self, tiny_bundle):
-        bad = GenerationRequest("blob", 0.5, (1, 64, 64), 0)
-        with pytest.raises(ProtocolError, match="dims"):
-            es_handle_request(tiny_bundle, [bad], 16)
-
     def test_unknown_rate_rejected(self, tiny_bundle):
-        bad = GenerationRequest("blob", 0.25, tiny_bundle.image_shape, 0)
         with pytest.raises(ProtocolError, match="rate"):
-            es_handle_request(tiny_bundle, [bad], 16)
+            es_handle_request(tiny_bundle, ["blob"], [0], 0.25, 16)
 
 
-def reference_es_handle_request(bundle, request, block_length):
-    """The one-request server path: sample one latent as a batch of one,
+def reference_es_handle_request(bundle, prompt, noise_seed, rate,
+                                block_length):
+    """The one-prompt server path: sample one latent as a batch of one,
     encode the flat vector and divide by its RMS, frame. Returns (frame,
     latent)."""
-    codec = bundle.codec_for(request.rate)
-    noise = as_rng(request.noise_seed).standard_normal(bundle.latent_shape)
-    (latent,) = genmodel.generate_latent(bundle.denoiser, [request.prompt],
+    codec = bundle.codec_for(rate)
+    noise = as_rng(noise_seed).standard_normal(bundle.latent_shape)
+    (latent,) = genmodel.generate_latent(bundle.denoiser, [prompt],
                                          noise[None].astype(np.float32),
                                          bundle.schedule)
     raw = codec.enc.forward(latent.reshape(1, -1), cache=False)[0]
@@ -135,20 +130,19 @@ def reference_es_handle_request(bundle, request, block_length):
 
 
 class TestEsBatch:
-    PROMPTS = ("large blob left", "tiny stripes top", "rings center", "blob")
-
-    def _requests(self, bundle, seeds=(10, 11, 12, 13)):
-        return [GenerationRequest(p, 0.5, bundle.image_shape, s)
-                for p, s in zip(self.PROMPTS, seeds)]
+    PROMPTS = ["large blob left", "tiny stripes top", "rings center", "blob"]
+    SEEDS = [10, 11, 12, 13]
 
     def test_batch_matches_single_requests(self, tiny_bundle):
-        requests = self._requests(tiny_bundle)
-        frames, latents = es_handle_request(tiny_bundle, requests, 16)
-        assert isinstance(frames, list) and len(frames) == len(requests)
-        assert latents.shape == (len(requests),) + tiny_bundle.latent_shape
-        for request, got, latent in zip(requests, frames, latents):
-            (want,), (want_latent,) = es_handle_request(tiny_bundle,
-                                                        [request], 16)
+        frames, latents = es_handle_request(tiny_bundle, self.PROMPTS,
+                                            self.SEEDS, 0.5, 16)
+        assert isinstance(frames, list) and len(frames) == len(self.PROMPTS)
+        assert latents.shape == (len(self.PROMPTS),) \
+            + tiny_bundle.latent_shape
+        for prompt, seed, got, latent in zip(self.PROMPTS, self.SEEDS, frames,
+                                             latents):
+            (want,), (want_latent,) = es_handle_request(tiny_bundle, [prompt],
+                                                        [seed], 0.5, 16)
             assert np.max(np.abs(latent - want_latent)) \
                 <= 1e-5 * np.max(np.abs(want_latent))
             assert np.max(np.abs(got.payload - want.payload)) <= 1e-5
@@ -156,10 +150,11 @@ class TestEsBatch:
             assert got.payload.size == want.payload.size
 
     def test_one_request_equals_the_reference(self, tiny_bundle):
-        request = self._requests(tiny_bundle)[0]
-        want, want_latent = reference_es_handle_request(tiny_bundle, request,
-                                                        16)
-        (got,), (latent,) = es_handle_request(tiny_bundle, [request], 16)
+        prompt, seed = self.PROMPTS[0], self.SEEDS[0]
+        want, want_latent = reference_es_handle_request(tiny_bundle, prompt,
+                                                        seed, 0.5, 16)
+        (got,), (latent,) = es_handle_request(tiny_bundle, [prompt], [seed],
+                                              0.5, 16)
         assert np.array_equal(latent, want_latent)
         assert np.array_equal(got.payload, want.payload)
         assert got.scale == want.scale
@@ -173,16 +168,16 @@ class TestEsBatch:
                             lambda den, prompts, noise, sched:
                             seen.append(noise.copy())
                             or generate(den, prompts, noise, sched))
-        requests = self._requests(tiny_bundle, seeds=(5, 9, 5, 2))
-        frames, _ = es_handle_request(tiny_bundle, requests, 16)
+        seeds = [5, 9, 5, 2]
+        frames, _ = es_handle_request(tiny_bundle, self.PROMPTS, seeds, 0.5,
+                                      16)
         (noise,) = seen
-        for request, row in zip(requests, noise):
-            want = as_rng(request.noise_seed) \
-                .standard_normal(tiny_bundle.latent_shape)
+        for seed, row in zip(seeds, noise):
+            want = as_rng(seed).standard_normal(tiny_bundle.latent_shape)
             assert np.array_equal(row, want.astype(np.float32))
-        # requests 0 and 2 share a noise seed, so they share a noise row
+        # prompts 0 and 2 share a noise seed, so they share a noise row
         assert np.array_equal(noise[0], noise[2])
-        assert len(frames) == len(requests)
+        assert len(frames) == len(self.PROMPTS)
 
     @pytest.mark.parametrize("cells", [1, 2])
     def test_frames_carry_the_codec_rows(self, tiny_bundle, cells):
@@ -190,7 +185,7 @@ class TestEsBatch:
         # and shapes the receiver reads, and crosses the wire unchanged
         codec = tiny_bundle.codec_for(0.5)
         frames, latents = es_handle_request(
-            tiny_bundle, self._requests(tiny_bundle), 8, cells=cells)
+            tiny_bundle, self.PROMPTS, self.SEEDS, 0.5, 8, cells=cells)
         symbols, scales = codec.compress(
             latents.reshape((cells, -1) + codec.latent_shape))
         assert len(frames) == len(symbols) == 4
@@ -204,27 +199,19 @@ class TestEsBatch:
             assert encode_frame(decode_frame(data)) == data
 
     def test_cells_split_into_equal_groups(self, tiny_bundle):
-        requests = self._requests(tiny_bundle)
         with pytest.raises(ProtocolError, match="3 equal groups"):
-            es_handle_request(tiny_bundle, requests, 16, cells=3)
+            es_handle_request(tiny_bundle, self.PROMPTS, self.SEEDS, 0.5, 16,
+                              cells=3)
 
     def test_mixed_or_malformed_batches_rejected(self, tiny_bundle):
-        good = self._requests(tiny_bundle)[0]
-        other_rate = GenerationRequest("blob", 0.25,
-                                       tiny_bundle.image_shape, 0)
-        wrong_dims = GenerationRequest("blob", 0.5, (1, 64, 64), 0)
-        for bad, match in (([good, other_rate], "share"),
-                           ([good, wrong_dims], "share"),
-                           ([wrong_dims, wrong_dims], "dims"),
-                           ([other_rate], "rate"),
-                           ([], "GenerationRequest"),
-                           (good, "GenerationRequest"),
-                           ((good,), "GenerationRequest"),
-                           ([good, "blob"], "GenerationRequest"),
-                           ("blob", "GenerationRequest"),
-                           (None, "GenerationRequest")):
+        one_seed_each = "at least one prompt and one noise seed per prompt"
+        for prompts, seeds, rate, match in (
+                (["blob"], [0], 0.25, "no codec trained for rate 0.25"),
+                ([], [], 0.5, one_seed_each),
+                (self.PROMPTS, self.SEEDS[:3], 0.5, one_seed_each),
+                (self.PROMPTS[:1], self.SEEDS[:2], 0.5, one_seed_each)):
             with pytest.raises(ProtocolError, match=match):
-                es_handle_request(tiny_bundle, bad, 16)
+                es_handle_request(tiny_bundle, prompts, seeds, rate, 16)
 
 
 class TestBatchReport:
@@ -260,35 +247,31 @@ class TestBatchReport:
 
 
 class TestEndToEnd:
-    def _spec(self, prompts, **kw):
-        base = dict(prompts=prompts, rate=0.5, snr_db=None,
-                    channel_kind="awgn", block_length=16, seed=3)
+    @staticmethod
+    def _run(bundle, prompts, **kw):
+        base = dict(snr_db=None, channel_kind="awgn", seed=3)
         base.update(kw)
-        return RunSpec(**base)
+        return run_end_to_end(bundle, prompts, 0.5, 16, [RunSpec(**base)])
 
     def test_perfect_channel_matches_local_pipeline(self, tiny_bundle):
         prompts = ["large blob left", "tiny stripes top"]
-        report = run_end_to_end(tiny_bundle, [self._spec(prompts)])
+        report = self._run(tiny_bundle, prompts)
         codec = tiny_bundle.codec_for(0.5)
         for i, prompt in enumerate(prompts):
             (frame,), _ = es_handle_request(
-                tiny_bundle, [GenerationRequest(prompt, 0.5,
-                                                tiny_bundle.image_shape,
-                                                derive_seed(3, 0, i))], 16)
+                tiny_bundle, [prompt], [derive_seed(3, 0, i)], 0.5, 16)
             (local,) = tiny_bundle.autoencoder.decode(
                 codec.decompress(frame.payload[None], [frame.scale]))
             remote = report[0, "meg"].images[i]
             assert np.max(np.abs(local - remote)) < 1e-6
 
     def test_perfect_channel_raw_feature_sentinel(self, tiny_bundle):
-        report = run_end_to_end(tiny_bundle,
-                                [self._spec(["blob left", "rings top"])])
+        report = self._run(tiny_bundle, ["blob left", "rings top"])
         assert report[0, "raw_feature"].report.psnr_db == float("inf")
 
     def test_metrics_match_external_computation(self, tiny_bundle):
-        spec = self._spec(["blob left", "rings top"], snr_db=5.0,
-                          channel_kind="rayleigh_block")
-        report = run_end_to_end(tiny_bundle, [spec])
+        report = self._run(tiny_bundle, ["blob left", "rings top"],
+                           snr_db=5.0, channel_kind="rayleigh_block")
         meg = report[0, "meg"]
         want_mse = float(np.mean([metrics.mse(img, ref) for img, ref in
                                   zip(meg.images, report.ground_truths[0])]))
@@ -299,8 +282,8 @@ class TestEndToEnd:
         assert abs(meg.report.fid_score - want_fid) < 1e-9
 
     def test_symbol_counts_match_accounting(self, tiny_bundle, tiny_cfg):
-        spec = self._spec(["blob left", "rings top"], snr_db=10.0)
-        report = run_end_to_end(tiny_bundle, [spec])
+        report = self._run(tiny_bundle, ["blob left", "rings top"],
+                           snr_db=10.0)
         shape = tiny_cfg.image_shape
         fd = tiny_cfg.downsample
         z = tiny_cfg.latent_channels
@@ -314,8 +297,8 @@ class TestEndToEnd:
     def test_noisy_awgn_near_local_pipeline_at_zero_noise(self, tiny_bundle):
         # sigma = 0 over the literal normalize/transmit/equalize chain
         # leaves only float residue
-        spec = self._spec(["blob left", "rings top"], snr_db=200.0)
-        report = run_end_to_end(tiny_bundle, [spec])
+        report = self._run(tiny_bundle, ["blob left", "rings top"],
+                           snr_db=200.0)
         assert report[0, "raw_feature"].report.psnr_db > 100.0
 
 
@@ -330,17 +313,16 @@ class TestChunk:
              (None, "rayleigh_block", 7))
 
     def _specs(self):
-        return [RunSpec(self.PROMPTS, 0.5, snr, kind, 16, seed)
-                for snr, kind, seed in self.CELLS]
+        return [RunSpec(snr, kind, seed) for snr, kind, seed in self.CELLS]
 
     def test_chunk_equals_one_cell_chunks(self, tiny_bundle):
         specs = self._specs()
-        chunk = run_end_to_end(tiny_bundle, specs)
+        chunk = run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16, specs)
         assert set(chunk.results) == {(cell, mode)
                                       for cell in range(len(specs))
                                       for mode in metrics.MODES}
         for cell, spec in enumerate(specs):
-            alone = run_end_to_end(tiny_bundle, [spec])
+            alone = run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16, [spec])
             assert chunk.ground_truths[cell].tobytes() \
                 == alone.ground_truths[0].tobytes()
             assert chunk.latents[cell].tobytes() == alone.latents[0].tobytes()
@@ -353,15 +335,11 @@ class TestChunk:
                 assert all(a.tobytes() == b.tobytes()
                            for a, b in zip(got.images, want.images))
 
-    def test_cells_must_share_prompts_rate_and_block_length(self,
-                                                            tiny_bundle):
-        spec = self._specs()[0]
-        for other in (replace(spec, prompts=self.PROMPTS[:2]),
-                      replace(spec, block_length=8)):
-            with pytest.raises(ProtocolError, match="share"):
-                run_end_to_end(tiny_bundle, [spec, other])
-        with pytest.raises(ValueError, match="at least one"):
-            run_end_to_end(tiny_bundle, [])
+    def test_empty_chunk_refused(self, tiny_bundle):
+        for prompts, specs in ((self.PROMPTS, []), ([], self._specs()[:1])):
+            with pytest.raises(ValueError, match="at least one cell and one "
+                                                 "prompt"):
+                run_end_to_end(tiny_bundle, prompts, 0.5, 16, specs)
 
 
 class TestChunkLayers:
@@ -412,9 +390,9 @@ class TestUeReceive:
 
     @staticmethod
     def _serve(bundle, prompts, rate):
-        frames, _ = es_handle_request(bundle, [
-            GenerationRequest(p, rate, bundle.image_shape, derive_seed(7, i))
-            for i, p in enumerate(prompts)], 16)
+        frames, _ = es_handle_request(
+            bundle, prompts, [derive_seed(7, i) for i in range(len(prompts))],
+            rate, 16)
         return frames
 
     @staticmethod
@@ -529,8 +507,7 @@ class TestBatchedLink:
 
     def test_run_end_to_end_matches_per_prompt_reference(self, tiny_bundle,
                                                          monkeypatch):
-        spec = RunSpec(["blob left", "rings top", "tiny stripes top"], 0.5,
-                       0.0, "rayleigh_block", 16, seed=4)
+        spec = RunSpec(0.0, "rayleigh_block", seed=4)
         extracted, decoded = [], []
         extract = metrics.FeatureExtractor.extract
         monkeypatch.setattr(metrics.FeatureExtractor, "extract",
@@ -541,7 +518,9 @@ class TestBatchedLink:
         monkeypatch.setattr(genmodel.AutoencoderPair, "decode",
                             lambda self, z: decoded.append(np.shape(z))
                             or decode(self, z))
-        report = run_end_to_end(tiny_bundle, [spec])
+        report = run_end_to_end(
+            tiny_bundle, ["blob left", "rings top", "tiny stripes top"], 0.5,
+            16, [spec])
         monkeypatch.undo()
         # the ground truths once, then each mode's images, each a stack of
         # one cell
