@@ -31,9 +31,7 @@ agent, history = power_rl.train_agent(
 print("mean terminal reward:",
       " -> ".join(f"{history[i][1]:.3f}" for i in (0, len(history) // 2, -1)))
 
-rng = np.random.default_rng(123)
-frozen = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-          for _ in range(100)]
+frozen = ch.fading_gains(env.channel_kind, (100, env.num_blocks), 123)
 drl = power_rl.evaluate(agent, env, frozen)
 # the even split is a constant action schedule, one fraction per block
 uniform = power_rl.evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
@@ -43,10 +41,9 @@ print(f"\nfrozen-trace comparison (fid proxy, lower is better):")
 print(f"  even split: {-np.mean(uniform):.4f}")
 print(f"  trained:    {-np.mean(drl):.4f}   ({wins}/100 paired wins)")
 
-trace = frozen[0]
 # one episode, a batch of one; run returns (states, powers, scores)
-powers = env.run(lambda states, t: agent.mean_action(states), [trace],
+powers = env.run(lambda states, t: agent.mean_action(states), frozen[:1],
                  [1])[1][0]
-print("\none trace, gains: ", np.round(trace.gains, 2))
+print("\none trace, gains: ", np.round(frozen[0], 2))
 print("learned powers:    ", np.round(powers, 3),
       f"(sum {powers.sum():.3f} <= 0.5)")

@@ -6,8 +6,6 @@ in for the fading magnitude, and allocated power enters as an amplitude
 factor sqrt(p) so that transmitted energy scales linearly with p.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ChannelErasure
@@ -23,50 +21,22 @@ def snr_to_noise_std(snr_db, signal_power=1.0):
     return float(np.sqrt(signal_power / 10.0 ** (snr_db / 10.0)))
 
 
-@dataclass
-class ChannelModel:
-    kind: str = "rayleigh_block"
-    block_length: int = 16
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.block_length < 1:
-            raise ValueError("block length must be >= 1")
-
-
-@dataclass
-class FadingTrace:
-    """Per-block channel magnitudes; unit average power for Rayleigh fading."""
-    gains: np.ndarray
-    block_length: int
-
-    def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=np.float64)
-        if np.any(self.gains <= 0):
-            raise ValueError("all block gains must be positive")
-
-    def __len__(self):
-        return len(self.gains)
-
-
-def sample_fading_trace(model: ChannelModel, num_blocks, rng) -> FadingTrace:
-    """Draw per-block gains: all ones for AWGN, Rayleigh magnitudes with
-    E[h^2] = 1 for block fading."""
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be >= 1")
-    rng = as_rng(rng)
-    if model.kind == "awgn":
-        gains = np.ones(num_blocks)
-    else:
-        # Rayleigh scale 1/sqrt(2) gives E[h^2] = 2 * scale^2 = 1
-        gains = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=num_blocks)
-        gains = np.maximum(gains, 1e-12)
-    return FadingTrace(gains, model.block_length)
+def fading_gains(kind, shape, rng):
+    """Per-block gains of ``shape``, filled in row order: all ones for
+    AWGN, Rayleigh magnitudes with E[h^2] = 1 for block fading. One draw
+    of [E, B] equals E draws of [B] from the same generator."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    if kind == "awgn":
+        return np.ones(shape)
+    # Rayleigh scale 1/sqrt(2) gives E[h^2] = 2 * scale^2 = 1
+    return np.maximum(as_rng(rng).rayleigh(1.0 / np.sqrt(2.0), shape), 1e-12)
 
 
 def block_count(symbols, block_length):
     """Coherence blocks that ``symbols`` fill; the last may be short."""
+    if block_length < 1:
+        raise ValueError("block length must be >= 1")
     return -(-symbols // block_length)
 
 
@@ -99,11 +69,11 @@ def equalize(received, gain, power):
     return np.asarray(received, dtype=np.float64) / eff
 
 
-def export_trace_set(traces, path):
-    """Write many traces to one CSV as (trace, block, gain) rows."""
+def export_trace_set(gains, block_length, path):
+    """Write traces of gains [n, blocks] to one CSV as (trace, block,
+    gain) rows."""
     write_csv(path, ["trace", "block", "gain"],
-              ((t, i, h) for t, trace in enumerate(traces)
-               for i, h in enumerate(trace.gains)),
+              ((t, i, h) for t, row in enumerate(gains)
+               for i, h in enumerate(row)),
               comment=f"megsim fading trace set v1 "
-                      f"block_length={traces[0].block_length}")
-
+                      f"block_length={block_length}")

@@ -265,6 +265,9 @@ _WORKER_CACHE = {}
 # sweep peaks at 45.4 MB one cell per call, 45.8 MB at 4 and 59.8 MB with
 # all 25 cells in one chunk
 SWEEP_CHUNK = 4
+# below this many prompts per cell each cell is a chunk of its own: there a
+# chunk's flat sampler rows round unlike a cell's alone (run_end_to_end)
+SWEEP_CHUNK_MIN_PROMPTS = 10
 
 
 def _eval_prompt_set(cfg):
@@ -277,10 +280,10 @@ def cmd_sweep(cfg: ExperimentConfig):
     At the paper-arithmetic preset only the symbol column is filled; no
     full-scale model exists to simulate. Every cell runs in the calling
     process, whatever ``cfg.jobs`` says, in chunks of up to
-    ``SWEEP_CHUNK`` consecutive cells of one rate. The CSV is independent
-    of the chunk size only when ``[sweep] eval_prompts`` meets
-    :func:`protocol.run_end_to_end`'s condition: 10 or more at the desk
-    preset on OpenBLAS 0.3.31. Returns the output paths.
+    ``SWEEP_CHUNK`` consecutive cells of one rate, or one cell per chunk
+    below ``SWEEP_CHUNK_MIN_PROMPTS`` prompts per cell, so the CSV does
+    not depend on the chunk size (see :func:`protocol.run_end_to_end`).
+    Returns the output paths.
     """
     os.makedirs(cfg.out, exist_ok=True)
     sweep_path = os.path.join(cfg.out, "sweep.csv")
@@ -298,13 +301,13 @@ def cmd_sweep(cfg: ExperimentConfig):
     else:
         bundle = load_bundle(cfg)
         prompts = _eval_prompt_set(cfg)
+        size = SWEEP_CHUNK if len(prompts) >= SWEEP_CHUNK_MIN_PROMPTS else 1
         for rate, cells in itertools.groupby(enumerate(grid),
                                              lambda cell: cell[1][0]):
             cells = list(cells)
-            for lo in range(0, len(cells), SWEEP_CHUNK):
+            for lo in range(0, len(cells), size):
                 chunk = [(snr, trial, derive_seed(cfg.seed, 100, index))
-                         for index, (_, snr, trial)
-                         in cells[lo:lo + SWEEP_CHUNK]]
+                         for index, (_, snr, trial) in cells[lo:lo + size]]
                 report = run_end_to_end(
                     bundle, prompts, rate, cfg.block_length,
                     [RunSpec(snr, cfg.channel_kind, cell_seed)
@@ -367,19 +370,16 @@ def cmd_power(cfg: ExperimentConfig):
         "meg", cfg.image_shape, cfg.downsample, cfg.power_rate,
         cfg.latent_channels), cfg.block_length)
 
-    model = ch.ChannelModel(cfg.channel_kind, cfg.block_length)
     # drawn from the seed on every run: a file left by another config is
     # overwritten, never scored
     trace_path = os.path.join(
         cfg.out, f"eval_traces_{cfg.power_eval_traces}x{num_blocks}.csv")
-    frozen_rng = as_rng(derive_seed(cfg.seed, 23))
-    frozen = [ch.sample_fading_trace(model, num_blocks, frozen_rng)
-              for _ in range(cfg.power_eval_traces)]
-    ch.export_trace_set(frozen, trace_path)
-
-    select_rng = as_rng(derive_seed(cfg.seed, 24))
-    select_traces = [ch.sample_fading_trace(model, num_blocks, select_rng)
-                     for _ in range(20)]
+    frozen = ch.fading_gains(cfg.channel_kind,
+                             (cfg.power_eval_traces, num_blocks),
+                             derive_seed(cfg.seed, 23))
+    ch.export_trace_set(frozen, cfg.block_length, trace_path)
+    select_traces = ch.fading_gains(cfg.channel_kind, (20, num_blocks),
+                                    derive_seed(cfg.seed, 24))
 
     chash = config_hash(cfg)
     summary_rows = []

@@ -178,9 +178,11 @@ class SeedTransmissionEnv:
         self.p_max = float(p_max)
         if not self.p_max > 0.0:
             raise ValueError(f"p_max must be positive, got {p_max}")
+        if channel_kind not in ch.KINDS:
+            raise ValueError(f"unknown channel kind {channel_kind!r}")
+        self.channel_kind = channel_kind
         self.block_length = int(block_length)
         self.noise_std = ch.snr_to_noise_std(snr_db, 1.0)
-        self.model = ch.ChannelModel(channel_kind, block_length)
         self._seed = int(seed)
         self._trace_rng = as_rng(derive_seed(seed, 0xE0))
         self._episode_index = 0
@@ -209,31 +211,25 @@ class SeedTransmissionEnv:
 
     # -- episodes ------------------------------------------------------------
 
-    def run(self, policy, traces, noise_seeds):
-        """Play one episode per trace in lockstep; ``policy(states, t)``
-        maps block t's states [E, state_dim] to one action in [0, 1] per
-        episode. A None trace comes from the environment's trace stream
-        and a None noise seed follows the episode count, so E episodes run
-        together match E run in turn; a fixed noise seed pairs the channel
-        noise across policies. Returns (states [E, B, state_dim], powers
-        [E, B], terminal rewards [E])."""
-        if not traces or len(traces) != len(noise_seeds):
-            raise ValueError("need one noise seed per trace, at least one")
-        gains, rngs = [], []
-        for trace, noise_seed in zip(traces, noise_seeds):
-            if trace is None:
-                trace = ch.sample_fading_trace(self.model, self.num_blocks,
-                                               self._trace_rng)
-            if len(trace) < self.num_blocks:
-                raise ValueError("trace shorter than the seed's block count")
-            gains.append(trace.gains[:self.num_blocks])
-            if noise_seed is None:
-                noise_seed = derive_seed(self._seed, 0xA2, self._episode_index)
-            rngs.append(as_rng(noise_seed))
-            self._episode_index += 1
+    def run(self, policy, gains, noise_seeds):
+        """Play one episode per trace of ``gains`` [E, >= B] in lockstep,
+        each with its channel noise drawn from its entry of
+        ``noise_seeds``; ``policy(states, t)`` maps block t's states [E,
+        state_dim] to one action in [0, 1] per episode. Every episode
+        played counts towards the seeds of later rollouts. Returns (states
+        [E, B, state_dim], powers [E, B], terminal rewards [E])."""
         # float64 gains [E, B] for the link; only the state column rounds
-        gains = np.stack(gains)
+        gains = np.asarray(gains, dtype=np.float64)
+        if gains.ndim != 2 or not 0 < len(gains) == len(noise_seeds):
+            raise ValueError("need gains [E, blocks] and one noise seed per "
+                             "trace, at least one")
+        gains = gains[:, :self.num_blocks]
+        if gains.shape[1] < self.num_blocks or np.any(gains <= 0):
+            raise ValueError(f"each trace needs {self.num_blocks} blocks of "
+                             f"positive gain")
+        rngs = [as_rng(seed) for seed in noise_seeds]
         episodes = len(gains)
+        self._episode_index += episodes
         # block-major, so that each block's states are one contiguous batch
         states = np.empty((self.num_blocks, episodes, self.state_dim),
                           dtype=np.float32)
@@ -315,8 +311,13 @@ class SeedTransmissionEnv:
             self.bundle.extractor, reference_features=self.reference_features)
 
     def rollout(self, agent: PpoAgent, rng, episodes) -> Rollout:
-        """Run ``episodes`` episodes in lockstep under the sampling policy;
-        each takes its block draws from ``rng`` in turn, as when run alone."""
+        """Run ``episodes`` episodes in lockstep under the sampling policy
+        on the environment's next traces and episode noise seeds; each
+        takes its block draws from ``rng`` in turn, as when run alone."""
+        gains = ch.fading_gains(self.channel_kind,
+                                (episodes, self.num_blocks), self._trace_rng)
+        seeds = [derive_seed(self._seed, 0xA2, self._episode_index + e)
+                 for e in range(episodes)]
         draws = rng.standard_normal((episodes, self.num_blocks))
         us, logps = np.empty((2, episodes, self.num_blocks))
 
@@ -324,8 +325,7 @@ class SeedTransmissionEnv:
             actions, us[:, t], logps[:, t] = agent.act(states, draws[:, t])
             return actions
 
-        states, powers, scores = self.run(sample, [None] * episodes,
-                                          [None] * episodes)
+        states, powers, scores = self.run(sample, gains, seeds)
         return Rollout(states, us, powers, logps, scores)
 
 
@@ -413,8 +413,8 @@ def evaluate(policy, env: SeedTransmissionEnv, traces):
 
     ``policy`` is a PpoAgent (evaluated at its mean action, one batched
     forward per block) or an action schedule in [0, 1]: ``[blocks]``
-    shared by every trace, or ``[traces, blocks]``. All traces run in
-    lockstep.
+    shared by every trace, or ``[traces, blocks]``. All traces, gains
+    [traces, >= blocks], run in lockstep.
     """
     if isinstance(policy, PpoAgent):
         def act(states, t):
@@ -426,7 +426,7 @@ def evaluate(policy, env: SeedTransmissionEnv, traces):
         def act(states, t):
             return schedule[:, t]
     # per-trace noise seed pairs the draws across evaluated policies
-    return env.run(act, list(traces),
+    return env.run(act, traces,
                    [derive_seed(0xEDA1, i) for i in range(len(traces))])[2]
 
 

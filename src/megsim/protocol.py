@@ -149,11 +149,11 @@ class GenerationResult:
 class EndToEndReport:
     """One chunk of S cells of P prompts: ``results[cell, mode]`` is a
     GenerationResult; ground truths [S, P, C, H, W], latents [S, P,
-    *latent_shape] and one fading trace per cell."""
+    *latent_shape] and each cell's fading gains [S, blocks]."""
     results: dict
     ground_truths: np.ndarray
     latents: np.ndarray
-    traces: list
+    gains: np.ndarray
 
     def __getitem__(self, key):
         return self.results[key]
@@ -162,18 +162,20 @@ class EndToEndReport:
 # ---------------------------------------------------------------------------
 # transmission helpers
 
-def transmit_stream(payloads, trace: ch.FadingTrace, noise_std, rng):
-    """Send payloads [P, N] over a trace at unit power, every row on the
-    same blocks; returns (received, gains) per symbol. One noise draw of
-    the payloads' shape equals drawing each row in turn."""
+def transmit_stream(payloads, gains, block_length, noise_std, rng):
+    """Send payloads [P, N] at unit power over a trace of per-block
+    ``gains``, every row on the same blocks; returns (received, gains)
+    per symbol. One noise draw of the payloads' shape equals drawing each
+    row in turn."""
     x = np.asarray(payloads)
     if x.ndim != 2:
         raise DimensionError(f"payloads must be a stack [P, N], got {x.shape}")
-    n, block = x.shape[1], trace.block_length
-    nb = ch.block_count(n, block)
-    if len(trace) < nb:
-        raise ValueError(f"{n} symbols need {nb} blocks of gain")
-    gains = np.repeat(trace.gains[:nb], block)[:n]
+    n = x.shape[1]
+    nb = ch.block_count(n, block_length)
+    gains = np.asarray(gains, dtype=np.float64)[:nb]
+    if len(gains) < nb or np.any(gains <= 0):
+        raise ValueError(f"{n} symbols need {nb} blocks of positive gain")
+    gains = np.repeat(gains, block_length)[:n]
     return ch.transmit(x, gains, 1.0, noise_std, rng), gains
 
 
@@ -257,7 +259,8 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
     BLAS rounds each cell's share of the flat rows as it rounds that cell
     alone: at desk layer widths on OpenBLAS 0.3.31, from 10 prompts per
     cell (checked end to end at 10 to 64 for chunks of 2 to 4 cells), but
-    not at 9 or fewer, where the sampler's latents already differ.
+    not at 9 or fewer, where the sampler's latents already differ; so
+    ``megsim sweep`` serves such cells one per chunk.
     """
     if not specs or not prompts:
         raise ValueError("at least one cell and one prompt are required")
@@ -277,24 +280,24 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
               "raw_feature": int(np.prod(bundle.latent_shape)),
               "meg": frames[0].payload.size}
     blocks = ch.block_count(max(counts.values()), block_length)
-    traces = [ch.sample_fading_trace(
-        ch.ChannelModel(spec.channel_kind, block_length), blocks,
-        derive_seed(spec.seed, 1)) for spec in specs]
+    gains = np.stack([ch.fading_gains(spec.channel_kind, blocks,
+                                      derive_seed(spec.seed, 1))
+                      for spec in specs])
 
     results = {}
     for mode_idx, mode in enumerate(metrics.MODES):
         source = latents if mode == "raw_feature" else truths
         # the received images, or the latents that raw_feature receives
         batch = np.empty(source.shape, np.float32)
-        for cell, (spec, trace) in enumerate(zip(specs, traces)):
+        for cell, spec in enumerate(specs):
             noise_rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
             noise_std = None if spec.snr_db is None \
                 else ch.snr_to_noise_std(spec.snr_db, 1.0)
             if mode == "meg":
                 served = frames[cell * count:(cell + 1) * count]
                 sent = None if noise_std is None else transmit_stream(
-                    np.stack([frame.payload for frame in served]), trace,
-                    noise_std, noise_rng)
+                    np.stack([frame.payload for frame in served]),
+                    gains[cell], block_length, noise_std, noise_rng)
                 batch[cell] = ue_receive(
                     bundle, [encode_frame(frame) for frame in served], sent)
                 continue
@@ -305,7 +308,8 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
                 scale = np.where(scale > 0, scale, 1.0)
                 payloads /= scale
                 payloads = recover_stream(*transmit_stream(
-                    payloads, trace, noise_std, noise_rng))
+                    payloads, gains[cell], block_length, noise_std,
+                    noise_rng))
                 payloads *= scale
             if mode == "centralized":
                 np.clip(payloads, 0.0, 1.0, out=payloads)
@@ -318,4 +322,4 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
                                reference)
         for cell, report in enumerate(reports):
             results[cell, mode] = GenerationResult(list(batch[cell]), report)
-    return EndToEndReport(results, truths, latents, traces)
+    return EndToEndReport(results, truths, latents, gains)

@@ -69,10 +69,8 @@ def allocator_gain(bundle, cfg):
         p_max=min(cfg.power_budgets), channel_kind=cfg.channel_kind,
         block_length=cfg.block_length, seed=7)
     rng = np.random.default_rng(123)
-    frozen = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-              for _ in range(100)]
-    select = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-              for _ in range(20)]
+    frozen = ch.fading_gains(env.channel_kind, (100, env.num_blocks), rng)
+    select = ch.fading_gains(env.channel_kind, (20, env.num_blocks), rng)
     ppo_cfg = replace(config.desk_config(), ppo_update_rounds=160,
                       ppo_episodes_per_batch=16)
     agent, _ = power_rl.train_agent(env, ppo_cfg, seed=3,
@@ -96,9 +94,7 @@ def saturation_gap(bundle, cfg):
     env = power_rl.SeedTransmissionEnv(bundle, prompts, 0.5, snr_db=30.0,
                                        p_max=400.0, channel_kind="awgn",
                                        seed=7)
-    rng = np.random.default_rng(5)
-    traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-              for _ in range(30)]
+    traces = ch.fading_gains(env.channel_kind, (30, env.num_blocks), 5)
     ppo_cfg = replace(config.desk_config(), ppo_update_rounds=20)
     agent, _ = power_rl.train_agent(env, ppo_cfg, seed=3)
     drl = power_rl.evaluate(agent, env, traces)

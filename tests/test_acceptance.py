@@ -195,9 +195,7 @@ def test_criterion_06_low_snr_mode_ordering(desk_bundle, desk_cfg):
 
 
 def test_criterion_07_channel_statistics():
-    model = ch.ChannelModel("rayleigh_block", 16)
-    trace = ch.sample_fading_trace(model, 100_000, 7)
-    m2 = float(np.mean(trace.gains ** 2))
+    m2 = float(np.mean(ch.fading_gains("rayleigh_block", 100_000, 7) ** 2))
     noise = ch.transmit(np.zeros(100_000), 1.0, 1.0, 0.7,
                         np.random.default_rng(11))
     var_rel = abs(float(np.var(noise)) / 0.49 - 1.0)

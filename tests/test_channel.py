@@ -14,11 +14,11 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def export_trace_csv(trace, path):
-    """Write one trace as (block, gain) rows; block length rides in a comment."""
-    write_csv(path, ["block", "gain"], enumerate(trace.gains),
-              comment=f"megsim fading trace v1 "
-                      f"block_length={trace.block_length}")
+def export_trace_csv(gains, block_length, path):
+    """Write one trace as (block, gain) rows; block length rides in a
+    comment."""
+    write_csv(path, ["block", "gain"], enumerate(gains),
+              comment=f"megsim fading trace v1 block_length={block_length}")
 
 
 class TestSnrConversion:
@@ -34,50 +34,52 @@ class TestSnrConversion:
 
 class TestFadingTraces:
     def test_awgn_gains_are_unity(self):
-        model = ch.ChannelModel("awgn", 8)
-        trace = ch.sample_fading_trace(model, 50, 0)
-        assert np.all(trace.gains == 1.0)
+        gains = ch.fading_gains("awgn", (5, 50), 0)
+        assert gains.shape == (5, 50) and gains.dtype == np.float64
+        assert np.all(gains == 1.0)
 
     def test_rayleigh_unit_second_moment(self):
-        model = ch.ChannelModel("rayleigh_block", 8)
-        trace = ch.sample_fading_trace(model, 100_000, 7)
-        m2 = float(np.mean(trace.gains ** 2))
+        gains = ch.fading_gains("rayleigh_block", 100_000, 7)
+        assert gains.dtype == np.float64 and np.all(gains > 0.0)
+        m2 = float(np.mean(gains ** 2))
         assert 0.98 < m2 < 1.02
 
     def test_same_seed_same_trace(self):
-        model = ch.ChannelModel("rayleigh_block", 8)
-        a = ch.sample_fading_trace(model, 100, 5)
-        b = ch.sample_fading_trace(model, 100, 5)
-        assert np.array_equal(a.gains, b.gains)
+        a = ch.fading_gains("rayleigh_block", 100, 5)
+        b = ch.fading_gains("rayleigh_block", 100, 5)
+        assert np.array_equal(a, b)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ch.ChannelModel("nakagami", 8)
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            ch.fading_gains("nakagami", 8, 0)
+
+    def test_non_positive_block_length_rejected(self):
+        for block_length in (0, -4):
+            with pytest.raises(ValueError, match="block length must be"):
+                ch.block_count(64, block_length)
+        assert ch.block_count(64, 1) == 64 and ch.block_count(65, 16) == 5
 
     def test_csv_round_trip(self, tmp_path):
-        model = ch.ChannelModel("rayleigh_block", 16)
-        trace = ch.sample_fading_trace(model, 40, 9)
+        gains = ch.fading_gains("rayleigh_block", 40, 9)
         path = tmp_path / "trace.csv"
-        export_trace_csv(trace, path)
+        export_trace_csv(gains, 16, path)
         comment, header, *rows = read_csv(path)
         assert comment == ["# megsim fading trace v1 block_length=16"]
         assert header == ["block", "gain"]
         assert [int(b) for b, _ in rows] == list(range(40))
-        assert np.array_equal([float(g) for _, g in rows], trace.gains)
+        assert np.array_equal([float(g) for _, g in rows], gains)
 
     def test_trace_set_round_trip(self, tmp_path):
-        model = ch.ChannelModel("rayleigh_block", 4)
-        rng = np.random.default_rng(3)
-        traces = [ch.sample_fading_trace(model, 6, rng) for _ in range(5)]
+        gains = ch.fading_gains("rayleigh_block", (5, 6), 3)
         path = tmp_path / "set.csv"
-        ch.export_trace_set(traces, path)
+        ch.export_trace_set(gains, 4, path)
         comment, header, *rows = read_csv(path)
         assert comment == ["# megsim fading trace set v1 block_length=4"]
         assert header == ["trace", "block", "gain"]
         assert [(int(t), int(b)) for t, b, _ in rows] \
             == [(t, b) for t in range(5) for b in range(6)]
         back = np.array([float(g) for _, _, g in rows]).reshape(5, 6)
-        assert np.array_equal(back, [trace.gains for trace in traces])
+        assert np.array_equal(back, gains)
 
 
 class TestTransmitEqualize:

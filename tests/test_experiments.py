@@ -7,11 +7,12 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from megsim import config, corpus, experiments
 from megsim.cli import main as cli_main
+from megsim.util import write_csv
 
 
 class TestConfig:
@@ -763,8 +764,8 @@ class TestSweep:
             experiments.cmd_sweep(replace(grid, jobs=2))["sweep_csv"]).read()
         assert parallel == sequential
         # --jobs is accepted but inert: every chunk of cells runs in this
-        # process, and the grid's two cells are one chunk
-        assert pids == [os.getpid()]
+        # process, and at 4 prompts each of the grid's two cells is a chunk
+        assert pids == [os.getpid()] * 2
 
     def test_chunked_sweep_equals_one_cell_chunks(self, tiny_cfg, tiny_bundle,
                                                   monkeypatch):
@@ -786,6 +787,28 @@ class TestSweep:
         assert calls == [min(whole, 6 - lo) for lo in range(0, 6, whole)] \
             + [1] * 6
         assert chunked == cells
+
+    @pytest.mark.parametrize("prompts", [3, 9])
+    def test_small_sweep_equals_one_cell_chunks(self, tiny_cfg, tiny_bundle,
+                                                monkeypatch, prompts):
+        # below SWEEP_CHUNK_MIN_PROMPTS prompts per cell, a chunk's flat
+        # sampler rows round unlike each cell's alone, so every cell is
+        # served as a chunk of its own and the bytes do not depend on
+        # SWEEP_CHUNK
+        grid = replace(tiny_cfg, sweep_snrs_db=(-10.0, 10.0, 30.0),
+                       sweep_trials=2, eval_prompts=prompts)
+        calls = []
+        run = experiments.run_end_to_end
+        monkeypatch.setattr(
+            experiments, "run_end_to_end",
+            lambda bundle, prompts, rate, block_length, specs:
+            calls.append(len(specs))
+            or run(bundle, prompts, rate, block_length, specs))
+        served = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
+        monkeypatch.setattr(experiments, "SWEEP_CHUNK", 1)
+        cells = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
+        assert calls == [1] * 12
+        assert served == cells
 
     def test_bundle_loaded_once_at_one_job(self, tiny_cfg, tiny_bundle,
                                            monkeypatch):
@@ -937,16 +960,34 @@ def _traces_match_fresh_draw(cfg, path):
         gains = written.setdefault(int(line["trace"]), [])
         assert int(line["block"]) == len(gains)
         gains.append(float(line["gain"]))
-    model = ch.ChannelModel(cfg.channel_kind, cfg.block_length)
+    # one trace per draw, as the command's one [n, blocks] draw must equal
     rng = as_rng(derive_seed(cfg.seed, 23))
-    fresh = [ch.sample_fading_trace(model, len(written[0]), rng)
+    fresh = [ch.fading_gains(cfg.channel_kind, len(written[0]), rng)
              for _ in range(cfg.power_eval_traces)]
     return list(written) == list(range(len(fresh))) and all(
-        np.array_equal(written[t], b.gains) for t, b in enumerate(fresh))
+        np.array_equal(written[t], gains) for t, gains in enumerate(fresh))
 
 
 class TestCsvContract:
     """Every float cell parses back to the value the command produced."""
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+           st.lists(st.floats(width=32, allow_nan=False), max_size=4))
+    @example([-0.0, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+              1.7976931348623157e308], [-0.0, 1e-45, -3.4028235e38])
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_float_cells_read_back_bit_exact(self, tmp_path, doubles,
+                                             singles):
+        # Python and numpy floats; a float32 cell is its exact float64 value
+        cells = doubles + [np.float64(v) for v in doubles] \
+            + [np.float32(v) for v in singles]
+        path = tmp_path / "floats.csv"
+        write_csv(path, ["x"] * len(cells), [cells])
+        with open(path, newline="") as fh:
+            _, row = csv.reader(fh)
+        assert np.array([float(cell) for cell in row]).tobytes() \
+            == np.array(cells, dtype=np.float64).tobytes()
 
     def test_sweep_and_eval(self, tiny_cfg, tiny_bundle):
         result = experiments.cmd_sweep(tiny_cfg)

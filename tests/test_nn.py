@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gradcheck import clone_codec, clone_network, numeric_gradient
 from megsim import config, corpus, genmodel, nn, seedcodec
@@ -601,6 +603,39 @@ class TestNetworkAndSerialization:
         path2 = tmp_path / "net2.bin"
         nn.save_network(path2, loaded, extra={"tag": 7})
         assert path.read_bytes() == path2.read_bytes()
+
+    # float32 bit patterns: -0.0, the smallest and largest subnormals of
+    # either sign, +-inf, and quiet and signalling NaNs with payloads
+    SPECIAL_BITS = (0x80000000, 0x00000001, 0x807FFFFF, 0x7F800000,
+                    0xFF800000, 0x7FC00001, 0xFFC12345, 0x7F800001,
+                    0xFFBFFFFF)
+
+    def _pair(self, rng):
+        return [self._net(rng),
+                nn.Network([nn.DenseLayer(3, 2, "none", rng, "m")], "u")]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_float32_bits_round_trip(self, tmp_path, data):
+        # two networks in one file, filled with arbitrary bit patterns; the
+        # first always starts with every special one
+        nets = self._pair(np.random.default_rng(0))
+        for net in nets:
+            net.flat.view("<u4")[...] = data.draw(st.lists(
+                st.one_of(st.integers(0, 2**32 - 1),
+                          st.sampled_from(self.SPECIAL_BITS)),
+                min_size=net.flat.size, max_size=net.flat.size))
+        nets[0].flat.view("<u4")[:len(self.SPECIAL_BITS)] = self.SPECIAL_BITS
+        path = tmp_path / "bits.bin"
+        nn.save_network(path, *nets, extra={"tag": 1}, name="both")
+        loaded = self._pair(np.random.default_rng(9))
+        assert nn.load_network(path, *loaded) == {"tag": 1}
+        for net, back in zip(nets, loaded):
+            assert back.flat.tobytes() == net.flat.tobytes()
+        again = tmp_path / "again.bin"
+        nn.save_network(again, *loaded, extra={"tag": 1}, name="both")
+        assert again.read_bytes() == path.read_bytes()
 
     def test_every_truncation_and_trailing_byte_rejected(self, rng,
                                                          tmp_path):

@@ -183,10 +183,9 @@ class TestCachedReference:
             return original(self, images)
 
         monkeypatch.setattr(metrics.FeatureExtractor, "extract", counting)
-        trace = ch.sample_fading_trace(env.model, env.num_blocks,
-                                       np.random.default_rng(11))
+        gains = ch.fading_gains(env.channel_kind, (1, env.num_blocks), 11)
         _, _, scores = env.run(lambda states, t: [1.0 / env.num_blocks],
-                               [trace], [12])
+                               gains, [12])
         assert len(seen) == 1
         want = terminal_reward(list(seen[0]), env.ground_truths, extractor)
         assert scores.tolist() == [want] and want < 0
@@ -237,7 +236,8 @@ class TestEnvironment:
             asked.append(t)
             return [0.5, 0.25]
 
-        states, powers, scores = env.run(policy, [None] * 2, [None] * 2)
+        states, powers, scores = env.run(policy, np.ones((2, env.num_blocks)),
+                                         [1, 2])
         assert asked == list(range(env.num_blocks))
         assert states.shape == (2, env.num_blocks, env.state_dim)
         assert powers.shape == (2, env.num_blocks)
@@ -245,20 +245,18 @@ class TestEnvironment:
 
     def test_zero_action_erases_block(self, env):
         states, powers, _ = env.run(lambda states, t: [0.5 * (t > 0)],
-                                    [None], [None])
+                                    np.ones((1, env.num_blocks)), [3])
         assert powers[0, 0] == 0.0 and powers[0, 1] == 0.5
         assert states[0, 1, -1] == 1.0   # an erased block costs nothing
 
     def test_state_layout(self, env):
-        trace = ch.sample_fading_trace(env.model, env.num_blocks,
-                                       np.random.default_rng(4))
-        states, _, _ = env.run(lambda states, t: [0.25], [trace], [None])
+        gains = ch.fading_gains(env.channel_kind, (1, env.num_blocks), 4)
+        states, _, _ = env.run(lambda states, t: [0.25], gains, [5])
         assert states.shape == (1, env.num_blocks, env.block_length + 2)
         assert states.dtype == np.float32
         # the pilot's block, the block's gain, the budget left (p_max = 1)
         assert np.array_equal(states[0, :, :-2], env.blocks[0])
-        assert np.array_equal(states[0, :, -2],
-                              trace.gains.astype(np.float32))
+        assert np.array_equal(states[0, :, -2], gains[0].astype(np.float32))
         assert states[0, 0, -1] == 1.0   # full budget remaining
         assert states[0, 1, -1] == np.float32(0.75)
 
@@ -349,9 +347,7 @@ class TestPpoUpdate:
 
 class TestEvaluation:
     def _traces(self, env, n, seed=0):
-        rng = np.random.default_rng(seed)
-        return [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                for _ in range(n)]
+        return ch.fading_gains(env.channel_kind, (n, env.num_blocks), seed)
 
     def test_uniform_policy_spends_whole_budget(self, env):
         traces = self._traces(env, 3)
@@ -373,8 +369,8 @@ class TestEvaluation:
         agent.save(path, extra={"p_max": 1.0})
         loaded, meta = PpoAgent.load(path)
         assert meta["p_max"] == 1.0
-        states = env.run(lambda states, t: [0.5] * 3, [None] * 3,
-                         [None] * 3)[0].reshape(-1, env.state_dim)
+        states = env.run(lambda states, t: [0.5] * 3, self._traces(env, 3),
+                         [0, 1, 2])[0].reshape(-1, env.state_dim)
         assert np.array_equal(loaded.mean_action(states),
                               agent.mean_action(states))
         for p, q in zip(agent.snapshot(), loaded.snapshot()):
@@ -413,10 +409,8 @@ class TestTrainingEffect:
         env = SeedTransmissionEnv(desk_bundle, prompts, 0.5, snr_db=0.0,
                                   p_max=0.5, block_length=16, seed=7)
         rng = np.random.default_rng(123)
-        frozen = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                  for _ in range(60)]
-        select = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                  for _ in range(15)]
+        frozen = ch.fading_gains(env.channel_kind, (60, env.num_blocks), rng)
+        select = ch.fading_gains(env.channel_kind, (15, env.num_blocks), rng)
         cfg = ppo_cfg(ppo_update_rounds=80)
         agent, history = train_agent(env, cfg, seed=3, eval_traces=select)
         assert len(history) == 80
@@ -444,13 +438,13 @@ class TestLockstep:
     def _spy(monkeypatch):
         """Record every trace drawn, noise seed used and act() draw."""
         seen = {"traces": [], "seeds": [], "draws": []}
-        sample, as_rng, act = (ch.sample_fading_trace, power_rl.as_rng,
+        sample, as_rng, act = (ch.fading_gains, power_rl.as_rng,
                                PpoAgent.act)
 
         def spy_sample(*args):
-            trace = sample(*args)
-            seen["traces"].append(trace.gains.copy())
-            return trace
+            gains = sample(*args)
+            seen["traces"].extend(gains.copy())
+            return gains
 
         def spy_as_rng(seed):
             seen["seeds"].append(seed)
@@ -460,7 +454,7 @@ class TestLockstep:
             seen["draws"].append(np.array(noise))
             return act(self, states, noise)
 
-        monkeypatch.setattr(ch, "sample_fading_trace", spy_sample)
+        monkeypatch.setattr(ch, "fading_gains", spy_sample)
         monkeypatch.setattr(power_rl, "as_rng", spy_as_rng)
         monkeypatch.setattr(PpoAgent, "act", spy_act)
         return seen
@@ -508,8 +502,7 @@ class TestLockstep:
         from megsim.util import derive_seed
         env = self._env(tiny_bundle)
         rng = np.random.default_rng(n)
-        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                  for _ in range(n)]
+        traces = ch.fading_gains(env.channel_kind, (n, env.num_blocks), rng)
         agent = PpoAgent(env.state_dim, hidden=16, rng=6)
         even = np.full(env.num_blocks, 1.0 / env.num_blocks)
         for policy, act in (
@@ -517,7 +510,7 @@ class TestLockstep:
                 (even, lambda states, t: even[t:t + 1])):
             got = evaluate(policy, env, traces)
             want = np.array([
-                env.run(act, [trace], [derive_seed(0xEDA1, i)])[2][0]
+                env.run(act, trace[None], [derive_seed(0xEDA1, i)])[2][0]
                 for i, trace in enumerate(traces)])
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
@@ -526,13 +519,12 @@ class TestLockstep:
         from megsim.util import derive_seed
         env = self._env(tiny_bundle)
         rng = np.random.default_rng(9)
-        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                  for _ in range(5)]
+        traces = ch.fading_gains(env.channel_kind, (5, env.num_blocks), rng)
         schedule = rng.uniform(0.0, 1.0, (len(traces), env.num_blocks))
         got = evaluate(schedule, env, traces)
         for i, trace in enumerate(traces):
-            want = env.run(lambda states, t: schedule[i, t:t + 1], [trace],
-                           [derive_seed(0xEDA1, i)])[2][0]
+            want = env.run(lambda states, t: schedule[i, t:t + 1],
+                           trace[None], [derive_seed(0xEDA1, i)])[2][0]
             assert abs(got[i] - want) <= 1e-6 * abs(want)
         with pytest.raises(ValueError):
             evaluate(schedule[:, :-1], env, traces)
@@ -544,11 +536,27 @@ class TestLockstep:
         assert len(env.power_audit) == 5
         assert env.steps_taken == 5 * env.num_blocks
         rng = np.random.default_rng(1)
-        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                  for _ in range(3)]
+        traces = ch.fading_gains(env.channel_kind, (3, env.num_blocks), rng)
         evaluate(agent, env, traces)
         assert len(env.power_audit) == 8
         assert all(total <= p_max for total, p_max in env.power_audit)
+
+    def test_unknown_kind_and_bad_gains_refused(self, tiny_bundle):
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            SeedTransmissionEnv(tiny_bundle, self.PROMPTS, 0.5, snr_db=0.0,
+                                p_max=1.0, channel_kind="nakagami")
+        env = self._env(tiny_bundle)
+        even = np.full(env.num_blocks, 1.0 / env.num_blocks)
+        for gains in (np.ones((2, env.num_blocks - 1)),
+                      np.full((2, env.num_blocks), -1.0),
+                      np.eye(2, env.num_blocks)):
+            with pytest.raises(ValueError, match="blocks of positive gain"):
+                evaluate(even, env, gains)
+        # one trace is a set of one, [1, blocks]
+        for gains in (np.ones(env.num_blocks), np.ones((0, env.num_blocks))):
+            with pytest.raises(ValueError, match=r"need gains \[E, blocks\]"):
+                env.run(lambda states, t: even[t:t + 1], gains, [0])
+        assert env.power_audit == []
 
     def test_non_positive_budget_refused(self, tiny_bundle):
         for p_max in (0.0, -1.0, math.nan):
@@ -560,7 +568,8 @@ class TestLockstep:
         env = self._env(tiny_bundle)
         for action in (0.5, [0.5, 0.5]):
             with pytest.raises(ValueError, match="one action per episode"):
-                env.run(lambda states, t: action, [None] * 3, [None] * 3)
+                env.run(lambda states, t: action,
+                        np.ones((3, env.num_blocks)), [0, 1, 2])
 
 
 def per_episode_reference(env, traces, noise_seeds, actions):
@@ -579,7 +588,7 @@ def per_episode_reference(env, traces, noise_seeds, actions):
         remaining = env.p_max
         for t in range(env.num_blocks):
             sent = env.blocks[:, t, :]
-            gain = float(trace.gains[t])
+            gain = float(trace[t])
             states[e, t, :-2] = env.blocks[0, t]
             states[e, t, -2] = gain
             states[e, t, -1] = remaining / env.p_max
@@ -634,8 +643,7 @@ class TestScoreChunks:
                                   seed=5)
         n = 2 * power_rl.SCORE_CHUNK + 1
         rng = np.random.default_rng(4)
-        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                  for _ in range(n)]
+        traces = ch.fading_gains(env.channel_kind, (n, env.num_blocks), rng)
         decoded, alive_at_start, scored = [], [], []
         decode, score = genmodel.AutoencoderPair.decode, env._score
 
@@ -675,8 +683,8 @@ class TestScoreChunks:
         peaks = []
         # the first run fills the per-process caches
         for n in (small, small, large):
-            traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                      for _ in range(n)]
+            traces = ch.fading_gains(env.channel_kind, (n, env.num_blocks),
+                                     rng)
             tracemalloc.start()
             try:
                 evaluate(even, env, traces)
@@ -702,14 +710,29 @@ def test_split_normal_draw_equals_one_draw(seed, shape, scale):
     assert whole.bit_generator.state == split.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", ch.KINDS)
+@pytest.mark.parametrize("seed, shape", [
+    (0, (20, 4)), (derive_seed(5, 0xE0), (16, 4)), (12345, (3, 17))])
+def test_split_fading_draw_equals_one_draw(kind, seed, shape):
+    """One draw of E traces of B gains is, in values and in the final
+    state of the generator, E draws of one trace each: so a rollout's or
+    a frozen set's one [E, B] draw gives every trace its own old gains."""
+    whole, split = np.random.default_rng(seed), np.random.default_rng(seed)
+    at_once = ch.fading_gains(kind, shape, whole)
+    rows = np.stack([ch.fading_gains(kind, shape[1:], split)
+                     for _ in range(shape[0])])
+    assert at_once.dtype == rows.dtype == np.float64
+    assert at_once.tobytes() == rows.tobytes()
+    assert whole.bit_generator.state == split.bit_generator.state
+
+
 class TestVectorizedStep:
     def test_matches_per_episode_loop(self, tiny_bundle, monkeypatch):
         env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
                                   snr_db=0.0, p_max=1.0, block_length=16,
                                   seed=5)
         rng = np.random.default_rng(3)
-        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                  for _ in range(6)]
+        traces = ch.fading_gains(env.channel_kind, (6, env.num_blocks), rng)
         seeds = [derive_seed(77, e) for e in range(6)]
         # zero, tiny, clamped and over-budget actions in every block
         actions = rng.uniform(0.0, 1.0, (env.num_blocks, 6))
@@ -744,8 +767,7 @@ class TestVectorizedStep:
                                   snr_db=0.0, p_max=1.0, block_length=16,
                                   seed=5)
         rng = np.random.default_rng(4)
-        traces = [ch.sample_fading_trace(env.model, env.num_blocks, rng)
-                  for _ in range(6)]
+        traces = ch.fading_gains(env.channel_kind, (6, env.num_blocks), rng)
         seeds = [derive_seed(78, e) for e in range(6)]
         # positive actions whose powers sum under the budget
         actions = rng.uniform(0.05, 1.0 / env.num_blocks,

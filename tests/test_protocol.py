@@ -326,8 +326,7 @@ class TestChunk:
             assert chunk.ground_truths[cell].tobytes() \
                 == alone.ground_truths[0].tobytes()
             assert chunk.latents[cell].tobytes() == alone.latents[0].tobytes()
-            assert np.array_equal(chunk.traces[cell].gains,
-                                  alone.traces[0].gains)
+            assert chunk.gains[cell].tobytes() == alone.gains[0].tobytes()
             for mode in metrics.MODES:
                 got, want = chunk[cell, mode], alone[0, mode]
                 assert got.report == want.report
@@ -409,10 +408,9 @@ class TestUeReceive:
 
     def test_noisy_link_matches_per_frame_loop(self, tiny_bundle):
         served = self._serve(tiny_bundle, self.PROMPTS, 0.5)
-        trace = ch.sample_fading_trace(
-            ch.ChannelModel("rayleigh_block", 16), 8, 3)
+        gains = ch.fading_gains("rayleigh_block", 8, 3)
         sent = transmit_stream(np.stack([frame.payload for frame in served]),
-                               trace, 0.3, np.random.default_rng(2))
+                               gains, 16, 0.3, np.random.default_rng(2))
         self._check(tiny_bundle, served, sent, recover_stream(*sent))
 
     def test_perfect_channel_matches_per_frame_loop(self, tiny_bundle):
@@ -450,12 +448,10 @@ def reference_transmit(symbols, gain, noise_std, rng):
     return y
 
 
-def reference_transmit_stream(symbols, trace, noise_std, rng):
-    return [ReceivedBlock(reference_transmit(block, trace.gains[i],
-                                             noise_std, rng),
-                          float(trace.gains[i]))
-            for i, block in enumerate(chunk_seed(symbols,
-                                                 trace.block_length))]
+def reference_transmit_stream(symbols, gains, block_length, noise_std, rng):
+    return [ReceivedBlock(reference_transmit(block, gains[i], noise_std,
+                                             rng), float(gains[i]))
+            for i, block in enumerate(chunk_seed(symbols, block_length))]
 
 
 def reference_recover_stream(blocks, expected_len):
@@ -473,37 +469,46 @@ class TestBatchedLink:
     @pytest.mark.parametrize("noise_std", [0.0, 0.4])
     def test_matches_per_block_reference(self, kind, prompts, noise_std):
         n, block = 70, 16              # a ragged last block of 6 symbols
-        trace = ch.sample_fading_trace(ch.ChannelModel(kind, block), 6, 9)
+        gains = ch.fading_gains(kind, 6, 9)
         payloads = np.random.default_rng(prompts).standard_normal(
             (prompts, n)).astype("<f4")
         ref_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
         ref_rx, ref_sym = [], []
         for row in payloads:
-            blocks = reference_transmit_stream(row, trace, noise_std, ref_rng)
+            blocks = reference_transmit_stream(row, gains, block, noise_std,
+                                               ref_rng)
             ref_rx.append(np.concatenate([b.values for b in blocks]))
             ref_sym.append(reference_recover_stream(blocks, n))
-        sent = transmit_stream(payloads, trace, noise_std, got_rng)
+        sent = transmit_stream(payloads, gains, block, noise_std, got_rng)
         assert np.array_equal(sent[0], np.stack(ref_rx))
         assert np.array_equal(recover_stream(*sent), np.stack(ref_sym))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_only_a_stack_of_payloads_accepted(self):
         # one payload is a stack of one row [1, N]
-        trace = ch.sample_fading_trace(ch.ChannelModel("rayleigh_block", 4),
-                                       5, 2)
+        gains = ch.fading_gains("rayleigh_block", 5, 2)
         x = np.arange(18, dtype=np.float64)
         for bad in (x, x[None, None], np.float64(1.0)):
             with pytest.raises(DimensionError, match=r"\[P, N\]"):
-                transmit_stream(bad, trace, 0.2, np.random.default_rng(1))
-        assert transmit_stream(x[None], trace, 0.2, 1)[0].shape == (1, 18)
+                transmit_stream(bad, gains, 4, 0.2, np.random.default_rng(1))
+        assert transmit_stream(x[None], gains, 4, 0.2, 1)[0].shape == (1, 18)
 
     def test_too_short_trace_rejected(self):
         # 18 symbols fill 5 blocks of 4; a trace of 4 blocks is one short
-        trace = ch.sample_fading_trace(ch.ChannelModel("awgn", 4), 4, 2)
+        gains = ch.fading_gains("awgn", 4, 2)
         with pytest.raises(ValueError, match="18 symbols need 5 blocks"):
-            transmit_stream(np.zeros((1, 18)), trace, 0.0, 0)
-        assert transmit_stream(np.zeros((1, 16)), trace, 0.0, 0)[0].shape \
+            transmit_stream(np.zeros((1, 18)), gains, 4, 0.0, 0)
+        assert transmit_stream(np.zeros((1, 16)), gains, 4, 0.0, 0)[0].shape \
             == (1, 16)
+
+    def test_non_positive_gain_or_block_length_rejected(self):
+        # a zero or negative gain on a block sent is refused
+        x = np.zeros((1, 16))
+        for gains in ([1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, -0.5]):
+            with pytest.raises(ValueError, match="blocks of positive gain"):
+                transmit_stream(x, gains, 4, 0.0, 0)
+        with pytest.raises(ValueError, match="block length must be"):
+            transmit_stream(x, np.ones(4), 0, 0.0, 0)
 
     def test_run_end_to_end_matches_per_prompt_reference(self, tiny_bundle,
                                                          monkeypatch):
@@ -542,7 +547,7 @@ class TestBatchedLink:
                                                   scales):
                 if mode == "meg":
                     blocks = reference_transmit_stream(
-                        seed, report.traces[0], noise_std, rng)
+                        seed, report.gains[0], 16, noise_std, rng)
                     flat = reference_recover_stream(blocks, seed.size)
                     images.append(tiny_bundle.autoencoder.decode(
                         codec.decompress(flat[None], [scale]))[0])
@@ -551,7 +556,7 @@ class TestBatchedLink:
                         .reshape(-1).astype(np.float64)
                     scale = float(np.sqrt(np.mean(payload ** 2)))
                     blocks = reference_transmit_stream(
-                        payload / scale, report.traces[0], noise_std, rng)
+                        payload / scale, report.gains[0], 16, noise_std, rng)
                     flat = reference_recover_stream(blocks, payload.size)
                     x = flat * scale
                     if mode == "centralized":
