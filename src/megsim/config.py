@@ -197,10 +197,15 @@ def _format_value(value, kind):
     return str(value)
 
 
-def _parse_value(text, kind):
-    if kind is tuple:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    return kind(text)
+def _parse_value(text, kind, where):
+    """``text`` read as ``kind``; a bad value raises a ValueError that
+    names ``where`` it was set."""
+    try:
+        if kind is tuple:
+            return tuple(float(v) for v in text.split(",") if v.strip())
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{where} = {text!r}: {exc}") from exc
 
 
 # where results land and the job count (accepted, but sweeps run in one
@@ -266,11 +271,7 @@ def read_config_file(path) -> dict:
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             attr, kind = known[key]
-            try:
-                updates[attr] = _parse_value(value, kind)
-            except ValueError as exc:
-                raise ValueError(f"[{section}] {key} = {value!r}: {exc}") \
-                    from exc
+            updates[attr] = _parse_value(value, kind, f"[{section}] {key}")
     return updates
 
 
@@ -311,7 +312,8 @@ def load_config(path=None, preset=None, overrides=None) -> ExperimentConfig:
            if k.startswith(ENV_PREFIX)}
     path = path or env.get("config")
     updates = read_config_file(path) if path else {}
-    updates.update({attr: _parse_value(env[key], kind)
+    updates.update({attr: _parse_value(env[key], kind,
+                                       ENV_PREFIX + key.upper())
                     for key, attr, kind in _SCHEMA["run"] if key in env})
     updates.update({key: value for key, value in (overrides or {}).items()
                     if value is not None})

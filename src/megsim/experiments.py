@@ -455,15 +455,20 @@ def cmd_table(cfg: ExperimentConfig) -> TableReport:
                                   rate, cfg.latent_channels)))
     ref_rate = 0.5 if 0.5 in cfg.codec_rates else cfg.codec_rates[0]
     seed_len = seedcodec.seed_length(cfg.latent_size, ref_rate)
-    enc_rows, dec_rows = seedcodec.codec_descriptors(
-        cfg.latent_size, seed_len, cfg.codec_hidden)
+    layers = seedcodec.codec_layers(cfg.latent_size, seed_len,
+                                    cfg.codec_hidden)
     param_rows = []
-    total = 0
-    for model, rows in (("encoder", enc_rows), ("decoder", dec_rows)):
-        for label, desc in rows:
-            count = nn.parameter_count([desc])
-            param_rows.append((model, label, count if count else None))
-            total += count
+    for i, desc in enumerate(layers):
+        if desc["kind"] == "dense":
+            kind = "Linear" if desc["activation"] == "none" \
+                else desc["activation"].title()
+            label = f"{kind}({desc['in_features']}->{desc['out_features']})"
+        else:
+            kind = "LayerNorm" if desc["kind"] == "layernorm" else "Normalize"
+            label = f"{kind}({desc['size']})"
+        param_rows.append(("decoder" if i else "encoder", label,
+                           nn.parameter_count([desc]) or None))
+    total = nn.parameter_count(layers)
 
     lines = ["transmitted symbols per generation"]
     for label, count in symbol_rows:

@@ -468,26 +468,28 @@ def _flush_moments(p, m, a, b, keep, rate, cap, exponent):
     m *= keep
 
 
-def parameter_count(description) -> int:
-    """Total parameter count from layer metadata alone.
+def layer_from_descriptor(desc, rng=None):
+    """A new float32 layer of the ``descriptor()`` dict ``desc``; a dense
+    layer draws its weights from ``rng`` (without one, they start at
+    zero)."""
+    if desc["kind"] == "dense":
+        return DenseLayer(desc["in_features"], desc["out_features"],
+                          desc["activation"], rng, desc["name"])
+    norm = {"normalize": Normalize, "layernorm": LayerNorm}[desc["kind"]]
+    return norm(desc["size"], desc["epsilon"], desc["name"])
 
-    Accepts descriptor dicts (as produced by ``descriptor()``) or short
-    tuples like ``("dense", n_in, n_out)``.
-    Additive over concatenation; never allocates weights.
-    """
+
+def parameter_count(descriptors) -> int:
+    """Total parameter count of ``descriptor()`` dicts, from the metadata
+    alone: it never allocates weights."""
     total = 0
-    for item in description:
-        if isinstance(item, dict):      # as the tuple form
-            kind = item["kind"]
-            item = (kind, item["in_features"], item["out_features"]) \
-                if kind == "dense" else (kind, item.get("size"))
-        kind = item[0]
-        if kind == "dense":
-            total += item[1] * item[2] + item[2]
-        elif kind == "layernorm":
-            total += 2 * item[1]
-        elif kind not in ("normalize", "flatten", "unflatten", "residual"):
-            raise ValueError(f"unknown layer kind {kind!r}")
+    for desc in descriptors:
+        if desc["kind"] == "dense":
+            total += (desc["in_features"] + 1) * desc["out_features"]
+        elif desc["kind"] == "layernorm":
+            total += 2 * desc["size"]
+        elif desc["kind"] != "normalize":
+            raise ValueError(f"unknown layer kind {desc['kind']!r}")
     return total
 
 

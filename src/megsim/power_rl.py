@@ -332,17 +332,6 @@ class SeedTransmissionEnv:
 # ---------------------------------------------------------------------------
 # PPO update and training loop
 
-def discounted_returns(rewards, gamma):
-    """Returns-to-go of rewards [E, blocks], one episode per row."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.zeros(rewards.shape)
-    acc = np.zeros(len(rewards))
-    for i in range(rewards.shape[1] - 1, -1, -1):
-        acc = rewards[:, i] + gamma * acc
-        out[:, i] = acc
-    return out
-
-
 def ppo_update(agent: PpoAgent, rollout: Rollout, cfg,
                opt: nn.Adam | None = None):
     """Several epochs of clipped-objective ascent on one rollout, with the
@@ -359,9 +348,13 @@ def ppo_update(agent: PpoAgent, rollout: Rollout, cfg,
     states = rollout.states.reshape(-1, rollout.states.shape[-1])
     us = rollout.raw_actions.reshape(-1)
     logp_old = rollout.log_probs.reshape(-1)
-    rewards = np.zeros(rollout.raw_actions.shape)
-    rewards[:, -1] = rollout.scores
-    returns = discounted_returns(rewards, cfg.ppo_gamma).reshape(-1)
+    # the reward is terminal: the last block's return is the score, each
+    # earlier block's gamma times the next one's
+    returns = np.empty(rollout.raw_actions.shape)
+    returns[:, -1] = rollout.scores
+    for t in range(returns.shape[1] - 2, -1, -1):
+        returns[:, t] = cfg.ppo_gamma * returns[:, t + 1]
+    returns = returns.reshape(-1)
     advantages = returns - agent.value(states)
     if len(advantages) > 1:
         advantages = ((advantages - advantages.mean())

@@ -2,9 +2,10 @@
 
 The encoder flattens a latent and projects it to the seed length; the
 decoder is a three-layer relu stack with normalization between layers and
-a residual connection from its first projection. One pair is trained per
-(compression rate, training SNR) because the optimal weights change with
-both.
+a residual connection from its first projection. :func:`codec_layers` is
+the one description of these layers: the networks are built from it and
+``megsim table`` counts it. One pair is trained per (compression rate,
+training SNR) because the optimal weights change with both.
 """
 
 import numpy as np
@@ -30,23 +31,23 @@ def seed_length(latent_size, rate) -> int:
     return n
 
 
-def codec_descriptors(latent_size, seed_len, hidden):
-    """Layer metadata rows for one codec, labeled for reporting."""
-    encoder = [
-        ("Flatten", ("flatten",)),
-        (f"Linear({latent_size}->{seed_len})", ("dense", latent_size, seed_len)),
-    ]
-    decoder = [
-        (f"Relu({seed_len}->{latent_size})", ("dense", seed_len, latent_size)),
-        (f"Normalize({latent_size})", ("normalize", latent_size)),
-        (f"Relu({latent_size}->{hidden})", ("dense", latent_size, hidden)),
-        (f"Normalize({hidden})", ("normalize", hidden)),
-        (f"Relu({hidden}->{latent_size})", ("dense", hidden, latent_size)),
-        (f"LayerNorm({latent_size})", ("layernorm", latent_size)),
-        ("Residual", ("residual",)),
-        ("Unflatten", ("unflatten",)),
-    ]
-    return encoder, decoder
+def codec_layers(latent_size, seed_len, hidden):
+    """The codec's layers in network order, as the ``descriptor()`` dicts
+    its network file holds: the encoder ``enc``, then the decoder stack
+    ``d1 n1 d2 n2 d3 ln``. :class:`CodecPair` builds these and ``megsim
+    table`` counts them; the decoder's residual add is in ``decode_flat``."""
+    def dense(name, n_in, n_out, activation):
+        return {"kind": "dense", "in_features": n_in, "out_features": n_out,
+                "activation": activation, "name": name}
+
+    def norm(kind, name, size):
+        return {"kind": kind, "size": size, "epsilon": 1e-6, "name": name}
+
+    n, L, h = latent_size, seed_len, hidden
+    return [dense("enc", n, L, "none"), dense("d1", L, n, "relu"),
+            norm("normalize", "n1", n), dense("d2", n, h, "relu"),
+            norm("normalize", "n2", h), dense("d3", h, n, "relu"),
+            norm("layernorm", "ln", n)]
 
 
 class CodecPair:
@@ -61,16 +62,11 @@ class CodecPair:
         self.hidden = int(hidden)
         self.train_snr_db = train_snr_db
         self.seed_len = seed_length(self.latent_size, rate)
-        n, L, h = self.latent_size, self.seed_len, self.hidden
-        self.enc = nn.DenseLayer(n, L, "none", rng, "enc")
-        self.d1 = nn.DenseLayer(L, n, "relu", rng, "d1")
-        self.n1 = nn.Normalize(n, name="n1")
-        self.d2 = nn.DenseLayer(n, h, "relu", rng, "d2")
-        self.n2 = nn.Normalize(h, name="n2")
-        self.d3 = nn.DenseLayer(h, n, "relu", rng, "d3")
-        self.ln = nn.LayerNorm(n, name="ln")
-        self.net = nn.Network([self.enc, self.d1, self.n1, self.d2, self.n2,
-                               self.d3, self.ln], name="codec")
+        self.net = nn.Network(
+            [nn.layer_from_descriptor(desc, rng) for desc in codec_layers(
+                self.latent_size, self.seed_len, self.hidden)], name="codec")
+        self.enc, self.d1, self.n1, self.d2, self.n2, self.d3, self.ln = \
+            self.net.layers
 
     # -- forward maps ------------------------------------------------------
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from megsim import config, corpus, experiments
+from megsim import config, corpus, experiments, nn, power_rl, seedcodec
 from megsim.cli import main as cli_main
 from megsim.util import write_csv
 
@@ -1045,6 +1045,26 @@ class TestTableAndEval:
         assert counts == [134_225_920, 134_234_112, 147_465_000,
                           147_472_384, 32_768]
 
+    def test_desk_table_counts_the_built_codec(self):
+        cfg = config.desk_config()
+        rep = experiments.cmd_table(cfg)
+        pair = seedcodec.CodecPair(cfg.latent_shape, 0.5, cfg.codec_hidden,
+                                   rng=0)
+        assert [count or 0 for _, _, count in rep.param_rows] \
+            == [layer.param_count for layer in pair.net.layers]
+        assert rep.total_params == pair.net.param_count == 41_632
+
+    def test_counts_of_every_built_network(self, desk_bundle, desk_cfg):
+        # the count that network_extra checks a file's size against
+        agent = power_rl.PpoAgent(desk_cfg.block_length + 2,
+                                  desk_cfg.ppo_hidden, rng=0)
+        ae = desk_bundle.autoencoder
+        nets = [ae.encoder, ae.decoder, desk_bundle.denoiser.net,
+                desk_bundle.extractor.net, agent.actor, agent.critic,
+                *(codec.net for codec in desk_bundle.codecs.values())]
+        for net in nets:
+            assert nn.parameter_count(net.descriptors()) == net.param_count
+
     def test_eval_command(self, tiny_cfg, tiny_bundle):
         result = experiments.cmd_eval(tiny_cfg)
         assert os.path.exists(result["eval_csv"])
@@ -1097,6 +1117,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"megsim: error: {words}\n"
         assert captured.out == "" and os.listdir(tmp_path) == ["zero.cfg"]
+
+    def test_bad_environment_value_names_its_variable(self, tmp_path, capsys,
+                                                      monkeypatch):
+        for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(key)
+        monkeypatch.setenv("MEGSIM_SEED", "abc")
+        assert cli_main(["--out", str(tmp_path), "table"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("megsim: error: MEGSIM_SEED = 'abc': ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("text,command,words", [
         ("[channel]\nkind = foo\n", "train", "[channel] kind 'foo'"),

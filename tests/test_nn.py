@@ -547,20 +547,30 @@ class TestAdamDrift:
             assert np.all(gap <= bound), float(np.max(gap / bound))
 
 
+def _dense(n_in, n_out):
+    return {"kind": "dense", "in_features": n_in, "out_features": n_out,
+            "activation": "none", "name": "d"}
+
+
+def _norm(kind, size):
+    return {"kind": kind, "size": size, "epsilon": 1e-6, "name": "n"}
+
+
 class TestParameterCount:
     @pytest.mark.parametrize("n_in,n_out,want", [
         (16384, 8192, 134_225_920),
         (9000, 16384, 147_472_384),
     ])
     def test_reference_dense_counts(self, n_in, n_out, want):
-        assert nn.parameter_count([("dense", n_in, n_out)]) == want
+        assert nn.parameter_count([_dense(n_in, n_out)]) == want
 
     def test_layernorm_count(self):
-        assert nn.parameter_count([("layernorm", 16384)]) == 32_768
+        assert nn.parameter_count([_norm("layernorm", 16384)]) == 32_768
+        assert nn.parameter_count([_norm("normalize", 16384)]) == 0
 
     def test_additive_over_concatenation(self, rng):
-        a = [("dense", 7, 5), ("normalize", 5)]
-        b = [("layernorm", 5), ("dense", 5, 2)]
+        a = [_dense(7, 5), _norm("normalize", 5)]
+        b = [_norm("layernorm", 5), _dense(5, 2)]
         assert (nn.parameter_count(a + b)
                 == nn.parameter_count(a) + nn.parameter_count(b))
 
@@ -571,6 +581,23 @@ class TestParameterCount:
         assert nn.parameter_count(descriptors) == 6 * 4 + 4 + 8
         assert nn.parameter_count(descriptors) \
             == sum(layer.param_count for layer in layers)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="residual"):
+            nn.parameter_count([_dense(4, 4), {"kind": "residual"}])
+
+
+class TestLayerFromDescriptor:
+    def test_rebuilds_each_kind_with_the_same_draws(self):
+        layers = [nn.DenseLayer(5, 3, "tanh", 7, "a"),
+                  nn.Normalize(3, epsilon=1e-3, name="b"),
+                  nn.LayerNorm(3, name="c")]
+        for layer in layers:
+            built = nn.layer_from_descriptor(layer.descriptor(), 7)
+            assert type(built) is type(layer)
+            assert built.descriptor() == layer.descriptor()
+            for p, q in zip(built.params(), layer.params()):
+                assert p.tobytes() == q.tobytes()
 
 
 class TestNetworkAndSerialization:

@@ -276,18 +276,6 @@ class TestPpoUpdate:
         assert len(diag["surrogate"]) == 3
         assert all(np.isfinite(v) for v in diag["value_loss"])
 
-    def test_discounted_returns(self):
-        rewards = [[0.0, 0.0, -2.0], [0.0, 1.0, -4.0]]
-        r = power_rl.discounted_returns(rewards, 0.5)
-        assert np.allclose(r, [[-0.5, -1.0, -2.0], [-0.5, -1.0, -4.0]])
-        r1 = power_rl.discounted_returns(rewards, 1.0)
-        assert np.allclose(r1, [[-2.0, -2.0, -2.0], [-3.0, -3.0, -4.0]])
-        for gamma in (0.5, 1.0):
-            for row, got in zip(rewards, power_rl.discounted_returns(
-                    rewards, gamma)):
-                assert got.tolist() == reference_discounted_returns(
-                    row, gamma).tolist()
-
     @pytest.mark.parametrize("gamma", [1.0, 0.9])
     def test_matches_list_of_records_reference(self, env, gamma):
         cfg = ppo_cfg(ppo_epochs=3, ppo_gamma=gamma)
