@@ -46,8 +46,7 @@ prompts, images = corpus.build_corpus(16, 2, 32, 32, seed=1)
 # every training setting lives in the experiment config
 cfg = replace(config.desk_config(), ae_steps=300, ae_encoder_hidden=256,
               dn_steps=400)
-pair, _ = genmodel.train_autoencoder(images, (2, 32, 32), (2, 8, 8), cfg,
-                                     seed=2)
+pair, _ = genmodel.train_autoencoder(images, cfg, seed=2)
 denoiser, history = genmodel.train_denoiser(
     pair, list(zip(prompts, images)), schedule, cfg, seed=3)
 print(f"noise-prediction loss: {history[0]:.3f} -> {history[-1]:.3f}",

@@ -19,9 +19,9 @@ print("training or loading the model bundle (cached under demo-runs/) ...")
 bundle = experiments.cmd_train(cfg).bundle
 
 prompts = sample_prompts(16, derive_seed(cfg.seed, 21))
-env = power_rl.SeedTransmissionEnv(bundle, prompts, 0.5,
-                                   snr_db=cfg.power_snr_db, p_max=0.5,
-                                   block_length=cfg.block_length, seed=7)
+# the link (rate, SNR, fading kind, block length) is the config's [power]
+# and [channel] settings; the budget is the tightest of [power] budgets
+env = power_rl.SeedTransmissionEnv(bundle, cfg, prompts, 0.5, seed=7)
 print(f"each episode: {env.num_blocks} blocks of {env.block_length} symbols, "
       f"budget 0.5 (even split gives {0.5 / env.num_blocks:.3f} per block)\n")
 

@@ -150,8 +150,11 @@ class ExperimentConfig:
                              "downsample factor")
         if self.latent_size >= self.pixel_count:
             raise ValueError("latent must be strictly smaller than the image")
-        if len(set(self.codec_rates)) < len(self.codec_rates):
-            raise ValueError("[codec] rates repeats a rate")
+        # a seed frame names its codec's rate in 1/65536ths (protocol)
+        if len({round(r * 2 ** 16) for r in self.codec_rates}) \
+                < len(self.codec_rates):
+            raise ValueError("[codec] rates repeats a rate at the seed "
+                             "frame's 1/65536 precision")
         budget = self.pixel_count / self.downsample ** 2
         for rate in self.codec_rates:
             n = seed_length(self.latent_size, rate)
@@ -213,23 +216,27 @@ def _parse_value(text, kind, where):
 _EXECUTION_KEYS = {"out", "jobs"}
 
 
-def render_config(cfg: ExperimentConfig, include_execution=True) -> str:
+def _section_lines(cfg, sections, skip=()):
+    """Each of ``sections`` in sorted order as its ``[section]`` header,
+    its ``key = value`` lines sorted by key less the keys in ``skip``,
+    and a blank line."""
     lines = []
-    for section in sorted(_SCHEMA):
-        keys = [entry for entry in sorted(_SCHEMA[section])
-                if include_execution or entry[0] not in _EXECUTION_KEYS]
-        if not keys:
-            continue
+    for section in sorted(sections):
         lines.append(f"[{section}]")
-        for key, attr, kind in keys:
-            lines.append(f"{key} = {_format_value(getattr(cfg, attr), kind)}")
+        lines += [f"{key} = {_format_value(getattr(cfg, attr), kind)}"
+                  for key, attr, kind in sorted(_SCHEMA[section])
+                  if key not in skip]
         lines.append("")
-    return "\n".join(lines)
+    return lines
+
+
+def render_config(cfg: ExperimentConfig) -> str:
+    return "\n".join(_section_lines(cfg, _SCHEMA))
 
 
 def canonical_form(cfg: ExperimentConfig) -> str:
     """Sorted, normalized key-value text; the basis of the config hash."""
-    return render_config(cfg, include_execution=False)
+    return "\n".join(_section_lines(cfg, _SCHEMA, _EXECUTION_KEYS))
 
 
 def config_hash(cfg: ExperimentConfig, sections=None, extra="",
@@ -239,16 +246,12 @@ def config_hash(cfg: ExperimentConfig, sections=None, extra="",
     With ``sections`` it keys one cached artifact instead: the lines of
     those sections less ``drop_keys``, then the seed and ``extra``.
     """
-    text = canonical_form(cfg)
-    if sections is not None:
-        keep, current = [], None
-        for line in text.splitlines():
-            if line.startswith("["):
-                current = line.strip("[]")
-            if current in sections and not any(
-                    line.startswith(f"{k} = ") for k in drop_keys):
-                keep.append(line)
-        text = "\n".join(keep + [f"seed = {cfg.seed}", extra])
+    if sections is None:
+        text = canonical_form(cfg)
+    else:
+        text = "\n".join(_section_lines(
+            cfg, sections, _EXECUTION_KEYS.union(drop_keys))
+            + [f"seed = {cfg.seed}", extra])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
@@ -307,9 +310,16 @@ def preset_config(name: str) -> ExperimentConfig:
 def load_config(path=None, preset=None, overrides=None) -> ExperimentConfig:
     """Resolve a config from preset defaults, an optional file, environment
     variables (MEGSIM_SEED and friends), then explicit overrides. The
-    preset is the argument's, else the environment's, else the file's."""
+    preset is the argument's, else the environment's, else the file's;
+    any other MEGSIM_* variable is refused, as an unknown file key is."""
     env = {k[len(ENV_PREFIX):].lower(): v for k, v in os.environ.items()
            if k.startswith(ENV_PREFIX)}
+    known = ["config"] + [key for key, _, _ in _SCHEMA["run"]]
+    for name in sorted(os.environ):
+        if name.startswith(ENV_PREFIX) and \
+                name[len(ENV_PREFIX):].lower() not in known:
+            raise ValueError(f"unknown environment variable {name}; megsim "
+                             f"reads {ENV_PREFIX}CONFIG and the [run] keys")
     path = path or env.get("config")
     updates = read_config_file(path) if path else {}
     updates.update({attr: _parse_value(env[key], kind,

@@ -123,23 +123,16 @@ def _load(cfg, skip=(), encoder=False):
     codecs = dict.fromkeys(cfg.codec_rates)
     nets = {}
     if "autoencoder" not in skip:
-        pair = genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
-                                        cfg.ae_hidden,
-                                        encoder_hidden=cfg.ae_encoder_hidden,
-                                        encoder=encoder)
+        pair = genmodel.AutoencoderPair(cfg, encoder=encoder)
         nets["ae_decoder.bin"] = pair.decoder
         if encoder:
             nets["ae_encoder.bin"] = pair.encoder
     if "denoiser" not in skip:
-        denoiser = genmodel.Denoiser(cfg.latent_shape, cfg.dn_hidden,
-                                     cfg.time_dim, cfg.max_tokens,
-                                     cfg.embed_dim)
+        denoiser = genmodel.Denoiser(cfg)
         nets["denoiser.bin"] = denoiser.net
     for rate in codecs:
         if f"codec[{rate!r}]" not in skip:
-            codecs[rate] = seedcodec.CodecPair(
-                cfg.latent_shape, rate, cfg.codec_hidden,
-                cfg.codec_train_snr_db)
+            codecs[rate] = seedcodec.CodecPair(cfg, rate)
             nets[_codec_filename(rate)] = codecs[rate].net
     for name, net in nets.items():
         nn.load_network(os.path.join(bundle_dir(cfg), name), net)
@@ -184,8 +177,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
 
     if "autoencoder" in retrain:
         pair, losses["autoencoder"] = genmodel.train_autoencoder(
-            images, cfg.image_shape, cfg.latent_shape, cfg,
-            derive_seed(cfg.seed, 10))
+            images, cfg, derive_seed(cfg.seed, 10))
         bundle.autoencoder = pair
         meta = {"dep_hash": files["ae_encoder.bin"][1],
                 "image_shape": list(cfg.image_shape),
@@ -387,10 +379,7 @@ def cmd_power(cfg: ExperimentConfig):
     agent_paths = []
     for b_idx, budget in enumerate(cfg.power_budgets):
         env = power_rl.SeedTransmissionEnv(
-            bundle, prompts, cfg.power_rate, cfg.power_snr_db,
-            p_max=budget, channel_kind=cfg.channel_kind,
-            block_length=cfg.block_length,
-            seed=derive_seed(cfg.seed, 25, b_idx))
+            bundle, cfg, prompts, budget, derive_seed(cfg.seed, 25, b_idx))
         agent, history = power_rl.train_agent(
             env, cfg, derive_seed(cfg.seed, 26, b_idx), select_traces)
         agent_path = os.path.join(cfg.out, f"agent_p{budget!r}.bin")

@@ -40,7 +40,7 @@ def _pooled_prompt(text, max_tokens, embed_dim):
     return pooled
 
 
-def embed_prompt(text, max_tokens=8, embed_dim=32):
+def embed_prompt(text, max_tokens, embed_dim):
     """The denoiser's prompt input [embed_dim], owned by the caller: the
     mean over ``max_tokens`` rows of the tokens' fixed unit vectors, padding
     rows zero and tokens past ``max_tokens`` dropped; a token is hashed to
@@ -144,28 +144,29 @@ def time_embedding(t, dim):
 # denoiser
 
 class Denoiser:
-    """Dense noise-prediction network conditioned on step and prompt.
+    """Dense noise-prediction network conditioned on step and prompt, with
+    the geometry and ``dn_hidden`` width of the experiment config ``cfg``.
 
     Input is the flattened noisy latent concatenated with a sinusoidal
     step embedding and the pooled prompt embedding; output has the latent
     shape.
     """
 
-    def __init__(self, latent_shape, hidden=128, time_dim=16,
-                 max_tokens=8, embed_dim=32, rng=None):
+    def __init__(self, cfg, rng=None):
         rng = None if rng is None else as_rng(rng)
-        self.latent_shape = tuple(latent_shape)
-        self.latent_size = int(np.prod(latent_shape))
-        self.time_dim = time_dim
-        self.max_tokens = max_tokens
-        self.embed_dim = embed_dim
-        in_dim = self.latent_size + time_dim + embed_dim
+        self.latent_shape = cfg.latent_shape
+        self.latent_size = cfg.latent_size
+        self.time_dim = cfg.time_dim
+        self.max_tokens = cfg.max_tokens
+        self.embed_dim = cfg.embed_dim
+        in_dim = self.latent_size + self.time_dim + self.embed_dim
+        hidden = cfg.dn_hidden
         self.net = nn.Network([
             nn.DenseLayer(in_dim, hidden, "relu", rng, "h1"),
             nn.DenseLayer(hidden, hidden, "relu", rng, "h2"),
             nn.DenseLayer(hidden, self.latent_size, "none", rng, "out"),
         ], name="denoiser")
-        self._time_table = np.empty((0, time_dim), dtype=np.float32)
+        self._time_table = np.empty((0, self.time_dim), dtype=np.float32)
 
     def time_table(self, steps):
         """Step embeddings for t = 0..steps (at least), built once."""
@@ -204,9 +205,9 @@ def denoiser_batch(latents, pooled, time_table, idx, ts, eps, schedule):
 
 
 def train_denoiser(pair, dataset, schedule, cfg, seed):
-    """Fit the noise predictor on corpus (prompt, image) pairs, with the
-    ``dn_*``, ``time_dim``, ``max_tokens`` and ``embed_dim`` settings of
-    the experiment config ``cfg``.
+    """Fit the noise predictor of :class:`Denoiser` ``(cfg)`` on corpus
+    (prompt, image) pairs encoded by ``pair``, with the ``dn_*`` settings
+    of the experiment config ``cfg``.
 
     For each sample a step t is drawn uniformly from [1, T], the encoded
     latent is diffused to z_t with fresh Gaussian noise, and the network
@@ -215,8 +216,7 @@ def train_denoiser(pair, dataset, schedule, cfg, seed):
     if not dataset:
         raise ValueError("dataset is empty")
     rng = as_rng(seed)
-    denoiser = Denoiser(pair.latent_shape, cfg.dn_hidden, cfg.time_dim,
-                        cfg.max_tokens, cfg.embed_dim, rng)
+    denoiser = Denoiser(cfg, rng)
     # a stack of batches of one, not one batch: each image keeps the
     # arithmetic of a call of its own, which the pinned weights depend on
     images = np.stack([img for _, img in dataset])
@@ -249,28 +249,25 @@ def train_denoiser(pair, dataset, schedule, cfg, seed):
 # pixel <-> latent autoencoder
 
 class AutoencoderPair:
-    """Dense encoder (pixels -> latent) and decoder (latent -> pixels);
+    """Dense encoder (pixels -> latent) and decoder (latent -> pixels) with
+    the geometry and ``ae_*`` widths of the experiment config ``cfg``;
     only training runs the encoder, so its hidden width may differ, and a
     pair built with ``encoder=False`` holds the decoder alone."""
 
-    def __init__(self, image_shape, latent_shape, hidden=256, rng=None,
-                 encoder_hidden=None, encoder=True):
+    def __init__(self, cfg, rng=None, encoder=True):
         rng = None if rng is None else as_rng(rng)
-        self.image_shape = tuple(image_shape)
-        self.latent_shape = tuple(latent_shape)
-        pixels = int(np.prod(image_shape))
-        latent = int(np.prod(latent_shape))
-        if encoder_hidden is None:
-            encoder_hidden = hidden
+        self.image_shape = cfg.image_shape
+        self.latent_shape = cfg.latent_shape
+        pixels, latent = cfg.pixel_count, cfg.latent_size
         # built first, so a trained pair draws the encoder's initial
         # weights before the decoder's
         self.encoder = nn.Network([
-            nn.DenseLayer(pixels, encoder_hidden, "relu", rng, "e1"),
-            nn.DenseLayer(encoder_hidden, latent, "none", rng, "e2"),
+            nn.DenseLayer(pixels, cfg.ae_encoder_hidden, "relu", rng, "e1"),
+            nn.DenseLayer(cfg.ae_encoder_hidden, latent, "none", rng, "e2"),
         ], name="encoder") if encoder else None
         self.decoder = nn.Network([
-            nn.DenseLayer(latent, hidden, "relu", rng, "d1"),
-            nn.DenseLayer(hidden, pixels, "none", rng, "d2"),
+            nn.DenseLayer(latent, cfg.ae_hidden, "relu", rng, "d1"),
+            nn.DenseLayer(cfg.ae_hidden, pixels, "none", rng, "d2"),
         ], name="decoder")
 
     @staticmethod
@@ -302,20 +299,21 @@ class AutoencoderPair:
         return np.clip(out, 0.0, 1.0, out=out)
 
 
-def train_autoencoder(images, image_shape, latent_shape, cfg, seed):
+def train_autoencoder(images, cfg, seed):
     """Minimize reconstruction MSE plus a small penalty on latent energy
-    (``ae_center_penalty``, which pulls latents toward zero mean), with
-    the ``ae_*`` settings of the experiment config ``cfg``.
+    (``ae_center_penalty``, which pulls latents toward zero mean), for
+    images [N, *image_shape] and with the ``ae_*`` settings of the
+    experiment config ``cfg``.
 
     Returns (pair, per-step loss history). The decoder is trained on its
     raw output; clamping to [0, 1] happens only at inference.
     """
     images = np.asarray(images, dtype=np.float32)
-    if images.ndim != 4 or images.shape[0] == 0:
-        raise ValueError("expected a non-empty batch of images [N, C, H, W]")
+    if images.shape[1:] != cfg.image_shape or not len(images):
+        raise DimensionError(f"images of shape {images.shape} are not a "
+                             f"non-empty batch [N, *{cfg.image_shape}]")
     rng = as_rng(seed)
-    pair = AutoencoderPair(image_shape, latent_shape, cfg.ae_hidden, rng,
-                           cfg.ae_encoder_hidden)
+    pair = AutoencoderPair(cfg, rng)
     flat = images.reshape(images.shape[0], -1)
     opt = nn.Adam(cfg.ae_lr)
     history = []

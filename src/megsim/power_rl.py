@@ -82,7 +82,7 @@ class Rollout:
 class PpoAgent:
     """Gaussian policy over the power fraction plus a state-value critic."""
 
-    def __init__(self, state_dim, hidden=32, rng=None):
+    def __init__(self, state_dim, hidden, rng=None):
         rng = None if rng is None else as_rng(rng)
         self.state_dim = int(state_dim)
         self.actor = nn.Network([
@@ -155,7 +155,10 @@ class PpoAgent:
 # environment
 
 class SeedTransmissionEnv:
-    """Per-block power decisions around one seed download for a prompt batch.
+    """Per-block power decisions around one seed download for a prompt
+    batch, over the link of the experiment config ``cfg``: its
+    ``power_rate`` codec, ``power_snr_db``, ``channel_kind`` and
+    ``block_length``.
 
     The state is the pilot prompt's current block (zero padded), the
     block's gain, and the normalized remaining budget. Every prompt in the
@@ -169,35 +172,31 @@ class SeedTransmissionEnv:
     decoded images is alive at a time.
     """
 
-    def __init__(self, bundle: ModelBundle, prompts, rate, snr_db,
-                 p_max, channel_kind="rayleigh_block", block_length=16,
-                 seed=0):
+    def __init__(self, bundle: ModelBundle, cfg, prompts, p_max, seed):
         if len(prompts) < 2:
             raise ValueError("the reward batch needs at least 2 prompts")
         self.bundle = bundle
         self.p_max = float(p_max)
         if not self.p_max > 0.0:
             raise ValueError(f"p_max must be positive, got {p_max}")
-        if channel_kind not in ch.KINDS:
-            raise ValueError(f"unknown channel kind {channel_kind!r}")
-        self.channel_kind = channel_kind
-        self.block_length = int(block_length)
-        self.noise_std = ch.snr_to_noise_std(snr_db, 1.0)
+        self.channel_kind = cfg.channel_kind
+        self.block_length = block_length = cfg.block_length
+        self.noise_std = ch.snr_to_noise_std(cfg.power_snr_db, 1.0)
         self._seed = int(seed)
         self._trace_rng = as_rng(derive_seed(seed, 0xE0))
         self._episode_index = 0
 
         frames, latents = es_handle_request(
             bundle, prompts,
-            [derive_seed(seed, 0xE1, i) for i in range(len(prompts))], rate,
-            block_length)
+            [derive_seed(seed, 0xE1, i) for i in range(len(prompts))],
+            cfg.power_rate, block_length)
         truths = bundle.autoencoder.decode(latents)
         self.ground_truths = list(truths)
         self._scales = np.array([fr.scale for fr in frames])[:, None]
         # the ground truths are fixed, so every episode's reward reuses
         # one extraction of their features
         self.reference_features = bundle.extractor.extract(truths)
-        self.codec = bundle.codec_for(rate)
+        self.codec = bundle.codec_for(cfg.power_rate)
         self.seed_len = frames[0].payload.size
         self.num_blocks = ch.block_count(self.seed_len, block_length)
         self.state_dim = block_length + 2
@@ -256,17 +255,18 @@ class SeedTransmissionEnv:
         return states.swapaxes(0, 1), powers, self._score(symbols)
 
     def step(self, t, actions, remaining, gains, rngs, symbols):
-        """Block t of every episode: clamp ``actions`` [E] to the
-        ``remaining`` budgets, draw the block's noise [P, block] from each
-        episode's generator in ``rngs`` (also where the block is erased,
-        so the streams stay aligned across policies), send the block,
-        equalize it and write its rescaled float32 symbols into
-        ``symbols`` [E, P, seed_len]; returns the powers [E]."""
+        """Block t of every episode: clamp ``actions`` [E], each in
+        [0, 1] (else ValueError), to the ``remaining`` budgets, draw the
+        block's noise [P, block] from each episode's generator in
+        ``rngs`` (also where the block is erased, so the streams stay
+        aligned across policies), send the block, equalize it and write
+        its rescaled float32 symbols into ``symbols`` [E, P, seed_len];
+        returns the powers [E]."""
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != remaining.shape:
             raise ValueError(f"need one action per episode, got "
                              f"{actions.shape}")
-        p = apply_power(np.clip(actions, 0.0, 1.0), remaining, self.p_max)
+        p = apply_power(actions, remaining, self.p_max)
         sent = self.blocks[:, t]
         # one [E, P, block] buffer holds the noise, then y = h sqrt(p) x + n;
         # the equalized block replaces it, where an erased block is zeros

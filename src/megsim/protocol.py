@@ -53,10 +53,6 @@ class SeedFrame:
     scale: float
     payload: np.ndarray
 
-    @property
-    def rate(self):
-        return self.rate_fixed / RATE_FIXED_ONE
-
 
 def encode_frame(frame: SeedFrame) -> bytes:
     header = struct.pack(_HEADER, FRAME_MAGIC, FRAME_VERSION,
@@ -188,7 +184,8 @@ def ue_receive(bundle: ModelBundle, wire_frames, received):
     """Receiver side for a batch of seed deliveries.
 
     ``wire_frames`` holds one encoded frame per prompt, all at one codec
-    rate (a mixed batch raises ProtocolError), and ``received`` what
+    rate that a deployed codec serves (else ProtocolError, as for a mixed
+    batch), and ``received`` what
     :func:`transmit_stream` returned for their stacked payloads, or None
     when the perfect channel carried the payloads intact. Returns the
     decoded images [P, C, H, W].
@@ -198,10 +195,14 @@ def ue_receive(bundle: ModelBundle, wire_frames, received):
         raise ProtocolError("a received batch must share one codec rate")
     symbols = recover_stream(*received) if received is not None \
         else [frame.payload.astype(np.float64) for frame in frames]
-    # each UE decodes its frame at the deployed rate nearest the header's, as
-    # a batch of one in a stack that holds every frame
-    rate = min(bundle.codecs, key=lambda r: abs(r - frames[0].rate))
-    latents = bundle.codec_for(rate).decompress(
+    # the deployed rate with the header's fixed-point value; each UE decodes
+    # its frame as a batch of one in a stack that holds every frame
+    rates = {round(rate * RATE_FIXED_ONE): rate for rate in bundle.codecs}
+    fixed = frames[0].rate_fixed
+    if fixed not in rates:
+        raise ProtocolError(f"no deployed codec serves the frames' rate "
+                            f"{fixed / RATE_FIXED_ONE:.6g}")
+    latents = bundle.codec_for(rates[fixed]).decompress(
         np.stack(symbols), [frame.scale for frame in frames])
     return bundle.autoencoder.decode(latents[:, None])[:, 0]
 
@@ -240,7 +241,7 @@ class RunSpec:
     """One paired trial, a sweep cell: every mode rides the same fading
     trace."""
     snr_db: float | None          # None is the perfect channel
-    channel_kind: str = "rayleigh_block"
+    channel_kind: str
     seed: int = 0
 
 

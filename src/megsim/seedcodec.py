@@ -11,7 +11,7 @@ training SNR) because the optimal weights change with both.
 import numpy as np
 
 from . import nn
-from .channel import snr_to_noise_std
+from .channel import fading_gains, snr_to_noise_std
 from .errors import CodecError, DimensionError, TrainingError
 from .util import as_rng
 
@@ -51,16 +51,17 @@ def codec_layers(latent_size, seed_len, hidden):
 
 
 class CodecPair:
-    """Encoder/decoder networks for one (rate, training SNR) setting."""
+    """Encoder/decoder networks at one compression ``rate``, with the latent
+    geometry, ``codec_hidden`` width and training SNR of the experiment
+    config ``cfg``."""
 
-    def __init__(self, latent_shape, rate, hidden=96, train_snr_db=None,
-                 rng=None):
+    def __init__(self, cfg, rate, rng=None):
         rng = None if rng is None else as_rng(rng)
-        self.latent_shape = tuple(latent_shape)
-        self.latent_size = int(np.prod(latent_shape))
+        self.latent_shape = cfg.latent_shape
+        self.latent_size = cfg.latent_size
         self.rate = float(rate)
-        self.hidden = int(hidden)
-        self.train_snr_db = train_snr_db
+        self.hidden = cfg.codec_hidden
+        self.train_snr_db = cfg.codec_train_snr_db
         self.seed_len = seed_length(self.latent_size, rate)
         self.net = nn.Network(
             [nn.layer_from_descriptor(desc, rng) for desc in codec_layers(
@@ -185,8 +186,8 @@ def transmission_gradients(pair: CodecPair, latents, eff_noise):
 
 
 def train_codec(latents, cfg, rate, seed):
-    """Joint encoder/decoder training through the fading channel, for
-    latents [N, *latent_shape] at compression ``rate``, with the
+    """Joint encoder/decoder training of :class:`CodecPair` ``(cfg, rate)``
+    through the fading channel, for latents [N, *latent_shape], with the
     ``codec_*`` and ``channel_kind`` settings of the experiment config
     ``cfg``.
 
@@ -196,12 +197,13 @@ def train_codec(latents, cfg, rate, seed):
     Returns (pair, per-epoch mean loss history).
     """
     latents = np.asarray(latents, dtype=np.float32)
-    if latents.ndim < 2 or latents.shape[0] == 0:
-        raise ValueError("expected a non-empty batch of latents")
+    if latents.shape[1:] != cfg.latent_shape or not len(latents):
+        raise DimensionError(f"latents of shape {latents.shape} are not a "
+                             f"non-empty batch [N, *{cfg.latent_shape}]")
     rng = as_rng(seed)
-    snr_db = cfg.codec_train_snr_db
-    pair = CodecPair(latents.shape[1:], rate, cfg.codec_hidden, snr_db, rng)
+    pair = CodecPair(cfg, rate, rng)
     flat = latents.reshape(latents.shape[0], -1)
+    snr_db = cfg.codec_train_snr_db
     noise_std = 0.0 if snr_db is None else snr_to_noise_std(snr_db)
     opt = nn.Adam(cfg.codec_lr)
     history = []
@@ -210,18 +212,14 @@ def train_codec(latents, cfg, rate, seed):
         epoch_losses = []
         for start in range(0, len(order), cfg.codec_batch):
             batch = flat[order[start:start + cfg.codec_batch]]
+            shape = (batch.shape[0], pair.seed_len)
             if noise_std > 0:
-                if cfg.channel_kind == "rayleigh_block":
-                    gains = rng.rayleigh(scale=1.0 / np.sqrt(2.0),
-                                         size=(batch.shape[0], 1))
-                    gains = np.maximum(gains, 1e-3)
-                else:
-                    gains = np.ones((batch.shape[0], 1))
-                noise = rng.normal(0.0, noise_std,
-                                   size=(batch.shape[0], pair.seed_len))
-                eff_noise = noise / gains
+                gains = np.maximum(fading_gains(cfg.channel_kind,
+                                                (batch.shape[0], 1), rng),
+                                   1e-3)
+                eff_noise = rng.normal(0.0, noise_std, size=shape) / gains
             else:
-                eff_noise = np.zeros((batch.shape[0], pair.seed_len))
+                eff_noise = np.zeros(shape)
             loss, _ = transmission_gradients(pair, batch, eff_noise)
             epoch_losses.append(loss)
             opt.step(*nn.network_vectors([pair.net]))

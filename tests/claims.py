@@ -64,10 +64,8 @@ def allocator_gain(bundle, cfg):
     08 reads."""
     prompts = corpus.sample_prompts(cfg.power_prompts,
                                     derive_seed(cfg.seed, 21))
-    env = power_rl.SeedTransmissionEnv(
-        bundle, prompts, cfg.power_rate, cfg.power_snr_db,
-        p_max=min(cfg.power_budgets), channel_kind=cfg.channel_kind,
-        block_length=cfg.block_length, seed=7)
+    env = power_rl.SeedTransmissionEnv(bundle, cfg, prompts,
+                                       min(cfg.power_budgets), seed=7)
     rng = np.random.default_rng(123)
     frozen = ch.fading_gains(env.channel_kind, (100, env.num_blocks), rng)
     select = ch.fading_gains(env.channel_kind, (20, env.num_blocks), rng)
@@ -91,8 +89,9 @@ def saturation_gap(bundle, cfg):
     after 20 PPO rounds, on 30 traces; with power to spare every policy
     should score alike."""
     prompts = corpus.sample_prompts(16, derive_seed(cfg.seed, 21))
-    env = power_rl.SeedTransmissionEnv(bundle, prompts, 0.5, snr_db=30.0,
-                                       p_max=400.0, channel_kind="awgn",
+    env_cfg = replace(cfg, power_rate=0.5, power_snr_db=30.0,
+                      channel_kind="awgn")
+    env = power_rl.SeedTransmissionEnv(bundle, env_cfg, prompts, 400.0,
                                        seed=7)
     traces = ch.fading_gains(env.channel_kind, (30, env.num_blocks), 5)
     ppo_cfg = replace(config.desk_config(), ppo_update_rounds=20)

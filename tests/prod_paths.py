@@ -28,6 +28,8 @@ KEEP = {
     "metrics.mse": "the per-image reference that batch_report computes "
                    "inline; acceptance 05 and the metric tests use it",
     "metrics.psnr": "the reference PSNR; acceptance 05 tests its algebra",
+    "config.render_config": "writes a config file that --config reads "
+                            "back; CI's round-trip step uses it",
     "seedcodec.transmission_loss": "the loss that the codec gradient checks "
                                    "difference",
     "power_rl.PpoAgent.load": "the reader of the agent files that "

@@ -271,10 +271,12 @@ class TestConfig:
             replace(config.desk_config(), channel_kind="foo").validate()
 
     def test_repeated_codec_rate_refused(self, tmp_path):
-        # two codecs of one rate would share one bundle file
-        with pytest.raises(ValueError, match=re.escape(
-                "[codec] rates repeats a rate")):
-            replace(config.desk_config(), codec_rates=(0.5, 0.3, 0.5))
+        # two codecs of one rate would share one bundle file, and two
+        # within 1/65536 one seed frame header value
+        for rates in ((0.5, 0.3, 0.5), (0.5, 0.500001)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "[codec] rates repeats a rate")):
+                replace(config.desk_config(), codec_rates=rates)
         path = tmp_path / "twice.cfg"
         path.write_text("[codec]\nrates = 0.5, 0.5\n")
         with pytest.raises(ValueError, match="repeats"):
@@ -617,9 +619,7 @@ class TestTrainCaching:
                            match=r"\(ae_encoder\.bin corrupt\).*megsim train"):
             experiments.load_bundle(cfg)
         # intact by the manifest, but trained for another config
-        encoder = genmodel.AutoencoderPair(
-            cfg.image_shape, cfg.latent_shape, cfg.ae_hidden,
-            encoder_hidden=cfg.ae_encoder_hidden).encoder
+        encoder = genmodel.AutoencoderPair(cfg).encoder
         open(path, "wb").write(original)
         meta = nn.load_network(path, encoder)
         nn.save_network(path, encoder, extra={**meta, "dep_hash": "0" * 12})
@@ -828,8 +828,8 @@ class TestSweep:
                                                     monkeypatch):
         from megsim import corpus
         renders, samples = [], []
-        render = config.render_config
-        monkeypatch.setattr(config, "render_config",
+        render = config._section_lines
+        monkeypatch.setattr(config, "_section_lines",
                             lambda *a, **kw: renders.append(1)
                             or render(*a, **kw))
         sample = corpus.sample_prompts
@@ -915,10 +915,8 @@ class TestPowerCommand:
                       power_eval_traces=3)
         prompts = corpus.sample_prompts(cfg.power_prompts,
                                         derive_seed(cfg.seed, 21))
-        env = power_rl.SeedTransmissionEnv(
-            tiny_bundle, prompts, cfg.power_rate, cfg.power_snr_db,
-            p_max=1.0, channel_kind=cfg.channel_kind,
-            block_length=cfg.block_length, seed=derive_seed(cfg.seed, 22))
+        env = power_rl.SeedTransmissionEnv(tiny_bundle, cfg, prompts, 1.0,
+                                           derive_seed(cfg.seed, 22))
         result = experiments.cmd_power(cfg)
         assert os.path.basename(result["traces_csv"]) \
             == f"eval_traces_3x{env.num_blocks}.csv"
@@ -1048,8 +1046,7 @@ class TestTableAndEval:
     def test_desk_table_counts_the_built_codec(self):
         cfg = config.desk_config()
         rep = experiments.cmd_table(cfg)
-        pair = seedcodec.CodecPair(cfg.latent_shape, 0.5, cfg.codec_hidden,
-                                   rng=0)
+        pair = seedcodec.CodecPair(cfg, 0.5, rng=0)
         assert [count or 0 for _, _, count in rep.param_rows] \
             == [layer.param_count for layer in pair.net.layers]
         assert rep.total_params == pair.net.param_count == 41_632
@@ -1126,6 +1123,22 @@ class TestCli:
         assert cli_main(["--out", str(tmp_path), "table"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("megsim: error: MEGSIM_SEED = 'abc': ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("name", ["MEGSIM_SEEED", "MEGSIM_PRESETT",
+                                      "MEGSIM_EVAL_PROMPT"])
+    def test_unknown_environment_variable_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, name):
+        # read as a [run] key or the config path, or refused: a misspelled
+        # variable never runs with the default it meant to replace
+        for key in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(key)
+        monkeypatch.setenv(name, "3")
+        assert cli_main(["--out", str(tmp_path), "table"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"megsim: error: unknown environment variable {name}; megsim "
+            f"reads MEGSIM_CONFIG and the [run] keys")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("text,command,words", [

@@ -6,6 +6,21 @@ import pytest
 from megsim import config, corpus, genmodel, metrics
 from megsim.errors import DimensionError, ScheduleError
 
+DESK = config.desk_config()
+
+
+def embed(text):
+    """The desk denoiser's prompt input."""
+    return genmodel.embed_prompt(text, DESK.max_tokens, DESK.embed_dim)
+
+
+def geometry(channels, side, downsample, latent_channels, **settings):
+    """A desk config for images [channels, side, side] and latents
+    [latent_channels, side / downsample, side / downsample]."""
+    return replace(DESK, channels=channels, height=side, width=side,
+                   downsample=downsample, latent_channels=latent_channels,
+                   **settings)
+
 
 class ExactNoiseOracle:
     """Denoiser stub returning the exact noise used to corrupt z0."""
@@ -25,13 +40,13 @@ class ZeroDenoiser(ExactNoiseOracle):
 
 class TestPromptEmbedding:
     def test_deterministic(self):
-        a = genmodel.embed_prompt("large rings center")
-        b = genmodel.embed_prompt("large rings center")
+        a = embed("large rings center")
+        b = embed("large rings center")
         assert a.shape == (32,) and np.array_equal(a, b)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            genmodel.embed_prompt("   ")
+            embed("   ")
 
     def test_distinct_words_not_collinear(self):
         a = genmodel._token_vector("blob", 32)
@@ -46,20 +61,20 @@ class TestPromptEmbedding:
         # the mean over max_tokens rows, the padding rows zero
         padded = np.zeros((5, 32), np.float32)
         padded[:2] = two, words
-        assert np.array_equal(genmodel.embed_prompt("two words", max_tokens=5),
+        assert np.array_equal(genmodel.embed_prompt("two words", 5, 32),
                               padded.mean(axis=0))
 
     def test_truncation_flag(self):
         # tokens past max_tokens are dropped
-        assert np.array_equal(genmodel.embed_prompt("a b c d", max_tokens=2),
-                              genmodel.embed_prompt("a b", max_tokens=2))
+        assert np.array_equal(genmodel.embed_prompt("a b c d", 2, 32),
+                              genmodel.embed_prompt("a b", 2, 32))
 
     def test_embedding_is_a_writable_copy_of_the_memoized_row(self):
         text = "large rings center"
         row = genmodel._pooled_prompt(text, 8, 32)
         assert genmodel._pooled_prompt(text, 8, 32) is row
         assert not row.flags.writeable
-        emb = genmodel.embed_prompt(text)
+        emb = embed(text)
         assert emb.flags.writeable and not np.shares_memory(emb, row)
         # bit-equal to the row and to the mean it memoizes
         reference = np.zeros((8, 32), np.float32)
@@ -149,9 +164,7 @@ class TestAutoencoder:
     def test_trained_beats_untrained(self, tiny_bundle, tiny_cfg):
         prompts, images = corpus.build_corpus(8, *tiny_cfg.image_shape, seed=5)
         pair = tiny_bundle.autoencoder
-        random_pair = genmodel.AutoencoderPair(tiny_cfg.image_shape,
-                                               tiny_cfg.latent_shape,
-                                               tiny_cfg.ae_hidden, rng=99)
+        random_pair = genmodel.AutoencoderPair(tiny_cfg, rng=99)
         def recon_mse(p):
             out = p.decode(p.encode(images))
             return metrics.mse(out, images)
@@ -162,34 +175,32 @@ class TestAutoencoder:
             return [(d["in_features"], d["out_features"])
                     for d in net.descriptors()]
 
-        pair = genmodel.AutoencoderPair((2, 8, 8), (2, 2, 2), 24, rng=0,
-                                        encoder_hidden=6)
+        pair = genmodel.AutoencoderPair(
+            geometry(2, 8, 4, 2, ae_hidden=24, ae_encoder_hidden=6), rng=0)
         assert widths(pair.encoder) == [(128, 6), (6, 8)]
         assert widths(pair.decoder) == [(8, 24), (24, 128)]
-        same = genmodel.AutoencoderPair((2, 8, 8), (2, 2, 2), 24, rng=0)
-        assert widths(same.encoder) == [(128, 24), (24, 8)]
 
     def test_overfits_two_images_with_identity_sized_latent(self):
         images = corpus.build_corpus(2, 1, 8, 8, seed=3)[1]
-        cfg = replace(config.desk_config(), ae_steps=2500, ae_batch=2,
-                      ae_lr=3e-3, ae_center_penalty=0.0, ae_hidden=96,
-                      ae_encoder_hidden=96)
-        pair, _ = genmodel.train_autoencoder(images, (1, 8, 8), (1, 8, 8),
-                                             cfg, seed=1)
+        # a latent [1, 4, 4]: a config refuses one as large as the image,
+        # and two images need far fewer dimensions than 16
+        cfg = geometry(1, 8, 2, 1, ae_steps=2500, ae_batch=2, ae_lr=3e-3,
+                       ae_center_penalty=0.0, ae_hidden=96,
+                       ae_encoder_hidden=96)
+        pair, _ = genmodel.train_autoencoder(images, cfg, seed=1)
         out = pair.decode(pair.encode(images))
         assert metrics.mse(out, images) < 1e-3
 
     def test_center_penalty_pulls_latents_toward_zero_center(self):
         images = corpus.build_corpus(12, 1, 16, 16, seed=3)[1]
-        shapes = ((1, 16, 16), (1, 4, 4))
+        cfg = geometry(1, 16, 4, 1, ae_steps=400, ae_batch=8, ae_hidden=64,
+                       ae_encoder_hidden=64)
 
         def train(lam):
-            cfg = replace(config.desk_config(), ae_steps=400, ae_batch=8,
-                          ae_center_penalty=lam, ae_hidden=64,
-                          ae_encoder_hidden=64)
-            return genmodel.train_autoencoder(images, *shapes, cfg, seed=2)[0]
+            return genmodel.train_autoencoder(
+                images, replace(cfg, ae_center_penalty=lam), seed=2)[0]
 
-        before = genmodel.AutoencoderPair(*shapes, 64, rng=2)
+        before = genmodel.AutoencoderPair(cfg, rng=2)
         center_before = abs(float(np.mean(before.encode(images))))
         center_after = abs(float(np.mean(train(0.1).encode(images))))
         assert center_after < center_before
@@ -198,14 +209,14 @@ class TestAutoencoder:
         energy_free = float(np.mean(train(0.0).encode(images) ** 2))
         assert energy_pen < energy_free
 
-    def test_shape_round_trip_and_clamp(self, tiny_bundle, rng):
+    def test_shape_round_trip_and_clamp(self, tiny_bundle, tiny_cfg, rng):
         pair = tiny_bundle.autoencoder
         img = rng.random((1,) + pair.image_shape).astype(np.float32)
         out = pair.decode(pair.encode(img))
         assert out.shape == img.shape
         # force a raw output above 1 and check the clamp
-        pair_hot = genmodel.AutoencoderPair(pair.image_shape,
-                                            pair.latent_shape, 8, rng=0)
+        pair_hot = genmodel.AutoencoderPair(
+            replace(tiny_cfg, ae_hidden=8, ae_encoder_hidden=8), rng=0)
         pair_hot.decoder.layers[-1].bias[...] = 5.0
         decoded = pair_hot.decode(np.zeros((1,) + pair.latent_shape,
                                            np.float32))
@@ -214,9 +225,7 @@ class TestAutoencoder:
     def test_psnr_trained_beats_random(self, tiny_bundle, tiny_cfg):
         _, images = corpus.build_corpus(6, *tiny_cfg.image_shape, seed=8)
         pair = tiny_bundle.autoencoder
-        random_pair = genmodel.AutoencoderPair(tiny_cfg.image_shape,
-                                               tiny_cfg.latent_shape,
-                                               tiny_cfg.ae_hidden, rng=123)
+        random_pair = genmodel.AutoencoderPair(tiny_cfg, rng=123)
         img = images[:1]
         good = metrics.psnr(pair.decode(pair.encode(img)), img, 1.0)
         bad = metrics.psnr(random_pair.decode(random_pair.encode(img)), img,
@@ -237,12 +246,13 @@ class TestDenoiserTraining:
 
     def test_vectorized_batch_equals_per_sample_composition(self, rng):
         prompts, images = corpus.build_corpus(7, 3, 16, 16, seed=2)
-        pair = genmodel.AutoencoderPair((3, 16, 16), (2, 4, 4), 24, rng=3)
+        pair = genmodel.AutoencoderPair(
+            geometry(3, 16, 4, 2, ae_hidden=24, ae_encoder_hidden=24), rng=3)
         sched = genmodel.make_schedule(9)
         time_dim = 16
         latents = np.stack([pair.encode(img[None]).reshape(-1)
                             for img in images])
-        pooled = np.stack([genmodel.embed_prompt(p) for p in prompts])
+        pooled = np.stack([embed(p) for p in prompts])
         time_table = np.stack([genmodel.time_embedding(t, time_dim)
                                for t in range(sched.steps + 1)])
         idx = rng.integers(0, len(prompts), size=32)
@@ -252,7 +262,7 @@ class TestDenoiserTraining:
             genmodel.diffuse_forward(latents[i], int(t), e, sched)
             .astype(np.float32),
             genmodel.time_embedding(int(t), time_dim),
-            genmodel.embed_prompt(prompts[i])]) for i, t, e in zip(idx, ts, eps)])
+            embed(prompts[i])]) for i, t, e in zip(idx, ts, eps)])
         got = genmodel.denoiser_batch(latents, pooled, time_table, idx, ts,
                                       eps, sched)
         assert got.dtype == want.dtype == np.float32
@@ -276,7 +286,7 @@ class TestDenoiserTraining:
         den = tiny_bundle.denoiser
         pair = tiny_bundle.autoencoder
         rng = np.random.default_rng(11)
-        embs = [genmodel.embed_prompt(p) for p in prompts]
+        embs = [embed(p) for p in prompts]
         z0s = [pair.encode(img[None]).reshape(-1) for img in images]
         ts = rng.integers(1, sched.steps + 1, size=40)
         noises = rng.standard_normal((40, z0s[0].size))
@@ -316,7 +326,7 @@ class TestGeneration:
         s1 = genmodel.make_schedule(1)
         noise = rng.standard_normal((1,) + tiny_bundle.latent_shape) \
             .astype(np.float32)
-        pooled = genmodel.embed_prompt("blob")[None]
+        pooled = embed("blob")[None]
         got = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], noise,
                                        s1)
         want = genmodel.ddim_step(tiny_bundle.denoiser, noise, 1, pooled, s1)
@@ -380,7 +390,8 @@ class TestSamplerConstants:
             assert np.array_equal(got, want)
 
     def test_time_table_rows_are_time_embeddings(self):
-        den = genmodel.Denoiser((2, 2, 2), hidden=8, time_dim=6, rng=0)
+        den = genmodel.Denoiser(geometry(2, 8, 4, 2, dn_hidden=8, time_dim=6),
+                                rng=0)
         table = den.time_table(4)
         assert den.time_table(3) is table          # built once
         assert all(np.array_equal(table[t], genmodel.time_embedding(t, 6))
@@ -394,9 +405,9 @@ class TestSamplerConstants:
         assert genmodel._token_vector("blob", 32) is v
         with pytest.raises(ValueError):
             v[0] = 1.0
-        emb = genmodel.embed_prompt("blob")
+        emb = embed("blob")
         emb[0] = 7.0                             # the embedding owns a copy
-        assert genmodel.embed_prompt("blob")[0] == v[0] / 8 != 7.0
+        assert embed("blob")[0] == v[0] / 8 != 7.0
 
 
 class TestPromptBatch:
@@ -421,7 +432,7 @@ class TestPromptBatch:
 
     def test_predict_needs_one_pooled_row_per_latent(self, tiny_bundle):
         den = tiny_bundle.denoiser
-        emb = genmodel.embed_prompt("blob")
+        emb = embed("blob")
         z = np.zeros((2,) + den.latent_shape)
         for cond in (emb[None], np.stack([emb] * 3)):
             with pytest.raises(DimensionError):

@@ -438,14 +438,15 @@ class TestAdamMatchesReference:
                                                   monkeypatch):
         # 3 x 16 x 16 pixels x 32 hidden = 24,576 weights, more than a block
         prompts, images = corpus.build_corpus(10, 3, 16, 16, seed=4)
-        shapes = ((3, 16, 16), (2, 4, 4))
-        cfg = replace(config.desk_config(), ae_steps=40, ae_batch=4,
-                      ae_hidden=32, ae_encoder_hidden=32, dn_steps=40,
-                      dn_batch=4, dn_hidden=24, time_dim=8)
+        # images [3, 16, 16], latents [2, 4, 4]
+        cfg = replace(config.desk_config(), channels=3, height=16, width=16,
+                      ae_steps=40, ae_batch=4, ae_hidden=32,
+                      ae_encoder_hidden=32, dn_steps=40, dn_batch=4,
+                      dn_hidden=24, time_dim=8)
         schedule = genmodel.make_schedule(6)
 
         def train_and_save(tag):
-            pair, _ = genmodel.train_autoencoder(images, *shapes, cfg, seed=1)
+            pair, _ = genmodel.train_autoencoder(images, cfg, seed=1)
             den, _ = genmodel.train_denoiser(
                 pair, list(zip(prompts, images)), schedule, cfg, seed=2)
             blobs = []
@@ -805,13 +806,13 @@ class TestOneVectorPerNetwork:
     def test_training_steps_move_the_layer_arrays(self, rng, tmp_path,
                                                   assert_aliased):
         images = rng.uniform(0, 1, (6, 3, 4, 4))
-        cfg = replace(config.desk_config(), ae_steps=1, ae_batch=2,
-                      ae_hidden=8, ae_encoder_hidden=8, codec_epochs=1,
-                      codec_batch=4, codec_hidden=8)
-        pair, _ = genmodel.train_autoencoder(images, (3, 4, 4), (2, 2, 2),
-                                             cfg, seed=1)
-        start = genmodel.AutoencoderPair((3, 4, 4), (2, 2, 2), 8,
-                                         np.random.default_rng(1))
+        # images [3, 4, 4], latents [2, 2, 2]
+        cfg = replace(config.desk_config(), channels=3, height=4, width=4,
+                      downsample=2, ae_steps=1, ae_batch=2, ae_hidden=8,
+                      ae_encoder_hidden=8, codec_epochs=1, codec_batch=4,
+                      codec_hidden=8)
+        pair, _ = genmodel.train_autoencoder(images, cfg, seed=1)
+        start = genmodel.AutoencoderPair(cfg, np.random.default_rng(1))
         for net, net0 in ((pair.encoder, start.encoder),
                           (pair.decoder, start.decoder)):
             assert_aliased(net)
@@ -822,16 +823,14 @@ class TestOneVectorPerNetwork:
 
         codec, _ = seedcodec.train_codec(rng.standard_normal((4, 2, 2, 2)),
                                          cfg, rate=0.5, seed=2)
-        start = seedcodec.CodecPair((2, 2, 2), 0.5, 8, cfg.codec_train_snr_db,
-                                    np.random.default_rng(2))
+        start = seedcodec.CodecPair(cfg, 0.5, np.random.default_rng(2))
         assert_aliased(codec.net)
         assert codec.net.grad is None
         assert codec.net.layers == [codec.enc, codec.d1, codec.n1, codec.d2,
                                     codec.n2, codec.d3, codec.ln]
         assert not np.array_equal(codec.enc.weights, start.enc.weights)
         codec.save(tmp_path / "codec.bin")
-        loaded = seedcodec.CodecPair((2, 2, 2), 0.5, 8,
-                                     cfg.codec_train_snr_db)
+        loaded = seedcodec.CodecPair(cfg, 0.5)
         nn.load_network(tmp_path / "codec.bin", loaded.net)
         assert_aliased(loaded.net)
         assert loaded.net.flat.tobytes() == codec.net.flat.tobytes()

@@ -16,9 +16,14 @@ from megsim.power_rl import (PpoAgent, SeedTransmissionEnv, apply_power,
 from megsim.util import derive_seed
 
 
+# the desk config; its power link is the rate-0.5 codec at 0 dB over
+# Rayleigh blocks of 16 symbols
+DESK = config.desk_config()
+
+
 def ppo_cfg(**settings):
     """The desk config with the given ``ppo_*`` settings."""
-    return replace(config.desk_config(), **settings)
+    return replace(DESK, **settings)
 
 
 def terminal_reward(decoded_images, ground_truths, extractor):
@@ -31,8 +36,7 @@ def terminal_reward(decoded_images, ground_truths, extractor):
 def env(tiny_bundle):
     prompts = ["large blob left", "tiny stripes top", "huge rings center",
                "small cross bottom"]
-    return SeedTransmissionEnv(tiny_bundle, prompts, 0.5, snr_db=0.0,
-                               p_max=1.0, block_length=16, seed=5)
+    return SeedTransmissionEnv(tiny_bundle, DESK, prompts, 1.0, seed=5)
 
 
 def reference_discounted_returns(rewards, gamma):
@@ -376,8 +380,7 @@ class TestEvaluation:
                    "small cross bottom"]
 
         def run():
-            env = SeedTransmissionEnv(tiny_bundle, prompts, 0.5, 0.0,
-                                      p_max=1.0, seed=5)
+            env = SeedTransmissionEnv(tiny_bundle, DESK, prompts, 1.0, seed=5)
             traces = self._traces(env, 10, seed=1)
             cfg = ppo_cfg(ppo_update_rounds=3, ppo_episodes_per_batch=4)
             agent, _ = train_agent(env, cfg, seed=2)
@@ -394,8 +397,7 @@ class TestTrainingEffect:
         from megsim.corpus import sample_prompts
         from megsim.util import derive_seed
         prompts = sample_prompts(16, derive_seed(0, 21))
-        env = SeedTransmissionEnv(desk_bundle, prompts, 0.5, snr_db=0.0,
-                                  p_max=0.5, block_length=16, seed=7)
+        env = SeedTransmissionEnv(desk_bundle, DESK, prompts, 0.5, seed=7)
         rng = np.random.default_rng(123)
         frozen = ch.fading_gains(env.channel_kind, (60, env.num_blocks), rng)
         select = ch.fading_gains(env.channel_kind, (15, env.num_blocks), rng)
@@ -419,8 +421,7 @@ class TestLockstep:
                "small cross bottom"]
 
     def _env(self, bundle):
-        return SeedTransmissionEnv(bundle, self.PROMPTS, 0.5, snr_db=0.0,
-                                   p_max=1.0, block_length=16, seed=5)
+        return SeedTransmissionEnv(bundle, DESK, self.PROMPTS, 1.0, seed=5)
 
     @staticmethod
     def _spy(monkeypatch):
@@ -530,9 +531,9 @@ class TestLockstep:
         assert all(total <= p_max for total, p_max in env.power_audit)
 
     def test_unknown_kind_and_bad_gains_refused(self, tiny_bundle):
-        with pytest.raises(ValueError, match="unknown channel kind"):
-            SeedTransmissionEnv(tiny_bundle, self.PROMPTS, 0.5, snr_db=0.0,
-                                p_max=1.0, channel_kind="nakagami")
+        # the environment's kind is its config's, which refuses this one
+        with pytest.raises(ValueError, match=r"\[channel\] kind 'nakagami'"):
+            replace(DESK, channel_kind="nakagami")
         env = self._env(tiny_bundle)
         even = np.full(env.num_blocks, 1.0 / env.num_blocks)
         for gains in (np.ones((2, env.num_blocks - 1)),
@@ -549,8 +550,17 @@ class TestLockstep:
     def test_non_positive_budget_refused(self, tiny_bundle):
         for p_max in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="p_max must be positive"):
-                SeedTransmissionEnv(tiny_bundle, self.PROMPTS, 0.5,
-                                    snr_db=0.0, p_max=p_max)
+                SeedTransmissionEnv(tiny_bundle, DESK, self.PROMPTS, p_max,
+                                    seed=0)
+
+    def test_out_of_range_action_refused(self, tiny_bundle):
+        # an action outside [0, 1] is refused, not clipped into it
+        env = self._env(tiny_bundle)
+        for bad in (1.5, -0.1, math.nan):
+            schedule = np.full(env.num_blocks, 1.0 / env.num_blocks)
+            schedule[1] = bad
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                evaluate(schedule, env, np.ones((2, env.num_blocks)))
 
     def test_step_needs_one_action_per_episode(self, tiny_bundle):
         env = self._env(tiny_bundle)
@@ -580,8 +590,7 @@ def per_episode_reference(env, traces, noise_seeds, actions):
             states[e, t, :-2] = env.blocks[0, t]
             states[e, t, -2] = gain
             states[e, t, -1] = remaining / env.p_max
-            a = float(min(max(actions[t, e], 0.0), 1.0))
-            p = apply_power(a, remaining, env.p_max)
+            p = apply_power(float(actions[t, e]), remaining, env.p_max)
             noise = noise_rng.normal(0.0, env.noise_std, sent.shape) \
                 if env.noise_std > 0 else np.zeros_like(sent)
             if p > 0.0:
@@ -626,9 +635,8 @@ def score_all_then_chunk(env, symbols):
 class TestScoreChunks:
     def test_one_chunk_of_images_alive_and_rewards_unchanged(
             self, tiny_bundle, monkeypatch):
-        env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
-                                  snr_db=0.0, p_max=1.0, block_length=16,
-                                  seed=5)
+        env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
+                                  1.0, seed=5)
         n = 2 * power_rl.SCORE_CHUNK + 1
         rng = np.random.default_rng(4)
         traces = ch.fading_gains(env.channel_kind, (n, env.num_blocks), rng)
@@ -662,9 +670,8 @@ class TestScoreChunks:
             self, tiny_bundle):
         # while a chunk decodes, each trace may hold its float32 symbols
         # and small per-episode rows, but no float64 payload or noise
-        env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
-                                  snr_db=0.0, p_max=1.0, block_length=16,
-                                  seed=5)
+        env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
+                                  1.0, seed=5)
         even = np.full(env.num_blocks, 1.0 / env.num_blocks)
         rng = np.random.default_rng(6)
         small, large = power_rl.SCORE_CHUNK, 8 * power_rl.SCORE_CHUNK
@@ -716,9 +723,8 @@ def test_split_fading_draw_equals_one_draw(kind, seed, shape):
 
 class TestVectorizedStep:
     def test_matches_per_episode_loop(self, tiny_bundle, monkeypatch):
-        env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
-                                  snr_db=0.0, p_max=1.0, block_length=16,
-                                  seed=5)
+        env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
+                                  1.0, seed=5)
         rng = np.random.default_rng(3)
         traces = ch.fading_gains(env.channel_kind, (6, env.num_blocks), rng)
         seeds = [derive_seed(77, e) for e in range(6)]
@@ -751,9 +757,8 @@ class TestVectorizedStep:
     def test_live_blocks_equalized_whole_match_per_episode_loop(
             self, tiny_bundle, monkeypatch):
         # no block is erased, so each step equalizes its whole buffer
-        env = SeedTransmissionEnv(tiny_bundle, TestLockstep.PROMPTS, 0.5,
-                                  snr_db=0.0, p_max=1.0, block_length=16,
-                                  seed=5)
+        env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
+                                  1.0, seed=5)
         rng = np.random.default_rng(4)
         traces = ch.fading_gains(env.channel_kind, (6, env.num_blocks), rng)
         seeds = [derive_seed(78, e) for e in range(6)]

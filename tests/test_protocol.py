@@ -351,12 +351,8 @@ class TestChunkLayers:
     def _network(name):
         cfg = config.desk_config()
         if name == "denoiser":
-            return genmodel.Denoiser(cfg.latent_shape, cfg.dn_hidden,
-                                     cfg.time_dim, cfg.max_tokens,
-                                     cfg.embed_dim, rng=1).net
-        return genmodel.AutoencoderPair(cfg.image_shape, cfg.latent_shape,
-                                        cfg.ae_hidden, rng=2,
-                                        encoder=False).decoder
+            return genmodel.Denoiser(cfg, rng=1).net
+        return genmodel.AutoencoderPair(cfg, rng=2, encoder=False).decoder
 
     @pytest.mark.parametrize("cells", [2, experiments.SWEEP_CHUNK, 25])
     @pytest.mark.parametrize("name", ["denoiser", "autoencoder_decoder"])
@@ -374,10 +370,12 @@ class TestChunkLayers:
 
 def reference_ue_images(bundle, frames, symbols):
     """The per-frame UE loop, kept as the oracle of ``ue_receive``: each
-    frame decoded alone at the deployed rate nearest its header's."""
+    frame decoded alone by the deployed codec whose rate has its header's
+    fixed-point value."""
     images = []
     for frame, x in zip(frames, symbols):
-        rate = min(bundle.codecs, key=lambda r: abs(r - frame.rate))
+        (rate,) = [r for r in bundle.codecs
+                   if round(r * protocol.RATE_FIXED_ONE) == frame.rate_fixed]
         images.append(bundle.autoencoder.decode(
             bundle.codec_for(rate).decompress(x[None], [frame.scale]))[0])
     return images
@@ -417,10 +415,21 @@ class TestUeReceive:
         served = self._serve(tiny_bundle, self.PROMPTS, 0.5)
         self._check(tiny_bundle, served, None)
 
-    def test_mixed_rates_rejected(self, tiny_bundle):
+    def test_rate_that_no_codec_serves_refused(self, tiny_bundle):
+        # a 0.503 frame holds 64 symbols at the desk latent size, as a 0.5
+        # frame does, but no deployed codec serves its rate
+        served = self._serve(tiny_bundle, self.PROMPTS[:2], 0.5)
+        for frame in served:
+            frame.rate_fixed = round(0.503 * protocol.RATE_FIXED_ONE)
+        wire = [encode_frame(frame) for frame in served]
+        with pytest.raises(ProtocolError, match="serves the frames' rate "
+                                                "0.503"):
+            protocol.ue_receive(tiny_bundle, wire, None)
+
+    def test_mixed_rates_rejected(self, tiny_bundle, tiny_cfg):
         # a second, untrained codec with another seed length: one received
         # batch shares one rate, in either frame order
-        codec = CodecPair(tiny_bundle.latent_shape, 0.25, hidden=16, rng=5)
+        codec = CodecPair(replace(tiny_cfg, codec_hidden=16), 0.25, rng=5)
         bundle = replace(tiny_bundle,
                          codecs={**tiny_bundle.codecs, 0.25: codec})
         half = self._serve(bundle, self.PROMPTS[:2], 0.5)

@@ -8,9 +8,21 @@ from megsim import config, nn, seedcodec
 from megsim.errors import CodecError, DimensionError
 
 
+def latent_config(channels, side, **settings):
+    """The desk config with latents [channels, side, side], its 32 x 32
+    images downsampled to ``side``, and the given settings."""
+    return replace(config.desk_config(), latent_channels=channels,
+                   downsample=32 // side, **settings)
+
+
+def codec_cfg(**settings):
+    """A config with latents [2, 4, 4] and the given settings."""
+    return latent_config(2, 4, **settings)
+
+
 @pytest.fixture(scope="module")
 def small_pair():
-    return seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24, rng=3)
+    return seedcodec.CodecPair(codec_cfg(codec_hidden=24), 0.5, rng=3)
 
 
 class TestSeedLength:
@@ -94,7 +106,8 @@ class TestCompressDecompress:
             small_pair.decompress(x[None], scales)
 
     def test_zero_power_seed_rejected(self):
-        pair = seedcodec.CodecPair((1, 2, 2), 0.5, hidden=8, rng=0)
+        pair = seedcodec.CodecPair(latent_config(1, 2, codec_hidden=8), 0.5,
+                                   rng=0)
         pair.enc.weights[...] = 0
         pair.enc.bias[...] = 0
         with pytest.raises(CodecError):
@@ -144,7 +157,8 @@ class TestCompressBatch:
                               np.concatenate([one for _, one in want]))
 
     def test_zero_power_row_rejected(self):
-        pair = seedcodec.CodecPair((1, 2, 2), 0.5, hidden=8, rng=0)
+        pair = seedcodec.CodecPair(latent_config(1, 2, codec_hidden=8), 0.5,
+                                   rng=0)
         pair.enc.bias[...] = 0
         z = np.stack([np.ones((1, 2, 2)), np.zeros((1, 2, 2))])
         with pytest.raises(CodecError):
@@ -157,11 +171,6 @@ def latents():
         (60, 2, 4, 4)).astype(np.float32)
 
 
-def codec_cfg(**settings):
-    """The desk config with the given ``codec_*`` settings."""
-    return replace(config.desk_config(), **settings)
-
-
 class TestTraining:
 
     def test_loss_decreases(self, latents):
@@ -169,6 +178,11 @@ class TestTraining:
                         codec_train_snr_db=10.0)
         _, hist = seedcodec.train_codec(latents, cfg, rate=0.5, seed=1)
         assert hist[-1] < hist[0]
+
+    def test_latents_of_another_shape_refused(self, latents):
+        for bad in (latents.reshape(60, 2, 2, 8), latents[:0], latents[0]):
+            with pytest.raises(DimensionError, match=r"\[N, \*\(2, 4, 4\)\]"):
+                seedcodec.train_codec(bad, codec_cfg(), rate=0.5, seed=1)
 
     def test_unknown_channel_kind_refused(self, latents):
         with pytest.raises(ValueError, match=r"\[channel\] kind 'foo'"):
@@ -178,8 +192,8 @@ class TestTraining:
     def test_noiseless_training_overfits(self):
         latents = np.random.default_rng(0).standard_normal(
             (100, 2, 8, 8)).astype(np.float32)
-        cfg = codec_cfg(codec_epochs=800, codec_lr=3e-3,
-                        codec_train_snr_db=None)
+        cfg = latent_config(2, 8, codec_epochs=800, codec_lr=3e-3,
+                            codec_train_snr_db=None)
         pair, hist = seedcodec.train_codec(latents, cfg, rate=0.5, seed=1)
         assert hist[-1] < 0.1 * float(np.var(latents))
 
@@ -208,7 +222,8 @@ class TestTraining:
         cfg = codec_cfg(codec_epochs=60, codec_hidden=24,
                         codec_train_snr_db=None)
         trained, _ = seedcodec.train_codec(latents, cfg, rate=0.5, seed=3)
-        untrained = seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24, rng=77)
+        untrained = seedcodec.CodecPair(codec_cfg(codec_hidden=24), 0.5,
+                                        rng=77)
 
         def recon_err(pair):
             total = 0.0
@@ -223,8 +238,8 @@ class TestTraining:
 
 class TestGradients:
     def test_composition_matches_finite_differences(self, rng):
-        pair = clone_codec(seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24,
-                                               rng=rng), np.float64)
+        pair = clone_codec(seedcodec.CodecPair(codec_cfg(codec_hidden=24),
+                                               0.5, rng=rng), np.float64)
         z = rng.standard_normal((3, 32))
         noise = rng.standard_normal((3, pair.seed_len)) * 0.3
         _, grads = seedcodec.transmission_gradients(pair, z, noise)
@@ -247,7 +262,7 @@ class TestReferenceArchitecture:
         path = tmp_path / "codec.bin"
         small_pair.save(path, extra={"note": 1})
         # a skeleton filled from the file, as the bundle loader does
-        loaded = seedcodec.CodecPair((2, 4, 4), 0.5, hidden=24)
+        loaded = seedcodec.CodecPair(codec_cfg(codec_hidden=24), 0.5)
         meta = nn.load_network(path, loaded.net)
         assert meta["note"] == 1 and meta["rate"] == 0.5
         z = rng.standard_normal((2,) + small_pair.latent_shape) \
