@@ -127,6 +127,9 @@ class ExperimentConfig:
             if f.type in (float, tuple) and not all(
                     v is None or math.isfinite(v) for v in floats):
                 raise ValueError(f"[{section}] {key} must be finite")
+        # megsim's seeding reads the seed as one 64-bit int (util)
+        if self.seed >= 2 ** 64:
+            raise ValueError("[run] seed must be < 2**64")
         if min(self.power_budgets) <= 0.0:
             raise ValueError("[power] budgets must be positive")
         if not self.eval_prompt.split():
@@ -134,6 +137,9 @@ class ExperimentConfig:
         # consumers split it into words: one spelling per experiment
         if self.eval_prompt != " ".join(self.eval_prompt.split()):
             raise ValueError("[eval] prompt must be single-spaced words")
+        # a line break would end the value in a config file
+        if "\n" in self.out or "\r" in self.out:
+            raise ValueError("[run] out must not hold a line break")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.channel_kind not in KINDS:
@@ -150,11 +156,6 @@ class ExperimentConfig:
                              "downsample factor")
         if self.latent_size >= self.pixel_count:
             raise ValueError("latent must be strictly smaller than the image")
-        # a seed frame names its codec's rate in 1/65536ths (protocol)
-        if len({round(r * 2 ** 16) for r in self.codec_rates}) \
-                < len(self.codec_rates):
-            raise ValueError("[codec] rates repeats a rate at the seed "
-                             "frame's 1/65536 precision")
         budget = self.pixel_count / self.downsample ** 2
         for rate in self.codec_rates:
             n = seed_length(self.latent_size, rate)
@@ -162,6 +163,12 @@ class ExperimentConfig:
                 raise ValueError(
                     f"seed length {n} at rate {rate} violates the "
                     f"overhead bound {budget}")
+        # a seed frame names its codec's rate in 1/65536ths (protocol); each
+        # rate is in (0, 1) by now, so the product is finite
+        if len({round(r * 2 ** 16) for r in self.codec_rates}) \
+                < len(self.codec_rates):
+            raise ValueError("[codec] rates repeats a rate at the seed "
+                             "frame's 1/65536 precision")
         for name, rate in (("power", self.power_rate),
                            ("eval", self.eval_rate)):
             if rate not in self.codec_rates:

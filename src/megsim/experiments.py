@@ -22,7 +22,7 @@ from . import corpus, genmodel, metrics, nn, plotting, power_rl, seedcodec
 from .config import ExperimentConfig, config_hash
 from .errors import BundleError, ConfigError
 from .protocol import ModelBundle, RunSpec, run_end_to_end
-from .util import as_rng, derive_seed, sha256_file, write_csv
+from .util import derive_seed, derive_seeds, generators, sha256_file, write_csv
 
 SWEEP_SCHEMA = "megsim sweep v1"
 POWER_SCHEMA = "megsim power v1"
@@ -138,8 +138,7 @@ def _load(cfg, skip=(), encoder=False):
         nn.load_network(os.path.join(bundle_dir(cfg), name), net)
     return ModelBundle(pair, denoiser,
                        genmodel.make_schedule(cfg.diffusion_steps), codecs,
-                       metrics.FeatureExtractor(cfg.pixel_count),
-                       cfg.image_shape, cfg.latent_shape)
+                       metrics.FeatureExtractor(cfg.pixel_count))
 
 
 def _build_corpus(cfg):
@@ -149,9 +148,9 @@ def _build_corpus(cfg):
 
 def _generated_latents(cfg, bundle, prompts):
     """Latent dataset produced by the deployed generator itself."""
-    noise = np.stack([as_rng(derive_seed(cfg.seed, 30, i))
-                      .standard_normal(cfg.latent_shape).astype(np.float32)
-                      for i in range(len(prompts))])
+    noise = np.stack([rng.standard_normal(cfg.latent_shape).astype(np.float32)
+                      for rng in generators(derive_seeds(
+                          cfg.seed, 30, indices=range(len(prompts))))])
     return genmodel.generate_latent(bundle.denoiser, prompts, noise,
                                     bundle.schedule)
 
@@ -294,11 +293,12 @@ def cmd_sweep(cfg: ExperimentConfig):
         bundle = load_bundle(cfg)
         prompts = _eval_prompt_set(cfg)
         size = SWEEP_CHUNK if len(prompts) >= SWEEP_CHUNK_MIN_PROMPTS else 1
+        cell_seeds = derive_seeds(cfg.seed, 100, indices=range(len(grid)))
         for rate, cells in itertools.groupby(enumerate(grid),
                                              lambda cell: cell[1][0]):
             cells = list(cells)
             for lo in range(0, len(cells), size):
-                chunk = [(snr, trial, derive_seed(cfg.seed, 100, index))
+                chunk = [(snr, trial, int(cell_seeds[index]))
                          for index, (_, snr, trial) in cells[lo:lo + size]]
                 report = run_end_to_end(
                     bundle, prompts, rate, cfg.block_length,
@@ -357,10 +357,7 @@ def cmd_power(cfg: ExperimentConfig):
     os.makedirs(cfg.out, exist_ok=True)
     prompts = corpus.sample_prompts(cfg.power_prompts,
                                     derive_seed(cfg.seed, 21))
-    # blocks per episode, as SeedTransmissionEnv.num_blocks counts them
-    num_blocks = ch.block_count(metrics.symbol_count(
-        "meg", cfg.image_shape, cfg.downsample, cfg.power_rate,
-        cfg.latent_channels), cfg.block_length)
+    num_blocks = power_rl.episode_blocks(cfg)
 
     # drawn from the seed on every run: a file left by another config is
     # overwritten, never scored

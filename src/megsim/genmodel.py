@@ -19,7 +19,7 @@ from .util import as_rng, stable_word_seed
 @lru_cache(maxsize=4096)
 def _token_vector(token, embed_dim):
     """Unit vector of one token; memoized, so the array is read-only."""
-    rng = np.random.default_rng(stable_word_seed(token, "embed"))
+    rng = as_rng(stable_word_seed(token, "embed"))
     v = rng.standard_normal(embed_dim)
     v = (v / np.linalg.norm(v)).astype(np.float32)
     v.flags.writeable = False

@@ -17,6 +17,7 @@ import numpy as np
 from . import nn
 from .errors import DimensionError
 from .seedcodec import seed_length
+from .util import as_rng
 
 EXTRACTOR_SEED = 0xFEED
 MODES = ("centralized", "raw_feature", "meg")
@@ -45,7 +46,7 @@ def psnr(generated, reference, peak):
 @lru_cache(maxsize=16)
 def _frozen_network(input_size, feature_dim, hidden, seed):
     """The extractor's network, built once per process and read-only."""
-    rng = np.random.default_rng(seed)
+    rng = as_rng(seed)
     net = nn.Network([
         nn.DenseLayer(input_size, hidden, "tanh", rng, "f1"),
         nn.DenseLayer(hidden, feature_dim, "tanh", rng, "f2"),
@@ -76,16 +77,20 @@ class FeatureExtractor:
 
     def extract(self, images):
         """Features [N, feature_dim] (float64) of a batch of images [N, ...],
-        or [S, N, feature_dim] of a stack of batches [S, N, C, H, W], each
-        batch extracted as a network call of its own (see ``nn``)."""
+        or [S, N, feature_dim] of a stack of batches [S, N, C, H, W]. The
+        first layer runs on a stack's flat rows [S·N, n], the last one
+        batch by batch, as a network call of its own (see ``nn``)."""
         batch = np.asarray(images, dtype=np.float32)
-        lead = 2 if batch.ndim == 5 else 1
-        flat = batch.reshape(batch.shape[:lead] + (-1,))
-        if flat.shape[-1] != self.input_size:
+        lead = batch.shape[:2 if batch.ndim == 5 else 1]
+        rows = batch.reshape(math.prod(lead), -1)
+        if rows.shape[1] != self.input_size:
             raise DimensionError(
                 f"extractor built for {self.input_size} values per image, "
-                f"got {flat.shape[-1]}")
-        return self.net.forward(flat, cache=False).astype(np.float64)
+                f"got {rows.shape[1]}")
+        first, last = self.net.layers
+        hidden = first.forward(rows, cache=False)
+        return last.forward(hidden.reshape(lead + (-1,)), cache=False) \
+            .astype(np.float64)
 
 
 def frechet_distance(features_a, features_b):

@@ -14,11 +14,13 @@ The row count of a call can change a product's bits: on OpenBLAS 0.3.31
 a [M, 128] x [128, 64] product rounds differently at M <= 17 than at
 M >= 20, while every other layer shape of the desk sweep gives the same
 bits at M = 16 up to 1,200. So a sweep chunk, which serves several cells
-of P rows at once, runs the codec encoder and the feature extractor
-(both end in a 128 -> 64 layer) on the stack [S, P, n], one call per
-cell, and the denoiser and the autoencoder decoder on the flat rows
-[S·P, n]. That holds at the desk's P = 16; at P = 8 the denoiser's
-layers, at P = 4 the decoder's first, round differently on flat rows.
+of P rows at once, runs only its two 128 -> 64 layers, the codec encoder
+and the feature extractor's last layer, on the stack [S, P, n], one call
+per cell. The denoiser, the autoencoder decoder and the extractor's
+2048 -> 128 first layer run on the flat rows [S·P, n]. That holds at the
+desk's P = 16; at P = 8 the denoiser's layers, at P = 4 the decoder's
+first and below P = 4 the extractor's first round differently on flat
+rows.
 """
 
 import json

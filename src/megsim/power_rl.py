@@ -16,7 +16,7 @@ import numpy as np
 from . import channel as ch
 from . import metrics, nn
 from .protocol import ModelBundle, es_handle_request
-from .util import as_rng, derive_seed
+from .util import as_rng, derive_seed, derive_seeds, generators
 
 LOG_2PI = math.log(2.0 * math.pi)
 # episodes decoded and scored together; caps the decode batch, and so the
@@ -154,6 +154,14 @@ class PpoAgent:
 # ---------------------------------------------------------------------------
 # environment
 
+def episode_blocks(cfg):
+    """Coherence blocks of one episode: the ``power_rate`` seed's symbols
+    in blocks of ``block_length``."""
+    return ch.block_count(metrics.symbol_count(
+        "meg", cfg.image_shape, cfg.downsample, cfg.power_rate,
+        cfg.latent_channels), cfg.block_length)
+
+
 class SeedTransmissionEnv:
     """Per-block power decisions around one seed download for a prompt
     batch, over the link of the experiment config ``cfg``: its
@@ -187,9 +195,8 @@ class SeedTransmissionEnv:
         self._episode_index = 0
 
         frames, latents = es_handle_request(
-            bundle, prompts,
-            [derive_seed(seed, 0xE1, i) for i in range(len(prompts))],
-            cfg.power_rate, block_length)
+            bundle, prompts, derive_seeds(seed, 0xE1, indices=range(len(
+                prompts))), cfg.power_rate, block_length)
         truths = bundle.autoencoder.decode(latents)
         self.ground_truths = list(truths)
         self._scales = np.array([fr.scale for fr in frames])[:, None]
@@ -198,7 +205,7 @@ class SeedTransmissionEnv:
         self.reference_features = bundle.extractor.extract(truths)
         self.codec = bundle.codec_for(cfg.power_rate)
         self.seed_len = frames[0].payload.size
-        self.num_blocks = ch.block_count(self.seed_len, block_length)
+        self.num_blocks = episode_blocks(cfg)
         self.state_dim = block_length + 2
         # payloads padded to a whole number of blocks, stacked [P, B, block]
         pad = self.num_blocks * block_length - self.seed_len
@@ -226,7 +233,7 @@ class SeedTransmissionEnv:
         if gains.shape[1] < self.num_blocks or np.any(gains <= 0):
             raise ValueError(f"each trace needs {self.num_blocks} blocks of "
                              f"positive gain")
-        rngs = [as_rng(seed) for seed in noise_seeds]
+        rngs = list(generators(noise_seeds))
         episodes = len(gains)
         self._episode_index += episodes
         # block-major, so that each block's states are one contiguous batch
@@ -305,7 +312,7 @@ class SeedTransmissionEnv:
         latents = self.codec.decode_flat(symbols.reshape(-1, self.seed_len),
                                          cache=False)
         images = self.bundle.autoencoder.decode(
-            latents.reshape((-1,) + self.bundle.latent_shape))
+            latents.reshape((-1,) + self.bundle.autoencoder.latent_shape))
         return -metrics.fid(
             images.reshape(symbols.shape[:2] + images.shape[1:]), None,
             self.bundle.extractor, reference_features=self.reference_features)
@@ -316,8 +323,8 @@ class SeedTransmissionEnv:
         takes its block draws from ``rng`` in turn, as when run alone."""
         gains = ch.fading_gains(self.channel_kind,
                                 (episodes, self.num_blocks), self._trace_rng)
-        seeds = [derive_seed(self._seed, 0xA2, self._episode_index + e)
-                 for e in range(episodes)]
+        seeds = derive_seeds(self._seed, 0xA2, indices=range(
+            self._episode_index, self._episode_index + episodes))
         draws = rng.standard_normal((episodes, self.num_blocks))
         us, logps = np.empty((2, episodes, self.num_blocks))
 
@@ -420,7 +427,7 @@ def evaluate(policy, env: SeedTransmissionEnv, traces):
             return schedule[:, t]
     # per-trace noise seed pairs the draws across evaluated policies
     return env.run(act, traces,
-                   [derive_seed(0xEDA1, i) for i in range(len(traces))])[2]
+                   derive_seeds(0xEDA1, indices=range(len(traces))))[2]
 
 
 def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):

@@ -31,7 +31,7 @@ from . import channel as ch
 from . import genmodel, metrics
 from .errors import DimensionError, FrameError, ProtocolError
 from .seedcodec import CodecPair
-from .util import as_rng, derive_seed
+from .util import derive_seeds, generators
 
 FRAME_MAGIC = b"MGSF"
 FRAME_VERSION = 1
@@ -94,8 +94,6 @@ class ModelBundle:
     schedule: genmodel.NoiseSchedule
     codecs: dict
     extractor: metrics.FeatureExtractor
-    image_shape: tuple
-    latent_shape: tuple
 
     def codec_for(self, rate) -> CodecPair:
         if rate not in self.codecs:
@@ -121,12 +119,12 @@ def es_handle_request(bundle: ModelBundle, prompts, noise_seeds, rate,
         raise ProtocolError(f"{len(prompts)} prompts do not split into "
                             f"{cells} equal groups")
     codec = bundle.codec_for(rate)
-    noise = np.stack([as_rng(seed).standard_normal(bundle.latent_shape)
-                      for seed in noise_seeds]).astype(np.float32)
+    shape = bundle.autoencoder.latent_shape
+    noise = np.stack([rng.standard_normal(shape)
+                      for rng in generators(noise_seeds)]).astype(np.float32)
     latents = genmodel.generate_latent(bundle.denoiser, prompts, noise,
                                        bundle.schedule)
-    symbols, scales = codec.compress(
-        latents.reshape((cells, -1) + bundle.latent_shape))
+    symbols, scales = codec.compress(latents.reshape((cells, -1) + shape))
     rate_fixed = int(round(codec.rate * RATE_FIXED_ONE))
     frames = [SeedFrame(rate_fixed, codec.latent_shape, int(block_length),
                         float(scale), np.ascontiguousarray(row, dtype="<f4"))
@@ -251,11 +249,13 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
     cells: the same prompts at one codec rate and block length, one
     RunSpec per cell.
 
-    Each cell keeps its own seed paths, fading trace, noise and SNR. The
-    sampler and the decodes of the ground truths and of the raw-feature
-    latents run once on the chunk's flat rows, the codec encoder and the
-    feature extractor on its stack of cells (see ``nn``), and the link,
-    the frame round trip and each UE's batch-of-one decode per cell. So a
+    Each cell keeps its own seed paths, fading trace, noise and SNR; the
+    chunk's seeds are derived in one pass per path. The sampler, the
+    decodes of the ground truths and of the raw-feature latents, and the
+    feature extractor's first layer run once on the chunk's flat rows, the
+    codec encoder and the extractor's last layer on its stack of cells
+    (see ``nn``), and the link, the frame round trip and each UE's
+    batch-of-one decode per cell. So a
     cell's results are bit for bit those of a chunk of one only where the
     BLAS rounds each cell's share of the flat rows as it rounds that cell
     alone: at desk layer widths on OpenBLAS 0.3.31, from 10 prompts per
@@ -266,32 +266,38 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
     if not specs or not prompts:
         raise ValueError("at least one cell and one prompt are required")
     cells, count = len(specs), len(prompts)
+    seeds = [spec.seed for spec in specs]
     frames, latents = es_handle_request(
         bundle, list(prompts) * cells,
-        [derive_seed(spec.seed, 0, i) for spec in specs for i in range(count)],
-        rate, block_length, cells)
+        derive_seeds(seeds, 0, indices=range(count)).ravel(), rate,
+        block_length, cells)
+    image_shape = bundle.autoencoder.image_shape
+    latent_shape = bundle.autoencoder.latent_shape
     stack = (cells, count)
-    truths = bundle.autoencoder.decode(latents).reshape(
-        stack + bundle.image_shape)
-    latents = latents.reshape(stack + bundle.latent_shape)
+    truths = bundle.autoencoder.decode(latents).reshape(stack + image_shape)
+    latents = latents.reshape(stack + latent_shape)
     # every mode of a cell is scored against the cell's ground truths
     reference = bundle.extractor.extract(truths)
 
-    counts = {"centralized": int(np.prod(bundle.image_shape)),
-              "raw_feature": int(np.prod(bundle.latent_shape)),
+    counts = {"centralized": int(np.prod(image_shape)),
+              "raw_feature": int(np.prod(latent_shape)),
               "meg": frames[0].payload.size}
     blocks = ch.block_count(max(counts.values()), block_length)
-    gains = np.stack([ch.fading_gains(spec.channel_kind, blocks,
-                                      derive_seed(spec.seed, 1))
+    # each cell's trace, then each mode's link noise cell by cell, taken in
+    # the order they are drawn
+    rngs = generators(np.concatenate([
+        derive_seeds(seeds, indices=1),
+        derive_seeds(seeds, 2, indices=range(len(metrics.MODES))).T.ravel()]))
+    gains = np.stack([ch.fading_gains(spec.channel_kind, blocks, next(rngs))
                       for spec in specs])
 
     results = {}
-    for mode_idx, mode in enumerate(metrics.MODES):
+    for mode in metrics.MODES:
         source = latents if mode == "raw_feature" else truths
         # the received images, or the latents that raw_feature receives
         batch = np.empty(source.shape, np.float32)
         for cell, spec in enumerate(specs):
-            noise_rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
+            noise_rng = next(rngs)
             noise_std = None if spec.snr_db is None \
                 else ch.snr_to_noise_std(spec.snr_db, 1.0)
             if mode == "meg":
@@ -317,8 +323,8 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
             batch[cell] = payloads.reshape(source.shape[1:])
         if mode == "raw_feature":
             batch = bundle.autoencoder.decode(
-                batch.reshape((-1,) + bundle.latent_shape)).reshape(
-                    stack + bundle.image_shape)
+                batch.reshape((-1,) + latent_shape)).reshape(
+                    stack + image_shape)
         reports = batch_report(batch, truths, bundle.extractor, counts[mode],
                                reference)
         for cell, report in enumerate(reports):

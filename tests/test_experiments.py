@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from megsim import channel as ch
 from megsim import config, corpus, experiments, nn, power_rl, seedcodec
 from megsim.cli import main as cli_main
 from megsim.util import write_csv
@@ -97,6 +98,55 @@ class TestConfig:
         loaded = config.load_config(str(path))
         assert loaded.eval_prompt == prompt
         assert config.config_hash(loaded) == config.config_hash(cfg)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.filter_too_much])
+    def test_every_valid_config_round_trips(self, tmp_path, monkeypatch,
+                                            data):
+        # up to four fields at a time, each set to any value of its type;
+        # whatever validate() accepts must come back with its hash
+        for name in [k for k in os.environ if k.startswith("MEGSIM_")]:
+            monkeypatch.delenv(name)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        rate = st.one_of(st.sampled_from([0.5, 0.25]), st.floats(0.0, 2.0),
+                         finite)
+        by_type = {
+            int: st.one_of(st.integers(0, 2 ** 12), st.integers(0, 2 ** 70)),
+            float: finite,
+            tuple: st.lists(finite, min_size=1, max_size=4).map(tuple),
+            str: st.text(st.characters(exclude_categories=("Cs",))),
+        }
+        by_name = {
+            "preset": st.sampled_from(config.PRESETS),
+            "channel_kind": st.sampled_from(ch.KINDS),
+            "eval_prompt": st.lists(st.text(st.characters(
+                exclude_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+                min_size=1), min_size=1, max_size=3).map(" ".join),
+            "codec_rates": st.lists(rate, min_size=1, max_size=3)
+            .map(lambda rates: tuple(rates) + (0.5,)),
+            "power_rate": rate, "eval_rate": rate,
+        }
+        chosen = data.draw(st.lists(
+            st.sampled_from(fields(config.ExperimentConfig)), min_size=1,
+            max_size=4, unique_by=lambda f: f.name))
+        changes = {f.name: data.draw(by_name.get(f.name, by_type[f.type]),
+                                     label=f.name) for f in chosen}
+        try:
+            cfg = replace(config.desk_config(), **changes)
+        except ValueError:
+            assume(False)
+        path = tmp_path / "any.cfg"
+        path.write_text(config.render_config(cfg), encoding="utf-8")
+        loaded = config.load_config(str(path))
+        assert config.config_hash(loaded) == config.config_hash(cfg)
+
+    def test_line_break_in_out_refused(self):
+        # the file would read "out = a" and then fail on the next line
+        for out in ("a\nb", "a\rb", "a\n[sweep]\ntrials = 9"):
+            with pytest.raises(ValueError, match="line break"):
+                replace(config.desk_config(), out=out)
 
     def test_non_canonical_eval_prompt_refused(self):
         # a file could not keep these spellings apart from the canonical one
@@ -281,6 +331,10 @@ class TestConfig:
         path.write_text("[codec]\nrates = 0.5, 0.5\n")
         with pytest.raises(ValueError, match="repeats"):
             config.load_config(str(path))
+        # a rate whose fixed-point value overflows is refused as out of
+        # range before it is compared
+        with pytest.raises(ValueError, match="outside"):
+            replace(config.desk_config(), codec_rates=(1e304, 0.5))
 
     def test_presets_are_channel_preserving(self):
         # latent element count times downsample^2 equals the pixel count
@@ -560,13 +614,17 @@ class TestTrainCaching:
 
         from megsim import nn
         made = []
-        default_rng = np.random.default_rng
 
-        def counting(*args, **kwargs):
-            made.append(args)
-            return default_rng(*args, **kwargs)
+        def counting(make):
+            def count(*args, **kwargs):
+                made.append(args)
+                return make(*args, **kwargs)
+            return count
 
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        # megsim's own generators are PCG64s built by util.generators
+        for name in ("default_rng", "PCG64"):
+            monkeypatch.setattr(np.random, name,
+                                counting(getattr(np.random, name)))
         bundle = experiments.load_bundle(tiny_cfg)
         # the encoder is loaded only by training, here a cached train
         cached = experiments.cmd_train(tiny_cfg)
@@ -767,12 +825,15 @@ class TestSweep:
         # process, and at 4 prompts each of the grid's two cells is a chunk
         assert pids == [os.getpid()] * 2
 
+    @pytest.mark.parametrize("prompts", [
+        experiments.SWEEP_CHUNK_MIN_PROMPTS, 16])
     def test_chunked_sweep_equals_one_cell_chunks(self, tiny_cfg, tiny_bundle,
-                                                  monkeypatch):
-        # 6 cells of 16 prompts, which end in a partial chunk of 2 at the
-        # default SWEEP_CHUNK of 4
+                                                  monkeypatch, prompts):
+        # 6 cells, which end in a partial chunk of 2 at the default
+        # SWEEP_CHUNK of 4; 10 prompts per cell is the fewest served in
+        # chunks, where a chunk's flat rows are fewest
         grid = replace(tiny_cfg, sweep_snrs_db=(-10.0, 10.0, 30.0),
-                       sweep_trials=2, eval_prompts=16)
+                       sweep_trials=2, eval_prompts=prompts)
         whole = experiments.SWEEP_CHUNK
         calls = []
         run = experiments.run_end_to_end
@@ -917,9 +978,19 @@ class TestPowerCommand:
                                         derive_seed(cfg.seed, 21))
         env = power_rl.SeedTransmissionEnv(tiny_bundle, cfg, prompts, 1.0,
                                            derive_seed(cfg.seed, 22))
+        # the config's count covers the seeds the environment served
+        assert env.num_blocks == ch.block_count(env.seed_len,
+                                                cfg.block_length)
         result = experiments.cmd_power(cfg)
         assert os.path.basename(result["traces_csv"]) \
             == f"eval_traces_3x{env.num_blocks}.csv"
+        # the frozen traces hold one gain per block of the environment
+        with open(result["traces_csv"], newline="") as fh:
+            rows = list(csv.reader(line for line in fh
+                                   if not line.startswith("#")))[1:]
+        assert sorted({int(block) for _, block, _ in rows}) \
+            == list(range(env.num_blocks))
+        assert len(rows) == 3 * env.num_blocks
 
     def test_traces_redrawn_for_each_config(self, tiny_cfg, tiny_bundle,
                                             tmp_path):
@@ -951,7 +1022,6 @@ def _csv_body(path):
 
 
 def _traces_match_fresh_draw(cfg, path):
-    from megsim import channel as ch
     from megsim.util import as_rng, derive_seed
     written = {}
     for line in _csv_body(path):

@@ -303,8 +303,8 @@ class TestDenoiserTraining:
 
 class TestGeneration:
     def test_deterministic_given_noise(self, tiny_bundle, rng):
-        noise = rng.standard_normal((1,) + tiny_bundle.latent_shape) \
-            .astype(np.float32)
+        noise = rng.standard_normal(
+            (1,) + tiny_bundle.autoencoder.latent_shape).astype(np.float32)
         a = genmodel.generate_latent(tiny_bundle.denoiser, ["large blob left"],
                                      noise, tiny_bundle.schedule)
         b = genmodel.generate_latent(tiny_bundle.denoiser, ["large blob left"],
@@ -312,10 +312,9 @@ class TestGeneration:
         assert np.array_equal(a, b)
 
     def test_different_noise_differs(self, tiny_bundle, rng):
-        n1 = rng.standard_normal((1,) + tiny_bundle.latent_shape) \
-            .astype(np.float32)
-        n2 = rng.standard_normal((1,) + tiny_bundle.latent_shape) \
-            .astype(np.float32)
+        shape = (1,) + tiny_bundle.autoencoder.latent_shape
+        n1 = rng.standard_normal(shape).astype(np.float32)
+        n2 = rng.standard_normal(shape).astype(np.float32)
         a = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], n1,
                                      tiny_bundle.schedule)
         b = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], n2,
@@ -324,8 +323,8 @@ class TestGeneration:
 
     def test_single_step_schedule_is_one_ddim_step(self, tiny_bundle, rng):
         s1 = genmodel.make_schedule(1)
-        noise = rng.standard_normal((1,) + tiny_bundle.latent_shape) \
-            .astype(np.float32)
+        noise = rng.standard_normal(
+            (1,) + tiny_bundle.autoencoder.latent_shape).astype(np.float32)
         pooled = embed("blob")[None]
         got = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], noise,
                                        s1)

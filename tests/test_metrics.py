@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from megsim import metrics, nn
+from megsim import config, metrics, nn
 from megsim.errors import DimensionError
 
 
@@ -314,6 +314,20 @@ class TestStackedFrechet:
         assert metrics.fid(noisy, None, ext,
                            reference_features=ext.extract(truths)).tolist() \
             == want
+
+    @pytest.mark.parametrize("cells", [2, 4])
+    @pytest.mark.parametrize("prompts", [4, 10, 16])
+    def test_stacked_extract_equals_per_batch_calls(self, rng, cells,
+                                                    prompts):
+        # the desk extractor runs its 2048 -> 128 layer on the stack's flat
+        # rows and its 128 -> 64 layer batch by batch
+        cfg = config.desk_config()
+        ext = metrics.FeatureExtractor(cfg.pixel_count)
+        images = rng.random((cells, prompts) + cfg.image_shape)
+        got = ext.extract(images)
+        assert got.shape == (cells, prompts, ext.feature_dim)
+        for batch, features in zip(images, got):
+            assert features.tobytes() == ext.extract(batch).tobytes()
 
     def test_stacked_reference_rejected(self, rng):
         with pytest.raises(ValueError):

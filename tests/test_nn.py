@@ -182,7 +182,9 @@ class TestDense:
         def no_rng(*args):
             raise AssertionError("a skeleton layer made a generator")
 
+        # megsim's own generators are PCG64s built by util.generators
         monkeypatch.setattr(np.random, "default_rng", no_rng)
+        monkeypatch.setattr(np.random, "PCG64", no_rng)
         layer = nn.DenseLayer(4, 3, "relu")
         assert layer.weights.shape == (3, 4) and not layer.weights.any()
 

@@ -427,24 +427,24 @@ class TestLockstep:
     def _spy(monkeypatch):
         """Record every trace drawn, noise seed used and act() draw."""
         seen = {"traces": [], "seeds": [], "draws": []}
-        sample, as_rng, act = (ch.fading_gains, power_rl.as_rng,
-                               PpoAgent.act)
+        sample, generators, act = (ch.fading_gains, power_rl.generators,
+                                   PpoAgent.act)
 
         def spy_sample(*args):
             gains = sample(*args)
             seen["traces"].extend(gains.copy())
             return gains
 
-        def spy_as_rng(seed):
-            seen["seeds"].append(seed)
-            return as_rng(seed)
+        def spy_generators(seeds):
+            seen["seeds"].extend(seeds)
+            return generators(seeds)
 
         def spy_act(self, states, noise):
             seen["draws"].append(np.array(noise))
             return act(self, states, noise)
 
         monkeypatch.setattr(ch, "fading_gains", spy_sample)
-        monkeypatch.setattr(power_rl, "as_rng", spy_as_rng)
+        monkeypatch.setattr(power_rl, "generators", spy_generators)
         monkeypatch.setattr(PpoAgent, "act", spy_act)
         return seen
 
@@ -625,7 +625,7 @@ def score_all_then_chunk(env, symbols):
         latents = env.codec.decode_flat(chunk.reshape(-1, env.seed_len),
                                         cache=False)
         images = env.bundle.autoencoder.decode(
-            latents.reshape((-1,) + env.bundle.latent_shape))
+            latents.reshape((-1,) + env.bundle.autoencoder.latent_shape))
         rewards[lo:lo + len(chunk)] = -metrics.fid(
             images.reshape(chunk.shape[:2] + images.shape[1:]), None,
             env.bundle.extractor, reference_features=env.reference_features)

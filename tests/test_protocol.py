@@ -44,14 +44,24 @@ class TestSeedFrame:
                                 frame.block_length, frame.scale)
 
     @given(st.integers(1, 65535), st.integers(0, 2 ** 31),
-           st.lists(st.floats(-1e6, 1e6, width=32), min_size=1, max_size=64))
+           st.tuples(*[st.integers(0, 65535)] * 3),
+           st.lists(st.one_of(st.integers(0, 2 ** 32 - 1), st.sampled_from([
+               0x7FC00000, 0x7FC00001, 0xFFBFFFFF, 0x7F800001,  # NaNs
+               0x7F800000, 0xFF800000, 0x80000000,  # +-inf, -0.0
+               0x00000001, 0x807FFFFF])),  # subnormals
+               min_size=1, max_size=64))
     @settings(max_examples=100, deadline=None)
-    def test_round_trip_bytes_identical(self, rate_fixed, scale_bits, payload):
-        frame = protocol.SeedFrame(rate_fixed, (2, 3, 4), 16,
-                                   float(scale_bits) / 65536.0,
-                                   np.array(payload, dtype="<f4"))
+    def test_round_trip_bytes_identical(self, rate_fixed, scale_bits,
+                                        latent_shape, payload_bits):
+        # any u16 latent shape and any float32 bit pattern in the payload
+        payload = np.array(payload_bits, dtype="<u4").view("<f4")
+        frame = protocol.SeedFrame(rate_fixed, latent_shape, 16,
+                                   float(scale_bits) / 65536.0, payload)
         data = encode_frame(frame)
-        assert encode_frame(decode_frame(data)) == data
+        back = decode_frame(data)
+        assert encode_frame(back) == data
+        assert back.latent_shape == latent_shape
+        assert back.payload.tobytes() == payload.tobytes()
 
     def test_checksum_detects_header_corruption(self, rng):
         data = bytearray(encode_frame(random_frame(rng)))
@@ -117,7 +127,8 @@ def reference_es_handle_request(bundle, prompt, noise_seed, rate,
     encode the flat vector and divide by its RMS, frame. Returns (frame,
     latent)."""
     codec = bundle.codec_for(rate)
-    noise = as_rng(noise_seed).standard_normal(bundle.latent_shape)
+    noise = as_rng(noise_seed).standard_normal(
+        bundle.autoencoder.latent_shape)
     (latent,) = genmodel.generate_latent(bundle.denoiser, [prompt],
                                          noise[None].astype(np.float32),
                                          bundle.schedule)
@@ -138,7 +149,7 @@ class TestEsBatch:
                                             self.SEEDS, 0.5, 16)
         assert isinstance(frames, list) and len(frames) == len(self.PROMPTS)
         assert latents.shape == (len(self.PROMPTS),) \
-            + tiny_bundle.latent_shape
+            + tiny_bundle.autoencoder.latent_shape
         for prompt, seed, got, latent in zip(self.PROMPTS, self.SEEDS, frames,
                                              latents):
             (want,), (want_latent,) = es_handle_request(tiny_bundle, [prompt],
@@ -173,7 +184,8 @@ class TestEsBatch:
                                       16)
         (noise,) = seen
         for seed, row in zip(seeds, noise):
-            want = as_rng(seed).standard_normal(tiny_bundle.latent_shape)
+            want = as_rng(seed).standard_normal(
+                tiny_bundle.autoencoder.latent_shape)
             assert np.array_equal(row, want.astype(np.float32))
         # prompts 0 and 2 share a noise seed, so they share a noise row
         assert np.array_equal(noise[0], noise[2])
@@ -193,7 +205,7 @@ class TestEsBatch:
             assert frame.payload.tobytes() == row.tobytes()
             assert frame.scale == scale
             assert frame.rate_fixed == round(0.5 * 2 ** 16)
-            assert frame.latent_shape == tiny_bundle.latent_shape
+            assert frame.latent_shape == tiny_bundle.autoencoder.latent_shape
             assert frame.block_length == 8
             data = encode_frame(frame)
             assert encode_frame(decode_frame(data)) == data
@@ -223,7 +235,7 @@ class TestBatchReport:
         # the Frechet term needs two images; the mse does not
         monkeypatch.setattr(metrics, "fid", lambda *args: [0.0])
         rng = np.random.default_rng(p)
-        shape = (p,) + tiny_bundle.image_shape
+        shape = (p,) + tiny_bundle.autoencoder.image_shape
         for _ in range(50):
             images = list(rng.random(shape, dtype=np.float32))
             truths = list(rng.random(shape, dtype=np.float32))
@@ -236,7 +248,8 @@ class TestBatchReport:
 
     def test_shape_mismatch_rejected(self, tiny_bundle, monkeypatch):
         monkeypatch.setattr(metrics, "fid", lambda *args: [0.0])
-        images = [np.zeros(tiny_bundle.image_shape, np.float32)] * 3
+        images = [np.zeros(tiny_bundle.autoencoder.image_shape,
+                           np.float32)] * 3
         for truths in (images[:2], [np.zeros((1, 2, 2), np.float32)] * 3):
             with pytest.raises(DimensionError):
                 protocol.batch_report([images], [truths],
@@ -348,24 +361,29 @@ class TestChunkLayers:
     here, naming the network)."""
 
     @staticmethod
-    def _network(name):
+    def _forward(name):
+        """The network's or layer's uncached forward and its input width."""
         cfg = config.desk_config()
-        if name == "denoiser":
-            return genmodel.Denoiser(cfg, rng=1).net
-        return genmodel.AutoencoderPair(cfg, rng=2, encoder=False).decoder
+        if name == "extractor_first_layer":
+            layer = metrics.FeatureExtractor(cfg.pixel_count).net.layers[0]
+            return layer.forward, layer.in_features
+        net = genmodel.Denoiser(cfg, rng=1).net if name == "denoiser" \
+            else genmodel.AutoencoderPair(cfg, rng=2, encoder=False).decoder
+        return net.forward, net.layers[0].in_features
 
     @pytest.mark.parametrize("cells", [2, experiments.SWEEP_CHUNK, 25])
-    @pytest.mark.parametrize("name", ["denoiser", "autoencoder_decoder"])
+    @pytest.mark.parametrize("name", ["denoiser", "autoencoder_decoder",
+                                      "extractor_first_layer"])
     def test_flat_chunk_rows_equal_per_cell_calls(self, name, cells):
-        net = self._network(name)
+        forward, width = self._forward(name)
         rows = config.desk_config().eval_prompts
         x = np.random.default_rng(cells).standard_normal(
-            (cells * rows, net.layers[0].in_features)).astype(np.float32)
-        flat = net.forward(x, cache=False)
+            (cells * rows, width)).astype(np.float32)
+        flat = forward(x, cache=False)
         for cell in range(cells):
             part = x[cell * rows:(cell + 1) * rows]
             assert flat[cell * rows:(cell + 1) * rows].tobytes() \
-                == net.forward(part, cache=False).tobytes(), (name, cell)
+                == forward(part, cache=False).tobytes(), (name, cell)
 
 
 def reference_ue_images(bundle, frames, symbols):
@@ -541,7 +559,7 @@ class TestBatchedLink:
         assert extracted == [(1, 3)] * (1 + len(metrics.MODES))
         # ground truths and raw_feature rows as batches; the UEs' frames as
         # one stack of batches of one
-        latent = tiny_bundle.latent_shape
+        latent = tiny_bundle.autoencoder.latent_shape
         assert decoded == [(3,) + latent] * 2 + [(3, 1) + latent]
         codec = tiny_bundle.codec_for(0.5)
         # the server compresses the stacked latents in one call, as

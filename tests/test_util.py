@@ -1,0 +1,87 @@
+"""megsim's copy of SeedSequence's mixing, checked against numpy's own."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from megsim.util import as_rng, derive_seed, derive_seeds, generators
+
+# one- and two-word ints and the edges between them
+EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+U64 = st.one_of(st.sampled_from(EDGES), st.integers(0, 2 ** 64 - 1))
+
+
+def numpy_seed(*path):
+    return int(np.random.SeedSequence(list(path))
+               .generate_state(1, np.uint64)[0])
+
+
+@given(master=U64, prefix=st.lists(U64, max_size=2),
+       start=st.one_of(st.just(2 ** 32 - 25), st.integers(0, 2 ** 64 - 50)))
+@settings(max_examples=60, deadline=None)
+def test_derive_seeds_equal_numpy(master, prefix, start):
+    # 50 indices from ``start``, which cross 2**32 at 2**32 - 25
+    indices = range(start, start + 50)
+    got = derive_seeds(master, *prefix, indices=indices)
+    assert got.dtype == np.uint64 and got.shape == (50,)
+    assert [int(s) for s in got] \
+        == [numpy_seed(master, *prefix, i) for i in indices]
+    assert derive_seed(master, *prefix, start) == int(got[0])
+
+
+@pytest.mark.parametrize("master", EDGES)
+@pytest.mark.parametrize("prefix", [(), (0,), (0xE1,), (7, 2 ** 40),
+                                    (1, 2, 3)])
+def test_derive_seed_edges_equal_numpy(master, prefix):
+    for index in EDGES:
+        assert derive_seed(master, *prefix, index) \
+            == numpy_seed(master, *prefix, index)
+
+
+def test_masters_stack_as_rows():
+    # masters and indices of one and two words in one call
+    masters, indices = EDGES, [0, 2 ** 32, 5, 2 ** 64 - 1]
+    got = derive_seeds(masters, 3, indices=indices)
+    assert got.shape == (len(masters), len(indices))
+    for row, master in zip(got, masters):
+        assert [int(s) for s in row] == [numpy_seed(master, 3, i)
+                                         for i in indices]
+    assert derive_seeds(masters, indices=1).shape == (len(masters),)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: derive_seeds(-1, indices=[0]),
+    lambda: derive_seeds(0, -3, indices=[0]),
+    lambda: derive_seeds(0, indices=[2, -1]),
+    lambda: derive_seeds(np.array([4, -2]), indices=[0]),
+    lambda: derive_seed(3, -2),
+    lambda: as_rng(-1),
+    lambda: next(generators([1, -1])),
+])
+def test_negative_seed_refused(call):
+    # as SeedSequence([3, -1]) refuses it
+    with pytest.raises(ValueError):
+        call()
+
+
+@given(st.lists(U64, min_size=1, max_size=20))
+@settings(max_examples=30, deadline=None)
+def test_generators_draw_what_default_rng_draws(seeds):
+    made = generators(seeds)
+    for seed in seeds:
+        rng, want = next(made), np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.standard_normal(5).tobytes() \
+            == want.standard_normal(5).tobytes()
+        assert rng.integers(0, 2 ** 63, 3).tobytes() \
+            == want.integers(0, 2 ** 63, 3).tobytes()
+    assert next(made, None) is None
+
+
+def test_as_rng_of_an_int_is_default_rng():
+    for seed in EDGES:
+        assert as_rng(seed).random(4).tobytes() \
+            == np.random.default_rng(seed).random(4).tobytes()
+    rng = np.random.default_rng(3)
+    assert as_rng(rng) is rng
