@@ -23,7 +23,7 @@ for snr_db in (20.0, 0.0, -10.0):
     noise_std = ch.snr_to_noise_std(snr_db)
     errs = []
     for h in (1.2, 0.6, 0.15):
-        y = ch.transmit(x, h, 1.0, noise_std, rng)
+        y = ch.transmit(x, h, 1.0, rng.normal(0.0, noise_std, x.shape))
         errs.append(float(np.std(ch.equalize(y, h, 1.0) - x)))
     print(f"  snr {snr_db:>6} dB: residual std at h=1.2/0.6/0.15 ->",
           [round(e, 3) for e in errs])

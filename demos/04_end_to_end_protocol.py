@@ -8,6 +8,8 @@ high SNR.
 
 from dataclasses import replace
 
+import numpy as np
+
 from megsim import config, experiments, metrics, protocol
 from megsim.corpus import sample_prompts
 from megsim.util import derive_seed
@@ -19,7 +21,9 @@ bundle = experiments.cmd_train(cfg).bundle
 prompts = sample_prompts(16, derive_seed(cfg.seed, 20))
 print(f"evaluation prompts: {prompts[:3]} ... ({len(prompts)} total)\n")
 
-(frame,), _ = protocol.es_handle_request(bundle, prompts[:1], [1], 0.5,
+# the server starts each prompt's sampler from a row of drawn noise
+noise = np.random.default_rng(1).standard_normal((1,) + cfg.latent_shape)
+(frame,), _ = protocol.es_handle_request(bundle, prompts[:1], noise, 0.5,
                                          cfg.block_length)
 wire = protocol.encode_frame(frame)
 print(f"seed frame for one prompt: {len(wire)} bytes "

@@ -40,19 +40,17 @@ def block_count(symbols, block_length):
     return -(-symbols // block_length)
 
 
-def transmit(symbols, gain, power, noise_std, rng):
+def transmit(symbols, gain, power, noise):
     """Symbols over the link: y = h * sqrt(p) * x + n.
 
     ``gain`` and ``power`` are scalars for one block or per-symbol arrays
-    that broadcast against ``symbols``; the noise is one draw of the
-    symbols' shape.
+    that broadcast against ``symbols``; ``noise`` is the drawn noise n,
+    of the symbols' shape, or 0.0 for a noiseless link.
     """
     if np.any(np.asarray(power) < 0):
         raise ValueError("power must be >= 0")
-    x = np.asarray(symbols, dtype=np.float64)
-    y = gain * np.sqrt(power) * x
-    if noise_std > 0:
-        y += as_rng(rng).normal(0.0, noise_std, size=x.shape)
+    y = gain * np.sqrt(power) * np.asarray(symbols, dtype=np.float64)
+    y += noise
     return y
 
 

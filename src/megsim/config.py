@@ -140,6 +140,10 @@ class ExperimentConfig:
         # a line break would end the value in a config file
         if "\n" in self.out or "\r" in self.out:
             raise ValueError("[run] out must not hold a line break")
+        # a file's value is read back with its edge whitespace stripped
+        if self.out != self.out.strip():
+            raise ValueError("[run] out must not start or end with "
+                             "whitespace")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.channel_kind not in KINDS:

@@ -21,7 +21,7 @@ from . import channel as ch
 from . import corpus, genmodel, metrics, nn, plotting, power_rl, seedcodec
 from .config import ExperimentConfig, config_hash
 from .errors import BundleError, ConfigError
-from .protocol import ModelBundle, RunSpec, run_end_to_end
+from .protocol import RATE_FIXED_ONE, ModelBundle, RunSpec, run_end_to_end
 from .util import derive_seed, derive_seeds, generators, sha256_file, write_csv
 
 SWEEP_SCHEMA = "megsim sweep v1"
@@ -265,6 +265,16 @@ def _eval_prompt_set(cfg):
     return corpus.sample_prompts(cfg.eval_prompts, derive_seed(cfg.seed, 20))
 
 
+def cell_seed(cfg, rate, snr_db, trial):
+    """The seed of one sweep cell, keyed by what the cell is: the master
+    seed, the rate as its seed-frame fixed-point value, the SNR as its
+    float64 bits and the trial. A cell keeps its seed, and so its rows,
+    when the grid around it grows or shrinks."""
+    snr_bits = struct.unpack("<Q", struct.pack("<d", snr_db))[0]
+    return derive_seed(cfg.seed, 100, round(rate * RATE_FIXED_ONE),
+                       snr_bits, trial)
+
+
 def cmd_sweep(cfg: ExperimentConfig):
     """Quality-versus-SNR grid over (mode, rate, SNR, trial).
 
@@ -274,7 +284,8 @@ def cmd_sweep(cfg: ExperimentConfig):
     ``SWEEP_CHUNK`` consecutive cells of one rate, or one cell per chunk
     below ``SWEEP_CHUNK_MIN_PROMPTS`` prompts per cell, so the CSV does
     not depend on the chunk size (see :func:`protocol.run_end_to_end`).
-    Returns the output paths.
+    Each cell runs on its :func:`cell_seed`, so its numbers do not depend
+    on the rest of the grid either. Returns the output paths.
     """
     os.makedirs(cfg.out, exist_ok=True)
     sweep_path = os.path.join(cfg.out, "sweep.csv")
@@ -293,22 +304,20 @@ def cmd_sweep(cfg: ExperimentConfig):
         bundle = load_bundle(cfg)
         prompts = _eval_prompt_set(cfg)
         size = SWEEP_CHUNK if len(prompts) >= SWEEP_CHUNK_MIN_PROMPTS else 1
-        cell_seeds = derive_seeds(cfg.seed, 100, indices=range(len(grid)))
-        for rate, cells in itertools.groupby(enumerate(grid),
-                                             lambda cell: cell[1][0]):
+        for rate, cells in itertools.groupby(grid, lambda cell: cell[0]):
             cells = list(cells)
             for lo in range(0, len(cells), size):
-                chunk = [(snr, trial, int(cell_seeds[index]))
-                         for index, (_, snr, trial) in cells[lo:lo + size]]
+                chunk = [(snr, trial, cell_seed(cfg, rate, snr, trial))
+                         for _, snr, trial in cells[lo:lo + size]]
                 report = run_end_to_end(
                     bundle, prompts, rate, cfg.block_length,
-                    [RunSpec(snr, cfg.channel_kind, cell_seed)
-                     for snr, _, cell_seed in chunk])
-                for (cell, (snr, trial, cell_seed)), mode in \
+                    [RunSpec(snr, cfg.channel_kind, seed)
+                     for snr, _, seed in chunk])
+                for (cell, (snr, trial, seed)), mode in \
                         itertools.product(enumerate(chunk), metrics.MODES):
                     r = report[cell, mode].report
                     rows.append((mode, rate, snr, trial, r.psnr_db,
-                                 r.fid_score, r.mse, r.symbols, cell_seed))
+                                 r.fid_score, r.mse, r.symbols, seed))
                 # freed before the next chunk runs, not held through it
                 del report
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))

@@ -194,9 +194,12 @@ class SeedTransmissionEnv:
         self._trace_rng = as_rng(derive_seed(seed, 0xE0))
         self._episode_index = 0
 
-        frames, latents = es_handle_request(
-            bundle, prompts, derive_seeds(seed, 0xE1, indices=range(len(
-                prompts))), cfg.power_rate, block_length)
+        # each prompt's server noise from a generator of its own
+        shape = bundle.autoencoder.latent_shape
+        noise = np.stack([rng.standard_normal(shape) for rng in generators(
+            derive_seeds(seed, 0xE1, indices=range(len(prompts))))])
+        frames, latents = es_handle_request(bundle, prompts, noise,
+                                            cfg.power_rate, block_length)
         truths = bundle.autoencoder.decode(latents)
         self.ground_truths = list(truths)
         self._scales = np.array([fr.scale for fr in frames])[:, None]
@@ -275,14 +278,14 @@ class SeedTransmissionEnv:
                              f"{actions.shape}")
         p = apply_power(actions, remaining, self.p_max)
         sent = self.blocks[:, t]
-        # one [E, P, block] buffer holds the noise, then y = h sqrt(p) x + n;
-        # the equalized block replaces it, where an erased block is zeros
-        y = np.empty((len(rngs),) + sent.shape)
-        for e, rng in enumerate(rngs):
-            y[e] = rng.normal(0.0, self.noise_std, sent.shape)
-        amp = gains * np.sqrt(p)
-        y += amp[:, None, None] * sent
-        live = amp > 0.0
+        # the block of every episode over the link, with noise from the
+        # episode's generator; the equalized block replaces it, where an
+        # erased block is zeros
+        y = ch.transmit(np.broadcast_to(sent, (len(rngs),) + sent.shape),
+                        gains[:, None, None], p[:, None, None],
+                        np.stack([rng.normal(0.0, self.noise_std, sent.shape)
+                                  for rng in rngs]))
+        live = gains * np.sqrt(p) > 0.0
         if live.all():
             y = ch.equalize(y, gains[:, None, None], p[:, None, None])
         else:

@@ -31,7 +31,7 @@ from . import channel as ch
 from . import genmodel, metrics
 from .errors import DimensionError, FrameError, ProtocolError
 from .seedcodec import CodecPair
-from .util import derive_seeds, generators
+from .util import as_rng
 
 FRAME_MAGIC = b"MGSF"
 FRAME_VERSION = 1
@@ -101,27 +101,25 @@ class ModelBundle:
         return self.codecs[rate]
 
 
-def es_handle_request(bundle: ModelBundle, prompts, noise_seeds, rate,
+def es_handle_request(bundle: ModelBundle, prompts, noise, rate,
                       block_length: int, cells=1):
     """Server side: embed, generate, compress, frame. A non-empty list of
-    N prompts is served as one batch at one codec ``rate``, each noise
-    drawn from the prompt's entry of ``noise_seeds``; returns (frames,
-    latents), one SeedFrame per prompt and the sampled latents [N,
-    *latent_shape], in prompt order. The batch may hold ``cells`` equal
-    groups of consecutive prompts, one per sweep cell: the sampler runs on
-    every row at once and the codec encoder group by group, as each group
-    alone (see ``nn``)."""
-    if not prompts or len(noise_seeds) != len(prompts):
-        raise ProtocolError(f"expected at least one prompt and one noise "
-                            f"seed per prompt, got {len(prompts)} prompts "
-                            f"and {len(noise_seeds)} noise seeds")
+    N prompts is served as one batch at one codec ``rate``, each prompt's
+    sampler starting from its row of ``noise`` [N, *latent_shape]; returns
+    (frames, latents), one SeedFrame per prompt and the sampled latents
+    [N, *latent_shape], in prompt order. The batch may hold ``cells``
+    equal groups of consecutive prompts, one per sweep cell: the sampler
+    runs on every row at once and the codec encoder group by group, as
+    each group alone (see ``nn``)."""
+    shape = bundle.autoencoder.latent_shape
+    if not prompts or np.shape(noise) != (len(prompts),) + shape:
+        raise ProtocolError(f"expected at least one prompt and a noise "
+                            f"row {shape} per prompt, got {len(prompts)} "
+                            f"prompts and noise {np.shape(noise)}")
     if len(prompts) % cells:
         raise ProtocolError(f"{len(prompts)} prompts do not split into "
                             f"{cells} equal groups")
     codec = bundle.codec_for(rate)
-    shape = bundle.autoencoder.latent_shape
-    noise = np.stack([rng.standard_normal(shape)
-                      for rng in generators(noise_seeds)]).astype(np.float32)
     latents = genmodel.generate_latent(bundle.denoiser, prompts, noise,
                                        bundle.schedule)
     symbols, scales = codec.compress(latents.reshape((cells, -1) + shape))
@@ -170,7 +168,9 @@ def transmit_stream(payloads, gains, block_length, noise_std, rng):
     if len(gains) < nb or np.any(gains <= 0):
         raise ValueError(f"{n} symbols need {nb} blocks of positive gain")
     gains = np.repeat(gains, block_length)[:n]
-    return ch.transmit(x, gains, 1.0, noise_std, rng), gains
+    noise = as_rng(rng).normal(0.0, noise_std, x.shape) if noise_std > 0 \
+        else 0.0
+    return ch.transmit(x, gains, 1.0, noise), gains
 
 
 def recover_stream(received, gains):
@@ -237,7 +237,7 @@ def batch_report(images, ground_truths, extractor, symbols,
 @dataclass
 class RunSpec:
     """One paired trial, a sweep cell: every mode rides the same fading
-    trace."""
+    trace, and the cell draws everything from one generator of ``seed``."""
     snr_db: float | None          # None is the perfect channel
     channel_kind: str
     seed: int = 0
@@ -249,13 +249,14 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
     cells: the same prompts at one codec rate and block length, one
     RunSpec per cell.
 
-    Each cell keeps its own seed paths, fading trace, noise and SNR; the
-    chunk's seeds are derived in one pass per path. The sampler, the
-    decodes of the ground truths and of the raw-feature latents, and the
-    feature extractor's first layer run once on the chunk's flat rows, the
-    codec encoder and the extractor's last layer on its stack of cells
-    (see ``nn``), and the link, the frame round trip and each UE's
-    batch-of-one decode per cell. So a
+    Each cell draws everything from one generator of its seed, in this
+    order: its server noise [P, *latent_shape] in one draw, its fading
+    trace, then each mode's link noise in ``metrics.MODES`` order. The
+    sampler, the decodes of the ground truths and of the raw-feature
+    latents, and the feature extractor's first layer run once on the
+    chunk's flat rows, the codec encoder and the extractor's last layer on
+    its stack of cells (see ``nn``), and the link, the frame round trip
+    and each UE's batch-of-one decode per cell. So a
     cell's results are bit for bit those of a chunk of one only where the
     BLAS rounds each cell's share of the flat rows as it rounds that cell
     alone: at desk layer widths on OpenBLAS 0.3.31, from 10 prompts per
@@ -266,13 +267,13 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
     if not specs or not prompts:
         raise ValueError("at least one cell and one prompt are required")
     cells, count = len(specs), len(prompts)
-    seeds = [spec.seed for spec in specs]
-    frames, latents = es_handle_request(
-        bundle, list(prompts) * cells,
-        derive_seeds(seeds, 0, indices=range(count)).ravel(), rate,
-        block_length, cells)
     image_shape = bundle.autoencoder.image_shape
     latent_shape = bundle.autoencoder.latent_shape
+    rngs = [as_rng(spec.seed) for spec in specs]
+    frames, latents = es_handle_request(
+        bundle, list(prompts) * cells,
+        np.concatenate([rng.standard_normal((count,) + latent_shape)
+                        for rng in rngs]), rate, block_length, cells)
     stack = (cells, count)
     truths = bundle.autoencoder.decode(latents).reshape(stack + image_shape)
     latents = latents.reshape(stack + latent_shape)
@@ -283,28 +284,22 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
               "raw_feature": int(np.prod(latent_shape)),
               "meg": frames[0].payload.size}
     blocks = ch.block_count(max(counts.values()), block_length)
-    # each cell's trace, then each mode's link noise cell by cell, taken in
-    # the order they are drawn
-    rngs = generators(np.concatenate([
-        derive_seeds(seeds, indices=1),
-        derive_seeds(seeds, 2, indices=range(len(metrics.MODES))).T.ravel()]))
-    gains = np.stack([ch.fading_gains(spec.channel_kind, blocks, next(rngs))
-                      for spec in specs])
+    gains = np.stack([ch.fading_gains(spec.channel_kind, blocks, rng)
+                      for spec, rng in zip(specs, rngs)])
 
     results = {}
     for mode in metrics.MODES:
         source = latents if mode == "raw_feature" else truths
         # the received images, or the latents that raw_feature receives
         batch = np.empty(source.shape, np.float32)
-        for cell, spec in enumerate(specs):
-            noise_rng = next(rngs)
+        for cell, (spec, rng) in enumerate(zip(specs, rngs)):
             noise_std = None if spec.snr_db is None \
                 else ch.snr_to_noise_std(spec.snr_db, 1.0)
             if mode == "meg":
                 served = frames[cell * count:(cell + 1) * count]
                 sent = None if noise_std is None else transmit_stream(
                     np.stack([frame.payload for frame in served]),
-                    gains[cell], block_length, noise_std, noise_rng)
+                    gains[cell], block_length, noise_std, rng)
                 batch[cell] = ue_receive(
                     bundle, [encode_frame(frame) for frame in served], sent)
                 continue
@@ -315,8 +310,7 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
                 scale = np.where(scale > 0, scale, 1.0)
                 payloads /= scale
                 payloads = recover_stream(*transmit_stream(
-                    payloads, gains[cell], block_length, noise_std,
-                    noise_rng))
+                    payloads, gains[cell], block_length, noise_std, rng))
                 payloads *= scale
             if mode == "centralized":
                 np.clip(payloads, 0.0, 1.0, out=payloads)

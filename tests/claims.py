@@ -41,7 +41,8 @@ def low_snr_ordering(bundle, cfg):
     for trial in range(5):
         for snr in (-10.0, 30.0):
             spec = protocol.RunSpec(snr, cfg.channel_kind,
-                                    derive_seed(cfg.seed, 100, trial))
+                                    experiments.cell_seed(cfg, 0.5, snr,
+                                                          trial))
             rep = protocol.run_end_to_end(bundle, prompts, 0.5,
                                           cfg.block_length, [spec])
             for m in MODES:

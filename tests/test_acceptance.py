@@ -197,14 +197,16 @@ def test_criterion_06_low_snr_mode_ordering(desk_bundle, desk_cfg):
 
 def test_criterion_07_channel_statistics():
     m2 = float(np.mean(ch.fading_gains("rayleigh_block", 100_000, 7) ** 2))
-    noise = ch.transmit(np.zeros(100_000), 1.0, 1.0, 0.7,
-                        np.random.default_rng(11))
+    # the link as the sweep sends: one block of unit gain at unit power
+    noise, _ = protocol.transmit_stream(np.zeros((1, 100_000)), [1.0],
+                                        100_000, 0.7,
+                                        np.random.default_rng(11))
     var_rel = abs(float(np.var(noise)) / 0.49 - 1.0)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4096)
     residues = []
     for gain, power in ((0.2, 1.0), (1.0, 1.0), (2.5, 0.3)):
-        y = ch.transmit(x, gain, power, 0.0, rng)
+        y = ch.transmit(x, gain, power, 0.0)
         residues.append(float(np.max(np.abs(ch.equalize(y, gain, power) - x))))
     ok = abs(m2 - 1.0) < 0.02 and var_rel < 0.02 and max(residues) < 1e-9
     report(7, ok, f"rayleigh second moment {m2:.4f} (+-2%), noise variance "
@@ -245,10 +247,13 @@ def test_criterion_10_protocol_exactness(desk_bundle, desk_cfg):
                                   desk_cfg.block_length,
                                   [protocol.RunSpec(None, "awgn", 11)])
     codec = desk_bundle.codec_for(0.5)
+    # the cell generator's first draw is its server noise, one row a prompt
+    noise = np.random.default_rng(11).standard_normal(
+        (len(prompts),) + desk_cfg.latent_shape)
     worst = 0.0
     for i, prompt in enumerate(prompts):
         (frame,), _ = protocol.es_handle_request(
-            desk_bundle, [prompt], [derive_seed(11, 0, i)], 0.5,
+            desk_bundle, [prompt], noise[i:i + 1], 0.5,
             desk_cfg.block_length)
         (local,) = desk_bundle.autoencoder.decode(
             codec.decompress(frame.payload[None], [frame.scale]))

@@ -85,28 +85,29 @@ class TestFadingTraces:
 class TestTransmitEqualize:
     def test_clean_unit_channel_is_identity(self, rng):
         x = rng.standard_normal(64)
-        y = ch.transmit(x, 1.0, 1.0, 0.0, rng)
+        y = ch.transmit(x, 1.0, 1.0, 0.0)
         assert np.array_equal(y, x)
 
     def test_amplitude_algebra(self, rng):
         # gain 2 with power 4 scales the signal by 2 * sqrt(4) = 4
         x = rng.standard_normal(32)
-        y = ch.transmit(x, 2.0, 4.0, 0.0, rng)
+        y = ch.transmit(x, 2.0, 4.0, 0.0)
         assert np.allclose(y, 4.0 * x)
 
     def test_noise_variance_monte_carlo(self):
         rng = np.random.default_rng(11)
-        y = ch.transmit(np.zeros(100_000), 1.0, 1.0, 0.7, rng)
+        y = ch.transmit(np.zeros(100_000), 1.0, 1.0,
+                        rng.normal(0.0, 0.7, 100_000))
         assert abs(np.var(y) / 0.49 - 1.0) < 0.02
 
-    def test_negative_power_rejected(self, rng):
+    def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            ch.transmit(np.zeros(4), 1.0, -0.5, 0.0, rng)
+            ch.transmit(np.zeros(4), 1.0, -0.5, 0.0)
 
     def test_equalize_inverts_noiseless(self, rng):
         x = rng.standard_normal(128)
         for gain, power in ((0.3, 1.0), (1.7, 0.25), (0.9, 9.0)):
-            y = ch.transmit(x, gain, power, 0.0, rng)
+            y = ch.transmit(x, gain, power, 0.0)
             back = ch.equalize(y, gain, power)
             assert np.max(np.abs(back - x)) < 1e-6
 
@@ -114,7 +115,7 @@ class TestTransmitEqualize:
         # gain 0.5 at unit power doubles the noise level
         rng = np.random.default_rng(2)
         x = np.zeros(100_000)
-        y = ch.transmit(x, 0.5, 1.0, 0.1, rng)
+        y = ch.transmit(x, 0.5, 1.0, rng.normal(0.0, 0.1, x.shape))
         residual = ch.equalize(y, 0.5, 1.0)
         assert abs(float(np.std(residual)) / 0.2 - 1.0) < 0.02
 
@@ -132,8 +133,8 @@ class TestTransmitEqualize:
             errs = []
             for snr in snrs:
                 noise_rng = np.random.default_rng(1000 + seed)
-                y = ch.transmit(x, gain, 1.0, ch.snr_to_noise_std(snr),
-                                noise_rng)
+                y = ch.transmit(x, gain, 1.0, noise_rng.normal(
+                    0.0, ch.snr_to_noise_std(snr), x.shape))
                 errs.append(float(np.mean((ch.equalize(y, gain, 1.0) - x) ** 2)))
             rho = stats.spearmanr(snrs, errs).statistic
             assert rho < 0
@@ -152,29 +153,32 @@ class TestPerSymbolArrays:
     def test_transmit_matches_per_block_calls(self, rng):
         x, gains, powers, g_sym, p_sym = self._blocks(rng)
         got_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        got = ch.transmit(x, g_sym, p_sym, 0.3, got_rng)
+        got = ch.transmit(x, g_sym, p_sym,
+                          got_rng.normal(0.0, 0.3, x.shape))
         # the reference draws row by row, block by block
         rows = []
         for row in x:
+            blocks = [row[i * 16:(i + 1) * 16] for i in range(3)]
             rows.append(np.concatenate([
-                ch.transmit(row[i * 16:(i + 1) * 16], gains[i], powers[i],
-                            0.3, ref_rng) for i in range(3)]))
+                ch.transmit(block, gains[i], powers[i],
+                            ref_rng.normal(0.0, 0.3, block.shape))
+                for i, block in enumerate(blocks)]))
         assert np.array_equal(got, np.stack(rows))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_equalize_matches_per_block_calls(self, rng):
         x, gains, powers, g_sym, p_sym = self._blocks(rng)
-        y = ch.transmit(x, g_sym, p_sym, 0.1, rng)
+        y = ch.transmit(x, g_sym, p_sym, rng.normal(0.0, 0.1, x.shape))
         got = ch.equalize(y, g_sym, p_sym)
         want = np.concatenate([ch.equalize(y[:, i * 16:(i + 1) * 16],
                                            gains[i], powers[i])
                                for i in range(3)], axis=1)
         assert np.array_equal(got, want)
 
-    def test_any_negative_power_rejected(self, rng):
+    def test_any_negative_power_rejected(self):
         with pytest.raises(ValueError):
             ch.transmit(np.zeros(4), 1.0, np.array([1.0, 1.0, -1e-9, 1.0]),
-                        0.0, rng)
+                        0.0)
 
     def test_any_zero_power_is_erasure(self):
         with pytest.raises(ChannelErasure):

@@ -148,6 +148,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="line break"):
                 replace(config.desk_config(), out=out)
 
+    def test_edge_whitespace_in_out_refused(self):
+        # a config file's value is read back stripped: " x" would be "x"
+        for out in (" x", "x ", "\tx", "x\u3000", " "):
+            with pytest.raises(ValueError, match=re.escape(
+                    "[run] out must not start or end with whitespace")):
+                replace(config.desk_config(), out=out)
+        assert replace(config.desk_config(), out="a b").out == "a b"
+
     def test_non_canonical_eval_prompt_refused(self):
         # a file could not keep these spellings apart from the canonical one
         for prompt in (" large rings", "large rings ", "large  rings",
@@ -621,7 +629,7 @@ class TestTrainCaching:
                 return make(*args, **kwargs)
             return count
 
-        # megsim's own generators are PCG64s built by util.generators
+        # megsim's own generators are util's np.random.default_rng PCG64s
         for name in ("default_rng", "PCG64"):
             monkeypatch.setattr(np.random, name,
                                 counting(getattr(np.random, name)))
@@ -711,10 +719,10 @@ class TestTrainCaching:
         # desk preset, seed 0, as recorded with numpy 2 on OpenBLAS 0.3.31
         # (another BLAS kernel may sum in another order and move them); a
         # change that only makes the program faster keeps these bytes
-        want = {"sweep": "e1828afba1e1a5cb1f2fb252ba1e4837"
-                         "cfe6e1cb6ad6747c0edacbfa09304827",
-                "eval": "793898fd5331f5c66a186024fddb41d7"
-                        "aaff389d2e92114dfba90e341235956d"}
+        want = {"sweep": "c94c75b30231ac0501d6fe38cce8126a"
+                         "73957eeda0477844bde93c9a58940b1a",
+                "eval": "d6d687d1647d89ff78299cd7da868e11"
+                        "07c2c817ea37d284ed543700ab1f1ae8"}
         for command, digest in want.items():
             path = getattr(experiments, f"cmd_{command}")(desk_cfg)[
                 f"{command}_csv"]
@@ -742,12 +750,12 @@ class TestTrainCaching:
         # prompt rows and the extractor network are memoized per process,
         # so a second sweep and a sweep after cmd_power reuse them and must
         # still write the bytes pinned above (the plot medians too)
-        want = {"sweep.csv": "e1828afba1e1a5cb1f2fb252ba1e4837"
-                             "cfe6e1cb6ad6747c0edacbfa09304827",
-                "plot_psnr_db_r0.5.csv": "8f1505aaedf32c8707ab78e877c620cc"
-                                         "bf010263b4933bb98ec246849c1578a2",
-                "plot_fid_proxy_r0.5.csv": "51ff78abe6a9931623dc15534aef8df9"
-                                           "2e6981d55edb8387837224548c6c76cf"}
+        want = {"sweep.csv": "c94c75b30231ac0501d6fe38cce8126a"
+                             "73957eeda0477844bde93c9a58940b1a",
+                "plot_psnr_db_r0.5.csv": "4f74504fbc7b2320c4228a56c512aa03"
+                                         "f8319d12e1d3e5003bebe8f8d5756e87",
+                "plot_fid_proxy_r0.5.csv": "7dcc71b9cbf753f351e35e42ad6f94ba"
+                                           "63cca673dd90db13f3d4057913b3bea4"}
         power = replace(desk_cfg, power_budgets=(2.0,), ppo_update_rounds=1)
         for power_first in (False, False, True):
             if power_first:
@@ -870,6 +878,28 @@ class TestSweep:
         cells = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
         assert calls == [1] * 12
         assert served == cells
+
+    def test_cell_rows_do_not_depend_on_the_grid(self, desk_cfg,
+                                                 desk_bundle):
+        # each cell is seeded by its rate, SNR and trial, so a grid with one
+        # more trial and one more SNR writes every shared cell's rows with
+        # the same bytes (less the config hash, which names the grid)
+        def rows(cfg):
+            with open(experiments.cmd_sweep(cfg)["sweep_csv"]) as fh:
+                lines = fh.read().splitlines()[2:]
+            return {tuple(line.split(",")[1:5]): line.split(",", 1)[1]
+                    for line in lines}
+
+        desk = rows(desk_cfg)
+        grown = rows(replace(
+            desk_cfg, sweep_snrs_db=tuple(sorted(desk_cfg.sweep_snrs_db
+                                                 + (5.0,))),
+            sweep_trials=desk_cfg.sweep_trials + 1))
+        rates, snrs = len(desk_cfg.codec_rates), len(desk_cfg.sweep_snrs_db)
+        assert len(desk) == 3 * rates * snrs * desk_cfg.sweep_trials
+        assert len(grown) == 3 * rates * (snrs + 1) \
+            * (desk_cfg.sweep_trials + 1)
+        assert {key: grown[key] for key in desk} == desk
 
     def test_bundle_loaded_once_at_one_job(self, tiny_cfg, tiny_bundle,
                                            monkeypatch):

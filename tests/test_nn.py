@@ -182,7 +182,7 @@ class TestDense:
         def no_rng(*args):
             raise AssertionError("a skeleton layer made a generator")
 
-        # megsim's own generators are PCG64s built by util.generators
+        # megsim's own generators are util's np.random.default_rng PCG64s
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         monkeypatch.setattr(np.random, "PCG64", no_rng)
         layer = nn.DenseLayer(4, 3, "relu")

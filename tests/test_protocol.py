@@ -13,7 +13,7 @@ from megsim.protocol import (RunSpec, decode_frame, encode_frame,
                              es_handle_request, recover_stream,
                              run_end_to_end, transmit_stream)
 from megsim.seedcodec import CodecPair
-from megsim.util import as_rng, derive_seed
+from megsim.util import as_rng
 
 
 def chunk_seed(symbols, block_length):
@@ -99,8 +99,8 @@ class TestChunking:
 class TestEsSide:
     def _serve(self, bundle, seed=1):
         """One prompt, served as a batch of one; returns its frame."""
-        (frame,), _ = es_handle_request(bundle, ["large blob left"], [seed],
-                                        0.5, 16)
+        (frame,), _ = es_handle_request(bundle, ["large blob left"],
+                                        noise_rows(bundle, [seed]), 0.5, 16)
         return frame
 
     def test_payload_length_matches_rate(self, tiny_bundle):
@@ -118,17 +118,22 @@ class TestEsSide:
 
     def test_unknown_rate_rejected(self, tiny_bundle):
         with pytest.raises(ProtocolError, match="rate"):
-            es_handle_request(tiny_bundle, ["blob"], [0], 0.25, 16)
+            es_handle_request(tiny_bundle, ["blob"],
+                              noise_rows(tiny_bundle, [0]), 0.25, 16)
 
 
-def reference_es_handle_request(bundle, prompt, noise_seed, rate,
-                                block_length):
-    """The one-prompt server path: sample one latent as a batch of one,
-    encode the flat vector and divide by its RMS, frame. Returns (frame,
-    latent)."""
+def noise_rows(bundle, seeds):
+    """One server noise row [*latent_shape] per seed, each the first draw
+    of a generator of its own."""
+    return np.stack([as_rng(seed).standard_normal(
+        bundle.autoencoder.latent_shape) for seed in seeds])
+
+
+def reference_es_handle_request(bundle, prompt, noise, rate, block_length):
+    """The one-prompt server path: sample one latent from ``noise``
+    [*latent_shape] as a batch of one, encode the flat vector and divide
+    by its RMS, frame. Returns (frame, latent)."""
     codec = bundle.codec_for(rate)
-    noise = as_rng(noise_seed).standard_normal(
-        bundle.autoencoder.latent_shape)
     (latent,) = genmodel.generate_latent(bundle.denoiser, [prompt],
                                          noise[None].astype(np.float32),
                                          bundle.schedule)
@@ -145,15 +150,16 @@ class TestEsBatch:
     SEEDS = [10, 11, 12, 13]
 
     def test_batch_matches_single_requests(self, tiny_bundle):
-        frames, latents = es_handle_request(tiny_bundle, self.PROMPTS,
-                                            self.SEEDS, 0.5, 16)
+        noise = noise_rows(tiny_bundle, self.SEEDS)
+        frames, latents = es_handle_request(tiny_bundle, self.PROMPTS, noise,
+                                            0.5, 16)
         assert isinstance(frames, list) and len(frames) == len(self.PROMPTS)
         assert latents.shape == (len(self.PROMPTS),) \
             + tiny_bundle.autoencoder.latent_shape
-        for prompt, seed, got, latent in zip(self.PROMPTS, self.SEEDS, frames,
-                                             latents):
-            (want,), (want_latent,) = es_handle_request(tiny_bundle, [prompt],
-                                                        [seed], 0.5, 16)
+        for prompt, row, got, latent in zip(self.PROMPTS, noise, frames,
+                                            latents):
+            (want,), (want_latent,) = es_handle_request(
+                tiny_bundle, [prompt], row[None], 0.5, 16)
             assert np.max(np.abs(latent - want_latent)) \
                 <= 1e-5 * np.max(np.abs(want_latent))
             assert np.max(np.abs(got.payload - want.payload)) <= 1e-5
@@ -161,27 +167,28 @@ class TestEsBatch:
             assert got.payload.size == want.payload.size
 
     def test_one_request_equals_the_reference(self, tiny_bundle):
-        prompt, seed = self.PROMPTS[0], self.SEEDS[0]
+        prompt, noise = self.PROMPTS[0], noise_rows(tiny_bundle,
+                                                    self.SEEDS[:1])
         want, want_latent = reference_es_handle_request(tiny_bundle, prompt,
-                                                        seed, 0.5, 16)
-        (got,), (latent,) = es_handle_request(tiny_bundle, [prompt], [seed],
+                                                        noise[0], 0.5, 16)
+        (got,), (latent,) = es_handle_request(tiny_bundle, [prompt], noise,
                                               0.5, 16)
         assert np.array_equal(latent, want_latent)
         assert np.array_equal(got.payload, want.payload)
         assert got.scale == want.scale
         assert encode_frame(got) == encode_frame(want)
 
-    def test_each_request_draws_its_own_noise(self, tiny_bundle,
-                                              monkeypatch):
+    def test_each_prompt_starts_from_its_noise_row(self, tiny_bundle,
+                                                   monkeypatch):
         seen = []
         generate = genmodel.generate_latent
         monkeypatch.setattr(genmodel, "generate_latent",
                             lambda den, prompts, noise, sched:
-                            seen.append(noise.copy())
+                            seen.append(np.array(noise, np.float32))
                             or generate(den, prompts, noise, sched))
         seeds = [5, 9, 5, 2]
-        frames, _ = es_handle_request(tiny_bundle, self.PROMPTS, seeds, 0.5,
-                                      16)
+        frames, _ = es_handle_request(tiny_bundle, self.PROMPTS,
+                                      noise_rows(tiny_bundle, seeds), 0.5, 16)
         (noise,) = seen
         for seed, row in zip(seeds, noise):
             want = as_rng(seed).standard_normal(
@@ -197,7 +204,8 @@ class TestEsBatch:
         # and shapes the receiver reads, and crosses the wire unchanged
         codec = tiny_bundle.codec_for(0.5)
         frames, latents = es_handle_request(
-            tiny_bundle, self.PROMPTS, self.SEEDS, 0.5, 8, cells=cells)
+            tiny_bundle, self.PROMPTS, noise_rows(tiny_bundle, self.SEEDS),
+            0.5, 8, cells=cells)
         symbols, scales = codec.compress(
             latents.reshape((cells, -1) + codec.latent_shape))
         assert len(frames) == len(symbols) == 4
@@ -212,18 +220,21 @@ class TestEsBatch:
 
     def test_cells_split_into_equal_groups(self, tiny_bundle):
         with pytest.raises(ProtocolError, match="3 equal groups"):
-            es_handle_request(tiny_bundle, self.PROMPTS, self.SEEDS, 0.5, 16,
+            es_handle_request(tiny_bundle, self.PROMPTS,
+                              noise_rows(tiny_bundle, self.SEEDS), 0.5, 16,
                               cells=3)
 
     def test_mixed_or_malformed_batches_rejected(self, tiny_bundle):
-        one_seed_each = "at least one prompt and one noise seed per prompt"
-        for prompts, seeds, rate, match in (
-                (["blob"], [0], 0.25, "no codec trained for rate 0.25"),
-                ([], [], 0.5, one_seed_each),
-                (self.PROMPTS, self.SEEDS[:3], 0.5, one_seed_each),
-                (self.PROMPTS[:1], self.SEEDS[:2], 0.5, one_seed_each)):
+        one_row_each = "at least one prompt and a noise row"
+        noise = noise_rows(tiny_bundle, self.SEEDS)
+        for prompts, rows, rate, match in (
+                (["blob"], noise[:1], 0.25, "no codec trained for rate 0.25"),
+                ([], noise[:0], 0.5, one_row_each),
+                (self.PROMPTS, noise[:3], 0.5, one_row_each),
+                (self.PROMPTS[:1], noise[:2], 0.5, one_row_each),
+                (self.PROMPTS[:1], noise[:1, 0], 0.5, one_row_each)):
             with pytest.raises(ProtocolError, match=match):
-                es_handle_request(tiny_bundle, prompts, seeds, rate, 16)
+                es_handle_request(tiny_bundle, prompts, rows, rate, 16)
 
 
 class TestBatchReport:
@@ -270,9 +281,12 @@ class TestEndToEnd:
         prompts = ["large blob left", "tiny stripes top"]
         report = self._run(tiny_bundle, prompts)
         codec = tiny_bundle.codec_for(0.5)
+        # the cell generator's first draw is its server noise, a row a prompt
+        noise = as_rng(3).standard_normal(
+            (len(prompts),) + tiny_bundle.autoencoder.latent_shape)
         for i, prompt in enumerate(prompts):
             (frame,), _ = es_handle_request(
-                tiny_bundle, [prompt], [derive_seed(3, 0, i)], 0.5, 16)
+                tiny_bundle, [prompt], noise[i:i + 1], 0.5, 16)
             (local,) = tiny_bundle.autoencoder.decode(
                 codec.decompress(frame.payload[None], [frame.scale]))
             remote = report[0, "meg"].images[i]
@@ -406,7 +420,7 @@ class TestUeReceive:
     @staticmethod
     def _serve(bundle, prompts, rate):
         frames, _ = es_handle_request(
-            bundle, prompts, [derive_seed(7, i) for i in range(len(prompts))],
+            bundle, prompts, noise_rows(bundle, range(7, 7 + len(prompts))),
             rate, 16)
         return frames
 
@@ -565,8 +579,13 @@ class TestBatchedLink:
         # the server compresses the stacked latents in one call, as
         # production does; the link below stays per prompt
         symbols, scales = codec.compress(report.latents[0])
-        for mode_idx, mode in enumerate(metrics.MODES):
-            rng = as_rng(derive_seed(spec.seed, 2, mode_idx))
+        # the cell's one generator: its server noise, its trace, then each
+        # mode's link noise in turn
+        rng = as_rng(spec.seed)
+        rng.standard_normal(report.latents[0].shape)
+        assert np.array_equal(ch.fading_gains(
+            spec.channel_kind, report.gains.shape[1], rng), report.gains[0])
+        for mode in metrics.MODES:
             noise_std = ch.snr_to_noise_std(spec.snr_db, 1.0)
             images, received = [], []
             for truth, latent, seed, scale in zip(report.ground_truths[0],
