@@ -21,7 +21,8 @@ from . import channel as ch
 from . import corpus, genmodel, metrics, nn, plotting, power_rl, seedcodec
 from .config import ExperimentConfig, config_hash
 from .errors import BundleError, ConfigError
-from .protocol import RATE_FIXED_ONE, ModelBundle, RunSpec, run_end_to_end
+from .protocol import (RATE_FIXED_ONE, ModelBundle, RunSpec, run_end_to_end,
+                       serve_cells)
 from .util import derive_seed, derive_seeds, generators, sha256_file, write_csv
 
 SWEEP_SCHEMA = "megsim sweep v1"
@@ -252,12 +253,18 @@ def load_bundle(cfg: ExperimentConfig) -> ModelBundle:
 
 # sweeps run in the calling process; kept for callers that still clear it
 _WORKER_CACHE = {}
-# sweep cells served per run_end_to_end call, set by peak RSS: a desk
-# sweep peaks at 45.4 MB one cell per call, 45.8 MB at 4 and 59.8 MB with
+# sweep cells received per run_end_to_end call, set by peak RSS: a desk
+# sweep peaks at 46.0 MB one cell per call, 46.5 MB at 4 and 59.2 MB with
 # all 25 cells in one chunk
 SWEEP_CHUNK = 4
-# below this many prompts per cell each cell is a chunk of its own: there a
-# chunk's flat sampler rows round unlike a cell's alone (run_end_to_end)
+# sweep cells of one rate served per sampler batch (serve_cells), set by
+# the sampler's cost per cell of 16 prompts: 1.19 ms alone, 0.61 ms at 4
+# cells and 0.36 ms from 16 to 64, then 0.41 ms at 100; a 100-cell desk
+# grid peaks at 46.0 MB 4 cells per batch, 47.7 MB at 32 and 50.3 MB at 64
+SWEEP_SERVE = 32
+# below this many prompts per cell each cell is served and received on its
+# own: there a batch's flat sampler rows round unlike a cell's alone
+# (run_end_to_end)
 SWEEP_CHUNK_MIN_PROMPTS = 10
 
 
@@ -280,10 +287,13 @@ def cmd_sweep(cfg: ExperimentConfig):
 
     At the paper-arithmetic preset only the symbol column is filled; no
     full-scale model exists to simulate. Every cell runs in the calling
-    process, whatever ``cfg.jobs`` says, in chunks of up to
-    ``SWEEP_CHUNK`` consecutive cells of one rate, or one cell per chunk
-    below ``SWEEP_CHUNK_MIN_PROMPTS`` prompts per cell, so the CSV does
-    not depend on the chunk size (see :func:`protocol.run_end_to_end`).
+    process, whatever ``cfg.jobs`` says. The server serves up to
+    ``SWEEP_SERVE`` consecutive cells of one rate in one sampler batch
+    (:func:`protocol.serve_cells`), and the receivers take each batch in
+    chunks of up to ``SWEEP_CHUNK`` cells; below
+    ``SWEEP_CHUNK_MIN_PROMPTS`` prompts per cell both hold one cell. So
+    the CSV does not depend on either size (see
+    :func:`protocol.run_end_to_end`).
     Each cell runs on its :func:`cell_seed`, so its numbers do not depend
     on the rest of the grid either. Returns the output paths.
     """
@@ -303,23 +313,31 @@ def cmd_sweep(cfg: ExperimentConfig):
     else:
         bundle = load_bundle(cfg)
         prompts = _eval_prompt_set(cfg)
-        size = SWEEP_CHUNK if len(prompts) >= SWEEP_CHUNK_MIN_PROMPTS else 1
+        # below SWEEP_CHUNK_MIN_PROMPTS every cell is served and received
+        # alone (run_end_to_end)
+        serve, size = (SWEEP_SERVE, SWEEP_CHUNK) \
+            if len(prompts) >= SWEEP_CHUNK_MIN_PROMPTS else (1, 1)
         for rate, cells in itertools.groupby(grid, lambda cell: cell[0]):
-            cells = list(cells)
-            for lo in range(0, len(cells), size):
-                chunk = [(snr, trial, cell_seed(cfg, rate, snr, trial))
-                         for _, snr, trial in cells[lo:lo + size]]
-                report = run_end_to_end(
-                    bundle, prompts, rate, cfg.block_length,
-                    [RunSpec(snr, cfg.channel_kind, seed)
-                     for snr, _, seed in chunk])
-                for (cell, (snr, trial, seed)), mode in \
-                        itertools.product(enumerate(chunk), metrics.MODES):
-                    r = report[cell, mode].report
-                    rows.append((mode, rate, snr, trial, r.psnr_db,
-                                 r.fid_score, r.mse, r.symbols, seed))
-                # freed before the next chunk runs, not held through it
-                del report
+            cells = [(trial, RunSpec(snr, cfg.channel_kind,
+                                     cell_seed(cfg, rate, snr, trial)))
+                     for _, snr, trial in cells]
+            for lo in range(0, len(cells), serve):
+                batch = cells[lo:lo + serve]
+                served = serve_cells(bundle, prompts, rate, cfg.block_length,
+                                     [spec for _, spec in batch])
+                for c in range(0, len(batch), size):
+                    chunk = batch[c:c + size]
+                    report = run_end_to_end(
+                        bundle, prompts, rate, cfg.block_length,
+                        [spec for _, spec in chunk], served[c:c + size])
+                    for (cell, (trial, spec)), mode in itertools.product(
+                            enumerate(chunk), metrics.MODES):
+                        r = report[cell, mode].report
+                        rows.append((mode, rate, spec.snr_db, trial,
+                                     r.psnr_db, r.fid_score, r.mse,
+                                     r.symbols, spec.seed))
+                    # freed before the next chunk runs, not held through it
+                    del report
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
     write_csv(sweep_path, ["config_hash", "mode", "f_c", "snr_db", "trial",
                            "psnr_db", "fid_proxy", "mse", "symbols", "seed"],

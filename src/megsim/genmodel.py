@@ -104,28 +104,37 @@ def diffuse_forward(z0, t, noise, schedule: NoiseSchedule):
     return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * noise
 
 
-def ddim_step(denoiser, z_t, t, pooled, schedule: NoiseSchedule):
+def ddim_step(denoiser, z_t, t, pooled, schedule: NoiseSchedule, out=None):
     """One deterministic reverse step z_t -> z_{t-1}: the denoised estimate
-    plus the predicted noise direction."""
+    plus the predicted noise direction, in float64. The step is computed
+    in ``out``, a float64 array shaped like ``z_t``, if one is given."""
     if t < 1:
         raise ValueError("reverse step requires t >= 1")
     abar_prev = schedule.alpha_bars[t - 1]
     eps = denoiser.predict(z_t, t, pooled)
     abar = schedule.alpha_bars[t]
-    z0 = (z_t - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar)
-    return np.sqrt(abar_prev) * z0 + np.sqrt(1.0 - abar_prev) * eps
+    # z0 = (z_t - sqrt(1 - abar) eps) / sqrt(abar), and the step is
+    # sqrt(abar_prev) z0 + sqrt(1 - abar_prev) eps: the same ops in place
+    out = np.multiply(np.sqrt(1.0 - abar), eps, out=out)
+    np.subtract(z_t, out, out=out)
+    out /= np.sqrt(abar)
+    out *= np.sqrt(abar_prev)
+    out += np.sqrt(1.0 - abar_prev) * eps
+    return out
 
 
 def generate_latent(denoiser, prompts, initial_noise, schedule: NoiseSchedule):
     """Run the reverse chain from t = steps down to 1 for a list of P
     prompts and their noise [P, *latent_shape], sampled as one batch; a
-    pure function of (denoiser, prompts, noise).
+    pure function of (denoiser, prompts, noise). Each step is computed in
+    one float64 buffer and rounded to the float32 latents in place.
     """
     pooled = np.stack([embed_prompt(text, denoiser.max_tokens,
                                     denoiser.embed_dim) for text in prompts])
-    z = np.asarray(initial_noise, dtype=np.float32)
+    z = np.array(initial_noise, dtype=np.float32)
+    step = np.empty(z.shape)
     for t in range(schedule.steps, 0, -1):
-        z = ddim_step(denoiser, z, t, pooled, schedule).astype(np.float32)
+        z[...] = ddim_step(denoiser, z, t, pooled, schedule, step)
     return z
 
 

@@ -243,46 +243,91 @@ class RunSpec:
     seed: int = 0
 
 
+@dataclass
+class ServedCells:
+    """The server phase of S cells of P prompts at one codec rate: each
+    cell's generator, already past its server noise draw, its P seed
+    frames and its sampled latents [S, P, *latent_shape]. A slice of
+    cells is the same phase for those cells alone."""
+    rngs: list
+    frames: list        # one list of P SeedFrames per cell
+    latents: np.ndarray
+
+    def __len__(self):
+        return len(self.rngs)
+
+    def __getitem__(self, cells: slice):
+        return ServedCells(self.rngs[cells], self.frames[cells],
+                           self.latents[cells])
+
+
+def serve_cells(bundle: ModelBundle, prompts, rate, block_length,
+                specs) -> ServedCells:
+    """The server phase of :func:`run_end_to_end` for every cell of
+    ``specs`` at once: each cell's generator draws its server noise [P,
+    *latent_shape], and one :func:`es_handle_request` serves all S cells,
+    its sampler on their S·P flat rows and its codec encoder cell by cell
+    (see ``nn``)."""
+    if not specs or not prompts:
+        raise ValueError("at least one cell and one prompt are required")
+    cells, count = len(specs), len(prompts)
+    shape = bundle.autoencoder.latent_shape
+    rngs = [as_rng(spec.seed) for spec in specs]
+    frames, latents = es_handle_request(
+        bundle, list(prompts) * cells,
+        np.concatenate([rng.standard_normal((count,) + shape)
+                        for rng in rngs]), rate, block_length, cells)
+    return ServedCells(rngs, [frames[c * count:(c + 1) * count]
+                              for c in range(cells)],
+                       latents.reshape((cells, count) + shape))
+
+
 def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
-                   specs) -> EndToEndReport:
+                   specs, served=None) -> EndToEndReport:
     """Generate, transmit under every mode, decode and score one chunk of
     cells: the same prompts at one codec rate and block length, one
     RunSpec per cell.
 
+    The server phase is :func:`serve_cells`, run here unless ``served``
+    holds it already for exactly these cells (a sweep serves a rate's
+    cells in one batch and receives them in chunks). The receiver phase
+    follows: the ground truths' decode and reference features, then per
+    cell the link, the frame round trip and each UE's batch-of-one
+    decode, then the scores.
+
     Each cell draws everything from one generator of its seed, in this
     order: its server noise [P, *latent_shape] in one draw, its fading
     trace, then each mode's link noise in ``metrics.MODES`` order. The
-    sampler, the decodes of the ground truths and of the raw-feature
-    latents, and the feature extractor's first layer run once on the
-    chunk's flat rows, the codec encoder and the extractor's last layer on
-    its stack of cells (see ``nn``), and the link, the frame round trip
-    and each UE's batch-of-one decode per cell. So a
-    cell's results are bit for bit those of a chunk of one only where the
-    BLAS rounds each cell's share of the flat rows as it rounds that cell
+    sampler runs on the served batch's flat rows, the decodes of the
+    ground truths and of the raw-feature latents and the feature
+    extractor's first layer on the chunk's, and the codec encoder and the
+    extractor's last layer on stacks of cells (see ``nn``). So a cell's
+    results are bit for bit those of a chunk of one only where the BLAS
+    rounds each cell's share of the flat rows as it rounds that cell
     alone: at desk layer widths on OpenBLAS 0.3.31, from 10 prompts per
-    cell (checked end to end at 10 to 64 for chunks of 2 to 4 cells), but
-    not at 9 or fewer, where the sampler's latents already differ; so
-    ``megsim sweep`` serves such cells one per chunk.
+    cell (checked end to end at 10 to 64 for chunks of 2 to 25 cells),
+    but not at 9 or fewer, where the sampler's latents already differ; so
+    ``megsim sweep`` serves and receives such cells one at a time.
     """
-    if not specs or not prompts:
-        raise ValueError("at least one cell and one prompt are required")
+    if served is None:
+        served = serve_cells(bundle, prompts, rate, block_length, specs)
+    elif len(served) != len(specs) or served.latents.shape[1] != len(prompts):
+        raise ValueError(f"{len(served)} served cells of "
+                         f"{served.latents.shape[1]} prompts for {len(specs)} "
+                         f"cells of {len(prompts)} prompts")
     cells, count = len(specs), len(prompts)
     image_shape = bundle.autoencoder.image_shape
     latent_shape = bundle.autoencoder.latent_shape
-    rngs = [as_rng(spec.seed) for spec in specs]
-    frames, latents = es_handle_request(
-        bundle, list(prompts) * cells,
-        np.concatenate([rng.standard_normal((count,) + latent_shape)
-                        for rng in rngs]), rate, block_length, cells)
+    rngs, latents = served.rngs, served.latents
     stack = (cells, count)
-    truths = bundle.autoencoder.decode(latents).reshape(stack + image_shape)
-    latents = latents.reshape(stack + latent_shape)
+    truths = bundle.autoencoder.decode(
+        latents.reshape((-1,) + latent_shape)).reshape(stack + image_shape)
     # every mode of a cell is scored against the cell's ground truths
     reference = bundle.extractor.extract(truths)
 
     counts = {"centralized": int(np.prod(image_shape)),
               "raw_feature": int(np.prod(latent_shape)),
-              "meg": frames[0].payload.size}
+              "meg": served.frames[0][0].payload.size}
     blocks = ch.block_count(max(counts.values()), block_length)
     gains = np.stack([ch.fading_gains(spec.channel_kind, blocks, rng)
                       for spec, rng in zip(specs, rngs)])
@@ -296,12 +341,12 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
             noise_std = None if spec.snr_db is None \
                 else ch.snr_to_noise_std(spec.snr_db, 1.0)
             if mode == "meg":
-                served = frames[cell * count:(cell + 1) * count]
+                frames = served.frames[cell]
                 sent = None if noise_std is None else transmit_stream(
-                    np.stack([frame.payload for frame in served]),
+                    np.stack([frame.payload for frame in frames]),
                     gains[cell], block_length, noise_std, rng)
                 batch[cell] = ue_receive(
-                    bundle, [encode_frame(frame) for frame in served], sent)
+                    bundle, [encode_frame(frame) for frame in frames], sent)
                 continue
             payloads = source[cell].reshape(count, -1).astype(np.float64)
             if noise_std is not None:

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from megsim import channel as ch
-from megsim import config, corpus, experiments, nn, power_rl, seedcodec
+from megsim import (config, corpus, experiments, nn, power_rl, protocol,
+                    seedcodec)
 from megsim.cli import main as cli_main
 from megsim.util import write_csv
 
@@ -833,51 +834,98 @@ class TestSweep:
         # process, and at 4 prompts each of the grid's two cells is a chunk
         assert pids == [os.getpid()] * 2
 
+    @staticmethod
+    def _spy_phases(monkeypatch):
+        """Record the cell count of every server batch and receiver chunk
+        that cmd_sweep runs."""
+        calls = {"served": [], "received": []}
+        serve, run = experiments.serve_cells, experiments.run_end_to_end
+
+        def served(bundle, prompts, rate, block_length, specs):
+            calls["served"].append(len(specs))
+            return serve(bundle, prompts, rate, block_length, specs)
+
+        def received(bundle, prompts, rate, block_length, specs, cells):
+            calls["received"].append(len(specs))
+            return run(bundle, prompts, rate, block_length, specs, cells)
+
+        monkeypatch.setattr(experiments, "serve_cells", served)
+        monkeypatch.setattr(experiments, "run_end_to_end", received)
+        return calls
+
     @pytest.mark.parametrize("prompts", [
         experiments.SWEEP_CHUNK_MIN_PROMPTS, 16])
     def test_chunked_sweep_equals_one_cell_chunks(self, tiny_cfg, tiny_bundle,
                                                   monkeypatch, prompts):
-        # 6 cells, which end in a partial chunk of 2 at the default
-        # SWEEP_CHUNK of 4; 10 prompts per cell is the fewest served in
-        # chunks, where a chunk's flat rows are fewest
+        # 6 cells, served in one batch and received in chunks of 4 and 2 at
+        # the default SWEEP_CHUNK of 4; 10 prompts per cell is the fewest
+        # served in batches, where a chunk's flat rows are fewest
         grid = replace(tiny_cfg, sweep_snrs_db=(-10.0, 10.0, 30.0),
                        sweep_trials=2, eval_prompts=prompts)
         whole = experiments.SWEEP_CHUNK
-        calls = []
-        run = experiments.run_end_to_end
-        monkeypatch.setattr(
-            experiments, "run_end_to_end",
-            lambda bundle, prompts, rate, block_length, specs:
-            calls.append(len(specs))
-            or run(bundle, prompts, rate, block_length, specs))
+        calls = self._spy_phases(monkeypatch)
         chunked = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", 1)
+        monkeypatch.setattr(experiments, "SWEEP_SERVE", 1)
         cells = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
-        assert calls == [min(whole, 6 - lo) for lo in range(0, 6, whole)] \
-            + [1] * 6
+        assert calls == {
+            "served": [6] + [1] * 6,
+            "received": [min(whole, 6 - lo) for lo in range(0, 6, whole)]
+            + [1] * 6}
         assert chunked == cells
 
     @pytest.mark.parametrize("prompts", [3, 9])
     def test_small_sweep_equals_one_cell_chunks(self, tiny_cfg, tiny_bundle,
                                                 monkeypatch, prompts):
-        # below SWEEP_CHUNK_MIN_PROMPTS prompts per cell, a chunk's flat
+        # below SWEEP_CHUNK_MIN_PROMPTS prompts per cell, a batch's flat
         # sampler rows round unlike each cell's alone, so every cell is
-        # served as a chunk of its own and the bytes do not depend on
-        # SWEEP_CHUNK
+        # served and received on its own and the bytes do not depend on
+        # SWEEP_CHUNK or SWEEP_SERVE
         grid = replace(tiny_cfg, sweep_snrs_db=(-10.0, 10.0, 30.0),
                        sweep_trials=2, eval_prompts=prompts)
-        calls = []
-        run = experiments.run_end_to_end
-        monkeypatch.setattr(
-            experiments, "run_end_to_end",
-            lambda bundle, prompts, rate, block_length, specs:
-            calls.append(len(specs))
-            or run(bundle, prompts, rate, block_length, specs))
+        calls = self._spy_phases(monkeypatch)
         served = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", 1)
+        monkeypatch.setattr(experiments, "SWEEP_SERVE", 1)
         cells = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
-        assert calls == [1] * 12
+        assert calls == {"served": [1] * 12, "received": [1] * 12}
         assert served == cells
+
+    def test_desk_sweep_serves_each_rate_in_one_batch(self, desk_cfg,
+                                                      desk_bundle,
+                                                      monkeypatch):
+        # the desk grid's 25 cells of 16 prompts: one sampler batch, where
+        # one per receiver chunk of SWEEP_CHUNK made 7
+        calls = []
+        handle = protocol.es_handle_request
+        monkeypatch.setattr(
+            protocol, "es_handle_request",
+            lambda *a: calls.append(a[5]) or handle(*a))
+        experiments.cmd_sweep(desk_cfg)
+        cells = len(desk_cfg.sweep_snrs_db) * desk_cfg.sweep_trials
+        assert cells <= experiments.SWEEP_SERVE
+        assert calls == [cells] * len(desk_cfg.codec_rates)
+
+    @pytest.mark.parametrize("bound", [4, 5])
+    def test_grid_beyond_the_bound_is_served_in_batches(
+            self, tiny_cfg, tiny_bundle, monkeypatch, bound):
+        # 15 cells of 10 prompts: ceil(15 / bound) server batches, the last
+        # partial; at a bound of 5 a receiver chunk of 4 ends each batch
+        # early, and the bytes equal one batch of all 15
+        grid = replace(tiny_cfg, sweep_snrs_db=(-10.0, 0.0, 10.0, 20.0,
+                                                30.0), sweep_trials=3,
+                       eval_prompts=experiments.SWEEP_CHUNK_MIN_PROMPTS)
+        whole = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
+        calls = []
+        handle = protocol.es_handle_request
+        monkeypatch.setattr(
+            protocol, "es_handle_request",
+            lambda *a: calls.append(a[5]) or handle(*a))
+        monkeypatch.setattr(experiments, "SWEEP_SERVE", bound)
+        batched = open(experiments.cmd_sweep(grid)["sweep_csv"], "rb").read()
+        assert len(calls) == math.ceil(15 / bound)
+        assert calls == [min(bound, 15 - lo) for lo in range(0, 15, bound)]
+        assert batched == whole
 
     def test_cell_rows_do_not_depend_on_the_grid(self, desk_cfg,
                                                  desk_bundle):
