@@ -105,10 +105,11 @@ def frechet_distance(features_a, features_b):
         |mu_a - mu_b|^2 + |A|_F^2 / (n-1) + |B|_F^2 / (m-1)
             - 2 |A B^T|_* / sqrt((n-1)(m-1))
 
-    No F x F matrix is formed and no eigenvalue is clamped. Each side is
-    first reduced to the R factor of its QR decomposition (orthogonal
-    factors leave singular values unchanged), so the SVD is at most
-    min(n, F) x min(m, F) whatever the batch sizes.
+    No F x F matrix is formed and no eigenvalue is clamped. A side with
+    more rows than features is first reduced to the R factor of its QR
+    decomposition (an orthogonal factor leaves the singular values of the
+    product unchanged), so the SVD is at most min(n, F) x min(m, F)
+    whatever the batch sizes; a side with n <= F rows enters as it is.
 
     ``features_a`` may also be a stack of E batches [E, n, F]; the result
     is then an array of E distances, each against ``features_b``, whose
@@ -134,17 +135,16 @@ def frechet_distance(features_a, features_b):
     mu_a, mu_b = a.mean(axis=1), b.mean(axis=1)
     centered_a, centered_b = a - mu_a[:, None], b - mu_b[:, None]
     diff = mu_a - mu_b
-    r_a = np.linalg.qr(centered_a, mode="r")
-    r_b = np.linalg.qr(centered_b, mode="r")
-    nuclear = np.linalg.svd(r_a @ r_b.swapaxes(1, 2),
+    factor_a, factor_b = (np.linalg.qr(c, mode="r")
+                          if c.shape[1] > c.shape[2] else c
+                          for c in (centered_a, centered_b))
+    nuclear = np.linalg.svd(factor_a @ factor_b.swapaxes(1, 2),
                             compute_uv=False).sum(axis=-1)
-    spread_b = np.broadcast_to(
-        [np.vdot(c, c) / (m - 1) for c in centered_b], len(a))
     scale = math.sqrt((n - 1) * (m - 1))
-    values = np.array([d @ d + np.vdot(c, c) / (n - 1) + s_b
-                       - 2.0 * s / scale
-                       for d, c, s, s_b in zip(diff, centered_a, nuclear,
-                                               spread_b)])
+    values = (np.einsum("ei,ei->e", diff, diff)
+              + np.einsum("eij,eij->e", centered_a, centered_a) / (n - 1)
+              + np.einsum("eij,eij->e", centered_b, centered_b) / (m - 1)
+              - 2.0 * nuclear / scale)
     if not np.isfinite(values).all():
         raise FloatingPointError("Frechet distance is not finite")
     values = np.maximum(values, 0.0)

@@ -720,10 +720,10 @@ class TestTrainCaching:
         # desk preset, seed 0, as recorded with numpy 2 on OpenBLAS 0.3.31
         # (another BLAS kernel may sum in another order and move them); a
         # change that only makes the program faster keeps these bytes
-        want = {"sweep": "c94c75b30231ac0501d6fe38cce8126a"
-                         "73957eeda0477844bde93c9a58940b1a",
-                "eval": "d6d687d1647d89ff78299cd7da868e11"
-                        "07c2c817ea37d284ed543700ab1f1ae8"}
+        want = {"sweep": "1995358312f77384efa011979f502c26"
+                         "10739f7565af42458cb6210d5401296e",
+                "eval": "eddf43eb981a935e179b1706557b5577"
+                        "4d81ada3260c251e6986b32593eb33f1"}
         for command, digest in want.items():
             path = getattr(experiments, f"cmd_{command}")(desk_cfg)[
                 f"{command}_csv"]
@@ -737,10 +737,10 @@ class TestTrainCaching:
         # environment keeps these bytes
         cfg = replace(desk_cfg, power_budgets=(2.0,), ppo_update_rounds=10)
         experiments.cmd_power(cfg)
-        want = {"power_summary.csv": "06ce3758c195bb39bda937b581bc2445"
-                                     "f7b9e872b4ef56bfc6907329f9acc5ab",
-                "curve_p2.0.csv": "9bd8544c34140baa3d6c7a9615c7362e"
-                                  "04dee50b7ae6215048e34452b3cf308e",
+        want = {"power_summary.csv": "6d3a94be925ca8ddf7938173840174f8"
+                                     "512fda98f5c95413602ae40fad83284b",
+                "curve_p2.0.csv": "7b126841192052cc99f5c769bafbf410"
+                                  "b4bff45517e597ecaf25d6f10a951c92",
                 "agent_p2.0.bin": "9f9afebaef03acb1a21de993244c3398"
                                   "f2efaa19d1447d83f63f08e3add91719"}
         for name, digest in want.items():
@@ -751,12 +751,12 @@ class TestTrainCaching:
         # prompt rows and the extractor network are memoized per process,
         # so a second sweep and a sweep after cmd_power reuse them and must
         # still write the bytes pinned above (the plot medians too)
-        want = {"sweep.csv": "c94c75b30231ac0501d6fe38cce8126a"
-                             "73957eeda0477844bde93c9a58940b1a",
+        want = {"sweep.csv": "1995358312f77384efa011979f502c26"
+                             "10739f7565af42458cb6210d5401296e",
                 "plot_psnr_db_r0.5.csv": "4f74504fbc7b2320c4228a56c512aa03"
                                          "f8319d12e1d3e5003bebe8f8d5756e87",
-                "plot_fid_proxy_r0.5.csv": "7dcc71b9cbf753f351e35e42ad6f94ba"
-                                           "63cca673dd90db13f3d4057913b3bea4"}
+                "plot_fid_proxy_r0.5.csv": "eb8bf9008033bde822def3e8687344ed"
+                                           "5bf5cb0137528c523550b78e54dda3f3"}
         power = replace(desk_cfg, power_budgets=(2.0,), ppo_update_rounds=1)
         for power_first in (False, False, True):
             if power_first:

@@ -55,6 +55,31 @@ def _rel(got, want):
     return abs(got - want) / abs(want)
 
 
+def mpmath_frechet_distance(a, b, digits=40):
+    """The closed form in ``digits``-digit arithmetic: the float64 features
+    enter exactly, and the means, the centered batches, their Frobenius
+    norms and the singular values of A B^T are all taken in mpmath, with
+    no QR and no float64 rounding."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        def centered(x):
+            rows = [[mpmath.mpf(v) for v in row] for row in x.tolist()]
+            mean = [mpmath.fsum(col) / len(rows) for col in zip(*rows)]
+            return [[v - mu for v, mu in zip(row, mean)] for row in rows], \
+                mean
+
+        (ca, mu_a), (cb, mu_b) = centered(a), centered(b)
+        n, m = len(ca), len(cb)
+        spread = [mpmath.fsum(v * v for row in c for v in row)
+                  for c in (ca, cb)]
+        cross = mpmath.matrix(ca) * mpmath.matrix(cb).T
+        nuclear = mpmath.fsum(mpmath.svd_r(cross, compute_uv=False))
+        return (mpmath.fsum((x - y) ** 2 for x, y in zip(mu_a, mu_b))
+                + spread[0] / (n - 1) + spread[1] / (m - 1)
+                - 2 * nuclear / mpmath.sqrt((n - 1) * (m - 1)))
+
+
 class TestMse:
     def test_identical_is_zero(self, rng):
         img = rng.random((2, 8, 8))
@@ -247,6 +272,52 @@ class TestClosedFormFrechet:
         assert metrics.fid(imgs, None, ext,
                            reference_features=ext.extract(refs)) \
             == metrics.fid(imgs, refs, ext)
+
+
+class TestFrechetAgainstMpmath:
+    """float64 against a 40-digit evaluation: sides of n <= F rows enter
+    the SVD without QR, taller ones as their R factor."""
+
+    @staticmethod
+    def _worst(pairs):
+        errors = []
+        for a, b in pairs:
+            want = mpmath_frechet_distance(a, b)
+            errors.append(float(abs(metrics.frechet_distance(a, b) - want)
+                                / want))
+        return max(errors)
+
+    def test_desk_features_of_rank_15(self, rng):
+        # desk tanh features, n = m = 16 and F = 64: no side is reduced
+        cfg = config.desk_config()
+        ext = metrics.FeatureExtractor(cfg.pixel_count)
+        truth = rng.random((6, 16) + cfg.image_shape)
+        noisy = np.clip(truth + 0.2 * rng.standard_normal(truth.shape), 0, 1)
+        pairs = [(ext.extract(x), ext.extract(y))
+                 for x, y in zip(noisy, truth)]
+        assert np.linalg.matrix_rank(pairs[0][0] - pairs[0][0].mean(0)) == 15
+        assert self._worst(pairs) <= 1e-13
+        # the stack form scores each batch as a call of its own
+        stack = np.stack([x for x, _ in pairs])
+        got = metrics.frechet_distance(stack, pairs[0][1])
+        want = [mpmath_frechet_distance(x, pairs[0][1]) for x in stack]
+        assert all(float(abs(g - w) / w) <= 1e-13
+                   for g, w in zip(got, want))
+
+    def test_unequal_batches_of_9_and_23(self, rng):
+        ext = metrics.FeatureExtractor(config.desk_config().pixel_count)
+        shape = config.desk_config().image_shape
+        fa = ext.extract(rng.random((9,) + shape))
+        fb = ext.extract(rng.random((23,) + shape))
+        assert self._worst([(fa, fb), (fb, fa)]) <= 1e-13
+
+    def test_sides_taller_than_the_features_enter_as_r_factors(self, rng):
+        # n = 40 and m = 30 against F = 8, both reduced by QR, and a
+        # reduced side against one of 6 rows that enters as it is
+        ext = metrics.FeatureExtractor(2 * 8 * 8, feature_dim=8)
+        fa = ext.extract(rng.random((40, 2, 8, 8)))
+        fb = ext.extract(rng.random((30, 2, 8, 8)) ** 2)
+        assert self._worst([(fa, fb), (fa, fb[:6]), (fb[:6], fa)]) <= 1e-13
 
 
 class TestStackedFrechet:
