@@ -313,8 +313,6 @@ def cmd_sweep(cfg: ExperimentConfig):
     else:
         bundle = load_bundle(cfg)
         prompts = _eval_prompt_set(cfg)
-        # below SWEEP_CHUNK_MIN_PROMPTS every cell is served and received
-        # alone (run_end_to_end)
         serve, size = (SWEEP_SERVE, SWEEP_CHUNK) \
             if len(prompts) >= SWEEP_CHUNK_MIN_PROMPTS else (1, 1)
         for rate, cells in itertools.groupby(grid, lambda cell: cell[0]):

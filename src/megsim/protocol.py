@@ -108,7 +108,8 @@ def es_handle_request(bundle: ModelBundle, prompts, noise, rate,
     sampler starting from its row of ``noise`` [N, *latent_shape]; returns
     (frames, latents), one SeedFrame per prompt and the sampled latents
     [N, *latent_shape], in prompt order. The batch may hold ``cells``
-    equal groups of consecutive prompts, one per sweep cell: the sampler
+    equal groups of consecutive prompts, one per sweep cell, as
+    :func:`serve_cells` sends all of a sweep batch's cells: the sampler
     runs on every row at once and the codec encoder group by group, as
     each group alone (see ``nn``)."""
     shape = bundle.autoencoder.latent_shape
@@ -305,10 +306,14 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
     results are bit for bit those of a chunk of one only where the BLAS
     rounds each cell's share of the flat rows as it rounds that cell
     alone: at desk layer widths on OpenBLAS 0.3.31, from 10 prompts per
-    cell (checked end to end at 10 to 64 for chunks of 2 to 25 cells),
-    but not at 9 or fewer, where the sampler's latents already differ; so
-    ``megsim sweep`` serves and receives such cells one at a time.
+    cell (checked end to end at 10 to 64 for chunks of 2 to 4 cells and
+    server batches of up to 30), but not at 9 or fewer, where the
+    sampler's latents already differ; so ``megsim sweep`` serves and
+    receives such cells one at a time. A served batch is received once:
+    the receiver draws on its generators.
     """
+    if not specs or not prompts:
+        raise ValueError("at least one cell and one prompt are required")
     if served is None:
         served = serve_cells(bundle, prompts, rate, block_length, specs)
     elif len(served) != len(specs) or served.latents.shape[1] != len(prompts):
