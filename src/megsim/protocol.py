@@ -244,31 +244,14 @@ class RunSpec:
     seed: int = 0
 
 
-@dataclass
-class ServedCells:
-    """The server phase of S cells of P prompts at one codec rate: each
-    cell's generator, already past its server noise draw, its P seed
-    frames and its sampled latents [S, P, *latent_shape]. A slice of
-    cells is the same phase for those cells alone."""
-    rngs: list
-    frames: list        # one list of P SeedFrames per cell
-    latents: np.ndarray
-
-    def __len__(self):
-        return len(self.rngs)
-
-    def __getitem__(self, cells: slice):
-        return ServedCells(self.rngs[cells], self.frames[cells],
-                           self.latents[cells])
-
-
-def serve_cells(bundle: ModelBundle, prompts, rate, block_length,
-                specs) -> ServedCells:
+def serve_cells(bundle: ModelBundle, prompts, rate, block_length, specs):
     """The server phase of :func:`run_end_to_end` for every cell of
     ``specs`` at once: each cell's generator draws its server noise [P,
     *latent_shape], and one :func:`es_handle_request` serves all S cells,
     its sampler on their S·P flat rows and its codec encoder cell by cell
-    (see ``nn``)."""
+    (see ``nn``). Returns one (generator, P seed frames, latents [P,
+    *latent_shape]) triple per cell, so a slice of the list is the phase
+    for those cells alone."""
     if not specs or not prompts:
         raise ValueError("at least one cell and one prompt are required")
     cells, count = len(specs), len(prompts)
@@ -278,23 +261,22 @@ def serve_cells(bundle: ModelBundle, prompts, rate, block_length,
         bundle, list(prompts) * cells,
         np.concatenate([rng.standard_normal((count,) + shape)
                         for rng in rngs]), rate, block_length, cells)
-    return ServedCells(rngs, [frames[c * count:(c + 1) * count]
-                              for c in range(cells)],
-                       latents.reshape((cells, count) + shape))
+    return [(rng, frames[c * count:(c + 1) * count],
+             latents[c * count:(c + 1) * count])
+            for c, rng in enumerate(rngs)]
 
 
 def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
                    specs, served=None) -> EndToEndReport:
     """Generate, transmit under every mode, decode and score one chunk of
     cells: the same prompts at one codec rate and block length, one
-    RunSpec per cell.
-
-    The server phase is :func:`serve_cells`, run here unless ``served``
-    holds it already for exactly these cells (a sweep serves a rate's
-    cells in one batch and receives them in chunks). The receiver phase
-    follows: the ground truths' decode and reference features, then per
-    cell the link, the frame round trip and each UE's batch-of-one
-    decode, then the scores.
+    RunSpec per cell. The server phase is :func:`serve_cells`, run here
+    unless ``served`` holds its list for these cells already (a sweep
+    serves a rate's cells in one batch and receives them in chunks). The
+    receiver phase decodes the ground truths and extracts their features,
+    runs each cell's link, frame round trip and batch-of-one UE decodes,
+    and scores. A served list is received once: the receiver draws on its
+    generators.
 
     Each cell draws everything from one generator of its seed, in this
     order: its server noise [P, *latent_shape] in one draw, its fading
@@ -307,24 +289,22 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
     rounds each cell's share of the flat rows as it rounds that cell
     alone: at desk layer widths on OpenBLAS 0.3.31, from 10 prompts per
     cell (checked end to end at 10 to 64 for chunks of 2 to 4 cells and
-    server batches of up to 30), but not at 9 or fewer, where the
+    server batches of up to 40), but not at 9 or fewer, where the
     sampler's latents already differ; so ``megsim sweep`` serves and
-    receives such cells one at a time. A served batch is received once:
-    the receiver draws on its generators.
+    receives such cells one at a time.
     """
     if not specs or not prompts:
         raise ValueError("at least one cell and one prompt are required")
     if served is None:
         served = serve_cells(bundle, prompts, rate, block_length, specs)
-    elif len(served) != len(specs) or served.latents.shape[1] != len(prompts):
-        raise ValueError(f"{len(served)} served cells of "
-                         f"{served.latents.shape[1]} prompts for {len(specs)} "
-                         f"cells of {len(prompts)} prompts")
+    if len(served) != len(specs):
+        raise ValueError(f"{len(served)} served cells for {len(specs)} specs")
     cells, count = len(specs), len(prompts)
     image_shape = bundle.autoencoder.image_shape
     latent_shape = bundle.autoencoder.latent_shape
-    rngs, latents = served.rngs, served.latents
+    rngs, frames, latents = zip(*served)
     stack = (cells, count)
+    latents = np.stack(latents)
     truths = bundle.autoencoder.decode(
         latents.reshape((-1,) + latent_shape)).reshape(stack + image_shape)
     # every mode of a cell is scored against the cell's ground truths
@@ -332,7 +312,7 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
 
     counts = {"centralized": int(np.prod(image_shape)),
               "raw_feature": int(np.prod(latent_shape)),
-              "meg": served.frames[0][0].payload.size}
+              "meg": frames[0][0].payload.size}
     blocks = ch.block_count(max(counts.values()), block_length)
     gains = np.stack([ch.fading_gains(spec.channel_kind, blocks, rng)
                       for spec, rng in zip(specs, rngs)])
@@ -346,12 +326,12 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
             noise_std = None if spec.snr_db is None \
                 else ch.snr_to_noise_std(spec.snr_db, 1.0)
             if mode == "meg":
-                frames = served.frames[cell]
                 sent = None if noise_std is None else transmit_stream(
-                    np.stack([frame.payload for frame in frames]),
+                    np.stack([frame.payload for frame in frames[cell]]),
                     gains[cell], block_length, noise_std, rng)
                 batch[cell] = ue_receive(
-                    bundle, [encode_frame(frame) for frame in frames], sent)
+                    bundle, [encode_frame(frame) for frame in frames[cell]],
+                    sent)
                 continue
             payloads = source[cell].reshape(count, -1).astype(np.float64)
             if noise_std is not None:

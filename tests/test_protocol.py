@@ -11,7 +11,7 @@ from megsim import config, corpus, experiments, genmodel, metrics, protocol
 from megsim.errors import DimensionError, FrameError, ProtocolError
 from megsim.protocol import (RunSpec, decode_frame, encode_frame,
                              es_handle_request, recover_stream,
-                             run_end_to_end, transmit_stream)
+                             run_end_to_end, serve_cells, transmit_stream)
 from megsim.seedcodec import CodecPair
 from megsim.util import as_rng
 
@@ -360,6 +360,28 @@ class TestChunk:
                 assert len(got.images) == len(want.images) == 16
                 assert all(a.tobytes() == b.tobytes()
                            for a, b in zip(got.images, want.images))
+
+    def test_served_batch_received_in_chunks(self, tiny_bundle):
+        # one server batch of every cell, received in chunks of 2 and 3,
+        # equals the chunk served and received in one call
+        specs = self._specs()
+        whole = run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16, specs)
+        served = serve_cells(tiny_bundle, self.PROMPTS, 0.5, 16, specs)
+        parts = [run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16,
+                                specs[lo:hi], served[lo:hi])
+                 for lo, hi in ((0, 2), (2, 5))]
+        located = [(parts[0], 0), (parts[0], 1), (parts[1], 0),
+                   (parts[1], 1), (parts[1], 2)]
+        for cell, (part, at) in enumerate(located):
+            assert part.latents[at].tobytes() == whole.latents[cell].tobytes()
+            assert part.gains[at].tobytes() == whole.gains[cell].tobytes()
+            for mode in metrics.MODES:
+                assert part[at, mode].report == whole[cell, mode].report
+                assert all(a.tobytes() == b.tobytes() for a, b in
+                           zip(part[at, mode].images, whole[cell, mode].images))
+        with pytest.raises(ValueError, match="2 served cells for 3 specs"):
+            run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16, specs[2:],
+                           served[:2])
 
     def test_empty_chunk_refused(self, tiny_bundle):
         for prompts, specs in ((self.PROMPTS, []), ([], self._specs()[:1])):
