@@ -260,7 +260,7 @@ SWEEP_CHUNK = 4
 # sweep cells of one rate served per sampler batch (serve_cells), set by
 # the sampler's cost per cell of 16 prompts: 1.19 ms alone, 0.61 ms at 4
 # cells and 0.36 ms from 16 to 64, then 0.41 ms at 100; a 100-cell desk
-# grid peaks at 46.0 MB 4 cells per batch, 47.7 MB at 32 and 50.3 MB at 64
+# grid peaks at 46.0 MB at 4 cells per batch, 47.7 MB at 32, 50.3 MB at 64
 SWEEP_SERVE = 32
 # below this many prompts per cell each cell is served and received on its
 # own: there a batch's flat sampler rows round unlike a cell's alone
