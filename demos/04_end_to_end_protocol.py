@@ -30,12 +30,14 @@ print(f"seed frame for one prompt: {len(wire)} bytes "
       f"({frame.payload.size} float32 symbols + 33-byte header), "
       f"magic {wire[:4]!r}\n")
 
-# the three SNRs are one chunk of cells, served in one call; each cell
-# keeps its own trace and noise, so it scores as it would alone
+# the three SNRs are one chunk of cells, served in one server batch and
+# received from their seed frames; each cell keeps its own trace and
+# noise, so it scores as it would alone
 snrs = (30.0, 0.0, -10.0)
-report = protocol.run_end_to_end(
+served = protocol.serve_cells(
     bundle, prompts, 0.5, cfg.block_length,
     [protocol.RunSpec(snr_db, cfg.channel_kind, seed=42) for snr_db in snrs])
+report = protocol.run_end_to_end(bundle, served)
 print(f"{'snr':>6}  {'mode':<12} {'psnr_db':>8} {'fid_proxy':>10} {'symbols':>8}")
 for cell, snr_db in enumerate(snrs):
     for mode in metrics.MODES:

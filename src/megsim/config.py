@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import KINDS
+from .protocol import RATE_FIXED_ONE
 from .seedcodec import seed_length
 
 ENV_PREFIX = "MEGSIM_"
@@ -167,9 +168,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"seed length {n} at rate {rate} violates the "
                     f"overhead bound {budget}")
-        # a seed frame names its codec's rate in 1/65536ths (protocol); each
-        # rate is in (0, 1) by now, so the product is finite
-        if len({round(r * 2 ** 16) for r in self.codec_rates}) \
+        # a seed frame names its codec's rate in 1/65536ths; each rate is
+        # in (0, 1) by now, so the product is finite
+        if len({round(r * RATE_FIXED_ONE) for r in self.codec_rates}) \
                 < len(self.codec_rates):
             raise ValueError("[codec] rates repeats a rate at the seed "
                              "frame's 1/65536 precision")

@@ -324,12 +324,9 @@ def cmd_sweep(cfg: ExperimentConfig):
                 served = serve_cells(bundle, prompts, rate, cfg.block_length,
                                      [spec for _, spec in batch])
                 for c in range(0, len(batch), size):
-                    chunk = batch[c:c + size]
-                    report = run_end_to_end(
-                        bundle, prompts, rate, cfg.block_length,
-                        [spec for _, spec in chunk], served[c:c + size])
+                    report = run_end_to_end(bundle, served[c:c + size])
                     for (cell, (trial, spec)), mode in itertools.product(
-                            enumerate(chunk), metrics.MODES):
+                            enumerate(batch[c:c + size]), metrics.MODES):
                         r = report[cell, mode].report
                         rows.append((mode, rate, spec.snr_db, trial,
                                      r.psnr_db, r.fid_score, r.mse,
@@ -497,9 +494,10 @@ def cmd_eval(cfg: ExperimentConfig):
     chunk of one cell."""
     bundle = load_bundle(cfg)
     prompts = [cfg.eval_prompt] + _eval_prompt_set(cfg)[:cfg.eval_prompts - 1]
-    report = run_end_to_end(bundle, prompts, cfg.eval_rate, cfg.block_length,
-                            [RunSpec(cfg.eval_snr_db, cfg.channel_kind,
-                                     derive_seed(cfg.seed, 40))])
+    spec = RunSpec(cfg.eval_snr_db, cfg.channel_kind,
+                   derive_seed(cfg.seed, 40))
+    report = run_end_to_end(bundle, serve_cells(
+        bundle, prompts, cfg.eval_rate, cfg.block_length, [spec]))
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "eval.csv")
     chash = config_hash(cfg)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import channel as ch
 from . import metrics, nn
+from .errors import TrainingError
 from .protocol import ModelBundle, es_handle_request
 from .util import as_rng, derive_seed, derive_seeds, generators
 
@@ -286,12 +287,9 @@ class SeedTransmissionEnv:
                         np.stack([rng.normal(0.0, self.noise_std, sent.shape)
                                   for rng in rngs]))
         live = gains * np.sqrt(p) > 0.0
-        if live.all():
-            y = ch.equalize(y, gains[:, None, None], p[:, None, None])
-        else:
-            y[~live] = 0.0
-            y[live] = ch.equalize(
-                y[live], gains[live, None, None], p[live, None, None])
+        y[~live] = 0.0
+        y[live] = ch.equalize(
+            y[live], gains[live, None, None], p[live, None, None])
         lo = t * self.block_length
         hi = min(lo + self.block_length, self.seed_len)
         np.multiply(y[..., :hi - lo], self._scales,
@@ -439,7 +437,8 @@ def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
     The ``ppo_*`` settings come from the experiment config ``cfg``.
 
     Returns (agent, history) where history rows are
-    (round, mean terminal reward, surrogate, value loss, entropy).
+    (round, mean terminal reward, surrogate, value loss, entropy). A
+    round whose update aborts on a non-finite loss raises TrainingError.
     """
     rng = as_rng(seed)
     agent = PpoAgent(env.state_dim, cfg.ppo_hidden, rng)
@@ -449,9 +448,10 @@ def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
     for rnd in range(cfg.ppo_update_rounds):
         rollout = env.rollout(agent, rng, cfg.ppo_episodes_per_batch)
         diag = ppo_update(agent, rollout, cfg, opt)
+        if diag["aborted"]:
+            raise TrainingError(f"PPO round {rnd} aborted: non-finite loss")
         history.append((rnd, float(np.mean(rollout.scores)), *(
-            diag[k][-1] if diag[k] else math.nan
-            for k in ("surrogate", "value_loss", "entropy"))))
+            diag[k][-1] for k in ("surrogate", "value_loss", "entropy"))))
         if eval_traces is not None and ((rnd + 1) % EVAL_EVERY == 0
                                         or rnd == cfg.ppo_update_rounds - 1):
             score = float(np.mean(evaluate(agent, env, eval_traces)))

@@ -1,7 +1,8 @@
 """Edge-inferencing protocol: the edge server's and the receiver's sides,
-the binary seed frame, and the end-to-end driver that serves a chunk of
-sweep cells, each one generation (plus the two benchmark deliveries, see
-``metrics.MODES``) over a fading trace of its own.
+the binary seed frame, and the end-to-end driver: :func:`serve_cells`
+serves sweep cells in one batch, and :func:`run_end_to_end` receives a
+chunk of them from their seed frames, each cell one generation (plus the
+two benchmark deliveries, see ``metrics.MODES``) over its own fading.
 
 Seed frame layout (little endian)::
 
@@ -141,11 +142,10 @@ class GenerationResult:
 @dataclass
 class EndToEndReport:
     """One chunk of S cells of P prompts: ``results[cell, mode]`` is a
-    GenerationResult; ground truths [S, P, C, H, W], latents [S, P,
-    *latent_shape] and each cell's fading gains [S, blocks]."""
+    GenerationResult; ground truths [S, P, C, H, W] and each cell's
+    fading gains [S, blocks]."""
     results: dict
     ground_truths: np.ndarray
-    latents: np.ndarray
     gains: np.ndarray
 
     def __getitem__(self, key):
@@ -183,8 +183,8 @@ def ue_receive(bundle: ModelBundle, wire_frames, received):
     """Receiver side for a batch of seed deliveries.
 
     ``wire_frames`` holds one encoded frame per prompt, all at one codec
-    rate that a deployed codec serves (else ProtocolError, as for a mixed
-    batch), and ``received`` what
+    rate that a deployed codec serves and of its latent shape (else
+    ProtocolError, as for a mixed batch), and ``received`` what
     :func:`transmit_stream` returned for their stacked payloads, or None
     when the perfect channel carried the payloads intact. Returns the
     decoded images [P, C, H, W].
@@ -201,8 +201,10 @@ def ue_receive(bundle: ModelBundle, wire_frames, received):
     if fixed not in rates:
         raise ProtocolError(f"no deployed codec serves the frames' rate "
                             f"{fixed / RATE_FIXED_ONE:.6g}")
-    latents = bundle.codec_for(rates[fixed]).decompress(
-        np.stack(symbols), [frame.scale for frame in frames])
+    codec = bundle.codec_for(rates[fixed])
+    if any(frame.latent_shape != codec.latent_shape for frame in frames):
+        raise ProtocolError("a frame's latent shape is not its codec's")
+    latents = codec.decompress(np.stack(symbols), [f.scale for f in frames])
     return bundle.autoencoder.decode(latents[:, None])[:, 0]
 
 
@@ -245,12 +247,12 @@ class RunSpec:
 
 
 def serve_cells(bundle: ModelBundle, prompts, rate, block_length, specs):
-    """The server phase of :func:`run_end_to_end` for every cell of
-    ``specs`` at once: each cell's generator draws its server noise [P,
-    *latent_shape], and one :func:`es_handle_request` serves all S cells,
-    its sampler on their S·P flat rows and its codec encoder cell by cell
-    (see ``nn``). Returns one (generator, P seed frames, latents [P,
-    *latent_shape]) triple per cell, so a slice of the list is the phase
+    """The server phase for every cell of ``specs`` at once: each cell's
+    generator draws its server noise [P, *latent_shape], and one
+    :func:`es_handle_request` serves all S cells, its sampler on their
+    S·P flat rows and its codec encoder cell by cell (see ``nn``).
+    Returns one (spec, generator, P seed frames, latents [P,
+    *latent_shape]) tuple per cell, so a slice of the list is the phase
     for those cells alone."""
     if not specs or not prompts:
         raise ValueError("at least one cell and one prompt are required")
@@ -261,22 +263,19 @@ def serve_cells(bundle: ModelBundle, prompts, rate, block_length, specs):
         bundle, list(prompts) * cells,
         np.concatenate([rng.standard_normal((count,) + shape)
                         for rng in rngs]), rate, block_length, cells)
-    return [(rng, frames[c * count:(c + 1) * count],
+    return [(spec, rng, frames[c * count:(c + 1) * count],
              latents[c * count:(c + 1) * count])
-            for c, rng in enumerate(rngs)]
+            for c, (spec, rng) in enumerate(zip(specs, rngs))]
 
 
-def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
-                   specs, served=None) -> EndToEndReport:
-    """Generate, transmit under every mode, decode and score one chunk of
-    cells: the same prompts at one codec rate and block length, one
-    RunSpec per cell. The server phase is :func:`serve_cells`, run here
-    unless ``served`` holds its list for these cells already (a sweep
-    serves a rate's cells in one batch and receives them in chunks). The
-    receiver phase decodes the ground truths and extracts their features,
-    runs each cell's link, frame round trip and batch-of-one UE decodes,
-    and scores. A served list is received once: the receiver draws on its
-    generators.
+def run_end_to_end(bundle: ModelBundle, served) -> EndToEndReport:
+    """The receiver phase of a chunk of cells, a slice of what
+    :func:`serve_cells` returned: decode the ground truths and extract
+    their features, run each cell's link at its spec's SNR and channel
+    kind, its frame round trip and batch-of-one UE decodes, and score.
+    Rate and block length come from the seed frames' headers, as a UE
+    reads them; a chunk's cells must share both (else ProtocolError). A
+    served list is received once: the receiver draws on its generators.
 
     Each cell draws everything from one generator of its seed, in this
     order: its server noise [P, *latent_shape] in one draw, its fading
@@ -293,18 +292,19 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
     sampler's latents already differ; so ``megsim sweep`` serves and
     receives such cells one at a time.
     """
-    if not specs or not prompts:
-        raise ValueError("at least one cell and one prompt are required")
-    if served is None:
-        served = serve_cells(bundle, prompts, rate, block_length, specs)
-    if len(served) != len(specs):
-        raise ValueError(f"{len(served)} served cells for {len(specs)} specs")
-    cells, count = len(specs), len(prompts)
+    if not served:
+        raise ValueError("at least one served cell is required")
+    specs, rngs, frames, latents = zip(*served)
+    headers = {(frame.rate_fixed, frame.block_length)
+               for cell in frames for frame in cell}
+    if len(headers) > 1:
+        raise ProtocolError("a chunk's cells must share one codec rate and "
+                            "block length")
+    ((_, block_length),) = headers
     image_shape = bundle.autoencoder.image_shape
     latent_shape = bundle.autoencoder.latent_shape
-    rngs, frames, latents = zip(*served)
-    stack = (cells, count)
     latents = np.stack(latents)
+    stack = latents.shape[:2]
     truths = bundle.autoencoder.decode(
         latents.reshape((-1,) + latent_shape)).reshape(stack + image_shape)
     # every mode of a cell is scored against the cell's ground truths
@@ -333,7 +333,7 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
                     bundle, [encode_frame(frame) for frame in frames[cell]],
                     sent)
                 continue
-            payloads = source[cell].reshape(count, -1).astype(np.float64)
+            payloads = source[cell].reshape(stack[1], -1).astype(np.float64)
             if noise_std is not None:
                 # each row is sent at unit RMS power and rescaled on receipt
                 scale = np.sqrt(np.mean(payloads ** 2, axis=1, keepdims=True))
@@ -353,4 +353,4 @@ def run_end_to_end(bundle: ModelBundle, prompts, rate, block_length,
                                reference)
         for cell, report in enumerate(reports):
             results[cell, mode] = GenerationResult(list(batch[cell]), report)
-    return EndToEndReport(results, truths, latents, gains)
+    return EndToEndReport(results, truths, gains)

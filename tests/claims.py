@@ -43,8 +43,8 @@ def low_snr_ordering(bundle, cfg):
             spec = protocol.RunSpec(snr, cfg.channel_kind,
                                     experiments.cell_seed(cfg, 0.5, snr,
                                                           trial))
-            rep = protocol.run_end_to_end(bundle, prompts, 0.5,
-                                          cfg.block_length, [spec])
+            rep = protocol.run_end_to_end(bundle, protocol.serve_cells(
+                bundle, prompts, 0.5, cfg.block_length, [spec]))
             for m in MODES:
                 if snr == -10.0:
                     fids[m].append(rep[0, m].report.fid_score)

@@ -243,9 +243,9 @@ def test_criterion_10_protocol_exactness(desk_bundle, desk_cfg):
         if protocol.encode_frame(protocol.decode_frame(data)) != data:
             mismatches += 1
     prompts = corpus.sample_prompts(4, derive_seed(desk_cfg.seed, 20))
-    rep = protocol.run_end_to_end(desk_bundle, prompts, 0.5,
-                                  desk_cfg.block_length,
-                                  [protocol.RunSpec(None, "awgn", 11)])
+    rep = protocol.run_end_to_end(desk_bundle, protocol.serve_cells(
+        desk_bundle, prompts, 0.5, desk_cfg.block_length,
+        [protocol.RunSpec(None, "awgn", 11)]))
     codec = desk_bundle.codec_for(0.5)
     # the cell generator's first draw is its server noise, one row a prompt
     noise = np.random.default_rng(11).standard_normal(

@@ -845,9 +845,9 @@ class TestSweep:
             calls["served"].append(len(specs))
             return serve(bundle, prompts, rate, block_length, specs)
 
-        def received(bundle, prompts, rate, block_length, specs, cells):
-            calls["received"].append(len(specs))
-            return run(bundle, prompts, rate, block_length, specs, cells)
+        def received(bundle, cells):
+            calls["received"].append(len(cells))
+            return run(bundle, cells)
 
         monkeypatch.setattr(experiments, "serve_cells", served)
         monkeypatch.setattr(experiments, "run_end_to_end", received)

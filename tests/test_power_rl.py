@@ -9,7 +9,7 @@ import pytest
 import claims
 from megsim import channel as ch
 from megsim import config, genmodel, metrics, nn, power_rl
-from megsim.errors import ChannelErasure
+from megsim.errors import ChannelErasure, TrainingError
 from megsim.power_rl import (PpoAgent, SeedTransmissionEnv, apply_power,
                              clipped_surrogate, evaluate, ppo_update,
                              train_agent)
@@ -374,6 +374,22 @@ class TestEvaluation:
         for settings in ({"ppo_clip": 0.0}, {"ppo_gamma": 0.0}):
             with pytest.raises(ValueError, match=r"\[ppo\] "):
                 train_agent(env, ppo_cfg(**settings), seed=0)
+
+    def test_aborted_update_stops_training(self, env, monkeypatch):
+        # an update that aborts on a non-finite loss ends training at its
+        # round, not with a NaN row in the curve
+        rounds = []
+
+        def update(agent, rollout, cfg, opt=None):
+            rounds.append(len(rounds))
+            return {"surrogate": [0.0], "value_loss": [0.0],
+                    "entropy": [0.0], "aborted": len(rounds) == 2}
+
+        monkeypatch.setattr(power_rl, "ppo_update", update)
+        cfg = ppo_cfg(ppo_update_rounds=4, ppo_episodes_per_batch=2)
+        with pytest.raises(TrainingError, match="PPO round 1 aborted"):
+            train_agent(env, cfg, seed=0)
+        assert rounds == [0, 1]
 
     def test_policy_comparison_reproducible(self, tiny_bundle):
         prompts = ["large blob left", "tiny stripes top", "huge rings center",
@@ -756,7 +772,7 @@ class TestVectorizedStep:
 
     def test_live_blocks_equalized_whole_match_per_episode_loop(
             self, tiny_bundle, monkeypatch):
-        # no block is erased, so each step equalizes its whole buffer
+        # no block is erased, so each step equalizes every episode's block
         env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
                                   1.0, seed=5)
         rng = np.random.default_rng(4)

@@ -275,7 +275,8 @@ class TestEndToEnd:
     def _run(bundle, prompts, **kw):
         base = dict(snr_db=None, channel_kind="awgn", seed=3)
         base.update(kw)
-        return run_end_to_end(bundle, prompts, 0.5, 16, [RunSpec(**base)])
+        return run_end_to_end(bundle, serve_cells(bundle, prompts, 0.5, 16,
+                                                  [RunSpec(**base)]))
 
     def test_perfect_channel_matches_local_pipeline(self, tiny_bundle):
         prompts = ["large blob left", "tiny stripes top"]
@@ -342,17 +343,24 @@ class TestChunk:
     def _specs(self):
         return [RunSpec(snr, kind, seed) for snr, kind, seed in self.CELLS]
 
+    def _run(self, bundle, specs, block_length=16):
+        """The chunk served and received in one go, with its served
+        latents [S, P, *latent_shape]."""
+        served = serve_cells(bundle, self.PROMPTS, 0.5, block_length, specs)
+        return run_end_to_end(bundle, served), \
+            np.stack([latents for *_, latents in served])
+
     def test_chunk_equals_one_cell_chunks(self, tiny_bundle):
         specs = self._specs()
-        chunk = run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16, specs)
+        chunk, latents = self._run(tiny_bundle, specs)
         assert set(chunk.results) == {(cell, mode)
                                       for cell in range(len(specs))
                                       for mode in metrics.MODES}
         for cell, spec in enumerate(specs):
-            alone = run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16, [spec])
+            alone, alone_latents = self._run(tiny_bundle, [spec])
             assert chunk.ground_truths[cell].tobytes() \
                 == alone.ground_truths[0].tobytes()
-            assert chunk.latents[cell].tobytes() == alone.latents[0].tobytes()
+            assert latents[cell].tobytes() == alone_latents[0].tobytes()
             assert chunk.gains[cell].tobytes() == alone.gains[0].tobytes()
             for mode in metrics.MODES:
                 got, want = chunk[cell, mode], alone[0, mode]
@@ -365,29 +373,51 @@ class TestChunk:
         # one server batch of every cell, received in chunks of 2 and 3,
         # equals the chunk served and received in one call
         specs = self._specs()
-        whole = run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16, specs)
+        whole, latents = self._run(tiny_bundle, specs)
         served = serve_cells(tiny_bundle, self.PROMPTS, 0.5, 16, specs)
-        parts = [run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16,
-                                specs[lo:hi], served[lo:hi])
+        parts = [run_end_to_end(tiny_bundle, served[lo:hi])
                  for lo, hi in ((0, 2), (2, 5))]
         located = [(parts[0], 0), (parts[0], 1), (parts[1], 0),
                    (parts[1], 1), (parts[1], 2)]
         for cell, (part, at) in enumerate(located):
-            assert part.latents[at].tobytes() == whole.latents[cell].tobytes()
+            assert served[cell][3].tobytes() == latents[cell].tobytes()
             assert part.gains[at].tobytes() == whole.gains[cell].tobytes()
             for mode in metrics.MODES:
                 assert part[at, mode].report == whole[cell, mode].report
                 assert all(a.tobytes() == b.tobytes() for a, b in
                            zip(part[at, mode].images, whole[cell, mode].images))
-        with pytest.raises(ValueError, match="2 served cells for 3 specs"):
-            run_end_to_end(tiny_bundle, self.PROMPTS, 0.5, 16, specs[2:],
-                           served[:2])
+
+    def test_block_length_read_from_the_frames(self, tiny_bundle):
+        # the receiver takes its block length from the frame headers: a
+        # cell served at 8 draws a trace of twice the blocks at 16
+        spec = self._specs()[1]
+        eight, _ = self._run(tiny_bundle, [spec], block_length=8)
+        sixteen, _ = self._run(tiny_bundle, [spec])
+        assert eight.gains.shape[1] == 2 * sixteen.gains.shape[1]
+
+    def test_chunk_of_mixed_block_lengths_or_rates_refused(self, tiny_bundle,
+                                                           tiny_cfg):
+        specs = self._specs()[:2]
+        sixteen = serve_cells(tiny_bundle, self.PROMPTS, 0.5, 16, specs[:1])
+        eight = serve_cells(tiny_bundle, self.PROMPTS, 0.5, 8, specs[1:])
+        for served in (sixteen + eight, eight + sixteen):
+            with pytest.raises(ProtocolError, match="share one codec rate "
+                                                    "and block length"):
+                run_end_to_end(tiny_bundle, served)
+        codec = CodecPair(replace(tiny_cfg, codec_hidden=16), 0.25, rng=5)
+        bundle = replace(tiny_bundle,
+                         codecs={**tiny_bundle.codecs, 0.25: codec})
+        quarter = serve_cells(bundle, self.PROMPTS, 0.25, 16, specs[1:])
+        with pytest.raises(ProtocolError, match="share one codec rate"):
+            run_end_to_end(bundle, sixteen + quarter)
 
     def test_empty_chunk_refused(self, tiny_bundle):
         for prompts, specs in ((self.PROMPTS, []), ([], self._specs()[:1])):
             with pytest.raises(ValueError, match="at least one cell and one "
                                                  "prompt"):
-                run_end_to_end(tiny_bundle, prompts, 0.5, 16, specs)
+                serve_cells(tiny_bundle, prompts, 0.5, 16, specs)
+        with pytest.raises(ValueError, match="at least one served cell"):
+            run_end_to_end(tiny_bundle, [])
 
 
 class TestChunkLayers:
@@ -478,6 +508,17 @@ class TestUeReceive:
         wire = [encode_frame(frame) for frame in served]
         with pytest.raises(ProtocolError, match="serves the frames' rate "
                                                 "0.503"):
+            protocol.ue_receive(tiny_bundle, wire, None)
+
+    def test_latent_shape_not_the_codecs_refused(self, tiny_bundle):
+        # the header's latent shape must be the one the rate's codec
+        # decodes to, even where the payload length fits that codec
+        served = self._serve(tiny_bundle, self.PROMPTS[:2], 0.5)
+        c, h, w = served[1].latent_shape
+        served[1].latent_shape = (2 * c, h // 2, w)
+        wire = [encode_frame(frame) for frame in served]
+        with pytest.raises(ProtocolError, match="latent shape is not its "
+                                                "codec's"):
             protocol.ue_receive(tiny_bundle, wire, None)
 
     def test_mixed_rates_rejected(self, tiny_bundle, tiny_cfg):
@@ -586,9 +627,11 @@ class TestBatchedLink:
         monkeypatch.setattr(genmodel.AutoencoderPair, "decode",
                             lambda self, z: decoded.append(np.shape(z))
                             or decode(self, z))
-        report = run_end_to_end(
+        served = serve_cells(
             tiny_bundle, ["blob left", "rings top", "tiny stripes top"], 0.5,
             16, [spec])
+        ((*_, latents),) = served
+        report = run_end_to_end(tiny_bundle, served)
         monkeypatch.undo()
         # the ground truths once, then each mode's images, each a stack of
         # one cell
@@ -600,18 +643,18 @@ class TestBatchedLink:
         codec = tiny_bundle.codec_for(0.5)
         # the server compresses the stacked latents in one call, as
         # production does; the link below stays per prompt
-        symbols, scales = codec.compress(report.latents[0])
+        symbols, scales = codec.compress(latents)
         # the cell's one generator: its server noise, its trace, then each
         # mode's link noise in turn
         rng = as_rng(spec.seed)
-        rng.standard_normal(report.latents[0].shape)
+        rng.standard_normal(latents.shape)
         assert np.array_equal(ch.fading_gains(
             spec.channel_kind, report.gains.shape[1], rng), report.gains[0])
         for mode in metrics.MODES:
             noise_std = ch.snr_to_noise_std(spec.snr_db, 1.0)
             images, received = [], []
             for truth, latent, seed, scale in zip(report.ground_truths[0],
-                                                  report.latents[0], symbols,
+                                                  latents, symbols,
                                                   scales):
                 if mode == "meg":
                     blocks = reference_transmit_stream(
