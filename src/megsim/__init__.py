@@ -6,7 +6,7 @@ fading link and the receiving device finishes the generation.
 from . import (channel, config, corpus, experiments, genmodel, metrics, nn,
                power_rl, protocol, seedcodec)
 from .config import ExperimentConfig, config_hash, load_config
-from .protocol import ModelBundle, RunSpec, run_end_to_end
+from .protocol import ModelBundle, RunSpec, run_end_to_end, serve_cells
 
 __version__ = "0.1.0"
 
@@ -14,5 +14,5 @@ __all__ = [
     "channel", "config", "corpus", "experiments", "genmodel", "metrics",
     "nn", "power_rl", "protocol", "seedcodec",
     "ExperimentConfig", "config_hash", "load_config",
-    "ModelBundle", "RunSpec", "run_end_to_end", "__version__",
+    "ModelBundle", "RunSpec", "run_end_to_end", "serve_cells", "__version__",
 ]
