@@ -3,12 +3,12 @@ scaling, and zero-forcing equalization at the receiver.
 
 The baseband is real-valued; one positive gain per coherence block stands
 in for the fading magnitude, and allocated power enters as an amplitude
-factor sqrt(p) so that transmitted energy scales linearly with p.
+factor sqrt(p) so that transmitted energy scales linearly with p; a block
+sent at zero power is erased, and the receiver reads it as zeros.
 """
 
 import numpy as np
 
-from .errors import ChannelErasure
 from .util import as_rng, write_csv
 
 KINDS = ("awgn", "rayleigh_block")
@@ -47,7 +47,7 @@ def transmit(symbols, gain, power, noise):
     that broadcast against ``symbols``; ``noise`` is the drawn noise n,
     of the symbols' shape, or 0.0 for a noiseless link.
     """
-    if np.any(np.asarray(power) < 0):
+    if not np.all(np.asarray(power) >= 0):
         raise ValueError("power must be >= 0")
     y = gain * np.sqrt(power) * np.asarray(symbols, dtype=np.float64)
     y += noise
@@ -58,13 +58,16 @@ def equalize(received, gain, power):
     """Zero-forcing estimate x_hat = y / (h * sqrt(p)); ``gain``/``power``
     may be per-symbol arrays, as in :func:`transmit`.
 
-    Raises :class:`ChannelErasure` when any effective gain is zero: such
-    a block carries nothing to estimate, so callers leave it out.
+    Where the effective gain h * sqrt(p) is zero the symbol was erased and
+    reads as +0.0; a negative or NaN effective gain raises ValueError.
     """
-    eff = gain * np.sqrt(power) if np.all(np.asarray(power) > 0) else 0.0
-    if np.any(eff <= 0):
-        raise ChannelErasure("block transmitted with zero effective gain")
-    return np.asarray(received, dtype=np.float64) / eff
+    eff = gain * np.sqrt(power)
+    if not np.all(eff >= 0):
+        raise ValueError("effective gain must be >= 0")
+    received = np.asarray(received, dtype=np.float64)
+    out = np.zeros(np.broadcast_shapes(received.shape, np.shape(eff)))
+    np.divide(received, eff, out=out, where=eff > 0)
+    return out
 
 
 def export_trace_set(gains, block_length, path):

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import KINDS
-from .protocol import RATE_FIXED_ONE
+from .protocol import rate_fixed
 from .seedcodec import seed_length
 
 ENV_PREFIX = "MEGSIM_"
@@ -170,8 +170,7 @@ class ExperimentConfig:
                     f"overhead bound {budget}")
         # a seed frame names its codec's rate in 1/65536ths; each rate is
         # in (0, 1) by now, so the product is finite
-        if len({round(r * RATE_FIXED_ONE) for r in self.codec_rates}) \
-                < len(self.codec_rates):
+        if len(set(map(rate_fixed, self.codec_rates))) < len(self.codec_rates):
             raise ValueError("[codec] rates repeats a rate at the seed "
                              "frame's 1/65536 precision")
         for name, rate in (("power", self.power_rate),

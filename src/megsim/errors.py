@@ -25,10 +25,6 @@ class ScheduleError(MegsimError):
     """Noise schedule violates its monotonicity or variance constraints."""
 
 
-class ChannelErasure(MegsimError):
-    """A block was transmitted with zero effective gain and is lost."""
-
-
 class CodecError(MegsimError):
     """Seed compression or decompression contract violated."""
 

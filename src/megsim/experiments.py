@@ -21,7 +21,7 @@ from . import channel as ch
 from . import corpus, genmodel, metrics, nn, plotting, power_rl, seedcodec
 from .config import ExperimentConfig, config_hash
 from .errors import BundleError, ConfigError
-from .protocol import (RATE_FIXED_ONE, ModelBundle, RunSpec, run_end_to_end,
+from .protocol import (ModelBundle, RunSpec, rate_fixed, run_end_to_end,
                        serve_cells)
 from .util import derive_seed, derive_seeds, generators, sha256_file, write_csv
 
@@ -278,8 +278,7 @@ def cell_seed(cfg, rate, snr_db, trial):
     float64 bits and the trial. A cell keeps its seed, and so its rows,
     when the grid around it grows or shrinks."""
     snr_bits = struct.unpack("<Q", struct.pack("<d", snr_db))[0]
-    return derive_seed(cfg.seed, 100, round(rate * RATE_FIXED_ONE),
-                       snr_bits, trial)
+    return derive_seed(cfg.seed, 100, rate_fixed(rate), snr_bits, trial)
 
 
 def cmd_sweep(cfg: ExperimentConfig):

@@ -234,7 +234,7 @@ class SeedTransmissionEnv:
             raise ValueError("need gains [E, blocks] and one noise seed per "
                              "trace, at least one")
         gains = gains[:, :self.num_blocks]
-        if gains.shape[1] < self.num_blocks or np.any(gains <= 0):
+        if gains.shape[1] < self.num_blocks or not np.all(gains > 0):
             raise ValueError(f"each trace needs {self.num_blocks} blocks of "
                              f"positive gain")
         rngs = list(generators(noise_seeds))
@@ -270,26 +270,20 @@ class SeedTransmissionEnv:
         [0, 1] (else ValueError), to the ``remaining`` budgets, draw the
         block's noise [P, block] from each episode's generator in
         ``rngs`` (also where the block is erased, so the streams stay
-        aligned across policies), send the block, equalize it and write
-        its rescaled float32 symbols into ``symbols`` [E, P, seed_len];
-        returns the powers [E]."""
+        aligned across policies), send and equalize every episode's block
+        at once and write its rescaled float32 symbols, zeros where it is
+        erased, into ``symbols`` [E, P, seed_len]; returns the powers [E]."""
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != remaining.shape:
             raise ValueError(f"need one action per episode, got "
                              f"{actions.shape}")
         p = apply_power(actions, remaining, self.p_max)
         sent = self.blocks[:, t]
-        # the block of every episode over the link, with noise from the
-        # episode's generator; the equalized block replaces it, where an
-        # erased block is zeros
-        y = ch.transmit(np.broadcast_to(sent, (len(rngs),) + sent.shape),
-                        gains[:, None, None], p[:, None, None],
-                        np.stack([rng.normal(0.0, self.noise_std, sent.shape)
-                                  for rng in rngs]))
-        live = gains * np.sqrt(p) > 0.0
-        y[~live] = 0.0
-        y[live] = ch.equalize(
-            y[live], gains[live, None, None], p[live, None, None])
+        g, pw = gains[:, None, None], p[:, None, None]
+        y = ch.equalize(ch.transmit(
+            np.broadcast_to(sent, (len(rngs),) + sent.shape), g, pw,
+            np.stack([rng.normal(0.0, self.noise_std, sent.shape)
+                      for rng in rngs])), g, pw)
         lo = t * self.block_length
         hi = min(lo + self.block_length, self.seed_len)
         np.multiply(y[..., :hi - lo], self._scales,

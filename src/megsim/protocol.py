@@ -41,6 +41,11 @@ _HEADER_LEN = 29
 RATE_FIXED_ONE = 1 << 16
 
 
+def rate_fixed(rate):
+    """A codec rate as the seed frame's unsigned 0.16 fixed-point value."""
+    return int(round(rate * RATE_FIXED_ONE))
+
+
 # ---------------------------------------------------------------------------
 # wire format
 
@@ -67,7 +72,7 @@ def decode_frame(data: bytes) -> SeedFrame:
     if len(data) < _HEADER_LEN + 4:
         raise FrameError("frame shorter than its header")
     header = data[:_HEADER_LEN]
-    magic, version, rate_fixed, d0, d1, d2, payload_len, block_len, scale = \
+    magic, version, fixed, d0, d1, d2, payload_len, block_len, scale = \
         struct.unpack(_HEADER, header)
     if magic != FRAME_MAGIC:
         raise FrameError("bad frame magic")
@@ -81,7 +86,7 @@ def decode_frame(data: bytes) -> SeedFrame:
         raise FrameError(
             f"payload of {len(body)} bytes, header says {payload_len * 4}")
     payload = np.frombuffer(body, dtype="<f4").copy()
-    return SeedFrame(rate_fixed, (d0, d1, d2), block_len, scale, payload)
+    return SeedFrame(fixed, (d0, d1, d2), block_len, scale, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +130,8 @@ def es_handle_request(bundle: ModelBundle, prompts, noise, rate,
     latents = genmodel.generate_latent(bundle.denoiser, prompts, noise,
                                        bundle.schedule)
     symbols, scales = codec.compress(latents.reshape((cells, -1) + shape))
-    rate_fixed = int(round(codec.rate * RATE_FIXED_ONE))
-    frames = [SeedFrame(rate_fixed, codec.latent_shape, int(block_length),
+    fixed = rate_fixed(codec.rate)
+    frames = [SeedFrame(fixed, codec.latent_shape, int(block_length),
                         float(scale), np.ascontiguousarray(row, dtype="<f4"))
               for row, scale in zip(symbols, scales)]
     return frames, latents
@@ -166,7 +171,7 @@ def transmit_stream(payloads, gains, block_length, noise_std, rng):
     n = x.shape[1]
     nb = ch.block_count(n, block_length)
     gains = np.asarray(gains, dtype=np.float64)[:nb]
-    if len(gains) < nb or np.any(gains <= 0):
+    if len(gains) < nb or not np.all(gains > 0):
         raise ValueError(f"{n} symbols need {nb} blocks of positive gain")
     gains = np.repeat(gains, block_length)[:n]
     noise = as_rng(rng).normal(0.0, noise_std, x.shape) if noise_std > 0 \
@@ -182,21 +187,24 @@ def recover_stream(received, gains):
 def ue_receive(bundle: ModelBundle, wire_frames, received):
     """Receiver side for a batch of seed deliveries.
 
-    ``wire_frames`` holds one encoded frame per prompt, all at one codec
-    rate that a deployed codec serves and of its latent shape (else
-    ProtocolError, as for a mixed batch), and ``received`` what
-    :func:`transmit_stream` returned for their stacked payloads, or None
-    when the perfect channel carried the payloads intact. Returns the
-    decoded images [P, C, H, W].
+    ``wire_frames`` holds one encoded frame per prompt, at least one, all
+    at one codec rate that a deployed codec serves and of its latent shape,
+    and ``received`` what :func:`transmit_stream` returned for their
+    stacked payloads, one row per frame, or None when the perfect channel
+    carried the payloads intact; else ProtocolError. Returns the decoded
+    images [P, C, H, W], one per frame.
     """
     frames = [decode_frame(data) for data in wire_frames]
+    if not frames or (received and len(received[0]) != len(frames)):
+        raise ProtocolError(f"need at least one frame and one received row "
+                            f"per frame, got {len(frames)} frames")
     if len({frame.rate_fixed for frame in frames}) > 1:
         raise ProtocolError("a received batch must share one codec rate")
     symbols = recover_stream(*received) if received is not None \
         else [frame.payload.astype(np.float64) for frame in frames]
     # the deployed rate with the header's fixed-point value; each UE decodes
     # its frame as a batch of one in a stack that holds every frame
-    rates = {round(rate * RATE_FIXED_ONE): rate for rate in bundle.codecs}
+    rates = {rate_fixed(rate): rate for rate in bundle.codecs}
     fixed = frames[0].rate_fixed
     if fixed not in rates:
         raise ProtocolError(f"no deployed codec serves the frames' rate "

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from megsim import channel as ch
-from megsim.errors import ChannelErasure
 from megsim.util import write_csv
 
 
@@ -119,9 +118,34 @@ class TestTransmitEqualize:
         residual = ch.equalize(y, 0.5, 1.0)
         assert abs(float(np.std(residual)) / 0.2 - 1.0) < 0.02
 
-    def test_zero_power_is_erasure(self):
-        with pytest.raises(ChannelErasure):
-            ch.equalize(np.zeros(4), 1.0, 0.0)
+    def test_zero_effective_gain_reads_as_zero(self, rng):
+        # y / (h sqrt(p)) bit for bit where h sqrt(p) > 0; +0.0, never
+        # -0.0, where it is zero; scalar and per-symbol gain and power
+        y = rng.standard_normal((3, 8))
+        assert np.any(y < 0)
+        erased = ch.equalize(y, 0.8, 0.0)
+        assert erased.shape == y.shape and not np.any(np.signbit(erased))
+        assert ch.equalize(y, 0.8, 2.0).tobytes() \
+            == (y / (0.8 * np.sqrt(2.0))).tobytes()
+        gain = rng.uniform(0.1, 2.0, 8)
+        gain[1] = 0.0
+        power = np.array([1.0, 0.5, 0.0, 2.0, 1e-9, 0.0, 3.0, 0.7])
+        got = ch.equalize(y, gain, power)
+        live = gain * np.sqrt(power) > 0
+        assert live.tolist() == [True, False, False, True, True, False,
+                                 True, True]
+        assert not np.any(np.signbit(got[:, ~live])) \
+            and np.all(got[:, ~live] == 0.0)
+        assert got[:, live].tobytes() \
+            == (y[:, live] / (gain[live] * np.sqrt(power[live]))).tobytes()
+        # a negative or NaN effective gain is refused, not read as erased
+        for bad in (-0.5, np.nan):
+            with pytest.raises(ValueError, match="effective gain"):
+                ch.equalize(y, bad, 1.0)
+            with pytest.raises(ValueError, match="effective gain"):
+                ch.equalize(y, np.where(np.arange(8) == 3, bad, 1.0), power)
+        with pytest.raises(ValueError, match="effective gain"):
+            ch.equalize(y, 1.0, np.full(8, np.nan))
 
     def test_snr_monotonicity(self):
         # higher SNR never increases the equalized symbol error
@@ -176,11 +200,8 @@ class TestPerSymbolArrays:
         assert np.array_equal(got, want)
 
     def test_any_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            ch.transmit(np.zeros(4), 1.0, np.array([1.0, 1.0, -1e-9, 1.0]),
-                        0.0)
-
-    def test_any_zero_power_is_erasure(self):
-        with pytest.raises(ChannelErasure):
-            ch.equalize(np.zeros(4), np.ones(4),
-                        np.array([1.0, 0.0, 1.0, 1.0]))
+        # NaN compares False both ways, so it must not pass as >= 0
+        for bad in (-1e-9, np.nan):
+            with pytest.raises(ValueError, match="power must be >= 0"):
+                ch.transmit(np.zeros(4), 1.0, np.array([1.0, 1.0, bad, 1.0]),
+                            0.0)

@@ -9,7 +9,7 @@ import pytest
 import claims
 from megsim import channel as ch
 from megsim import config, genmodel, metrics, nn, power_rl
-from megsim.errors import ChannelErasure, TrainingError
+from megsim.errors import TrainingError
 from megsim.power_rl import (PpoAgent, SeedTransmissionEnv, apply_power,
                              clipped_surrogate, evaluate, ppo_update,
                              train_agent)
@@ -552,16 +552,20 @@ class TestLockstep:
             replace(DESK, channel_kind="nakagami")
         env = self._env(tiny_bundle)
         even = np.full(env.num_blocks, 1.0 / env.num_blocks)
+        # a NaN gain is not positive either, so it is not scored as an
+        # erased block
+        nan_gain = np.ones((2, env.num_blocks))
+        nan_gain[1, 1] = np.nan
         for gains in (np.ones((2, env.num_blocks - 1)),
                       np.full((2, env.num_blocks), -1.0),
-                      np.eye(2, env.num_blocks)):
+                      np.eye(2, env.num_blocks), nan_gain):
             with pytest.raises(ValueError, match="blocks of positive gain"):
                 evaluate(even, env, gains)
         # one trace is a set of one, [1, blocks]
         for gains in (np.ones(env.num_blocks), np.ones((0, env.num_blocks))):
             with pytest.raises(ValueError, match=r"need gains \[E, blocks\]"):
                 env.run(lambda states, t: even[t:t + 1], gains, [0])
-        assert env.power_audit == []
+        assert env.power_audit == [] and env._episode_index == 0
 
     def test_non_positive_budget_refused(self, tiny_bundle):
         for p_max in (0.0, -1.0, math.nan):
@@ -609,12 +613,9 @@ def per_episode_reference(env, traces, noise_seeds, actions):
             p = apply_power(float(actions[t, e]), remaining, env.p_max)
             noise = noise_rng.normal(0.0, env.noise_std, sent.shape) \
                 if env.noise_std > 0 else np.zeros_like(sent)
-            if p > 0.0:
+            if p > 0.0:   # else the block is erased and reads as zeros
                 y = gain * np.sqrt(p) * sent + noise
-                try:
-                    received[e, :, t, :] = ch.equalize(y, gain, p)
-                except ChannelErasure:
-                    pass   # leave zeros
+                received[e, :, t, :] = ch.equalize(y, gain, p)
             powers[e, t] = p
             if p >= remaining:
                 remaining = 0.0
@@ -750,15 +751,17 @@ class TestVectorizedStep:
         actions[0, 1] = 1.0
         actions[1::2, 2] = 0.0
         actions[:, 3] = 1e-9
-        scored, score = [], env._score
-
-        def spy_score(symbols):
-            scored.append(symbols.copy())
-            return score(symbols)
-
-        monkeypatch.setattr(env, "_score", spy_score)
+        shapes, scored = [], []
+        equalize, score = ch.equalize, env._score
+        # erased or not, each step equalizes every episode's block at once
+        monkeypatch.setattr(ch, "equalize", lambda y, *args:
+                            shapes.append(np.shape(y)) or equalize(y, *args))
+        monkeypatch.setattr(env, "_score", lambda symbols:
+                            scored.append(symbols.copy()) or score(symbols))
         states, powers, scores = env.run(lambda states, t: actions[t],
                                          traces, seeds)
+        monkeypatch.undo()
+        assert shapes == [(6,) + env.blocks[:, 0].shape] * env.num_blocks
         want_states, want_powers, want_received = per_episode_reference(
             env, traces, seeds, actions)
         want_symbols = payload_symbols(env, want_received)
@@ -772,7 +775,7 @@ class TestVectorizedStep:
 
     def test_live_blocks_equalized_whole_match_per_episode_loop(
             self, tiny_bundle, monkeypatch):
-        # no block is erased, so each step equalizes every episode's block
+        # no block is erased
         env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
                                   1.0, seed=5)
         rng = np.random.default_rng(4)

@@ -459,7 +459,7 @@ def reference_ue_images(bundle, frames, symbols):
     images = []
     for frame, x in zip(frames, symbols):
         (rate,) = [r for r in bundle.codecs
-                   if round(r * protocol.RATE_FIXED_ONE) == frame.rate_fixed]
+                   if protocol.rate_fixed(r) == frame.rate_fixed]
         images.append(bundle.autoencoder.decode(
             bundle.codec_for(rate).decompress(x[None], [frame.scale]))[0])
     return images
@@ -504,7 +504,7 @@ class TestUeReceive:
         # frame does, but no deployed codec serves its rate
         served = self._serve(tiny_bundle, self.PROMPTS[:2], 0.5)
         for frame in served:
-            frame.rate_fixed = round(0.503 * protocol.RATE_FIXED_ONE)
+            frame.rate_fixed = protocol.rate_fixed(0.503)
         wire = [encode_frame(frame) for frame in served]
         with pytest.raises(ProtocolError, match="serves the frames' rate "
                                                 "0.503"):
@@ -520,6 +520,24 @@ class TestUeReceive:
         with pytest.raises(ProtocolError, match="latent shape is not its "
                                                 "codec's"):
             protocol.ue_receive(tiny_bundle, wire, None)
+
+    def test_received_rows_not_one_per_frame_refused(self, tiny_bundle):
+        # two received rows for one frame would decode an image that no
+        # frame sent; one row for two frames would lose one
+        served = self._serve(tiny_bundle, self.PROMPTS[:2], 0.5)
+        gains = ch.fading_gains("rayleigh_block", 8, 3)
+        sent = transmit_stream(np.stack([frame.payload for frame in served]),
+                               gains, 16, 0.3, np.random.default_rng(2))
+        wire = [encode_frame(frame) for frame in served]
+        for frames, rows in ((wire[:1], sent), (wire, (sent[0][:1], sent[1]))):
+            with pytest.raises(ProtocolError, match="one received row per "
+                                                    "frame"):
+                protocol.ue_receive(tiny_bundle, frames, rows)
+
+    def test_no_frame_refused(self, tiny_bundle):
+        for received in (None, (np.zeros((0, 64)), np.ones(64))):
+            with pytest.raises(ProtocolError, match="at least one frame"):
+                protocol.ue_receive(tiny_bundle, [], received)
 
     def test_mixed_rates_rejected(self, tiny_bundle, tiny_cfg):
         # a second, untrained codec with another seed length: one received
@@ -606,9 +624,10 @@ class TestBatchedLink:
             == (1, 16)
 
     def test_non_positive_gain_or_block_length_rejected(self):
-        # a zero or negative gain on a block sent is refused
+        # a zero, negative or NaN gain on a block sent is refused
         x = np.zeros((1, 16))
-        for gains in ([1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, -0.5]):
+        for gains in ([1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, -0.5],
+                      [1.0, np.nan, 1.0, 1.0]):
             with pytest.raises(ValueError, match="blocks of positive gain"):
                 transmit_stream(x, gains, 4, 0.0, 0)
         with pytest.raises(ValueError, match="block length must be"):
