@@ -118,34 +118,20 @@ class TestTransmitEqualize:
         residual = ch.equalize(y, 0.5, 1.0)
         assert abs(float(np.std(residual)) / 0.2 - 1.0) < 0.02
 
-    def test_zero_effective_gain_reads_as_zero(self, rng):
-        # y / (h sqrt(p)) bit for bit where h sqrt(p) > 0; +0.0, never
-        # -0.0, where it is zero; scalar and per-symbol gain and power
+    def test_zero_power_is_erasure(self, rng):
+        # an erased block (h sqrt(p) == 0) reads as +0.0, never -0.0;
+        # elsewhere y / (h sqrt(p)) bit for bit
         y = rng.standard_normal((3, 8))
         assert np.any(y < 0)
         erased = ch.equalize(y, 0.8, 0.0)
         assert erased.shape == y.shape and not np.any(np.signbit(erased))
+        assert np.all(erased == 0.0)
         assert ch.equalize(y, 0.8, 2.0).tobytes() \
             == (y / (0.8 * np.sqrt(2.0))).tobytes()
-        gain = rng.uniform(0.1, 2.0, 8)
-        gain[1] = 0.0
-        power = np.array([1.0, 0.5, 0.0, 2.0, 1e-9, 0.0, 3.0, 0.7])
-        got = ch.equalize(y, gain, power)
-        live = gain * np.sqrt(power) > 0
-        assert live.tolist() == [True, False, False, True, True, False,
-                                 True, True]
-        assert not np.any(np.signbit(got[:, ~live])) \
-            and np.all(got[:, ~live] == 0.0)
-        assert got[:, live].tobytes() \
-            == (y[:, live] / (gain[live] * np.sqrt(power[live]))).tobytes()
         # a negative or NaN effective gain is refused, not read as erased
         for bad in (-0.5, np.nan):
             with pytest.raises(ValueError, match="effective gain"):
                 ch.equalize(y, bad, 1.0)
-            with pytest.raises(ValueError, match="effective gain"):
-                ch.equalize(y, np.where(np.arange(8) == 3, bad, 1.0), power)
-        with pytest.raises(ValueError, match="effective gain"):
-            ch.equalize(y, 1.0, np.full(8, np.nan))
 
     def test_snr_monotonicity(self):
         # higher SNR never increases the equalized symbol error
@@ -198,6 +184,28 @@ class TestPerSymbolArrays:
                                            gains[i], powers[i])
                                for i in range(3)], axis=1)
         assert np.array_equal(got, want)
+
+    def test_any_zero_power_is_erasure(self, rng):
+        # per symbol: +0.0 where h sqrt(p) == 0, y / (h sqrt(p)) bit for
+        # bit elsewhere
+        y = rng.standard_normal((3, 8))
+        gain = rng.uniform(0.1, 2.0, 8)
+        gain[1] = 0.0
+        power = np.array([1.0, 0.5, 0.0, 2.0, 1e-9, 0.0, 3.0, 0.7])
+        got = ch.equalize(y, gain, power)
+        live = gain * np.sqrt(power) > 0
+        assert live.tolist() == [True, False, False, True, True, False,
+                                 True, True]
+        assert not np.any(np.signbit(got[:, ~live])) \
+            and np.all(got[:, ~live] == 0.0)
+        assert got[:, live].tobytes() \
+            == (y[:, live] / (gain[live] * np.sqrt(power[live]))).tobytes()
+        # one negative or NaN effective gain refuses the whole call
+        for bad in (-0.5, np.nan):
+            with pytest.raises(ValueError, match="effective gain"):
+                ch.equalize(y, np.where(np.arange(8) == 3, bad, 1.0), power)
+        with pytest.raises(ValueError, match="effective gain"):
+            ch.equalize(y, 1.0, np.full(8, np.nan))
 
     def test_any_negative_power_rejected(self):
         # NaN compares False both ways, so it must not pass as >= 0
