@@ -25,17 +25,13 @@ env = power_rl.SeedTransmissionEnv(bundle, cfg, prompts, 0.5, seed=7)
 print(f"each episode: {env.num_blocks} blocks of {env.block_length} symbols, "
       f"budget 0.5 (even split gives {0.5 / env.num_blocks:.3f} per block)\n")
 
+frozen = ch.fading_gains(env.channel_kind, (100, env.num_blocks), 123)
 print("training the allocator ...")
-agent, history = power_rl.train_agent(
-    env, replace(cfg, ppo_update_rounds=120), seed=3)
+agent, history, drl, uniform = power_rl.compare(
+    env, replace(cfg, ppo_update_rounds=120), 3, frozen)
 print("mean terminal reward:",
       " -> ".join(f"{history[i][1]:.3f}" for i in (0, len(history) // 2, -1)))
 
-frozen = ch.fading_gains(env.channel_kind, (100, env.num_blocks), 123)
-drl = power_rl.evaluate(agent, env, frozen)
-# the even split is a constant action schedule, one fraction per block
-uniform = power_rl.evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
-                            env, frozen)
 wins = int(np.sum(drl > uniform))
 print(f"\nfrozen-trace comparison (fid proxy, lower is better):")
 print(f"  even split: {-np.mean(uniform):.4f}")

@@ -369,7 +369,8 @@ def _sweep_plots(cfg, rows):
 # power allocation experiments
 
 def cmd_power(cfg: ExperimentConfig):
-    """Train the allocator per budget and compare against even split.
+    """Train the allocator per budget and compare it with the even split
+    by :func:`power_rl.compare`.
 
     Emits one summary row per budget plus a training-curve CSV, all from
     the same frozen trace set.
@@ -392,30 +393,23 @@ def cmd_power(cfg: ExperimentConfig):
                                     derive_seed(cfg.seed, 24))
 
     chash = config_hash(cfg)
-    summary_rows = []
-    curve_paths = []
-    agent_paths = []
+    summary_rows, curve_paths, agent_paths = [], [], []
     for b_idx, budget in enumerate(cfg.power_budgets):
         env = power_rl.SeedTransmissionEnv(
             bundle, cfg, prompts, budget, derive_seed(cfg.seed, 25, b_idx))
-        agent, history = power_rl.train_agent(
-            env, cfg, derive_seed(cfg.seed, 26, b_idx), select_traces)
+        agent, history, drl, even = power_rl.compare(
+            env, cfg, derive_seed(cfg.seed, 26, b_idx), frozen,
+            select_traces)
         agent_path = os.path.join(cfg.out, f"agent_p{budget!r}.bin")
-        agent.save(agent_path, extra={"config_hash": chash,
-                                      "p_max": budget})
+        agent.save(agent_path, extra={"config_hash": chash, "p_max": budget})
         agent_paths.append(agent_path)
-
         curve_path = os.path.join(cfg.out, f"curve_p{budget!r}.csv")
         write_csv(curve_path, ["config_hash", "episode", "mean_reward",
                                "surrogate", "value_loss", "entropy"],
                   [(chash,) + row for row in history],
                   comment=CURVE_SCHEMA)
         curve_paths.append(curve_path)
-
-        drl = power_rl.evaluate(agent, env, frozen)
-        uniform = power_rl.evaluate(np.full(num_blocks, 1.0 / num_blocks),
-                                    env, frozen)
-        summary_rows.append((budget, float(np.mean(-uniform)),
+        summary_rows.append((budget, float(np.mean(-even)),
                              float(np.mean(-drl)), float(np.std(-drl)),
                              len(frozen)))
 

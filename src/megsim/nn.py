@@ -325,9 +325,9 @@ class Adam:
 
     streaming each parameter through ``ADAM_BLOCK``-element scratch blocks
     with in-place ufuncs. Every op is elementwise and correctly rounded, so
-    blocking cannot change a value. A float32 ``v`` saturates to infinity
-    once a gradient exceeds about 6e20 in magnitude; that element then
-    stops moving.
+    blocking cannot change a value. An infinite ``v`` would freeze its
+    element, so a ``v`` that overflows, as a float32 one does once a
+    gradient exceeds about 6e20 in magnitude, raises TrainingError.
 
     A unit that stops receiving gradient (a dead ReLU) decays its ``m``
     by b1 per step into subnormals, where arithmetic is many times slower.
@@ -397,7 +397,8 @@ class Adam:
         a network's ``name_at`` when ``params`` holds its ``flat`` vector.
         Raises TrainingError naming the first parameter whose gradient holds
         a NaN or infinity in the parameter's dtype, before any parameter or
-        moment changes.
+        moment changes, and naming the element whose ``v`` overflows, with
+        the elements before it already stepped.
         """
         if len(grads) != len(params):
             raise ValueError(f"{len(grads)} gradients for {len(params)} "
@@ -429,7 +430,7 @@ class Adam:
         alpha, eps_hat = self._rates()
         flush = self.step_count % ADAM_FLUSH_EVERY == 0 and eps_hat > 0
         width = min(ADAM_BLOCK, max((p.size for p in params), default=0))
-        for p, g, (m, v) in zip(params, grads, self._moments):
+        for i, (p, g, (m, v)) in enumerate(zip(params, grads, self._moments)):
             pf, gf, mf, vf = (p.reshape(-1), g.reshape(-1), m.reshape(-1),
                               v.reshape(-1))
             a_buf = self._block("a", p.dtype, width)
@@ -449,8 +450,16 @@ class Adam:
                     _flush_moments(pc, mc, a, b, keep_buf[:n], *bounds)
                 vc *= b2
                 np.multiply(gc, 1.0 - b2, out=a)
-                a *= gc
-                vc += a
+                try:
+                    with np.errstate(over="raise"):
+                        a *= gc
+                        vc += a
+                except FloatingPointError:
+                    # the inf is in a if the square overflowed, else in v
+                    k = int(np.argmin(np.isfinite(a) & np.isfinite(vc)))
+                    raise TrainingError(
+                        f"second moment of {label(i, s + k)} overflows "
+                        f"{p.dtype} at element {s + k} (gradient {gc[k]:.3g})")
                 np.sqrt(vc, out=b)
                 b += eps_hat
                 np.multiply(mc, alpha, out=a)

@@ -177,8 +177,7 @@ class SeedTransmissionEnv:
     episode is the case E = 1. Each :meth:`step` applies power, noise and
     equalization to all episodes at once and keeps only the block's
     rescaled float32 symbols; after the last block the episodes are
-    decoded and scored ``SCORE_CHUNK`` at a time, and at most one chunk of
-    decoded images is alive at a time.
+    decoded and scored ``SCORE_CHUNK`` at a time.
     """
 
     def __init__(self, bundle: ModelBundle, cfg, prompts, p_max, seed):
@@ -293,10 +292,8 @@ class SeedTransmissionEnv:
 
     def _score(self, symbols):
         """Terminal rewards of the received symbols [E, P, seed_len],
-        ``SCORE_CHUNK`` episodes at a time. Each chunk is decoded and
-        scored by :meth:`_score_chunk`, whose latents and images are freed
-        when it returns, so at most one chunk of decoded images is alive
-        at a time."""
+        scored by :meth:`_score_chunk` ``SCORE_CHUNK`` episodes at a time,
+        so at most one chunk of decoded images is alive at a time."""
         return np.concatenate([
             self._score_chunk(symbols[lo:lo + SCORE_CHUNK])
             for lo in range(0, len(symbols), SCORE_CHUNK)])
@@ -455,3 +452,14 @@ def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
     if best_params is not None:
         agent.restore(best_params)
     return agent, history
+
+
+def compare(env: SeedTransmissionEnv, cfg, seed, traces, eval_traces=None):
+    """Train an agent by :func:`train_agent`, then :func:`evaluate` it at
+    its mean action and the even split on the frozen ``traces``, with the
+    same gains and noise seeds. Returns (agent, history, agent rewards
+    [n], even-split rewards [n]), paired trace by trace."""
+    agent, history = train_agent(env, cfg, seed, eval_traces)
+    even = np.full(env.num_blocks, 1.0 / env.num_blocks)
+    return (agent, history, evaluate(agent, env, traces),
+            evaluate(even, env, traces))

@@ -58,11 +58,11 @@ def low_snr_ordering(bundle, cfg):
 
 
 def allocator_gain(bundle, cfg):
-    """Acceptance 09: PPO trained at the tightest budget against an even
-    split on 100 frozen traces. Returns the mean paired reward gain, the
-    wins and losses, the one-sided sign test's p, whether it holds (gain
-    > 0 and p < 0.05) and the environment, whose budget audit acceptance
-    08 reads."""
+    """Acceptance 09: PPO trained at the tightest budget with the ``ppo_*``
+    settings of ``cfg``, against an even split on 100 frozen traces.
+    Returns the mean paired gain, the wins and losses, the one-sided sign
+    test's p, whether it holds (gain > 0 and p < 0.05), the training
+    history and the environment, whose budget audit acceptance 08 reads."""
     prompts = corpus.sample_prompts(cfg.power_prompts,
                                     derive_seed(cfg.seed, 21))
     env = power_rl.SeedTransmissionEnv(bundle, cfg, prompts,
@@ -70,36 +70,28 @@ def allocator_gain(bundle, cfg):
     rng = np.random.default_rng(123)
     frozen = ch.fading_gains(env.channel_kind, (100, env.num_blocks), rng)
     select = ch.fading_gains(env.channel_kind, (20, env.num_blocks), rng)
-    ppo_cfg = replace(config.desk_config(), ppo_update_rounds=160,
-                      ppo_episodes_per_batch=16)
-    agent, _ = power_rl.train_agent(env, ppo_cfg, seed=3,
-                                    eval_traces=select)
-    diff = power_rl.evaluate(agent, env, frozen) - power_rl.evaluate(
-        np.full(env.num_blocks, 1.0 / env.num_blocks), env, frozen)
+    _, history, drl, even = power_rl.compare(env, cfg, 3, frozen, select)
+    diff = drl - even
     gain = float(np.mean(diff))
     wins, losses = int(np.sum(diff > 0)), int(np.sum(diff < 0))
     p_value = float(stats.binomtest(wins, wins + losses,
                                     alternative="greater").pvalue)
     return {"gain": gain, "wins": wins, "losses": losses,
             "p_value": p_value, "holds": gain > 0 and p_value < 0.05,
-            "env": env}
+            "history": history, "env": env}
 
 
 def saturation_gap(bundle, cfg):
     """mean(PPO - even split) reward at 30 dB on AWGN with a budget of 400,
-    after 20 PPO rounds, on 30 traces; with power to spare every policy
-    should score alike."""
+    after 20 PPO rounds with the other ``ppo_*`` settings of ``cfg``, on
+    30 traces; with power to spare every policy should score alike."""
     prompts = corpus.sample_prompts(16, derive_seed(cfg.seed, 21))
     env_cfg = replace(cfg, power_rate=0.5, power_snr_db=30.0,
-                      channel_kind="awgn")
+                      channel_kind="awgn", ppo_update_rounds=20)
     env = power_rl.SeedTransmissionEnv(bundle, env_cfg, prompts, 400.0,
                                        seed=7)
     traces = ch.fading_gains(env.channel_kind, (30, env.num_blocks), 5)
-    ppo_cfg = replace(config.desk_config(), ppo_update_rounds=20)
-    agent, _ = power_rl.train_agent(env, ppo_cfg, seed=3)
-    drl = power_rl.evaluate(agent, env, traces)
-    even = power_rl.evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
-                             env, traces)
+    _, _, drl, even = power_rl.compare(env, env_cfg, 3, traces)
     return float(np.mean(drl - even))
 
 

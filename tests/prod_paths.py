@@ -34,7 +34,7 @@ KEEP = {
                                    "difference",
     "power_rl.PpoAgent.load": "the reader of the agent files that "
                               "`megsim power` writes",
-    "nn.Network.name_at": "labels a non-finite gradient in Adam's error",
+    "nn.Network.name_at": "labels the element in Adam's errors",
     "nn.Network.param_names": "labels parameters in error messages",
     "nn._Layer.param_names": "labels parameters in error messages",
 }

@@ -367,14 +367,35 @@ class TestAdam:
         assert opt.step_count == 0 and opt._moments is None
         assert np.array_equal(p, np.ones(3))
 
-    def test_huge_finite_float32_gradients_do_not_raise(self):
-        # finite extremes of either sign are not mistaken for overflow
+    def test_huge_finite_float32_gradients_raise_as_overflow(self):
+        # finite extremes of either sign are not reported as non-finite
+        # gradients, but their squares overflow the float32 second moment
         g = np.full(50_000, 3.0e38, dtype=np.float32)
         g[::2] = -3.0e38
         g[:10] = 3.4e38
         p = np.zeros_like(g)
-        nn.Adam().step([p], [g])
-        assert np.all(np.isfinite(p))
+        with pytest.raises(TrainingError, match=r"second moment of "
+                           r"w\.weights overflows float32") as err:
+            nn.Adam().step([p], [g], names=["w.weights"])
+        assert "non-finite" not in str(err.value)
+
+    @pytest.mark.parametrize("size", [5, nn.ADAM_BLOCK + 5])
+    def test_overflowing_second_moment_names_its_element(self, size):
+        # v = inf would stop the element for good: g = 1e20 squares to a
+        # finite 1e37 in float32, but v sums to inf within 40 steps
+        net = nn.Network([nn.DenseLayer(size, 1, name="a")], "n")
+        net.bind_grad()
+        net.grad[...] = 0.0
+        net.grad[-2] = 1e20
+        opt = nn.Adam()
+        with pytest.raises(TrainingError, match=rf"of n\.a\.weights "
+                           rf"overflows float32 at element {size - 1} "):
+            for _ in range(40):
+                opt.step(*nn.network_vectors([net]))
+        assert 1 < opt.step_count < 40
+        net.grad[-2] = 6e20
+        with pytest.raises(TrainingError, match=r"\(gradient 6e\+20\)"):
+            nn.Adam().step(*nn.network_vectors([net]))
 
     @pytest.mark.parametrize("p_dtype,g_dtype", [
         (np.float32, np.float32), (np.float32, np.float64),

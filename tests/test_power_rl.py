@@ -8,11 +8,11 @@ import pytest
 
 import claims
 from megsim import channel as ch
-from megsim import config, genmodel, metrics, nn, power_rl
+from megsim import config, corpus, genmodel, metrics, nn, power_rl
 from megsim.errors import TrainingError
 from megsim.power_rl import (PpoAgent, SeedTransmissionEnv, apply_power,
-                             clipped_surrogate, evaluate, ppo_update,
-                             train_agent)
+                             clipped_surrogate, compare, evaluate,
+                             ppo_update, train_agent)
 from megsim.util import derive_seed
 
 
@@ -32,11 +32,18 @@ def terminal_reward(decoded_images, ground_truths, extractor):
                         extractor)
 
 
+PROMPTS = ["large blob left", "tiny stripes top", "huge rings center",
+           "small cross bottom"]
+
+
+def fresh_env(bundle):
+    """A new environment on ``bundle`` at budget 1 and seed 5."""
+    return SeedTransmissionEnv(bundle, DESK, PROMPTS, 1.0, seed=5)
+
+
 @pytest.fixture(scope="module")
 def env(tiny_bundle):
-    prompts = ["large blob left", "tiny stripes top", "huge rings center",
-               "small cross bottom"]
-    return SeedTransmissionEnv(tiny_bundle, DESK, prompts, 1.0, seed=5)
+    return fresh_env(tiny_bundle)
 
 
 def reference_discounted_returns(rewards, gamma):
@@ -392,37 +399,49 @@ class TestEvaluation:
         assert rounds == [0, 1]
 
     def test_policy_comparison_reproducible(self, tiny_bundle):
-        prompts = ["large blob left", "tiny stripes top", "huge rings center",
-                   "small cross bottom"]
-
         def run():
-            env = SeedTransmissionEnv(tiny_bundle, DESK, prompts, 1.0, seed=5)
+            env = fresh_env(tiny_bundle)
             traces = self._traces(env, 10, seed=1)
             cfg = ppo_cfg(ppo_update_rounds=3, ppo_episodes_per_batch=4)
-            agent, _ = train_agent(env, cfg, seed=2)
-            drl = evaluate(agent, env, traces)
-            uni = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks),
-                           env, traces)
+            _, _, drl, uni = compare(env, cfg, 2, traces)
             return float(np.mean(drl)), float(np.mean(uni))
 
         assert run() == run()
 
+    def test_compare_pairs_the_two_policies(self, tiny_bundle):
+        env, other = fresh_env(tiny_bundle), fresh_env(tiny_bundle)
+        traces = self._traces(env, 6, seed=1)
+        even = np.full(env.num_blocks, 1.0 / env.num_blocks)
+        cfg = ppo_cfg(ppo_update_rounds=2, ppo_episodes_per_batch=3)
+        for seed in range(2):
+            before = len(env.power_audit)
+            agent, _, drl, uni = compare(env, cfg, seed, traces)
+            # 2 rounds of 3 episodes, then one row per trace and policy
+            assert len(env.power_audit) - before == 2 * 3 + 2 * len(traces)
+            assert drl.tobytes() == evaluate(agent, other, traces).tobytes()
+            assert uni.tobytes() == evaluate(even, other, traces).tobytes()
+
+
+class TestClaims:
+    def test_allocator_gain_trains_with_its_cfg(self, tiny_cfg, tiny_bundle):
+        cfg = replace(tiny_cfg, ppo_update_rounds=3, ppo_episodes_per_batch=2)
+        a09 = claims.allocator_gain(tiny_bundle, cfg)
+        assert len(a09["history"]) == 3
+        # 3 rounds of 2 episodes, one held-out check on 20 traces, then
+        # both policies on 100
+        assert len(a09["env"].power_audit) == 3 * 2 + 20 + 2 * 100
+
 
 class TestTrainingEffect:
     def test_trained_beats_uniform_on_held_out(self, desk_bundle):
-        from megsim.corpus import sample_prompts
-        from megsim.util import derive_seed
-        prompts = sample_prompts(16, derive_seed(0, 21))
+        prompts = corpus.sample_prompts(16, derive_seed(0, 21))
         env = SeedTransmissionEnv(desk_bundle, DESK, prompts, 0.5, seed=7)
         rng = np.random.default_rng(123)
         frozen = ch.fading_gains(env.channel_kind, (60, env.num_blocks), rng)
         select = ch.fading_gains(env.channel_kind, (15, env.num_blocks), rng)
         cfg = ppo_cfg(ppo_update_rounds=80)
-        agent, history = train_agent(env, cfg, seed=3, eval_traces=select)
+        _, history, drl, uni = compare(env, cfg, 3, frozen, select)
         assert len(history) == 80
-        drl = evaluate(agent, env, frozen)
-        uni = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env,
-                       frozen)
         assert float(np.mean(drl - uni)) > 0
 
     def test_saturation_makes_policies_equivalent(self, desk_bundle,
@@ -432,12 +451,6 @@ class TestTrainingEffect:
 
 class TestLockstep:
     """E episodes in lockstep equal E single episodes run in turn."""
-
-    PROMPTS = ["large blob left", "tiny stripes top", "huge rings center",
-               "small cross bottom"]
-
-    def _env(self, bundle):
-        return SeedTransmissionEnv(bundle, DESK, self.PROMPTS, 1.0, seed=5)
 
     @staticmethod
     def _spy(monkeypatch):
@@ -467,10 +480,10 @@ class TestLockstep:
     def test_rollout_matches_sequential_episodes(self, tiny_bundle,
                                                  monkeypatch):
         n = 6
-        agent = PpoAgent(self._env(tiny_bundle).state_dim, hidden=16, rng=8)
+        agent = PpoAgent(fresh_env(tiny_bundle).state_dim, hidden=16, rng=8)
         runs = {}
         for mode in ("sequential", "lockstep"):
-            env = self._env(tiny_bundle)
+            env = fresh_env(tiny_bundle)
             rng = np.random.default_rng(42)
             seen = self._spy(monkeypatch)
             if mode == "sequential":
@@ -504,8 +517,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("n", [20, 100])
     def test_evaluate_matches_single_episodes(self, tiny_bundle, n):
-        from megsim.util import derive_seed
-        env = self._env(tiny_bundle)
+        env = fresh_env(tiny_bundle)
         rng = np.random.default_rng(n)
         traces = ch.fading_gains(env.channel_kind, (n, env.num_blocks), rng)
         agent = PpoAgent(env.state_dim, hidden=16, rng=6)
@@ -521,8 +533,7 @@ class TestLockstep:
             assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
 
     def test_schedule_rows_match_one_trace_at_a_time(self, tiny_bundle):
-        from megsim.util import derive_seed
-        env = self._env(tiny_bundle)
+        env = fresh_env(tiny_bundle)
         rng = np.random.default_rng(9)
         traces = ch.fading_gains(env.channel_kind, (5, env.num_blocks), rng)
         schedule = rng.uniform(0.0, 1.0, (len(traces), env.num_blocks))
@@ -535,7 +546,7 @@ class TestLockstep:
             evaluate(schedule[:, :-1], env, traces)
 
     def test_power_audit_gains_one_row_per_episode(self, tiny_bundle):
-        env = self._env(tiny_bundle)
+        env = fresh_env(tiny_bundle)
         agent = PpoAgent(env.state_dim, hidden=16, rng=7)
         env.rollout(agent, np.random.default_rng(0), 5)
         assert len(env.power_audit) == 5
@@ -550,7 +561,7 @@ class TestLockstep:
         # the environment's kind is its config's, which refuses this one
         with pytest.raises(ValueError, match=r"\[channel\] kind 'nakagami'"):
             replace(DESK, channel_kind="nakagami")
-        env = self._env(tiny_bundle)
+        env = fresh_env(tiny_bundle)
         even = np.full(env.num_blocks, 1.0 / env.num_blocks)
         # a NaN gain is not positive either, so it is not scored as an
         # erased block
@@ -570,12 +581,12 @@ class TestLockstep:
     def test_non_positive_budget_refused(self, tiny_bundle):
         for p_max in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="p_max must be positive"):
-                SeedTransmissionEnv(tiny_bundle, DESK, self.PROMPTS, p_max,
+                SeedTransmissionEnv(tiny_bundle, DESK, PROMPTS, p_max,
                                     seed=0)
 
     def test_out_of_range_action_refused(self, tiny_bundle):
         # an action outside [0, 1] is refused, not clipped into it
-        env = self._env(tiny_bundle)
+        env = fresh_env(tiny_bundle)
         for bad in (1.5, -0.1, math.nan):
             schedule = np.full(env.num_blocks, 1.0 / env.num_blocks)
             schedule[1] = bad
@@ -583,7 +594,7 @@ class TestLockstep:
                 evaluate(schedule, env, np.ones((2, env.num_blocks)))
 
     def test_step_needs_one_action_per_episode(self, tiny_bundle):
-        env = self._env(tiny_bundle)
+        env = fresh_env(tiny_bundle)
         for action in (0.5, [0.5, 0.5]):
             with pytest.raises(ValueError, match="one action per episode"):
                 env.run(lambda states, t: action,
@@ -652,8 +663,7 @@ def score_all_then_chunk(env, symbols):
 class TestScoreChunks:
     def test_one_chunk_of_images_alive_and_rewards_unchanged(
             self, tiny_bundle, monkeypatch):
-        env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
-                                  1.0, seed=5)
+        env = fresh_env(tiny_bundle)
         n = 2 * power_rl.SCORE_CHUNK + 1
         rng = np.random.default_rng(4)
         traces = ch.fading_gains(env.channel_kind, (n, env.num_blocks), rng)
@@ -687,8 +697,7 @@ class TestScoreChunks:
             self, tiny_bundle):
         # while a chunk decodes, each trace may hold its float32 symbols
         # and small per-episode rows, but no float64 payload or noise
-        env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
-                                  1.0, seed=5)
+        env = fresh_env(tiny_bundle)
         even = np.full(env.num_blocks, 1.0 / env.num_blocks)
         rng = np.random.default_rng(6)
         small, large = power_rl.SCORE_CHUNK, 8 * power_rl.SCORE_CHUNK
@@ -739,9 +748,35 @@ def test_split_fading_draw_equals_one_draw(kind, seed, shape):
 
 
 class TestVectorizedStep:
+    @staticmethod
+    def _check_run(env, traces, seeds, actions, monkeypatch):
+        """Run the actions [blocks, E] and check the states, powers,
+        scored symbols and scores against ``per_episode_reference``, and
+        that each step equalizes every episode's block in one call, erased
+        or not; returns the powers."""
+        shapes, scored = [], []
+        equalize, score = ch.equalize, env._score
+        monkeypatch.setattr(ch, "equalize", lambda y, *args:
+                            shapes.append(np.shape(y)) or equalize(y, *args))
+        monkeypatch.setattr(env, "_score", lambda symbols:
+                            scored.append(symbols.copy()) or score(symbols))
+        states, powers, scores = env.run(lambda states, t: actions[t],
+                                         traces, seeds)
+        monkeypatch.undo()
+        assert shapes == [(len(traces),) + env.blocks[:, 0].shape] \
+            * env.num_blocks
+        want_states, want_powers, want_received = per_episode_reference(
+            env, traces, seeds, actions)
+        want_symbols = payload_symbols(env, want_received)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(powers, want_powers)
+        assert len(scored) == 1 and scored[0].dtype == np.float32
+        assert scored[0].tobytes() == want_symbols.tobytes()
+        assert np.array_equal(scores, score(want_symbols))
+        return powers
+
     def test_matches_per_episode_loop(self, tiny_bundle, monkeypatch):
-        env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
-                                  1.0, seed=5)
+        env = fresh_env(tiny_bundle)
         rng = np.random.default_rng(3)
         traces = ch.fading_gains(env.channel_kind, (6, env.num_blocks), rng)
         seeds = [derive_seed(77, e) for e in range(6)]
@@ -751,56 +786,20 @@ class TestVectorizedStep:
         actions[0, 1] = 1.0
         actions[1::2, 2] = 0.0
         actions[:, 3] = 1e-9
-        shapes, scored = [], []
-        equalize, score = ch.equalize, env._score
-        # erased or not, each step equalizes every episode's block at once
-        monkeypatch.setattr(ch, "equalize", lambda y, *args:
-                            shapes.append(np.shape(y)) or equalize(y, *args))
-        monkeypatch.setattr(env, "_score", lambda symbols:
-                            scored.append(symbols.copy()) or score(symbols))
-        states, powers, scores = env.run(lambda states, t: actions[t],
-                                         traces, seeds)
-        monkeypatch.undo()
-        assert shapes == [(6,) + env.blocks[:, 0].shape] * env.num_blocks
-        want_states, want_powers, want_received = per_episode_reference(
-            env, traces, seeds, actions)
-        want_symbols = payload_symbols(env, want_received)
-        assert np.array_equal(states, want_states)
-        assert np.array_equal(powers, want_powers)
+        powers = self._check_run(env, traces, seeds, actions, monkeypatch)
         assert powers[0].sum() == 0.0
-        assert len(scored) == 1
-        assert scored[0].dtype == np.float32
-        assert scored[0].tobytes() == want_symbols.tobytes()
-        assert np.array_equal(scores, score(want_symbols))
 
     def test_live_blocks_equalized_whole_match_per_episode_loop(
             self, tiny_bundle, monkeypatch):
         # no block is erased
-        env = SeedTransmissionEnv(tiny_bundle, DESK, TestLockstep.PROMPTS,
-                                  1.0, seed=5)
+        env = fresh_env(tiny_bundle)
         rng = np.random.default_rng(4)
         traces = ch.fading_gains(env.channel_kind, (6, env.num_blocks), rng)
         seeds = [derive_seed(78, e) for e in range(6)]
         # positive actions whose powers sum under the budget
         actions = rng.uniform(0.05, 1.0 / env.num_blocks,
                               (env.num_blocks, 6))
-        shapes, scored = [], []
-        equalize, score = ch.equalize, env._score
-        monkeypatch.setattr(ch, "equalize", lambda y, *args:
-                            shapes.append(np.shape(y)) or equalize(y, *args))
-        monkeypatch.setattr(env, "_score", lambda symbols:
-                            scored.append(symbols.copy()) or score(symbols))
-        states, powers, scores = env.run(lambda states, t: actions[t],
-                                         traces, seeds)
-        monkeypatch.undo()
-        assert shapes == [(6,) + env.blocks[:, 0].shape] * env.num_blocks
-        want_states, want_powers, want_received = per_episode_reference(
-            env, traces, seeds, actions)
-        want_symbols = payload_symbols(env, want_received)
-        assert np.array_equal(states, want_states)
-        assert np.array_equal(powers, want_powers)
-        assert scored[0].tobytes() == want_symbols.tobytes()
-        assert np.array_equal(scores, score(want_symbols))
+        self._check_run(env, traces, seeds, actions, monkeypatch)
 
     def test_apply_power_arrays_match_scalars(self):
         actions = np.array([0.0, 0.3, 0.9, 1.0])
