@@ -327,7 +327,8 @@ class Adam:
     with in-place ufuncs. Every op is elementwise and correctly rounded, so
     blocking cannot change a value. An infinite ``v`` would freeze its
     element, so a ``v`` that overflows, as a float32 one does once a
-    gradient exceeds about 6e20 in magnitude, raises TrainingError.
+    gradient exceeds about 6e20 in magnitude, raises TrainingError; any
+    other overflow in a step raises numpy's FloatingPointError.
 
     A unit that stops receiving gradient (a dead ReLU) decays its ``m``
     by b1 per step into subnormals, where arithmetic is many times slower.
@@ -438,33 +439,34 @@ class Adam:
             if flush:
                 keep_buf = self._block("keep", np.dtype(bool), width)
                 bounds = self._flush_bounds(p.dtype)
-            for s in range(0, pf.size, ADAM_BLOCK):
-                e = min(s + ADAM_BLOCK, pf.size)
-                n = e - s
-                pc, gc, mc, vc = pf[s:e], gf[s:e], mf[s:e], vf[s:e]
-                a, b = a_buf[:n], b_buf[:n]
-                mc *= b1
-                np.multiply(gc, 1.0 - b1, out=a)
-                mc += a
-                if flush:
-                    _flush_moments(pc, mc, a, b, keep_buf[:n], *bounds)
-                vc *= b2
-                np.multiply(gc, 1.0 - b2, out=a)
-                try:
-                    with np.errstate(over="raise"):
+            with np.errstate(over="raise"):
+                for s in range(0, pf.size, ADAM_BLOCK):
+                    e = min(s + ADAM_BLOCK, pf.size)
+                    n = e - s
+                    pc, gc, mc, vc = pf[s:e], gf[s:e], mf[s:e], vf[s:e]
+                    a, b = a_buf[:n], b_buf[:n]
+                    mc *= b1
+                    np.multiply(gc, 1.0 - b1, out=a)
+                    mc += a
+                    if flush:
+                        _flush_moments(pc, mc, a, b, keep_buf[:n], *bounds)
+                    vc *= b2
+                    np.multiply(gc, 1.0 - b2, out=a)
+                    try:
                         a *= gc
                         vc += a
-                except FloatingPointError:
-                    # the inf is in a if the square overflowed, else in v
-                    k = int(np.argmin(np.isfinite(a) & np.isfinite(vc)))
-                    raise TrainingError(
-                        f"second moment of {label(i, s + k)} overflows "
-                        f"{p.dtype} at element {s + k} (gradient {gc[k]:.3g})")
-                np.sqrt(vc, out=b)
-                b += eps_hat
-                np.multiply(mc, alpha, out=a)
-                a /= b
-                pc -= a
+                    except FloatingPointError:
+                        # the inf is in a if the square overflowed, else in v
+                        k = int(np.argmin(np.isfinite(a) & np.isfinite(vc)))
+                        raise TrainingError(
+                            f"second moment of {label(i, s + k)} overflows "
+                            f"{p.dtype} at element {s + k} (gradient "
+                            f"{gc[k]:.3g})")
+                    np.sqrt(vc, out=b)
+                    b += eps_hat
+                    np.multiply(mc, alpha, out=a)
+                    a /= b
+                    pc -= a
         return params
 
 

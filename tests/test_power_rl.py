@@ -422,14 +422,13 @@ class TestEvaluation:
             assert uni.tobytes() == evaluate(even, other, traces).tobytes()
 
 
-class TestClaims:
-    def test_allocator_gain_trains_with_its_cfg(self, tiny_cfg, tiny_bundle):
-        cfg = replace(tiny_cfg, ppo_update_rounds=3, ppo_episodes_per_batch=2)
-        a09 = claims.allocator_gain(tiny_bundle, cfg)
-        assert len(a09["history"]) == 3
-        # 3 rounds of 2 episodes, one held-out check on 20 traces, then
-        # both policies on 100
-        assert len(a09["env"].power_audit) == 3 * 2 + 20 + 2 * 100
+def test_allocator_gain_trains_with_its_cfg(tiny_cfg, tiny_bundle):
+    cfg = replace(tiny_cfg, ppo_update_rounds=3, ppo_episodes_per_batch=2)
+    a09 = claims.allocator_gain(tiny_bundle, cfg)
+    assert len(a09["history"]) == 3
+    # 3 rounds of 2 episodes, one held-out check on 20 traces, then both
+    # policies on 100
+    assert len(a09["env"].power_audit) == 3 * 2 + 20 + 2 * 100
 
 
 class TestTrainingEffect:
