@@ -580,8 +580,7 @@ class TestLockstep:
     def test_non_positive_budget_refused(self, tiny_bundle):
         for p_max in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="p_max must be positive"):
-                SeedTransmissionEnv(tiny_bundle, DESK, PROMPTS, p_max,
-                                    seed=0)
+                SeedTransmissionEnv(tiny_bundle, DESK, PROMPTS, p_max, seed=0)
 
     def test_out_of_range_action_refused(self, tiny_bundle):
         # an action outside [0, 1] is refused, not clipped into it
