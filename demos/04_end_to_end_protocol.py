@@ -18,7 +18,7 @@ cfg = replace(config.desk_config(), out="demo-runs")
 print("training or loading the model bundle (cached under demo-runs/) ...")
 bundle = experiments.cmd_train(cfg).bundle
 
-prompts = sample_prompts(16, derive_seed(cfg.seed, 20))
+prompts = sample_prompts(16, derive_seed(cfg.seed, "eval_prompts"))
 print(f"evaluation prompts: {prompts[:3]} ... ({len(prompts)} total)\n")
 
 # the server starts each prompt's sampler from a row of drawn noise

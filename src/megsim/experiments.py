@@ -144,14 +144,15 @@ def _load(cfg, skip=(), encoder=False):
 
 def _build_corpus(cfg):
     return corpus.build_corpus(cfg.corpus_size, *cfg.image_shape,
-                               seed=derive_seed(cfg.seed, 9))
+                               seed=derive_seed(cfg.seed, "corpus"))
 
 
 def _generated_latents(cfg, bundle, prompts):
     """Latent dataset produced by the deployed generator itself."""
     noise = np.stack([rng.standard_normal(cfg.latent_shape).astype(np.float32)
                       for rng in generators(derive_seeds(
-                          cfg.seed, 30, indices=range(len(prompts))))])
+                          cfg.seed, "codec_latents",
+                          indices=range(len(prompts))))])
     return genmodel.generate_latent(bundle.denoiser, prompts, noise,
                                     bundle.schedule)
 
@@ -177,7 +178,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
 
     if "autoencoder" in retrain:
         pair, losses["autoencoder"] = genmodel.train_autoencoder(
-            images, cfg, derive_seed(cfg.seed, 10))
+            images, cfg, derive_seed(cfg.seed, "autoencoder"))
         bundle.autoencoder = pair
         meta = {"dep_hash": files["ae_encoder.bin"][1],
                 "image_shape": list(cfg.image_shape),
@@ -189,7 +190,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     if "denoiser" in retrain:
         bundle.denoiser, losses["denoiser"] = genmodel.train_denoiser(
             bundle.autoencoder, list(zip(prompts, images)), bundle.schedule,
-            cfg, derive_seed(cfg.seed, 11))
+            cfg, derive_seed(cfg.seed, "denoiser"))
         nn.save_network(os.path.join(out, "denoiser.bin"),
                         bundle.denoiser.net,
                         extra={"dep_hash": files["denoiser.bin"][1],
@@ -203,11 +204,11 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
         if latents is None:
             latents = _generated_latents(cfg, bundle, prompts)
         codec, losses[stage] = seedcodec.train_codec(
-            latents, cfg, rate, derive_seed(cfg.seed, 12, k))
+            latents, cfg, rate, derive_seed(cfg.seed, "codec", k))
         name = _codec_filename(rate)
         codec.save(os.path.join(out, name),
                    extra={"dep_hash": files[name][1],
-                          "corpus_seed": derive_seed(cfg.seed, 9)})
+                          "corpus_seed": derive_seed(cfg.seed, "corpus")})
         bundle.codecs[rate] = codec
 
     digests = _manifest_digests(out)
@@ -269,7 +270,8 @@ SWEEP_CHUNK_MIN_PROMPTS = 10
 
 
 def _eval_prompt_set(cfg):
-    return corpus.sample_prompts(cfg.eval_prompts, derive_seed(cfg.seed, 20))
+    return corpus.sample_prompts(cfg.eval_prompts,
+                                 derive_seed(cfg.seed, "eval_prompts"))
 
 
 def cell_seed(cfg, rate, snr_db, trial):
@@ -277,8 +279,15 @@ def cell_seed(cfg, rate, snr_db, trial):
     seed, the rate as its seed-frame fixed-point value, the SNR as its
     float64 bits and the trial. A cell keeps its seed, and so its rows,
     when the grid around it grows or shrinks."""
-    snr_bits = struct.unpack("<Q", struct.pack("<d", snr_db))[0]
-    return derive_seed(cfg.seed, 100, rate_fixed(rate), snr_bits, trial)
+    return derive_seed(cfg.seed, "sweep_cell", rate_fixed(rate),
+                       int(np.float64(snr_db).view(np.uint64)), trial)
+
+
+def agent_seed(cfg, budget):
+    """The seed of the agent trained at ``budget``, keyed by its float64
+    bits as :func:`cell_seed` keys an SNR, not by the other budgets."""
+    return derive_seed(cfg.seed, "power_agent",
+                       int(np.float64(budget).view(np.uint64)))
 
 
 def cmd_sweep(cfg: ExperimentConfig):
@@ -378,7 +387,7 @@ def cmd_power(cfg: ExperimentConfig):
     bundle = load_bundle(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     prompts = corpus.sample_prompts(cfg.power_prompts,
-                                    derive_seed(cfg.seed, 21))
+                                    derive_seed(cfg.seed, "power_prompts"))
     num_blocks = power_rl.episode_blocks(cfg)
 
     # drawn from the seed on every run: a file left by another config is
@@ -387,19 +396,19 @@ def cmd_power(cfg: ExperimentConfig):
         cfg.out, f"eval_traces_{cfg.power_eval_traces}x{num_blocks}.csv")
     frozen = ch.fading_gains(cfg.channel_kind,
                              (cfg.power_eval_traces, num_blocks),
-                             derive_seed(cfg.seed, 23))
+                             derive_seed(cfg.seed, "frozen_traces"))
     ch.export_trace_set(frozen, cfg.block_length, trace_path)
     select_traces = ch.fading_gains(cfg.channel_kind, (20, num_blocks),
-                                    derive_seed(cfg.seed, 24))
+                                    derive_seed(cfg.seed, "select_traces"))
 
     chash = config_hash(cfg)
     summary_rows, curve_paths, agent_paths = [], [], []
-    for b_idx, budget in enumerate(cfg.power_budgets):
+    for budget in cfg.power_budgets:
+        # one environment seed: the budgets differ in p_max alone
         env = power_rl.SeedTransmissionEnv(
-            bundle, cfg, prompts, budget, derive_seed(cfg.seed, 25, b_idx))
+            bundle, cfg, prompts, budget, derive_seed(cfg.seed, "power_env"))
         agent, history, drl, even = power_rl.compare(
-            env, cfg, derive_seed(cfg.seed, 26, b_idx), frozen,
-            select_traces)
+            env, cfg, agent_seed(cfg, budget), frozen, select_traces)
         agent_path = os.path.join(cfg.out, f"agent_p{budget!r}.bin")
         agent.save(agent_path, extra={"config_hash": chash, "p_max": budget})
         agent_paths.append(agent_path)
@@ -488,7 +497,7 @@ def cmd_eval(cfg: ExperimentConfig):
     bundle = load_bundle(cfg)
     prompts = [cfg.eval_prompt] + _eval_prompt_set(cfg)[:cfg.eval_prompts - 1]
     spec = RunSpec(cfg.eval_snr_db, cfg.channel_kind,
-                   derive_seed(cfg.seed, 40))
+                   derive_seed(cfg.seed, "eval_cell"))
     report = run_end_to_end(bundle, serve_cells(
         bundle, prompts, cfg.eval_rate, cfg.block_length, [spec]))
     os.makedirs(cfg.out, exist_ok=True)

@@ -17,7 +17,7 @@ from . import channel as ch
 from . import metrics, nn
 from .errors import TrainingError
 from .protocol import ModelBundle, es_handle_request
-from .util import as_rng, derive_seed, derive_seeds, generators
+from .util import EVAL_MASTER, as_rng, derive_seed, derive_seeds, generators
 
 LOG_2PI = math.log(2.0 * math.pi)
 # episodes decoded and scored together; caps the decode batch, and so the
@@ -191,17 +191,16 @@ class SeedTransmissionEnv:
         self.block_length = block_length = cfg.block_length
         self.noise_std = ch.snr_to_noise_std(cfg.power_snr_db, 1.0)
         self._seed = int(seed)
-        self._trace_rng = as_rng(derive_seed(seed, 0xE0))
+        self._trace_rng = as_rng(derive_seed(seed, "env_traces"))
         self._episode_index = 0
 
         # each prompt's server noise from a generator of its own
         shape = bundle.autoencoder.latent_shape
         noise = np.stack([rng.standard_normal(shape) for rng in generators(
-            derive_seeds(seed, 0xE1, indices=range(len(prompts))))])
+            derive_seeds(seed, "server_noise", indices=range(len(prompts))))])
         frames, latents = es_handle_request(bundle, prompts, noise,
                                             cfg.power_rate, block_length)
         truths = bundle.autoencoder.decode(latents)
-        self.ground_truths = list(truths)
         self._scales = np.array([fr.scale for fr in frames])[:, None]
         # the ground truths are fixed, so every episode's reward reuses
         # one extraction of their features
@@ -315,7 +314,7 @@ class SeedTransmissionEnv:
         takes its block draws from ``rng`` in turn, as when run alone."""
         gains = ch.fading_gains(self.channel_kind,
                                 (episodes, self.num_blocks), self._trace_rng)
-        seeds = derive_seeds(self._seed, 0xA2, indices=range(
+        seeds = derive_seeds(self._seed, "episode_noise", indices=range(
             self._episode_index, self._episode_index + episodes))
         draws = rng.standard_normal((episodes, self.num_blocks))
         us, logps = np.empty((2, episodes, self.num_blocks))
@@ -418,8 +417,8 @@ def evaluate(policy, env: SeedTransmissionEnv, traces):
         def act(states, t):
             return schedule[:, t]
     # per-trace noise seed pairs the draws across evaluated policies
-    return env.run(act, traces,
-                   derive_seeds(0xEDA1, indices=range(len(traces))))[2]
+    return env.run(act, traces, derive_seeds(
+        EVAL_MASTER, "eval_noise", indices=range(len(traces))))[2]
 
 
 def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):

@@ -18,10 +18,26 @@ def _seed(value) -> int:
     return value
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
+# each random stream's purpose -> its key, pairwise distinct, so that under
+# one master no two purposes share a seed. The master is cfg.seed for the
+# first group, a power environment's seed for the second and EVAL_MASTER,
+# the same for every config seed on purpose, for evaluate's: frozen-trace
+# scores then pair their channel noise across policies, budgets and runs
+STREAMS = {"corpus": 9, "autoencoder": 10, "denoiser": 11, "codec": 12,
+           "eval_prompts": 20, "power_prompts": 21, "frozen_traces": 23,
+           "select_traces": 24, "power_env": 25, "power_agent": 26,
+           "codec_latents": 30, "eval_cell": 40, "sweep_cell": 100,
+           "env_traces": 0xE0, "server_noise": 0xE1,
+           "episode_noise": 0xA2, "eval_noise": 0xED}
+EVAL_MASTER = 0xEDA1
+
+
+def derive_seed(master_seed: int, *indices) -> int:
     """Derive an independent child seed from a master seed and a path of
     indices: ``SeedSequence([master_seed, *indices])``'s first 64-bit
-    word."""
+    word; a purpose as the first index stands for its ``STREAMS`` key."""
+    if indices and isinstance(indices[0], str):
+        indices = (STREAMS[indices[0]],) + indices[1:]
     path = [_seed(value) for value in (master_seed, *indices)]
     return int(np.random.SeedSequence(path).generate_state(1, np.uint64)[0])
 

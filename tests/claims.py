@@ -35,7 +35,7 @@ def low_snr_ordering(bundle, cfg):
     meg < raw < centralized in fid at -10 dB and raw >= meg in PSNR at
     +30 dB."""
     prompts = corpus.sample_prompts(cfg.eval_prompts,
-                                    derive_seed(cfg.seed, 20))
+                                    derive_seed(cfg.seed, "eval_prompts"))
     fids = {m: [] for m in MODES}
     psnrs = {m: [] for m in MODES}
     for trial in range(5):
@@ -57,20 +57,29 @@ def low_snr_ordering(bundle, cfg):
     return {"fid": fid, "psnr": psnr, "holds": holds}
 
 
+def power_env(bundle, cfg, budget):
+    """The environment that ``megsim power`` builds at ``budget``."""
+    return power_rl.SeedTransmissionEnv(
+        bundle, cfg, corpus.sample_prompts(
+            cfg.power_prompts, derive_seed(cfg.seed, "power_prompts")),
+        budget, derive_seed(cfg.seed, "power_env"))
+
+
 def allocator_gain(bundle, cfg):
     """Acceptance 09: PPO trained at the tightest budget with the ``ppo_*``
-    settings of ``cfg``, against an even split on 100 frozen traces.
-    Returns the mean paired gain, the wins and losses, the one-sided sign
-    test's p, whether it holds (gain > 0 and p < 0.05), the training
-    history and the environment, whose budget audit acceptance 08 reads."""
-    prompts = corpus.sample_prompts(cfg.power_prompts,
-                                    derive_seed(cfg.seed, 21))
-    env = power_rl.SeedTransmissionEnv(bundle, cfg, prompts,
-                                       min(cfg.power_budgets), seed=7)
-    rng = np.random.default_rng(123)
-    frozen = ch.fading_gains(env.channel_kind, (100, env.num_blocks), rng)
-    select = ch.fading_gains(env.channel_kind, (20, env.num_blocks), rng)
-    _, history, drl, even = power_rl.compare(env, cfg, 3, frozen, select)
+    settings of ``cfg``, against an even split on 100 frozen traces, with
+    the environment, traces and agent seed of ``megsim power`` at that
+    budget. Returns the mean paired gain, the wins and losses, the
+    one-sided sign test's p, whether it holds (gain > 0 and p < 0.05), the
+    training history and the environment, whose budget audit acceptance 08
+    reads."""
+    budget = min(cfg.power_budgets)
+    env = power_env(bundle, cfg, budget)
+    frozen, select = (ch.fading_gains(
+        env.channel_kind, (n, env.num_blocks), derive_seed(cfg.seed, purpose))
+        for n, purpose in ((100, "frozen_traces"), (20, "select_traces")))
+    _, history, drl, even = power_rl.compare(
+        env, cfg, experiments.agent_seed(cfg, budget), frozen, select)
     diff = drl - even
     gain = float(np.mean(diff))
     wins, losses = int(np.sum(diff > 0)), int(np.sum(diff < 0))
@@ -85,13 +94,13 @@ def saturation_gap(bundle, cfg):
     """mean(PPO - even split) reward at 30 dB on AWGN with a budget of 400,
     after 20 PPO rounds with the other ``ppo_*`` settings of ``cfg``, on
     30 traces; with power to spare every policy should score alike."""
-    prompts = corpus.sample_prompts(16, derive_seed(cfg.seed, 21))
     env_cfg = replace(cfg, power_rate=0.5, power_snr_db=30.0,
                       channel_kind="awgn", ppo_update_rounds=20)
-    env = power_rl.SeedTransmissionEnv(bundle, env_cfg, prompts, 400.0,
-                                       seed=7)
-    traces = ch.fading_gains(env.channel_kind, (30, env.num_blocks), 5)
-    _, _, drl, even = power_rl.compare(env, env_cfg, 3, traces)
+    env = power_env(bundle, env_cfg, 400.0)
+    traces = ch.fading_gains(env.channel_kind, (30, env.num_blocks),
+                             derive_seed(cfg.seed, "frozen_traces"))
+    _, _, drl, even = power_rl.compare(
+        env, env_cfg, experiments.agent_seed(cfg, 400.0), traces)
     return float(np.mean(drl - even))
 
 

@@ -737,12 +737,12 @@ class TestTrainCaching:
         # environment keeps these bytes
         cfg = replace(desk_cfg, power_budgets=(2.0,), ppo_update_rounds=10)
         experiments.cmd_power(cfg)
-        want = {"power_summary.csv": "6d3a94be925ca8ddf7938173840174f8"
-                                     "512fda98f5c95413602ae40fad83284b",
-                "curve_p2.0.csv": "7b126841192052cc99f5c769bafbf410"
-                                  "b4bff45517e597ecaf25d6f10a951c92",
-                "agent_p2.0.bin": "9f9afebaef03acb1a21de993244c3398"
-                                  "f2efaa19d1447d83f63f08e3add91719"}
+        want = {"power_summary.csv": "a93d8213369549d19ae0eb8cdbe5bc2c"
+                                     "01d1848c9581050822941337aaa8f783",
+                "curve_p2.0.csv": "6ccd3d7ecde66e0c908024e65e1a859a"
+                                  "625de1db6e7cda008bf76343a97274ef",
+                "agent_p2.0.bin": "30b51cc0839d6c1b5da4f7e330b9c625"
+                                  "084b63f45ca6314be92044d75a3cc902"}
         for name, digest in want.items():
             with open(os.path.join(cfg.out, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
@@ -1046,6 +1046,47 @@ class TestPowerCommand:
             assert episodes == list(range(len(episodes)))
         for path in result["agents"]:
             assert os.path.exists(path)
+
+    def test_every_budget_runs_on_the_same_draws(self, tiny_cfg, tiny_bundle,
+                                                 monkeypatch):
+        # common random numbers: the budgets' environments share their
+        # ground truths, payloads, traces and episode noise
+        cfg = replace(tiny_cfg, power_budgets=(0.5, 2.0), ppo_update_rounds=1,
+                      power_eval_traces=3)
+        first, run = {}, power_rl.SeedTransmissionEnv.run
+
+        def spy(env, policy, gains, noise_seeds):
+            first.setdefault(env, (np.array(gains), list(noise_seeds)))
+            return run(env, policy, gains, noise_seeds)
+
+        monkeypatch.setattr(power_rl.SeedTransmissionEnv, "run", spy)
+        experiments.cmd_power(cfg)
+        (low, (low_gains, low_seeds)), (high, (high_gains, high_seeds)) = \
+            first.items()
+        assert (low.p_max, high.p_max) == (0.5, 2.0)
+        for name in ("reference_features", "blocks"):
+            assert getattr(low, name).tobytes() \
+                == getattr(high, name).tobytes(), name
+        # each environment's first run is its first rollout
+        assert low_gains.tobytes() == high_gains.tobytes()
+        assert low_seeds == high_seeds
+
+    def test_budget_outputs_do_not_depend_on_the_other_budgets(
+            self, tiny_cfg, tiny_bundle):
+        outputs = []
+        for budgets in ((2.0,), (0.5, 2.0)):
+            cfg = replace(tiny_cfg, power_budgets=budgets,
+                          ppo_update_rounds=2, power_eval_traces=3)
+            result = experiments.cmd_power(cfg)
+            # the files name their run's whole config, so its hash differs;
+            # every other byte is the budget's own
+            chash = config.config_hash(cfg).encode()
+            outputs.append([row for row in result["rows"] if row[0] == 2.0]
+                           + [open(os.path.join(cfg.out, name), "rb").read()
+                              .replace(chash, b"<hash>")
+                              for name in ("curve_p2.0.csv",
+                                           "agent_p2.0.bin")])
+        assert outputs[0] == outputs[1]
 
     def test_block_count_matches_environment(self, tiny_cfg, tiny_bundle):
         from megsim import corpus, power_rl

@@ -13,7 +13,8 @@ from megsim.errors import TrainingError
 from megsim.power_rl import (PpoAgent, SeedTransmissionEnv, apply_power,
                              clipped_surrogate, compare, evaluate,
                              ppo_update, train_agent)
-from megsim.util import derive_seed
+from megsim.util import EVAL_MASTER, derive_seed
+from test_metrics import sqrtm_frechet_distance
 
 
 # the desk config; its power link is the rate-0.5 codec at 0 dB over
@@ -39,6 +40,23 @@ PROMPTS = ["large blob left", "tiny stripes top", "huge rings center",
 def fresh_env(bundle):
     """A new environment on ``bundle`` at budget 1 and seed 5."""
     return SeedTransmissionEnv(bundle, DESK, PROMPTS, 1.0, seed=5)
+
+
+def fresh_env_and_truths(bundle):
+    """``fresh_env(bundle)`` and the ground truths it decoded, read from
+    the one decode that its construction runs."""
+    decoded, decode = [], genmodel.AutoencoderPair.decode
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(genmodel.AutoencoderPair, "decode", lambda self, z:
+                      decoded.append(decode(self, z)) or decoded[-1])
+        env = fresh_env(bundle)
+    (truths,) = decoded
+    return env, truths
+
+
+def eval_seed(i):
+    """The noise seed that ``evaluate`` gives trace ``i``."""
+    return derive_seed(EVAL_MASTER, "eval_noise", i)
 
 
 @pytest.fixture(scope="module")
@@ -170,21 +188,30 @@ class TestTerminalReward:
         assert terminal_reward(noisy, truth, ext) < 0
 
     def test_equals_external_fid(self, rng):
-        truth = [rng.random((1, 8, 8)).astype(np.float32) for _ in range(4)]
-        noisy = [np.clip(t + 0.1, 0, 1) for t in truth]
+        # 32 images of 8 features give full-rank covariances, where scipy's
+        # sqrtm of C_a C_b is accurate
+        truth = [rng.random((1, 8, 8)).astype(np.float32) for _ in range(32)]
+        noisy = [np.clip(t + 0.1 * rng.standard_normal(t.shape), 0, 1)
+                 .astype(np.float32) for t in truth]
         ext = metrics.FeatureExtractor(64, feature_dim=8)
-        want = -metrics.fid(np.stack(noisy), np.stack(truth), ext)
-        assert terminal_reward(noisy, truth, ext) == want
+        want = -sqrtm_frechet_distance(ext.extract(np.stack(noisy)),
+                                       ext.extract(np.stack(truth)))
+        assert want < 0
+        assert abs(terminal_reward(noisy, truth, ext) - want) \
+            <= 1e-8 * abs(want)
 
 
 class TestCachedReference:
-    def test_reference_features_extracted_from_ground_truths(self, env):
-        want = env.bundle.extractor.extract(np.stack(env.ground_truths))
+    def test_reference_features_extracted_from_ground_truths(
+            self, tiny_bundle):
+        env, truths = fresh_env_and_truths(tiny_bundle)
+        want = env.bundle.extractor.extract(truths)
         assert env.reference_features.dtype == want.dtype
         assert env.reference_features.tobytes() == want.tobytes()
 
     def test_episode_extracts_once_and_scores_like_terminal_reward(
-            self, env, monkeypatch):
+            self, tiny_bundle, monkeypatch):
+        env, truths = fresh_env_and_truths(tiny_bundle)
         extractor = env.bundle.extractor
         seen = []
         original = metrics.FeatureExtractor.extract
@@ -198,7 +225,7 @@ class TestCachedReference:
         _, _, scores = env.run(lambda states, t: [1.0 / env.num_blocks],
                                gains, [12])
         assert len(seen) == 1
-        want = terminal_reward(list(seen[0]), env.ground_truths, extractor)
+        want = terminal_reward(list(seen[0]), list(truths), extractor)
         assert scores.tolist() == [want] and want < 0
 
 
@@ -526,7 +553,7 @@ class TestLockstep:
                 (even, lambda states, t: even[t:t + 1])):
             got = evaluate(policy, env, traces)
             want = np.array([
-                env.run(act, trace[None], [derive_seed(0xEDA1, i)])[2][0]
+                env.run(act, trace[None], [eval_seed(i)])[2][0]
                 for i, trace in enumerate(traces)])
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
@@ -539,7 +566,7 @@ class TestLockstep:
         got = evaluate(schedule, env, traces)
         for i, trace in enumerate(traces):
             want = env.run(lambda states, t: schedule[i, t:t + 1],
-                           trace[None], [derive_seed(0xEDA1, i)])[2][0]
+                           trace[None], [eval_seed(i)])[2][0]
             assert abs(got[i] - want) <= 1e-6 * abs(want)
         with pytest.raises(ValueError):
             evaluate(schedule[:, :-1], env, traces)
@@ -716,7 +743,7 @@ class TestScoreChunks:
 
 
 @pytest.mark.parametrize("seed, shape, scale", [
-    (0, (4, 4, 16), 1.0), (derive_seed(0xEDA1, 3), (4, 16, 16), 0.7),
+    (0, (4, 4, 16), 1.0), (eval_seed(3), (4, 16, 16), 0.7),
     (12345, (7, 3, 5), 1e-3)])
 def test_split_normal_draw_equals_one_draw(seed, shape, scale):
     """Block-by-block noise draws from one generator are the values and

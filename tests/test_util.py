@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from megsim.util import as_rng, derive_seed, derive_seeds, generators
+from megsim import power_rl
+from megsim.util import (EVAL_MASTER, STREAMS, as_rng, derive_seed,
+                         derive_seeds, generators)
 
 # one- and two-word ints and the edges between them
 EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
@@ -88,3 +90,37 @@ def test_as_rng_of_an_int_is_default_rng():
             == np.random.default_rng(seed).random(4).tobytes()
     rng = np.random.default_rng(3)
     assert as_rng(rng) is rng
+
+
+def test_stream_purposes_never_share_a_seed():
+    # one key per purpose keeps the purposes apart under any one master
+    assert len(set(STREAMS.values())) == len(STREAMS)
+
+    class Recorder:
+        """Stands in for an environment: keeps the noise seeds."""
+        num_blocks = 1
+
+        def run(self, policy, traces, noise_seeds):
+            self.seeds = list(noise_seeds)
+            return None, None, None
+
+    env = Recorder()
+    power_rl.evaluate(np.ones(1), env, np.ones((256, 1)))
+    assert env.seeds == derive_seeds(EVAL_MASTER, "eval_noise",
+                                     indices=range(256))
+    # at evaluate's master, every other purpose's seeds at indices 0-255
+    # (a path without its index is the path at index 0) and evaluate's
+    # noise seeds for traces 0-255 are pairwise distinct
+    seeds = env.seeds + [derive_seed(EVAL_MASTER, purpose, i)
+                         for purpose in STREAMS if purpose != "eval_noise"
+                         for i in range(256)]
+    assert len(set(seeds)) == len(seeds) == 256 * len(STREAMS)
+
+
+def test_purpose_stands_for_its_key():
+    for purpose, key in STREAMS.items():
+        assert derive_seed(7, purpose) == numpy_seed(7, key)
+        assert derive_seed(7, purpose, 3) == numpy_seed(7, key, 3)
+        assert derive_seeds(7, purpose, indices=[3]) == [numpy_seed(7, key, 3)]
+    with pytest.raises(KeyError):
+        derive_seed(7, "no such purpose")
