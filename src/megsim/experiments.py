@@ -377,6 +377,15 @@ def _sweep_plots(cfg, rows):
 # ---------------------------------------------------------------------------
 # power allocation experiments
 
+def power_env(bundle, cfg):
+    """The environment that ``megsim power`` runs every budget on: the
+    ``power_prompts`` prompts on the ``power_env`` stream's seed."""
+    return power_rl.SeedTransmissionEnv(
+        bundle, cfg, corpus.sample_prompts(
+            cfg.power_prompts, derive_seed(cfg.seed, "power_prompts")),
+        derive_seed(cfg.seed, "power_env"))
+
+
 def cmd_power(cfg: ExperimentConfig):
     """Train the allocator per budget and compare it with the even split
     by :func:`power_rl.compare`.
@@ -386,29 +395,24 @@ def cmd_power(cfg: ExperimentConfig):
     """
     bundle = load_bundle(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    prompts = corpus.sample_prompts(cfg.power_prompts,
-                                    derive_seed(cfg.seed, "power_prompts"))
-    num_blocks = power_rl.episode_blocks(cfg)
+    env = power_env(bundle, cfg)
 
     # drawn from the seed on every run: a file left by another config is
     # overwritten, never scored
     trace_path = os.path.join(
-        cfg.out, f"eval_traces_{cfg.power_eval_traces}x{num_blocks}.csv")
+        cfg.out, f"eval_traces_{cfg.power_eval_traces}x{env.num_blocks}.csv")
     frozen = ch.fading_gains(cfg.channel_kind,
-                             (cfg.power_eval_traces, num_blocks),
+                             (cfg.power_eval_traces, env.num_blocks),
                              derive_seed(cfg.seed, "frozen_traces"))
     ch.export_trace_set(frozen, cfg.block_length, trace_path)
-    select_traces = ch.fading_gains(cfg.channel_kind, (20, num_blocks),
+    select_traces = ch.fading_gains(cfg.channel_kind, (20, env.num_blocks),
                                     derive_seed(cfg.seed, "select_traces"))
 
     chash = config_hash(cfg)
     summary_rows, curve_paths, agent_paths = [], [], []
     for budget in cfg.power_budgets:
-        # one environment seed: the budgets differ in p_max alone
-        env = power_rl.SeedTransmissionEnv(
-            bundle, cfg, prompts, budget, derive_seed(cfg.seed, "power_env"))
         agent, history, drl, even = power_rl.compare(
-            env, cfg, agent_seed(cfg, budget), frozen, select_traces)
+            env, cfg, budget, agent_seed(cfg, budget), frozen, select_traces)
         agent_path = os.path.join(cfg.out, f"agent_p{budget!r}.bin")
         agent.save(agent_path, extra={"config_hash": chash, "p_max": budget})
         agent_paths.append(agent_path)

@@ -155,14 +155,6 @@ class PpoAgent:
 # ---------------------------------------------------------------------------
 # environment
 
-def episode_blocks(cfg):
-    """Coherence blocks of one episode: the ``power_rate`` seed's symbols
-    in blocks of ``block_length``."""
-    return ch.block_count(metrics.symbol_count(
-        "meg", cfg.image_shape, cfg.downsample, cfg.power_rate,
-        cfg.latent_channels), cfg.block_length)
-
-
 class SeedTransmissionEnv:
     """Per-block power decisions around one seed download for a prompt
     batch, over the link of the experiment config ``cfg``: its
@@ -172,6 +164,7 @@ class SeedTransmissionEnv:
     The state is the pilot prompt's current block (zero padded), the
     block's gain, and the normalized remaining budget. Every prompt in the
     batch is transmitted under the same power schedule and fading trace.
+    Each :meth:`run` takes its budget, so one environment serves them all.
 
     :meth:`run` plays E episodes in lockstep, one block at a time; one
     episode is the case E = 1. Each :meth:`step` applies power, noise and
@@ -180,19 +173,14 @@ class SeedTransmissionEnv:
     decoded and scored ``SCORE_CHUNK`` at a time.
     """
 
-    def __init__(self, bundle: ModelBundle, cfg, prompts, p_max, seed):
+    def __init__(self, bundle: ModelBundle, cfg, prompts, seed):
         if len(prompts) < 2:
             raise ValueError("the reward batch needs at least 2 prompts")
         self.bundle = bundle
-        self.p_max = float(p_max)
-        if not self.p_max > 0.0:
-            raise ValueError(f"p_max must be positive, got {p_max}")
         self.channel_kind = cfg.channel_kind
         self.block_length = block_length = cfg.block_length
         self.noise_std = ch.snr_to_noise_std(cfg.power_snr_db, 1.0)
-        self._seed = int(seed)
-        self._trace_rng = as_rng(derive_seed(seed, "env_traces"))
-        self._episode_index = 0
+        self.seed = int(seed)
 
         # each prompt's server noise from a generator of its own
         shape = bundle.autoencoder.latent_shape
@@ -207,7 +195,7 @@ class SeedTransmissionEnv:
         self.reference_features = bundle.extractor.extract(truths)
         self.codec = bundle.codec_for(cfg.power_rate)
         self.seed_len = frames[0].payload.size
-        self.num_blocks = episode_blocks(cfg)
+        self.num_blocks = ch.block_count(self.seed_len, block_length)
         self.state_dim = block_length + 2
         # payloads padded to a whole number of blocks, stacked [P, B, block]
         pad = self.num_blocks * block_length - self.seed_len
@@ -219,13 +207,16 @@ class SeedTransmissionEnv:
 
     # -- episodes ------------------------------------------------------------
 
-    def run(self, policy, gains, noise_seeds):
+    def run(self, policy, p_max, gains, noise_seeds):
         """Play one episode per trace of ``gains`` [E, >= B] in lockstep,
-        each with its channel noise drawn from its entry of
-        ``noise_seeds``; ``policy(states, t)`` maps block t's states [E,
-        state_dim] to one action in [0, 1] per episode. Every episode
-        played counts towards the seeds of later rollouts. Returns (states
-        [E, B, state_dim], powers [E, B], terminal rewards [E])."""
+        each under the budget ``p_max`` (positive, else ValueError) and
+        with its channel noise drawn from its entry of ``noise_seeds``;
+        ``policy(states, t)`` maps block t's states [E, state_dim] to one
+        action in [0, 1] per episode. Returns (states [E, B, state_dim],
+        powers [E, B], terminal rewards [E])."""
+        p_max = float(p_max)
+        if not p_max > 0.0:
+            raise ValueError(f"p_max must be positive, got {p_max}")
         # float64 gains [E, B] for the link; only the state column rounds
         gains = np.asarray(gains, dtype=np.float64)
         if gains.ndim != 2 or not 0 < len(gains) == len(noise_seeds):
@@ -237,36 +228,35 @@ class SeedTransmissionEnv:
                              f"positive gain")
         rngs = list(generators(noise_seeds))
         episodes = len(gains)
-        self._episode_index += episodes
         # block-major, so that each block's states are one contiguous batch
         states = np.empty((self.num_blocks, episodes, self.state_dim),
                           dtype=np.float32)
         states[:, :, :-2] = self.blocks[0, :, None]    # the pilot's blocks
         states[:, :, -2] = gains.T
         powers = np.empty((episodes, self.num_blocks))
-        remaining = np.full(episodes, self.p_max)
+        remaining = np.full(episodes, p_max)
         symbols = np.empty((episodes, len(self.blocks), self.seed_len),
                            dtype=np.float32)
         for t in range(self.num_blocks):
-            states[t, :, -1] = remaining / self.p_max
+            states[t, :, -1] = remaining / p_max
             p = powers[:, t] = self.step(t, policy(states[t], t), remaining,
-                                         gains[:, t], rngs, symbols)
+                                         p_max, gains[:, t], rngs, symbols)
             # one-ulp-down update keeps the exact running sum under the cap
             remaining = np.where(p >= remaining, 0.0,
                                  np.nextafter(remaining - p, 0.0))
         # the generators, about 0.9 KB each, are freed before any decode
         del rngs
         for total in map(math.fsum, powers):
-            if total > self.p_max:
+            if total > p_max:
                 raise AssertionError(
-                    f"power budget violated: {total} > {self.p_max}")
-            self.power_audit.append((total, self.p_max))
+                    f"power budget violated: {total} > {p_max}")
+            self.power_audit.append((total, p_max))
         return states.swapaxes(0, 1), powers, self._score(symbols)
 
-    def step(self, t, actions, remaining, gains, rngs, symbols):
-        """Block t of every episode: clamp ``actions`` [E], each in
-        [0, 1] (else ValueError), to the ``remaining`` budgets, draw the
-        block's noise [P, block] from each episode's generator in
+    def step(self, t, actions, remaining, p_max, gains, rngs, symbols):
+        """Block t of every episode: set the powers that :func:`apply_power`
+        gives ``actions`` [E] at ``p_max`` and the ``remaining`` budgets,
+        draw the block's noise [P, block] from each episode's generator in
         ``rngs`` (also where the block is erased, so the streams stay
         aligned across policies), send and equalize every episode's block
         at once and write its rescaled float32 symbols, zeros where it is
@@ -275,7 +265,7 @@ class SeedTransmissionEnv:
         if actions.shape != remaining.shape:
             raise ValueError(f"need one action per episode, got "
                              f"{actions.shape}")
-        p = apply_power(actions, remaining, self.p_max)
+        p = apply_power(actions, remaining, p_max)
         sent = self.blocks[:, t]
         g, pw = gains[:, None, None], p[:, None, None]
         y = ch.equalize(ch.transmit(
@@ -308,14 +298,11 @@ class SeedTransmissionEnv:
             images.reshape(symbols.shape[:2] + images.shape[1:]), None,
             self.bundle.extractor, reference_features=self.reference_features)
 
-    def rollout(self, agent: PpoAgent, rng, episodes) -> Rollout:
-        """Run ``episodes`` episodes in lockstep under the sampling policy
-        on the environment's next traces and episode noise seeds; each
+    def rollout(self, agent: PpoAgent, rng, p_max, gains,
+                noise_seeds) -> Rollout:
+        """The episodes of :meth:`run` under the sampling policy; each
         takes its block draws from ``rng`` in turn, as when run alone."""
-        gains = ch.fading_gains(self.channel_kind,
-                                (episodes, self.num_blocks), self._trace_rng)
-        seeds = derive_seeds(self._seed, "episode_noise", indices=range(
-            self._episode_index, self._episode_index + episodes))
+        episodes = len(gains)
         draws = rng.standard_normal((episodes, self.num_blocks))
         us, logps = np.empty((2, episodes, self.num_blocks))
 
@@ -323,7 +310,7 @@ class SeedTransmissionEnv:
             actions, us[:, t], logps[:, t] = agent.act(states, draws[:, t])
             return actions
 
-        states, powers, scores = self.run(sample, gains, seeds)
+        states, powers, scores = self.run(sample, p_max, gains, noise_seeds)
         return Rollout(states, us, powers, logps, scores)
 
 
@@ -399,13 +386,13 @@ def ppo_update(agent: PpoAgent, rollout: Rollout, cfg,
     return diag
 
 
-def evaluate(policy, env: SeedTransmissionEnv, traces):
+def evaluate(policy, env: SeedTransmissionEnv, p_max, traces):
     """Deterministic terminal rewards of a policy over frozen traces.
 
     ``policy`` is a PpoAgent (evaluated at its mean action, one batched
     forward per block) or an action schedule in [0, 1]: ``[blocks]``
     shared by every trace, or ``[traces, blocks]``. All traces, gains
-    [traces, >= blocks], run in lockstep.
+    [traces, >= blocks], run in lockstep at the budget ``p_max``.
     """
     if isinstance(policy, PpoAgent):
         def act(states, t):
@@ -417,14 +404,17 @@ def evaluate(policy, env: SeedTransmissionEnv, traces):
         def act(states, t):
             return schedule[:, t]
     # per-trace noise seed pairs the draws across evaluated policies
-    return env.run(act, traces, derive_seeds(
+    return env.run(act, p_max, traces, derive_seeds(
         EVAL_MASTER, "eval_noise", indices=range(len(traces))))[2]
 
 
-def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
-    """Algorithm: roll out a batch of episodes, then run a PPO update;
-    track the best agent by held-out evaluation when traces are given.
-    The ``ppo_*`` settings come from the experiment config ``cfg``.
+def train_agent(env: SeedTransmissionEnv, cfg, p_max, seed,
+                eval_traces=None):
+    """Algorithm: roll out a batch of episodes at budget ``p_max``, then
+    run a PPO update; track the best agent by held-out evaluation when
+    traces are given. The ``ppo_*`` settings come from the experiment
+    config ``cfg``. The run's rollout traces and episode-noise seeds are
+    its own, keyed by ``env.seed``: no earlier run on ``env`` moves them.
 
     Returns (agent, history) where history rows are
     (round, mean terminal reward, surrogate, value loss, entropy). A
@@ -433,10 +423,16 @@ def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
     rng = as_rng(seed)
     agent = PpoAgent(env.state_dim, cfg.ppo_hidden, rng)
     opt = nn.Adam(cfg.ppo_lr)
+    trace_rng = as_rng(derive_seed(env.seed, "env_traces"))
+    episode, batch = 0, cfg.ppo_episodes_per_batch
     history = []
     best_params, best_score = None, -np.inf
     for rnd in range(cfg.ppo_update_rounds):
-        rollout = env.rollout(agent, rng, cfg.ppo_episodes_per_batch)
+        rollout = env.rollout(agent, rng, p_max, ch.fading_gains(
+            env.channel_kind, (batch, env.num_blocks), trace_rng),
+            derive_seeds(env.seed, "episode_noise",
+                         indices=range(episode, episode + batch)))
+        episode += batch
         diag = ppo_update(agent, rollout, cfg, opt)
         if diag["aborted"]:
             raise TrainingError(f"PPO round {rnd} aborted: non-finite loss")
@@ -444,7 +440,10 @@ def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
             diag[k][-1] for k in ("surrogate", "value_loss", "entropy"))))
         if eval_traces is not None and ((rnd + 1) % EVAL_EVERY == 0
                                         or rnd == cfg.ppo_update_rounds - 1):
-            score = float(np.mean(evaluate(agent, env, eval_traces)))
+            score = float(np.mean(evaluate(agent, env, p_max, eval_traces)))
+            # held-out episodes take episode numbers too, so that later
+            # rounds keep the noise seeds, and outputs, of earlier versions
+            episode += len(eval_traces)
             if score > best_score:
                 best_score = score
                 best_params = agent.snapshot()
@@ -453,12 +452,13 @@ def train_agent(env: SeedTransmissionEnv, cfg, seed, eval_traces=None):
     return agent, history
 
 
-def compare(env: SeedTransmissionEnv, cfg, seed, traces, eval_traces=None):
+def compare(env: SeedTransmissionEnv, cfg, p_max, seed, traces,
+            eval_traces=None):
     """Train an agent by :func:`train_agent`, then :func:`evaluate` it at
     its mean action and the even split on the frozen ``traces``, with the
-    same gains and noise seeds. Returns (agent, history, agent rewards
-    [n], even-split rewards [n]), paired trace by trace."""
-    agent, history = train_agent(env, cfg, seed, eval_traces)
+    same budget ``p_max``, gains and noise seeds. Returns (agent, history,
+    agent rewards [n], even-split rewards [n]), paired trace by trace."""
+    agent, history = train_agent(env, cfg, p_max, seed, eval_traces)
     even = np.full(env.num_blocks, 1.0 / env.num_blocks)
-    return (agent, history, evaluate(agent, env, traces),
-            evaluate(even, env, traces))
+    return (agent, history, evaluate(agent, env, p_max, traces),
+            evaluate(even, env, p_max, traces))

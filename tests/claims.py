@@ -57,14 +57,6 @@ def low_snr_ordering(bundle, cfg):
     return {"fid": fid, "psnr": psnr, "holds": holds}
 
 
-def power_env(bundle, cfg, budget):
-    """The environment that ``megsim power`` builds at ``budget``."""
-    return power_rl.SeedTransmissionEnv(
-        bundle, cfg, corpus.sample_prompts(
-            cfg.power_prompts, derive_seed(cfg.seed, "power_prompts")),
-        budget, derive_seed(cfg.seed, "power_env"))
-
-
 def allocator_gain(bundle, cfg):
     """Acceptance 09: PPO trained at the tightest budget with the ``ppo_*``
     settings of ``cfg``, against an even split on 100 frozen traces, with
@@ -74,12 +66,12 @@ def allocator_gain(bundle, cfg):
     training history and the environment, whose budget audit acceptance 08
     reads."""
     budget = min(cfg.power_budgets)
-    env = power_env(bundle, cfg, budget)
+    env = experiments.power_env(bundle, cfg)
     frozen, select = (ch.fading_gains(
         env.channel_kind, (n, env.num_blocks), derive_seed(cfg.seed, purpose))
         for n, purpose in ((100, "frozen_traces"), (20, "select_traces")))
     _, history, drl, even = power_rl.compare(
-        env, cfg, experiments.agent_seed(cfg, budget), frozen, select)
+        env, cfg, budget, experiments.agent_seed(cfg, budget), frozen, select)
     diff = drl - even
     gain = float(np.mean(diff))
     wins, losses = int(np.sum(diff > 0)), int(np.sum(diff < 0))
@@ -96,11 +88,11 @@ def saturation_gap(bundle, cfg):
     30 traces; with power to spare every policy should score alike."""
     env_cfg = replace(cfg, power_rate=0.5, power_snr_db=30.0,
                       channel_kind="awgn", ppo_update_rounds=20)
-    env = power_env(bundle, env_cfg, 400.0)
+    env = experiments.power_env(bundle, env_cfg)
     traces = ch.fading_gains(env.channel_kind, (30, env.num_blocks),
                              derive_seed(cfg.seed, "frozen_traces"))
     _, _, drl, even = power_rl.compare(
-        env, env_cfg, experiments.agent_seed(cfg, 400.0), traces)
+        env, env_cfg, 400.0, experiments.agent_seed(cfg, 400.0), traces)
     return float(np.mean(drl - even))
 
 

@@ -1049,25 +1049,33 @@ class TestPowerCommand:
 
     def test_every_budget_runs_on_the_same_draws(self, tiny_cfg, tiny_bundle,
                                                  monkeypatch):
-        # common random numbers: the budgets' environments share their
-        # ground truths, payloads, traces and episode noise
+        # common random numbers: one environment serves every budget, so
+        # the budgets share its ground truths and payloads, and each
+        # budget's training run draws the same traces and episode noise
         cfg = replace(tiny_cfg, power_budgets=(0.5, 2.0), ppo_update_rounds=1,
                       power_eval_traces=3)
-        first, run = {}, power_rl.SeedTransmissionEnv.run
+        built, first = [], {}
+        init, rollout = (power_rl.SeedTransmissionEnv.__init__,
+                         power_rl.SeedTransmissionEnv.rollout)
 
-        def spy(env, policy, gains, noise_seeds):
-            first.setdefault(env, (np.array(gains), list(noise_seeds)))
-            return run(env, policy, gains, noise_seeds)
+        def spy_init(env, *args):
+            built.append(env)
+            init(env, *args)
 
-        monkeypatch.setattr(power_rl.SeedTransmissionEnv, "run", spy)
+        def spy_rollout(env, agent, rng, p_max, gains, noise_seeds):
+            first.setdefault(p_max, (env, np.array(gains), list(noise_seeds)))
+            return rollout(env, agent, rng, p_max, gains, noise_seeds)
+
+        monkeypatch.setattr(power_rl.SeedTransmissionEnv, "__init__",
+                            spy_init)
+        monkeypatch.setattr(power_rl.SeedTransmissionEnv, "rollout",
+                            spy_rollout)
         experiments.cmd_power(cfg)
-        (low, (low_gains, low_seeds)), (high, (high_gains, high_seeds)) = \
-            first.items()
-        assert (low.p_max, high.p_max) == (0.5, 2.0)
-        for name in ("reference_features", "blocks"):
-            assert getattr(low, name).tobytes() \
-                == getattr(high, name).tobytes(), name
-        # each environment's first run is its first rollout
+        (env,) = built
+        assert list(first) == [0.5, 2.0]
+        (low_env, low_gains, low_seeds), (high_env, high_gains, high_seeds) \
+            = first.values()
+        assert low_env is high_env is env
         assert low_gains.tobytes() == high_gains.tobytes()
         assert low_seeds == high_seeds
 
@@ -1089,14 +1097,9 @@ class TestPowerCommand:
         assert outputs[0] == outputs[1]
 
     def test_block_count_matches_environment(self, tiny_cfg, tiny_bundle):
-        from megsim import corpus, power_rl
-        from megsim.util import derive_seed
         cfg = replace(tiny_cfg, power_budgets=(1.0,), ppo_update_rounds=1,
                       power_eval_traces=3)
-        prompts = corpus.sample_prompts(cfg.power_prompts,
-                                        derive_seed(cfg.seed, 21))
-        env = power_rl.SeedTransmissionEnv(tiny_bundle, cfg, prompts, 1.0,
-                                           derive_seed(cfg.seed, 22))
+        env = experiments.power_env(tiny_bundle, cfg)
         # the config's count covers the seeds the environment served
         assert env.num_blocks == ch.block_count(env.seed_len,
                                                 cfg.block_length)
@@ -1148,7 +1151,7 @@ def _traces_match_fresh_draw(cfg, path):
         assert int(line["block"]) == len(gains)
         gains.append(float(line["gain"]))
     # one trace per draw, as the command's one [n, blocks] draw must equal
-    rng = as_rng(derive_seed(cfg.seed, 23))
+    rng = as_rng(derive_seed(cfg.seed, "frozen_traces"))
     fresh = [ch.fading_gains(cfg.channel_kind, len(written[0]), rng)
              for _ in range(cfg.power_eval_traces)]
     return list(written) == list(range(len(fresh))) and all(

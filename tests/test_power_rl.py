@@ -37,9 +37,13 @@ PROMPTS = ["large blob left", "tiny stripes top", "huge rings center",
            "small cross bottom"]
 
 
+# the budget that the environment tests run at
+BUDGET = 1.0
+
+
 def fresh_env(bundle):
-    """A new environment on ``bundle`` at budget 1 and seed 5."""
-    return SeedTransmissionEnv(bundle, DESK, PROMPTS, 1.0, seed=5)
+    """A new environment on ``bundle`` at seed 5."""
+    return SeedTransmissionEnv(bundle, DESK, PROMPTS, seed=5)
 
 
 def fresh_env_and_truths(bundle):
@@ -57,6 +61,14 @@ def fresh_env_and_truths(bundle):
 def eval_seed(i):
     """The noise seed that ``evaluate`` gives trace ``i``."""
     return derive_seed(EVAL_MASTER, "eval_noise", i)
+
+
+def run_rollout(env, agent, rng, episodes):
+    """``env.rollout`` of ``episodes`` episodes at ``BUDGET``, on traces
+    and noise seeds drawn from ``rng`` before the actions are."""
+    gains = ch.fading_gains(env.channel_kind, (episodes, env.num_blocks), rng)
+    return env.rollout(agent, rng, BUDGET, gains,
+                       rng.integers(2 ** 63, size=episodes).tolist())
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +235,7 @@ class TestCachedReference:
         monkeypatch.setattr(metrics.FeatureExtractor, "extract", counting)
         gains = ch.fading_gains(env.channel_kind, (1, env.num_blocks), 11)
         _, _, scores = env.run(lambda states, t: [1.0 / env.num_blocks],
-                               gains, [12])
+                               BUDGET, gains, [12])
         assert len(seen) == 1
         want = terminal_reward(list(seen[0]), list(truths), extractor)
         assert scores.tolist() == [want] and want < 0
@@ -260,7 +272,7 @@ class TestEnvironment:
         agent = PpoAgent(env.state_dim, hidden=16, rng=1)
         start = len(env.power_audit)
         for _ in range(5):
-            env.rollout(agent, rng, 10)
+            run_rollout(env, agent, rng, 10)
         audit = env.power_audit[start:]
         assert len(audit) == 50
         assert all(total <= p_max for total, p_max in audit)
@@ -274,8 +286,8 @@ class TestEnvironment:
             asked.append(t)
             return [0.5, 0.25]
 
-        states, powers, scores = env.run(policy, np.ones((2, env.num_blocks)),
-                                         [1, 2])
+        states, powers, scores = env.run(policy, BUDGET,
+                                         np.ones((2, env.num_blocks)), [1, 2])
         assert asked == list(range(env.num_blocks))
         assert states.shape == (2, env.num_blocks, env.state_dim)
         assert powers.shape == (2, env.num_blocks)
@@ -283,16 +295,16 @@ class TestEnvironment:
 
     def test_zero_action_erases_block(self, env):
         states, powers, _ = env.run(lambda states, t: [0.5 * (t > 0)],
-                                    np.ones((1, env.num_blocks)), [3])
+                                    BUDGET, np.ones((1, env.num_blocks)), [3])
         assert powers[0, 0] == 0.0 and powers[0, 1] == 0.5
         assert states[0, 1, -1] == 1.0   # an erased block costs nothing
 
     def test_state_layout(self, env):
         gains = ch.fading_gains(env.channel_kind, (1, env.num_blocks), 4)
-        states, _, _ = env.run(lambda states, t: [0.25], gains, [5])
+        states, _, _ = env.run(lambda states, t: [0.25], BUDGET, gains, [5])
         assert states.shape == (1, env.num_blocks, env.block_length + 2)
         assert states.dtype == np.float32
-        # the pilot's block, the block's gain, the budget left (p_max = 1)
+        # the pilot's block, the block's gain, the budget left (BUDGET = 1)
         assert np.array_equal(states[0, :, :-2], env.blocks[0])
         assert np.array_equal(states[0, :, -2], gains[0].astype(np.float32))
         assert states[0, 0, -1] == 1.0   # full budget remaining
@@ -302,13 +314,13 @@ class TestEnvironment:
 class TestPpoUpdate:
     def test_ratio_identity_on_first_epoch(self, env, rng):
         agent = PpoAgent(env.state_dim, hidden=16, rng=3)
-        rollout = env.rollout(agent, rng, 4)
+        rollout = run_rollout(env, agent, rng, 4)
         diag = ppo_update(agent, rollout, ppo_cfg(ppo_epochs=2))
         assert diag["first_epoch_max_ratio_err"] < 1e-6
 
     def test_losses_finite_and_recorded(self, env, rng):
         agent = PpoAgent(env.state_dim, hidden=16, rng=4)
-        rollout = env.rollout(agent, rng, 4)
+        rollout = run_rollout(env, agent, rng, 4)
         diag = ppo_update(agent, rollout, ppo_cfg(ppo_epochs=3))
         assert not diag["aborted"]
         assert len(diag["surrogate"]) == 3
@@ -324,7 +336,7 @@ class TestPpoUpdate:
         rng = np.random.default_rng(21)
         # two rounds, so the second update starts from carried Adam moments
         for _ in range(2):
-            rollout = env.rollout(agents[0], rng, 5)
+            rollout = run_rollout(env, agents[0], rng, 5)
             got = ppo_update(agents[0], rollout, cfg, opt)
             want = reference_ppo_update(agents[1], records_of(rollout), cfg,
                                         *ref_opts)
@@ -364,7 +376,8 @@ class TestPpoUpdate:
         agent = PpoAgent(env.state_dim, hidden=16, rng=4)
         weights = agent.actor.layers[0].weights
         before = weights.copy()
-        ppo_update(agent, env.rollout(agent, rng, 4), ppo_cfg(ppo_epochs=2))
+        ppo_update(agent, run_rollout(env, agent, rng, 4),
+                   ppo_cfg(ppo_epochs=2))
         assert weights is agent.actor.layers[0].weights
         assert not np.array_equal(weights, before)
         for net in (agent.actor, agent.critic):
@@ -377,26 +390,28 @@ class TestEvaluation:
 
     def test_uniform_policy_spends_whole_budget(self, env):
         traces = self._traces(env, 3)
-        evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env, traces)
+        evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env, BUDGET,
+                 traces)
         for total, p_max in env.power_audit[-3:]:
             assert abs(total - p_max) < 1e-6
 
     def test_evaluation_deterministic(self, env):
         traces = self._traces(env, 5)
         agent = PpoAgent(env.state_dim, hidden=16, rng=5)
-        a = evaluate(agent, env, traces)
-        b = evaluate(agent, env, traces)
+        a = evaluate(agent, env, BUDGET, traces)
+        b = evaluate(agent, env, BUDGET, traces)
         assert np.array_equal(a, b)
 
     def test_agent_checkpoint_round_trip(self, env, tmp_path, rng,
                                          assert_aliased):
         agent = PpoAgent(env.state_dim, hidden=16, rng=9)
         path = tmp_path / "agent.bin"
-        agent.save(path, extra={"p_max": 1.0})
+        agent.save(path, extra={"p_max": BUDGET})
         loaded, meta = PpoAgent.load(path)
-        assert meta["p_max"] == 1.0
-        states = env.run(lambda states, t: [0.5] * 3, self._traces(env, 3),
-                         [0, 1, 2])[0].reshape(-1, env.state_dim)
+        assert meta["p_max"] == BUDGET
+        states = env.run(lambda states, t: [0.5] * 3, BUDGET,
+                         self._traces(env, 3), [0, 1, 2])[0]
+        states = states.reshape(-1, env.state_dim)
         assert np.array_equal(loaded.mean_action(states),
                               agent.mean_action(states))
         for p, q in zip(agent.snapshot(), loaded.snapshot()):
@@ -407,7 +422,7 @@ class TestEvaluation:
     def test_training_refuses_out_of_range_settings(self, env):
         for settings in ({"ppo_clip": 0.0}, {"ppo_gamma": 0.0}):
             with pytest.raises(ValueError, match=r"\[ppo\] "):
-                train_agent(env, ppo_cfg(**settings), seed=0)
+                train_agent(env, ppo_cfg(**settings), BUDGET, seed=0)
 
     def test_aborted_update_stops_training(self, env, monkeypatch):
         # an update that aborts on a non-finite loss ends training at its
@@ -422,7 +437,7 @@ class TestEvaluation:
         monkeypatch.setattr(power_rl, "ppo_update", update)
         cfg = ppo_cfg(ppo_update_rounds=4, ppo_episodes_per_batch=2)
         with pytest.raises(TrainingError, match="PPO round 1 aborted"):
-            train_agent(env, cfg, seed=0)
+            train_agent(env, cfg, BUDGET, seed=0)
         assert rounds == [0, 1]
 
     def test_policy_comparison_reproducible(self, tiny_bundle):
@@ -430,7 +445,7 @@ class TestEvaluation:
             env = fresh_env(tiny_bundle)
             traces = self._traces(env, 10, seed=1)
             cfg = ppo_cfg(ppo_update_rounds=3, ppo_episodes_per_batch=4)
-            _, _, drl, uni = compare(env, cfg, 2, traces)
+            _, _, drl, uni = compare(env, cfg, BUDGET, 2, traces)
             return float(np.mean(drl)), float(np.mean(uni))
 
         assert run() == run()
@@ -442,11 +457,56 @@ class TestEvaluation:
         cfg = ppo_cfg(ppo_update_rounds=2, ppo_episodes_per_batch=3)
         for seed in range(2):
             before = len(env.power_audit)
-            agent, _, drl, uni = compare(env, cfg, seed, traces)
+            agent, _, drl, uni = compare(env, cfg, BUDGET, seed, traces)
             # 2 rounds of 3 episodes, then one row per trace and policy
             assert len(env.power_audit) - before == 2 * 3 + 2 * len(traces)
-            assert drl.tobytes() == evaluate(agent, other, traces).tobytes()
-            assert uni.tobytes() == evaluate(even, other, traces).tobytes()
+            assert drl.tobytes() \
+                == evaluate(agent, other, BUDGET, traces).tobytes()
+            assert uni.tobytes() \
+                == evaluate(even, other, BUDGET, traces).tobytes()
+
+    def test_compare_does_not_depend_on_earlier_runs(self, tiny_bundle):
+        # a training run owns its traces and episode noise, so one budget
+        # trained on an environment that already trained at another runs
+        # as on a fresh environment
+        used, fresh = fresh_env(tiny_bundle), fresh_env(tiny_bundle)
+        traces, select = (self._traces(used, n, seed) for n, seed in
+                          ((6, 1), (2, 2)))
+        cfg = ppo_cfg(ppo_update_rounds=2, ppo_episodes_per_batch=3)
+        compare(used, cfg, 0.5, 0, traces, select)
+        (agent, history, *rewards), (want_agent, want_history, *want) = (
+            compare(env, cfg, 2.0, 1, traces, select)
+            for env in (used, fresh))
+        assert history == want_history
+        for p, q in zip(agent.snapshot(), want_agent.snapshot()):
+            assert p.tobytes() == q.tobytes()
+        for got, expected in zip(rewards, want, strict=True):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_training_streams_follow_the_environment_seed(self, env,
+                                                          monkeypatch):
+        # each round's traces are the next rows of one draw keyed by the
+        # environment's seed; its noise seeds the next episode numbers,
+        # which a held-out check's episodes take too
+        seen, rollout = [], SeedTransmissionEnv.rollout
+
+        def spy(env, agent, rng, p_max, gains, noise_seeds):
+            seen.append((p_max, np.array(gains), list(noise_seeds)))
+            return rollout(env, agent, rng, p_max, gains, noise_seeds)
+
+        monkeypatch.setattr(SeedTransmissionEnv, "rollout", spy)
+        rounds, held_out = power_rl.EVAL_EVERY + 1, 3
+        train_agent(env, ppo_cfg(ppo_update_rounds=rounds,
+                                 ppo_episodes_per_batch=2), 0.5, 0,
+                    self._traces(env, held_out))
+        assert [p_max for p_max, _, _ in seen] == [0.5] * rounds
+        assert np.concatenate([gains for _, gains, _ in seen]).tobytes() \
+            == ch.fading_gains(env.channel_kind, (2 * rounds, env.num_blocks),
+                               derive_seed(env.seed, "env_traces")).tobytes()
+        numbers = list(range(2 * power_rl.EVAL_EVERY)) \
+            + [2 * power_rl.EVAL_EVERY + held_out + e for e in range(2)]
+        assert [seed for _, _, seeds in seen for seed in seeds] \
+            == [derive_seed(env.seed, "episode_noise", e) for e in numbers]
 
 
 def test_allocator_gain_trains_with_its_cfg(tiny_cfg, tiny_bundle):
@@ -460,13 +520,14 @@ def test_allocator_gain_trains_with_its_cfg(tiny_cfg, tiny_bundle):
 
 class TestTrainingEffect:
     def test_trained_beats_uniform_on_held_out(self, desk_bundle):
-        prompts = corpus.sample_prompts(16, derive_seed(0, 21))
-        env = SeedTransmissionEnv(desk_bundle, DESK, prompts, 0.5, seed=7)
+        prompts = corpus.sample_prompts(16, derive_seed(DESK.seed,
+                                                        "power_prompts"))
+        env = SeedTransmissionEnv(desk_bundle, DESK, prompts, seed=7)
         rng = np.random.default_rng(123)
         frozen = ch.fading_gains(env.channel_kind, (60, env.num_blocks), rng)
         select = ch.fading_gains(env.channel_kind, (15, env.num_blocks), rng)
         cfg = ppo_cfg(ppo_update_rounds=80)
-        _, history, drl, uni = compare(env, cfg, 3, frozen, select)
+        _, history, drl, uni = compare(env, cfg, 0.5, 3, frozen, select)
         assert len(history) == 80
         assert float(np.mean(drl - uni)) > 0
 
@@ -480,15 +541,9 @@ class TestLockstep:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record every trace drawn, noise seed used and act() draw."""
-        seen = {"traces": [], "seeds": [], "draws": []}
-        sample, generators, act = (ch.fading_gains, power_rl.generators,
-                                   PpoAgent.act)
-
-        def spy_sample(*args):
-            gains = sample(*args)
-            seen["traces"].extend(gains.copy())
-            return gains
+        """Record every noise seed used and act() draw."""
+        seen = {"seeds": [], "draws": []}
+        generators, act = power_rl.generators, PpoAgent.act
 
         def spy_generators(seeds):
             seen["seeds"].extend(seeds)
@@ -498,7 +553,6 @@ class TestLockstep:
             seen["draws"].append(np.array(noise))
             return act(self, states, noise)
 
-        monkeypatch.setattr(ch, "fading_gains", spy_sample)
         monkeypatch.setattr(power_rl, "generators", spy_generators)
         monkeypatch.setattr(PpoAgent, "act", spy_act)
         return seen
@@ -506,26 +560,26 @@ class TestLockstep:
     def test_rollout_matches_sequential_episodes(self, tiny_bundle,
                                                  monkeypatch):
         n = 6
-        agent = PpoAgent(fresh_env(tiny_bundle).state_dim, hidden=16, rng=8)
+        env = fresh_env(tiny_bundle)
+        agent = PpoAgent(env.state_dim, hidden=16, rng=8)
+        traces = ch.fading_gains(env.channel_kind, (n, env.num_blocks), 7)
+        seeds = [derive_seed(79, e) for e in range(n)]
         runs = {}
         for mode in ("sequential", "lockstep"):
-            env = fresh_env(tiny_bundle)
             rng = np.random.default_rng(42)
             seen = self._spy(monkeypatch)
             if mode == "sequential":
-                episodes = [env.rollout(agent, rng, 1) for _ in range(n)]
+                episodes = [env.rollout(agent, rng, BUDGET, traces[e:e + 1],
+                                        seeds[e:e + 1]) for e in range(n)]
             else:
-                episodes = env.rollout(agent, rng, n)
+                episodes = env.rollout(agent, rng, BUDGET, traces, seeds)
             monkeypatch.undo()
-            runs[mode] = (episodes, seen, rng.bit_generator.state, env)
+            runs[mode] = (episodes, seen, rng.bit_generator.state)
 
-        (seq, seq_seen, seq_rng, _), (lock, lock_seen, lock_rng, env) = \
+        (seq, seq_seen, seq_rng), (lock, lock_seen, lock_rng) = \
             runs["sequential"], runs["lockstep"]
         assert len(lock.scores) == n and env.num_blocks > 1
-        for key in ("traces", "seeds"):
-            assert len(seq_seen[key]) == len(lock_seen[key]) == n
-            for a, b in zip(seq_seen[key], lock_seen[key]):
-                assert np.array_equal(a, b)
+        assert seq_seen["seeds"] == lock_seen["seeds"] == seeds
         # one act() per block: sequential draws [1] per call, lockstep
         # draws one column of an [n, blocks] matrix per call
         seq_draws = np.concatenate(seq_seen["draws"]).reshape(n, -1)
@@ -551,9 +605,9 @@ class TestLockstep:
         for policy, act in (
                 (agent, lambda states, t: agent.mean_action(states)),
                 (even, lambda states, t: even[t:t + 1])):
-            got = evaluate(policy, env, traces)
+            got = evaluate(policy, env, BUDGET, traces)
             want = np.array([
-                env.run(act, trace[None], [eval_seed(i)])[2][0]
+                env.run(act, BUDGET, trace[None], [eval_seed(i)])[2][0]
                 for i, trace in enumerate(traces)])
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
@@ -563,23 +617,23 @@ class TestLockstep:
         rng = np.random.default_rng(9)
         traces = ch.fading_gains(env.channel_kind, (5, env.num_blocks), rng)
         schedule = rng.uniform(0.0, 1.0, (len(traces), env.num_blocks))
-        got = evaluate(schedule, env, traces)
+        got = evaluate(schedule, env, BUDGET, traces)
         for i, trace in enumerate(traces):
-            want = env.run(lambda states, t: schedule[i, t:t + 1],
+            want = env.run(lambda states, t: schedule[i, t:t + 1], BUDGET,
                            trace[None], [eval_seed(i)])[2][0]
             assert abs(got[i] - want) <= 1e-6 * abs(want)
         with pytest.raises(ValueError):
-            evaluate(schedule[:, :-1], env, traces)
+            evaluate(schedule[:, :-1], env, BUDGET, traces)
 
     def test_power_audit_gains_one_row_per_episode(self, tiny_bundle):
         env = fresh_env(tiny_bundle)
         agent = PpoAgent(env.state_dim, hidden=16, rng=7)
-        env.rollout(agent, np.random.default_rng(0), 5)
+        run_rollout(env, agent, np.random.default_rng(0), 5)
         assert len(env.power_audit) == 5
         assert env.steps_taken == 5 * env.num_blocks
         rng = np.random.default_rng(1)
         traces = ch.fading_gains(env.channel_kind, (3, env.num_blocks), rng)
-        evaluate(agent, env, traces)
+        evaluate(agent, env, BUDGET, traces)
         assert len(env.power_audit) == 8
         assert all(total <= p_max for total, p_max in env.power_audit)
 
@@ -597,17 +651,23 @@ class TestLockstep:
                       np.full((2, env.num_blocks), -1.0),
                       np.eye(2, env.num_blocks), nan_gain):
             with pytest.raises(ValueError, match="blocks of positive gain"):
-                evaluate(even, env, gains)
+                evaluate(even, env, BUDGET, gains)
         # one trace is a set of one, [1, blocks]
         for gains in (np.ones(env.num_blocks), np.ones((0, env.num_blocks))):
             with pytest.raises(ValueError, match=r"need gains \[E, blocks\]"):
-                env.run(lambda states, t: even[t:t + 1], gains, [0])
-        assert env.power_audit == [] and env._episode_index == 0
+                env.run(lambda states, t: even[t:t + 1], BUDGET, gains, [0])
+        # a refused run plays no block of any episode
+        assert env.power_audit == [] and env.steps_taken == 0
 
     def test_non_positive_budget_refused(self, tiny_bundle):
+        # the budget comes with each run, which refuses it before any block
+        env = fresh_env(tiny_bundle)
+        even = np.full(env.num_blocks, 1.0 / env.num_blocks)
         for p_max in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="p_max must be positive"):
-                SeedTransmissionEnv(tiny_bundle, DESK, PROMPTS, p_max, seed=0)
+                env.run(lambda states, t: even[t:t + 1], p_max,
+                        np.ones((1, env.num_blocks)), [0])
+        assert env.power_audit == [] and env.steps_taken == 0
 
     def test_out_of_range_action_refused(self, tiny_bundle):
         # an action outside [0, 1] is refused, not clipped into it
@@ -616,37 +676,38 @@ class TestLockstep:
             schedule = np.full(env.num_blocks, 1.0 / env.num_blocks)
             schedule[1] = bad
             with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-                evaluate(schedule, env, np.ones((2, env.num_blocks)))
+                evaluate(schedule, env, BUDGET, np.ones((2, env.num_blocks)))
 
     def test_step_needs_one_action_per_episode(self, tiny_bundle):
         env = fresh_env(tiny_bundle)
         for action in (0.5, [0.5, 0.5]):
             with pytest.raises(ValueError, match="one action per episode"):
-                env.run(lambda states, t: action,
+                env.run(lambda states, t: action, BUDGET,
                         np.ones((3, env.num_blocks)), [0, 1, 2])
 
 
-def per_episode_reference(env, traces, noise_seeds, actions):
+def per_episode_reference(env, p_max, traces, noise_seeds, actions):
     """The per-episode power/noise/equalize loop, kept as the reference of
-    the lockstep ``SeedTransmissionEnv.run``: actions [blocks, E] in;
-    states [E, blocks, state_dim], powers [E, blocks] and the equalized
-    float64 payloads [E, P, blocks, block] out. Each episode draws its
-    noise block by block, which ``test_split_normal_draw_equals_one_draw``
-    proves equal to one draw of every block's noise."""
+    the lockstep ``SeedTransmissionEnv.run`` at budget ``p_max``: actions
+    [blocks, E] in; states [E, blocks, state_dim], powers [E, blocks] and
+    the equalized float64 payloads [E, P, blocks, block] out. Each episode
+    draws its noise block by block, which
+    ``test_split_normal_draw_equals_one_draw`` proves equal to one draw of
+    every block's noise."""
     episodes = len(traces)
     states = np.zeros((episodes, env.num_blocks, env.state_dim), np.float32)
     powers = np.zeros((episodes, env.num_blocks))
     received = np.zeros((episodes,) + env.blocks.shape)
     for e, (trace, seed) in enumerate(zip(traces, noise_seeds)):
         noise_rng = np.random.default_rng(seed)
-        remaining = env.p_max
+        remaining = p_max
         for t in range(env.num_blocks):
             sent = env.blocks[:, t, :]
             gain = float(trace[t])
             states[e, t, :-2] = env.blocks[0, t]
             states[e, t, -2] = gain
-            states[e, t, -1] = remaining / env.p_max
-            p = apply_power(float(actions[t, e]), remaining, env.p_max)
+            states[e, t, -1] = remaining / p_max
+            p = apply_power(float(actions[t, e]), remaining, p_max)
             noise = noise_rng.normal(0.0, env.noise_std, sent.shape) \
                 if env.noise_std > 0 else np.zeros_like(sent)
             if p > 0.0:   # else the block is erased and reads as zeros
@@ -708,7 +769,7 @@ class TestScoreChunks:
         monkeypatch.setattr(genmodel.AutoencoderPair, "decode", spy_decode)
         monkeypatch.setattr(env, "_score", spy_score)
         got = evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env,
-                       traces)
+                       BUDGET, traces)
         monkeypatch.undo()
         # one decode per chunk, the last one a single episode
         assert alive_at_start == [0, 0, 0]
@@ -733,7 +794,7 @@ class TestScoreChunks:
                                      rng)
             tracemalloc.start()
             try:
-                evaluate(even, env, traces)
+                evaluate(even, env, BUDGET, traces)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -758,7 +819,7 @@ def test_split_normal_draw_equals_one_draw(seed, shape, scale):
 
 @pytest.mark.parametrize("kind", ch.KINDS)
 @pytest.mark.parametrize("seed, shape", [
-    (0, (20, 4)), (derive_seed(5, 0xE0), (16, 4)), (12345, (3, 17))])
+    (0, (20, 4)), (derive_seed(5, "env_traces"), (16, 4)), (12345, (3, 17))])
 def test_split_fading_draw_equals_one_draw(kind, seed, shape):
     """One draw of E traces of B gains is, in values and in the final
     state of the generator, E draws of one trace each: so a rollout's or
@@ -786,12 +847,12 @@ class TestVectorizedStep:
         monkeypatch.setattr(env, "_score", lambda symbols:
                             scored.append(symbols.copy()) or score(symbols))
         states, powers, scores = env.run(lambda states, t: actions[t],
-                                         traces, seeds)
+                                         BUDGET, traces, seeds)
         monkeypatch.undo()
         assert shapes == [(len(traces),) + env.blocks[:, 0].shape] \
             * env.num_blocks
         want_states, want_powers, want_received = per_episode_reference(
-            env, traces, seeds, actions)
+            env, BUDGET, traces, seeds, actions)
         want_symbols = payload_symbols(env, want_received)
         assert np.array_equal(states, want_states)
         assert np.array_equal(powers, want_powers)

@@ -1,12 +1,17 @@
 """megsim's seeding: numpy's SeedSequence and default_rng behind one check
 that a seed is an int in [0, 2**64)."""
 
+import importlib
+import pkgutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from megsim import power_rl
+import megsim
+from megsim import experiments, power_rl
 from megsim.util import (EVAL_MASTER, STREAMS, as_rng, derive_seed,
                          derive_seeds, generators)
 
@@ -100,12 +105,12 @@ def test_stream_purposes_never_share_a_seed():
         """Stands in for an environment: keeps the noise seeds."""
         num_blocks = 1
 
-        def run(self, policy, traces, noise_seeds):
+        def run(self, policy, p_max, traces, noise_seeds):
             self.seeds = list(noise_seeds)
             return None, None, None
 
     env = Recorder()
-    power_rl.evaluate(np.ones(1), env, np.ones((256, 1)))
+    power_rl.evaluate(np.ones(1), env, 1.0, np.ones((256, 1)))
     assert env.seeds == derive_seeds(EVAL_MASTER, "eval_noise",
                                      indices=range(256))
     # at evaluate's master, every other purpose's seeds at indices 0-255
@@ -124,3 +129,42 @@ def test_purpose_stands_for_its_key():
         assert derive_seeds(7, purpose, indices=[3]) == [numpy_seed(7, key, 3)]
     with pytest.raises(KeyError):
         derive_seed(7, "no such purpose")
+
+
+def test_each_purpose_is_derived_at_one_path_length(tiny_cfg, tmp_path,
+                                                    monkeypatch):
+    # a path and the same path with trailing zero indices give one seed, as
+    # SeedSequence pads a short entropy list with zeros: so a purpose used
+    # both with and without an index would collide with itself at index 0
+    assert derive_seed(5, "codec") == derive_seed(5, "codec", 0)
+    lengths = {}
+
+    def record(path):
+        lengths.setdefault(path[0], set()).add(len(path))
+
+    def spy_seed(master, *indices):
+        record(indices)
+        return derive_seed(master, *indices)
+
+    def spy_seeds(master, *prefix, indices):
+        record(prefix + (0,))
+        return derive_seeds(master, *prefix, indices=indices)
+
+    # every module's own binding; __main__ would run the command line
+    for info in pkgutil.iter_modules(megsim.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"megsim.{info.name}")
+        for name, spy in (("derive_seed", spy_seed),
+                          ("derive_seeds", spy_seeds)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    # a cold train, so that every training stream is drawn
+    cfg = replace(tiny_cfg, out=str(tmp_path), ae_steps=1, dn_steps=1,
+                  codec_epochs=1, power_budgets=(2.0,), ppo_update_rounds=1,
+                  power_eval_traces=2).validate()
+    for command in ("train", "sweep", "eval", "power"):
+        getattr(experiments, f"cmd_{command}")(cfg)
+    assert set(lengths) == set(STREAMS)
+    assert {purpose: sorted(seen) for purpose, seen in lengths.items()
+            if len(seen) > 1} == {}
