@@ -43,12 +43,13 @@ print("max |recovered - z0| after full reverse pass:",
 
 print("\n== train a small denoiser on the synthetic corpus ==")
 prompts, images = corpus.build_corpus(16, 2, 32, 32, seed=1)
-# every training setting lives in the experiment config
+# every training setting lives in the experiment config, the 10-step
+# [diffusion] schedule that the denoiser trains and samples on included
 cfg = replace(config.desk_config(), ae_steps=300, ae_encoder_hidden=256,
               dn_steps=400)
 pair, _ = genmodel.train_autoencoder(images, cfg, seed=2)
 denoiser, history = genmodel.train_denoiser(
-    pair, list(zip(prompts, images)), schedule, cfg, seed=3)
+    pair, list(zip(prompts, images)), cfg, seed=3)
 print(f"noise-prediction loss: {history[0]:.3f} -> {history[-1]:.3f}",
       "(predicting zero would score ~1.0)")
 
@@ -57,8 +58,8 @@ noise = rng.standard_normal((2, 8, 8)).astype(np.float32)
 prompts = ["large rings center", "tiny stripes left"]
 # one noise draw for both prompts, so only the prompt differs
 batch = np.stack([noise, noise])
-latent, other = genmodel.generate_latent(denoiser, prompts, batch, schedule)
-again, _ = genmodel.generate_latent(denoiser, prompts, batch, schedule)
+latent, other = genmodel.generate_latent(denoiser, prompts, batch)
+again, _ = genmodel.generate_latent(denoiser, prompts, batch)
 print("deterministic resample identical:", np.array_equal(latent, again))
 print("different prompt changes the latent by (max abs):",
       round(float(np.max(np.abs(latent - other))), 4))

@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from megsim import channel as ch
 from megsim import config, experiments, power_rl
 from megsim.util import EVAL_MASTER, derive_seed
 
@@ -25,9 +24,8 @@ print(f"each episode: {env.num_blocks} blocks of {env.block_length} symbols, "
       f"budget {budget} (even split gives {budget / env.num_blocks:.3f} "
       f"per block)\n")
 
-frozen = ch.fading_gains(env.channel_kind,
-                         (cfg.power_eval_traces, env.num_blocks),
-                         derive_seed(cfg.seed, "frozen_traces"))
+# the frozen traces that `megsim power` scores every budget on
+frozen, _ = experiments.power_traces(cfg, env.num_blocks)
 print("training the allocator ...")
 agent, history, drl, uniform = power_rl.compare(
     env, replace(cfg, ppo_update_rounds=120), budget,

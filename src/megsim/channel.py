@@ -14,11 +14,9 @@ from .util import as_rng, write_csv
 KINDS = ("awgn", "rayleigh_block")
 
 
-def snr_to_noise_std(snr_db, signal_power=1.0):
-    """Noise standard deviation realizing an SNR against a known signal power."""
-    if signal_power <= 0:
-        raise ValueError("signal power must be positive")
-    return float(np.sqrt(signal_power / 10.0 ** (snr_db / 10.0)))
+def snr_to_noise_std(snr_db):
+    """Noise standard deviation realizing an SNR against unit signal power."""
+    return float(np.sqrt(1.0 / 10.0 ** (snr_db / 10.0)))
 
 
 def fading_gains(kind, shape, rng):

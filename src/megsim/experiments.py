@@ -137,8 +137,7 @@ def _load(cfg, skip=(), encoder=False):
             nets[_codec_filename(rate)] = codecs[rate].net
     for name, net in nets.items():
         nn.load_network(os.path.join(bundle_dir(cfg), name), net)
-    return ModelBundle(pair, denoiser,
-                       genmodel.make_schedule(cfg.diffusion_steps), codecs,
+    return ModelBundle(pair, denoiser, codecs,
                        metrics.FeatureExtractor(cfg.pixel_count))
 
 
@@ -153,8 +152,7 @@ def _generated_latents(cfg, bundle, prompts):
                       for rng in generators(derive_seeds(
                           cfg.seed, "codec_latents",
                           indices=range(len(prompts))))])
-    return genmodel.generate_latent(bundle.denoiser, prompts, noise,
-                                    bundle.schedule)
+    return genmodel.generate_latent(bundle.denoiser, prompts, noise)
 
 
 def cmd_train(cfg: ExperimentConfig) -> TrainResult:
@@ -189,8 +187,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
 
     if "denoiser" in retrain:
         bundle.denoiser, losses["denoiser"] = genmodel.train_denoiser(
-            bundle.autoencoder, list(zip(prompts, images)), bundle.schedule,
-            cfg, derive_seed(cfg.seed, "denoiser"))
+            bundle.autoencoder, list(zip(prompts, images)), cfg,
+            derive_seed(cfg.seed, "denoiser"))
         nn.save_network(os.path.join(out, "denoiser.bin"),
                         bundle.denoiser.net,
                         extra={"dep_hash": files["denoiser.bin"][1],
@@ -386,6 +384,17 @@ def power_env(bundle, cfg):
         derive_seed(cfg.seed, "power_env"))
 
 
+def power_traces(cfg, num_blocks):
+    """The traces that ``megsim power`` runs every budget on, each
+    [n, num_blocks] of the config's channel kind: the ``power_eval_traces``
+    frozen traces that score the agent and the even split, and the 20
+    held-out traces that select the agent."""
+    return tuple(ch.fading_gains(cfg.channel_kind, (n, num_blocks),
+                                 derive_seed(cfg.seed, purpose))
+                 for n, purpose in ((cfg.power_eval_traces, "frozen_traces"),
+                                    (20, "select_traces")))
+
+
 def cmd_power(cfg: ExperimentConfig):
     """Train the allocator per budget and compare it with the even split
     by :func:`power_rl.compare`.
@@ -401,12 +410,8 @@ def cmd_power(cfg: ExperimentConfig):
     # overwritten, never scored
     trace_path = os.path.join(
         cfg.out, f"eval_traces_{cfg.power_eval_traces}x{env.num_blocks}.csv")
-    frozen = ch.fading_gains(cfg.channel_kind,
-                             (cfg.power_eval_traces, env.num_blocks),
-                             derive_seed(cfg.seed, "frozen_traces"))
+    frozen, select_traces = power_traces(cfg, env.num_blocks)
     ch.export_trace_set(frozen, cfg.block_length, trace_path)
-    select_traces = ch.fading_gains(cfg.channel_kind, (20, env.num_blocks),
-                                    derive_seed(cfg.seed, "select_traces"))
 
     chash = config_hash(cfg)
     summary_rows, curve_paths, agent_paths = [], [], []

@@ -123,9 +123,9 @@ def ddim_step(denoiser, z_t, t, pooled, schedule: NoiseSchedule, out=None):
     return out
 
 
-def generate_latent(denoiser, prompts, initial_noise, schedule: NoiseSchedule):
-    """Run the reverse chain from t = steps down to 1 for a list of P
-    prompts and their noise [P, *latent_shape], sampled as one batch; a
+def generate_latent(denoiser, prompts, initial_noise):
+    """Run the denoiser's reverse chain from t = T down to 1 for a list of
+    P prompts and their noise [P, *latent_shape], sampled as one batch; a
     pure function of (denoiser, prompts, noise). Each step is computed in
     one float64 buffer and rounded to the float32 latents in place.
     """
@@ -133,8 +133,8 @@ def generate_latent(denoiser, prompts, initial_noise, schedule: NoiseSchedule):
                                     denoiser.embed_dim) for text in prompts])
     z = np.array(initial_noise, dtype=np.float32)
     step = np.empty(z.shape)
-    for t in range(schedule.steps, 0, -1):
-        z[...] = ddim_step(denoiser, z, t, pooled, schedule, step)
+    for t in range(denoiser.schedule.steps, 0, -1):
+        z[...] = ddim_step(denoiser, z, t, pooled, denoiser.schedule, step)
     return z
 
 
@@ -154,7 +154,8 @@ def time_embedding(t, dim):
 
 class Denoiser:
     """Dense noise-prediction network conditioned on step and prompt, with
-    the geometry and ``dn_hidden`` width of the experiment config ``cfg``.
+    the geometry, ``dn_hidden`` width and ``[diffusion] steps`` of the
+    experiment config ``cfg``: the one schedule it trains and samples on.
 
     Input is the flattened noisy latent concatenated with a sinusoidal
     step embedding and the pooled prompt embedding; output has the latent
@@ -168,6 +169,9 @@ class Denoiser:
         self.time_dim = cfg.time_dim
         self.max_tokens = cfg.max_tokens
         self.embed_dim = cfg.embed_dim
+        self.schedule = make_schedule(cfg.diffusion_steps)
+        self.time_table = np.stack([time_embedding(t, self.time_dim)
+                                    for t in range(self.schedule.steps + 1)])
         in_dim = self.latent_size + self.time_dim + self.embed_dim
         hidden = cfg.dn_hidden
         self.net = nn.Network([
@@ -175,45 +179,37 @@ class Denoiser:
             nn.DenseLayer(hidden, hidden, "relu", rng, "h2"),
             nn.DenseLayer(hidden, self.latent_size, "none", rng, "out"),
         ], name="denoiser")
-        self._time_table = np.empty((0, self.time_dim), dtype=np.float32)
-
-    def time_table(self, steps):
-        """Step embeddings for t = 0..steps (at least), built once."""
-        if steps < 0:
-            raise ValueError(f"step {steps} is negative")
-        if len(self._time_table) <= steps:
-            self._time_table = np.stack([time_embedding(t, self.time_dim)
-                                         for t in range(steps + 1)])
-        return self._time_table
 
     def predict(self, z_t, t, pooled):
-        """Noise estimate shaped like ``z_t``, for P latents and their
-        pooled prompt rows [P, embed_dim]."""
+        """Noise estimate shaped like ``z_t`` at step ``t`` in [0, T], for
+        P latents and their pooled prompt rows [P, embed_dim]."""
+        if not 0 <= t < len(self.time_table):
+            raise ValueError(f"step {t} outside [0, {self.schedule.steps}]")
         z_t = np.asarray(z_t)
         rows = len(pooled)
         if z_t.size != rows * self.latent_size:
             raise DimensionError(f"{z_t.size} latent values for {rows} rows")
         feats = np.concatenate([
             z_t.reshape(rows, -1).astype(np.float32),
-            np.broadcast_to(self.time_table(t)[t], (rows, self.time_dim)),
+            np.broadcast_to(self.time_table[t], (rows, self.time_dim)),
             pooled], axis=1)
         out = self.net.forward(feats, cache=False)
         return out.reshape(z_t.shape)
 
 
-def denoiser_batch(latents, pooled, time_table, idx, ts, eps, schedule):
-    """Denoiser inputs [B, latent + time_dim + embed_dim] for one batch.
+def denoiser_batch(denoiser, latents, pooled, idx, ts, eps):
+    """Inputs [B, latent + time_dim + embed_dim] of ``denoiser``, a batch.
 
-    Row j is the latent ``latents[idx[j]]`` diffused to step ``ts[j]`` with
-    noise ``eps[j]``, then the step's row of ``time_table`` and the
-    prompt's row of ``pooled``.
+    Row j is the latent ``latents[idx[j]]`` diffused on the denoiser's
+    schedule to step ``ts[j]`` with noise ``eps[j]``, then the step's row
+    of its time table and the prompt's row of ``pooled``.
     """
-    z_t = diffuse_forward(latents[idx], ts, eps, schedule)
-    return np.concatenate([z_t.astype(np.float32), time_table[ts],
+    z_t = diffuse_forward(latents[idx], ts, eps, denoiser.schedule)
+    return np.concatenate([z_t.astype(np.float32), denoiser.time_table[ts],
                            pooled[idx]], axis=1)
 
 
-def train_denoiser(pair, dataset, schedule, cfg, seed):
+def train_denoiser(pair, dataset, cfg, seed):
     """Fit the noise predictor of :class:`Denoiser` ``(cfg)`` on corpus
     (prompt, image) pairs encoded by ``pair``, with the ``dn_*`` settings
     of the experiment config ``cfg``.
@@ -232,15 +228,13 @@ def train_denoiser(pair, dataset, schedule, cfg, seed):
     latents = pair.encode(images[:, None]).reshape(len(dataset), -1)
     pooled = np.stack([embed_prompt(p, denoiser.max_tokens, denoiser.embed_dim)
                        for p, _ in dataset])
-    time_table = denoiser.time_table(schedule.steps)
     opt = nn.Adam(cfg.dn_lr)
     history = []
     for _ in range(cfg.dn_steps):
         idx = rng.integers(0, len(dataset), size=cfg.dn_batch)
-        ts = rng.integers(1, schedule.steps + 1, size=cfg.dn_batch)
+        ts = rng.integers(1, cfg.diffusion_steps + 1, size=cfg.dn_batch)
         eps = rng.standard_normal((cfg.dn_batch, denoiser.latent_size))
-        feats = denoiser_batch(latents, pooled, time_table, idx, ts, eps,
-                               schedule)
+        feats = denoiser_batch(denoiser, latents, pooled, idx, ts, eps)
         pred = denoiser.net.forward(feats, cache=True)
         diff = pred - eps.astype(np.float32)
         loss = float(np.mean(diff * diff))

@@ -97,7 +97,6 @@ class ModelBundle:
     """Everything both endpoints need to run generations."""
     autoencoder: genmodel.AutoencoderPair
     denoiser: genmodel.Denoiser
-    schedule: genmodel.NoiseSchedule
     codecs: dict
     extractor: metrics.FeatureExtractor
 
@@ -127,8 +126,7 @@ def es_handle_request(bundle: ModelBundle, prompts, noise, rate,
         raise ProtocolError(f"{len(prompts)} prompts do not split into "
                             f"{cells} equal groups")
     codec = bundle.codec_for(rate)
-    latents = genmodel.generate_latent(bundle.denoiser, prompts, noise,
-                                       bundle.schedule)
+    latents = genmodel.generate_latent(bundle.denoiser, prompts, noise)
     symbols, scales = codec.compress(latents.reshape((cells, -1) + shape))
     fixed = rate_fixed(codec.rate)
     frames = [SeedFrame(fixed, codec.latent_shape, int(block_length),
@@ -332,7 +330,7 @@ def run_end_to_end(bundle: ModelBundle, served) -> EndToEndReport:
         batch = np.empty(source.shape, np.float32)
         for cell, (spec, rng) in enumerate(zip(specs, rngs)):
             noise_std = None if spec.snr_db is None \
-                else ch.snr_to_noise_std(spec.snr_db, 1.0)
+                else ch.snr_to_noise_std(spec.snr_db)
             if mode == "meg":
                 sent = None if noise_std is None else transmit_stream(
                     np.stack([frame.payload for frame in frames[cell]]),

@@ -59,17 +59,15 @@ def low_snr_ordering(bundle, cfg):
 
 def allocator_gain(bundle, cfg):
     """Acceptance 09: PPO trained at the tightest budget with the ``ppo_*``
-    settings of ``cfg``, against an even split on 100 frozen traces, with
-    the environment, traces and agent seed of ``megsim power`` at that
-    budget. Returns the mean paired gain, the wins and losses, the
-    one-sided sign test's p, whether it holds (gain > 0 and p < 0.05), the
-    training history and the environment, whose budget audit acceptance 08
-    reads."""
+    settings of ``cfg``, against an even split on the config's frozen
+    traces (100 in the desk preset), with the environment, traces and
+    agent seed of ``megsim power`` at that budget. Returns the mean paired
+    gain, the wins and losses, the one-sided sign test's p, whether it
+    holds (gain > 0 and p < 0.05), the training history and the
+    environment, whose budget audit acceptance 08 reads."""
     budget = min(cfg.power_budgets)
     env = experiments.power_env(bundle, cfg)
-    frozen, select = (ch.fading_gains(
-        env.channel_kind, (n, env.num_blocks), derive_seed(cfg.seed, purpose))
-        for n, purpose in ((100, "frozen_traces"), (20, "select_traces")))
+    frozen, select = experiments.power_traces(cfg, env.num_blocks)
     _, history, drl, even = power_rl.compare(
         env, cfg, budget, experiments.agent_seed(cfg, budget), frozen, select)
     diff = drl - even

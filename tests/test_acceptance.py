@@ -216,9 +216,10 @@ def test_criterion_07_channel_statistics():
 
 def test_criterion_08_power_budget_exhaustive(ppo_run):
     env = ppo_run["env"]
-    violations = sum(1 for total, p_max in env.power_audit if total > p_max)
+    # run raises at the first episode over its budget, after counting it
+    violations = int(env.max_overspend > 0)
     ok = env.steps_taken >= 10_000 and violations == 0
-    report(8, ok, f"{env.steps_taken} steps over {len(env.power_audit)} "
+    report(8, ok, f"{env.steps_taken} steps over {env.episodes_run} "
                   f"episodes, {violations} budget violations")
 
 

@@ -236,11 +236,11 @@ class TestAutoencoder:
 class TestDenoiserTraining:
     def test_loss_decreases(self, tiny_cfg, tiny_bundle):
         prompts, images = corpus.build_corpus(8, *tiny_cfg.image_shape, seed=5)
-        sched = genmodel.make_schedule(6)
-        cfg = replace(config.desk_config(), dn_steps=300, dn_hidden=48)
+        cfg = replace(config.desk_config(), dn_steps=300, dn_hidden=48,
+                      diffusion_steps=6)
         _, hist = genmodel.train_denoiser(tiny_bundle.autoencoder,
-                                          list(zip(prompts, images)), sched,
-                                          cfg, seed=0)
+                                          list(zip(prompts, images)), cfg,
+                                          seed=0)
         tail = float(np.mean(hist[-max(1, len(hist) // 10):]))
         assert tail < hist[0]
 
@@ -248,13 +248,14 @@ class TestDenoiserTraining:
         prompts, images = corpus.build_corpus(7, 3, 16, 16, seed=2)
         pair = genmodel.AutoencoderPair(
             geometry(3, 16, 4, 2, ae_hidden=24, ae_encoder_hidden=24), rng=3)
-        sched = genmodel.make_schedule(9)
         time_dim = 16
+        den = genmodel.Denoiser(geometry(3, 16, 4, 2, dn_hidden=8,
+                                         time_dim=time_dim,
+                                         diffusion_steps=9), rng=0)
+        sched = genmodel.make_schedule(9)
         latents = np.stack([pair.encode(img[None]).reshape(-1)
                             for img in images])
         pooled = np.stack([embed(p) for p in prompts])
-        time_table = np.stack([genmodel.time_embedding(t, time_dim)
-                               for t in range(sched.steps + 1)])
         idx = rng.integers(0, len(prompts), size=32)
         ts = rng.integers(1, sched.steps + 1, size=32)
         eps = rng.standard_normal((32, latents.shape[1]))
@@ -263,8 +264,7 @@ class TestDenoiserTraining:
             .astype(np.float32),
             genmodel.time_embedding(int(t), time_dim),
             embed(prompts[i])]) for i, t, e in zip(idx, ts, eps)])
-        got = genmodel.denoiser_batch(latents, pooled, time_table, idx, ts,
-                                      eps, sched)
+        got = genmodel.denoiser_batch(den, latents, pooled, idx, ts, eps)
         assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got, want)
 
@@ -282,8 +282,8 @@ class TestDenoiserTraining:
     def test_trained_beats_zero_baseline(self, tiny_cfg, tiny_bundle):
         prompts, images = corpus.build_corpus(10, *tiny_cfg.image_shape,
                                               seed=6)
-        sched = tiny_bundle.schedule
         den = tiny_bundle.denoiser
+        sched = den.schedule
         pair = tiny_bundle.autoencoder
         rng = np.random.default_rng(11)
         embs = [embed(p) for p in prompts]
@@ -306,30 +306,55 @@ class TestGeneration:
         noise = rng.standard_normal(
             (1,) + tiny_bundle.autoencoder.latent_shape).astype(np.float32)
         a = genmodel.generate_latent(tiny_bundle.denoiser, ["large blob left"],
-                                     noise, tiny_bundle.schedule)
+                                     noise)
         b = genmodel.generate_latent(tiny_bundle.denoiser, ["large blob left"],
-                                     noise, tiny_bundle.schedule)
+                                     noise)
         assert np.array_equal(a, b)
 
     def test_different_noise_differs(self, tiny_bundle, rng):
         shape = (1,) + tiny_bundle.autoencoder.latent_shape
         n1 = rng.standard_normal(shape).astype(np.float32)
         n2 = rng.standard_normal(shape).astype(np.float32)
-        a = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], n1,
-                                     tiny_bundle.schedule)
-        b = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], n2,
-                                     tiny_bundle.schedule)
+        a = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], n1)
+        b = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], n2)
         assert np.max(np.abs(a - b)) > 0
 
-    def test_single_step_schedule_is_one_ddim_step(self, tiny_bundle, rng):
+    def test_single_step_schedule_is_one_ddim_step(self, tiny_cfg,
+                                                   tiny_bundle, rng):
+        # the tiny denoiser's weights, on a schedule of one step
+        den = genmodel.Denoiser(replace(tiny_cfg, diffusion_steps=1))
+        den.net.flat[...] = tiny_bundle.denoiser.net.flat
         s1 = genmodel.make_schedule(1)
         noise = rng.standard_normal(
             (1,) + tiny_bundle.autoencoder.latent_shape).astype(np.float32)
         pooled = embed("blob")[None]
-        got = genmodel.generate_latent(tiny_bundle.denoiser, ["blob"], noise,
-                                       s1)
-        want = genmodel.ddim_step(tiny_bundle.denoiser, noise, 1, pooled, s1)
+        got = genmodel.generate_latent(den, ["blob"], noise)
+        want = genmodel.ddim_step(den, noise, 1, pooled, s1)
         assert np.allclose(got, want.astype(np.float32))
+
+    def test_three_step_denoiser_samples_in_three_ddim_steps(self, tiny_cfg,
+                                                             tiny_bundle,
+                                                             rng):
+        # the sampler's chain is the denoiser's own schedule: T predict
+        # calls, each one ddim_step on make_schedule(T)
+        den = genmodel.Denoiser(replace(tiny_cfg, diffusion_steps=3))
+        den.net.flat[...] = tiny_bundle.denoiser.net.flat
+        steps = []
+        predict = den.predict
+        den.predict = lambda z_t, t, pooled: (steps.append(t)
+                                              or predict(z_t, t, pooled))
+        noise = rng.standard_normal(
+            (2,) + tiny_bundle.autoencoder.latent_shape).astype(np.float32)
+        prompts = ["blob", "tiny stripes top"]
+        got = genmodel.generate_latent(den, prompts, noise)
+        assert steps == [3, 2, 1]
+        s3 = genmodel.make_schedule(3)
+        pooled = np.stack([embed(p) for p in prompts])
+        want = noise
+        for t in (3, 2, 1):
+            want = genmodel.ddim_step(den, want, t, pooled, s3) \
+                .astype(np.float32)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCorpus:
@@ -376,11 +401,11 @@ class ReferencePredict:
 class TestSamplerConstants:
     def test_generate_latent_equals_per_step_reference(self, tiny_bundle,
                                                        rng):
-        den, sched = tiny_bundle.denoiser, tiny_bundle.schedule
+        den, sched = tiny_bundle.denoiser, tiny_bundle.denoiser.schedule
         for prompt in ("large blob left", "tiny stripes top center now"):
             noise = rng.standard_normal((1,) + den.latent_shape) \
                 .astype(np.float32)
-            got = genmodel.generate_latent(den, [prompt], noise, sched)
+            got = genmodel.generate_latent(den, [prompt], noise)
             ref = ReferencePredict(den, prompt)
             want = noise
             for t in range(sched.steps, 0, -1):
@@ -389,15 +414,25 @@ class TestSamplerConstants:
             assert np.array_equal(got, want)
 
     def test_time_table_rows_are_time_embeddings(self):
-        den = genmodel.Denoiser(geometry(2, 8, 4, 2, dn_hidden=8, time_dim=6),
-                                rng=0)
-        table = den.time_table(4)
-        assert den.time_table(3) is table          # built once
+        den = genmodel.Denoiser(geometry(2, 8, 4, 2, dn_hidden=8, time_dim=6,
+                                         diffusion_steps=4), rng=0)
+        table = den.time_table
+        assert table.shape == (5, 6) and table.dtype == np.float32
         assert all(np.array_equal(table[t], genmodel.time_embedding(t, 6))
                    for t in range(5))
-        assert len(den.time_table(9)) == 10
-        with pytest.raises(ValueError):
-            den.time_table(-1)
+        assert den.schedule.steps == 4
+
+    def test_predict_refuses_a_step_outside_the_schedule(self):
+        den = genmodel.Denoiser(geometry(2, 8, 4, 2, dn_hidden=8, time_dim=6,
+                                         diffusion_steps=4), rng=0)
+        z, pooled = np.zeros((1,) + den.latent_shape), embed("blob")[None]
+        for t in (0, 4):
+            assert den.predict(z, t, pooled).shape == z.shape
+        # a step past T has no trained embedding, and -1 would wrap to T
+        for t in (5, 9, -1):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\]"):
+                den.predict(z, t, pooled)
+        assert den.time_table.shape == (5, 6)
 
     def test_memoized_token_vectors_are_read_only(self):
         v = genmodel._token_vector("blob", 32)
@@ -417,14 +452,14 @@ class TestPromptBatch:
 
     def test_generate_latent_batch_matches_single_calls(self, tiny_bundle,
                                                         rng):
-        den, sched = tiny_bundle.denoiser, tiny_bundle.schedule
+        den = tiny_bundle.denoiser
         prompts = list(self.PROMPTS)
         noise = rng.standard_normal((len(prompts),) + den.latent_shape) \
             .astype(np.float32)
-        batch = genmodel.generate_latent(den, prompts, noise, sched)
+        batch = genmodel.generate_latent(den, prompts, noise)
         assert batch.shape == noise.shape and batch.dtype == np.float32
         for prompt, z, got in zip(prompts, noise, batch):
-            one = genmodel.generate_latent(den, [prompt], z[None], sched)
+            one = genmodel.generate_latent(den, [prompt], z[None])
             assert one.shape == (1,) + den.latent_shape
             want = one[0]
             assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))

@@ -465,13 +465,12 @@ class TestAdamMatchesReference:
         cfg = replace(config.desk_config(), channels=3, height=16, width=16,
                       ae_steps=40, ae_batch=4, ae_hidden=32,
                       ae_encoder_hidden=32, dn_steps=40, dn_batch=4,
-                      dn_hidden=24, time_dim=8)
-        schedule = genmodel.make_schedule(6)
+                      dn_hidden=24, time_dim=8, diffusion_steps=6)
 
         def train_and_save(tag):
             pair, _ = genmodel.train_autoencoder(images, cfg, seed=1)
             den, _ = genmodel.train_denoiser(
-                pair, list(zip(prompts, images)), schedule, cfg, seed=2)
+                pair, list(zip(prompts, images)), cfg, seed=2)
             blobs = []
             for k, net in enumerate((pair.encoder, pair.decoder, den.net)):
                 path = tmp_path / f"{tag}{k}.bin"

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import weakref
 from dataclasses import dataclass, replace
@@ -270,12 +271,12 @@ class TestEntropyAndSurrogate:
 class TestEnvironment:
     def test_budget_never_exceeded(self, env, rng):
         agent = PpoAgent(env.state_dim, hidden=16, rng=1)
-        start = len(env.power_audit)
-        for _ in range(5):
-            run_rollout(env, agent, rng, 10)
-        audit = env.power_audit[start:]
-        assert len(audit) == 50
-        assert all(total <= p_max for total, p_max in audit)
+        start = env.episodes_run
+        powers = np.concatenate([run_rollout(env, agent, rng, 10).powers
+                                 for _ in range(5)])
+        assert env.episodes_run - start == len(powers) == 50
+        assert all(math.fsum(row) <= BUDGET for row in powers)
+        assert env.max_overspend <= 0.0
 
     def test_reward_sparsity(self, env):
         # the policy is asked once per block, in order; the only reward is
@@ -390,10 +391,11 @@ class TestEvaluation:
 
     def test_uniform_policy_spends_whole_budget(self, env):
         traces = self._traces(env, 3)
-        evaluate(np.full(env.num_blocks, 1.0 / env.num_blocks), env, BUDGET,
-                 traces)
-        for total, p_max in env.power_audit[-3:]:
-            assert abs(total - p_max) < 1e-6
+        even = np.full(env.num_blocks, 1.0 / env.num_blocks)
+        powers = env.run(lambda states, t: np.repeat(even[t], len(traces)),
+                         BUDGET, traces, [eval_seed(i) for i in range(3)])[1]
+        for row in powers:
+            assert abs(math.fsum(row) - BUDGET) < 1e-6
 
     def test_evaluation_deterministic(self, env):
         traces = self._traces(env, 5)
@@ -456,10 +458,10 @@ class TestEvaluation:
         even = np.full(env.num_blocks, 1.0 / env.num_blocks)
         cfg = ppo_cfg(ppo_update_rounds=2, ppo_episodes_per_batch=3)
         for seed in range(2):
-            before = len(env.power_audit)
+            before = env.episodes_run
             agent, _, drl, uni = compare(env, cfg, BUDGET, seed, traces)
-            # 2 rounds of 3 episodes, then one row per trace and policy
-            assert len(env.power_audit) - before == 2 * 3 + 2 * len(traces)
+            # 2 rounds of 3 episodes, then one episode per trace and policy
+            assert env.episodes_run - before == 2 * 3 + 2 * len(traces)
             assert drl.tobytes() \
                 == evaluate(agent, other, BUDGET, traces).tobytes()
             assert uni.tobytes() \
@@ -514,8 +516,8 @@ def test_allocator_gain_trains_with_its_cfg(tiny_cfg, tiny_bundle):
     a09 = claims.allocator_gain(tiny_bundle, cfg)
     assert len(a09["history"]) == 3
     # 3 rounds of 2 episodes, one held-out check on 20 traces, then both
-    # policies on 100
-    assert len(a09["env"].power_audit) == 3 * 2 + 20 + 2 * 100
+    # policies on the config's 10 frozen traces
+    assert a09["env"].episodes_run == 3 * 2 + 20 + 2 * 10
 
 
 class TestTrainingEffect:
@@ -625,17 +627,36 @@ class TestLockstep:
         with pytest.raises(ValueError):
             evaluate(schedule[:, :-1], env, BUDGET, traces)
 
-    def test_power_audit_gains_one_row_per_episode(self, tiny_bundle):
+    def test_power_audit_counts_each_episode(self, tiny_bundle):
         env = fresh_env(tiny_bundle)
         agent = PpoAgent(env.state_dim, hidden=16, rng=7)
-        run_rollout(env, agent, np.random.default_rng(0), 5)
-        assert len(env.power_audit) == 5
+        powers = run_rollout(env, agent, np.random.default_rng(0), 5).powers
+        assert env.episodes_run == 5
         assert env.steps_taken == 5 * env.num_blocks
+        assert env.max_overspend \
+            == max(math.fsum(row) for row in powers) - BUDGET <= 0.0
         rng = np.random.default_rng(1)
         traces = ch.fading_gains(env.channel_kind, (3, env.num_blocks), rng)
         evaluate(agent, env, BUDGET, traces)
-        assert len(env.power_audit) == 8
-        assert all(total <= p_max for total, p_max in env.power_audit)
+        assert env.episodes_run == 8
+        assert env.max_overspend <= 0.0
+
+    def test_power_audit_does_not_grow_with_runs(self, tiny_bundle):
+        # the audit is a few counters, not one row per episode
+        env = fresh_env(tiny_bundle)
+        even = np.full(env.num_blocks, 1.0 / env.num_blocks)
+        traces = ch.fading_gains(env.channel_kind, (20, env.num_blocks),
+                                 np.random.default_rng(2))
+
+        def size():
+            return sum(map(sys.getsizeof, vars(env).values()))
+
+        evaluate(even, env, BUDGET, traces)
+        before = size()
+        for _ in range(3):
+            evaluate(even, env, BUDGET, traces)
+        assert size() == before
+        assert env.episodes_run == 4 * len(traces)
 
     def test_unknown_kind_and_bad_gains_refused(self, tiny_bundle):
         # the environment's kind is its config's, which refuses this one
@@ -657,7 +678,7 @@ class TestLockstep:
             with pytest.raises(ValueError, match=r"need gains \[E, blocks\]"):
                 env.run(lambda states, t: even[t:t + 1], BUDGET, gains, [0])
         # a refused run plays no block of any episode
-        assert env.power_audit == [] and env.steps_taken == 0
+        assert env.episodes_run == 0 and env.steps_taken == 0
 
     def test_non_positive_budget_refused(self, tiny_bundle):
         # the budget comes with each run, which refuses it before any block
@@ -667,7 +688,7 @@ class TestLockstep:
             with pytest.raises(ValueError, match="p_max must be positive"):
                 env.run(lambda states, t: even[t:t + 1], p_max,
                         np.ones((1, env.num_blocks)), [0])
-        assert env.power_audit == [] and env.steps_taken == 0
+        assert env.episodes_run == 0 and env.steps_taken == 0
 
     def test_out_of_range_action_refused(self, tiny_bundle):
         # an action outside [0, 1] is refused, not clipped into it

@@ -135,8 +135,7 @@ def reference_es_handle_request(bundle, prompt, noise, rate, block_length):
     by its RMS, frame. Returns (frame, latent)."""
     codec = bundle.codec_for(rate)
     (latent,) = genmodel.generate_latent(bundle.denoiser, [prompt],
-                                         noise[None].astype(np.float32),
-                                         bundle.schedule)
+                                         noise[None].astype(np.float32))
     raw = codec.enc.forward(latent.reshape(1, -1), cache=False)[0]
     scale = float(np.sqrt(np.mean(raw.astype(np.float64) ** 2)))
     frame = protocol.SeedFrame(round(codec.rate * 2 ** 16),
@@ -183,9 +182,9 @@ class TestEsBatch:
         seen = []
         generate = genmodel.generate_latent
         monkeypatch.setattr(genmodel, "generate_latent",
-                            lambda den, prompts, noise, sched:
+                            lambda den, prompts, noise:
                             seen.append(np.array(noise, np.float32))
-                            or generate(den, prompts, noise, sched))
+                            or generate(den, prompts, noise))
         seeds = [5, 9, 5, 2]
         frames, _ = es_handle_request(tiny_bundle, self.PROMPTS,
                                       noise_rows(tiny_bundle, seeds), 0.5, 16)
@@ -670,7 +669,7 @@ class TestBatchedLink:
         assert np.array_equal(ch.fading_gains(
             spec.channel_kind, report.gains.shape[1], rng), report.gains[0])
         for mode in metrics.MODES:
-            noise_std = ch.snr_to_noise_std(spec.snr_db, 1.0)
+            noise_std = ch.snr_to_noise_std(spec.snr_db)
             images, received = [], []
             for truth, latent, seed, scale in zip(report.ground_truths[0],
                                                   latents, symbols,
