@@ -23,7 +23,8 @@ from .config import ExperimentConfig, config_hash
 from .errors import BundleError, ConfigError
 from .protocol import (ModelBundle, RunSpec, rate_fixed, run_end_to_end,
                        serve_cells)
-from .util import derive_seed, derive_seeds, generators, sha256_file, write_csv
+from .util import (derive_seed, derive_seeds, generators, replace_file,
+                   sha256_file, write_csv)
 
 SWEEP_SCHEMA = "megsim sweep v1"
 POWER_SCHEMA = "megsim power v1"
@@ -217,10 +218,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
                           else digests[f]
                           for f in os.listdir(out) if f.endswith(".bin")}}
     manifest_path = os.path.join(out, "manifest.json")
-    # written whole or not at all: a reader never sees half a manifest
-    with open(manifest_path + ".tmp", "w") as fh:
+    with replace_file(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    os.replace(manifest_path + ".tmp", manifest_path)
     actions = {stage: "trained" if stage in retrain else "cached"
                for stage, _ in files.values()}
     return TrainResult(bundle, out, actions, manifest_path, losses)

@@ -32,7 +32,7 @@ import struct
 import numpy as np
 
 from .errors import DimensionError, StateError, TrainingError
-from .util import as_rng
+from .util import as_rng, replace_file
 
 ACTIVATIONS = ("none", "relu", "tanh")
 
@@ -531,7 +531,7 @@ def save_network(path, *networks, extra=None, name=None):
             "layers": [d for net in networks for d in net.descriptors()],
             "extra": extra or {}}
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replace_file(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<BI", _FORMAT_VERSION, len(blob)))
         fh.write(blob)

@@ -2,6 +2,8 @@
 
 import math
 
+from .util import replace_file
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -93,5 +95,5 @@ def write_line_chart(path, series, title="", xlabel="", ylabel="",
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 24}" y="{ly}">{label}</text>')
     out.append("</svg>")
-    with open(path, "w") as fh:
+    with replace_file(path) as fh:
         fh.write("\n".join(out))

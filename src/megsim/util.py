@@ -1,12 +1,14 @@
-"""Small shared helpers: deterministic seeding, hashing and CSV output.
+"""Small shared helpers: deterministic seeding, hashing and file output.
 
 A seed is an int in [0, 2**64); any other is refused with a ValueError.
 A derived seed is numpy's ``SeedSequence([master, *path])``'s first
 64-bit word, and a seed's generator is ``np.random.default_rng(seed)``.
 """
 
+import contextlib
 import csv
 import hashlib
+import os
 
 import numpy as np
 
@@ -76,13 +78,37 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
+def replace_file(path, mode="w", **open_kwargs):
+    """Yield a new ``path + ".tmp"`` (a stale one removed, ``w`` in
+    ``mode`` made ``x``); after the block, unlink ``path`` and rename the
+    new file into place, so a reader sees the old file, none or the whole
+    new one. On an exception the ``.tmp`` goes and ``path`` stays. No
+    fsync. Truncating the old file or renaming over it would make ext4's
+    ``auto_da_alloc`` write it back, which stalls the next overwrite.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(tmp)
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    os.rename(tmp, path)
+
+
 def write_csv(path, header, rows, comment=None):
     """Write ``rows`` under ``header``, after a ``# comment`` line if given.
 
     Float cells are written as ``repr(float(v))``, which round-trips
     exactly; every other cell as ``str(v)``.
     """
-    with open(path, "w", newline="") as fh:
+    with replace_file(path, newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)

@@ -796,6 +796,45 @@ class TestTrainCaching:
             experiments.cmd_train(cfg)
 
 
+class TestOutputsReplaced:
+    def test_rerun_writes_new_files_with_the_same_bytes(self, tiny_cfg,
+                                                        tiny_bundle,
+                                                        tmp_path):
+        # each output is a new file renamed into place, never the old one
+        # truncated or renamed over: a hard link to the first run's file
+        # keeps that run's bytes, as a copy would
+        import shutil
+        out = tmp_path / "out"
+        cfg = replace(tiny_cfg, out=str(out), power_budgets=(2.0,)).validate()
+        shutil.copytree(experiments.bundle_dir(tiny_cfg),
+                        experiments.bundle_dir(cfg))
+
+        def run():
+            for command in ("train", "sweep", "eval", "power"):
+                getattr(experiments, f"cmd_{command}")(cfg)
+            return {os.path.relpath(os.path.join(root, name), out)
+                    for root, _, names in os.walk(out) for name in names}
+
+        first = run()
+        # a cached train writes the manifest but not the weights
+        outputs = sorted(f for f in first if not f.endswith(".bin")
+                         or f.startswith("agent_"))
+        assert {"manifest.json", "sweep.csv", "eval.csv",
+                "power_summary.svg", "agent_p2.0.bin"} \
+            <= {os.path.basename(f) for f in outputs}
+        links = tmp_path / "links"
+        links.mkdir()
+        for k, name in enumerate(outputs):
+            os.link(out / name, links / str(k))
+        second = run()
+        assert second == first
+        assert [f for f in second if f.endswith(".tmp")] == []
+        for k, name in enumerate(outputs):
+            assert not os.path.samefile(out / name, links / str(k)), name
+            assert (out / name).read_bytes() \
+                == (links / str(k)).read_bytes(), name
+
+
 class TestSweep:
     def test_desk_sweep_outputs(self, tiny_cfg, tiny_bundle):
         result = experiments.cmd_sweep(tiny_cfg)

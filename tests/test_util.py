@@ -1,7 +1,9 @@
 """megsim's seeding: numpy's SeedSequence and default_rng behind one check
-that a seed is an int in [0, 2**64)."""
+that a seed is an int in [0, 2**64); and its one file writer."""
 
+import ast
 import importlib
+import os
 import pkgutil
 from dataclasses import replace
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import megsim
 from megsim import experiments, power_rl
 from megsim.util import (EVAL_MASTER, STREAMS, as_rng, derive_seed,
-                         derive_seeds, generators)
+                         derive_seeds, generators, replace_file)
 
 # one- and two-word ints and the edges between them
 EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
@@ -168,3 +170,95 @@ def test_each_purpose_is_derived_at_one_path_length(tiny_cfg, tmp_path,
     assert set(lengths) == set(STREAMS)
     assert {purpose: sorted(seen) for purpose, seen in lengths.items()
             if len(seen) > 1} == {}
+
+
+class TestReplaceFile:
+    """Every file megsim writes is a new file renamed into place."""
+
+    def test_hard_link_keeps_the_old_bytes(self, tmp_path):
+        path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        path.write_text("old\n")
+        os.link(path, link)
+        with replace_file(str(path)) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert link.read_text() == "old\n"
+        assert not os.path.samefile(path, link)
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv"]
+
+    def test_exception_leaves_the_old_file_and_no_tmp(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="half written"):
+            with replace_file(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("half written")
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_stale_tmp_is_replaced(self, tmp_path):
+        path, stale = tmp_path / "out.csv", tmp_path / "out.csv.tmp"
+        stale.write_text("stale from a killed run")
+        os.link(stale, tmp_path / "keep")
+        with replace_file(path) as fh:
+            fh.write("new")
+        assert path.read_text() == "new"
+        # unlinked, not truncated: another name for it keeps its bytes
+        assert (tmp_path / "keep").read_text() == "stale from a killed run"
+        assert sorted(os.listdir(tmp_path)) == ["keep", "out.csv"]
+
+    def test_path_like_and_open_arguments_accepted(self, tmp_path):
+        path = tmp_path / "new.csv"
+        with replace_file(path, newline="") as fh:
+            fh.write("a\r\nb")
+        with replace_file(path, "wb") as fh:
+            fh.write(path.read_bytes() + b"\n")
+        assert path.read_bytes() == b"a\r\nb\n"
+
+
+def _writes_a_file(call):
+    """Whether ``call`` can write a file: ``open`` in a mode other than
+    reading (a mode that is not a literal counts), ``os.rename``,
+    ``os.replace``, ``os.open`` or a ``write_text``/``write_bytes``."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        return mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not set(mode.value) & set("wax+"))
+    if isinstance(func, ast.Attribute):
+        owner = getattr(func.value, "id", None)
+        return func.attr in ("write_text", "write_bytes") or (
+            owner == "os" and func.attr in ("rename", "replace", "open"))
+    return False
+
+
+def _writes(tree):
+    """(enclosing function, line) of every call in ``tree`` that can write
+    a file."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and _writes_a_file(node):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_replace_file_writes_files():
+    package = os.path.dirname(megsim.__file__)
+    found = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for func, line in _writes(tree):
+                found.setdefault(f"{name[:-3]}.{func}", []).append(line)
+    # the scan finds replace_file's own open and rename, and nothing else
+    assert set(found) == {"util.replace_file"}
+    assert len(found["util.replace_file"]) == 2
